@@ -5,7 +5,7 @@
 //! no matter the order in which switches apply it (Eqn 16):
 //!
 //! ```text
-//! ∀e, i:  Σ_v max(a^{i-1}_{v,e}, a^i_{v,e}) ≤ c_e
+//! ∀e, i:  Σ_v zⁱ_{v,e} ≤ c_e,   zⁱ = max(a^{i-1}, a^i)
 //! ```
 //!
 //! Without FFC, a single switch that fails (or is slow) to apply step
@@ -19,22 +19,48 @@
 //! hold). The per-step constraint family
 //!
 //! ```text
-//! ∀e, i, λ ∈ Λ_kc:  Σ_v [λ_v·M^i_{v,e} + (1−λ_v)·max(a^{i-1},a^i)_{v,e}] ≤ c_e
+//! ∀e, i, λ ∈ Λ_kc:  Σ_v [λ_v·M^i_{v,e} + (1−λ_v)·zⁱ_{v,e}] ≤ c_e
 //! ```
 //!
-//! is again a bounded M-sum and is compressed with the same machinery.
+//! bounds the `kc` largest per-ingress gaps `Mⁱ − zⁱ` by `c_e − Σ zⁱ`:
+//! again a bounded M-sum, compressed with the same machinery.
+//!
+//! Planning is a *feasibility* problem — rates follow a fixed schedule
+//! and only the intermediate splits are free — and the simplex is asked
+//! only what arithmetic cannot decide:
+//!
+//! * **`m = 1` has no free variable.** The chain is `[to]`, so Eqn 16 is
+//!   a sum per link, checked directly. That is exact for `kc > 0` too:
+//!   `M¹ = max(a⁰, z¹) = z¹`, every gap is zero and the family above
+//!   collapses onto Eqn 16. A link may exceed its capacity by `1e-6`
+//!   (`ADMIT_TOL`), the absolute residual `ffc-lp` tolerates before it
+//!   reports a model infeasible — whatever an LP would admit is admitted.
+//! * **For `m ≥ 2` the constant side of a max is a bound, not a row.**
+//!   `a⁰` and `aᵐ` are data, so `z¹ ≥ a⁰` and `zᵐ ≥ aᵐ` become lower
+//!   bounds on `z¹` / `zᵐ`; `M¹ = z¹` needs no variable and step 1 no
+//!   M-sum rows. The all-slack basis is then feasible for every row but
+//!   the per-flow rate equalities, which is all phase 1 has to repair.
 
-use ffc_lp::{Cmp, LinExpr, LpError, Model, Sense, VarId};
+use std::collections::BTreeMap;
+use std::iter::{once, repeat_n};
+
+use ffc_lp::{Cmp, LinExpr, LpError, Model, VarId};
 use ffc_net::{Topology, TrafficMatrix, TunnelTable};
 
 use crate::bounded_msum::{constrain_any_m_sum_le, MsumEncoding};
 use crate::te::TeConfig;
+
+/// Absolute per-link excess the one-step admission test lets through.
+const ADMIT_TOL: f64 = 1e-6;
 
 /// A planned chain of intermediate configurations.
 #[derive(Debug, Clone)]
 pub struct UpdatePlan {
     /// The configurations `A¹ … Aᵐ`; the last equals the target.
     pub steps: Vec<TeConfig>,
+    /// What finding the chain cost. Diagnostic only: it must never reach
+    /// a fingerprint, checkpoint or telemetry record.
+    pub stats: UpdateStats,
 }
 
 impl UpdatePlan {
@@ -42,6 +68,21 @@ impl UpdatePlan {
     pub fn num_steps(&self) -> usize {
         self.steps.len()
     }
+}
+
+/// Solver work behind an [`UpdatePlan`], summed over the step counts
+/// tried. All counts repeat exactly for a given input.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct UpdateStats {
+    /// Chain LPs handed to the simplex (none for a one-step plan).
+    pub lp_solves: usize,
+    /// Rows of the last chain LP built.
+    pub rows: usize,
+    /// Columns of the last chain LP built.
+    pub cols: usize,
+    /// Simplex iterations of the solves that returned a chain (an
+    /// infeasible attempt reports none).
+    pub simplex_iterations: usize,
 }
 
 /// Parameters for update planning.
@@ -59,11 +100,7 @@ pub struct UpdateConfig {
 impl UpdateConfig {
     /// A plain (non-FFC) plan with `m` steps.
     pub fn plain(num_steps: usize) -> Self {
-        Self {
-            num_steps,
-            kc: 0,
-            encoding: MsumEncoding::SortingNetwork,
-        }
+        Self::ffc(num_steps, 0)
     }
 
     /// An FFC plan tolerating `kc` cumulative failures.
@@ -76,15 +113,16 @@ impl UpdateConfig {
     }
 }
 
-/// Plans a congestion-free multi-step update from `from` to `to`.
+/// Plans a congestion-free `m`-step update from `from` to `to`, or
+/// returns [`LpError::Infeasible`] when no `m`-step chain exists — retry
+/// with more steps.
 ///
-///
-/// Flow rates follow a fixed linear schedule between the endpoint rates;
-/// the LP chooses the intermediate tunnel allocations. Within each step
-/// allocations sum exactly to the step's rate (so splitting weights are
-/// well-defined). Returns [`LpError::Infeasible`] when no `m`-step chain
-/// exists — retry with more steps.
-#[allow(clippy::needless_range_loop)] // (step, flow, tunnel) index grids
+/// Flow rates follow a fixed linear schedule between the endpoint rates
+/// and the intermediate tunnel allocations are any feasible point (there
+/// is nothing to optimize: each step's total is pinned). Intermediate
+/// steps allocate exactly their scheduled rate, so splitting weights are
+/// well-defined; the endpoints are taken as given and may over-allocate
+/// (`Σ_t alloc > rate` is what `ke > 0` protection produces).
 pub fn plan_update(
     topo: &Topology,
     tm: &TrafficMatrix,
@@ -93,163 +131,135 @@ pub fn plan_update(
     to: &TeConfig,
     cfg: &UpdateConfig,
 ) -> Result<UpdatePlan, LpError> {
+    let mut stats = UpdateStats::default();
+    let steps = plan_chain(topo, tm, tunnels, from, to, cfg, &mut stats)?;
+    Ok(UpdatePlan { steps, stats })
+}
+
+/// [`plan_update`]'s body; `stats` accumulates across calls so that
+/// [`plan_update_auto`] reports the attempts that failed as well.
+fn plan_chain(
+    topo: &Topology,
+    tm: &TrafficMatrix,
+    tunnels: &TunnelTable,
+    from: &TeConfig,
+    to: &TeConfig,
+    cfg: &UpdateConfig,
+    stats: &mut UpdateStats,
+) -> Result<Vec<TeConfig>, LpError> {
     assert!(cfg.num_steps >= 1, "need at least one step");
     let m = cfg.num_steps;
-    let nf = tm.len();
-    assert_eq!(from.alloc.len(), nf);
-    assert_eq!(to.alloc.len(), nf);
+    let shape = || tm.ids().map(|f| tunnels.tunnels(f).len());
+    let fits = |c: &TeConfig| c.alloc.iter().map(Vec::len).eq(shape());
+    assert!(fits(from) && fits(to), "one allocation per tunnel");
 
-    // Rate schedule: b^i_f, i = 0..=m (constants).
-    let rate_at = |i: usize, f: usize| -> f64 {
+    if m == 1 {
+        let loads = transition_loads(topo, tunnels, from, to);
+        let within = |(load, e)| load <= topo.capacity(e) + ADMIT_TOL;
+        let admitted = loads.into_iter().zip(topo.links()).all(within);
+        return admitted
+            .then(|| vec![to.clone()])
+            .ok_or(LpError::Infeasible);
+    }
+
+    // Rate schedule b^i_f (constants), i = 0..=m.
+    let rates = |i: usize| {
         let t = i as f64 / m as f64;
-        from.rate[f] * (1.0 - t) + to.rate[f] * t
+        let ends = from.rate.iter().zip(&to.rate);
+        ends.map(move |(&b0, &bm)| b0 * (1.0 - t) + bm * t)
     };
 
     let mut model = Model::new();
-    // a[i][f][t] for i in 1..m (step m is the fixed target, step 0 the
-    // fixed source).
-    let mut a: Vec<Vec<Vec<VarId>>> = Vec::new();
-    for i in 1..m {
-        let step: Vec<Vec<VarId>> = tm
-            .ids()
-            .map(|f| {
-                (0..tunnels.tunnels(f).len())
-                    .map(|t| model.add_var(0.0, f64::INFINITY, format!("a{i}_{f}_{t}")))
-                    .collect()
-            })
-            .collect();
-        a = {
-            let mut v = a;
-            v.push(step);
-            v
-        };
-    }
-
-    // Allocation expression for (step, flow, tunnel): constant at the
-    // endpoints, variable inside.
-    let alloc_expr = |i: usize, f: usize, t: usize| -> LinExpr {
-        if i == 0 {
-            LinExpr::constant(from.alloc[f][t])
-        } else if i == m {
-            LinExpr::constant(to.alloc[f][t])
-        } else {
-            LinExpr::from(a[i - 1][f][t])
-        }
-    };
-
-    // Per intermediate step: allocations sum to the step's rate.
-    for (i, step) in a.iter().enumerate() {
-        let idx = i + 1;
-        for f in 0..nf {
-            let mut sum = LinExpr::zero();
-            for &v in &step[f] {
-                sum.add_term(v, 1.0);
+    // a^i_{f,t} for 0 < i < m, flattened in tunnel order; each flow's
+    // allocations sum to its rate at that step.
+    let inner: Vec<Vec<VarId>> = (1..m)
+        .map(|i| {
+            let mut vars = Vec::with_capacity(tunnels.total_tunnels());
+            for (row, rate) in to.alloc.iter().zip(rates(i)) {
+                let a: Vec<VarId> = row
+                    .iter()
+                    .map(|_| model.add_var_unnamed(0.0, f64::INFINITY))
+                    .collect();
+                model.add_con(LinExpr::sum(a.iter().copied()), Cmp::Eq, rate);
+                vars.extend(a);
             }
-            model.add_con(sum, Cmp::Eq, rate_at(idx, f));
-        }
-    }
-
-    // Transition-max variables z^i_{f,t} ≥ a^{i-1}, a^i; cumulative-max
-    // variables M^i_{f,t} ≥ M^{i-1}, z^i (only needed with kc > 0).
-    // Incidence map.
-    let mut link_tunnels: Vec<Vec<(usize, usize)>> = vec![Vec::new(); topo.num_links()];
-    for (f, ti, tunnel) in tunnels.iter_all() {
-        for &l in &tunnel.links {
-            link_tunnels[l.index()].push((f.index(), ti));
-        }
-    }
-
-    let mut prev_m: Vec<Vec<Option<LinExpr>>> = (0..nf)
-        .map(|f| {
-            (0..tunnels.tunnels(ffc_net::FlowId(f)).len())
-                .map(|t| Some(LinExpr::constant(from.alloc[f][t])))
-                .collect()
+            vars
         })
         .collect();
 
-    for i in 1..=m {
-        // z^i per (f,t).
-        let mut z: Vec<Vec<LinExpr>> = Vec::with_capacity(nf);
-        let mut m_now: Vec<Vec<Option<LinExpr>>> = Vec::with_capacity(nf);
-        for f in 0..nf {
-            let nt = tunnels.tunnels(ffc_net::FlowId(f)).len();
-            let mut zf = Vec::with_capacity(nt);
-            let mut mf = Vec::with_capacity(nt);
-            for t in 0..nt {
-                let zv = model.add_var(0.0, f64::INFINITY, format!("z{i}_{f}_{t}"));
-                model.add_con(alloc_expr(i - 1, f, t) - LinExpr::from(zv), Cmp::Le, 0.0);
-                model.add_con(alloc_expr(i, f, t) - LinExpr::from(zv), Cmp::Le, 0.0);
-                zf.push(LinExpr::from(zv));
-                if cfg.kc > 0 {
-                    let mv = model.add_var(0.0, f64::INFINITY, format!("M{i}_{f}_{t}"));
-                    let prev = prev_m[f][t].take().expect("prev M present");
-                    model.add_con(prev - LinExpr::from(mv), Cmp::Le, 0.0);
-                    model.add_con(zf[t].clone() - LinExpr::from(mv), Cmp::Le, 0.0);
-                    mf.push(Some(LinExpr::from(mv)));
-                } else {
-                    mf.push(None);
+    // z^i ≥ a^j for j ∈ {i−1, i}: a bound where a^j is an endpoint (z¹
+    // and zᵐ have one each), a row where it is free.
+    let nil = TeConfig::zero(tunnels);
+    let floors = once(from).chain(repeat_n(&nil, m - 2)).chain(once(to));
+    let mut cum_max: Vec<VarId> = Vec::new(); // M^{i-1}
+    for (i, floor) in (1..=m).zip(floors) {
+        let z: Vec<VarId> = (floor.alloc.iter().flatten())
+            .map(|&lb| model.add_var_unnamed(lb.max(0.0), f64::INFINITY))
+            .collect();
+        let free = (inner.iter().zip(1..)).filter(|&(_, j)| j + 1 == i || j == i);
+        for (&a, &zv) in free.flat_map(|(a, _)| a.iter().zip(&z)) {
+            model.add_con(LinExpr::from(a) - LinExpr::from(zv), Cmp::Le, 0.0);
+        }
+        // M^i ≥ M^{i-1}, z^i; M¹ is z¹ itself and kc = 0 never looks.
+        let stale = cfg.kc > 0 && i > 1;
+        cum_max = if stale {
+            (cum_max.iter().zip(&z))
+                .map(|(&prev, &zv)| {
+                    let mv = model.add_var_unnamed(0.0, f64::INFINITY);
+                    model.add_con(LinExpr::from(prev) - LinExpr::from(mv), Cmp::Le, 0.0);
+                    model.add_con(LinExpr::from(zv) - LinExpr::from(mv), Cmp::Le, 0.0);
+                    mv
+                })
+                .collect()
+        } else {
+            z.clone()
+        };
+
+        // Per link: Σ z^i and, per ingress, the gap Σ (M^i − z^i).
+        let mut links = vec![(LinExpr::zero(), BTreeMap::new()); topo.num_links()];
+        for ((_, _, tunnel), (&zv, &mv)) in tunnels.iter_all().zip(z.iter().zip(&cum_max)) {
+            for l in &tunnel.links {
+                let Some((zsum, gaps)) = links.get_mut(l.index()) else {
+                    continue;
+                };
+                zsum.add_term(zv, 1.0);
+                if stale {
+                    let gap: &mut LinExpr = gaps.entry(tunnel.src()).or_default();
+                    gap.add_term(mv, 1.0).add_term(zv, -1.0);
                 }
             }
-            z.push(zf);
-            m_now.push(mf);
         }
-
-        // Per link: Eqn 16 (and the FFC family).
-        for e in topo.links() {
-            let pairs = &link_tunnels[e.index()];
-            if pairs.is_empty() {
+        for (e, (zsum, gaps)) in topo.links().zip(links) {
+            if zsum.is_empty() {
                 continue;
             }
-            let mut zsum = LinExpr::zero();
-            for &(f, t) in pairs {
-                zsum += z[f][t].clone();
-            }
+            // Eqn 16, then the FFC family over the per-ingress gaps.
             model.add_con(zsum.clone(), Cmp::Le, topo.capacity(e));
-
-            if cfg.kc > 0 {
-                // Group gaps M − z by ingress.
-                let mut gap_by_ingress: std::collections::BTreeMap<usize, LinExpr> =
-                    std::collections::BTreeMap::new();
-                for &(f, t) in pairs {
-                    let src = tunnels.tunnels(ffc_net::FlowId(f))[t].src().index();
-                    let gap = gap_by_ingress.entry(src).or_default();
-                    *gap += m_now[f][t].clone().expect("kc>0 has M") - z[f][t].clone();
-                }
-                let gaps: Vec<LinExpr> = gap_by_ingress.into_values().collect();
+            if stale {
                 let budget = LinExpr::constant(topo.capacity(e)) - zsum;
+                let gaps = gaps.into_values().collect();
                 constrain_any_m_sum_le(&mut model, gaps, cfg.kc, budget, cfg.encoding);
             }
         }
-
-        prev_m = m_now;
     }
 
-    // Objective: minimize total intermediate allocation churn (keeps the
-    // plan tame); feasibility is what matters.
-    let mut obj = LinExpr::zero();
-    for step in &a {
-        for row in step {
-            for &v in row {
-                obj.add_term(v, 1.0);
-            }
-        }
-    }
-    model.set_objective(obj, Sense::Minimize);
-
+    stats.lp_solves += 1;
+    (stats.rows, stats.cols) = (model.num_cons(), model.num_vars());
     let sol = model.solve()?;
-    let mut steps = Vec::with_capacity(m);
-    for i in 1..m {
-        let step = &a[i - 1];
-        steps.push(TeConfig {
-            rate: (0..nf).map(|f| rate_at(i, f)).collect(),
-            alloc: step
-                .iter()
-                .map(|row| row.iter().map(|&v| sol.value(v).max(0.0)).collect())
-                .collect(),
-        });
-    }
+    stats.simplex_iterations += sol.stats.iterations();
+
+    let mut steps: Vec<TeConfig> = (inner.iter().zip(1..))
+        .map(|(vars, i)| {
+            let mut vals = vars.iter().map(|&v| sol.value(v).max(0.0));
+            let row = |row: &Vec<f64>| vals.by_ref().take(row.len()).collect();
+            TeConfig {
+                rate: rates(i).collect(),
+                alloc: to.alloc.iter().map(row).collect(),
+            }
+        })
+        .collect();
     steps.push(to.clone());
-    Ok(UpdatePlan { steps })
+    Ok(steps)
 }
 
 /// Plans with the *fewest* steps that work: tries `1..=max_steps`
@@ -267,19 +277,36 @@ pub fn plan_update_auto(
     kc: usize,
 ) -> Result<UpdatePlan, LpError> {
     assert!(max_steps >= 1);
+    let mut stats = UpdateStats::default();
     let mut last_err = LpError::Infeasible;
     for steps in 1..=max_steps {
-        let cfg = if kc == 0 {
-            UpdateConfig::plain(steps)
-        } else {
-            UpdateConfig::ffc(steps, kc)
-        };
-        match plan_update(topo, tm, tunnels, from, to, &cfg) {
-            Ok(plan) => return Ok(plan),
+        let cfg = UpdateConfig::ffc(steps, kc);
+        match plan_chain(topo, tm, tunnels, from, to, &cfg, &mut stats) {
+            Ok(steps) => return Ok(UpdatePlan { steps, stats }),
             Err(e) => last_err = e,
         }
     }
     Err(last_err)
+}
+
+/// Per link, `Σ_v max(a_{v,e}, b_{v,e})`: what the link may carry while
+/// switches move from `a` to `b` in any order (Eqn 16's left side).
+fn transition_loads(
+    topo: &Topology,
+    tunnels: &TunnelTable,
+    a: &TeConfig,
+    b: &TeConfig,
+) -> Vec<f64> {
+    let mut load = vec![0.0; topo.num_links()];
+    let ends = a.alloc.iter().flatten().zip(b.alloc.iter().flatten());
+    for ((_, _, tunnel), (&x, &y)) in tunnels.iter_all().zip(ends) {
+        for l in &tunnel.links {
+            if let Some(sum) = load.get_mut(l.index()) {
+                *sum += x.max(y);
+            }
+        }
+    }
+    load
 }
 
 /// Verifies Eqn 16 for a realized plan: every adjacent pair of configs
@@ -294,16 +321,9 @@ pub fn max_transition_violation(
     let mut worst: f64 = 0.0;
     let mut prev = from;
     for step in &plan.steps {
-        let mut load = vec![0.0; topo.num_links()];
-        for (f, ti, tunnel) in tunnels.iter_all() {
-            let hi = prev.alloc[f.index()][ti].max(step.alloc[f.index()][ti]);
-            for &l in &tunnel.links {
-                load[l.index()] += hi;
-            }
-        }
-        for e in topo.links() {
-            let v = (load[e.index()] - topo.capacity(e)) / topo.capacity(e);
-            worst = worst.max(v);
+        let loads = transition_loads(topo, tunnels, prev, step);
+        for (load, e) in loads.into_iter().zip(topo.links()) {
+            worst = worst.max((load - topo.capacity(e)) / topo.capacity(e));
         }
         prev = step;
     }
@@ -612,6 +632,66 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A one-step plan is decided by arithmetic — no LP, whatever `kc` —
+    /// and the auto planner reports exactly that.
+    #[test]
+    fn one_step_plans_solve_no_lp() {
+        let (topo, tm, tt, from, to) = swap_scenario();
+        for kc in 0..=2 {
+            let plan = plan_update_auto(&topo, &tm, &tt, &from, &to, 3, kc).unwrap();
+            assert_eq!(plan.num_steps(), 1);
+            assert_eq!(plan.stats, UpdateStats::default(), "kc={kc}");
+        }
+        // One unit over capacity is refused without a solve either.
+        let to = TeConfig {
+            rate: vec![17.0],
+            alloc: vec![vec![6.0, 11.0]],
+        };
+        let r = plan_update(&topo, &tm, &tt, &from, &to, &UpdateConfig::ffc(1, 1));
+        assert_eq!(r.unwrap_err(), LpError::Infeasible);
+    }
+
+    /// Shape ratchet for the lean chain LP on the paper-layout L-Net
+    /// (128 flows × 6 tunnels, 352 links): at `m = 2`, `kc = 0` it has
+    /// the `F` rate rows, one row per tunnel per *variable* side of a
+    /// max (`z¹ ≥ a¹`, `z² ≥ a¹`) and one per used link per step — the
+    /// endpoint sides are bounds. The full formulation had `F + 4T + 2L`.
+    #[test]
+    fn lnet_two_step_model_has_no_endpoint_rows() {
+        use ffc_topo::{gravity_trace, lnet, LNetConfig, TrafficConfig};
+        let net = lnet(&LNetConfig {
+            seed: 42,
+            ..LNetConfig::default()
+        });
+        let traffic = TrafficConfig {
+            mean_total: net.topo.total_capacity() * 0.05,
+            priority_split: (1.0, 0.0),
+            seed: 43,
+            ..TrafficConfig::default()
+        };
+        let tm = gravity_trace(&net, &traffic, 1).intervals.swap_remove(0);
+        let tt = layout_tunnels(&net.topo, &tm, &LayoutConfig::default());
+        // Two TE optima at half load: any chain length is feasible.
+        let half_te = |tm: &TrafficMatrix| {
+            let full = crate::solve_te(crate::TeProblem::new(&net.topo, tm, &tt)).unwrap();
+            TeConfig {
+                rate: full.rate.iter().map(|r| r * 0.5).collect(),
+                alloc: (full.alloc.iter())
+                    .map(|row| row.iter().map(|a| a * 0.5).collect())
+                    .collect(),
+            }
+        };
+        let (from, to) = (half_te(&tm), half_te(&tm.scale(0.8)));
+        let plan = plan_update(&net.topo, &tm, &tt, &from, &to, &UpdateConfig::plain(2)).unwrap();
+        let (f, t, l) = (tm.len(), tt.total_tunnels(), net.topo.num_links());
+        assert_eq!((f, t, l), (128, 768, 352));
+        assert_eq!(plan.stats.lp_solves, 1);
+        assert_eq!(plan.stats.cols, 3 * t, "a¹, z¹, z²");
+        assert!(plan.stats.rows <= f + 2 * t + 2 * l, "{}", plan.stats.rows);
+        assert!(plan.stats.simplex_iterations > 0);
+        assert!(max_transition_violation(&net.topo, &tt, &from, &plan) <= 1e-7);
     }
 
     #[test]
