@@ -10,6 +10,12 @@
 //! independently), so a bug in the solver or in core's rescaling cannot
 //! certify itself.
 //!
+//! There is one production evaluator: [`certify`] runs the static
+//! checks and then the batched SoA kernels of `crate::kernels`, always.
+//! [`certify_scalar`] is the one-scenario-at-a-time walk the kernels
+//! were derived from; it stays as the reference the differential tests
+//! hold the kernels bit-identical to, and nothing but tests calls it.
+//!
 //! The result is a machine-readable [`Certificate`]: accepted/rejected,
 //! how many fault scenarios were checked, whether the enumeration was
 //! exhaustive or budget-capped, and the worst relative oversubscription
@@ -525,35 +531,22 @@ pub(crate) fn for_each_combo_up_to(
 /// [`CertInput::max_scenarios`]; the certificate's `exhaustive` flag
 /// records whether the full protected set was covered.
 ///
-/// Dispatches to the batched SoA kernels of [`crate::kernels`] unless
-/// the `FFC_KERNELS` environment variable is set to `scalar`; both
-/// paths produce bit-identical certificates (the differential proptest
-/// oracle in `tests/` enforces this). `FFC_KERNEL_WORKERS` overrides
-/// the batched path's thread count (the verdict does not depend on it).
+/// Phase 4 runs on the batched SoA kernels over [`kernel_workers`]
+/// threads; the verdict does not depend on the thread count.
 pub fn certify(input: &CertInput<'_>) -> Certificate {
-    match std::env::var("FFC_KERNELS").as_deref() {
-        Ok("scalar") => certify_scalar(input),
-        _ => certify_batched(input, kernel_workers()),
-    }
+    certify_batched(input, kernel_workers())
 }
 
-/// Worker count for the batched certification path: the
-/// `FFC_KERNEL_WORKERS` environment variable when set, otherwise
+/// Worker count [`certify`] fans the kernels out over:
 /// [`std::thread::available_parallelism`].
 pub fn kernel_workers() -> usize {
-    std::env::var("FFC_KERNEL_WORKERS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&w| w > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
 }
 
-/// [`certify`] over the batched SoA kernels with an explicit worker
-/// count. The fast path; bit-identical to [`certify_scalar`].
+/// [`certify`] with an explicit worker count, for the tests that pin
+/// worker-independence. Bit-identical to [`certify_scalar`].
 pub fn certify_batched(input: &CertInput<'_>, workers: usize) -> Certificate {
     let mut cert = match static_phase(input) {
         Ok(cert) => cert,
@@ -653,9 +646,9 @@ fn static_phase(input: &CertInput<'_>) -> Result<Certificate, Certificate> {
 }
 
 /// [`certify`] over the original one-scenario-at-a-time arithmetic.
-/// Kept alive as the reference implementation the batched kernels are
-/// differentially tested against (`FFC_KERNELS=scalar` routes the
-/// default entry point here).
+/// The reference implementation the batched kernels are differentially
+/// tested against (`tests/proptest_kernels.rs`, and the paper instances
+/// in the workspace integration tests); no production code calls it.
 pub fn certify_scalar(input: &CertInput<'_>) -> Certificate {
     let mut cert = match static_phase(input) {
         Ok(cert) => cert,

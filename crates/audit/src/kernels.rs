@@ -1,33 +1,38 @@
-//! Batched SoA scenario kernels (tentpole pass, PR 7).
+//! Batched SoA scenario kernels: the congestion-freedom phase of
+//! [`crate::certify::certify`].
 //!
-//! The scalar certifier in [`crate::certify`] walks fault scenarios one
-//! at a time, and each scenario walk re-probes `BTreeSet`s per link and
-//! allocates a residual-tunnel `Vec` per flow. This module restructures
-//! that sweep into structure-of-arrays blocks:
+//! The scalar reference in [`crate::certify::certify_scalar`] walks
+//! fault scenarios one at a time, and each scenario walk re-probes
+//! `BTreeSet`s per link and allocates a residual-tunnel `Vec` per flow.
+//! This module restructures that sweep into structure-of-arrays blocks:
 //!
-//! * a [`ScenarioSet`] packs every scenario's fault state into bitset
-//!   words — raw failed-link mask, *effective* dead-link mask (failed
-//!   links ∪ links incident to a failed switch), failed-switch mask and
-//!   stale-ingress mask — laid out scenario-major so a block of
-//!   [`BLOCK_LANES`] scenarios is a handful of contiguous words;
-//! * a [`BatchEvaluator`] precompiles the tunnel layout (per-tunnel
-//!   link lists and sparse link-mask words, per-flow endpoint bits and
-//!   splitting weights) once, then evaluates the proportional-rescaling
+//! * a `ScenarioSet` replays the certifier's deterministic scenario
+//!   enumeration into bitset words — raw failed-link mask, *effective*
+//!   dead-link mask (failed links ∪ links incident to a failed switch),
+//!   failed-switch mask and stale-ingress mask — laid out
+//!   scenario-major so a block of `BLOCK_LANES` scenarios is a handful
+//!   of contiguous words;
+//! * a `BatchEvaluator` precompiles the tunnel layout (per-tunnel link
+//!   lists, per-flow endpoints and the raw allocations the certifier
+//!   splits by) once, then evaluates the proportional-rescaling
 //!   arithmetic of paper §2.1/§4.2/§4.3 over whole lanes of scenarios
 //!   with bit tests instead of set probes;
 //! * blocks fan out across OS threads (`std::thread::scope` — the
 //!   workspace vendors no rayon) and merge deterministically in block
 //!   order, so the verdict is independent of `workers`.
 //!
+//! The certifier is the only consumer: everything here is crate-private
+//! and computes link loads, nothing else.
+//!
 //! **Bit-identity contract.** The lane arithmetic reproduces the scalar
-//! certifier's floating-point results *bitwise*, not just within
+//! reference's floating-point results *bitwise*, not just within
 //! tolerance: masked weight sums only ever add `±0.0` to a non-negative
 //! accumulator (a no-op on the bit pattern), per-tunnel traffic is
 //! computed as the same `(rate * weight) / total` expression in the
 //! same tunnel order, and link loads accumulate in the same flow-major
-//! order. The differential proptest oracle in `tests/` holds the two
-//! paths to verdict-for-verdict equality, including the recorded
-//! violation strings and the bit pattern of `max_oversubscription`.
+//! order. The differential oracles in `tests/` hold the two paths to
+//! verdict-for-verdict equality, including the recorded violation
+//! strings and the bit pattern of `max_oversubscription`.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -38,7 +43,7 @@ use crate::certify::{for_each_combo_up_to, within, CertInput, Certificate, Prote
 
 /// Scenarios evaluated per SoA block. One cache-friendly lane stripe of
 /// `f64` loads per link; also the unit of thread fan-out.
-pub const BLOCK_LANES: usize = 64;
+const BLOCK_LANES: usize = 64;
 
 #[inline]
 fn words_for(bits: usize) -> usize {
@@ -48,12 +53,10 @@ fn words_for(bits: usize) -> usize {
 /// A packed batch of fault scenarios: per-scenario bitset lanes over
 /// links and switches, scenario-major.
 ///
-/// Built either by [`ScenarioSet::pack`]ing explicit
-/// [`FaultScenario`]s or by [`ScenarioSet::enumerate_protection`],
-/// which replays the certifier's deterministic ≤ke link × ≤kv switch ×
-/// ≤kc stale-ingress enumeration under a scenario budget.
-#[derive(Debug, Clone)]
-pub struct ScenarioSet {
+/// Built by [`ScenarioSet::enumerate_protection`], which replays the
+/// certifier's deterministic ≤ke link × ≤kv switch × ≤kc stale-ingress
+/// enumeration under a scenario budget.
+struct ScenarioSet {
     num_links: usize,
     num_nodes: usize,
     /// Words per scenario in the link-indexed masks.
@@ -125,40 +128,13 @@ impl ScenarioSet {
         self.len += 1;
     }
 
-    /// Packs explicit scenarios in slice order.
-    pub fn pack(topo: &Topology, scenarios: &[FaultScenario]) -> Self {
-        let mut set = Self::empty(topo);
-        let incident = Self::incident_masks(topo);
-        let (lw, nw) = (set.lw, set.nw);
-        let mut fl = vec![0u64; lw];
-        let mut fs = vec![0u64; nw];
-        let mut st = vec![0u64; nw];
-        for sc in scenarios {
-            fl.iter_mut().for_each(|w| *w = 0);
-            fs.iter_mut().for_each(|w| *w = 0);
-            st.iter_mut().for_each(|w| *w = 0);
-            for &l in &sc.failed_links {
-                fl[l.index() / 64] |= 1 << (l.index() % 64);
-            }
-            for &v in &sc.failed_switches {
-                fs[v.index() / 64] |= 1 << (v.index() % 64);
-            }
-            for &v in &sc.config_failures {
-                st[v.index() / 64] |= 1 << (v.index() % 64);
-            }
-            set.push_raw(&fl, &fs, &st, &incident);
-        }
-        set
-    }
-
     /// Replays the certifier's deterministic scenario enumeration: every
     /// joint combination of ≤`ke` links × ≤`kv` switches (the empty
     /// combination is the fault-free case), then — when
     /// `include_control` — every non-empty combination of ≤`kc` stale
     /// ingresses drawn from `sources`. Enumeration stops at `budget`
-    /// scenarios; [`ScenarioSet::truncated`] records whether anything
-    /// was left out.
-    pub fn enumerate_protection(
+    /// scenarios; `truncated` records whether anything was left out.
+    fn enumerate_protection(
         topo: &Topology,
         sources: &[NodeId],
         protection: Protection,
@@ -219,75 +195,17 @@ impl ScenarioSet {
         set
     }
 
-    /// Number of packed scenarios.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the set holds no scenarios.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Whether enumeration stopped at the budget before covering the
-    /// full protected set.
-    pub fn truncated(&self) -> bool {
-        self.truncated
-    }
-
-    /// Number of links in the packing topology.
-    pub fn num_links(&self) -> usize {
-        self.num_links
-    }
-
-    /// The dead-link words of scenario `s` (failed ∪ incident to a
-    /// failed switch): `lw` words, bit `e` set ⇔ link `e` is unusable.
-    #[inline]
-    pub fn dead_link_words(&self, s: usize) -> &[u64] {
-        &self.dead_links[s * self.lw..(s + 1) * self.lw]
-    }
-
     /// Whether link `e` is dead (failed or incident to a failed switch)
     /// in scenario `s` — the batched equivalent of
     /// [`FaultScenario::link_dead`].
     #[inline]
-    pub fn link_dead(&self, s: usize, e: LinkId) -> bool {
+    fn link_dead(&self, s: usize, e: LinkId) -> bool {
         self.dead_links[s * self.lw + e.index() / 64] >> (e.index() % 64) & 1 == 1
     }
 
-    /// Whether switch `v` failed in scenario `s`.
-    #[inline]
-    pub fn switch_failed(&self, s: usize, v: NodeId) -> bool {
-        self.failed_switches[s * self.nw + v.index() / 64] >> (v.index() % 64) & 1 == 1
-    }
-
-    /// Whether switch `v` is a stale ingress in scenario `s`.
-    #[inline]
-    pub fn stale(&self, s: usize, v: NodeId) -> bool {
-        self.stale[s * self.nw + v.index() / 64] >> (v.index() % 64) & 1 == 1
-    }
-
-    /// Whether scenario `s` has any data-plane fault (cf.
-    /// [`FaultScenario::data_plane_clean`]).
-    pub fn data_plane_clean(&self, s: usize) -> bool {
-        self.failed_links[s * self.lw..(s + 1) * self.lw]
-            .iter()
-            .all(|&w| w == 0)
-            && self.failed_switches[s * self.nw..(s + 1) * self.nw]
-                .iter()
-                .all(|&w| w == 0)
-    }
-
-    /// Whether scenario `s` marks any ingress stale.
-    pub fn has_stale(&self, s: usize) -> bool {
-        self.stale[s * self.nw..(s + 1) * self.nw]
-            .iter()
-            .any(|&w| w != 0)
-    }
-
     /// Reconstructs scenario `s` as a [`FaultScenario`] (cold path:
-    /// violation messages, compatibility shims, tests).
-    pub fn scenario(&self, s: usize) -> FaultScenario {
+    /// violation messages, tests).
+    fn scenario(&self, s: usize) -> FaultScenario {
         let mut sc = FaultScenario::none();
         for e in 0..self.num_links {
             if self.failed_links[s * self.lw + e / 64] >> (e % 64) & 1 == 1 {
@@ -330,31 +248,20 @@ struct FlowLane {
 }
 
 /// Precompiled rescaling evaluator: turns a [`ScenarioSet`] block into
-/// per-lane link loads, per-flow sent rates, and blackholed totals.
-pub struct BatchEvaluator {
+/// per-lane link loads.
+struct BatchEvaluator {
     flows: Vec<FlowLane>,
     num_links: usize,
     num_nodes: usize,
-    num_flows: usize,
 }
 
-/// Lane-major outputs of one evaluated block.
-///
-/// `load[e * lanes + lane]` is the load on link `e` in scenario
-/// `start + lane`; `sent[f * lanes + lane]` the delivered rate of flow
-/// `f`; `blackholed[lane]` the rate lost at ingresses. The `sent` /
-/// `blackholed` lanes follow `ffc-core::rescale` semantics (endpoint
-/// death and empty residual sets blackhole the full rate); the `load`
-/// lanes are shared by both the certifier and the rescale adapters.
-pub struct BlockResult {
+/// Lane-major output of one evaluated block: `load[e * lanes + lane]`
+/// is the load on link `e` in scenario `start + lane`.
+struct BlockResult {
     /// Lanes evaluated in this block (≤ [`BLOCK_LANES`]).
-    pub lanes: usize,
+    lanes: usize,
     /// Per-link loads, `[link * lanes + lane]`.
-    pub load: Vec<f64>,
-    /// Per-flow delivered rate, `[flow * lanes + lane]`.
-    pub sent: Vec<f64>,
-    /// Per-lane blackholed rate.
-    pub blackholed: Vec<f64>,
+    load: Vec<f64>,
     /// Scratch: lane mask of scenarios where link `e` is dead — the
     /// block's dead-link words, transposed once so tunnel survival is a
     /// handful of word ORs instead of a per-lane probe.
@@ -368,11 +275,11 @@ pub struct BlockResult {
 impl BatchEvaluator {
     /// Precompiles the tunnel layout and splitting weights.
     ///
-    /// `alloc` / `old_alloc` are the *splitting weights* per flow and
-    /// tunnel — the certifier passes raw allocations, the core adapters
-    /// pass normalized weights; the lane arithmetic is agnostic.
-    /// Shapes must already be validated (the certifier's static pass).
-    pub fn new(
+    /// `alloc` / `old_alloc` are the certifier's raw allocations per
+    /// flow and tunnel — they double as the splitting weights, exactly
+    /// as in the scalar reference. Shapes must already be validated
+    /// (the certifier's static pass).
+    fn new(
         topo: &Topology,
         tm: &TrafficMatrix,
         tunnels: &TunnelTable,
@@ -404,17 +311,14 @@ impl BatchEvaluator {
             flows,
             num_links: topo.num_links(),
             num_nodes: topo.num_nodes(),
-            num_flows: tm.len(),
         }
     }
 
     /// Allocates a reusable output buffer sized for full blocks.
-    pub fn block_buffer(&self) -> BlockResult {
+    fn block_buffer(&self) -> BlockResult {
         BlockResult {
             lanes: 0,
             load: vec![0.0; self.num_links * BLOCK_LANES],
-            sent: vec![0.0; self.num_flows * BLOCK_LANES],
-            blackholed: vec![0.0; BLOCK_LANES],
             dead_lanes: vec![0; self.num_links],
             sw_lanes: vec![0; self.num_nodes],
             stale_lanes: vec![0; self.num_nodes],
@@ -422,9 +326,9 @@ impl BatchEvaluator {
     }
 
     /// Evaluates scenarios `start .. start + lanes` (one block) into
-    /// `out`, where `lanes = min(BLOCK_LANES, set.len() - start)`.
+    /// `out`, where `lanes = min(BLOCK_LANES, set.len - start)`.
     ///
-    /// The arithmetic is the scalar certifier's, lane-parallel: per
+    /// The arithmetic is the scalar reference's, lane-parallel: per
     /// flow, select old-vs-new weights by the stale bit, sum surviving
     /// weights in tunnel order, split `rate * w / total` across
     /// survivors, and accumulate positive traffic onto the tunnel's
@@ -435,17 +339,13 @@ impl BatchEvaluator {
     /// handful of word ORs and the weight sums are branch-free masked
     /// adds (`+= w * mask` only ever adds `±0.0` to a non-negative
     /// accumulator — a bitwise no-op, preserving the scalar results).
-    pub fn eval_block(&self, set: &ScenarioSet, start: usize, out: &mut BlockResult) {
+    fn eval_block(&self, set: &ScenarioSet, start: usize, out: &mut BlockResult) {
         let lanes = BLOCK_LANES.min(set.len - start);
         assert!(lanes > 0, "empty block");
         out.lanes = lanes;
         out.load[..self.num_links * lanes]
             .iter_mut()
             .for_each(|x| *x = 0.0);
-        out.sent[..self.num_flows * lanes]
-            .iter_mut()
-            .for_each(|x| *x = 0.0);
-        out.blackholed[..lanes].iter_mut().for_each(|x| *x = 0.0);
         let full: u64 = if lanes == 64 { !0 } else { (1u64 << lanes) - 1 };
 
         // Transpose the block: scenario-major fault words into per-link
@@ -490,18 +390,16 @@ impl BatchEvaluator {
         // Per-lane scratch, reused across flows.
         let mut total = [0.0f64; BLOCK_LANES];
         let mut tr = [0.0f64; BLOCK_LANES];
-        let mut trp = [0.0f64; BLOCK_LANES];
         let mut alive: Vec<u64> = Vec::new(); // per tunnel: lane bitmask
 
-        for (fi, fl) in self.flows.iter().enumerate() {
+        for fl in &self.flows {
             let r = fl.rate;
             if r <= 0.0 {
                 continue;
             }
-            // Lane bitmasks: endpoint death, staleness, any-survivor.
+            // Lane bitmasks: endpoint death, staleness.
             let ep_dead = (out.sw_lanes[fl.src as usize] | out.sw_lanes[fl.dst as usize]) & full;
             let stale_bits = out.stale_lanes[fl.src as usize] & full;
-            let mut any_alive = 0u64;
             // Pass 1: tunnel survival and residual weight totals.
             alive.clear();
             total[..lanes].iter_mut().for_each(|x| *x = 0.0);
@@ -512,7 +410,6 @@ impl BatchEvaluator {
                 }
                 let bits = full & !dead;
                 alive.push(bits);
-                any_alive |= bits;
                 if bits == 0 {
                     continue;
                 }
@@ -534,11 +431,14 @@ impl BatchEvaluator {
             }
             // Pass 2: split and accumulate. A lane is active when the
             // ingress/egress are up, the tunnel survives, and the
-            // residual weights are not numerically zero; inactive lanes
-            // contribute exactly `+0.0`, so accumulating whole rows
-            // keeps the lane values bit-identical to the scalar skip.
-            for (ti, t) in fl.tunnels.iter().enumerate() {
-                let bits = alive[ti] & !ep_dead;
+            // residual weights are not numerically zero. Links take only
+            // *positive* traffic (the scalar path's `traffic > 0.0`
+            // guard), so loads stay non-negative and the `+0.0` an
+            // inactive or clamped lane contributes is a bitwise no-op:
+            // accumulating whole rows keeps every lane bit-identical to
+            // the scalar skip.
+            for (t, &bits) in fl.tunnels.iter().zip(&alive) {
+                let bits = bits & !ep_dead;
                 if bits == 0 {
                     continue;
                 }
@@ -550,42 +450,17 @@ impl BatchEvaluator {
                     } else {
                         t.w_new
                     };
-                    *slot = if on { r * w / tot } else { 0.0 };
-                }
-                let srow = &mut out.sent[fi * lanes..fi * lanes + lanes];
-                for (s, &t) in srow.iter_mut().zip(&tr[..lanes]) {
-                    *s += t;
-                }
-                // Links take only *positive* traffic (the scalar path's
-                // `traffic > 0.0` guard): loads stay non-negative, so
-                // the +0.0 added for clamped lanes is a bitwise no-op.
-                for (p, &t) in trp[..lanes].iter_mut().zip(&tr[..lanes]) {
-                    *p = if t > 0.0 { t } else { 0.0 };
+                    let traffic = if on { r * w / tot } else { 0.0 };
+                    *slot = if traffic > 0.0 { traffic } else { 0.0 };
                 }
                 for &l in &t.links {
                     let row = &mut out.load[l as usize * lanes..l as usize * lanes + lanes];
-                    for (x, &t) in row.iter_mut().zip(&trp[..lanes]) {
+                    for (x, &t) in row.iter_mut().zip(&tr[..lanes]) {
                         *x += t;
                     }
                 }
             }
-            // Blackholed accounting (rescale semantics): full rate on
-            // endpoint death or an empty residual set, the shortfall
-            // `rate - sent` otherwise.
-            let gone = ep_dead | (full & !any_alive);
-            for lane in 0..lanes {
-                if gone >> lane & 1 == 1 {
-                    out.blackholed[lane] += r;
-                } else {
-                    out.blackholed[lane] += r - out.sent[fi * lanes + lane];
-                }
-            }
         }
-    }
-
-    /// Number of lane blocks needed to cover `set`.
-    pub fn num_blocks(set: &ScenarioSet) -> usize {
-        set.len().div_ceil(BLOCK_LANES)
     }
 }
 
@@ -593,7 +468,7 @@ impl BatchEvaluator {
 /// threads, returning results in block order. With `workers <= 1` (or a
 /// single block) this degrades to a serial loop; outputs are identical
 /// either way because blocks are merged by index.
-pub fn par_blocks<R, F>(nblocks: usize, workers: usize, f: F) -> Vec<R>
+fn par_blocks<R, F>(nblocks: usize, workers: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
@@ -659,14 +534,11 @@ pub(crate) fn batched_scenario_phase(
         include_control,
         input.max_scenarios,
     );
-    cert.scenarios_checked = set.len();
-    if set.truncated() {
+    cert.scenarios_checked = set.len;
+    if set.truncated || (input.protection.kc > 0 && input.old_alloc.is_none()) {
         cert.exhaustive = false;
     }
-    if input.protection.kc > 0 && input.old_alloc.is_none() {
-        cert.exhaustive = false;
-    }
-    if set.is_empty() {
+    if set.len == 0 {
         return;
     }
 
@@ -687,7 +559,7 @@ pub(crate) fn batched_scenario_phase(
     };
     let caps: Vec<f64> = topo.links().map(|e| topo.capacity(e)).collect();
 
-    let nblocks = BatchEvaluator::num_blocks(&set);
+    let nblocks = set.len.div_ceil(BLOCK_LANES);
     let verdicts = par_blocks(nblocks, workers, |b| {
         let start = b * BLOCK_LANES;
         let mut out = eval.block_buffer();
@@ -777,6 +649,29 @@ mod tests {
         (t, tm, tt)
     }
 
+    /// Packs explicit scenarios in slice order.
+    fn pack(topo: &Topology, scenarios: &[FaultScenario]) -> ScenarioSet {
+        let mut set = ScenarioSet::empty(topo);
+        let incident = ScenarioSet::incident_masks(topo);
+        let (lw, nw) = (set.lw, set.nw);
+        for sc in scenarios {
+            let mut fl = vec![0u64; lw];
+            let mut fs = vec![0u64; nw];
+            let mut st = vec![0u64; nw];
+            for &l in &sc.failed_links {
+                fl[l.index() / 64] |= 1 << (l.index() % 64);
+            }
+            for &v in &sc.failed_switches {
+                fs[v.index() / 64] |= 1 << (v.index() % 64);
+            }
+            for &v in &sc.config_failures {
+                st[v.index() / 64] |= 1 << (v.index() % 64);
+            }
+            set.push_raw(&fl, &fs, &st, &incident);
+        }
+        set
+    }
+
     #[test]
     fn pack_roundtrips_scenarios() {
         let (t, _, _) = diamond();
@@ -786,22 +681,20 @@ mod tests {
             FaultScenario::switches([NodeId(1)]),
             FaultScenario::config([NodeId(0)]),
         ];
-        let set = ScenarioSet::pack(&t, &scenarios);
-        assert_eq!(set.len(), 4);
+        let set = pack(&t, &scenarios);
+        assert_eq!(set.len, 4);
         for (i, sc) in scenarios.iter().enumerate() {
             assert_eq!(&set.scenario(i), sc, "scenario {i}");
             for e in t.links() {
                 assert_eq!(set.link_dead(i, e), sc.link_dead(&t, e), "link {e} sc {i}");
             }
-            assert_eq!(set.data_plane_clean(i), sc.data_plane_clean());
-            assert_eq!(set.has_stale(i), !sc.config_failures.is_empty());
         }
     }
 
     #[test]
     fn switch_failure_deadens_incident_links() {
         let (t, _, _) = diamond();
-        let set = ScenarioSet::pack(&t, &[FaultScenario::switches([NodeId(1)])]);
+        let set = pack(&t, &[FaultScenario::switches([NodeId(1)])]);
         // e0 (s0→s1) and e1 (s1→s3) are incident to s1.
         assert!(set.link_dead(0, LinkId(0)));
         assert!(set.link_dead(0, LinkId(1)));
@@ -820,10 +713,10 @@ mod tests {
         // switches) = 25 joint scenarios.
         let p = Protection::new(0, 1, 1);
         let set = ScenarioSet::enumerate_protection(&t, &sources, p, false, usize::MAX);
-        assert_eq!(set.len(), 25);
-        assert!(!set.truncated());
+        assert_eq!(set.len, 25);
+        assert!(!set.truncated);
         // First scenario is fault-free; second fails the first switch.
-        assert!(set.data_plane_clean(0));
+        assert_eq!(set.scenario(0), FaultScenario::none());
         assert_eq!(
             set.scenario(1),
             *FaultScenario::none().fail_switch(NodeId(0))
@@ -831,13 +724,13 @@ mod tests {
         // Budget truncation mirrors the scalar certifier: stop *before*
         // evaluating the scenario that would exceed the budget.
         let capped = ScenarioSet::enumerate_protection(&t, &sources, p, false, 7);
-        assert_eq!(capped.len(), 7);
-        assert!(capped.truncated());
+        assert_eq!(capped.len, 7);
+        assert!(capped.truncated);
         // Control scenarios: 1 source, kc=1 → one extra stale scenario.
         let pc = Protection::new(1, 0, 0);
         let with_ctl = ScenarioSet::enumerate_protection(&t, &sources, pc, true, usize::MAX);
-        assert_eq!(with_ctl.len(), 2);
-        assert!(with_ctl.has_stale(1));
+        assert_eq!(with_ctl.len, 2);
+        assert_eq!(with_ctl.scenario(1), FaultScenario::config([NodeId(0)]));
     }
 
     #[test]
@@ -852,7 +745,7 @@ mod tests {
             FaultScenario::switches([NodeId(3)]), // egress dead
             FaultScenario::links([LinkId(0), LinkId(2)]), // all tunnels dead
         ];
-        let set = ScenarioSet::pack(&t, &scenarios);
+        let set = pack(&t, &scenarios);
         let eval = BatchEvaluator::new(&t, &tm, &tt, &rate, &alloc, None);
         let mut out = eval.block_buffer();
         eval.eval_block(&set, 0, &mut out);
@@ -860,20 +753,15 @@ mod tests {
         // Lane 0: fault-free split 5/3.
         assert_eq!(out.load[0 * 4 + 0], 5.0);
         assert_eq!(out.load[2 * 4 + 0], 3.0);
-        assert_eq!(out.sent[0], 8.0);
-        assert_eq!(out.blackholed[0], 0.0);
         // Lane 1: e0 dead, everything rescales onto the via-s2 tunnel.
         assert_eq!(out.load[0 * 4 + 1], 0.0);
         assert_eq!(out.load[2 * 4 + 1], 8.0);
-        assert_eq!(out.blackholed[1], 0.0);
-        // Lane 2: egress dead — no load anywhere, full rate blackholed.
+        // Lane 2: egress dead; lane 3: both tunnels dead (empty
+        // residual set) — no load anywhere.
         for e in 0..4 {
             assert_eq!(out.load[e * 4 + 2], 0.0);
+            assert_eq!(out.load[e * 4 + 3], 0.0);
         }
-        assert_eq!(out.blackholed[2], 8.0);
-        // Lane 3: both tunnels dead — empty residual set.
-        assert_eq!(out.blackholed[3], 8.0);
-        assert_eq!(out.sent[3], 0.0);
     }
 
     #[test]
@@ -882,7 +770,7 @@ mod tests {
         let rate = [8.0];
         let alloc = [vec![8.0, 0.0]];
         let old = [vec![0.0, 8.0]];
-        let set = ScenarioSet::pack(&t, &[FaultScenario::config([NodeId(0)])]);
+        let set = pack(&t, &[FaultScenario::config([NodeId(0)])]);
         let eval = BatchEvaluator::new(&t, &tm, &tt, &rate, &alloc, Some(&old));
         let mut out = eval.block_buffer();
         eval.eval_block(&set, 0, &mut out);

@@ -43,7 +43,7 @@
 
 pub mod analysis;
 pub mod certify;
-pub mod kernels;
+mod kernels;
 pub mod lint;
 pub mod model_audit;
 
@@ -52,6 +52,5 @@ pub use certify::{
     certify, certify_batched, certify_scalar, kernel_workers, verify_lp_certificate, CertInput,
     CertStatus, Certificate, LpCertificate, Protection,
 };
-pub use kernels::{par_blocks, BatchEvaluator, BlockResult, ScenarioSet, BLOCK_LANES};
 pub use lint::{lint_workspace, LintConfig, LintReport, LintViolation};
 pub use model_audit::{audit_model, AuditConfig, AuditReport, Finding, Severity};

@@ -10,6 +10,7 @@
 //! | `nondeterminism` | replay-deterministic modules | no `Instant::now` / `SystemTime` / `rand` |
 //! | `forbid-unsafe` | every crate root | `#![forbid(unsafe_code)]` present |
 //! | `no-process-exit` | workspace except `src/main.rs` / `src/bin/*.rs` | no `std::process::exit` / `abort` — library code must unwind so the supervisor and crash checkpoints see the failure |
+//! | `no-env-var` | workspace except `src/main.rs` / `src/bin/*.rs` | no `std::env::var` / `var_os` / `vars` — a library's behaviour is a function of its arguments; only a process entrypoint may read its environment |
 //!
 //! Replay-deterministic modules are the ones whose behavior must be a
 //! pure function of the recorded seed: `crates/ctrl/src/event.rs`,
@@ -49,7 +50,7 @@ impl LintConfig {
 #[derive(Debug, Clone)]
 pub struct LintViolation {
     /// Rule name (`no-unwrap`, `float-eq`, `nondeterminism`,
-    /// `forbid-unsafe`, `no-process-exit`).
+    /// `forbid-unsafe`, `no-process-exit`, `no-env-var`).
     pub rule: &'static str,
     /// File the violation is in, relative to the scanned root.
     pub file: PathBuf,
@@ -112,6 +113,7 @@ struct Patterns {
     nondet: Vec<String>,
     forbid_unsafe: String,
     process_exit: Vec<String>,
+    env_var: String,
 }
 
 impl Patterns {
@@ -129,6 +131,8 @@ impl Patterns {
                 ["process::", "exit("].concat(),
                 ["process::", "abort("].concat(),
             ],
+            // Prefix of `var(`, `var_os(`, `vars(` and `vars_os(`.
+            env_var: ["env::", "var"].concat(),
         }
     }
 }
@@ -169,7 +173,9 @@ fn is_crate_root(rel: &str) -> bool {
 /// Whether `rel` is a process entrypoint, where `std::process::exit`
 /// is legitimate (everywhere else it would bypass unwinding, so the
 /// supervisor would see a silent death and crash checkpoints would
-/// skip their drop/flush paths).
+/// skip their drop/flush paths) and where the environment may be read
+/// (everywhere else an env read is a hidden argument no caller, test
+/// or replay can see).
 fn is_entrypoint(rel: &str) -> bool {
     rel.ends_with("src/main.rs") || (rel.contains("src/bin/") && rel.ends_with(".rs"))
 }
@@ -327,8 +333,10 @@ fn lint_file(rel: &Path, text: &str, pats: &Patterns, out: &mut Vec<LintViolatio
     let check_nondet = DETERMINISTIC_MODULES.contains(&rel_str.as_str())
         && !allowed_file.contains("nondeterminism");
     let check_float = !allowed_file.contains("float-eq");
-    let check_exit = !is_entrypoint(&rel_str) && !allowed_file.contains("no-process-exit");
-    if !check_unwrap && !check_nondet && !check_float && !check_exit {
+    let library = !is_entrypoint(&rel_str);
+    let check_exit = library && !allowed_file.contains("no-process-exit");
+    let check_env = library && !allowed_file.contains("no-env-var");
+    if !check_unwrap && !check_nondet && !check_float && !check_exit && !check_env {
         return;
     }
 
@@ -410,6 +418,10 @@ fn lint_file(rel: &Path, text: &str, pats: &Patterns, out: &mut Vec<LintViolatio
             && pats.process_exit.iter().any(|p| code.contains(p.as_str()))
         {
             push("no-process-exit");
+        }
+        if check_env && !line_allows.contains("no-env-var") && code.contains(pats.env_var.as_str())
+        {
+            push("no-env-var");
         }
     }
 }
@@ -578,6 +590,44 @@ fn f() -> &'static str { ".unwrap() == 0.5" }
         fs::write(
             dir.join("crates/lp/src/lib.rs"),
             "#![forbid(unsafe_code)]\nfn f() -> u32 { std::process::id() }\n",
+        )
+        .unwrap();
+        let report = lint_workspace(&LintConfig::new(&dir)).unwrap();
+        let _ = fs::remove_dir_all(&dir);
+        assert!(report.ok(), "{:?}", report.violations);
+    }
+
+    #[test]
+    fn env_reads_are_forbidden_outside_entrypoints() {
+        for read in ["var(\"FFC_X\")", "var_os(\"FFC_X\")"] {
+            let body = [
+                "#![forbid(unsafe_code)]\nfn knob() -> bool { std::env::",
+                read,
+                ".is_some() }\n",
+            ]
+            .concat();
+            let report = lint_src("env", &body);
+            let rules: Vec<&str> = report.violations.iter().map(|v| v.rule).collect();
+            assert_eq!(rules, ["no-env-var"], "{:?}", report.violations);
+        }
+    }
+
+    #[test]
+    fn env_reads_are_fine_in_entrypoints_and_temp_dir_never_matches() {
+        let dir = scratch_dir("env-ok");
+        fs::create_dir_all(dir.join("crates/cli/src")).unwrap();
+        fs::create_dir_all(dir.join("crates/bench/src/bin")).unwrap();
+        let main = [
+            "#![forbid(unsafe_code)]\nfn main() { let _ = std::env::",
+            "var(\"HOME\"); }\n",
+        ]
+        .concat();
+        fs::write(dir.join("crates/cli/src/main.rs"), &main).unwrap();
+        fs::write(dir.join("crates/bench/src/bin/repro.rs"), &main).unwrap();
+        // temp_dir() / args() read no variable — library code may use them.
+        fs::write(
+            dir.join("crates/lp/src/lib.rs"),
+            "#![forbid(unsafe_code)]\nfn f() -> usize { let _ = std::env::temp_dir(); std::env::args().count() }\n",
         )
         .unwrap();
         let report = lint_workspace(&LintConfig::new(&dir)).unwrap();

@@ -1,7 +1,7 @@
 //! Shared experiment scaffolding for the reproduction harness: the two
 //! evaluation networks (L-Net and S-Net, §8.1) with calibrated traffic
 //! traces and `(1,3)`-disjoint tunnel layouts, reused by the `repro`
-//! binary and the Criterion benches.
+//! binary and the release-only regression test.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

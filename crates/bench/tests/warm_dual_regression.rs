@@ -3,10 +3,10 @@
 //! Re-optimizing S-Net ke=1 fault scenarios from the base optimum's
 //! basis must be strictly cheaper — in total simplex iterations — with
 //! `Algorithm::Auto` (which restarts in dual iterations from the
-//! dual-feasible warm basis) than with the warm primal path. The
-//! release-mode numbers for the full 8-scenario sweep are recorded in
-//! `BENCH_pricing.json`; this test pins the ordering with a short
-//! 2-scenario chain so it stays affordable in debug builds.
+//! dual-feasible warm basis) than with the warm primal path. On the
+//! 5-scenario release sweep (1-core host) that is 38 122 vs 44 879
+//! iterations; this test pins the ordering with a short 2-scenario
+//! chain so it stays affordable.
 
 use ffc_bench::{snet_instance, Instance};
 use ffc_core::{solve_ffc_scenarios, FfcConfig, TeConfig, TeProblem};
@@ -76,8 +76,8 @@ fn warm_dual_restart_beats_primal_on_snet_ke1() {
     }
 
     // The dual restart must actually engage and must win. The margin on
-    // the full 8-scenario release sweep is ~20% (36520 vs 29349
-    // iterations, see BENCH_pricing.json); a strict `<` keeps this
+    // the 5-scenario release sweep is ~15% (44 879 vs 38 122
+    // iterations, 1-core host); a strict `<` keeps this
     // non-flaky while still catching a routing regression that sends
     // warm re-solves back through the primal path.
     assert_eq!(primal.dual_iterations, 0, "primal sweep ran dual pivots");

@@ -7,24 +7,17 @@
 //! failing campaign can be re-run from its seed alone.
 
 use ffc_core::FfcConfig;
+pub use ffc_fleet::splitmix64;
 use ffc_fleet::{shape_demand_events, DemandShape};
 use ffc_net::{LinkId, NodeId, Topology, TrafficMatrix};
 use ffc_sim::DetRng;
 
 use ffc_ctrl::{Event, TimedEvent};
 
-/// splitmix64: decorrelates campaign indices from a master seed. Two
-/// campaigns of one run — or the same index under different master
-/// seeds — get unrelated RNG streams.
-pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// The seed campaign `index` runs under `master`.
+/// The seed campaign `index` runs under `master`: splitmix64
+/// decorrelates campaign indices from the master seed, so two campaigns
+/// of one run — or the same index under different master seeds — get
+/// unrelated RNG streams.
 pub fn campaign_seed(master: u64, index: usize) -> u64 {
     splitmix64(master ^ splitmix64(index as u64 + 1))
 }

@@ -4,7 +4,8 @@
 //! ```text
 //! ffc solve --topo net.topo --traffic day.tm [--kc 2 --ke 1 --kv 0]
 //!           [--old current.cfg] [--tunnels 6] [--out next.cfg]
-//! ffc check --topo net.topo --traffic day.tm --config next.cfg --ke 1 [--kc 1 --old current.cfg]
+//! ffc check --topo net.topo --traffic day.tm --config next.cfg --ke 1 [--kv 1]
+//!           [--kc 1 --old current.cfg]
 //! ffc info  --topo net.topo [--traffic day.tm]
 //! ffc ctrl run --topo net.topo --traffic day.tm [--intervals 6] [--seed 42]
 //!              [--jitter 0.05] [--switch-model realistic|optimistic]
@@ -22,9 +23,11 @@
 //!
 //! * `solve` computes an FFC-protected TE configuration (plain TE when
 //!   all protection levels are 0) and prints/writes it.
-//! * `check` *verifies* a configuration by brute force: every ≤ke link
-//!   failure (after proportional rescaling) and every ≤kc stale-switch
-//!   combination must leave all links within capacity.
+//! * `check` *verifies* a configuration with the independent certifier
+//!   the controller gates rollouts on ([`ffc_audit::certify()`]), run
+//!   exhaustively: every joint ≤ke link × ≤kv switch failure (after
+//!   proportional rescaling) and every ≤kc stale-switch combination
+//!   must leave all live links within capacity.
 //! * `info` prints topology/traffic statistics.
 //! * `ctrl run` drives the online controller live over a Poisson
 //!   fault/demand event stream, prints per-interval JSONL telemetry to
@@ -62,11 +65,9 @@
 
 use std::process::ExitCode;
 
-use ffc_core::rescale::rescaled_link_loads_mixed;
 use ffc_core::{build_ffc_model, FfcConfig, TeConfig, TeProblem};
 use ffc_lp::{Algorithm, SimplexOptions};
-use ffc_net::failure::{config_combinations_up_to, link_combinations_up_to};
-use ffc_net::{layout_tunnels, LayoutConfig, LinkId, NodeId};
+use ffc_net::{layout_tunnels, LayoutConfig};
 
 use ffc_cli::formats::{parse_config, parse_topology, parse_traffic, write_config};
 
@@ -462,65 +463,41 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
 
-            let links: Vec<LinkId> = topo.links().collect();
-            let nodes: Vec<NodeId> = topo.nodes().collect();
-            let mut scenarios = link_combinations_up_to(&links, o.ke);
-            scenarios.extend(config_combinations_up_to(&nodes, o.kc));
-            let mut worst = 0.0f64;
-            let mut violations = 0usize;
-            let total = scenarios.len();
-            // Loads come from the batched SoA kernels (bit-identical to
-            // the per-scenario scalar walk; FFC_KERNELS=scalar selects
-            // the reference path, FFC_KERNEL_WORKERS the fan-out width).
-            let batched: Option<Vec<_>> = if std::env::var("FFC_KERNELS").as_deref() == Ok("scalar")
-            {
-                None
-            } else {
-                let set = ffc_core::ScenarioSet::pack(&topo, &scenarios);
-                Some(ffc_core::batched_rescaled_loads(
-                    &topo,
-                    &tm,
-                    &tunnels,
-                    &cfg,
-                    old.as_ref(),
-                    &set,
-                    ffc_audit::kernel_workers(),
-                ))
-            };
-            for (si, sc) in scenarios.iter().enumerate() {
-                let loads = match &batched {
-                    Some(all) => all[si].clone(),
-                    None => rescaled_link_loads_mixed(&topo, &tm, &tunnels, &cfg, old.as_ref(), sc),
-                };
-                for e in topo.links() {
-                    if sc.link_dead(&topo, e) {
-                        continue;
-                    }
-                    let over = loads.load[e.index()] - topo.capacity(e);
-                    if over > 1e-6 {
-                        violations += 1;
-                        worst = worst.max(over / topo.capacity(e));
-                        eprintln!(
-                            "VIOLATION: links={:?} stale={:?}: {} carries {:.3}/{:.3}",
-                            sc.failed_links,
-                            sc.config_failures,
-                            e,
-                            loads.load[e.index()],
-                            topo.capacity(e)
-                        );
-                    }
-                }
+            // The verdict is the certifier's — the same gate the
+            // controller puts before every rollout — with the scenario
+            // budget lifted so a pass always means every scenario.
+            let mut input = ffc_audit::CertInput::new(
+                &topo,
+                &tm,
+                &tunnels,
+                &cfg.rate,
+                &cfg.alloc,
+                ffc_audit::Protection::new(o.kc, o.ke, o.kv),
+            );
+            input.old_alloc = old.as_ref().map(|c| &c.alloc[..]);
+            input.max_scenarios = usize::MAX;
+            let cert = ffc_audit::certify(&input);
+            for v in &cert.violations {
+                eprintln!("VIOLATION: {v}");
             }
-            if violations == 0 {
+            if cert.num_violations > cert.violations.len() {
+                eprintln!(
+                    "... and {} more",
+                    cert.num_violations - cert.violations.len()
+                );
+            }
+            if cert.ok() {
                 println!(
-                    "OK: {total} fault scenarios checked (ke={} kc={}), no link overloads",
-                    o.ke, o.kc
+                    "OK: {} fault scenarios checked (ke={} kc={} kv={}), no link overloads",
+                    cert.scenarios_checked, o.ke, o.kc, o.kv
                 );
                 ExitCode::SUCCESS
             } else {
                 println!(
-                    "FAILED: {violations} overload(s) across {total} scenarios; worst +{:.1}%",
-                    worst * 100.0
+                    "FAILED: {} violation(s) across {} scenarios; worst link at {:.1}% of capacity",
+                    cert.num_violations,
+                    cert.scenarios_checked,
+                    cert.max_oversubscription * 100.0
                 );
                 ExitCode::FAILURE
             }

@@ -364,19 +364,11 @@ pub fn solve_ffc_scenarios(
         .min(n.max(1));
     let chunk = n.div_ceil(workers.max(1)).max(1);
 
-    // Pack the scenario batch once: per-scenario fault bitsets plus
-    // tunnel-death masks, shared read-only by every worker chunk. This
-    // replaces the per-scenario `kills_tunnel` set probing that used to
-    // run inside each chunk.
-    let set = crate::kernels::ScenarioSet::pack(problem.topo, scenarios);
-    let deaths = crate::kernels::tunnel_deaths(problem.tunnels, &set);
-
-    let solve_chunk = |start: usize, slice: &[ffc_net::FaultScenario]| {
+    let solve_chunk = |slice: &[ffc_net::FaultScenario]| {
         let mut hint = base_sol.basis.clone();
         let mut out = Vec::with_capacity(slice.len());
-        for (off, _scenario) in slice.iter().enumerate() {
-            let s = start + off;
-            let result = if set.data_plane_clean(s) {
+        for scenario in slice {
+            let result = if scenario.data_plane_clean() {
                 // No tunnels die: the base solution is already optimal.
                 Ok(BatchOutcome {
                     config: builder.extract(&base_sol),
@@ -390,8 +382,8 @@ pub fn solve_ffc_scenarios(
                 let attempt = catch_unwind(AssertUnwindSafe(
                     || -> Result<(BatchOutcome, ffc_lp::BasisStatuses), LpError> {
                         let mut model = builder.model.clone();
-                        for (flat, (f, ti, _)) in builder.problem.tunnels.iter_all().enumerate() {
-                            if deaths.killed(s, flat) {
+                        for (f, ti, tunnel) in builder.problem.tunnels.iter_all() {
+                            if scenario.kills_tunnel(problem.topo, tunnel) {
                                 model.set_bounds(builder.a[f.index()][ti], 0.0, 0.0);
                             }
                         }
@@ -431,20 +423,14 @@ pub fn solve_ffc_scenarios(
     };
 
     if workers <= 1 {
-        return Ok(solve_chunk(0, scenarios));
+        return Ok(solve_chunk(scenarios));
     }
 
     let solve_chunk = &solve_chunk;
     let results: Vec<Vec<Result<BatchOutcome, LpError>>> = std::thread::scope(|scope| {
         let handles: Vec<_> = scenarios
             .chunks(chunk)
-            .enumerate()
-            .map(|(ci, slice)| {
-                (
-                    slice.len(),
-                    scope.spawn(move || solve_chunk(ci * chunk, slice)),
-                )
-            })
+            .map(|slice| (slice.len(), scope.spawn(move || solve_chunk(slice))))
             .collect();
         handles
             .into_iter()

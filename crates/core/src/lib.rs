@@ -65,7 +65,6 @@ pub mod demand_robust;
 pub mod enumerate;
 pub mod fairness;
 pub mod incremental;
-pub mod kernels;
 pub mod mlu;
 pub mod priority;
 pub mod rate_limiter;
@@ -91,7 +90,6 @@ pub use data_ffc::{apply_data_ffc, DataFfc, DataFfcLayout};
 pub use demand_robust::{apply_demand_robustness, DemandRobustness};
 pub use fairness::{solve_max_min_ffc, FairnessConfig};
 pub use incremental::{CacheStats, FfcModelCache, RebuildReason, RetargetOutcome};
-pub use kernels::{batched_rescaled_loads, tunnel_deaths, ScenarioSet, TunnelDeaths};
 pub use mlu::{solve_min_mlu, MluSolution};
 pub use priority::{
     solve_priority_ffc, solve_priority_ffc_with_faults, PriorityFfcConfig, PrioritySolution,

@@ -36,7 +36,8 @@ pub use store::{
     STORE_SCHEMA_VERSION,
 };
 pub use workload::{
-    build_workload, demand_events, shape_demand_events, site_activity, DemandShape, Workload,
+    build_workload, demand_events, shape_demand_events, site_activity, splitmix64, DemandShape,
+    Workload,
 };
 
 use std::path::Path;

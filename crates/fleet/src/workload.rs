@@ -37,10 +37,11 @@ use crate::spec::{CycleSpec, FleetEvent, FleetSpec, SiteSpec};
 const DAY_SECS: f64 = 86_400.0;
 const WEEK_SECS: f64 = 7.0 * DAY_SECS;
 
-/// splitmix64 — the same tiny seed-stream mixer the chaos harness
-/// uses, so per-(site, interval) noise draws are independent of the
-/// order anything iterates in.
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
+/// splitmix64, the workspace's one seed-stream mixer: per-(site,
+/// interval) noise draws here are independent of the order anything
+/// iterates in, and the chaos harness derives unrelated campaign
+/// streams from one master seed with it.
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = x;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

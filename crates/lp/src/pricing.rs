@@ -40,11 +40,12 @@ fn auto_candidates(ncols: usize) -> usize {
 /// (`candidates == 0`) disables the candidate list and prices like full
 /// devex. On small and dense-ish LPs the list's staler devex picks cost
 /// more iterations than the cheap partial passes save, while a full
-/// pass is cheap anyway. Calibrated against `BENCH_pricing.json`: the
-/// 1000×3000 random LP (4 000 engine columns) slows down ~2.3× with the
-/// list on, while the full-scale L-Net TE model (~10 400 columns)
-/// speeds up ~1.7–2.1× — so the threshold sits between them. An explicit
-/// nonzero `candidates` always keeps partial pricing on.
+/// pass is cheap anyway. Calibrated on two measurements (1-core host,
+/// release): the 1000×3000 random LP (4 000 engine columns) slows down
+/// ~2.3× with the list on, while the full-scale L-Net TE model (a
+/// 2255×8123 LP, ~10 400 columns) speeds up ~1.7–2.4× (last recorded
+/// run: 1 341 → 551 ms) — so the threshold sits between them. An explicit nonzero
+/// `candidates` always keeps partial pricing on.
 pub const AUTO_PARTIAL_MIN_COLS: usize = 6000;
 
 /// Simplex pricing rule, selected via `SimplexOptions::pricing`.
