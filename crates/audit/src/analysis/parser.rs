@@ -19,7 +19,7 @@ use super::lexer::{tokenize, TokKind, Token};
 /// One extracted function item.
 #[derive(Debug, Clone)]
 pub struct FnDef {
-    /// Simple name (`solve_warm`).
+    /// Simple name (`solve_with`).
     pub name: String,
     /// Enclosing `impl`/`trait` type name, if any (`Engine`).
     pub impl_type: Option<String>,

@@ -9,7 +9,7 @@
 //! | pass | module | when |
 //! |---|---|---|
 //! | static model auditor | [`model_audit`] | before solve |
-//! | independent solution certifier | [`certify`] | after solve |
+//! | independent solution certifier | [`mod@certify`] | after solve |
 //! | source lint engine | [`lint`] | in CI (`ffc audit lint`) |
 //! | determinism & panic analyzer | [`analysis`] | in CI (`ffc audit analyze`) |
 //!

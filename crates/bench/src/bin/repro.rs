@@ -464,13 +464,15 @@ fn quick_incremental(args: &Args) {
 
     let first = TeProblem::new(topo, &tms[0], &inst.tunnels);
     let mut cache = FfcModelCache::new(first, &old, &cfg, None);
-    let (_, base) = cache.solve_with(&opts).expect("base FFC (standing)");
+    let (_, base) = cache.solve_with(&opts, None).expect("base FFC (standing)");
     let mut basis = base.basis;
     let (mut patch_ms, mut full_ms) = (0.0f64, 0.0f64);
     for (i, tm) in tms[1..].iter().enumerate() {
         let t0 = Instant::now();
         let outcome = cache.retarget(TeProblem::new(topo, tm, &inst.tunnels), &old, &cfg, None);
-        let (got, sol) = cache.solve_warm(&opts, &basis).expect("patched warm solve");
+        let (got, sol) = cache
+            .solve_with(&opts, Some(&basis))
+            .expect("patched warm solve");
         patch_ms += t0.elapsed().as_secs_f64() * 1e3;
         assert!(
             outcome.is_patch(),
@@ -479,12 +481,11 @@ fn quick_incremental(args: &Args) {
 
         let t0 = Instant::now();
         let builder = build_ffc_model(TeProblem::new(topo, tm, &inst.tunnels), &old, &cfg);
-        let fresh = builder
-            .model
-            .solve_warm(&opts, &basis)
+        let (fresh, _) = builder
+            .solve_with(&opts, Some(&basis))
             .expect("rebuilt warm solve");
         full_ms += t0.elapsed().as_secs_f64() * 1e3;
-        let want = builder.extract(&fresh).throughput();
+        let want = fresh.throughput();
         assert!(
             (got.throughput() - want).abs() < 1e-6,
             "tick {i}: patched {} vs rebuilt {want}",
@@ -499,53 +500,6 @@ fn quick_incremental(args: &Args) {
         tms.len() - 1,
         stats.patches,
         stats.rebuilds,
-    );
-
-    // Hot-restart chain: the same standing model resumed via
-    // `solve_warm_hot` on a fine demand-drift chain (the recorded
-    // BENCH workload). The hot path may pivot differently, so the
-    // check is objective agreement, not trajectory parity.
-    let drift = [1.0012, 0.9991, 1.0008, 0.9987, 1.0015];
-    let mut tm = tms[0].clone();
-    cache.retarget(TeProblem::new(topo, &tm, &inst.tunnels), &old, &cfg, None);
-    let (_, s0) = cache.solve_with(&opts).expect("hot chain base");
-    let (_, seeded) = cache
-        .solve_warm_hot(&opts, &s0.basis)
-        .expect("seed hot slot");
-    let mut hot_basis = seeded.basis;
-    let mut full_basis = s0.basis;
-    let (mut hot_ms, mut full_ms) = (0.0f64, 0.0f64);
-    for (i, &f) in drift.iter().enumerate() {
-        tm = tm.scale(f);
-        let t0 = Instant::now();
-        let builder = build_ffc_model(TeProblem::new(topo, &tm, &inst.tunnels), &old, &cfg);
-        let fresh = builder
-            .model
-            .solve_warm(&opts, &full_basis)
-            .expect("rebuilt warm solve");
-        full_ms += t0.elapsed().as_secs_f64() * 1e3;
-        full_basis = fresh.basis;
-
-        let t0 = Instant::now();
-        cache.retarget(TeProblem::new(topo, &tm, &inst.tunnels), &old, &cfg, None);
-        let (_, hot) = cache
-            .solve_warm_hot(&opts, &hot_basis)
-            .expect("hot re-solve");
-        hot_ms += t0.elapsed().as_secs_f64() * 1e3;
-        let rel = (hot.objective - fresh.objective).abs() / fresh.objective.abs().max(1.0);
-        assert!(
-            rel < 1e-6,
-            "hot tick {i}: objective {} vs rebuilt {}",
-            hot.objective,
-            fresh.objective
-        );
-        hot_basis = hot.basis;
-    }
-    println!(
-        "  hot chain ({} drift ticks): patch+hot {hot_ms:.1} ms vs rebuild+warm \
-         {full_ms:.1} ms total ({:.2}x); objectives agree on every tick",
-        drift.len(),
-        full_ms / hot_ms.max(1e-9),
     );
 }
 

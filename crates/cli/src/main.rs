@@ -379,7 +379,7 @@ fn main() -> ExitCode {
                 algorithm: o.algorithm,
                 ..SimplexOptions::default()
             };
-            let (cfg, sol) = match builder.solve_detailed(&opts) {
+            let (cfg, sol) = match builder.solve_with(&opts, None) {
                 Ok(x) => x,
                 Err(e) => {
                     eprintln!("solve failed: {e}");

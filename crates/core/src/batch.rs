@@ -136,7 +136,7 @@ pub fn solve_te_batch(
 ) -> Vec<Result<BatchOutcome, LpError>> {
     par_try_map(problems, |_, problem| {
         let builder = TeModelBuilder::new(*problem);
-        let (config, sol) = builder.solve_detailed(opts)?;
+        let (config, sol) = builder.solve_with(opts, None)?;
         Ok(BatchOutcome {
             config,
             stats: sol.stats,
@@ -163,7 +163,7 @@ pub fn solve_ffc_batch(
 ) -> Vec<Result<BatchOutcome, LpError>> {
     par_try_map(jobs, |_, job| {
         let builder = build_ffc_model(job.problem, job.old, &job.cfg);
-        let (config, sol) = builder.solve_detailed(opts)?;
+        let (config, sol) = builder.solve_with(opts, None)?;
         if job.problem.reserved.is_none() {
             crate::verify::debug_certify(
                 job.problem.topo,
@@ -236,11 +236,7 @@ pub fn solve_ffc_ksweep(
                         }
                     };
                     let c = slot.as_mut().expect("standing model was just built");
-                    let first = match hint_ref {
-                        Some(h) => c.solve_warm(warm_opts, h),
-                        None => c.solve_with(warm_opts),
-                    };
-                    let (config, sol) = match first {
+                    let (config, sol) = match c.solve_with(warm_opts, hint_ref) {
                         Ok(pair) => pair,
                         // Fallback ladder: a failed patched or
                         // warm-started solve gets one fresh rebuild and
@@ -249,7 +245,7 @@ pub fn solve_ffc_ksweep(
                         // fails is authoritative as-is.
                         Err(_) if shortcut || hint_ref.is_some() => {
                             *c = FfcModelCache::new(problem, old, cfg, None);
-                            c.solve_with(warm_opts)?
+                            c.solve_with(warm_opts, None)?
                         }
                         Err(e) => return Err(e),
                     };
@@ -344,7 +340,7 @@ pub fn solve_ffc_scenarios(
     warm_opts.presolve = false;
 
     let builder = build_ffc_model(problem, old, cfg);
-    let base_sol = builder.model.solve_with(&warm_opts)?;
+    let base_sol = builder.model.solve_with(&warm_opts, None)?;
     if problem.reserved.is_none() {
         crate::verify::debug_certify(
             problem.topo,
@@ -387,7 +383,7 @@ pub fn solve_ffc_scenarios(
                                 model.set_bounds(builder.a[f.index()][ti], 0.0, 0.0);
                             }
                         }
-                        let sol = model.solve_warm(&warm_opts, hint_ref)?;
+                        let sol = model.solve_with(&warm_opts, Some(hint_ref))?;
                         let outcome = BatchOutcome {
                             config: builder.extract(&sol),
                             stats: sol.stats,

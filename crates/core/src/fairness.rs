@@ -56,8 +56,14 @@ pub fn solve_max_min_ffc(
     let mut last = TeConfig::zero(tunnels);
     let mut cap = max_demand * fair.t0_fraction;
     // Rounds rebuild a structurally identical LP (only bounds move), so
-    // each round warm-starts from the previous round's basis.
+    // each round warm-starts from the previous round's basis. Presolve
+    // stays off so round 1's exported basis lives in the full column
+    // space the later warm starts will see.
     let mut basis_hint: Option<BasisStatuses> = None;
+    let opts = SimplexOptions {
+        presolve: false,
+        ..SimplexOptions::default()
+    };
     // The previous tier's cap: unfrozen flows are *guaranteed* at least
     // this much each round (they proved they can reach it last round).
     // Without this lower bound the throughput objective could starve one
@@ -84,17 +90,9 @@ pub fn solve_max_min_ffc(
         // fairness pressure).
         let obj = ffc_lp::LinExpr::sum(builder.b.iter().copied());
         builder.model.set_objective(obj, Sense::Maximize);
-        let sol = match &basis_hint {
-            Some(h) => builder.model.solve_warm(&SimplexOptions::default(), h)?,
-            // Round 1: skip presolve so the exported basis lives in the
-            // full column space the later warm starts will see.
-            None => builder.model.solve_with(&SimplexOptions {
-                presolve: false,
-                ..SimplexOptions::default()
-            })?,
-        };
-        basis_hint = Some(sol.basis.clone());
-        last = builder.extract(&sol);
+        let (config, sol) = builder.solve_with(&opts, basis_hint.as_ref())?;
+        basis_hint = Some(sol.basis);
+        last = config;
 
         // Freeze flows that did not reach this round's cap (they are
         // bottlenecked; giving others more cannot shrink them now).

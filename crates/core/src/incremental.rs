@@ -41,7 +41,7 @@ use crate::combined::{
 };
 use crate::control_ffc::beta_support;
 use crate::data_ffc::mice_flags;
-use crate::te::{TeConfig, TeProblem};
+use crate::te::{extract_config, TeConfig, TeProblem};
 
 /// Why the cache could not patch and rebuilt the standing model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -377,56 +377,23 @@ impl FfcModelCache {
         self.stats.rebuilds += 1;
     }
 
-    /// Solves the standing form cold (mirrors
-    /// [`crate::te::TeModelBuilder::solve_detailed`] with presolve off).
+    /// Solves the standing form, cold or from a warm-start basis (see
+    /// [`IncrementalModel::solve_with`]): the same LP, pivot for pivot,
+    /// as [`crate::te::TeModelBuilder::solve_with`] on a fresh build
+    /// with presolve off.
     pub fn solve_with(
         &self,
         opts: &ffc_lp::SimplexOptions,
+        warm: Option<&BasisStatuses>,
     ) -> Result<(TeConfig, Solution), LpError> {
-        let sol = self.inc.solve_with(opts)?;
-        Ok((self.extract(&sol), sol))
-    }
-
-    /// Solves the standing form from a warm-start basis, with the same
-    /// default warm perturbation as [`ffc_lp::Model::solve_warm`].
-    pub fn solve_warm(
-        &self,
-        opts: &ffc_lp::SimplexOptions,
-        hint: &BasisStatuses,
-    ) -> Result<(TeConfig, Solution), LpError> {
-        let sol = self.inc.solve_warm(opts, hint)?;
-        Ok((self.extract(&sol), sol))
-    }
-
-    /// Like [`solve_warm`](Self::solve_warm), but retains the solver's
-    /// end-of-solve basis and LU factorization inside the standing
-    /// model and resumes from it on the next call (see
-    /// [`ffc_lp::IncrementalModel::solve_warm_hot`]). Demand-tick
-    /// retargets patch only bounds and right-hand sides, so the
-    /// retained factorization normally survives the whole tick chain.
-    /// Same LP, same optimal objective as `solve_warm` — but not
-    /// necessarily the identical pivot trajectory, so the controller's
-    /// parity-pinned planner stays on `solve_warm`.
-    pub fn solve_warm_hot(
-        &mut self,
-        opts: &ffc_lp::SimplexOptions,
-        hint: &BasisStatuses,
-    ) -> Result<(TeConfig, Solution), LpError> {
-        let sol = self.inc.solve_warm_hot(opts, hint)?;
+        let sol = self.inc.solve_with(opts, warm)?;
         Ok((self.extract(&sol), sol))
     }
 
     /// Extracts a TE configuration from a solution of the standing
-    /// model (mirrors [`crate::te::TeModelBuilder::extract`]).
+    /// model.
     pub fn extract(&self, sol: &Solution) -> TeConfig {
-        TeConfig {
-            rate: self.b.iter().map(|&v| sol.value(v).max(0.0)).collect(),
-            alloc: self
-                .a
-                .iter()
-                .map(|row| row.iter().map(|&v| sol.value(v).max(0.0)).collect())
-                .collect(),
-        }
+        extract_config(&self.b, &self.a, sol)
     }
 
     /// The differential oracle: a patched model must be bit-identical
@@ -529,7 +496,7 @@ mod tests {
             }
             let outcome = cache.retarget(TeProblem::new(&topo, &tm, &tunnels), &old, &cfg, None);
             assert!(outcome.is_patch(), "round {round}: {outcome:?}");
-            let (got, _) = cache.solve_with(&Default::default()).unwrap();
+            let (got, _) = cache.solve_with(&Default::default(), None).unwrap();
             let want = fresh_objective(&topo, &tm, &tunnels, &old, &cfg);
             assert!(
                 (got.throughput() - want).abs() < 1e-6,
@@ -560,7 +527,7 @@ mod tests {
         }
         let outcome = cache.retarget(problem, &next, &cfg, None);
         assert!(outcome.is_patch(), "{outcome:?}");
-        let (got, _) = cache.solve_with(&Default::default()).unwrap();
+        let (got, _) = cache.solve_with(&Default::default(), None).unwrap();
         let want = fresh_objective(&topo, &tm, &tunnels, &next, &cfg);
         assert!((got.throughput() - want).abs() < 1e-6);
     }
@@ -581,7 +548,7 @@ mod tests {
             outcome,
             RetargetOutcome::Rebuilt(RebuildReason::BetaSupportChanged)
         );
-        let (got, _) = cache.solve_with(&Default::default()).unwrap();
+        let (got, _) = cache.solve_with(&Default::default(), None).unwrap();
         let want = fresh_objective(&topo, &tm, &tunnels, &next, &cfg);
         assert!((got.throughput() - want).abs() < 1e-6);
     }
@@ -644,7 +611,7 @@ mod tests {
         let mut cache = FfcModelCache::new(problem, &old, &cvar1, None);
         let outcome = cache.retarget(problem, &old, &cvar2, None);
         assert!(outcome.is_patch(), "{outcome:?}");
-        let (got, _) = cache.solve_with(&Default::default()).unwrap();
+        let (got, _) = cache.solve_with(&Default::default(), None).unwrap();
         let want = fresh_objective(&topo, &tm, &tunnels, &old, &cvar2);
         assert!((got.throughput() - want).abs() < 1e-6);
         // And protection really tightened: kc=2 admits less than kc=1.
@@ -688,12 +655,12 @@ mod tests {
         let cfg = FfcConfig::new(0, 1, 0).exact();
         let problem = TeProblem::new(&topo, &tm, &tunnels);
         let mut cache = FfcModelCache::new(problem, &old, &cfg, None);
-        let clean = cache.solve_with(&Default::default()).unwrap().0;
+        let clean = cache.solve_with(&Default::default(), None).unwrap().0;
 
         let scenario = FaultScenario::links([topo.links().next().unwrap()]);
         let outcome = cache.retarget(problem, &old, &cfg, Some(&scenario));
         assert!(outcome.is_patch(), "{outcome:?}");
-        let (faulted, _) = cache.solve_with(&Default::default()).unwrap();
+        let (faulted, _) = cache.solve_with(&Default::default(), None).unwrap();
         let mut fresh = build_ffc_model(problem, &old, &cfg);
         zero_dead_tunnels(&mut fresh, &scenario);
         let want = fresh.solve().unwrap().throughput();
@@ -702,7 +669,7 @@ mod tests {
         // Recovery releases the pins and returns to the clean optimum.
         let outcome = cache.retarget(problem, &old, &cfg, None);
         assert!(outcome.is_patch(), "{outcome:?}");
-        let (recovered, _) = cache.solve_with(&Default::default()).unwrap();
+        let (recovered, _) = cache.solve_with(&Default::default(), None).unwrap();
         assert!((recovered.throughput() - clean.throughput()).abs() < 1e-6);
     }
 
@@ -723,7 +690,7 @@ mod tests {
             outcome,
             RetargetOutcome::Rebuilt(RebuildReason::StructureChanged)
         );
-        let (got, _) = cache.solve_with(&Default::default()).unwrap();
+        let (got, _) = cache.solve_with(&Default::default(), None).unwrap();
         let want = solve_ffc(problem, &old, &cfg).unwrap().throughput();
         assert!((got.throughput() - want).abs() < 1e-6);
     }
@@ -744,7 +711,7 @@ mod tests {
             outcome,
             RetargetOutcome::Rebuilt(RebuildReason::MiceSetChanged)
         );
-        let (got, _) = cache.solve_with(&Default::default()).unwrap();
+        let (got, _) = cache.solve_with(&Default::default(), None).unwrap();
         let want = fresh_objective(&topo, &tm, &tunnels, &old, &cfg);
         assert!((got.throughput() - want).abs() < 1e-6);
     }
@@ -754,13 +721,15 @@ mod tests {
         let (topo, mut tm, tunnels, old) = ring();
         let cfg = FfcConfig::new(1, 1, 0).exact();
         let mut cache = FfcModelCache::new(TeProblem::new(&topo, &tm, &tunnels), &old, &cfg, None);
-        let (_, sol) = cache.solve_with(&Default::default()).unwrap();
+        let (_, sol) = cache.solve_with(&Default::default(), None).unwrap();
         for f in tm.ids() {
             tm.set_demand(f, 7.5);
         }
         let outcome = cache.retarget(TeProblem::new(&topo, &tm, &tunnels), &old, &cfg, None);
         assert!(outcome.is_patch());
-        let (warm, _) = cache.solve_warm(&Default::default(), &sol.basis).unwrap();
+        let (warm, _) = cache
+            .solve_with(&Default::default(), Some(&sol.basis))
+            .unwrap();
         let want = fresh_objective(&topo, &tm, &tunnels, &old, &cfg);
         assert!((warm.throughput() - want).abs() < 1e-6);
     }

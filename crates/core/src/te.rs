@@ -238,35 +238,42 @@ impl<'a> TeModelBuilder<'a> {
         expr
     }
 
-    /// Solves the model and extracts the TE configuration.
+    /// Solves the model cold with default options and extracts the TE
+    /// configuration.
     pub fn solve(&self) -> Result<TeConfig, LpError> {
-        let sol = self.model.solve()?;
-        crate::verify::debug_certify_lp(self, &sol, "TeModelBuilder::solve");
-        Ok(self.extract(&sol))
+        Ok(self.solve_with(&Default::default(), None)?.0)
     }
 
-    /// Solves with explicit simplex options, returning the configuration
-    /// together with the raw LP solution (solver statistics, basis) for
-    /// callers that need them — e.g. the batch API and the benchmarks.
-    pub fn solve_detailed(
+    /// Solves with explicit simplex options, cold or from a warm-start
+    /// basis (see [`ffc_lp::Model::solve_with`]), returning the
+    /// configuration together with the raw LP solution (solver
+    /// statistics, basis) for callers that chain or report them.
+    pub fn solve_with(
         &self,
         opts: &ffc_lp::SimplexOptions,
+        warm: Option<&ffc_lp::BasisStatuses>,
     ) -> Result<(TeConfig, ffc_lp::Solution), LpError> {
-        let sol = self.model.solve_with(opts)?;
-        crate::verify::debug_certify_lp(self, &sol, "TeModelBuilder::solve_detailed");
+        let sol = self.model.solve_with(opts, warm)?;
+        crate::verify::debug_certify_lp(self, &sol, "TeModelBuilder::solve_with");
         Ok((self.extract(&sol), sol))
     }
 
     /// Extracts a configuration from an LP solution.
     pub fn extract(&self, sol: &ffc_lp::Solution) -> TeConfig {
-        TeConfig {
-            rate: self.b.iter().map(|&v| sol.value(v).max(0.0)).collect(),
-            alloc: self
-                .a
-                .iter()
-                .map(|row| row.iter().map(|&v| sol.value(v).max(0.0)).collect())
-                .collect(),
-        }
+        extract_config(&self.b, &self.a, sol)
+    }
+}
+
+/// Reads the granted rates `b_f` and tunnel allocations `a_{f,t}` out of
+/// a solution of the model those variables belong to, clamping solver
+/// noise below zero.
+pub(crate) fn extract_config(b: &[VarId], a: &[Vec<VarId>], sol: &ffc_lp::Solution) -> TeConfig {
+    TeConfig {
+        rate: b.iter().map(|&v| sol.value(v).max(0.0)).collect(),
+        alloc: a
+            .iter()
+            .map(|row| row.iter().map(|&v| sol.value(v).max(0.0)).collect())
+            .collect(),
     }
 }
 

@@ -13,7 +13,7 @@
 //!   (dual feasibility + complementary slackness of the solver's duals),
 //!   demoted to a feasibility-only certificate with a reason when the
 //!   duals do not check out.
-//! * [`debug_certify`] — the debug-assertions hook the batch solvers
+//! * `debug_certify` — the debug-assertions hook the batch solvers
 //!   call on every successful solve, so the whole tier-1 suite runs
 //!   under certification.
 
@@ -26,7 +26,7 @@ use crate::combined::FfcConfig;
 use crate::te::{TeConfig, TeModelBuilder};
 
 /// Certifies `cfg` against the protection level of `ffc` by
-/// solver-independent arithmetic (see [`ffc_audit::certify`]).
+/// solver-independent arithmetic (see [`ffc_audit::certify()`]).
 ///
 /// `old` supplies the stale-ingress splitting weights for control-plane
 /// scenarios; pass `None` on a fresh network (the certificate is then
@@ -181,7 +181,7 @@ mod tests {
         let ffc = FfcConfig::new(1, 1, 0).exact();
         let builder =
             crate::combined::build_ffc_model(TeProblem::new(&topo, &tm, &tunnels), &old, &ffc);
-        let (_, sol) = builder.solve_detailed(&Default::default()).unwrap();
+        let (_, sol) = builder.solve_with(&Default::default(), None).unwrap();
         assert!(!sol.duals.is_empty());
         let cert = certify_lp(&builder, &sol);
         assert!(cert.is_optimal(), "{cert:?}");

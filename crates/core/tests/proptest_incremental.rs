@@ -134,7 +134,7 @@ proptest! {
 
             let problem = TeProblem::new(&topo, &tm, &tunnels);
             cache.retarget(problem, &old, &cfg, scenario.as_ref());
-            let (got, _) = cache.solve_with(&Default::default()).unwrap();
+            let (got, _) = cache.solve_with(&Default::default(), None).unwrap();
 
             let fresh_scenario = scenario.clone().unwrap_or_else(FaultScenario::none);
             let want = solve_ffc_with_faults(problem, &old, &cfg, &fresh_scenario)

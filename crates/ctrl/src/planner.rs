@@ -276,7 +276,9 @@ impl Planner {
 
         let t0 = Instant::now();
         let mut patched = false;
-        let (warm, result) = if self.cfg.incremental {
+        let hint = store.hint_for(shape);
+        let warm = hint.is_some();
+        let result = if self.cfg.incremental {
             // Standing model: patch it to the new inputs when sound
             // (demand ticks, installed-config advances, fault drift),
             // rebuild it in place otherwise. The patched model is
@@ -296,18 +298,11 @@ impl Planner {
                     Some(scenario),
                 )),
             };
-            match store.hint_for(shape) {
-                Some(hint) => (true, cache.solve_warm(&opts, hint)),
-                None => (false, cache.solve_with(&opts)),
-            }
+            cache.solve_with(&opts, hint)
         } else {
             let mut builder = build_ffc_model(problem, old, &self.current);
             zero_dead_tunnels(&mut builder, scenario);
-            let (warm, result) = match store.hint_for(shape) {
-                Some(hint) => (true, builder.model.solve_warm(&opts, hint)),
-                None => (false, builder.model.solve_with(&opts)),
-            };
-            (warm, result.map(|sol| (builder.extract(&sol), sol)))
+            builder.solve_with(&opts, hint)
         };
         let wall = t0.elapsed();
 

@@ -19,16 +19,13 @@
 //!
 //! Every change is recorded in a journal of [`PatchOp`]s; [`mark`] /
 //! [`revert_to`](IncrementalModel::revert_to) give O(changes) undo.
-//! Solving goes through [`crate::simplex::solve_std`] on the standing
-//! lowered form, skipping the per-solve lowering entirely. Presolve
-//! never runs on the incremental path (the standing form must keep its
-//! column space, exactly like warm starts).
 //!
-//! On top of that, [`IncrementalModel::solve_warm_hot`] retains the
-//! solver's end-of-solve basis *and LU factorization* between solves:
-//! bound/rhs patches never touch the basis matrix, so an
-//! iteration-light re-solve resumes the dual simplex directly instead
-//! of re-loading and re-factorizing a 10³–10⁴-row basis from scratch.
+//! Solving: [`IncrementalModel::solve_with`] hands the standing lowered
+//! form to the same simplex entry [`Model::solve_with`] ends in,
+//! skipping the per-solve lowering entirely. Presolve never runs here
+//! (the standing form must keep its column space, exactly like warm
+//! starts), so a patched solve is bit-identical to rebuilding the same
+//! model and solving it with `presolve: false`.
 //!
 //! Correctness contract: after any sequence of patches, the standing
 //! `Model` and `StdForm` are **bit-identical** to what a fresh build
@@ -125,29 +122,11 @@ pub enum PatchOp {
 
 /// A standing model plus its lowered standard form, kept in lockstep
 /// under in-place patches. See the [module docs](self).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct IncrementalModel {
     model: Model,
     std: StdForm,
     journal: Vec<PatchOp>,
-    /// Retained end-of-solve engine state for
-    /// [`solve_warm_hot`](Self::solve_warm_hot); dropped whenever a
-    /// coefficient patch touches a retained basic column.
-    hot: Option<simplex::HotStart>,
-}
-
-impl Clone for IncrementalModel {
-    fn clone(&self) -> Self {
-        // The hot-start slot is a per-instance solver cache (LU factors
-        // are not cloneable); clones start cold and re-seed it on their
-        // first hot solve.
-        IncrementalModel {
-            model: self.model.clone(),
-            std: self.std.clone(),
-            journal: self.journal.clone(),
-            hot: None,
-        }
-    }
 }
 
 impl IncrementalModel {
@@ -160,7 +139,6 @@ impl IncrementalModel {
             model,
             std,
             journal: Vec::new(),
-            hot: None,
         })
     }
 
@@ -255,54 +233,16 @@ impl IncrementalModel {
         Ok(())
     }
 
-    /// Solves the standing form cold. Mirrors [`Model::solve_with`] with
-    /// presolve off (the incremental path, like warm starts, must keep
-    /// the lowered column space stable across solves).
-    pub fn solve_with(&self, opts: &SimplexOptions) -> Result<Solution, LpError> {
-        self.model.validate()?;
-        simplex::solve_std(&self.std, opts, None)
-    }
-
-    /// Solves the standing form from a warm-start basis. Mirrors
-    /// [`Model::solve_warm`], including the default warm-solve
-    /// perturbation, so a patched solve is bit-identical to rebuilding
-    /// the same model and warm-solving it.
-    pub fn solve_warm(
+    /// Solves the standing form, cold or from a warm-start basis:
+    /// [`Model::solve_with`] on the standing model with presolve off,
+    /// minus the lowering.
+    pub fn solve_with(
         &self,
         opts: &SimplexOptions,
-        hint: &BasisStatuses,
+        warm: Option<&BasisStatuses>,
     ) -> Result<Solution, LpError> {
         self.model.validate()?;
-        let opts = simplex::warmed_options(opts);
-        simplex::solve_std(&self.std, &opts, Some(hint))
-    }
-
-    /// Like [`solve_warm`](Self::solve_warm), but additionally retains
-    /// the solver's end-of-solve basis **with its LU factorization**
-    /// inside the standing model and resumes from it on the next call,
-    /// skipping the per-solve basis load and initial factorization that
-    /// dominate iteration-light re-solves. Bound and right-hand-side
-    /// patches keep the retained factorization valid (they never touch
-    /// the basis matrix); a coefficient patch on a retained *basic*
-    /// column drops it, and the next call transparently falls back to
-    /// the ordinary warm path and re-seeds the state.
-    ///
-    /// The hot path optimizes the exact same LP as
-    /// [`solve_warm`](Self::solve_warm) — the standing representations
-    /// are shared — but may walk a different pivot sequence on
-    /// degenerate ties (same optimal objective, possibly a different
-    /// optimal vertex). Callers that require solve trajectories
-    /// bit-identical to a rebuild, like the controller's
-    /// incremental/rebuild fingerprint parity, must stay on
-    /// [`solve_warm`](Self::solve_warm).
-    pub fn solve_warm_hot(
-        &mut self,
-        opts: &SimplexOptions,
-        hint: &BasisStatuses,
-    ) -> Result<Solution, LpError> {
-        self.model.validate()?;
-        let opts = simplex::warmed_options(opts);
-        simplex::solve_std_hot(&self.std, &opts, Some(hint), &mut self.hot)
+        simplex::solve(&self.std, opts, warm)
     }
 
     fn apply_rhs(&mut self, con: ConId, rhs: f64) {
@@ -340,12 +280,6 @@ impl IncrementalModel {
         };
         let old = expr.terms[pos].1;
         expr.terms[pos].1 = coeff;
-        // A patch on a column inside the retained hot-start basis makes
-        // its factorization stale; nonbasic columns are re-read from the
-        // standing matrix on every FTRAN, so those patches keep it.
-        if self.hot.as_ref().is_some_and(|h| h.is_basic(var.index())) {
-            self.hot = None;
-        }
         let patched = self.std.a.set_entry(con.index(), var.index(), coeff);
         debug_assert!(
             patched,
@@ -435,7 +369,7 @@ mod tests {
         inc.set_rhs(c0, 2.0);
         let (fresh, ..) = build(2.0, 3.0);
         assert_eq!(diff_models(inc.model(), &fresh), None);
-        let a = inc.solve_with(&SimplexOptions::default()).unwrap();
+        let a = inc.solve_with(&SimplexOptions::default(), None).unwrap();
         let b = fresh.solve().unwrap();
         assert!((a.objective - b.objective).abs() < 1e-9);
 
@@ -443,13 +377,13 @@ mod tests {
         inc.set_coeff(c2, x, 1.5).unwrap();
         let (fresh, ..) = build(2.0, 1.5);
         assert_eq!(diff_models(inc.model(), &fresh), None);
-        let a = inc.solve_with(&SimplexOptions::default()).unwrap();
+        let a = inc.solve_with(&SimplexOptions::default(), None).unwrap();
         let b = fresh.solve().unwrap();
         assert!((a.objective - b.objective).abs() < 1e-9);
 
         // bounds patch: pin x like a dead tunnel.
         inc.set_var_bounds(x, 0.0, 0.0);
-        let a = inc.solve_with(&SimplexOptions::default()).unwrap();
+        let a = inc.solve_with(&SimplexOptions::default(), None).unwrap();
         assert!((a.objective - 30.0).abs() < 1e-6, "{}", a.objective);
     }
 
@@ -457,10 +391,10 @@ mod tests {
     fn warm_patched_solve_matches_cold() {
         let (base, _x, _y, c0, _c2) = build(4.0, 3.0);
         let mut inc = IncrementalModel::new(base).unwrap();
-        let cold = inc.solve_with(&SimplexOptions::default()).unwrap();
+        let cold = inc.solve_with(&SimplexOptions::default(), None).unwrap();
         inc.set_rhs(c0, 3.0);
         let warm = inc
-            .solve_warm(&SimplexOptions::default(), &cold.basis)
+            .solve_with(&SimplexOptions::default(), Some(&cold.basis))
             .unwrap();
         let (fresh, ..) = build(3.0, 3.0);
         let exact = fresh.solve().unwrap();
@@ -491,7 +425,7 @@ mod tests {
         assert_eq!(diff_models(inc.model(), &reference), None);
         // And the lowered form reverted with it: solve gives the
         // original optimum.
-        let s = inc.solve_with(&SimplexOptions::default()).unwrap();
+        let s = inc.solve_with(&SimplexOptions::default(), None).unwrap();
         assert!((s.objective - 36.0).abs() < 1e-6, "{}", s.objective);
     }
 
@@ -541,47 +475,12 @@ mod tests {
     }
 
     #[test]
-    fn hot_resolves_match_fresh_solves_across_patches() {
-        let (base, x, _y, c0, c2) = build(4.0, 3.0);
-        let mut inc = IncrementalModel::new(base).unwrap();
-        let opts = SimplexOptions::default();
-        let cold = inc.solve_with(&opts).unwrap();
-        let mut basis = cold.basis;
-
-        // A chain of rhs / bounds / coefficient patches, each hot-solved
-        // and checked against an independent fresh build + cold solve.
-        // (xcap, wx, x bounds)
-        let steps: [(f64, f64, (f64, f64)); 4] = [
-            (3.0, 3.0, (0.0, f64::INFINITY)),
-            (3.0, 1.5, (0.0, f64::INFINITY)), // coeff patch drops hot state
-            (3.0, 1.5, (0.0, 1.0)),
-            (5.0, 1.5, (0.0, f64::INFINITY)),
-        ];
-        for &(xcap, wx, (lb, ub)) in &steps {
-            inc.set_rhs(c0, xcap);
-            inc.set_coeff(c2, x, wx).unwrap();
-            inc.set_var_bounds(x, lb, ub);
-            let hot = inc.solve_warm_hot(&opts, &basis).unwrap();
-            let (mut fresh, fx, ..) = build(xcap, wx);
-            fresh.set_bounds(fx, lb, ub);
-            let exact = fresh.solve().unwrap();
-            assert!(
-                (hot.objective - exact.objective).abs() < 1e-6,
-                "hot {} vs fresh {} at ({xcap}, {wx}, [{lb}, {ub}])",
-                hot.objective,
-                exact.objective
-            );
-            basis = hot.basis;
-        }
-    }
-
-    #[test]
     fn invalid_patched_bounds_fail_at_solve_time() {
         let (base, x, ..) = build(4.0, 3.0);
         let mut inc = IncrementalModel::new(base).unwrap();
         inc.set_var_bounds(x, 2.0, 1.0);
         assert!(matches!(
-            inc.solve_with(&SimplexOptions::default()),
+            inc.solve_with(&SimplexOptions::default(), None),
             Err(LpError::InvalidBounds { .. })
         ));
     }

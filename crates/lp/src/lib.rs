@@ -41,6 +41,19 @@
 //! | [`simplex`] | the bounded-variable two-phase revised simplex |
 //! | [`incremental`] | delta-LP: in-place patching of a standing model |
 //! | [`dense`] | an independent dense tableau oracle for testing |
+//!
+//! ## Solving
+//!
+//! One signature runs the simplex: `solve_with(&opts, warm)` on
+//! [`Model`] (lowers, and presolves cold solves) and on
+//! [`IncrementalModel`] (standing lowered form, never presolved), with
+//! [`Model::solve`] as the default-options cold shorthand. `warm` is the
+//! [`BasisStatuses`] a previous [`Solution`] of a structurally identical
+//! model reported; passing one defaults the anti-degeneracy
+//! perturbation to [`DEFAULT_WARM_PERTURB`] and lets
+//! [`Algorithm::Auto`] restart in the dual. Both end in one
+//! crate-private function that owns the numerical retry ladder (as
+//! given → exact → cold).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -64,4 +77,4 @@ pub use model::{
     SolveStats,
 };
 pub use pricing::{Pricing, AUTO_PARTIAL_MIN_COLS};
-pub use simplex::{Algorithm, HotStart, SimplexOptions, DEFAULT_WARM_PERTURB};
+pub use simplex::{Algorithm, SimplexOptions, DEFAULT_WARM_PERTURB};

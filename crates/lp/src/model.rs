@@ -10,6 +10,7 @@ use std::fmt;
 
 use crate::expr::{LinExpr, VarId};
 use crate::simplex::{self, SimplexOptions};
+use crate::standard::StdForm;
 
 /// Comparison sense of a constraint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -197,7 +198,7 @@ pub enum ColStatus {
 
 /// The final basis of a solve: one status per structural variable,
 /// followed by one per constraint (its slack). Feed it back via
-/// [`Model::solve_warm`] to hot-start a *structurally identical* model
+/// [`Model::solve_with`] to warm-start a *structurally identical* model
 /// (same variables and constraints; bounds, right-hand sides and
 /// objective may differ) — e.g. successive iterations of max-min
 /// fairness, or re-solves after demand changes.
@@ -496,25 +497,41 @@ impl Model {
         Ok(())
     }
 
-    /// Solves the model with default options.
+    /// Solves the model cold with default options:
+    /// `solve_with(&SimplexOptions::default(), None)`.
     pub fn solve(&self) -> Result<Solution, LpError> {
-        self.solve_with(&SimplexOptions::default())
+        self.solve_with(&SimplexOptions::default(), None)
     }
 
-    /// Solves the model with explicit simplex options.
+    /// Solves the model with explicit simplex options, cold
+    /// (`warm: None`) or from the final basis of a previous solve of a
+    /// structurally identical model. A hint that does not fit (wrong
+    /// shape, singular, primal-infeasible beyond repair) falls back to a
+    /// cold start, so passing one is always safe; see
+    /// [`crate::simplex`]'s single solve entry for what else `warm:
+    /// Some` changes (default anti-degeneracy perturbation,
+    /// [`crate::Algorithm::Auto`] → dual attempt) and for the numerical
+    /// retry ladder.
     ///
-    /// Runs [`crate::presolve`] first (fixed-variable elimination and
-    /// trivial-row checks) and expands the solution back afterwards.
-    pub fn solve_with(&self, opts: &SimplexOptions) -> Result<Solution, LpError> {
+    /// Cold solves with [`SimplexOptions::presolve`] set run
+    /// [`crate::presolve`] first (fixed-variable elimination and
+    /// trivial-row checks) and expand the solution back afterwards.
+    /// Warm solves never do: the hint indexes the full column space.
+    pub fn solve_with(
+        &self,
+        opts: &SimplexOptions,
+        warm: Option<&BasisStatuses>,
+    ) -> Result<Solution, LpError> {
         self.validate()?;
-        if !opts.presolve {
-            return simplex::solve_model(self, opts, None);
+        let run = |m: &Model| simplex::solve(&StdForm::from_model(m), opts, warm);
+        if warm.is_some() || !opts.presolve {
+            return run(self);
         }
         let pre = crate::presolve::presolve(self)?;
         if pre.eliminated() == 0 && pre.model.num_cons() == self.num_cons() {
-            return simplex::solve_model(self, opts, None);
+            return run(self);
         }
-        let mut sol = simplex::solve_model(&pre.model, opts, None)?;
+        let mut sol = run(&pre.model)?;
         sol.values = crate::presolve::postsolve(&pre, &sol.values);
         // The reduced objective already folds the fixed variables'
         // contribution into its constant, so the reported value is the
@@ -530,28 +547,6 @@ impl Model {
             direct
         };
         Ok(sol)
-    }
-
-    /// Solves with a warm-start basis from a previous solve of a
-    /// structurally identical model. Falls back to a cold start when the
-    /// hint does not fit (wrong shape, singular, or primal-infeasible
-    /// beyond repair), so this is always safe to call.
-    ///
-    /// Warm re-solves restart on the previous optimal vertex, where
-    /// coinciding bounds cause long degenerate phase-2 plateaus; unless
-    /// the caller set [`SimplexOptions::perturb`] explicitly, the
-    /// default anti-degeneracy expansion
-    /// [`crate::simplex::DEFAULT_WARM_PERTURB`] is applied (with
-    /// post-solve restoration, so reported solutions honour the true
-    /// bounds). Pass a negative `perturb` to force it off.
-    pub fn solve_warm(
-        &self,
-        opts: &SimplexOptions,
-        hint: &BasisStatuses,
-    ) -> Result<Solution, LpError> {
-        self.validate()?;
-        let opts = simplex::warmed_options(opts);
-        simplex::solve_model(self, &opts, Some(hint))
     }
 
     /// Dumps the model in a human-readable LP-like format (for debugging

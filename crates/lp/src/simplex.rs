@@ -25,7 +25,7 @@
 // not approximate value checks.
 
 use crate::basis::Basis;
-use crate::model::{BasisStatuses, ColStatus, LimitKind, LpError, Model, Solution, SolveStats};
+use crate::model::{BasisStatuses, ColStatus, LimitKind, LpError, Solution, SolveStats};
 use crate::pricing::{Pricer, Pricing};
 use crate::sparse::ScatterVec;
 use crate::standard::StdForm;
@@ -283,7 +283,7 @@ impl<'a> Engine<'a> {
     }
 
     /// Builds the recoverable budget-overrun error, snapshotting the
-    /// counters accumulated so far (same bookkeeping `solve_model`
+    /// counters accumulated so far (same bookkeeping `finish_solve`
     /// performs at the end of a successful solve).
     fn limit_error(&self, limit: LimitKind) -> LpError {
         let mut stats = self.stats;
@@ -722,22 +722,6 @@ impl<'a> Engine<'a> {
         // Still violating after the repair budget: start cold instead.
         self.reset_state();
         false
-    }
-
-    /// Exports the end-of-solve state for a future hot re-solve, or
-    /// `None` when it is not retainable: a solve that went through the
-    /// primal fallback carries artificial columns whose statuses have no
-    /// meaning for the standing form's column set.
-    fn into_hot(self) -> Option<HotStart> {
-        if !self.arts.is_empty() {
-            return None;
-        }
-        let factors = self.factors?;
-        Some(HotStart {
-            stat: self.stat,
-            basis: self.basis,
-            factors,
-        })
     }
 
     /// Clears all crash/warm state so another start can be attempted.
@@ -1659,229 +1643,60 @@ enum Step {
 /// long degenerate phase-2 plateaus; a tiny deterministic expansion
 /// breaks the ties. The value is far below the feasibility tolerance so
 /// an already-optimal warm basis still finishes in zero iterations and
-/// the post-solve restoration (see [`Engine::restore_perturbed_bounds`])
-/// is a no-op in the common case.
+/// the post-solve restoration of the expanded bounds is a no-op in the
+/// common case.
 pub const DEFAULT_WARM_PERTURB: f64 = 1e-9;
 
-/// Returns `opts` with [`DEFAULT_WARM_PERTURB`] filled in when the
-/// caller left `perturb` at its unset default. Shared by every warm
-/// entry point ([`Model::solve_warm`], the incremental solver) so all
-/// warm paths behave identically. Pass a negative `perturb` to force
-/// perturbation off for warm solves (the engine only perturbs when the
-/// value is strictly positive).
-pub fn warmed_options(opts: &SimplexOptions) -> SimplexOptions {
-    let mut o = opts.clone();
+/// The one way to run the simplex: every `solve_with` in the workspace
+/// ([`Model::solve_with`], [`crate::IncrementalModel::solve_with`] and
+/// the FFC wrappers above them) lowers to a [`StdForm`] and ends here.
+/// Presolve is a [`Model`]-level rewrite and has already run — cold
+/// `Model` solves only — or been skipped by the time this is called.
+///
+/// `warm: Some(basis)` changes three things against a cold solve: the
+/// basis seeds the start (falling back to the crash basis when it does
+/// not fit), [`Algorithm::Auto`] attempts the dual simplex first, and a
+/// `perturb` left at its unset default becomes
+/// [`DEFAULT_WARM_PERTURB`] (pass a negative `perturb` to force it off;
+/// the engine only perturbs when the value is strictly positive).
+///
+/// Numerical breakdowns climb a three-rung ladder before surfacing as
+/// [`LpError::NumericalFailure`]: the solve **as given**; then once
+/// **exact**, with the perturbation and plateau expansion disabled (the
+/// expansion trades a little conditioning for fewer degenerate pivots;
+/// on the rare model where that trade goes wrong the exact solve is the
+/// fallback); then, for a warm solve, once **cold** — a hint whose basis
+/// refactorizes singular must cost a slower solve, never an error.
+pub(crate) fn solve(
+    std: &StdForm,
+    opts: &SimplexOptions,
+    warm: Option<&BasisStatuses>,
+) -> Result<Solution, LpError> {
+    let mut as_given = opts.clone();
     // audit:allow(float-eq): 0.0 is the documented "unset" sentinel.
-    if o.perturb == 0.0 {
-        o.perturb = DEFAULT_WARM_PERTURB;
+    if warm.is_some() && as_given.perturb == 0.0 {
+        as_given.perturb = DEFAULT_WARM_PERTURB;
     }
-    o
+    let mut result = solve_std_once(std, &as_given, warm);
+    if matches!(result, Err(LpError::NumericalFailure(_)))
+        && (as_given.perturb > 0.0 || as_given.degen_expand > 0)
+    {
+        let mut exact = as_given;
+        exact.perturb = 0.0;
+        exact.degen_expand = 0;
+        result = solve_std_once(std, &exact, warm);
+    }
+    if warm.is_some() && matches!(result, Err(LpError::NumericalFailure(_))) {
+        return solve(std, opts, None);
+    }
+    result
 }
 
-/// Solves a model with the revised simplex. Called via [`Model::solve`]
-/// and [`Model::solve_warm`].
-pub fn solve_model(
-    model: &Model,
-    opts: &SimplexOptions,
-    hint: Option<&BasisStatuses>,
-) -> Result<Solution, LpError> {
-    let std = StdForm::from_model(model);
-    solve_std(&std, opts, hint)
-}
-
-/// Solves an already-lowered [`StdForm`] — the entry point for the
-/// incremental (delta-LP) path, which patches a standing `StdForm` in
-/// place instead of re-lowering the model every solve. When the
-/// perturbation option is active and the solve breaks down numerically,
-/// retries once from scratch with perturbation disabled (the expansion
-/// trades a little conditioning for fewer degenerate pivots; on the
-/// rare model where that trade goes wrong, the exact solve is the
-/// fallback).
-pub fn solve_std(
-    std: &StdForm,
-    opts: &SimplexOptions,
-    hint: Option<&BasisStatuses>,
-) -> Result<Solution, LpError> {
-    match solve_std_once(std, opts, hint, None) {
-        Err(LpError::NumericalFailure(_)) if opts.perturb > 0.0 || opts.degen_expand > 0 => {
-            let mut exact = opts.clone();
-            exact.perturb = 0.0;
-            exact.degen_expand = 0;
-            solve_std_once(std, &exact, hint, None)
-        }
-        other => other,
-    }
-}
-
-/// Retained end-of-solve engine state for hot re-solves over a standing
-/// [`StdForm`] whose bounds and right-hand sides (but not basic-column
-/// coefficients) may have been patched since. Produced and consumed by
-/// [`solve_std_hot`]; opaque outside this module.
-///
-/// A hot re-solve resumes the dual simplex directly on the previous
-/// optimal basis with its LU factors (and eta file) intact, skipping the
-/// per-solve basis load and initial factorization that dominate
-/// iteration-light re-solves. The eta file keeps its length across
-/// solves, so the engine still refactorizes on the normal
-/// [`crate::basis::REFACTOR_INTERVAL`] schedule and numerical drift
-/// stays bounded no matter how many hot solves chain together.
-#[derive(Debug)]
-pub struct HotStart {
-    /// Column statuses at the end of the exporting solve (`std.n` long;
-    /// a solve that created artificial columns is never exported).
-    stat: Vec<VStat>,
-    /// Basis position -> column index.
-    basis: Vec<usize>,
-    /// Factorization of that basis, with its accumulated eta updates.
-    factors: Basis,
-}
-
-impl HotStart {
-    /// Whether column `j` is basic in the retained basis. The delta-LP
-    /// layer uses this to decide if a coefficient patch invalidates the
-    /// retained factorization: nonbasic columns are not part of the
-    /// basis matrix, so patching them keeps the factors valid.
-    pub fn is_basic(&self, j: usize) -> bool {
-        matches!(self.stat.get(j), Some(VStat::Basic(_)))
-    }
-}
-
-/// [`solve_std`] with a retained hot-start slot. When `hot` holds state
-/// compatible with `std`, the dual simplex resumes from it directly;
-/// otherwise (first call, incompatible state, or a failed resume) the
-/// ordinary cold/warm path runs with `hint`. Either way the slot is
-/// refilled with this solve's end state whenever one is exportable.
-///
-/// The hot path optimizes the exact same LP as [`solve_std`] but is
-/// *not* guaranteed to walk the identical pivot sequence: the retained
-/// basis keeps its end-of-solve position order and factor representation
-/// while a fresh warm start reloads and refactorizes, so degenerate ties
-/// can break differently (same optimal objective, possibly a different
-/// optimal vertex). Callers that require bit-identical trajectories
-/// against a rebuilt model — the controller's incremental/rebuild
-/// fingerprint parity — must stay on [`solve_std`].
-pub fn solve_std_hot(
-    std: &StdForm,
-    opts: &SimplexOptions,
-    hint: Option<&BasisStatuses>,
-    hot: &mut Option<HotStart>,
-) -> Result<Solution, LpError> {
-    if let Some(h) = hot.take() {
-        match resume_hot(std, opts, h, hot) {
-            Some(Err(LpError::NumericalFailure(_)))
-                if opts.perturb > 0.0 || opts.degen_expand > 0 =>
-            {
-                // Same retry contract as `solve_std`, but from scratch:
-                // the retained state already failed, so the exact rerun
-                // goes through the fresh warm path.
-                let mut exact = opts.clone();
-                exact.perturb = 0.0;
-                exact.degen_expand = 0;
-                return solve_std_once(std, &exact, hint, Some(hot));
-            }
-            Some(done) => return done,
-            // Incompatible state: fall through to the fresh path, which
-            // re-seeds the slot.
-            None => {}
-        }
-    }
-    match solve_std_once(std, opts, hint, Some(hot)) {
-        Err(LpError::NumericalFailure(_)) if opts.perturb > 0.0 || opts.degen_expand > 0 => {
-            let mut exact = opts.clone();
-            exact.perturb = 0.0;
-            exact.degen_expand = 0;
-            solve_std_once(std, &exact, hint, Some(hot))
-        }
-        other => other,
-    }
-}
-
-/// Attempts a dual re-solve directly from retained [`HotStart`] state.
-/// Returns `None` when the state is incompatible with the (patched)
-/// standing form — wrong shapes, a status contradicting the new bounds,
-/// a basis that cannot seed a dual start — so the caller falls back to
-/// the fresh warm path. Returns `Some(result)` once the engine commits.
-fn resume_hot(
-    std: &StdForm,
-    opts: &SimplexOptions,
-    h: HotStart,
-    hot_out: &mut Option<HotStart>,
-) -> Option<Result<Solution, LpError>> {
-    if h.stat.len() != std.n || h.basis.len() != std.m || h.factors.dim() != std.m {
-        return None;
-    }
-    // Every basis position must point at a column marked basic at that
-    // exact position; this also forces the m basic columns to be
-    // distinct. A stray `Basic` status outside the basis vector would
-    // make the pricer skip a column that is really nonbasic, so the
-    // total count must come out to exactly m as well.
-    for (pos, &j) in h.basis.iter().enumerate() {
-        if j >= std.n || !matches!(h.stat.get(j), Some(&VStat::Basic(p)) if p == pos) {
-            return None;
-        }
-    }
-    let basics = h
-        .stat
-        .iter()
-        .filter(|s| matches!(s, VStat::Basic(_)))
-        .count();
-    if basics != std.m {
-        return None;
-    }
-
-    let t0 = std::time::Instant::now();
-    let mut eng = Engine::new(std, opts);
-    // Nonbasic columns sit on their (freshly perturbed) bounds. A status
-    // that no longer matches the patched bounds — a bound gone infinite
-    // under a nonbasic column, say — sends us back to the fresh path,
-    // which handles it with `load_hint_basis`'s nearest-valid fallback.
-    for (j, &st) in h.stat.iter().enumerate() {
-        let v = match st {
-            VStat::Basic(_) => 0.0, // recomputed below
-            VStat::AtLower if eng.lb[j].is_finite() => eng.lb[j],
-            VStat::AtUpper if eng.ub[j].is_finite() => eng.ub[j],
-            VStat::FreeZero if !eng.lb[j].is_finite() && !eng.ub[j].is_finite() => 0.0,
-            _ => return None,
-        };
-        eng.stat.push(st);
-        eng.xval.push(v);
-    }
-    eng.basis = h.basis;
-    eng.factors = Some(h.factors);
-
-    // Bounds and right-hand sides may have been patched since the state
-    // was retained: recompute basic values through the retained factors,
-    // refactorizing first if the carried eta file is already long.
-    if eng.factors.as_ref().is_some_and(|f| f.should_refactorize()) {
-        if eng.refactorize().is_err() {
-            return None;
-        }
-    } else {
-        eng.recompute_basic_values();
-    }
-
-    let cost2 = std.obj.clone();
-    if !eng.dual_feasibilize(&cost2) {
-        return None;
-    }
-    Some((move || {
-        match eng.optimize_dual(&cost2)? {
-            DualEnd::Feasible => {}
-            DualEnd::Infeasible => return Err(LpError::Infeasible),
-        }
-        finish_solve(eng, std, &cost2, t0, Some(hot_out))
-    })())
-}
-
-/// One simplex run over a lowered standard form (no perturbation retry).
-/// When `hot_out` is provided, the end-of-solve engine state is exported
-/// into it for [`solve_std_hot`] (or the slot is cleared if this solve's
-/// state is not retainable).
+/// One simplex run over a lowered standard form (no retry ladder).
 fn solve_std_once(
     std: &StdForm,
     opts: &SimplexOptions,
     hint: Option<&BasisStatuses>,
-    hot_out: Option<&mut Option<HotStart>>,
 ) -> Result<Solution, LpError> {
     let t0 = std::time::Instant::now();
     let mut eng = Engine::new(std, opts);
@@ -1948,18 +1763,16 @@ fn solve_std_once(
     // On the dual path phase 1 never runs: its iterations (and the
     // primal cleanup below) all count as phase 2.
 
-    finish_solve(eng, std, &cost2, t0, hot_out)
+    finish_solve(eng, std, &cost2, t0)
 }
 
-/// Shared tail of every solve: phase 2 on the real objective, perturbed
-/// bound restoration, stats stamping and the solution report. Also
-/// exports the end-of-solve engine state into `hot_out` when requested.
+/// Tail of a solve: phase 2 on the real objective, perturbed bound
+/// restoration, stats stamping and the solution report.
 fn finish_solve(
     mut eng: Engine<'_>,
     std: &StdForm,
     cost2: &[f64],
     t0: std::time::Instant,
-    hot_out: Option<&mut Option<HotStart>>,
 ) -> Result<Solution, LpError> {
     // Phase 2: optimize the real objective. After the dual loop this is
     // a cleanup pass that certifies optimality — normally 0 iterations.
@@ -1976,7 +1789,7 @@ fn finish_solve(
     // feas_tol); when it is not, the snapped basis is still
     // dual-feasible — the costs never moved — so the dual simplex
     // repairs it. The primal algorithm has no such repair path: surface
-    // a numerical failure and let [`solve_std`] rerun exactly, keeping
+    // a numerical failure and let [`solve`] rerun exactly, keeping
     // `Primal` solves free of dual iterations. Should a plateau
     // expansion fire *during* the repair itself, the residual bound
     // violation is at most feas_tol/8 — invisible at solver tolerances.
@@ -2027,18 +1840,14 @@ fn finish_solve(
         .iter()
         .map(|&yi| if std.maximize { -yi } else { yi })
         .collect();
-    let sol = Solution {
+    Ok(Solution {
         objective: std.report_objective(min_val),
         values,
         iterations: eng.iterations,
         basis: BasisStatuses(statuses),
         stats: eng.stats,
         duals,
-    };
-    if let Some(out) = hot_out {
-        *out = eng.into_hot();
-    }
-    Ok(sol)
+    })
 }
 
 #[cfg(test)]
@@ -2216,7 +2025,7 @@ mod tests {
             perturb: 1e-7,
             ..SimplexOptions::default()
         };
-        let s = m.solve_with(&opts).unwrap();
+        let s = m.solve_with(&opts, None).unwrap();
         assert!((s.objective - 36.0).abs() < 1e-4, "{}", s.objective);
     }
 
@@ -2238,18 +2047,24 @@ mod tests {
     fn plateau_expansion_fires_and_preserves_optimum() {
         let (m, x, _) = stalled_lp();
         let exact = m
-            .solve_with(&SimplexOptions {
-                degen_expand: 0,
-                presolve: false,
-                ..SimplexOptions::default()
-            })
+            .solve_with(
+                &SimplexOptions {
+                    degen_expand: 0,
+                    presolve: false,
+                    ..SimplexOptions::default()
+                },
+                None,
+            )
             .unwrap();
         let s = m
-            .solve_with(&SimplexOptions {
-                degen_expand: 1,
-                presolve: false,
-                ..SimplexOptions::default()
-            })
+            .solve_with(
+                &SimplexOptions {
+                    degen_expand: 1,
+                    presolve: false,
+                    ..SimplexOptions::default()
+                },
+                None,
+            )
             .unwrap();
         assert!(s.stats.degenerate_pivots >= 1);
         assert_eq!(s.stats.degen_expansions, 1, "one-shot expansion fires");
@@ -2263,11 +2078,14 @@ mod tests {
     fn plateau_expansion_disabled_by_zero() {
         let (m, _, _) = stalled_lp();
         let s = m
-            .solve_with(&SimplexOptions {
-                degen_expand: 0,
-                presolve: false,
-                ..SimplexOptions::default()
-            })
+            .solve_with(
+                &SimplexOptions {
+                    degen_expand: 0,
+                    presolve: false,
+                    ..SimplexOptions::default()
+                },
+                None,
+            )
             .unwrap();
         assert_eq!(s.stats.degen_expansions, 0);
         assert!((s.objective - 0.5).abs() < 1e-6, "{}", s.objective);
@@ -2362,7 +2180,7 @@ mod tests {
         );
         let cold = m.solve().unwrap();
         let warm = m
-            .solve_warm(&SimplexOptions::default(), &cold.basis)
+            .solve_with(&SimplexOptions::default(), Some(&cold.basis))
             .unwrap();
         almost(warm.objective, cold.objective);
         // Re-solving from the optimal basis needs no pivots at all.
@@ -2394,10 +2212,51 @@ mod tests {
         // binds, then grows when it relaxes... here just compare).
         let m2 = build(10.0);
         let warm = m2
-            .solve_warm(&SimplexOptions::default(), &cold.basis)
+            .solve_with(&SimplexOptions::default(), Some(&cold.basis))
             .unwrap();
         let fresh = m2.solve().unwrap();
         almost(warm.objective, fresh.objective);
+        // The old vertex stays optimal: no pivots, no plateau expansion.
+        assert_eq!(warm.stats.iterations(), 0);
+        assert_eq!(warm.stats.degen_expansions, 0);
+    }
+
+    /// [`solve`] owns the warm default: a hinted solve with `perturb`
+    /// unset runs at [`DEFAULT_WARM_PERTURB`]. On this LP the expansion
+    /// breaks a ratio-test tie the other way, so the pivot count tells
+    /// it apart from the same solve with the perturbation forced off.
+    #[test]
+    fn warm_solve_defaults_the_perturbation() {
+        let mut m = Model::new();
+        let x = m.add_var(0.0, 2.0, "x");
+        let y = m.add_nonneg("y");
+        let z = m.add_var(0.0, 2.0, "z");
+        m.add_con(LinExpr::from(z) - x, Cmp::Le, 1.0);
+        m.add_con(LinExpr::term(z, 2.0) - y, Cmp::Le, 1.0);
+        m.add_con(
+            LinExpr::term(z, 2.0) - LinExpr::term(x, 2.0) - y,
+            Cmp::Le,
+            1.0,
+        );
+        m.add_con(LinExpr::term(z, 2.0) - LinExpr::term(y, 2.0), Cmp::Le, 1.0);
+        m.set_objective(LinExpr::term(z, 3.0) - x - y, Sense::Maximize);
+        // The all-slack start, as a hint.
+        let mut statuses = vec![ColStatus::Lower; 3];
+        statuses.extend([ColStatus::Basic; 4]);
+        let hint = BasisStatuses(statuses);
+        let warm = |perturb: f64| {
+            let opts = SimplexOptions {
+                perturb,
+                ..SimplexOptions::default()
+            };
+            m.solve_with(&opts, Some(&hint)).unwrap()
+        };
+        let (unset, explicit, off) = (warm(0.0), warm(DEFAULT_WARM_PERTURB), warm(-1.0));
+        assert_eq!(unset.stats.iterations(), 4);
+        assert_eq!(explicit.stats.iterations(), 4);
+        assert_eq!(unset.basis, explicit.basis);
+        assert_eq!(off.stats.iterations(), 2);
+        almost(unset.objective, off.objective);
     }
 
     #[test]
@@ -2406,7 +2265,9 @@ mod tests {
         let x = m.add_var(0.0, 5.0, "x");
         m.set_objective(LinExpr::from(x), Sense::Maximize);
         let hint = crate::model::BasisStatuses(vec![crate::model::ColStatus::Basic; 17]);
-        let s = m.solve_warm(&SimplexOptions::default(), &hint).unwrap();
+        let s = m
+            .solve_with(&SimplexOptions::default(), Some(&hint))
+            .unwrap();
         almost(s.objective, 5.0);
     }
 
@@ -2426,7 +2287,7 @@ mod tests {
         let cold = build(10.0).solve().unwrap();
         let m2 = build(1.0);
         let warm = m2
-            .solve_warm(&SimplexOptions::default(), &cold.basis)
+            .solve_with(&SimplexOptions::default(), Some(&cold.basis))
             .unwrap();
         let fresh = m2.solve().unwrap();
         almost(warm.objective, fresh.objective);
@@ -2461,7 +2322,7 @@ mod tests {
                 ..SimplexOptions::default()
             };
             let s = m
-                .solve_with(&opts)
+                .solve_with(&opts, None)
                 .unwrap_or_else(|e| panic!("{pricing:?}: {e}"));
             assert!(
                 (s.objective - 36.0).abs() < 1e-6,
@@ -2500,7 +2361,7 @@ mod tests {
                 pricing,
                 ..SimplexOptions::default()
             };
-            let s = build().solve_with(&opts).unwrap();
+            let s = build().solve_with(&opts, None).unwrap();
             almost(s.objective, 9.0);
         }
     }
@@ -2533,16 +2394,22 @@ mod tests {
         m.set_objective(obj, Sense::Maximize);
 
         let full = m
-            .solve_with(&SimplexOptions {
-                pricing: crate::pricing::Pricing::Devex,
-                ..SimplexOptions::default()
-            })
+            .solve_with(
+                &SimplexOptions {
+                    pricing: crate::pricing::Pricing::Devex,
+                    ..SimplexOptions::default()
+                },
+                None,
+            )
             .unwrap();
         let partial = m
-            .solve_with(&SimplexOptions {
-                pricing: crate::pricing::Pricing::PartialDevex { candidates: 8 },
-                ..SimplexOptions::default()
-            })
+            .solve_with(
+                &SimplexOptions {
+                    pricing: crate::pricing::Pricing::PartialDevex { candidates: 8 },
+                    ..SimplexOptions::default()
+                },
+                None,
+            )
             .unwrap();
         almost(full.objective, partial.objective);
         assert!(
@@ -2572,7 +2439,7 @@ mod tests {
             presolve: false,
             ..SimplexOptions::default()
         };
-        let s = m.solve_with(&opts).unwrap();
+        let s = m.solve_with(&opts, None).unwrap();
         almost(s.objective, 36.0);
         assert!(
             s.stats.dual_iterations > 0,
@@ -2596,7 +2463,7 @@ mod tests {
             presolve: false,
             ..SimplexOptions::default()
         };
-        assert_eq!(m.solve_with(&opts).unwrap_err(), LpError::Infeasible);
+        assert_eq!(m.solve_with(&opts, None).unwrap_err(), LpError::Infeasible);
     }
 
     #[test]
@@ -2613,7 +2480,7 @@ mod tests {
             presolve: false,
             ..SimplexOptions::default()
         };
-        let s = m.solve_with(&opts).unwrap();
+        let s = m.solve_with(&opts, None).unwrap();
         almost(s.objective, 5.0);
         assert_eq!(s.stats.dual_iterations, 0);
     }
@@ -2635,7 +2502,7 @@ mod tests {
         let cold = build(10.0).solve().unwrap();
         let m2 = build(1.0);
         let warm = m2
-            .solve_warm(&SimplexOptions::default(), &cold.basis)
+            .solve_with(&SimplexOptions::default(), Some(&cold.basis))
             .unwrap();
         let fresh = m2.solve().unwrap();
         almost(warm.objective, fresh.objective);
@@ -2654,7 +2521,7 @@ mod tests {
             algorithm: Algorithm::Primal,
             ..SimplexOptions::default()
         };
-        let warm = m.solve_warm(&opts, &cold.basis).unwrap();
+        let warm = m.solve_with(&opts, Some(&cold.basis)).unwrap();
         almost(warm.objective, cold.objective);
         assert_eq!(warm.stats.dual_iterations, 0);
         assert_eq!(warm.stats.dual_bound_flips, 0);
@@ -2708,7 +2575,7 @@ mod tests {
             presolve: false,
             ..SimplexOptions::default()
         };
-        match m.solve_with(&opts) {
+        match m.solve_with(&opts, None) {
             Err(LpError::LimitExceeded { limit, stats }) => {
                 assert_eq!(limit, crate::LimitKind::Iterations);
                 assert!(stats.iterations() >= 1, "partial counters: {stats:?}");
@@ -2727,7 +2594,7 @@ mod tests {
             presolve: false,
             ..SimplexOptions::default()
         };
-        let err = m.solve_with(&opts).unwrap_err();
+        let err = m.solve_with(&opts, None).unwrap_err();
         assert!(err.is_limit());
         assert!(!LpError::Infeasible.is_limit());
     }
@@ -2740,7 +2607,7 @@ mod tests {
             presolve: false,
             ..SimplexOptions::default()
         };
-        match m.solve_with(&opts) {
+        match m.solve_with(&opts, None) {
             Err(LpError::NumericalFailure(msg)) => {
                 assert!(msg.contains("injected"), "unexpected message: {msg}");
             }
@@ -2756,7 +2623,7 @@ mod tests {
             max_millis: 60_000,
             ..SimplexOptions::default()
         };
-        let s = m.solve_with(&opts).unwrap();
+        let s = m.solve_with(&opts, None).unwrap();
         almost(s.objective, 36.0);
     }
 }

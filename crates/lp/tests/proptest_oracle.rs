@@ -12,7 +12,10 @@
 //!   right-hand sides — the classic cycling traps).
 
 use ffc_lp::dense::solve_dense;
-use ffc_lp::{Algorithm, Cmp, LinExpr, LpError, Model, Sense, SimplexOptions, Solution};
+use ffc_lp::{
+    Algorithm, BasisStatuses, Cmp, IncrementalModel, LinExpr, LpError, Model, Sense,
+    SimplexOptions, Solution,
+};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
@@ -148,11 +151,14 @@ fn build(lp: &RandomLp) -> Model {
 fn solve_algo(m: &Model, algorithm: Algorithm) -> Result<Solution, LpError> {
     // Presolve off so the simplex (primal or dual) sees the whole model
     // rather than a reduced one the presolver may have already decided.
-    m.solve_with(&SimplexOptions {
-        algorithm,
-        presolve: false,
-        ..SimplexOptions::default()
-    })
+    m.solve_with(
+        &SimplexOptions {
+            algorithm,
+            presolve: false,
+            ..SimplexOptions::default()
+        },
+        None,
+    )
 }
 
 /// Statuses must match; objectives must match when optimal.
@@ -170,6 +176,42 @@ fn agree(
         ),
         (Err(LpError::Infeasible), Err(LpError::Infeasible)) => {}
         (Err(LpError::Unbounded), Err(LpError::Unbounded)) => {}
+        other => prop_assert!(false, "{label}: disagreement {other:?}"),
+    }
+    Ok(())
+}
+
+/// One engine regardless of wrapper: with presolve off, solving the
+/// standing lowered form and lowering the model per solve must walk the
+/// same pivots to the same bits.
+fn wrappers_agree(
+    label: &str,
+    m: &Model,
+    opts: &SimplexOptions,
+    warm: Option<&BasisStatuses>,
+) -> Result<(), TestCaseError> {
+    let standing = IncrementalModel::new(m.clone()).expect("generated LPs validate");
+    match (m.solve_with(opts, warm), standing.solve_with(opts, warm)) {
+        (Ok(a), Ok(b)) => {
+            prop_assert_eq!(a.objective.to_bits(), b.objective.to_bits(), "{}", label);
+            let bits = |s: &Solution| s.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&a), bits(&b), "{}", label);
+            prop_assert_eq!(&a.basis, &b.basis, "{}", label);
+            prop_assert_eq!(a.stats.iterations(), b.stats.iterations(), "{}", label);
+            prop_assert_eq!(
+                a.stats.dual_iterations,
+                b.stats.dual_iterations,
+                "{}",
+                label
+            );
+            prop_assert_eq!(
+                a.stats.refactorizations,
+                b.stats.refactorizations,
+                "{}",
+                label
+            );
+        }
+        (Err(a), Err(b)) => prop_assert_eq!(a, b, "{}", label),
         other => prop_assert!(false, "{label}: disagreement {other:?}"),
     }
     Ok(())
@@ -231,10 +273,10 @@ proptest! {
             }
         }
         let cold = solve_algo(&m2, Algorithm::Primal);
-        let warm = m2.solve_warm(
-            &SimplexOptions { algorithm: Algorithm::Auto, presolve: false, ..SimplexOptions::default() },
-            &first.basis,
-        );
+        let auto = SimplexOptions { algorithm: Algorithm::Auto, presolve: false, ..SimplexOptions::default() };
+        let warm = m2.solve_with(&auto, Some(&first.basis));
         agree("warm auto vs cold", &warm, &cold)?;
+        wrappers_agree("cold, model vs standing form", &m, &auto, None)?;
+        wrappers_agree("warm, model vs standing form", &m2, &auto, Some(&first.basis))?;
     }
 }

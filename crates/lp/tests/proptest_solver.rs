@@ -159,7 +159,7 @@ proptest! {
             }
         }
         let cold = m2.solve();
-        let warm = m2.solve_warm(&ffc_lp::SimplexOptions::default(), &first.basis);
+        let warm = m2.solve_with(&ffc_lp::SimplexOptions::default(), Some(&first.basis));
         match (cold, warm) {
             (Ok(a), Ok(b)) => prop_assert!(
                 (a.objective - b.objective).abs() <= 1e-5 * (1.0 + a.objective.abs()),
@@ -179,7 +179,7 @@ proptest! {
     fn pricing_rules_match_dantzig_and_dense(lp in lp_strategy(6, 8)) {
         let m = build(&lp);
         let solve = |pricing: Pricing| {
-            m.solve_with(&SimplexOptions { pricing, ..SimplexOptions::default() })
+            m.solve_with(&SimplexOptions { pricing, ..SimplexOptions::default() }, None)
         };
         let dantzig = solve(Pricing::Dantzig);
         let dense = solve_dense(&m);
