@@ -21,7 +21,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use super::lexer::TokKind;
+use super::lexer::{Code, TokKind};
 use super::parser::{FnDef, KEYWORDS};
 use super::symbols::CrateSrc;
 
@@ -293,43 +293,23 @@ fn resolve(
 }
 
 /// Extracts call-shaped sites from a fn body token range.
-fn extract_calls(file: &super::symbols::SourceFile, (start, end): (usize, usize)) -> Vec<CallSite> {
-    let toks = &file.ast.tokens;
-    let src = &file.src;
-    // Significant token indices within the body.
-    let sig: Vec<usize> = (start..end.min(toks.len()))
-        .filter(|&i| {
-            !matches!(
-                toks[i].kind,
-                TokKind::Ws | TokKind::LineComment | TokKind::BlockComment
-            )
-        })
-        .collect();
-    let text = |si: usize| -> &str { toks[sig[si]].text(src) };
-    let kind = |si: usize| -> TokKind { toks[sig[si]].kind };
+fn extract_calls(file: &super::symbols::SourceFile, body: (usize, usize)) -> Vec<CallSite> {
+    let code = Code::new(&file.src, &file.ast.tokens, body);
+    let text = |si: usize| code.text(si);
 
     let mut out = Vec::new();
-    for i in 0..sig.len() {
-        if kind(i) != TokKind::Ident {
+    for i in 0..code.len() {
+        if code.kind(i) != TokKind::Ident {
             continue;
         }
         let name = text(i);
-        if KEYWORDS.contains(&name) {
+        // Not a call: a keyword, a `name!(…)` macro invocation (the
+        // panic-site scan reads the raw body separately), no `(`, or
+        // the `fn name(` declaration itself.
+        if KEYWORDS.contains(&name) || text(i + 1) != "(" || code.prev(i) == "fn" {
             continue;
         }
-        // Macro invocation `name!(…)`: not a call edge (panic-site
-        // detection reads the raw body separately).
-        if i + 1 < sig.len() && text(i + 1) == "!" {
-            continue;
-        }
-        if i + 1 >= sig.len() || text(i + 1) != "(" {
-            continue;
-        }
-        // Declaration, not a call: `fn name(`.
-        if i >= 1 && text(i - 1) == "fn" {
-            continue;
-        }
-        let is_method = i >= 1 && text(i - 1) == "." && (i < 2 || text(i - 2) != ".");
+        let is_method = code.prev(i) == "." && (i < 2 || text(i - 2) != ".");
         let mut path = Vec::new();
         if !is_method {
             // Walk back through `seg ::` pairs.
@@ -337,7 +317,7 @@ fn extract_calls(file: &super::symbols::SourceFile, (start, end): (usize, usize)
             while j >= 3
                 && text(j - 1) == ":"
                 && text(j - 2) == ":"
-                && kind(j - 3) == TokKind::Ident
+                && code.kind(j - 3) == TokKind::Ident
             {
                 path.push(text(j - 3).to_string());
                 j -= 3;
@@ -348,7 +328,7 @@ fn extract_calls(file: &super::symbols::SourceFile, (start, end): (usize, usize)
             name: name.to_string(),
             path,
             is_method,
-            line: toks[sig[i]].line,
+            line: code.tok(i).line,
         });
     }
     out

@@ -13,7 +13,7 @@
 //! 2. **`unwrap` → `?`** — for `.unwrap()` sites inside fns whose
 //!    return type mentions `Result`.
 //! 3. **Suppression scaffolding** — everything else gets a
-//!    `// analysis:allow(rule/kind)` marker comment above the site,
+//!    `// audit:allow(rule/kind)` marker comment above the site,
 //!    making the finding visible in the diff for human review while
 //!    clearing it from the report.
 //!
@@ -25,7 +25,7 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-use super::lexer::TokKind;
+use super::lexer::{Code, TokKind, Token};
 use super::taint::allow_marker;
 use super::{analyze_model, build_model, AnalysisConfig, Finding};
 
@@ -239,35 +239,20 @@ pub fn apply(root: &Path, report: &FixReport) -> io::Result<usize> {
 /// Whether swapping the file's hash containers for BTree siblings is
 /// order-safe: constructors restricted to [`SAFE_HASH_CTORS`], no
 /// custom-hasher API in sight.
-fn hash_rewrite_safe(src: &str, toks: &[super::lexer::Token]) -> Result<(), String> {
-    let sig: Vec<usize> = (0..toks.len())
-        .filter(|&i| {
-            !matches!(
-                toks[i].kind,
-                TokKind::Ws | TokKind::LineComment | TokKind::BlockComment | TokKind::Str
-            )
-        })
-        .collect();
-    let text = |si: usize| -> &str { toks[sig[si]].text(src) };
-    for i in 0..sig.len() {
-        let t = text(i);
+fn hash_rewrite_safe(src: &str, toks: &[Token]) -> Result<(), String> {
+    let code = Code::new(src, toks, (0, toks.len()));
+    for i in 0..code.len() {
+        let t = code.text(i);
         if matches!(
             t,
             "RandomState" | "with_hasher" | "with_capacity_and_hasher" | "raw_entry"
         ) {
             return Err(format!("uses `{t}`"));
         }
-        if matches!(t, "HashMap" | "HashSet")
-            && i + 3 < sig.len()
-            && text(i + 1) == ":"
-            && text(i + 2) == ":"
-        {
-            let ctor = text(i + 3);
+        if matches!(t, "HashMap" | "HashSet") && code.is_path(i, &[]) && i + 3 < code.len() {
+            let ctor = code.text(i + 3);
             // `HashMap::<A, B>::new()` — skip the turbofish.
-            if ctor == "<" {
-                continue;
-            }
-            if !SAFE_HASH_CTORS.contains(&ctor) {
+            if ctor != "<" && !SAFE_HASH_CTORS.contains(&ctor) {
                 return Err(format!("constructor `{t}::{ctor}` is not order-safe"));
             }
         }
@@ -278,34 +263,24 @@ fn hash_rewrite_safe(src: &str, toks: &[super::lexer::Token]) -> Result<(), Stri
 /// Splices every `.unwrap()` in the body token range into `?`.
 fn splice_unwraps(
     src: &str,
-    toks: &[super::lexer::Token],
-    (start, end): (usize, usize),
+    toks: &[Token],
+    body: (usize, usize),
     rel: &str,
     edits: &mut Vec<(usize, usize, String, String)>,
 ) -> usize {
-    let sig: Vec<usize> = (start..end.min(toks.len()))
-        .filter(|&i| {
-            !matches!(
-                toks[i].kind,
-                TokKind::Ws | TokKind::LineComment | TokKind::BlockComment
-            )
-        })
-        .collect();
-    let text = |si: usize| -> &str { toks[sig[si]].text(src) };
+    let code = Code::new(src, toks, body);
     let mut n = 0usize;
-    for i in 0..sig.len().saturating_sub(3) {
-        if text(i) == "."
-            && text(i + 1) == "unwrap"
-            && text(i + 2) == "("
-            && text(i + 3) == ")"
-            && (i == 0 || text(i - 1) != ".")
+    for i in 1..code.len() {
+        if code.text(i) == "unwrap"
+            && code.is_method_call(i)
+            && code.text(i + 2) == ")"
+            && (i < 2 || code.text(i - 2) != ".")
         {
-            let span = (toks[sig[i]].start, toks[sig[i + 3]].end);
             edits.push((
-                span.0,
-                span.1,
+                code.tok(i - 1).start,
+                code.tok(i + 2).end,
                 "?".to_string(),
-                format!("{rel}:{} .unwrap() -> ?", toks[sig[i]].line),
+                format!("{rel}:{} .unwrap() -> ?", code.tok(i - 1).line),
             ));
             n += 1;
         }
@@ -459,7 +434,7 @@ pub fn fingerprint_state() -> u64 {
             plan.notes.iter().any(|n| n.contains("not order-safe")),
             "{plan:?}"
         );
-        assert!(plan.fixes[0].new_src.contains(&allow_marker()));
+        assert!(plan.fixes[0].new_src.contains(allow_marker()));
         apply(&dir, &plan).unwrap();
         let after = analyze_path(&dir, &cfg).unwrap();
         let _ = fs::remove_dir_all(&dir);

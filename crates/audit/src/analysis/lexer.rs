@@ -56,6 +56,88 @@ impl Token {
     pub fn text<'a>(&self, src: &'a str) -> &'a str {
         &src[self.start..self.end]
     }
+
+    /// The source line the token starts on, trimmed: the excerpt a
+    /// finding at this token carries.
+    pub(crate) fn excerpt<'a>(&self, src: &'a str) -> &'a str {
+        let from = src[..self.start].rfind('\n').map_or(0, |p| p + 1);
+        let to = src[self.start..]
+            .find('\n')
+            .map_or(src.len(), |p| self.start + p);
+        src[from..to].trim()
+    }
+}
+
+/// The significant tokens (no whitespace, no comments) of a token
+/// range: the one view every pass and every lint rule pattern-matches
+/// through. Comments are not in it and a literal's text carries its
+/// quotes, so neither can ever spell an identifier or an operator.
+pub(crate) struct Code<'a> {
+    src: &'a str,
+    toks: &'a [Token],
+    sig: Vec<usize>,
+}
+
+impl<'a> Code<'a> {
+    /// The significant tokens among `toks[start..end]`.
+    pub(crate) fn new(src: &'a str, toks: &'a [Token], (start, end): (usize, usize)) -> Self {
+        let sig = (start..end.min(toks.len()))
+            .filter(|&i| {
+                !matches!(
+                    toks[i].kind,
+                    TokKind::Ws | TokKind::LineComment | TokKind::BlockComment
+                )
+            })
+            .collect();
+        Code { src, toks, sig }
+    }
+
+    /// Number of significant tokens.
+    pub(crate) fn len(&self) -> usize {
+        self.sig.len()
+    }
+
+    /// Index of significant token `si` in the full token stream.
+    pub(crate) fn pos(&self, si: usize) -> usize {
+        self.sig[si]
+    }
+
+    /// Significant token `si`.
+    pub(crate) fn tok(&self, si: usize) -> &'a Token {
+        &self.toks[self.sig[si]]
+    }
+
+    /// Text of significant token `si`; empty past the end, so a pattern
+    /// may look ahead without a bounds check.
+    pub(crate) fn text(&self, si: usize) -> &'a str {
+        self.sig
+            .get(si)
+            .map_or("", |&i| self.toks[i].text(self.src))
+    }
+
+    /// Text of the significant token before `si`; empty at the start.
+    pub(crate) fn prev(&self, si: usize) -> &'a str {
+        si.checked_sub(1).map_or("", |p| self.text(p))
+    }
+
+    /// Kind of significant token `si` (`Ws`, never significant, past
+    /// the end).
+    pub(crate) fn kind(&self, si: usize) -> TokKind {
+        self.sig.get(si).map_or(TokKind::Ws, |&i| self.toks[i].kind)
+    }
+
+    /// Whether the token at `si` heads a path `<si> :: <tail>` with
+    /// `tail` one of `tails` (any continuation when `tails` is empty).
+    pub(crate) fn is_path(&self, si: usize, tails: &[&str]) -> bool {
+        self.text(si + 1) == ":"
+            && self.text(si + 2) == ":"
+            && (tails.is_empty() || tails.contains(&self.text(si + 3)))
+    }
+
+    /// Whether the token at `si` is called as a method: `. <si> (`.
+    pub(crate) fn is_method_call(&self, si: usize) -> bool {
+        self.prev(si) == "." && self.text(si + 1) == "("
+    }
 }
 
 fn is_ident_start(c: char) -> bool {

@@ -7,7 +7,9 @@
 //!    token, so autofixes can splice tokens and reproduce the rest of
 //!    the file byte-for-byte);
 //! 2. [`parser`] — item extractor: `fn` items with module path,
-//!    impl type, return type, body range, `#[cfg(test)]` status;
+//!    impl type, return type and body range, the token ranges of
+//!    test-gated items, and the `audit:allow` suppressions — the front
+//!    end [`crate::lint`]'s rules run on too;
 //! 3. [`symbols`] — workspace discovery by manifest membership (never
 //!    by directory-name skip lists) and per-crate symbol tables;
 //! 4. [`callgraph`] — workspace-wide call graph from call-shaped token
@@ -191,8 +193,8 @@ impl AnalysisReport {
     }
 }
 
-/// JSON string escape.
-fn json_str(v: &str) -> String {
+/// JSON string escape: the one escaper of this crate.
+pub(crate) fn json_str(v: &str) -> String {
     let mut s = String::with_capacity(v.len() + 2);
     s.push('"');
     for c in v.chars() {

@@ -1,9 +1,13 @@
 //! Item extractor (analysis pass 1): walks the lossless token stream
-//! and recovers the shape the interprocedural passes need — `fn` items
-//! with their module path, surrounding `impl`/`trait` type, return
-//! type text, body token range, and `#[cfg(test)]` status — plus
-//! struct fields declared with `HashMap`/`HashSet` types (the
-//! determinism pass flags iteration over them).
+//! and recovers the shape every source check needs — `fn` items with
+//! their module path, surrounding `impl`/`trait` type, return type
+//! text and body token range; struct fields declared with
+//! `HashMap`/`HashSet` types (the determinism pass flags iteration over
+//! them); the token ranges of test-gated items; and the reviewed
+//! suppressions written in comments. The lint rules and the
+//! interprocedural passes both read test scope and suppressions from
+//! here, so neither can disagree with the other about what is
+//! production code or what a human has signed off.
 //!
 //! This is *not* a Rust parser. It is a brace-matching scope tracker
 //! with just enough signature parsing to be right on idiomatic code;
@@ -11,10 +15,29 @@
 //! (a spurious or missed call edge), never soundness of the committed
 //! baseline (findings are keyed structurally and diffed
 //! deterministically).
+//!
+//! # Suppressions
+//!
+//! One grammar, read from comment tokens only (marker text inside a
+//! string literal is data, not a suppression):
+//!
+//! ```text
+//! // audit:allow(<label>[, <label>…]): reason
+//! // audit:allow-file(<label>[, <label>…]): reason
+//! ```
+//!
+//! The first form covers a site on the comment's own line or directly
+//! below the contiguous comment block it sits in; the second covers
+//! the whole file from anywhere in it. A label is a lint rule name
+//! (`no-unwrap`) or an analyzer `rule/kind` pair
+//! (`panic-reachable/index`).
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
-use super::lexer::{tokenize, TokKind, Token};
+use super::lexer::{tokenize, Code, TokKind, Token};
+
+/// The suppression marker; `-file(` or `(` follows it.
+pub(crate) const ALLOW_MARKER: &str = "audit:allow";
 
 /// One extracted function item.
 #[derive(Debug, Clone)]
@@ -33,8 +56,8 @@ pub struct FnDef {
     /// Token index range of the body including both braces, when the
     /// item has one (`None` for trait method declarations).
     pub body: Option<(usize, usize)>,
-    /// Whether the item is test-only (`#[test]`, `#[cfg(test)]`, or
-    /// inside a module so marked).
+    /// Whether the `fn` keyword lies in one of
+    /// [`FileAst::test_ranges`].
     pub is_test: bool,
 }
 
@@ -48,6 +71,93 @@ pub struct FileAst {
     /// Names of struct fields whose declared type mentions
     /// `HashMap`/`HashSet`.
     pub hash_fields: BTreeSet<String>,
+    test_ranges: Vec<(usize, usize)>,
+    allows: Allows,
+}
+
+impl FileAst {
+    /// Token index ranges (end exclusive; sorted, disjoint, outermost
+    /// only) of the items compiled only under `cfg(test)`: any item —
+    /// `mod`, `fn`, `impl`, `const`, `static`, `use`, … — behind
+    /// `#[test]` or a `#[cfg(…)]` that needs `test`, from the
+    /// attribute's `#` through the item's closing `}` or `;`.
+    pub fn test_ranges(&self) -> &[(usize, usize)] {
+        &self.test_ranges
+    }
+
+    /// Whether token `tok` lies in a test-gated item.
+    pub(crate) fn in_test(&self, tok: usize) -> bool {
+        covers(&self.test_ranges, tok)
+    }
+
+    /// Whether a reviewed suppression for `label` covers a site on
+    /// `line`: a file-wide one, one on the line itself, or one in the
+    /// contiguous comment block directly above it.
+    pub(crate) fn allowed(&self, line: u32, label: &str) -> bool {
+        let named = |labels: &Vec<String>| labels.iter().any(|l| l == label);
+        named(&self.allows.file) || self.allows.by_line.get(&line).is_some_and(named)
+    }
+}
+
+fn covers(ranges: &[(usize, usize)], tok: usize) -> bool {
+    ranges.iter().any(|&(s, e)| s <= tok && tok < e)
+}
+
+/// The reviewed suppressions of one file.
+#[derive(Debug, Default)]
+struct Allows {
+    /// Labels exempted file-wide.
+    file: Vec<String>,
+    /// Labels by the code line they cover.
+    by_line: BTreeMap<u32, Vec<String>>,
+}
+
+/// The suppression parser: reads every marker out of the comment
+/// tokens of one file and resolves it to the line it covers.
+fn scan_allows(src: &str, tokens: &[Token]) -> Allows {
+    let mut out = Allows::default();
+    // Labels of the comment block being read, waiting for the code
+    // line below it; and the line the last code token ended on.
+    let mut block: Vec<String> = Vec::new();
+    let mut code_line = 0u32;
+    for t in tokens {
+        let text = t.text(src);
+        let newlines = text.matches('\n').count() as u32;
+        match t.kind {
+            // A blank line ends the block: its markers cover nothing.
+            TokKind::Ws if newlines > 1 => block.clear(),
+            TokKind::Ws => {}
+            TokKind::LineComment | TokKind::BlockComment => {
+                let mut rest = text;
+                while let Some(at) = rest.find(ALLOW_MARKER) {
+                    rest = &rest[at + ALLOW_MARKER.len()..];
+                    let (file_wide, args) = match rest.strip_prefix("-file(") {
+                        Some(args) => (true, args),
+                        None => (false, rest.strip_prefix('(').unwrap_or("")),
+                    };
+                    let Some(close) = args.find(')') else {
+                        continue;
+                    };
+                    let labels = args[..close].split(',').map(|l| l.trim().to_string());
+                    if file_wide {
+                        out.file.extend(labels);
+                    } else if t.line == code_line {
+                        // Trailing comment: covers its own line only.
+                        out.by_line.entry(t.line).or_default().extend(labels);
+                    } else {
+                        block.extend(labels);
+                    }
+                }
+            }
+            _ => {
+                if !block.is_empty() {
+                    out.by_line.entry(t.line).or_default().append(&mut block);
+                }
+                code_line = t.line + newlines;
+            }
+        }
+    }
+    out
 }
 
 /// Keywords that are never call targets or type names.
@@ -61,18 +171,81 @@ pub(crate) const KEYWORDS: &[&str] = &[
 /// What the next `{` opens.
 #[derive(Debug, Clone)]
 enum Pending {
-    Mod(String, bool),
+    Mod(String),
     Impl(String),
     Trait(String),
 }
 
 #[derive(Debug, Clone)]
 enum Scope {
-    Mod(String, bool),
+    Mod(String),
     Impl(String),
     Trait(String),
     Fn(usize, usize), // fn index, opening token index
     Block,
+}
+
+/// The test-scope predicate: whether the attribute whose body (the
+/// tokens between `#[` and `]`) is `code[a..b]` compiles its item only
+/// under `cfg(test)`. `#[test]` does; so does a `#[cfg(…)]` whose
+/// expression names `test` outside every `not(…)` — `test`,
+/// `all(test, …)`, `any(test, …)` — while `not(test)` is production.
+fn gates_test(code: &Code, a: usize, b: usize) -> bool {
+    if code.text(a) != "cfg" {
+        return b == a + 1 && code.text(a) == "test";
+    }
+    let mut k = a + 1;
+    while k < b {
+        match code.text(k) {
+            "test" => return true,
+            "not" => k = matching_close(code, k + 1, b),
+            _ => {}
+        }
+        k += 1;
+    }
+    false
+}
+
+/// Index of the bracket closing the one at `open`, capped at `end`.
+fn matching_close(code: &Code, open: usize, end: usize) -> usize {
+    let mut depth = 0i32;
+    for k in open..end {
+        match code.text(k) {
+            "(" | "[" | "{" => depth += 1,
+            ")" | "]" | "}" => {
+                depth -= 1;
+                if depth <= 0 {
+                    return k;
+                }
+            }
+            _ => {}
+        }
+    }
+    end
+}
+
+/// Token index one past the item that starts at significant index
+/// `from` (just after its gating attribute): through the first `;` or
+/// closed `{…}` at bracket depth zero, never beyond the block the
+/// attribute itself sits in, `usize::MAX` when the file ends first.
+fn item_end(code: &Code, from: usize) -> usize {
+    let mut depth = 0i32;
+    for k in from..code.len() {
+        match code.text(k) {
+            "(" | "[" | "{" => depth += 1,
+            ")" | "]" | "}" => {
+                depth -= 1;
+                // Depth zero closes the item's own `{…}`; below zero
+                // the enclosing block or list ends, the item with it.
+                if depth < 0 || (depth == 0 && code.text(k) == "}") {
+                    return code.pos(k) + usize::from(depth == 0);
+                }
+            }
+            ";" if depth == 0 => return code.pos(k) + 1,
+            _ => {}
+        }
+    }
+    usize::MAX
 }
 
 /// Parses `src`, attributing items to `base_module` (the module path
@@ -80,38 +253,20 @@ enum Scope {
 /// `src/store.rs`).
 pub fn parse(src: &str, base_module: &[String]) -> FileAst {
     let tokens = tokenize(src);
-    // Indices of significant tokens (no whitespace, no comments).
-    let sig: Vec<usize> = tokens
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| {
-            !matches!(
-                t.kind,
-                TokKind::Ws | TokKind::LineComment | TokKind::BlockComment
-            )
-        })
-        .map(|(i, _)| i)
-        .collect();
-    let text = |si: usize| -> &str { tokens[sig[si]].text(src) };
-    let kind = |si: usize| -> TokKind { tokens[sig[si]].kind };
+    let code = Code::new(src, &tokens, (0, tokens.len()));
+    let text = |si: usize| code.text(si);
+    let kind = |si: usize| code.kind(si);
 
     let mut fns: Vec<FnDef> = Vec::new();
     let mut hash_fields: BTreeSet<String> = BTreeSet::new();
+    let mut test_ranges: Vec<(usize, usize)> = Vec::new();
     let mut stack: Vec<Scope> = Vec::new();
     let mut pending: Option<Pending> = None;
-    let mut pending_test = false;
 
-    let in_test = |stack: &[Scope], pending_test: bool| -> bool {
-        pending_test
-            || stack.iter().any(|s| match s {
-                Scope::Mod(_, t) => *t,
-                _ => false,
-            })
-    };
     let module_of = |stack: &[Scope]| -> Vec<String> {
         let mut m: Vec<String> = base_module.to_vec();
         for s in stack {
-            if let Scope::Mod(name, _) = s {
+            if let Scope::Mod(name) = s {
                 m.push(name.clone());
             }
         }
@@ -125,79 +280,54 @@ pub fn parse(src: &str, base_module: &[String]) -> FileAst {
     };
 
     let mut i = 0usize;
-    while i < sig.len() {
+    while i < code.len() {
         let t = text(i);
         match (kind(i), t) {
             // Attribute: `#[...]` — scan to the matching `]`.
-            (TokKind::Punct, "#") if i + 1 < sig.len() && text(i + 1) == "[" => {
-                let mut depth = 0i32;
-                let mut j = i + 1;
-                let mut attr = String::new();
-                while j < sig.len() {
-                    match text(j) {
-                        "[" => depth += 1,
-                        "]" => {
-                            depth -= 1;
-                            if depth == 0 {
-                                break;
-                            }
-                        }
-                        s => {
-                            attr.push_str(s);
-                            attr.push(' ');
-                        }
-                    }
-                    j += 1;
+            (TokKind::Punct, "#") if text(i + 1) == "[" => {
+                let close = matching_close(&code, i + 1, code.len());
+                let start = code.pos(i);
+                if !covers(&test_ranges, start) && gates_test(&code, i + 2, close) {
+                    let end = item_end(&code, close + 1).min(tokens.len());
+                    test_ranges.push((start, end));
                 }
-                // `#[test]`, `#[cfg(test)]`, `#[cfg(any(test, ...))]`
-                // all contain the bare word `test`.
-                if attr.split_whitespace().any(|w| w == "test") {
-                    pending_test = true;
-                }
-                i = j + 1;
+                i = close + 1;
                 continue;
             }
-            (TokKind::Ident, "mod") if i + 1 < sig.len() && kind(i + 1) == TokKind::Ident => {
-                let name = text(i + 1).to_string();
-                if i + 2 < sig.len() && text(i + 2) == "{" {
-                    pending = Some(Pending::Mod(name, in_test(&stack, pending_test)));
+            (TokKind::Ident, "mod") if kind(i + 1) == TokKind::Ident => {
+                if text(i + 2) == "{" {
+                    pending = Some(Pending::Mod(text(i + 1).to_string()));
                 }
-                pending_test = false;
                 i += 2;
                 continue;
             }
             (TokKind::Ident, "impl") => {
-                let (ty, next) = scan_impl_type(&sig, &tokens, src, i);
+                let (ty, next) = scan_impl_type(&code, i);
                 pending = Some(Pending::Impl(ty));
-                pending_test = false;
                 i = next;
                 continue;
             }
-            (TokKind::Ident, "trait") if i + 1 < sig.len() && kind(i + 1) == TokKind::Ident => {
+            (TokKind::Ident, "trait") if kind(i + 1) == TokKind::Ident => {
                 pending = Some(Pending::Trait(text(i + 1).to_string()));
-                pending_test = false;
                 i += 2;
                 continue;
             }
-            (TokKind::Ident, "fn") if i + 1 < sig.len() && kind(i + 1) == TokKind::Ident => {
-                let name = text(i + 1).to_string();
-                let line = tokens[sig[i]].line;
-                let (ret, body_open) = scan_fn_signature(&sig, &tokens, src, i + 2);
-                let def = FnDef {
-                    name,
+            (TokKind::Ident, "fn") if kind(i + 1) == TokKind::Ident => {
+                let at = code.pos(i);
+                let (ret, body_open) = scan_fn_signature(&code, i + 2);
+                let idx = fns.len();
+                fns.push(FnDef {
+                    name: text(i + 1).to_string(),
                     impl_type: impl_of(&stack),
                     module: module_of(&stack),
-                    line,
+                    line: tokens[at].line,
                     ret,
                     body: None,
-                    is_test: in_test(&stack, pending_test),
-                };
-                pending_test = false;
-                let idx = fns.len();
-                fns.push(def);
+                    is_test: covers(&test_ranges, at),
+                });
                 match body_open {
                     Some(open_si) => {
-                        stack.push(Scope::Fn(idx, sig[open_si]));
+                        stack.push(Scope::Fn(idx, code.pos(open_si)));
                         i = open_si + 1;
                     }
                     None => {
@@ -207,12 +337,12 @@ pub fn parse(src: &str, base_module: &[String]) -> FileAst {
                 }
                 continue;
             }
-            (TokKind::Ident, "struct") if i + 1 < sig.len() && kind(i + 1) == TokKind::Ident => {
+            (TokKind::Ident, "struct") if kind(i + 1) == TokKind::Ident => {
                 // Record named-struct fields typed HashMap/HashSet.
                 let mut j = i + 2;
                 // Skip generics.
                 let mut angle = 0i32;
-                while j < sig.len() {
+                while j < code.len() {
                     match text(j) {
                         "<" => angle += 1,
                         ">" => angle -= 1,
@@ -221,18 +351,16 @@ pub fn parse(src: &str, base_module: &[String]) -> FileAst {
                     }
                     j += 1;
                 }
-                if j < sig.len() && text(j) == "{" {
-                    i = scan_struct_fields(&sig, &tokens, src, j, &mut hash_fields);
-                    pending_test = false;
-                    continue;
-                }
-                pending_test = false;
-                i = j;
+                i = if text(j) == "{" {
+                    scan_struct_fields(&code, j, &mut hash_fields)
+                } else {
+                    j
+                };
                 continue;
             }
             (TokKind::Punct, "{") => {
                 stack.push(match pending.take() {
-                    Some(Pending::Mod(n, t)) => Scope::Mod(n, t),
+                    Some(Pending::Mod(n)) => Scope::Mod(n),
                     Some(Pending::Impl(t)) => Scope::Impl(t),
                     Some(Pending::Trait(t)) => Scope::Trait(t),
                     None => Scope::Block,
@@ -242,7 +370,7 @@ pub fn parse(src: &str, base_module: &[String]) -> FileAst {
             }
             (TokKind::Punct, "}") => {
                 if let Some(Scope::Fn(idx, open_tok)) = stack.pop() {
-                    fns[idx].body = Some((open_tok, sig[i] + 1));
+                    fns[idx].body = Some((open_tok, code.pos(i) + 1));
                 }
                 i += 1;
                 continue;
@@ -252,10 +380,13 @@ pub fn parse(src: &str, base_module: &[String]) -> FileAst {
             }
         }
     }
+    let allows = scan_allows(src, &tokens);
     FileAst {
         tokens,
         fns,
         hash_fields,
+        test_ranges,
+        allows,
     }
 }
 
@@ -263,26 +394,27 @@ pub fn parse(src: &str, base_module: &[String]) -> FileAst {
 /// significant-index to resume at (the `{` or just past a `;`).
 ///
 /// `impl<T> Trait for Type<T>` → `Type`; `impl Type` → `Type`.
-fn scan_impl_type(sig: &[usize], tokens: &[Token], src: &str, impl_si: usize) -> (String, usize) {
-    let text = |si: usize| -> &str { tokens[sig[si]].text(src) };
+fn scan_impl_type(code: &Code, impl_si: usize) -> (String, usize) {
     let mut angle = 0i32;
     let mut saw_for = false;
     let mut first: Option<String> = None;
     let mut after_for: Option<String> = None;
     let mut j = impl_si + 1;
-    while j < sig.len() {
-        let t = text(j);
+    while j < code.len() {
+        let t = code.text(j);
         match t {
             "<" => angle += 1,
             ">" => angle = (angle - 1).max(0),
             "{" | ";" if angle == 0 => break,
             "for" if angle == 0 => saw_for = true,
-            _ if angle == 0 && tokens[sig[j]].kind == TokKind::Ident && !KEYWORDS.contains(&t) => {
+            _ if angle == 0 && code.kind(j) == TokKind::Ident && !KEYWORDS.contains(&t) => {
                 if saw_for {
                     // Keep the *last* path segment: `fmt::Display
                     // for path::Type` → `Type`.
                     after_for = Some(t.to_string());
-                } else if first.is_none() || is_path_continuation(sig, tokens, src, j) {
+                } else if first.is_none() || (code.prev(j) == ":" && code.prev(j - 1) == ":") {
+                    // A `::`-continued ident replaces the previous
+                    // segment as the type name.
                     first = Some(t.to_string());
                 }
             }
@@ -294,26 +426,15 @@ fn scan_impl_type(sig: &[usize], tokens: &[Token], src: &str, impl_si: usize) ->
     (ty, j)
 }
 
-/// Whether the ident at `si` is preceded by `::` (so it replaces the
-/// previous segment as the type name).
-fn is_path_continuation(sig: &[usize], tokens: &[Token], src: &str, si: usize) -> bool {
-    si >= 2 && tokens[sig[si - 1]].text(src) == ":" && tokens[sig[si - 2]].text(src) == ":"
-}
-
 /// From the significant index just past the fn name, scans the
 /// signature: returns the return-type text and the index of the body
 /// `{` (None for a `;` declaration).
-fn scan_fn_signature(
-    sig: &[usize],
-    tokens: &[Token],
-    src: &str,
-    mut j: usize,
-) -> (String, Option<usize>) {
-    let text = |si: usize| -> &str { tokens[sig[si]].text(src) };
+fn scan_fn_signature(code: &Code, mut j: usize) -> (String, Option<usize>) {
+    let text = |si: usize| code.text(si);
     // Optional generics.
-    if j < sig.len() && text(j) == "<" {
+    if text(j) == "<" {
         let mut angle = 0i32;
-        while j < sig.len() {
+        while j < code.len() {
             match text(j) {
                 "<" => angle += 1,
                 ">" => {
@@ -329,28 +450,14 @@ fn scan_fn_signature(
         }
     }
     // Parameter list.
-    if j < sig.len() && text(j) == "(" {
-        let mut paren = 0i32;
-        while j < sig.len() {
-            match text(j) {
-                "(" => paren += 1,
-                ")" => {
-                    paren -= 1;
-                    if paren == 0 {
-                        j += 1;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            j += 1;
-        }
+    if text(j) == "(" {
+        j = matching_close(code, j, code.len()) + 1;
     }
     // Return type: `-> tokens` until `{`, `;`, or `where`.
     let mut ret = String::new();
     let mut saw_arrow = false;
     let mut angle = 0i32;
-    while j < sig.len() {
+    while j < code.len() {
         let t = text(j);
         match t {
             "<" => angle += 1,
@@ -366,7 +473,7 @@ fn scan_fn_signature(
                     j += 1;
                     continue;
                 }
-                "-" if j + 1 < sig.len() && text(j + 1) == ">" && !saw_arrow && ret.is_empty() => {
+                "-" if text(j + 1) == ">" && !saw_arrow && ret.is_empty() => {
                     saw_arrow = true;
                     j += 2;
                     continue;
@@ -388,21 +495,14 @@ fn scan_fn_signature(
 /// Scans a named-struct body starting at its `{`, recording fields
 /// whose type text mentions `HashMap`/`HashSet`. Returns the
 /// significant index just past the closing `}`.
-fn scan_struct_fields(
-    sig: &[usize],
-    tokens: &[Token],
-    src: &str,
-    open_si: usize,
-    hash_fields: &mut BTreeSet<String>,
-) -> usize {
-    let text = |si: usize| -> &str { tokens[sig[si]].text(src) };
+fn scan_struct_fields(code: &Code, open_si: usize, hash_fields: &mut BTreeSet<String>) -> usize {
     let mut depth = 0i32;
     let mut j = open_si;
     let mut field: Option<String> = None;
     let mut ty = String::new();
     let mut in_ty = false;
-    while j < sig.len() {
-        let t = text(j);
+    while j < code.len() {
+        let t = code.text(j);
         match t {
             "{" | "(" | "[" => depth += 1,
             "}" | ")" | "]" => {
@@ -421,7 +521,7 @@ fn scan_struct_fields(
                 _ if in_ty => {
                     ty.push_str(t);
                 }
-                _ if tokens[sig[j]].kind == TokKind::Ident && !KEYWORDS.contains(&t) => {
+                _ if code.kind(j) == TokKind::Ident && !KEYWORDS.contains(&t) => {
                     field = Some(t.to_string());
                 }
                 _ => {}
@@ -508,6 +608,85 @@ fn top_case() {}
         assert!(ast.fns[1].is_test, "fn inside #[cfg(test)] mod");
         assert!(ast.fns[2].is_test);
         assert!(ast.fns[3].is_test, "#[test] fn at top level");
+    }
+
+    #[test]
+    fn test_scope_evaluates_the_cfg_and_covers_any_item_kind() {
+        let src = r#"
+#[cfg(test)]
+use std::fmt;
+fn after_use() {}
+#[cfg(all(test, feature = "x"))]
+impl Foo { fn probe() {} }
+#[cfg(any(test, fuzzing))]
+const N: [u8; 2] = [1, 2];
+fn after_const() {}
+#[cfg(not(test))]
+fn production() {}
+#[cfg_attr(test, allow(dead_code))]
+fn attr_only() {}
+#[cfg(feature = "test")]
+fn feature_named_test() {}
+"#;
+        let ast = parse(src, &[]);
+        let is_test: Vec<(&str, bool)> = ast
+            .fns
+            .iter()
+            .map(|f| (f.name.as_str(), f.is_test))
+            .collect();
+        assert_eq!(
+            is_test,
+            vec![
+                ("after_use", false),
+                ("probe", true),
+                ("after_const", false),
+                ("production", false),
+                ("attr_only", false),
+                ("feature_named_test", false),
+            ]
+        );
+        let covered: Vec<String> = ast
+            .test_ranges()
+            .iter()
+            .map(|&(s, e)| ast.tokens[s..e].iter().map(|t| t.text(src)).collect())
+            .collect();
+        assert_eq!(
+            covered,
+            vec![
+                "#[cfg(test)]\nuse std::fmt;",
+                "#[cfg(all(test, feature = \"x\"))]\nimpl Foo { fn probe() {} }",
+                "#[cfg(any(test, fuzzing))]\nconst N: [u8; 2] = [1, 2];",
+            ]
+        );
+    }
+
+    #[test]
+    fn suppressions_are_read_from_comments_and_resolved_to_lines() {
+        let src = "\
+// audit:allow(a, b/c): reason
+// that runs on
+let x = 1; // audit:allow(d): inline
+let s = \"audit:allow(e): a string\";
+
+// audit:allow(f): cut off by the blank line below
+
+let y = 2;
+/* audit:allow-file(g, h): from anywhere */
+";
+        let ast = parse(src, &[]);
+        for (line, label, want) in [
+            (3, "a", true),
+            (3, "b/c", true),
+            (3, "d", true),
+            (4, "a", false), // a block covers the first code line only
+            (4, "d", false),
+            (4, "e", false),
+            (8, "f", false),
+            (8, "g", true),
+            (0, "h", true),
+        ] {
+            assert_eq!(ast.allowed(line, label), want, "line {line} label {label}");
+        }
     }
 
     #[test]

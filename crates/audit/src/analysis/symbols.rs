@@ -87,7 +87,7 @@ pub fn workspace_members(root: &Path) -> io::Result<Vec<(PathBuf, String)>> {
 }
 
 /// Every first-party `.rs` file of the workspace at `root`, sorted.
-/// This is the file universe the lint engine scans: member directories
+/// This is the file universe the lint rules scan: member directories
 /// only (so `target/` never appears by construction), nested packages
 /// excluded.
 pub fn workspace_rs_files(root: &Path) -> io::Result<Vec<PathBuf>> {

@@ -23,8 +23,8 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use super::callgraph::CallGraph;
-use super::lexer::TokKind;
-use super::parser::KEYWORDS;
+use super::lexer::{Code, TokKind};
+use super::parser::{ALLOW_MARKER, KEYWORDS};
 use super::symbols::SourceFile;
 
 /// Matches functions by name shape; used for sink and root specs.
@@ -187,205 +187,133 @@ const HASH_ITER_METHODS: &[&str] = &[
     "values_mut",
 ];
 
-/// The reviewed-suppression marker honored by [`find_sites`]: a
-/// comment containing it on (or directly above) a line mutes that
-/// line's sites. `ffc audit fix` scaffolds these markers for findings
-/// it cannot rewrite. (Built from fragments so this file's own lines
-/// never carry the literal marker.)
-pub fn allow_marker() -> String {
-    format!("{}:{}", "analysis", "allow")
+/// `std::env` functions that read the process environment. Shared with
+/// the `no-env-var` lint rule; `env::args` is a taint source on top of
+/// these but no lint hit, `env::temp_dir` is neither.
+pub(crate) const ENV_READS: &[&str] = &["var", "var_os", "vars", "vars_os"];
+
+const TAINT_RULE: &str = "taint-determinism";
+const PANIC_RULE: &str = "panic-reachable";
+
+/// The reviewed-suppression marker (see [`super::parser`] for the
+/// grammar): a comment `audit:allow(rule/kind): reason` on or directly
+/// above a line mutes that line's sites of that kind. `ffc audit fix`
+/// scaffolds these markers for findings it cannot rewrite.
+pub fn allow_marker() -> &'static str {
+    ALLOW_MARKER
 }
 
 /// Scans one fn body for sources and panic sites. `hash_fields` is the
 /// workspace-wide set of struct fields declared with hash-based types.
 pub fn find_sites(
     file: &SourceFile,
-    (start, end): (usize, usize),
+    body: (usize, usize),
     hash_fields: &BTreeSet<String>,
 ) -> FnSites {
-    let toks = &file.ast.tokens;
-    let src = &file.src;
-    let lines: Vec<&str> = src.lines().collect();
-    let marker = allow_marker();
-    let suppressed = |line: u32| -> bool {
-        let idx = line as usize - 1;
-        lines.get(idx).is_some_and(|l| l.contains(&marker))
-            || idx > 0 && lines.get(idx - 1).is_some_and(|l| l.contains(&marker))
-    };
-    let excerpt_at = |line: u32| -> String {
-        lines
-            .get(line as usize - 1)
-            .map(|l| l.trim().to_string())
-            .unwrap_or_default()
-    };
-    let sig: Vec<usize> = (start..end.min(toks.len()))
-        .filter(|&i| {
-            !matches!(
-                toks[i].kind,
-                TokKind::Ws | TokKind::LineComment | TokKind::BlockComment
-            )
-        })
-        .collect();
-    let text = |si: usize| -> &str { toks[sig[si]].text(src) };
-    let kind = |si: usize| -> TokKind { toks[sig[si]].kind };
-    let line = |si: usize| -> u32 { toks[sig[si]].line };
-
-    let mut out = FnSites::default();
-    let mut push_source = |k: &'static str, ln: u32| {
-        out.sources.push(Site {
-            kind: k,
-            line: ln,
-            excerpt: excerpt_at(ln),
-        });
-    };
-    // Two passes keep the borrow checker happy: collect first.
-    let mut sources: Vec<(&'static str, u32)> = Vec::new();
-    let mut panics: Vec<(&'static str, u32)> = Vec::new();
+    let code = Code::new(&file.src, &file.ast.tokens, body);
+    let text = |si: usize| code.text(si);
+    let kind = |si: usize| code.kind(si);
 
     // Pass A: locals declared with hash-based types.
-    let mut hash_locals: BTreeSet<String> = BTreeSet::new();
-    let mut i = 0usize;
-    while i < sig.len() {
+    let mut hash_locals: BTreeSet<&str> = BTreeSet::new();
+    for i in 0..code.len() {
         if text(i) == "let" {
-            let mut n = i + 1;
-            if n < sig.len() && text(n) == "mut" {
-                n += 1;
-            }
-            if n < sig.len() && kind(n) == TokKind::Ident && !KEYWORDS.contains(&text(n)) {
-                let name = text(n).to_string();
+            let n = if text(i + 1) == "mut" { i + 2 } else { i + 1 };
+            if kind(n) == TokKind::Ident && !KEYWORDS.contains(&text(n)) {
                 let mut j = n + 1;
-                while j < sig.len() && text(j) != ";" && text(j) != "{" {
+                while j < code.len() && text(j) != ";" && text(j) != "{" {
                     if matches!(text(j), "HashMap" | "HashSet") {
-                        hash_locals.insert(name.clone());
+                        hash_locals.insert(text(n));
                         break;
                     }
                     j += 1;
                 }
             }
         }
-        i += 1;
     }
+    let hashed = |name: &str| hash_locals.contains(name) || hash_fields.contains(name);
 
     // Pass B: site patterns.
-    for i in 0..sig.len() {
-        let t = text(i);
-        let k = kind(i);
-        match (k, t) {
-            (TokKind::Ident, "Instant")
-                if i + 3 < sig.len()
-                    && text(i + 1) == ":"
-                    && text(i + 2) == ":"
-                    && text(i + 3) == "now" =>
-            {
-                sources.push(("time", line(i)));
+    let mut out = FnSites::default();
+    let mut push = |rule: &'static str, kind: &'static str, si: usize| {
+        let tok = code.tok(si);
+        if file.ast.allowed(tok.line, &format!("{rule}/{kind}")) {
+            return;
+        }
+        let list = if rule == PANIC_RULE {
+            &mut out.panics
+        } else {
+            &mut out.sources
+        };
+        list.push(Site {
+            kind,
+            line: tok.line,
+            excerpt: tok.excerpt(&file.src).to_string(),
+        });
+    };
+    for i in 0..code.len() {
+        match (kind(i), text(i)) {
+            (TokKind::Ident, "Instant") if code.is_path(i, &["now"]) => push(TAINT_RULE, "time", i),
+            (TokKind::Ident, "SystemTime" | "UNIX_EPOCH") => push(TAINT_RULE, "time", i),
+            (TokKind::Ident, "rand") if code.is_path(i, &[]) => push(TAINT_RULE, "rand", i),
+            (TokKind::Ident, "env") if code.is_path(i, ENV_READS) || code.is_path(i, &["args"]) => {
+                push(TAINT_RULE, "env", i)
             }
-            (TokKind::Ident, "SystemTime") | (TokKind::Ident, "UNIX_EPOCH") => {
-                sources.push(("time", line(i)));
+            (TokKind::Ident, "thread") if code.is_path(i, &["current"]) => {
+                push(TAINT_RULE, "thread-id", i)
             }
-            (TokKind::Ident, "rand")
-                if i + 2 < sig.len() && text(i + 1) == ":" && text(i + 2) == ":" =>
-            {
-                sources.push(("rand", line(i)));
-            }
-            (TokKind::Ident, "env")
-                if i + 3 < sig.len()
-                    && text(i + 1) == ":"
-                    && text(i + 2) == ":"
-                    && matches!(text(i + 3), "var" | "vars" | "var_os" | "args") =>
-            {
-                sources.push(("env", line(i)));
-            }
-            (TokKind::Ident, "thread")
-                if i + 3 < sig.len()
-                    && text(i + 1) == ":"
-                    && text(i + 2) == ":"
-                    && text(i + 3) == "current" =>
-            {
-                sources.push(("thread-id", line(i)));
-            }
-            (TokKind::Ident, "ThreadId") => sources.push(("thread-id", line(i))),
-            (TokKind::Ident, "partial_cmp")
-                if i >= 1 && text(i - 1) == "." && i + 1 < sig.len() && text(i + 1) == "(" =>
-            {
-                sources.push(("float-partial-cmp", line(i)));
+            (TokKind::Ident, "ThreadId") => push(TAINT_RULE, "thread-id", i),
+            (TokKind::Ident, "partial_cmp") if code.is_method_call(i) => {
+                push(TAINT_RULE, "float-partial-cmp", i)
             }
             // `h.iter()` / `self.field.keys()` on a hash-typed binding.
             (TokKind::Ident, m)
                 if HASH_ITER_METHODS.contains(&m)
+                    && code.is_method_call(i)
                     && i >= 2
-                    && text(i - 1) == "."
                     && kind(i - 2) == TokKind::Ident
-                    && i + 1 < sig.len()
-                    && text(i + 1) == "("
-                    && (hash_locals.contains(text(i - 2)) || hash_fields.contains(text(i - 2))) =>
+                    && hashed(text(i - 2)) =>
             {
-                sources.push(("hash-iter", line(i)));
+                push(TAINT_RULE, "hash-iter", i)
             }
             // `for x in &h` / `for (k, v) in h`.
-            (TokKind::Ident, "in") if i + 1 < sig.len() => {
+            (TokKind::Ident, "in") => {
                 let mut j = i + 1;
-                while j < sig.len() && matches!(text(j), "&" | "mut") {
+                while matches!(text(j), "&" | "mut") {
                     j += 1;
                 }
-                if j < sig.len()
-                    && kind(j) == TokKind::Ident
-                    && (hash_locals.contains(text(j)) || hash_fields.contains(text(j)))
-                    && (j + 1 >= sig.len() || text(j + 1) != ".")
-                {
-                    sources.push(("hash-iter", line(j)));
+                if kind(j) == TokKind::Ident && hashed(text(j)) && text(j + 1) != "." {
+                    push(TAINT_RULE, "hash-iter", j);
                 }
             }
             // Panic sites.
-            (TokKind::Ident, "unwrap") | (TokKind::Ident, "unwrap_err")
-                if i >= 1 && text(i - 1) == "." && i + 1 < sig.len() && text(i + 1) == "(" =>
-            {
-                panics.push(("unwrap", line(i)));
+            (TokKind::Ident, "unwrap" | "unwrap_err") if code.is_method_call(i) => {
+                push(PANIC_RULE, "unwrap", i)
             }
-            (TokKind::Ident, "expect") | (TokKind::Ident, "expect_err")
-                if i >= 1 && text(i - 1) == "." && i + 1 < sig.len() && text(i + 1) == "(" =>
-            {
-                panics.push(("expect", line(i)));
+            (TokKind::Ident, "expect" | "expect_err") if code.is_method_call(i) => {
+                push(PANIC_RULE, "expect", i)
             }
-            (TokKind::Ident, "panic")
-            | (TokKind::Ident, "todo")
-            | (TokKind::Ident, "unimplemented")
-                if i + 1 < sig.len() && text(i + 1) == "!" =>
-            {
-                panics.push(("panic-macro", line(i)));
+            (TokKind::Ident, "panic" | "todo" | "unimplemented") if text(i + 1) == "!" => {
+                push(PANIC_RULE, "panic-macro", i)
             }
             (TokKind::Punct, "[")
                 if i >= 1
-                    && (matches!(kind(i - 1), TokKind::Ident)
-                        && !KEYWORDS.contains(&text(i - 1))
-                        || matches!(text(i - 1), ")" | "]")) =>
+                    && (kind(i - 1) == TokKind::Ident && !KEYWORDS.contains(&code.prev(i))
+                        || matches!(code.prev(i), ")" | "]")) =>
             {
-                panics.push(("index", line(i)));
+                push(PANIC_RULE, "index", i)
             }
             (TokKind::Punct, "%")
-                if i + 1 < sig.len()
+                if i >= 1
+                    && i + 1 < code.len()
                     && kind(i + 1) != TokKind::Num
                     && text(i + 1) != "="
-                    && i >= 1
                     && (matches!(kind(i - 1), TokKind::Ident | TokKind::Num)
-                        || matches!(text(i - 1), ")" | "]")) =>
+                        || matches!(code.prev(i), ")" | "]")) =>
             {
-                panics.push(("rem-nonliteral", line(i)));
+                push(PANIC_RULE, "rem-nonliteral", i)
             }
             _ => {}
-        }
-    }
-    for (k, ln) in sources {
-        if !suppressed(ln) {
-            push_source(k, ln);
-        }
-    }
-    for (k, ln) in panics {
-        if !suppressed(ln) {
-            out.panics.push(Site {
-                kind: k,
-                line: ln,
-                excerpt: excerpt_at(ln),
-            });
         }
     }
     out
@@ -406,8 +334,8 @@ pub fn run_passes(graph: &CallGraph, sites: &[FnSites], config: &AnalysisConfig)
     };
 
     for (anchors, rule, pick_panics) in [
-        (&config.sinks, "taint-determinism", false),
-        (&config.roots, "panic-reachable", true),
+        (&config.sinks, TAINT_RULE, false),
+        (&config.roots, PANIC_RULE, true),
     ] {
         for (label, matcher) in anchors.iter() {
             for (ai, anchor) in graph.fns.iter().enumerate() {
@@ -619,13 +547,20 @@ pub fn fingerprint_all() -> u64 { clocked() + envy() as u64 }
 
     #[test]
     fn allow_marker_suppresses_site() {
-        let src = format!(
-            "fn deep(x: Option<u32>) -> u32 {{\n    // {}(panic-reachable/unwrap): reviewed\n    \
-             x.unwrap()\n}}\npub fn hot_loop(x: Option<u32>) -> u32 {{ deep(x) }}\n",
-            allow_marker()
-        );
-        let findings = analyze_src(&src, &cfg_sink_fingerprint_root_hot());
-        assert!(findings.is_empty(), "{findings:?}");
+        // The label must name the site's rule/kind; marker text in a
+        // string literal is not a marker.
+        for (above, muted) in [
+            ("// audit:allow(panic-reachable/unwrap): reviewed", true),
+            ("// audit:allow(panic-reachable/index): another kind", false),
+            ("let _s = \"audit:allow(panic-reachable/unwrap)\";", false),
+        ] {
+            let src = format!(
+                "fn deep(x: Option<u32>) -> u32 {{\n    {above}\n    x.unwrap()\n}}\n\
+                 pub fn hot_loop(x: Option<u32>) -> u32 {{ deep(x) }}\n"
+            );
+            let findings = analyze_src(&src, &cfg_sink_fingerprint_root_hot());
+            assert_eq!(findings.is_empty(), muted, "{above}: {findings:?}");
+        }
     }
 
     #[test]

@@ -195,16 +195,7 @@ impl Certificate {
             if i > 0 {
                 s.push(',');
             }
-            s.push('"');
-            for c in v.chars() {
-                match c {
-                    '"' => s.push_str("\\\""),
-                    '\\' => s.push_str("\\\\"),
-                    c if (c as u32) < 0x20 => s.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => s.push(c),
-                }
-            }
-            s.push('"');
+            s.push_str(&crate::analysis::json_str(v));
         }
         s.push_str("]}");
         s

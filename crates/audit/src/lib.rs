@@ -3,14 +3,14 @@
 //! FFC's value proposition is a *guarantee* — congestion-freedom under
 //! any ≤k faults — yet without this crate the only thing standing
 //! between a solver bug and a bogus "guaranteed" configuration is the
-//! simplex implementation checking itself. `ffc-audit` adds three
+//! simplex implementation checking itself. `ffc-audit` adds four
 //! passes that don't trust the solver:
 //!
 //! | pass | module | when |
 //! |---|---|---|
 //! | static model auditor | [`model_audit`] | before solve |
 //! | independent solution certifier | [`mod@certify`] | after solve |
-//! | source lint engine | [`lint`] | in CI (`ffc audit lint`) |
+//! | source lint rules | [`lint`] over [`analysis`]'s front end | in CI (`ffc audit lint`) |
 //! | determinism & panic analyzer | [`analysis`] | in CI (`ffc audit analyze`) |
 //!
 //! The model auditor checks every constructed [`ffc_lp::Model`] for
@@ -26,17 +26,17 @@
 //! simplex code anywhere on the path, and returns a machine-readable
 //! [`certify::Certificate`].
 //!
-//! The lint engine scans workspace sources for the determinism and
-//! panic-discipline rules the controller and chaos harness silently
-//! depend on; it is dependency-free (hand-rolled line scanning, no
-//! `syn`).
-//!
-//! The [`analysis`] layer goes interprocedural: a lossless tokenizer,
-//! item extractor, and workspace call graph feed two passes —
-//! determinism taint (nondeterminism sources reaching replay-critical
-//! sinks, with full call chains) and panic reachability from hot-loop
-//! roots — plus token-splice autofixes and a committed findings
-//! baseline that CI ratchets downward.
+//! There is one source checker, dependency-free (no `syn`): the
+//! [`analysis`] front end — a lossless tokenizer and an item extractor
+//! that also owns test scope and the `audit:allow` suppression grammar.
+//! The [`lint`] rules (the determinism and panic-discipline rules the
+//! controller and chaos harness silently depend on, zero tolerance)
+//! are matches over its token stream; the interprocedural layer adds a
+//! workspace call graph and two passes — determinism taint
+//! (nondeterminism sources reaching replay-critical sinks, with full
+//! call chains) and panic reachability from hot-loop roots — plus
+//! token-splice autofixes and a committed findings baseline that CI
+//! ratchets downward.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,36 +1,42 @@
-//! Source lint engine (tentpole pass 3): hand-rolled line/token
-//! scanning over the workspace sources, no `syn`, no registry deps.
-//!
-//! Rules:
+//! Source lint rules (`ffc audit lint`): six zero-tolerance checks
+//! over the workspace sources, each a match over the significant
+//! tokens of one [`crate::analysis::parser::parse`] per file. There is
+//! no second scanner under them: comments and string / char literals
+//! are tokens that can never match, test scope and suppressions come
+//! from the same [`FileAst`] the interprocedural analyzer reads, and a
+//! pattern may span lines.
 //!
 //! | rule | scope | what |
 //! |---|---|---|
-//! | `no-unwrap` | `crates/lp/src`, `crates/ctrl/src` (non-test) | no `unwrap()` / `expect()` on solver/controller hot paths |
+//! | `no-unwrap` | `crates/lp/src`, `crates/ctrl/src` (non-test) | no `.unwrap()` / `.expect(…)` on solver/controller hot paths |
 //! | `float-eq` | workspace (non-test) | no `==` / `!=` against a float literal |
 //! | `nondeterminism` | replay-deterministic modules | no `Instant::now` / `SystemTime` / `rand` |
 //! | `forbid-unsafe` | every crate root | `#![forbid(unsafe_code)]` present |
-//! | `no-process-exit` | workspace except `src/main.rs` / `src/bin/*.rs` | no `std::process::exit` / `abort` — library code must unwind so the supervisor and crash checkpoints see the failure |
-//! | `no-env-var` | workspace except `src/main.rs` / `src/bin/*.rs` | no `std::env::var` / `var_os` / `vars` — a library's behaviour is a function of its arguments; only a process entrypoint may read its environment |
+//! | `no-process-exit` | workspace except `src/main.rs` / `src/bin/*.rs` | no `process::exit` / `process::abort` — library code must unwind so the supervisor and crash checkpoints see the failure |
+//! | `no-env-var` | workspace except `src/main.rs` / `src/bin/*.rs` | no `env::var` / `var_os` / `vars` / `vars_os` — a library's behaviour is a function of its arguments; only a process entrypoint may read its environment |
 //!
-//! Replay-deterministic modules are the ones whose behavior must be a
-//! pure function of the recorded seed: `crates/ctrl/src/event.rs`,
-//! `crates/ctrl/src/replay.rs`, and `crates/chaos/src/injector.rs`.
+//! Replay-deterministic modules ([`DETERMINISTIC_MODULES`]) are the
+//! files whose behaviour must be a pure function of the recorded seed.
 //!
-//! Suppressions are explicit and carry a justification:
+//! Findings are zero-tolerance (no baseline): an intended site carries
+//! its justification in the source, in the one suppression grammar of
+//! [`crate::analysis::parser`] —
 //!
 //! ```text
 //! // audit:allow(no-unwrap): every caller refactorizes first
 //! ```
 //!
-//! on the offending line or a contiguous comment block immediately
-//! above it, or `audit:allow-file(<rule>): reason` anywhere in a file
-//! to exempt the whole file. Lines inside `#[cfg(test)]` blocks are
-//! skipped (tracked by brace counting).
+//! on the offending line or in the contiguous comment block directly
+//! above it, or `audit:allow-file(<rule>): reason` anywhere in a file.
+//! Items behind `#[test]` / `#[cfg(test)]` are skipped.
 
-use std::collections::BTreeSet;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+
+use crate::analysis::lexer::{Code, TokKind};
+use crate::analysis::parser::{parse, FileAst};
+use crate::analysis::taint::ENV_READS;
 
 /// Lint configuration.
 #[derive(Debug, Clone)]
@@ -106,36 +112,18 @@ pub const DETERMINISTIC_MODULES: &[&str] = &[
 /// Scope prefixes for the `no-unwrap` rule.
 const NO_UNWRAP_SCOPES: &[&str] = &["crates/lp/src", "crates/ctrl/src"];
 
-/// The patterns each rule scans for. Built at runtime from fragments
-/// so this file does not flag itself.
-struct Patterns {
-    unwrap: Vec<String>,
-    nondet: Vec<String>,
-    forbid_unsafe: String,
-    process_exit: Vec<String>,
-    env_var: String,
-}
+/// The per-site rules, in the order violations on one line are
+/// reported.
+const SITE_RULES: [&str; 5] = [
+    "no-unwrap",
+    "nondeterminism",
+    "float-eq",
+    "no-process-exit",
+    "no-env-var",
+];
 
-impl Patterns {
-    fn new() -> Self {
-        Self {
-            unwrap: vec![[".unw", "rap()"].concat(), [".exp", "ect("].concat()],
-            nondet: vec![
-                ["Instant::", "now"].concat(),
-                ["System", "Time"].concat(),
-                ["ra", "nd::"].concat(),
-                ["use ra", "nd"].concat(),
-            ],
-            forbid_unsafe: ["#![forbid(", "unsafe_code)]"].concat(),
-            process_exit: vec![
-                ["process::", "exit("].concat(),
-                ["process::", "abort("].concat(),
-            ],
-            // Prefix of `var(`, `var_os(`, `vars(` and `vars_os(`.
-            env_var: ["env::", "var"].concat(),
-        }
-    }
-}
+/// The crate-root attribute `forbid-unsafe` demands.
+const FORBID_UNSAFE: [&str; 8] = ["#", "!", "[", "forbid", "(", "unsafe_code", ")", "]"];
 
 /// Lints every first-party `.rs` file under `cfg.root`, returning
 /// violations in deterministic order.
@@ -150,280 +138,112 @@ impl Patterns {
 pub fn lint_workspace(cfg: &LintConfig) -> io::Result<LintReport> {
     let files = crate::analysis::symbols::workspace_rs_files(&cfg.root)?;
 
-    let pats = Patterns::new();
     let mut report = LintReport::default();
     for path in &files {
-        let rel = path.strip_prefix(&cfg.root).unwrap_or(path).to_path_buf();
-        let text = fs::read_to_string(path)?;
+        let rel = path.strip_prefix(&cfg.root).unwrap_or(path);
+        let src = fs::read_to_string(path)?;
         report.files_scanned += 1;
-        lint_file(&rel, &text, &pats, &mut report.violations);
+        lint_file(rel, &src, &parse(&src, &[]), &mut report.violations);
     }
     Ok(report)
 }
 
-/// Whether `rel` (root-relative) is a crate root that must carry
-/// `#![forbid(unsafe_code)]`: a `src/lib.rs`, `src/main.rs`, or
-/// `src/bin/*.rs` of a workspace member.
-fn is_crate_root(rel: &str) -> bool {
-    rel.ends_with("src/lib.rs") || rel.ends_with("src/main.rs") || {
-        rel.contains("src/bin/") && rel.ends_with(".rs")
-    }
-}
-
-/// Whether `rel` is a process entrypoint, where `std::process::exit`
-/// is legitimate (everywhere else it would bypass unwinding, so the
-/// supervisor would see a silent death and crash checkpoints would
-/// skip their drop/flush paths) and where the environment may be read
-/// (everywhere else an env read is a hidden argument no caller, test
-/// or replay can see).
+/// Whether `rel` is a process entrypoint — a `src/main.rs` or
+/// `src/bin/*.rs` — where `std::process::exit` is legitimate
+/// (everywhere else it would bypass unwinding, so the supervisor would
+/// see a silent death and crash checkpoints would skip their
+/// drop/flush paths) and where the environment may be read (everywhere
+/// else an env read is a hidden argument no caller, test or replay can
+/// see).
 fn is_entrypoint(rel: &str) -> bool {
     rel.ends_with("src/main.rs") || (rel.contains("src/bin/") && rel.ends_with(".rs"))
 }
 
-fn in_scope(rel: &str, scopes: &[&str]) -> bool {
-    scopes.iter().any(|s| rel.starts_with(s))
+/// Whether `rel` (root-relative) is a crate root that must carry
+/// `#![forbid(unsafe_code)]`: a `src/lib.rs` or an entrypoint of a
+/// workspace member.
+fn is_crate_root(rel: &str) -> bool {
+    rel.ends_with("src/lib.rs") || is_entrypoint(rel)
 }
 
-/// Extracts every `audit:allow-file(<rule>)` named anywhere in `text`.
-fn file_allows(text: &str) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    let marker = ["audit:", "allow-file("].concat();
-    for line in text.lines() {
-        collect_marker_rules(line, &marker, &mut out);
-    }
-    out
+/// Whether the `Num` token `text` is a float literal: after its integer
+/// digits comes a `.`, an exponent, or an `f32` / `f64` suffix (`1.0`,
+/// `0.`, `1e-9`, `2f64` — not `10`, `0xE5`, `1usize`).
+fn is_float_literal(text: &str) -> bool {
+    let rest = text.trim_start_matches(|c: char| c.is_ascii_digit() || c == '_');
+    rest.starts_with(['.', 'e', 'E']) || matches!(rest, "f32" | "f64")
 }
 
-/// Appends the rules named by `marker(rule)` occurrences in `line`.
-fn collect_marker_rules(line: &str, marker: &str, out: &mut BTreeSet<String>) {
-    let mut rest = line;
-    while let Some(pos) = rest.find(marker) {
-        rest = &rest[pos + marker.len()..];
-        if let Some(end) = rest.find(')') {
-            out.insert(rest[..end].trim().to_string());
+/// The rule the significant token at `i` is a site of, if any.
+fn site_rule(code: &Code, i: usize) -> Option<&'static str> {
+    let float_at = |si: usize| code.kind(si) == TokKind::Num && is_float_literal(code.text(si));
+    match code.text(i) {
+        "unwrap" | "expect" if code.is_method_call(i) => Some("no-unwrap"),
+        "Instant" if code.is_path(i, &["now"]) => Some("nondeterminism"),
+        "SystemTime" => Some("nondeterminism"),
+        "rand" if code.is_path(i, &[]) || code.prev(i) == "use" => Some("nondeterminism"),
+        "process" if code.is_path(i, &["exit", "abort"]) => Some("no-process-exit"),
+        "env" if code.is_path(i, ENV_READS) => Some("no-env-var"),
+        // `==` / `!=` (two adjacent puncts) with a float literal on
+        // either side; a `Num` after a `.` is a tuple index, not a
+        // literal.
+        "=" | "!" if code.text(i + 1) == "=" && code.tok(i).end == code.tok(i + 1).start => {
+            let right = if code.text(i + 2) == "-" {
+                i + 3
+            } else {
+                i + 2
+            };
+            let left = i >= 1 && float_at(i - 1) && (i < 2 || code.text(i - 2) != ".");
+            (left || float_at(right)).then_some("float-eq")
         }
+        _ => None,
     }
 }
 
-/// Strips line comments and string/char literal *contents* from a
-/// line, so patterns never match inside them. (Block comments and
-/// multi-line strings are rare in this workspace and not handled.)
-fn strip_comments_and_strings(line: &str) -> String {
-    let mut out = String::with_capacity(line.len());
-    let bytes = line.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
-        match c {
-            '/' if i + 1 < bytes.len() && bytes[i + 1] == b'/' => break,
-            '"' => {
-                // Skip the string literal body (handling \" escapes).
-                out.push('"');
-                i += 1;
-                while i < bytes.len() {
-                    match bytes[i] {
-                        b'\\' => i += 2,
-                        b'"' => {
-                            i += 1;
-                            break;
-                        }
-                        _ => i += 1,
-                    }
-                }
-                out.push('"');
-                continue;
-            }
-            '\'' if i + 2 < bytes.len() && (bytes[i + 2] == b'\'' || (bytes[i + 1] == b'\\')) => {
-                // Char literal ('x' or '\n'); lifetimes don't match
-                // this shape.
-                while i < bytes.len() {
-                    i += 1;
-                    if i < bytes.len() && bytes[i] == b'\'' {
-                        i += 1;
-                        break;
-                    }
-                }
-                continue;
-            }
-            _ => out.push(c),
-        }
-        i += 1;
-    }
-    out
-}
-
-/// Whether `code` (already comment/string-stripped) compares against a
-/// float literal with `==` or `!=`.
-fn has_float_literal_comparison(code: &str) -> bool {
-    let bytes = code.as_bytes();
-    let mut i = 0;
-    while i + 1 < bytes.len() {
-        // Byte-wise matching: '='/'!' are ASCII, so slicing at `i` and
-        // `i + 2` always lands on char boundaries.
-        if matches!(bytes[i], b'=' | b'!')
-            && bytes[i + 1] == b'='
-            && (i == 0 || !matches!(bytes[i - 1], b'=' | b'!' | b'<' | b'>'))
-            && bytes.get(i + 2) != Some(&b'=')
-        {
-            let left = code[..i].trim_end();
-            let right = code[i + 2..].trim_start();
-            if ends_with_float_literal(left) || starts_with_float_literal(right) {
-                return true;
-            }
-        }
-        i += 1;
-    }
-    false
-}
-
-fn is_float_token(tok: &str) -> bool {
-    // 1.0, 0., 1e-9, 1.5e3, 2.0f64 — digits with a '.' or exponent.
-    let tok = tok
-        .trim_end_matches("f64")
-        .trim_end_matches("f32")
-        .trim_end_matches('_');
-    if tok.is_empty() || !tok.bytes().next().is_some_and(|b| b.is_ascii_digit()) {
-        return false;
-    }
-    let has_dot = tok.contains('.');
-    let has_exp = tok[1..].contains(['e', 'E'])
-        && tok
-            .bytes()
-            .all(|b| b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'-' | b'+' | b'_'));
-    (has_dot || has_exp)
-        && tok
-            .bytes()
-            .all(|b| b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'-' | b'+' | b'_'))
-}
-
-fn ends_with_float_literal(s: &str) -> bool {
-    let start = s
-        .rfind(|c: char| !(c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-' | '+')))
-        .map(|p| p + 1)
-        .unwrap_or(0);
-    is_float_token(s[start..].trim_start_matches(['-', '+']))
-}
-
-fn starts_with_float_literal(s: &str) -> bool {
-    let s = s.trim_start_matches(['-', '+']);
-    let end = s
-        .find(|c: char| !(c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-' | '+')))
-        .unwrap_or(s.len());
-    is_float_token(&s[..end])
-}
-
-fn lint_file(rel: &Path, text: &str, pats: &Patterns, out: &mut Vec<LintViolation>) {
+fn lint_file(rel: &Path, src: &str, ast: &FileAst, out: &mut Vec<LintViolation>) {
     let rel_str = rel.to_string_lossy().replace('\\', "/");
-    let allowed_file = file_allows(text);
+    let code = Code::new(src, &ast.tokens, (0, ast.tokens.len()));
 
-    // forbid-unsafe: crate roots must carry the attribute.
     if is_crate_root(&rel_str)
-        && !allowed_file.contains("forbid-unsafe")
-        && !text.lines().any(|l| l.trim() == pats.forbid_unsafe)
+        && !ast.allowed(0, "forbid-unsafe")
+        && !(0..code.len()).any(|i| (0..).zip(FORBID_UNSAFE).all(|(k, t)| code.text(i + k) == t))
     {
         out.push(LintViolation {
             rule: "forbid-unsafe",
             file: rel.to_path_buf(),
             line: 0,
-            excerpt: format!("crate root missing {}", pats.forbid_unsafe),
+            excerpt: format!("crate root missing {}", FORBID_UNSAFE.concat()),
         });
     }
 
-    let check_unwrap = in_scope(&rel_str, NO_UNWRAP_SCOPES) && !allowed_file.contains("no-unwrap");
-    let check_nondet = DETERMINISTIC_MODULES.contains(&rel_str.as_str())
-        && !allowed_file.contains("nondeterminism");
-    let check_float = !allowed_file.contains("float-eq");
     let library = !is_entrypoint(&rel_str);
-    let check_exit = library && !allowed_file.contains("no-process-exit");
-    let check_env = library && !allowed_file.contains("no-env-var");
-    if !check_unwrap && !check_nondet && !check_float && !check_exit && !check_env {
-        return;
-    }
-
-    let allow_marker = ["audit:", "allow("].concat();
-    // Rules suppressed by a contiguous comment block directly above the
-    // current line.
-    let mut pending_allows: BTreeSet<String> = BTreeSet::new();
-    // Depth tracking for `#[cfg(test)]`-gated blocks.
-    let mut test_depth: i64 = 0;
-    let mut in_test = false;
-    let mut pending_test_attr = false;
-
-    for (ln, raw) in text.lines().enumerate() {
-        let lineno = ln + 1;
-        let trimmed = raw.trim();
-
-        // Track #[cfg(test)] { ... } regions by brace counting.
-        if !in_test && (trimmed.starts_with("#[cfg(test)]") || trimmed.starts_with("#[test]")) {
-            pending_test_attr = true;
-        }
-        let opens = raw.matches('{').count() as i64;
-        let closes = raw.matches('}').count() as i64;
-        if in_test {
-            test_depth += opens - closes;
-            if test_depth <= 0 {
-                in_test = false;
-            }
+    let in_scope = |rule: &str| match rule {
+        "no-unwrap" => NO_UNWRAP_SCOPES.iter().any(|s| rel_str.starts_with(s)),
+        "nondeterminism" => DETERMINISTIC_MODULES.contains(&rel_str.as_str()),
+        "no-process-exit" | "no-env-var" => library,
+        _ => true,
+    };
+    // (line, rank in SITE_RULES, token): one violation per line and
+    // rule, however many sites the line holds.
+    let mut hits: Vec<(u32, usize, usize)> = Vec::new();
+    for i in 0..code.len() {
+        let rank = site_rule(&code, i).and_then(|rule| SITE_RULES.iter().position(|r| *r == rule));
+        let Some(rank) = rank else {
             continue;
-        }
-        if pending_test_attr && opens > 0 {
-            in_test = true;
-            pending_test_attr = false;
-            test_depth = opens - closes;
-            if test_depth <= 0 {
-                in_test = false;
-            }
-            continue;
-        }
-
-        if trimmed.starts_with("//") {
-            collect_marker_rules(trimmed, &allow_marker, &mut pending_allows);
-            continue;
-        }
-
-        // Same-line markers also suppress.
-        let mut line_allows = pending_allows.clone();
-        collect_marker_rules(raw, &allow_marker, &mut line_allows);
-        if !trimmed.is_empty() {
-            pending_allows.clear();
-        }
-
-        let code = strip_comments_and_strings(raw);
-        let mut push = |rule: &'static str| {
-            out.push(LintViolation {
-                rule,
-                file: rel.to_path_buf(),
-                line: lineno,
-                excerpt: trimmed.to_string(),
-            });
         };
-
-        if check_unwrap
-            && !line_allows.contains("no-unwrap")
-            && pats.unwrap.iter().any(|p| code.contains(p.as_str()))
-        {
-            push("no-unwrap");
-        }
-        if check_nondet
-            && !line_allows.contains("nondeterminism")
-            && pats.nondet.iter().any(|p| code.contains(p.as_str()))
-        {
-            push("nondeterminism");
-        }
-        if check_float && !line_allows.contains("float-eq") && has_float_literal_comparison(&code) {
-            push("float-eq");
-        }
-        if check_exit
-            && !line_allows.contains("no-process-exit")
-            && pats.process_exit.iter().any(|p| code.contains(p.as_str()))
-        {
-            push("no-process-exit");
-        }
-        if check_env && !line_allows.contains("no-env-var") && code.contains(pats.env_var.as_str())
-        {
-            push("no-env-var");
+        let (rule, line) = (SITE_RULES[rank], code.tok(i).line);
+        if in_scope(rule) && !ast.in_test(code.pos(i)) && !ast.allowed(line, rule) {
+            hits.push((line, rank, i));
         }
     }
+    hits.sort_unstable();
+    hits.dedup_by_key(|h| (h.0, h.1));
+    out.extend(hits.into_iter().map(|(line, rank, i)| LintViolation {
+        rule: SITE_RULES[rank],
+        file: rel.to_path_buf(),
+        line: line as usize,
+        excerpt: code.tok(i).excerpt(src).to_string(),
+    }));
 }
 
 #[cfg(test)]
@@ -534,15 +354,25 @@ fn f() -> &'static str { ".unwrap() == 0.5" }
 
     #[test]
     fn float_comparison_detection_shapes() {
-        assert!(has_float_literal_comparison("a == 0.5"));
-        assert!(has_float_literal_comparison("0.0 == a"));
-        assert!(has_float_literal_comparison("x != 1e-9"));
-        assert!(has_float_literal_comparison("y == 2.0f64"));
-        assert!(!has_float_literal_comparison("a == b"));
-        assert!(!has_float_literal_comparison("n == 0"));
-        assert!(!has_float_literal_comparison("n <= 0.5"));
-        assert!(!has_float_literal_comparison("a >= 1.0 && b <= 2.0"));
-        assert!(!has_float_literal_comparison("v0.5")); // not a comparison
+        let flags = |snippet: &str| {
+            let body = format!("#![forbid(unsafe_code)]\nfn f() {{ {snippet}; }}\n");
+            let rules: Vec<&str> = lint_src("shapes", &body)
+                .violations
+                .iter()
+                .map(|v| v.rule)
+                .collect();
+            assert!(rules.iter().all(|r| *r == "float-eq"), "{rules:?}");
+            !rules.is_empty()
+        };
+        assert!(flags("a == 0.5"));
+        assert!(flags("0.0 == a"));
+        assert!(flags("x != 1e-9"));
+        assert!(flags("y == 2.0f64"));
+        assert!(!flags("a == b"));
+        assert!(!flags("n == 0"));
+        assert!(!flags("n <= 0.5"));
+        assert!(!flags("a >= 1.0 && b <= 2.0"));
+        assert!(!flags("v0.5")); // not a comparison
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! The analyzer against its committed bad fixtures: exact findings with
 //! full source→sink call chains, autofixes that leave each fixture
 //! analyzer-clean *and still compiling*, deterministic JSON, and the
-//! workspace self-analysis pinned to the committed baseline.
+//! workspace self-analysis pinned to the committed baseline — plus the
+//! `lint_holes` fixture, which pins the lint rules and the analyzer to
+//! one reading of comments, literals, test scope and suppressions.
 //!
 //! The fixture mini-crates under `tests/fixtures/` carry their own
 //! `Cargo.toml` + `[workspace]` table, so host-workspace discovery
@@ -14,6 +16,7 @@ use std::process::Command;
 use ffc_audit::analysis::fixes::{self, FixOptions};
 use ffc_audit::analysis::taint::{allow_marker, FnMatcher};
 use ffc_audit::analysis::{self, AnalysisConfig};
+use ffc_audit::{lint_workspace, LintConfig};
 
 fn fixture_dir(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -204,7 +207,7 @@ fn fix_makes_tainted_fp_clean_and_compiling() {
     let fixed = fix_and_verify("tainted_fp", "tfp", &tainted_fp_config());
     assert!(fixed.contains("BTreeMap"), "hash rewrite missing:\n{fixed}");
     assert!(
-        fixed.contains(&allow_marker()),
+        fixed.contains(allow_marker()),
         "time/unwrap sites need suppression markers:\n{fixed}"
     );
 }
@@ -214,7 +217,7 @@ fn fix_makes_hot_unwrap_clean_and_compiling() {
     let fixed = fix_and_verify("hot_unwrap", "hu", &hot_unwrap_config());
     // No Result-returning fns and no hash containers: every finding is
     // scaffolded with a marker, none silently dropped.
-    assert!(fixed.contains(&allow_marker()), "markers missing:\n{fixed}");
+    assert!(fixed.contains(allow_marker()), "markers missing:\n{fixed}");
     assert!(fixed.contains("expect"), "fix must not delete code");
 }
 
@@ -229,6 +232,64 @@ fn fix_makes_hash_serial_clean_and_compiling() {
     assert!(
         fixed.contains("unwrap_or"),
         "non-panicking unwrap_or must survive untouched:\n{fixed}"
+    );
+}
+
+/// Every construct one of the two pre-merge engines misread (block
+/// comment, multi-line / raw string, `"{"` / `"}"` in a test module,
+/// `my_env::variable()`, two-line call and comparison, `cfg(all(test,
+/// …))`, `cfg(not(test))`, marker text in a string, a comma-separated
+/// marker block): the lint reports exactly the production sites, in
+/// the bytes `ffc audit lint` prints, and the analyzer agrees with it
+/// on what is test-only and what is suppressed.
+#[test]
+fn lint_holes_pins_both_engines_to_one_reading_of_the_source() {
+    let dir = fixture_dir("lint_holes");
+    let report = lint_workspace(&LintConfig::new(&dir)).unwrap();
+    let got: Vec<(String, usize, &str)> = report
+        .violations
+        .iter()
+        .map(|v| (v.file.display().to_string(), v.line, v.rule))
+        .collect();
+    let lib = "crates/lp/src/lib.rs";
+    let want: Vec<(String, usize, &str)> = [
+        (32, "no-unwrap"),        // `.unwrap` / `()` over two lines
+        (38, "float-eq"),         // `a ==` / `1.5` over two lines
+        (54, "no-unwrap"),        // `#[cfg(not(test))]` is production
+        (59, "no-unwrap"),        // marker text in a string literal
+        (100, "no-unwrap"),       // after the `"{"` / `"}"` test module …
+        (104, "float-eq"),        // … every rule
+        (108, "no-process-exit"), // … still sees code
+    ]
+    .into_iter()
+    .map(|(line, rule)| (s(lib), line, rule))
+    .collect();
+    assert_eq!(got, want);
+
+    // The committed transcript CI diffs the binary's stdout against.
+    let mut stdout: String = report.violations.iter().map(|v| format!("{v}\n")).collect();
+    stdout.push_str("1 file(s) scanned, 7 violation(s)\n");
+    assert_eq!(
+        stdout,
+        fs::read_to_string(dir.join("expected.txt")).unwrap(),
+        "expected.txt drifted from `ffc audit lint` on the fixture"
+    );
+
+    let config = AnalysisConfig {
+        sinks: vec![],
+        roots: vec![(s("hot"), FnMatcher::QnamePrefix(s("lint_holes::hot_loop")))],
+        max_depth: 64,
+    };
+    let analysis = analysis::analyze_path(&dir, &config).unwrap();
+    assert_eq!(
+        analysis.keys(),
+        vec![
+            s("panic-reachable|unwrap|lint_holes::helper_a"),
+            s("panic-reachable|unwrap|lint_holes::marker_in_string"),
+            s("panic-reachable|unwrap|lint_holes::split_unwrap"),
+        ],
+        "`reviewed` carries the marker; full report: {}",
+        analysis.to_text()
     );
 }
 

@@ -384,8 +384,7 @@ fn retarget_storm(topo: &Topology, heat: &[f64], plan: &mut CampaignPlan) {
 
     let hotter = |a: LinkId, b: LinkId| {
         heat[b.index()]
-            .partial_cmp(&heat[a.index()])
-            .unwrap_or(std::cmp::Ordering::Equal)
+            .total_cmp(&heat[a.index()])
             .then(a.index().cmp(&b.index()))
     };
 

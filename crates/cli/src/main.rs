@@ -1058,12 +1058,13 @@ fn run_chaos_cmd(o: &Opts) -> ExitCode {
 /// `ffc audit lint|analyze|fix|model`: the static verification layer
 /// from the command line.
 ///
-/// * `lint` scans the source tree rooted at `DIR` (default: the current
-///   directory) for the workspace hygiene rules — unwrap/expect in
+/// * `lint` checks the source tree rooted at `DIR` (default: the current
+///   directory) against the workspace hygiene rules — unwrap/expect in
 ///   solver/controller hot paths, float `==` against literals,
 ///   wall-clock or ambient randomness in replay-deterministic modules,
-///   missing `#![forbid(unsafe_code)]` — and exits non-zero on any
-///   violation.
+///   missing `#![forbid(unsafe_code)]`, `process::exit` and environment
+///   reads outside entrypoints — on the analyzer's token stream, and
+///   exits non-zero on any violation.
 /// * `analyze` runs the interprocedural analyzer (determinism taint
 ///   into replay-critical sinks, panic reachability from hot-loop
 ///   roots) and prints findings with full call chains (`--json` for

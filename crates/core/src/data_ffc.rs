@@ -129,7 +129,7 @@ pub fn mice_flags(tm: &TrafficMatrix, mice_fraction: f64) -> Vec<bool> {
     if mice_fraction > 0.0 {
         let total = tm.total_demand();
         let mut order: Vec<_> = tm.iter().map(|(id, f)| (id, f.demand)).collect();
-        order.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite demands"));
+        order.sort_by(|a, b| a.1.total_cmp(&b.1));
         let mut acc = 0.0;
         for (id, demand) in order {
             acc += demand;

@@ -321,6 +321,23 @@ fn decode_segment_inner(path: &Path) -> Result<Vec<StoreRecord>, String> {
     }
     let n_links = cur.u32("link count")? as usize;
     let n_records = cur.u32("record count")? as usize;
+    // The checksum only proves the writer sealed these bytes, not that
+    // its counts are sane: bound them by the bytes present before any
+    // allocation is sized from them. Every record costs at least one
+    // byte per varint / u8 column and eight per f64 column and link.
+    let row_min = n_links
+        .saturating_mul(8)
+        .saturating_add(U64_COLS.len() + U8_COLS.len() + 8 * F64_COLS.len());
+    if n_records
+        .checked_mul(row_min)
+        .is_none_or(|need| need > bytes.len())
+    {
+        return Err(format!(
+            "{file}: offset 16: link count {n_links} x record count {n_records} \
+             needs more than the {} bytes present",
+            bytes.len()
+        ));
+    }
 
     // Footer.
     let footer_off = {
@@ -345,22 +362,33 @@ fn decode_segment_inner(path: &Path) -> Result<Vec<StoreRecord>, String> {
         let name = String::from_utf8(fcur.take(name_len, "column name")?.to_vec())
             .map_err(|_| format!("{file}: non-UTF-8 column name"))?;
         let kind = fcur.take(1, "column kind")?[0];
-        let off = fcur.u64("column offset")? as usize;
-        let len = fcur.u64("column length")? as usize;
-        if off + len > bytes.len() {
-            return Err(format!(
-                "{file}: column `{name}` spans {off}..{} beyond the file",
-                off + len
-            ));
-        }
+        let off = fcur.u64("column offset")?;
+        let len = fcur.u64("column length")?;
+        let end = off
+            .checked_add(len)
+            .filter(|&end| end <= bytes.len() as u64)
+            .ok_or_else(|| {
+                format!(
+                    "{file}: column `{name}` offset {off} + length {len} \
+                     lies beyond the file ({} bytes)",
+                    bytes.len()
+                )
+            })?;
+        let (off, len, end) = (off as usize, len as usize, end as usize);
+        // Cannot overflow: `n_records * 8 * n_links` fits the file.
         let count = if name == "link_util" {
             n_records * n_links
         } else {
             n_records
         };
-        let mut ccur = Cursor::at(&bytes[..off + len], off, &file);
+        let mut ccur = Cursor::at(&bytes[..end], off, &file);
         let col = match kind {
             KIND_U64_DELTA => {
+                if count > len {
+                    return Err(format!(
+                        "{file}: column `{name}` holds {len} bytes, too few for {count} varints"
+                    ));
+                }
                 let mut vals = Vec::with_capacity(count);
                 let mut prev = 0i64;
                 for _ in 0..count {
@@ -1081,13 +1109,64 @@ mod tests {
         // Bump the store schema version field (offset 8) and re-seal
         // the checksum so only the version check can fire.
         bytes[8] = 99;
-        let len = bytes.len();
-        let ck = fnv64(&bytes[..len - 16]);
-        bytes[len - 16..len - 8].copy_from_slice(&ck.to_le_bytes());
+        rechecksum(&mut bytes);
         fs::write(&seg0, &bytes).expect("rewrite");
         let err = TelemetryStore::open(&dir).unwrap_err();
         assert!(err.contains("schema v99 not supported"), "{err}");
         assert!(err.contains("offset 8"), "{err}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Re-seals a hand-edited segment image so only the structural
+    /// checks behind the checksum can fire.
+    fn rechecksum(bytes: &mut [u8]) {
+        let len = bytes.len();
+        let ck = fnv64(&bytes[..len - 16]);
+        bytes[len - 16..len - 8].copy_from_slice(&ck.to_le_bytes());
+    }
+
+    #[test]
+    fn absurd_header_counts_are_rejected_before_allocating() {
+        let dir = tmpdir("huge-counts");
+        write_store(&dir, 8, 2, 4);
+        let seg0 = dir.join(segment_name(0));
+        let mut bytes = fs::read(&seg0).expect("read");
+        // n_links (offset 16) and n_records (offset 20) = u32::MAX: an
+        // unchecked `Vec::with_capacity` would ask for 32 GiB and abort.
+        bytes[16..24].fill(0xff);
+        rechecksum(&mut bytes);
+        fs::write(&seg0, &bytes).expect("rewrite");
+        let err = TelemetryStore::open(&dir).unwrap_err();
+        assert!(err.contains("seg-000000"), "{err}");
+        assert!(err.contains("record count 4294967295"), "{err}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn overflowing_column_span_is_rejected_and_recoverable_at_the_tail() {
+        let dir = tmpdir("col-span");
+        write_store(&dir, 8, 2, 4);
+        let seg1 = dir.join(segment_name(1));
+        let mut bytes = fs::read(&seg1).expect("read");
+        // Footer: column count u32, then per column name_len u32, name,
+        // kind u8 and the `off` / `len` pair under test (first column).
+        let footer = Cursor::at(&bytes, bytes.len() - 24, "t")
+            .u64("footer offset")
+            .expect("footer offset") as usize;
+        let mut cur = Cursor::at(&bytes, footer + 4, "t");
+        let name_len = cur.u32("name length").expect("name length") as usize;
+        let off_at = cur.pos() + name_len + 1;
+        bytes[off_at..off_at + 8].copy_from_slice(&(u64::MAX - 7).to_le_bytes());
+        bytes[off_at + 8..off_at + 16].copy_from_slice(&16u64.to_le_bytes());
+        rechecksum(&mut bytes);
+        fs::write(&seg1, &bytes).expect("rewrite");
+        // `off + len` wraps: must be an error, not a debug-build panic.
+        let store = TelemetryStore::open(&dir).expect("tail segment is recoverable");
+        assert_eq!(store.len(), 4);
+        assert_eq!(store.recovery_notes.len(), 1);
+        let note = &store.recovery_notes[0];
+        assert!(note.contains("seg-000001"), "{note}");
+        assert!(note.contains("column `interval` offset"), "{note}");
         let _ = fs::remove_dir_all(&dir);
     }
 

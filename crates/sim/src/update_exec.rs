@@ -89,7 +89,7 @@ pub fn simulate_update<R: Rng + ?Sized>(
         } else {
             // (n - kc)-th smallest completion.
             let mut sorted = c.clone();
-            sorted.sort_by(|a, b| a.partial_cmp(b).expect("comparable"));
+            sorted.sort_by(f64::total_cmp);
             let idx = n.saturating_sub(cfg.kc + 1).min(n - 1);
             sorted[idx]
         };
