@@ -603,6 +603,13 @@ fn static_phase(input: &CertInput<'_>) -> Result<Certificate, Certificate> {
                 malformed = true;
                 continue;
             }
+            // A NaN weight makes every stale-ingress load NaN, and NaN
+            // compares as "within capacity".
+            if old[fi].iter().any(|a| !a.is_finite()) {
+                cert.record(format!("flow {f}: non-finite old allocation"));
+                malformed = true;
+                continue;
+            }
         }
         let b = input.rate[fi];
         if !b.is_finite() || input.alloc[fi].iter().any(|a| !a.is_finite()) {
@@ -862,6 +869,30 @@ mod tests {
         ));
         assert!(!cert.ok());
         assert!(cert.violations[0].contains("shape"));
+    }
+
+    #[test]
+    fn non_finite_old_allocation_is_rejected_by_both_walks() {
+        // New config all direct (11 units), old config all via: a stale
+        // ingress overloads the 10-capacity via path. Written as NaN
+        // the same old weights used to certify.
+        let (t, mut tm, tt) = fig2();
+        tm.set_demand(FlowId(0), 11.0);
+        let rate = [11.0];
+        let alloc = [vec![11.0, 0.0]];
+        for bad in [f64::NAN, f64::INFINITY] {
+            let old = [vec![0.0, bad]];
+            let mut input = CertInput::new(&t, &tm, &tt, &rate, &alloc, Protection::new(1, 0, 0));
+            input.old_alloc = Some(&old);
+            for cert in [certify(&input), certify_scalar(&input)] {
+                assert_eq!(cert.status, CertStatus::Rejected);
+                assert_eq!(
+                    cert.scenarios_checked, 0,
+                    "malformed input is not evaluated"
+                );
+                assert!(cert.violations[0].contains("non-finite old allocation"));
+            }
+        }
     }
 
     #[test]

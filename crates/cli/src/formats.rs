@@ -92,6 +92,9 @@ pub fn parse_topology(text: &str) -> Result<Topology, ParseError> {
                 if !(c.is_finite() && c > 0.0) {
                     return Err(err(line, "capacity must be positive"));
                 }
+                if na == nb {
+                    return Err(err(line, "link endpoints must differ"));
+                }
                 if t[0] == "bidi" {
                     topo.add_bidi(na, nb, c);
                 } else {
@@ -218,7 +221,14 @@ pub fn parse_config(
 ) -> Result<(TunnelTable, TeConfig), ParseError> {
     let mut per_flow_tunnels: Vec<Vec<Tunnel>> = vec![Vec::new(); num_flows];
     let mut rates: Vec<f64> = vec![0.0; num_flows];
-    let mut allocs: Vec<Vec<(usize, f64)>> = vec![Vec::new(); num_flows];
+    let mut allocs: Vec<Vec<(usize, usize, f64)>> = vec![Vec::new(); num_flows];
+    // Same rule as capacities and demands: a NaN or negative value would
+    // sail through the certifier's comparisons, so it stops here.
+    let amount = |tok: &str, what: &str, line: usize| match tok.parse::<f64>() {
+        Ok(v) if v.is_finite() && v >= 0.0 => Ok(v),
+        Ok(_) => Err(err(line, format!("{what} must be non-negative"))),
+        Err(_) => Err(err(line, format!("bad {what} '{tok}'"))),
+    };
 
     for (line, t) in tokens(text) {
         match t.as_slice() {
@@ -243,6 +253,9 @@ pub fn parse_config(
                     })
                     .collect();
                 let nodes = nodes?;
+                if let Some(i) = (1..nodes.len()).find(|&i| nodes[..i].contains(&nodes[i])) {
+                    return Err(err(line, format!("tunnel revisits node '{}'", hops[i])));
+                }
                 let links: Result<Vec<_>, ParseError> = nodes
                     .windows(2)
                     .map(|w| {
@@ -276,9 +289,7 @@ pub fn parse_config(
                 if fi >= num_flows {
                     return Err(err(line, format!("flow index {fi} out of range")));
                 }
-                rates[fi] = r
-                    .parse()
-                    .map_err(|_| err(line, format!("bad rate '{r}'")))?;
+                rates[fi] = amount(r, "rate", line)?;
             }
             ["alloc", f, ti, a] => {
                 let fi: usize = f
@@ -290,10 +301,7 @@ pub fn parse_config(
                 let tidx: usize = ti
                     .parse()
                     .map_err(|_| err(line, format!("bad tunnel index '{ti}'")))?;
-                let v: f64 = a
-                    .parse()
-                    .map_err(|_| err(line, format!("bad allocation '{a}'")))?;
-                allocs[fi].push((tidx, v));
+                allocs[fi].push((line, tidx, amount(a, "allocation", line)?));
             }
             _ => return Err(err(line, format!("unrecognized directive '{}'", t[0]))),
         }
@@ -303,10 +311,10 @@ pub fn parse_config(
     for (fi, pairs) in allocs.iter().enumerate() {
         let nt = per_flow_tunnels[fi].len();
         let mut row = vec![0.0; nt];
-        for &(ti, v) in pairs {
+        for &(line, ti, v) in pairs {
             if ti >= nt {
                 return Err(err(
-                    0,
+                    line,
                     format!("alloc tunnel index {ti} out of range for flow {fi}"),
                 ));
             }
@@ -356,6 +364,10 @@ bidi paris london 40
         assert!(e.to_string().contains("positive"));
         let e = parse_topology("frobnicate\n").unwrap_err();
         assert!(e.to_string().contains("unrecognized"));
+        // A self-loop used to reach an assertion in `Topology::add_link`.
+        let e = parse_topology("node a\nbidi a a 5\n").unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.to_string().contains("endpoints must differ"));
     }
 
     #[test]
@@ -438,8 +450,50 @@ bidi paris london 40
         // Out-of-order tunnel index.
         let e = parse_config("tunnel 0 1 ny london\n", &topo, 1).unwrap_err();
         assert!(e.to_string().contains("dense"));
+        // A hop repeated in place.
+        let e = parse_config("tunnel 0 0 ny ny\n", &topo, 1).unwrap_err();
+        assert!(e.to_string().contains("revisits node 'ny'"), "{e}");
+        // A loop over links that do exist used to reach an assertion in
+        // `Tunnel::from_path` and abort the process.
+        let e = parse_config("rate 0 1\ntunnel 0 0 ny london ny paris\n", &topo, 1).unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.to_string().contains("revisits node 'ny'"), "{e}");
         // Nonexistent hop link.
-        let e = parse_config("tunnel 0 0 london london\n", &topo, 1).unwrap_err();
-        assert!(e.to_string().contains("no link") || e.to_string().contains("revisits"));
+        let topo2 = parse_topology("node a\nnode b\nnode c\nlink a b 1\n").unwrap();
+        let e = parse_config("tunnel 0 0 a b c\n", &topo2, 1).unwrap_err();
+        assert!(e.to_string().contains("no link b -> c"), "{e}");
+    }
+
+    #[test]
+    fn config_rejects_non_finite_and_negative_amounts_with_their_line() {
+        let topo = parse_topology(TOPO).unwrap();
+        let head = "tunnel 0 0 ny london\n";
+        for bad in ["NaN", "nan", "inf", "-inf", "-1", "-0.5"] {
+            let e = parse_config(&format!("{head}rate 0 {bad}\n"), &topo, 1).unwrap_err();
+            assert_eq!(e.line, 2, "rate {bad}");
+            assert!(e.to_string().contains("rate must be non-negative"), "{e}");
+            let e =
+                parse_config(&format!("{head}rate 0 1\nalloc 0 0 {bad}\n"), &topo, 1).unwrap_err();
+            assert_eq!(e.line, 3, "alloc {bad}");
+            assert!(
+                e.to_string().contains("allocation must be non-negative"),
+                "{e}"
+            );
+        }
+        let e = parse_config(&format!("{head}rate 0 x\n"), &topo, 1).unwrap_err();
+        assert!(e.to_string().contains("bad rate 'x'"), "{e}");
+        // -0 is zero, not negative.
+        assert!(parse_config(&format!("{head}rate 0 -0\nalloc 0 0 0\n"), &topo, 1).is_ok());
+    }
+
+    #[test]
+    fn config_alloc_tunnel_index_out_of_range_names_its_line() {
+        let topo = parse_topology(TOPO).unwrap();
+        // The alloc may precede the tunnel lines, so the range check
+        // waits for the end of the file — and still knows the line.
+        let text = "# header\nalloc 0 1 2.5\ntunnel 0 0 ny london\n";
+        let e = parse_config(text, &topo, 1).unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.to_string().contains("tunnel index 1 out of range"), "{e}");
     }
 }
