@@ -228,6 +228,42 @@ fn written_files_match_stdout_and_the_committed_trace() {
     let _ = std::fs::remove_dir_all(&tmp);
 }
 
+/// A crash-shaped store whose WAL carries a non-finite utilization used
+/// to panic `ffc report` (exit 101, `finite samples` in `percentile`):
+/// the line is a recovery note and the report is rendered without it.
+#[test]
+fn report_survives_a_wal_line_with_nan_utilization() {
+    let tmp = scratch("nan-wal");
+    let live = ffc(
+        &tmp,
+        "ctrl run {small} --ke 1 --intervals 3 --seed 11 --store {tmp}/s",
+    );
+    assert!(live.status.success(), "{live:?}");
+    let links = std::fs::read_to_string(tmp.join("s/links.txt")).expect("links.txt");
+    let util = vec!["0.5"; links.lines().count() - 1].join(", ");
+    let wal: String = String::from_utf8_lossy(&live.stdout)
+        .lines()
+        .take(2)
+        .map(|l| format!("{}, \"util\": [NaN, {util}]}}\n", l.trim_end_matches('}')))
+        .collect();
+    let crash = tmp.join("crash");
+    std::fs::create_dir_all(&crash).expect("mkdir");
+    std::fs::write(crash.join("links.txt"), links).expect("links.txt");
+    std::fs::write(crash.join("wal.jsonl"), wal).expect("wal.jsonl");
+
+    let out = ffc(&tmp, "report --store {tmp}/crash");
+    let (stdout, stderr) = (
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr),
+    );
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let note = stdout.lines().find(|l| l.starts_with("recovery:"));
+    let note = note.unwrap_or_else(|| panic!("no recovery line in\n{stdout}"));
+    assert!(note.contains("wal.jsonl line 1:"), "{note}");
+    let _ = std::fs::remove_dir_all(&tmp);
+}
+
 /// `(command line, exit code, substrings stderr must carry)`; stdout
 /// stays empty.
 #[rustfmt::skip]

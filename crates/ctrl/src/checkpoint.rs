@@ -10,14 +10,14 @@
 //! was in flight — the interval's complete sampled outcome log plus
 //! the post-sampling RNG state.
 //!
-//! The on-disk format reuses the durable-file idioms of
-//! `ffc-fleet::store` (shared via [`crate::durable`]): a magic line, a
-//! schema version, a run-configuration digest, a binary body, and an
-//! FNV-64 checksum footer with an end marker. Files are written with
-//! temp-file + rename so a crash mid-write never damages an existing
-//! checkpoint, and recovery scans newest-to-oldest, skipping torn or
-//! corrupt files (with a note) until it finds a valid one — the same
-//! torn-tail tolerance the telemetry store has.
+//! On disk a checkpoint is a sealed file ([`crate::durable::seal`], the
+//! framing `ffc-fleet`'s segments share): magic, a schema version, a
+//! run-configuration digest, a binary body, then the checksum and end
+//! marker. Files are written with temp-file + rename so a crash
+//! mid-write never damages an existing checkpoint, and recovery scans
+//! newest-to-oldest, skipping torn or corrupt files (with a note)
+//! until it finds a valid one — the same torn-tail tolerance the
+//! telemetry store has.
 //!
 //! Exactly-once rollout across a crash: because the executor samples
 //! *all* switch outcomes before issuing the first step, a mid-rollout
@@ -37,7 +37,8 @@ use ffc_lp::{BasisStatuses, ColStatus};
 use ffc_net::{Topology, TrafficMatrix, TunnelTable};
 
 use crate::durable::{
-    fnv64, io_err, put_bytes, put_f64, put_u32, put_u64, put_varint, write_atomic, Cursor,
+    fnv64, io_err, list_numbered, put_bytes, put_f64, put_u32, put_u64, put_varint, seal, unseal,
+    write_atomic, Cursor, SealError,
 };
 use crate::event::TimedEvent;
 use crate::planner::PlannerSnapshot;
@@ -120,6 +121,15 @@ pub enum CheckpointError {
     /// or schema — resuming from it would silently diverge, so this is
     /// a hard error.
     Mismatch(String),
+}
+
+impl From<SealError> for CheckpointError {
+    fn from(e: SealError) -> CheckpointError {
+        match e {
+            SealError::Torn(m) => CheckpointError::Invalid(m),
+            SealError::Mismatch(m) => CheckpointError::Mismatch(m),
+        }
+    }
 }
 
 /// Digest of everything that must be identical between the run that
@@ -332,9 +342,7 @@ pub fn encode_checkpoint(state: &CheckpointState, digest: u64) -> Vec<u8> {
         None => buf.push(0),
     }
 
-    let checksum = fnv64(&buf);
-    put_u64(&mut buf, checksum);
-    buf.extend_from_slice(CHECKPOINT_END);
+    seal(&mut buf, CHECKPOINT_END);
     buf
 }
 
@@ -459,57 +467,29 @@ fn read_body(cur: &mut Cursor<'_>) -> Result<CheckpointState, String> {
     })
 }
 
-/// Deserializes and validates a checkpoint file: magic, end marker,
-/// checksum, schema version, and run-configuration digest all have to
-/// check out before the body is trusted.
+/// Deserializes and validates a checkpoint file: the seal, the schema
+/// version, and the run-configuration digest all have to check out
+/// before the body is trusted.
 pub fn decode_checkpoint(
     bytes: &[u8],
     file: &str,
     expect_digest: u64,
 ) -> Result<CheckpointState, CheckpointError> {
-    let min = CHECKPOINT_MAGIC.len() + 4 + 8 + 8 + CHECKPOINT_END.len();
-    if bytes.len() < min {
-        return Err(CheckpointError::Invalid(format!(
-            "{file}: {} bytes, shorter than the minimal checkpoint ({min})",
-            bytes.len()
-        )));
-    }
-    if &bytes[..CHECKPOINT_MAGIC.len()] != CHECKPOINT_MAGIC {
-        return Err(CheckpointError::Invalid(format!(
-            "{file}: bad magic (not a checkpoint file)"
-        )));
-    }
-    if &bytes[bytes.len() - CHECKPOINT_END.len()..] != CHECKPOINT_END {
-        return Err(CheckpointError::Invalid(format!(
-            "{file}: missing end marker (torn write)"
-        )));
-    }
-    let body_end = bytes.len() - CHECKPOINT_END.len() - 8;
-    let mut fcur = Cursor::at(bytes, body_end, file);
-    let stored = fcur.u64("checksum").map_err(CheckpointError::Invalid)?;
-    let actual = fnv64(&bytes[..body_end]);
-    if stored != actual {
-        return Err(CheckpointError::Invalid(format!(
-            "{file}: checksum mismatch (stored {stored:#018x}, computed {actual:#018x})"
-        )));
-    }
-    let mut cur = Cursor::at(&bytes[..body_end], CHECKPOINT_MAGIC.len(), file);
-    let version = cur
-        .u32("schema version")
-        .map_err(CheckpointError::Invalid)?;
-    if version != CHECKPOINT_SCHEMA_VERSION {
-        return Err(CheckpointError::Mismatch(format!(
-            "{file}: checkpoint schema v{version}, this binary reads v{CHECKPOINT_SCHEMA_VERSION}"
-        )));
-    }
-    let digest = cur.u64("config digest").map_err(CheckpointError::Invalid)?;
-    if digest != expect_digest {
-        return Err(CheckpointError::Mismatch(format!(
-            "{file}: checkpoint belongs to a different run configuration \
-             (digest {digest:#018x}, this run {expect_digest:#018x})"
-        )));
-    }
-    read_body(&mut cur).map_err(CheckpointError::Invalid)
+    let read = || -> Result<CheckpointState, SealError> {
+        let body = unseal(bytes, file, CHECKPOINT_MAGIC, CHECKPOINT_END)?;
+        let mut cur = Cursor::at(body, CHECKPOINT_MAGIC.len(), file);
+        cur.schema_version("checkpoint", CHECKPOINT_SCHEMA_VERSION)?;
+        let (at, digest) = (cur.pos(), cur.u64("config digest")?);
+        if digest != expect_digest {
+            let what = format!(
+                "checkpoint belongs to a different run configuration \
+                 (digest {digest:#018x}, this run {expect_digest:#018x})"
+            );
+            return Err(SealError::mismatch(file, at, what));
+        }
+        Ok(read_body(&mut cur)?)
+    };
+    read().map_err(CheckpointError::from)
 }
 
 /// Writes checkpoints into a directory as `ckpt-<seq>.ffck`, atomically
@@ -580,22 +560,7 @@ impl Checkpointer {
 
 /// Checkpoint files in `dir`, sorted by ascending sequence number.
 fn list_checkpoints(dir: &Path) -> Result<Vec<(u64, PathBuf)>, String> {
-    let rd = fs::read_dir(dir).map_err(|e| io_err(dir, "read checkpoint dir", e))?;
-    let mut files = Vec::new();
-    for entry in rd {
-        let entry = entry.map_err(|e| io_err(dir, "scan checkpoint dir", e))?;
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if let Some(seq) = name
-            .strip_prefix("ckpt-")
-            .and_then(|r| r.strip_suffix(".ffck"))
-            .and_then(|s| s.parse::<u64>().ok())
-        {
-            files.push((seq, entry.path()));
-        }
-    }
-    files.sort_unstable_by_key(|&(seq, _)| seq);
-    Ok(files)
+    list_numbered(dir, "ckpt-", ".ffck")
 }
 
 /// A successfully recovered checkpoint.
@@ -768,6 +733,14 @@ mod tests {
         assert_eq!(decode_checkpoint(&bytes, "t", 1).expect("decode"), min);
     }
 
+    /// Recorded at commit aaade72, before the framing moved into
+    /// `durable::seal`, by running this test with zeroed expectations.
+    #[test]
+    fn golden_checkpoint_image_of_the_sample_state() {
+        let bytes = encode_checkpoint(&sample_state(), 7);
+        assert_eq!((bytes.len(), fnv64(&bytes)), (449, 12741876513052809226));
+    }
+
     #[test]
     fn truncation_at_every_offset_is_invalid_never_a_panic() {
         let bytes = encode_checkpoint(&sample_state(), 42);
@@ -801,6 +774,18 @@ mod tests {
         match decode_checkpoint(&bytes, "t", 43) {
             Err(CheckpointError::Mismatch(e)) => {
                 assert!(e.contains("different run"), "{e}")
+            }
+            other => panic!("expected Mismatch, got {other:?}"),
+        }
+        // Another schema version, re-sealed so only that check can fire.
+        let mut other = bytes.clone();
+        let sealed = other.len() - 16;
+        other[8] = 99;
+        let checksum = fnv64(&other[..sealed]);
+        other[sealed..sealed + 8].copy_from_slice(&checksum.to_le_bytes());
+        match decode_checkpoint(&other, "t", 42) {
+            Err(CheckpointError::Mismatch(e)) => {
+                assert!(e.contains("t: offset 8: checkpoint schema v99"), "{e}")
             }
             other => panic!("expected Mismatch, got {other:?}"),
         }

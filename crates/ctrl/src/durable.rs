@@ -2,15 +2,17 @@
 //!
 //! Two consumers encode state with these helpers: the controller's
 //! crash checkpoints ([`crate::checkpoint`]) and `ffc-fleet`'s
-//! telemetry segments. Both follow the same container discipline —
+//! telemetry segments. Both are *sealed files* — an 8-byte magic,
 //! little-endian fixed-width integers and LEB128 varints in the body,
-//! an FNV-64 checksum over everything but the trailing 16 bytes, an
-//! 8-byte end marker, and atomic temp-file + rename writes — so a
-//! reader can always distinguish a torn (crash-truncated) file from
-//! interior corruption or a schema mismatch.
+//! then ([`seal`]) an FNV-64 checksum over everything before it and an
+//! 8-byte end marker — written by atomic temp-file + rename. [`unseal`]
+//! is the one place the frame is checked, and [`SealError`] the one
+//! type that tells a torn (crash-truncated or corrupt) file from an
+//! intact one of another schema or run.
 
+use std::fmt::Display;
 use std::fs;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// FNV-1a 64-bit offset basis.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -170,6 +172,105 @@ impl<'a> Cursor<'a> {
         String::from_utf8(b.to_vec())
             .map_err(|_| format!("{}: non-UTF-8 bytes reading {what}", self.file))
     }
+
+    /// Reads the `u32` version of the `what` schema and refuses any but
+    /// `supported`, as a [`SealError::Mismatch`] naming its offset.
+    pub fn schema_version(&mut self, what: &str, supported: u32) -> Result<(), SealError> {
+        let (at, version) = (self.pos, self.u32("schema version")?);
+        if version == supported {
+            return Ok(());
+        }
+        let what =
+            format!("{what} schema v{version} not supported (this reader reads v{supported})");
+        Err(SealError::mismatch(self.file, at, what))
+    }
+}
+
+/// Why a sealed file was refused. Every message starts with the file
+/// name and the byte offset of the failure.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SealError {
+    /// Truncated, failed its checksum, or garbled inside: a crash
+    /// artifact. Recovery may skip such a file with a note when what it
+    /// held survives elsewhere (an older checkpoint, the WAL).
+    Torn(String),
+    /// Intact, but of another schema version or another run: reading on
+    /// would misinterpret it, so it is never skipped silently.
+    Mismatch(String),
+}
+
+impl SealError {
+    /// A [`SealError::Torn`] located at `offset` of `file`.
+    pub fn torn(file: &str, offset: usize, what: impl Display) -> SealError {
+        SealError::Torn(format!("{file}: offset {offset}: {what}"))
+    }
+
+    /// A [`SealError::Mismatch`] located at `offset` of `file`.
+    pub fn mismatch(file: &str, offset: usize, what: impl Display) -> SealError {
+        SealError::Mismatch(format!("{file}: offset {offset}: {what}"))
+    }
+
+    /// The located message, whichever the class.
+    pub fn into_message(self) -> String {
+        match self {
+            SealError::Torn(m) | SealError::Mismatch(m) => m,
+        }
+    }
+}
+
+/// A body that stops making sense under a [`Cursor`] (whose messages
+/// carry file and offset already) is torn.
+impl From<String> for SealError {
+    fn from(cursor_error: String) -> SealError {
+        SealError::Torn(cursor_error)
+    }
+}
+
+/// Seals a file image that starts with its magic: appends the FNV-64
+/// of everything in `buf`, then the end marker.
+pub fn seal(buf: &mut Vec<u8>, end: &[u8; 8]) {
+    let checksum = fnv64(buf);
+    put_u64(buf, checksum);
+    buf.extend_from_slice(end);
+}
+
+/// Checks the frame [`seal`] wrote — the leading `magic`, the trailing
+/// `end` marker and the checksum before it — and returns the
+/// checksummed part, magic included, so that offsets into it are file
+/// offsets. Any failure is [`SealError::Torn`]; what the body says about
+/// schema and run is the caller's to check.
+pub fn unseal<'a>(
+    bytes: &'a [u8],
+    file: &str,
+    magic: &[u8; 8],
+    end: &[u8; 8],
+) -> Result<&'a [u8], SealError> {
+    let len = bytes.len();
+    if len < magic.len() + 16 {
+        let what = format!("truncated ({len} bytes, magic + checksum + end marker need 24)");
+        return Err(SealError::torn(file, len, what));
+    }
+    let (body, footer) = bytes.split_at(len - 16);
+    if !body.starts_with(magic) {
+        return Err(SealError::torn(
+            file,
+            0,
+            "bad magic (not this kind of file)",
+        ));
+    }
+    if !footer.ends_with(end) {
+        return Err(SealError::torn(
+            file,
+            len - 8,
+            "missing end marker (torn write)",
+        ));
+    }
+    let (stored, actual) = (Cursor::new(footer, file).u64("checksum")?, fnv64(body));
+    if stored != actual {
+        let what = format!("checksum mismatch (stored {stored:016x}, computed {actual:016x})");
+        return Err(SealError::torn(file, len - 16, what));
+    }
+    Ok(body)
 }
 
 /// Formats an I/O error with the path and operation that hit it.
@@ -190,6 +291,28 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), String> {
     let tmp = path.with_file_name(tmp_name);
     fs::write(&tmp, bytes).map_err(|e| io_err(&tmp, "write", e))?;
     fs::rename(&tmp, path).map_err(|e| io_err(path, "rename", e))
+}
+
+/// The files in `dir` named `<prefix><number><suffix>`, in ascending
+/// number order — how checkpoints and segments are both kept.
+pub fn list_numbered(
+    dir: &Path,
+    prefix: &str,
+    suffix: &str,
+) -> Result<Vec<(u64, PathBuf)>, String> {
+    let mut files = Vec::new();
+    for entry in fs::read_dir(dir).map_err(|e| io_err(dir, "read dir", e))? {
+        let entry = entry.map_err(|e| io_err(dir, "read dir entry", e))?;
+        let name = entry.file_name();
+        let number = name
+            .to_str()
+            .and_then(|n| n.strip_prefix(prefix)?.strip_suffix(suffix)?.parse().ok());
+        if let Some(number) = number {
+            files.push((number, entry.path()));
+        }
+    }
+    files.sort_unstable_by_key(|&(number, _)| number);
+    Ok(files)
 }
 
 #[cfg(test)]
@@ -253,6 +376,64 @@ mod tests {
         // FNV-1a("") = offset basis; "a" = 0xaf63dc4c8601ec8c.
         assert_eq!(fnv64(b""), FNV_OFFSET);
         assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
+    }
+
+    #[test]
+    fn unseal_returns_what_was_sealed_and_locates_every_frame_failure() {
+        let (magic, end) = (b"TESTMAG\n", b"TESTEND\n");
+        let mut image = magic.to_vec();
+        put_u32(&mut image, 7);
+        seal(&mut image, end);
+        assert_eq!(image.len(), 8 + 4 + 16);
+        let body = unseal(&image, "f", magic, end).expect("unseal");
+        assert_eq!(body, &image[..12]);
+
+        let torn = |bytes: &[u8]| match unseal(bytes, "f", magic, end) {
+            Err(SealError::Torn(m)) => m,
+            other => panic!("expected Torn, got {other:?}"),
+        };
+        assert!(torn(&image[..20]).starts_with("f: offset 20: truncated"));
+        let mut bad = image.clone();
+        bad[0] ^= 1;
+        assert!(torn(&bad).starts_with("f: offset 0: bad magic"));
+        let mut bad = image.clone();
+        bad[27] ^= 1;
+        assert!(torn(&bad).starts_with("f: offset 20: missing end marker"));
+        let mut bad = image.clone();
+        bad[9] ^= 1;
+        assert!(torn(&bad).starts_with("f: offset 12: checksum mismatch"));
+
+        let mut cur = Cursor::at(body, 8, "f");
+        match cur.schema_version("test", 8) {
+            Err(SealError::Mismatch(m)) => {
+                assert_eq!(
+                    m,
+                    "f: offset 8: test schema v7 not supported (this reader reads v8)"
+                )
+            }
+            other => panic!("expected Mismatch, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn list_numbered_sorts_by_number_and_ignores_other_names() {
+        let dir = std::env::temp_dir().join(format!("ffc-numbered-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).expect("mkdir");
+        for name in [
+            "seg-000010.x",
+            "seg-000002.x",
+            "seg-2.y",
+            "seg-abc.x",
+            "other",
+        ] {
+            fs::write(dir.join(name), b"").expect("touch");
+        }
+        let found = list_numbered(&dir, "seg-", ".x").expect("list");
+        let numbers: Vec<u64> = found.iter().map(|&(n, _)| n).collect();
+        assert_eq!(numbers, [2, 10]);
+        assert!(found[0].1.ends_with("seg-000002.x"));
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

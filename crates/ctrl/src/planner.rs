@@ -34,7 +34,7 @@ use ffc_net::FaultScenario;
 use crate::state::ConfigStore;
 
 /// Which solve path produced (or skipped) an interval's target config.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolvePath {
     /// Warm basis restarted through dual simplex iterations.
     WarmDual,
@@ -46,18 +46,32 @@ pub enum SolvePath {
     /// Solve failed — infeasible (§4.5 heavy active faults) or
     /// numerical breakdown: no target, controller rolls back.
     Infeasible,
-    /// The solve ran out of its iteration or wall-clock budget
+    /// The solve ran out of its iteration budget
     /// ([`ffc_lp::LpError::LimitExceeded`]). Recoverable: treated like
     /// a deadline overrun — protection degrades for the next interval
     /// and the installed config stays (no rollback).
     LimitExceeded,
     /// No solve attempted: rescale-only degradation.
+    #[default]
     RescaleOnly,
 }
 
 impl SolvePath {
+    /// Every path in declaration order. A path's position here is its
+    /// stored code (telemetry segments) and [`SolvePath::as_str`] its
+    /// stored label (JSONL): this array and that `match` are the whole
+    /// label ↔ code map.
+    pub const ALL: [SolvePath; 6] = [
+        SolvePath::WarmDual,
+        SolvePath::WarmPrimal,
+        SolvePath::Cold,
+        SolvePath::Infeasible,
+        SolvePath::LimitExceeded,
+        SolvePath::RescaleOnly,
+    ];
+
     /// Short lowercase label for telemetry.
-    pub fn as_str(&self) -> &'static str {
+    pub const fn as_str(&self) -> &'static str {
         match self {
             SolvePath::WarmDual => "warm_dual",
             SolvePath::WarmPrimal => "warm_primal",

@@ -8,10 +8,12 @@
 //!   loses at most the line being written.
 //! * `seg-NNNNNN.ffts` — sealed segments. Every
 //!   [`StoreWriter::segment_intervals`] records, the WAL graduates into
-//!   a compact columnar segment: counters as zigzag-delta varints,
-//!   floats as raw little-endian bits, flags as bytes, with a footer
-//!   block index and an FNV-64 checksum. Segments are written to a
-//!   temp file and atomically renamed, then the WAL is truncated.
+//!   a compact columnar segment: one block per column of
+//!   [`ffc_ctrl::telemetry::columns`] (counters as zigzag-delta
+//!   varints, floats as raw little-endian bits, codes and flags as
+//!   bytes) plus the utilization matrix, a footer block index, and the
+//!   seal of [`ffc_ctrl::durable`]. Segments are written to a temp
+//!   file and atomically renamed, then the WAL is truncated.
 //! * `links.txt` — the directed-link names, one per line, giving
 //!   utilization columns their labels.
 //!
@@ -28,17 +30,17 @@
 //! the deterministic telemetry subset plus utilization bits — is the
 //! store-level analogue of the controller's per-interval fingerprint.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use ffc_ctrl::durable::{
-    fnv64, fnv_step, io_err, put_u32, put_u64, put_varint, unzigzag, write_atomic, zigzag, Cursor,
-    FNV_OFFSET,
+    fnv_step, io_err, list_numbered, put_u32, put_u64, put_varint, seal, unseal, unzigzag,
+    write_atomic, zigzag, Cursor, SealError, FNV_OFFSET,
 };
-use ffc_ctrl::{IntervalSink, IntervalTelemetry, SolvePath, TELEMETRY_SCHEMA_VERSION};
+use ffc_ctrl::telemetry::{columns, finite, json_member, Kind};
+use ffc_ctrl::{IntervalSink, IntervalTelemetry, TELEMETRY_SCHEMA_VERSION};
 
 /// Version of the segment container format.
 pub const STORE_SCHEMA_VERSION: u32 = 1;
@@ -51,6 +53,9 @@ const SEG_MAGIC: &[u8; 8] = b"FFTSEG1\n";
 const SEG_END: &[u8; 8] = b"FFTEND1\n";
 const WAL_FILE: &str = "wal.jsonl";
 const LINKS_FILE: &str = "links.txt";
+/// The one column that is the store's own: the utilization matrix,
+/// `"util"` in a WAL line.
+const UTIL_COLUMN: &str = "link_util";
 
 /// One stored interval: the controller's record plus the data plane's
 /// per-link utilization (load / capacity, indexed like the topology's
@@ -63,107 +68,31 @@ pub struct StoreRecord {
     pub link_util: Vec<f64>,
 }
 
-// Primitive encoding (FNV, varints, cursors, atomic writes) lives in
-// `ffc_ctrl::durable`, shared with the controller's crash checkpoints.
+// Primitive encoding (FNV, varints, cursors, sealing, atomic writes)
+// lives in `ffc_ctrl::durable`, shared with the controller's crash
+// checkpoints; which columns a record has, and how each is read and
+// set, in `ffc_ctrl::telemetry`.
 
-// ---------------------------------------------------------------------
-// Column schema
-// ---------------------------------------------------------------------
-
-fn path_code(p: SolvePath) -> u8 {
-    match p {
-        SolvePath::WarmDual => 0,
-        SolvePath::WarmPrimal => 1,
-        SolvePath::Cold => 2,
-        SolvePath::Infeasible => 3,
-        SolvePath::LimitExceeded => 4,
-        SolvePath::RescaleOnly => 5,
-    }
-}
-
-fn path_decode(code: u8) -> Result<SolvePath, String> {
-    Ok(match code {
-        0 => SolvePath::WarmDual,
-        1 => SolvePath::WarmPrimal,
-        2 => SolvePath::Cold,
-        3 => SolvePath::Infeasible,
-        4 => SolvePath::LimitExceeded,
-        5 => SolvePath::RescaleOnly,
-        other => return Err(format!("unknown solve-path code {other}")),
-    })
-}
-
-fn cert_code(s: &str) -> u8 {
-    match s {
-        "n/a" => 0,
-        "certified" => 1,
-        "certified-sampled" => 2,
-        "rejected" => 3,
-        _ => 4,
-    }
-}
-
-fn cert_decode(code: u8) -> &'static str {
-    match code {
-        0 => "n/a",
-        1 => "certified",
-        2 => "certified-sampled",
-        3 => "rejected",
-        _ => "unknown",
-    }
-}
-
-type U64Get = fn(&IntervalTelemetry) -> u64;
-type F64Get = fn(&IntervalTelemetry) -> f64;
-type U8Get = fn(&IntervalTelemetry) -> u8;
-
-const U64_COLS: &[(&str, U64Get)] = &[
-    ("interval", |t| t.interval as u64),
-    ("events_applied", |t| t.events_applied as u64),
-    ("kc", |t| t.protection.0 as u64),
-    ("ke", |t| t.protection.1 as u64),
-    ("kv", |t| t.protection.2 as u64),
-    ("iterations", |t| t.iterations as u64),
-    ("dual_iterations", |t| t.dual_iterations as u64),
-    ("dual_bound_flips", |t| t.dual_bound_flips as u64),
-    ("config_version", |t| t.config_version),
-    ("last_good_version", |t| t.last_good_version),
-    ("rollout_steps_planned", |t| t.rollout_steps_planned as u64),
-    ("rollout_steps_completed", |t| {
-        t.rollout_steps_completed as u64
-    }),
-    ("stale_switches", |t| t.stale_switches as u64),
-    ("update_retries", |t| t.update_retries as u64),
-    ("overloaded_links", |t| t.overloaded_links as u64),
-];
-
-const F64_COLS: &[(&str, F64Get)] = &[
-    ("solve_ms", |t| t.solve_ms),
-    ("rollout_secs", |t| t.rollout_secs),
-    ("max_oversubscription", |t| t.max_oversubscription),
-    ("delivered", |t| t.delivered),
-    ("lost_congestion", |t| t.lost_congestion),
-    ("lost_blackhole", |t| t.lost_blackhole),
-];
-
-const U8_COLS: &[(&str, U8Get)] = &[
-    ("path", |t| path_code(t.path)),
-    ("certificate", |t| cert_code(t.certificate)),
-    ("degraded", |t| t.degraded as u8),
-    ("rolled_back", |t| t.rolled_back as u8),
-    ("congestion_free_plan", |t| t.congestion_free_plan as u8),
-    ("model_patched", |t| t.model_patched as u8),
-];
-
+/// Block encodings, as the footer index names them.
 const KIND_U64_DELTA: u8 = 0;
 const KIND_F64_RAW: u8 = 1;
 const KIND_U8: u8 = 2;
+
+/// The block encoding a column's words are stored in.
+fn block_kind(kind: Kind) -> u8 {
+    match kind {
+        Kind::U64 => KIND_U64_DELTA,
+        Kind::F64 => KIND_F64_RAW,
+        Kind::Code | Kind::Flag => KIND_U8,
+    }
+}
 
 // ---------------------------------------------------------------------
 // Segment writing
 // ---------------------------------------------------------------------
 
-/// Encodes `records` into a segment byte image.
+/// Encodes `records` into a segment byte image: header, one block per
+/// telemetry column, the utilization block, the footer index, the seal.
 fn encode_segment(records: &[StoreRecord], n_links: usize) -> Vec<u8> {
     let mut body = Vec::new();
     body.extend_from_slice(SEG_MAGIC);
@@ -172,314 +101,148 @@ fn encode_segment(records: &[StoreRecord], n_links: usize) -> Vec<u8> {
     put_u32(&mut body, n_links as u32);
     put_u32(&mut body, records.len() as u32);
 
-    let mut index: Vec<(String, u8, u64, u64)> = Vec::new();
-    let mut push_block = |body: &mut Vec<u8>, name: &str, kind: u8, block: Vec<u8>| {
-        let off = body.len() as u64;
-        body.extend_from_slice(&block);
-        index.push((name.to_string(), kind, off, block.len() as u64));
-    };
-
-    for (name, get) in U64_COLS {
-        let mut block = Vec::new();
-        let mut prev = 0i64;
-        for r in records {
-            let v = get(&r.telemetry) as i64;
-            put_varint(&mut block, zigzag(v.wrapping_sub(prev)));
-            prev = v;
+    let mut index: Vec<(&str, u8, usize, usize)> = Vec::new();
+    for column in columns() {
+        let (off, kind, mut prev) = (body.len(), block_kind(column.kind), 0i64);
+        for word in records.iter().map(|r| column.word(&r.telemetry)) {
+            match kind {
+                KIND_U64_DELTA => {
+                    put_varint(&mut body, zigzag((word as i64).wrapping_sub(prev)));
+                    prev = word as i64;
+                }
+                KIND_F64_RAW => put_u64(&mut body, word),
+                _ => body.push(word as u8),
+            }
         }
-        push_block(&mut body, name, KIND_U64_DELTA, block);
-    }
-    for (name, get) in F64_COLS {
-        let mut block = Vec::with_capacity(records.len() * 8);
-        for r in records {
-            block.extend_from_slice(&get(&r.telemetry).to_bits().to_le_bytes());
-        }
-        push_block(&mut body, name, KIND_F64_RAW, block);
-    }
-    for (name, get) in U8_COLS {
-        let block: Vec<u8> = records.iter().map(|r| get(&r.telemetry)).collect();
-        push_block(&mut body, name, KIND_U8, block);
+        index.push((column.name, kind, off, body.len() - off));
     }
     // Row-major utilization matrix: record-i's links are contiguous.
-    let mut util = Vec::with_capacity(records.len() * n_links * 8);
-    for r in records {
-        for u in &r.link_util {
-            util.extend_from_slice(&u.to_bits().to_le_bytes());
-        }
+    let off = body.len();
+    for u in records.iter().flat_map(|r| &r.link_util) {
+        put_u64(&mut body, u.to_bits());
     }
-    push_block(&mut body, "link_util", KIND_F64_RAW, util);
+    index.push((UTIL_COLUMN, KIND_F64_RAW, off, body.len() - off));
 
     let footer_off = body.len() as u64;
     put_u32(&mut body, index.len() as u32);
-    for (name, kind, off, len) in &index {
+    for (name, kind, off, len) in index {
         put_u32(&mut body, name.len() as u32);
         body.extend_from_slice(name.as_bytes());
-        body.push(*kind);
-        put_u64(&mut body, *off);
-        put_u64(&mut body, *len);
+        body.push(kind);
+        put_u64(&mut body, off as u64);
+        put_u64(&mut body, len as u64);
     }
     put_u64(&mut body, footer_off);
-    let checksum = fnv64(&body);
-    put_u64(&mut body, checksum);
-    body.extend_from_slice(SEG_END);
+    seal(&mut body, SEG_END);
     body
-}
-
-/// Writes a segment atomically (temp file + rename).
-fn write_segment(path: &Path, records: &[StoreRecord], n_links: usize) -> Result<(), String> {
-    write_atomic(path, &encode_segment(records, n_links))
 }
 
 // ---------------------------------------------------------------------
 // Segment reading
 // ---------------------------------------------------------------------
 
-enum Col {
-    U64(Vec<u64>),
-    F64(Vec<f64>),
-    U8(Vec<u8>),
-}
-
-/// A segment read failure. `Torn` failures (truncation, checksum,
-/// garbled structure) are crash artifacts and recoverable when they
-/// hit the tail segment; `Schema` failures mean the bytes are from a
-/// different format version and must never be silently skipped.
-enum SegError {
-    Torn(String),
-    Schema(String),
-}
-
-impl SegError {
-    fn msg(self) -> String {
-        match self {
-            SegError::Torn(m) | SegError::Schema(m) => m,
-        }
-    }
-}
-
-fn decode_segment(path: &Path) -> Result<Vec<StoreRecord>, SegError> {
-    decode_segment_inner(path).map_err(|e| {
-        if e.contains("not supported") {
-            SegError::Schema(e)
-        } else {
-            SegError::Torn(e)
-        }
-    })
-}
-
-fn decode_segment_inner(path: &Path) -> Result<Vec<StoreRecord>, String> {
+/// Reads a segment file back. [`SealError::Torn`] failures (truncation,
+/// checksum, garbled structure, a value its column cannot hold) are
+/// crash artifacts and recoverable when they hit the tail segment;
+/// [`SealError::Mismatch`] means the bytes are from a different format
+/// version and must never be silently skipped.
+fn decode_segment(path: &Path) -> Result<Vec<StoreRecord>, SealError> {
     let bytes = fs::read(path).map_err(|e| io_err(path, "read", e))?;
-    let file = path
-        .file_name()
-        .and_then(|n| n.to_str())
-        .unwrap_or("segment")
-        .to_string();
-    let min = SEG_MAGIC.len() + 16 + SEG_END.len() + 16;
-    if bytes.len() < min {
-        return Err(format!(
-            "{file}: truncated segment ({} bytes, header+footer need {min})",
-            bytes.len()
-        ));
-    }
-    if &bytes[..8] != SEG_MAGIC {
-        return Err(format!("{file}: bad magic at offset 0 (not a segment)"));
-    }
-    if &bytes[bytes.len() - 8..] != SEG_END {
-        return Err(format!(
-            "{file}: missing end marker at offset {} (torn write?)",
-            bytes.len() - 8
-        ));
-    }
-    let checked = &bytes[..bytes.len() - 16];
-    let stored = {
-        let mut a = [0u8; 8];
-        a.copy_from_slice(&bytes[bytes.len() - 16..bytes.len() - 8]);
-        u64::from_le_bytes(a)
-    };
-    let actual = fnv64(checked);
-    if stored != actual {
-        return Err(format!(
-            "{file}: checksum mismatch at offset {} (stored {stored:016x}, computed {actual:016x})",
-            bytes.len() - 16
-        ));
-    }
+    let file = path.file_name().and_then(|n| n.to_str());
+    let file = file.unwrap_or("segment");
+    let torn = |offset: usize, what: String| SealError::torn(file, offset, what);
+    let body = unseal(&bytes, file, SEG_MAGIC, SEG_END)?;
 
-    let mut cur = Cursor::at(&bytes, 8, &file);
-    let version = cur.u32("store schema version")?;
-    if version != STORE_SCHEMA_VERSION {
-        return Err(format!(
-            "{file}: offset 8: segment schema v{version} not supported \
-             (this reader reads v{STORE_SCHEMA_VERSION}); re-run the campaign with a matching build"
-        ));
-    }
-    let tel_version = cur.u32("telemetry schema version")?;
-    if tel_version != TELEMETRY_SCHEMA_VERSION {
-        return Err(format!(
-            "{file}: offset 12: telemetry schema v{tel_version} not supported \
-             (this reader reads v{TELEMETRY_SCHEMA_VERSION})"
-        ));
-    }
+    let mut cur = Cursor::at(body, SEG_MAGIC.len(), file);
+    cur.schema_version("segment", STORE_SCHEMA_VERSION)?;
+    cur.schema_version("telemetry", TELEMETRY_SCHEMA_VERSION)?;
     let n_links = cur.u32("link count")? as usize;
     let n_records = cur.u32("record count")? as usize;
     // The checksum only proves the writer sealed these bytes, not that
     // its counts are sane: bound them by the bytes present before any
     // allocation is sized from them. Every record costs at least one
     // byte per varint / u8 column and eight per f64 column and link.
-    let row_min = n_links
-        .saturating_mul(8)
-        .saturating_add(U64_COLS.len() + U8_COLS.len() + 8 * F64_COLS.len());
+    let columns = columns();
+    let row_min = columns
+        .iter()
+        .map(|c| if c.kind == Kind::F64 { 8 } else { 1 })
+        .fold(n_links.saturating_mul(8), usize::saturating_add);
     if n_records
         .checked_mul(row_min)
-        .is_none_or(|need| need > bytes.len())
+        .is_none_or(|need| need > body.len())
     {
-        return Err(format!(
-            "{file}: offset 16: link count {n_links} x record count {n_records} \
-             needs more than the {} bytes present",
+        let what = format!(
+            "link count {n_links} x record count {n_records} needs more than the {} bytes present",
             bytes.len()
-        ));
+        );
+        return Err(torn(16, what));
     }
 
-    // Footer.
-    let footer_off = {
-        let mut a = [0u8; 8];
-        a.copy_from_slice(&bytes[bytes.len() - 24..bytes.len() - 16]);
-        u64::from_le_bytes(a) as usize
-    };
-    if footer_off >= bytes.len() {
-        return Err(format!("{file}: footer offset {footer_off} out of range"));
-    }
-    let mut fcur = Cursor::at(&bytes, footer_off, &file);
-    let n_cols = fcur.u32("column count")? as usize;
-    let mut cols: BTreeMap<String, Col> = BTreeMap::new();
-    for _ in 0..n_cols {
+    // Footer: where each named block lies. A column is looked up in it
+    // once per segment.
+    let footer_off = Cursor::at(body, body.len().saturating_sub(8), file).u64("footer offset")?;
+    let footer_off = footer_off.min(body.len() as u64) as usize;
+    let mut fcur = Cursor::at(body, footer_off, file);
+    let mut index: Vec<(&[u8], u8, usize, usize)> = Vec::new();
+    for _ in 0..fcur.u32("column count")? {
         let name_len = fcur.u32("column name length")? as usize;
-        if name_len > 256 {
-            return Err(format!(
-                "{file}: offset {}: implausible column name length {name_len}",
-                fcur.pos()
-            ));
-        }
-        let name = String::from_utf8(fcur.take(name_len, "column name")?.to_vec())
-            .map_err(|_| format!("{file}: non-UTF-8 column name"))?;
+        let name = fcur.take(name_len, "column name")?;
         let kind = fcur.take(1, "column kind")?[0];
-        let off = fcur.u64("column offset")?;
-        let len = fcur.u64("column length")?;
-        let end = off
-            .checked_add(len)
-            .filter(|&end| end <= bytes.len() as u64)
-            .ok_or_else(|| {
-                format!(
-                    "{file}: column `{name}` offset {off} + length {len} \
-                     lies beyond the file ({} bytes)",
-                    bytes.len()
-                )
-            })?;
-        let (off, len, end) = (off as usize, len as usize, end as usize);
-        // Cannot overflow: `n_records * 8 * n_links` fits the file.
-        let count = if name == "link_util" {
-            n_records * n_links
-        } else {
-            n_records
+        let (at, off, len) = (fcur.pos(), fcur.u64("offset")?, fcur.u64("length")?);
+        let end = off.checked_add(len).filter(|&end| end <= body.len() as u64);
+        let Some(end) = end else {
+            let what = format!(
+                "column `{}` offset {off} + length {len} lies beyond the file ({} bytes)",
+                String::from_utf8_lossy(name),
+                bytes.len()
+            );
+            return Err(torn(at, what));
         };
-        let mut ccur = Cursor::at(&bytes[..end], off, &file);
-        let col = match kind {
-            KIND_U64_DELTA => {
-                if count > len {
-                    return Err(format!(
-                        "{file}: column `{name}` holds {len} bytes, too few for {count} varints"
-                    ));
-                }
-                let mut vals = Vec::with_capacity(count);
-                let mut prev = 0i64;
-                for _ in 0..count {
-                    let d = unzigzag(ccur.varint(&format!("column `{name}`"))?);
-                    prev = prev.wrapping_add(d);
-                    vals.push(prev as u64);
-                }
-                Col::U64(vals)
-            }
-            KIND_F64_RAW => {
-                if len != count * 8 {
-                    return Err(format!(
-                        "{file}: column `{name}` holds {len} bytes, expected {}",
-                        count * 8
-                    ));
-                }
-                let mut vals = Vec::with_capacity(count);
-                for _ in 0..count {
-                    vals.push(f64::from_bits(ccur.u64(&format!("column `{name}`"))?));
-                }
-                Col::F64(vals)
-            }
-            KIND_U8 => {
-                let b = ccur.take(count, &format!("column `{name}`"))?;
-                Col::U8(b.to_vec())
-            }
-            other => return Err(format!("{file}: column `{name}` has unknown kind {other}")),
-        };
-        cols.insert(name, col);
+        index.push((name, kind, off as usize, end as usize));
     }
+    let block_of = |name: &str, kind: u8| {
+        let entry = index
+            .iter()
+            .find(|(n, k, ..)| *n == name.as_bytes() && *k == kind);
+        entry
+            .map(|&(.., off, end)| Cursor::at(&body[..end], off, file))
+            .ok_or_else(|| torn(footer_off, format!("no column `{name}` of kind {kind}")))
+    };
 
-    // Reassemble records.
-    let g_u64 = |name: &str, i: usize| -> Result<u64, String> {
-        match cols.get(name) {
-            Some(Col::U64(v)) if i < v.len() => Ok(v[i]),
-            _ => Err(format!("{file}: missing or short column `{name}`")),
+    // Fill the records column by column, every word through its gate.
+    let mut out: Vec<StoreRecord> = (0..n_records)
+        .map(|_| StoreRecord {
+            telemetry: IntervalTelemetry::default(),
+            link_util: Vec::with_capacity(n_links),
+        })
+        .collect();
+    for column in columns {
+        let (kind, what) = (
+            block_kind(column.kind),
+            &format!("column `{}`", column.name),
+        );
+        let (mut cur, mut prev) = (block_of(column.name, kind)?, 0i64);
+        for r in &mut out {
+            let at = cur.pos();
+            let word = match kind {
+                KIND_U64_DELTA => {
+                    prev = prev.wrapping_add(unzigzag(cur.varint(what)?));
+                    prev as u64
+                }
+                KIND_F64_RAW => cur.u64(what)?,
+                _ => cur.take(1, what)?[0] as u64,
+            };
+            let put = column.put(&mut r.telemetry, word);
+            put.map_err(|e| torn(at, format!("{what}: {e}")))?;
         }
-    };
-    let g_f64 = |name: &str, i: usize| -> Result<f64, String> {
-        match cols.get(name) {
-            Some(Col::F64(v)) if i < v.len() => Ok(v[i]),
-            _ => Err(format!("{file}: missing or short column `{name}`")),
+    }
+    let (mut cur, what) = (block_of(UTIL_COLUMN, KIND_F64_RAW)?, "column `link_util`");
+    for r in &mut out {
+        for _ in 0..n_links {
+            let (at, u) = (cur.pos(), cur.f64(what)?);
+            let u = finite(u).map_err(|e| torn(at, format!("{what}: {e}")))?;
+            r.link_util.push(u);
         }
-    };
-    let g_u8 = |name: &str, i: usize| -> Result<u8, String> {
-        match cols.get(name) {
-            Some(Col::U8(v)) if i < v.len() => Ok(v[i]),
-            _ => Err(format!("{file}: missing or short column `{name}`")),
-        }
-    };
-    let mut out = Vec::with_capacity(n_records);
-    for i in 0..n_records {
-        let telemetry = IntervalTelemetry {
-            interval: g_u64("interval", i)? as usize,
-            events_applied: g_u64("events_applied", i)? as usize,
-            protection: (
-                g_u64("kc", i)? as usize,
-                g_u64("ke", i)? as usize,
-                g_u64("kv", i)? as usize,
-            ),
-            path: path_decode(g_u8("path", i)?).map_err(|e| format!("{file}: {e}"))?,
-            degraded: g_u8("degraded", i)? != 0,
-            rolled_back: g_u8("rolled_back", i)? != 0,
-            certificate: cert_decode(g_u8("certificate", i)?),
-            iterations: g_u64("iterations", i)? as usize,
-            dual_iterations: g_u64("dual_iterations", i)? as usize,
-            dual_bound_flips: g_u64("dual_bound_flips", i)? as usize,
-            solve_ms: g_f64("solve_ms", i)?,
-            model_patched: g_u8("model_patched", i)? != 0,
-            config_version: g_u64("config_version", i)?,
-            rollout_steps_planned: g_u64("rollout_steps_planned", i)? as usize,
-            rollout_steps_completed: g_u64("rollout_steps_completed", i)? as usize,
-            congestion_free_plan: g_u8("congestion_free_plan", i)? != 0,
-            stale_switches: g_u64("stale_switches", i)? as usize,
-            update_retries: g_u64("update_retries", i)? as usize,
-            last_good_version: g_u64("last_good_version", i)?,
-            rollout_secs: g_f64("rollout_secs", i)?,
-            overloaded_links: g_u64("overloaded_links", i)? as usize,
-            max_oversubscription: g_f64("max_oversubscription", i)?,
-            delivered: g_f64("delivered", i)?,
-            lost_congestion: g_f64("lost_congestion", i)?,
-            lost_blackhole: g_f64("lost_blackhole", i)?,
-        };
-        let mut link_util = Vec::with_capacity(n_links);
-        for l in 0..n_links {
-            link_util.push(g_f64("link_util", i * n_links + l)?);
-        }
-        out.push(StoreRecord {
-            telemetry,
-            link_util,
-        });
     }
     Ok(out)
 }
@@ -488,113 +251,34 @@ fn decode_segment_inner(path: &Path) -> Result<Vec<StoreRecord>, String> {
 // WAL (JSONL) encoding
 // ---------------------------------------------------------------------
 
-/// Renders one WAL line: the telemetry JSON with the utilization
-/// vector spliced in. Floats use shortest-roundtrip `Display`, so
-/// parsing the line back is bit-exact (except `solve_ms`, which the
-/// JSON renders rounded — it is not part of any fingerprint).
-fn wal_line(rec: &StoreRecord) -> String {
-    let j = rec.telemetry.to_json();
-    let mut util = String::new();
-    for (i, u) in rec.link_util.iter().enumerate() {
+/// Appends one WAL line to `out`: the telemetry JSON object with the
+/// utilization vector as one more member. Floats use
+/// shortest-roundtrip `Display`, so parsing the line back is bit-exact
+/// (except `solve_ms`, which the JSON renders rounded — it is not part
+/// of any fingerprint).
+fn wal_line(out: &mut String, telemetry: &IntervalTelemetry, link_util: &[f64]) {
+    telemetry.open_json(out);
+    out.push_str(", \"util\": [");
+    for (i, u) in link_util.iter().enumerate() {
         if i > 0 {
-            util.push_str(", ");
+            out.push_str(", ");
         }
-        let _ = write!(util, "{u}");
+        let _ = write!(out, "{u}");
     }
-    format!("{}, \"util\": [{}]}}", &j[..j.len() - 1], util)
-}
-
-/// Finds the raw text of `"key": <value>` in one of our own JSON
-/// lines. Values are numbers, booleans, quoted strings, or flat
-/// arrays — never nested objects.
-fn json_raw<'a>(line: &'a str, key: &str) -> Result<&'a str, String> {
-    let pat = format!("\"{key}\":");
-    let pos = line
-        .find(&pat)
-        .ok_or_else(|| format!("missing field `{key}`"))?;
-    let rest = line[pos + pat.len()..].trim_start();
-    if let Some(inner) = rest.strip_prefix('[') {
-        let close = inner
-            .find(']')
-            .ok_or_else(|| format!("unterminated array in `{key}`"))?;
-        return Ok(&inner[..close]);
-    }
-    if let Some(inner) = rest.strip_prefix('"') {
-        let close = inner
-            .find('"')
-            .ok_or_else(|| format!("unterminated string in `{key}`"))?;
-        return Ok(&inner[..close]);
-    }
-    let end = rest
-        .find([',', '}'])
-        .ok_or_else(|| format!("unterminated value in `{key}`"))?;
-    Ok(rest[..end].trim())
-}
-
-fn json_u64(line: &str, key: &str) -> Result<u64, String> {
-    json_raw(line, key)?
-        .parse()
-        .map_err(|e| format!("field `{key}`: {e}"))
-}
-
-fn json_f64(line: &str, key: &str) -> Result<f64, String> {
-    let v: f64 = json_raw(line, key)?
-        .parse()
-        .map_err(|e| format!("field `{key}`: {e}"))?;
-    if !v.is_finite() {
-        return Err(format!("field `{key}`: non-finite value"));
-    }
-    Ok(v)
-}
-
-fn json_bool(line: &str, key: &str) -> Result<bool, String> {
-    match json_raw(line, key)? {
-        "true" => Ok(true),
-        "false" => Ok(false),
-        other => Err(format!("field `{key}`: `{other}` is not a boolean")),
-    }
+    out.push_str("]}");
 }
 
 fn parse_wal_line(line: &str, n_links: usize) -> Result<StoreRecord, String> {
-    let schema = json_u64(line, "schema")?;
-    if schema != TELEMETRY_SCHEMA_VERSION as u64 {
-        return Err(format!(
-            "telemetry schema v{schema} not supported (this reader reads \
-             v{TELEMETRY_SCHEMA_VERSION})"
-        ));
-    }
-    let prot = json_raw(line, "protection")?;
-    let mut prot_it = prot.split(',').map(|s| s.trim().parse::<usize>());
-    let mut next_prot = || -> Result<usize, String> {
-        prot_it
-            .next()
-            .ok_or("field `protection`: wants 3 entries")?
-            .map_err(|e| format!("field `protection`: {e}"))
-    };
-    let protection = (next_prot()?, next_prot()?, next_prot()?);
-    let path_str = json_raw(line, "path")?;
-    let path = [
-        SolvePath::WarmDual,
-        SolvePath::WarmPrimal,
-        SolvePath::Cold,
-        SolvePath::Infeasible,
-        SolvePath::LimitExceeded,
-        SolvePath::RescaleOnly,
-    ]
-    .into_iter()
-    .find(|p| p.as_str() == path_str)
-    .ok_or_else(|| format!("field `path`: unknown solve path `{path_str}`"))?;
-    let certificate = cert_decode(cert_code(json_raw(line, "certificate")?));
-    let util_raw = json_raw(line, "util")?;
-    let mut link_util = Vec::new();
-    for part in util_raw.split(',') {
-        let part = part.trim();
-        if part.is_empty() {
-            continue;
-        }
-        let v: f64 = part.parse().map_err(|e| format!("field `util`: {e}"))?;
-        link_util.push(v);
-    }
+    let telemetry = IntervalTelemetry::from_json(line)?;
+    let link_util = json_member(line, "util")?
+        .split(',')
+        .map(str::trim)
+        .filter(|part| !part.is_empty())
+        .map(|part| {
+            let v = part.parse().map_err(|e| format!("field `util`: {e}"))?;
+            finite(v).map_err(|e| format!("field `util`: {e}"))
+        })
+        .collect::<Result<Vec<f64>, String>>()?;
     if link_util.len() != n_links {
         return Err(format!(
             "field `util`: {} entries, topology has {n_links} links",
@@ -602,33 +286,7 @@ fn parse_wal_line(line: &str, n_links: usize) -> Result<StoreRecord, String> {
         ));
     }
     Ok(StoreRecord {
-        telemetry: IntervalTelemetry {
-            interval: json_u64(line, "interval")? as usize,
-            events_applied: json_u64(line, "events_applied")? as usize,
-            protection,
-            path,
-            degraded: json_bool(line, "degraded")?,
-            rolled_back: json_bool(line, "rolled_back")?,
-            certificate,
-            iterations: json_u64(line, "iterations")? as usize,
-            dual_iterations: json_u64(line, "dual_iterations")? as usize,
-            dual_bound_flips: json_u64(line, "dual_bound_flips")? as usize,
-            solve_ms: json_f64(line, "solve_ms")?,
-            model_patched: json_bool(line, "model_patched")?,
-            config_version: json_u64(line, "config_version")?,
-            rollout_steps_planned: json_u64(line, "rollout_steps_planned")? as usize,
-            rollout_steps_completed: json_u64(line, "rollout_steps_completed")? as usize,
-            congestion_free_plan: json_bool(line, "congestion_free_plan")?,
-            stale_switches: json_u64(line, "stale_switches")? as usize,
-            update_retries: json_u64(line, "update_retries")? as usize,
-            last_good_version: json_u64(line, "last_good_version")?,
-            rollout_secs: json_f64(line, "rollout_secs")?,
-            overloaded_links: json_u64(line, "overloaded_links")? as usize,
-            max_oversubscription: json_f64(line, "max_oversubscription")?,
-            delivered: json_f64(line, "delivered")?,
-            lost_congestion: json_f64(line, "lost_congestion")?,
-            lost_blackhole: json_f64(line, "lost_blackhole")?,
-        },
+        telemetry,
         link_util,
     })
 }
@@ -653,6 +311,8 @@ pub struct StoreWriter {
     /// Records per sealed segment.
     pub segment_intervals: usize,
     pending: Vec<StoreRecord>,
+    /// The WAL line being rendered (one buffer, reused).
+    line: String,
     next_segment: usize,
     wal: Option<fs::File>,
     error: Option<String>,
@@ -663,19 +323,8 @@ fn segment_name(index: usize) -> String {
 }
 
 /// Lists a directory's segment files in index order.
-fn list_segments(dir: &Path) -> Result<Vec<PathBuf>, String> {
-    let mut segs = Vec::new();
-    let entries = fs::read_dir(dir).map_err(|e| io_err(dir, "read dir", e))?;
-    for entry in entries {
-        let entry = entry.map_err(|e| io_err(dir, "read dir entry", e))?;
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if name.starts_with("seg-") && name.ends_with(".ffts") {
-            segs.push(entry.path());
-        }
-    }
-    segs.sort();
-    Ok(segs)
+fn list_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>, String> {
+    list_numbered(dir, "seg-", ".ffts")
 }
 
 impl StoreWriter {
@@ -690,15 +339,12 @@ impl StoreWriter {
                 dir.display()
             ));
         }
-        let links_tmp = dir.join("links.txt.tmp");
         let mut text = String::new();
         for name in &link_names {
             text.push_str(name);
             text.push('\n');
         }
-        fs::write(&links_tmp, text).map_err(|e| io_err(&links_tmp, "write", e))?;
-        fs::rename(&links_tmp, dir.join(LINKS_FILE))
-            .map_err(|e| io_err(&dir.join(LINKS_FILE), "rename", e))?;
+        write_atomic(&dir.join(LINKS_FILE), text.as_bytes())?;
         let wal = fs::File::create(dir.join(WAL_FILE))
             .map_err(|e| io_err(&dir.join(WAL_FILE), "create", e))?;
         Ok(StoreWriter {
@@ -706,6 +352,7 @@ impl StoreWriter {
             link_names,
             segment_intervals: DEFAULT_SEGMENT_INTERVALS,
             pending: Vec::new(),
+            line: String::new(),
             next_segment: 0,
             wal: Some(wal),
             error: None,
@@ -726,18 +373,18 @@ impl StoreWriter {
                 self.link_names.len()
             ));
         }
-        let rec = StoreRecord {
+        if let Some(wal) = self.wal.as_mut() {
+            self.line.clear();
+            wal_line(&mut self.line, telemetry, link_util);
+            self.line.push('\n');
+            wal.write_all(self.line.as_bytes())
+                .and_then(|_| wal.flush())
+                .map_err(|e| io_err(&self.dir.join(WAL_FILE), "append", e))?;
+        }
+        self.pending.push(StoreRecord {
             telemetry: telemetry.clone(),
             link_util: link_util.to_vec(),
-        };
-        let wal_path = self.dir.join(WAL_FILE);
-        if let Some(wal) = self.wal.as_mut() {
-            let line = wal_line(&rec) + "\n";
-            wal.write_all(line.as_bytes())
-                .and_then(|_| wal.flush())
-                .map_err(|e| io_err(&wal_path, "append", e))?;
-        }
-        self.pending.push(rec);
+        });
         if self.pending.len() >= self.segment_intervals {
             self.seal()?;
         }
@@ -751,7 +398,7 @@ impl StoreWriter {
             return Ok(());
         }
         let path = self.dir.join(segment_name(self.next_segment));
-        write_segment(&path, &self.pending, self.link_names.len())?;
+        write_atomic(&path, &encode_segment(&self.pending, self.link_names.len()))?;
         self.next_segment += 1;
         self.pending.clear();
         // Recreate rather than truncate-in-place: if this crashes, the
@@ -824,18 +471,18 @@ impl TelemetryStore {
         let mut records: Vec<StoreRecord> = Vec::new();
         let segs = list_segments(dir)?;
         let mut segments = 0usize;
-        for (i, seg) in segs.iter().enumerate() {
+        for (i, (_, seg)) in segs.iter().enumerate() {
             match decode_segment(seg) {
                 Ok(mut recs) => {
                     segments += 1;
                     records.append(&mut recs);
                 }
-                Err(SegError::Torn(e)) if i + 1 == segs.len() => {
+                Err(SealError::Torn(e)) if i + 1 == segs.len() => {
                     // A torn tail segment is a crash artifact: recover
                     // past it (its rows may still be in the WAL).
                     recovery_notes.push(format!("skipped torn tail segment: {e}"));
                 }
-                Err(e) => return Err(e.msg()),
+                Err(e) => return Err(e.into_message()),
             }
         }
 
@@ -949,6 +596,8 @@ pub fn store_fingerprint(records: &[StoreRecord]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ffc_ctrl::durable::fnv64;
+    use ffc_ctrl::SolvePath;
 
     fn sample(interval: usize, n_links: usize) -> StoreRecord {
         StoreRecord {
@@ -1018,6 +667,22 @@ mod tests {
         assert!(store.recovery_notes.is_empty());
         assert_eq!(store.fingerprint(), store_fingerprint(&recs));
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Recorded at commit aaade72 (column tables, hand-spliced WAL line)
+    /// by running this test with empty expectations; the codec driven
+    /// by `ffc_ctrl::telemetry::FIELDS` must reproduce both.
+    #[test]
+    fn golden_wal_line_and_segment_image() {
+        let (mut line, rec) = (String::new(), sample(4, 3));
+        wal_line(&mut line, &rec.telemetry, &rec.link_util);
+        assert_eq!(
+            line,
+            r#"{"interval": 4, "events_applied": 1, "protection": [1, 1, 0], "path": "warm_dual", "degraded": false, "rolled_back": false, "certificate": "certified", "iterations": 14, "dual_iterations": 4, "dual_bound_flips": 0, "config_version": 5, "last_good_version": 4, "rollout_steps_planned": 2, "rollout_steps_completed": 2, "congestion_free_plan": true, "stale_switches": 0, "update_retries": 0, "rollout_secs": 0.25, "overloaded_links": 0, "max_oversubscription": 0, "delivered": 100.4, "lost_congestion": 0, "lost_blackhole": 0, "schema": 1, "solve_ms": 5.500, "model_patched": true, "util": [0.28, 0.41, 0.54]}"#
+        );
+        let recs: Vec<StoreRecord> = (0..3).map(|i| sample(i, 3)).collect();
+        let image = encode_segment(&recs, 3);
+        assert_eq!((image.len(), fnv64(&image)), (1261, 18273443822857061186));
     }
 
     #[test]
@@ -1167,6 +832,84 @@ mod tests {
         let note = &store.recovery_notes[0];
         assert!(note.contains("seg-000001"), "{note}");
         assert!(note.contains("column `interval` offset"), "{note}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Byte range of block `name` in a segment image, from its footer.
+    fn block_span(bytes: &[u8], name: &str) -> std::ops::Range<usize> {
+        let footer = Cursor::at(bytes, bytes.len() - 24, "t")
+            .u64("footer offset")
+            .expect("footer offset") as usize;
+        let mut cur = Cursor::at(bytes, footer, "t");
+        for _ in 0..cur.u32("columns").expect("columns") {
+            let name_len = cur.u32("name length").expect("name length") as usize;
+            let found = cur.take(name_len + 1, "name, kind").expect("name")[..name_len].to_vec();
+            let off = cur.u64("offset").expect("offset") as usize;
+            let len = cur.u64("length").expect("length") as usize;
+            if found == name.as_bytes() {
+                return off..off + len;
+            }
+        }
+        panic!("no block `{name}`");
+    }
+
+    /// A sealed float that is not finite used to reach `percentile`'s
+    /// `expect("finite samples")` in `build_report`: it is a torn
+    /// segment — a note at the tail, a located hard error in the middle.
+    #[test]
+    fn non_finite_floats_in_a_segment_are_torn() {
+        for column in [UTIL_COLUMN, "delivered"] {
+            let dir = tmpdir(&format!("nan-{column}"));
+            write_store(&dir, 8, 2, 4);
+            let poison = |index: usize| {
+                let seg = dir.join(segment_name(index));
+                let mut bytes = fs::read(&seg).expect("read");
+                let at = block_span(&bytes, column).start + 8; // second value
+                bytes[at..at + 8].copy_from_slice(&f64::NAN.to_le_bytes());
+                rechecksum(&mut bytes);
+                fs::write(&seg, &bytes).expect("rewrite");
+                format!(
+                    "{}: offset {at}: column `{column}`: non-finite",
+                    segment_name(index)
+                )
+            };
+            let located = poison(1);
+            let store = TelemetryStore::open(&dir).expect("tail segment is recoverable");
+            assert_eq!(store.len(), 4);
+            assert_eq!(store.recovery_notes.len(), 1);
+            let note = &store.recovery_notes[0];
+            assert!(note.contains(&located), "{note}");
+
+            let located = poison(0);
+            let err = TelemetryStore::open(&dir).unwrap_err();
+            assert!(err.contains(&located), "{err}");
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn non_finite_utilization_in_the_wal_stops_recovery_at_its_line() {
+        let dir = tmpdir("wal-nan");
+        let names: Vec<String> = (0..2).map(|l| format!("l{l}")).collect();
+        let mut w = StoreWriter::create(&dir, names).expect("create");
+        w.segment_intervals = 100;
+        for i in 0..3 {
+            let r = sample(i, 2);
+            w.record_interval(&r.telemetry, &r.link_util).expect("rec");
+        }
+        drop(w);
+        let wal = dir.join(WAL_FILE);
+        let text = fs::read_to_string(&wal).expect("read");
+        // Interval 1 carries `"util": [0.07, 0.2]`.
+        let poisoned = text.replace("[0.07, ", "[NaN, ");
+        assert_ne!(poisoned, text);
+        fs::write(&wal, poisoned).expect("rewrite");
+        let store = TelemetryStore::open(&dir).expect("open");
+        assert_eq!(store.len(), 1);
+        assert_eq!(
+            store.recovery_notes,
+            ["wal.jsonl line 2: field `util`: non-finite value; stopped there"]
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 

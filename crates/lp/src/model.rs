@@ -94,15 +94,12 @@ pub struct ConView<'a> {
 pub enum LimitKind {
     /// [`crate::SimplexOptions::max_iters`] was reached.
     Iterations,
-    /// [`crate::SimplexOptions::max_millis`] was reached.
-    WallClock,
 }
 
 impl fmt::Display for LimitKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             LimitKind::Iterations => write!(f, "iteration"),
-            LimitKind::WallClock => write!(f, "wall-clock"),
         }
     }
 }

@@ -58,10 +58,6 @@ pub struct SimplexOptions {
     /// "choose automatically from the problem size". Overruns surface
     /// as the recoverable [`LpError::LimitExceeded`].
     pub max_iters: usize,
-    /// Wall-clock budget for the solve in milliseconds (`0` disables).
-    /// Checked every 64 iterations; overruns surface as the recoverable
-    /// [`LpError::LimitExceeded`] carrying partial [`SolveStats`].
-    pub max_millis: u64,
     /// Fault-injection hook: report a singular basis refactorization
     /// once the solve reaches iteration N (`0` disables). Exists so the
     /// chaos harness can exercise the `NumericalFailure` recovery paths
@@ -111,7 +107,6 @@ impl Default for SimplexOptions {
     fn default() -> Self {
         Self {
             max_iters: 0,
-            max_millis: 0,
             inject_singular_after: 0,
             inject_panic_after: 0,
             feas_tol: 1e-7,
@@ -175,8 +170,6 @@ struct Engine<'a> {
     stats: SolveStats,
     /// Solve start, used to stamp `solve_time` on budget overruns.
     start: std::time::Instant,
-    /// Wall-clock cutoff derived from [`SimplexOptions::max_millis`].
-    deadline: Option<std::time::Instant>,
     // Scratch buffers.
     w: Vec<f64>,
     y: Vec<f64>,
@@ -236,13 +229,10 @@ impl<'a> Engine<'a> {
         let m = std.m;
         let pricing = opts.pricing;
         let start = std::time::Instant::now();
-        let deadline = (opts.max_millis > 0)
-            .then(|| start + std::time::Duration::from_millis(opts.max_millis));
         let mut eng = Engine {
             std,
             opts,
             start,
-            deadline,
             arts: Vec::new(),
             lb: std.lb.clone(),
             ub: std.ub.clone(),
@@ -297,8 +287,6 @@ impl<'a> Engine<'a> {
     }
 
     /// Per-iteration budget check shared by the primal and dual loops.
-    /// The wall clock is only consulted every 64 iterations to keep the
-    /// hot loop free of syscalls.
     #[inline]
     fn check_budgets(&self) -> Result<(), LpError> {
         if self.opts.inject_singular_after != 0
@@ -316,13 +304,6 @@ impl<'a> Engine<'a> {
         }
         if self.iterations > self.opts.max_iters {
             return Err(self.limit_error(LimitKind::Iterations));
-        }
-        if self.iterations & 63 == 0 {
-            if let Some(d) = self.deadline {
-                if std::time::Instant::now() >= d {
-                    return Err(self.limit_error(LimitKind::WallClock));
-                }
-            }
         }
         Ok(())
     }
@@ -2613,17 +2594,5 @@ mod tests {
             }
             other => panic!("expected injected NumericalFailure, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn wall_clock_budget_allows_normal_solves() {
-        // A generous wall-clock budget must not perturb results.
-        let m = multi_iteration_model();
-        let opts = SimplexOptions {
-            max_millis: 60_000,
-            ..SimplexOptions::default()
-        };
-        let s = m.solve_with(&opts, None).unwrap();
-        almost(s.objective, 36.0);
     }
 }
