@@ -4,8 +4,8 @@
 //! *lossless*: every input byte lands in exactly one token, so
 //! concatenating [`Token`] texts reconstructs the source byte for byte
 //! (property-tested against the whole workspace). That guarantee is
-//! what lets the autofix engine splice edits at token boundaries
-//! without ever corrupting surrounding code.
+//! what the rules rest on: no byte is skipped, and comment or string
+//! contents are never read as code.
 //!
 //! The grammar is the subset of Rust lexing the analyzer needs to be
 //! *safe*: comments (line, nested block), string-ish literals (plain,

@@ -4,8 +4,8 @@
 //! sources:
 //!
 //! 1. [`lexer`] — lossless tokenizer (every byte lands in exactly one
-//!    token, so autofixes can splice tokens and reproduce the rest of
-//!    the file byte-for-byte);
+//!    token, so nothing is skipped and comment or string contents are
+//!    never read as code);
 //! 2. [`parser`] — item extractor: `fn` items with module path,
 //!    impl type, return type and body range, the token ranges of
 //!    test-gated items, and the `audit:allow` suppressions — the front
@@ -16,9 +16,7 @@
 //!    sequences, resolved by a deterministic name heuristic;
 //! 5. [`taint`] — the interprocedural passes: determinism taint
 //!    (nondeterminism sources reaching replay-critical sinks, with the
-//!    full call chain) and panic reachability from hot-loop roots;
-//! 6. [`fixes`] — token-splice autofixes for a safe subset, suppression
-//!    scaffolding for the rest.
+//!    full call chain) and panic reachability from hot-loop roots.
 //!
 //! Everything is deterministic: files are discovered in sorted order,
 //! findings sort by their structural key, and the JSON writer emits a
@@ -31,7 +29,6 @@
 //! entries must be deleted, shrinking the file monotonically).
 
 pub mod callgraph;
-pub mod fixes;
 pub mod lexer;
 pub mod parser;
 pub mod symbols;

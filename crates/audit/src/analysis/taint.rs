@@ -24,7 +24,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use super::callgraph::CallGraph;
 use super::lexer::{Code, TokKind};
-use super::parser::{ALLOW_MARKER, KEYWORDS};
+use super::parser::KEYWORDS;
 use super::symbols::SourceFile;
 
 /// Matches functions by name shape; used for sink and root specs.
@@ -194,14 +194,6 @@ pub(crate) const ENV_READS: &[&str] = &["var", "var_os", "vars", "vars_os"];
 
 const TAINT_RULE: &str = "taint-determinism";
 const PANIC_RULE: &str = "panic-reachable";
-
-/// The reviewed-suppression marker (see [`super::parser`] for the
-/// grammar): a comment `audit:allow(rule/kind): reason` on or directly
-/// above a line mutes that line's sites of that kind. `ffc audit fix`
-/// scaffolds these markers for findings it cannot rewrite.
-pub fn allow_marker() -> &'static str {
-    ALLOW_MARKER
-}
 
 /// Scans one fn body for sources and panic sites. `hash_fields` is the
 /// workspace-wide set of struct fields declared with hash-based types.

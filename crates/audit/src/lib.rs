@@ -34,9 +34,8 @@
 //! are matches over its token stream; the interprocedural layer adds a
 //! workspace call graph and two passes — determinism taint
 //! (nondeterminism sources reaching replay-critical sinks, with full
-//! call chains) and panic reachability from hot-loop roots — plus
-//! token-splice autofixes and a committed findings baseline that CI
-//! ratchets downward.
+//! call chains) and panic reachability from hot-loop roots — plus a
+//! committed findings baseline that CI ratchets downward.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,6 +1,6 @@
 //! Chaos coverage for the independent-jobs batch driver
 //! [`ffc_core::solve_ffc_batch`] under deterministically injected
-//! solver sabotage. Unlike the scenario/ksweep sweeps (which share
+//! solver sabotage. Unlike the scenario sweep (which shares
 //! warm-start state inside worker chunks), every batch job is a cold
 //! solve on its own worker — so the invariants are sharper:
 //!

@@ -1,32 +1,25 @@
-//! Chaos coverage for the batched scenario sweep drivers:
-//! [`ffc_core::solve_ffc_scenarios`] and [`ffc_core::solve_ffc_ksweep`]
-//! under deterministically injected solver sabotage — recoverable
-//! singular refactorizations *and* outright panics
-//! (`inject_panic_after`) fired inside worker chunks. The invariants:
+//! Chaos coverage for the batched scenario sweep driver
+//! [`ffc_core::solve_ffc_scenarios`] under deterministically injected
+//! solver sabotage — recoverable singular refactorizations *and*
+//! outright panics (`inject_panic_after`) fired inside worker chunks.
+//! The invariants:
 //!
 //! * **Per-scenario isolation**: one sabotaged solve yields its own
 //!   `Err` (a `WorkerPanic` when the fault was a panic) while the rest
 //!   of the chunk — and its warm-start chain — keeps going; nothing
 //!   escapes the driver.
 //! * **Certified outcomes only**: every `Ok` that survives a sabotaged
-//!   campaign must still pass the independent `ffc-audit` certifier,
-//!   whichever path (patched, warm, rebuild-and-cold fallback)
-//!   produced it.
-//!
-//! Injection points for the ksweep panic campaigns are derived from the
-//! chaos injector's seeded splitmix stream, so the campaign set is
-//! reproducible yet not hand-picked.
+//!   campaign must still pass the independent `ffc-audit` certifier.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use ffc_chaos::injector::{campaign_seed, splitmix64};
-use ffc_core::{solve_ffc_ksweep, solve_ffc_scenarios, FfcConfig, TeConfig, TeProblem};
+use ffc_core::{solve_ffc_scenarios, FfcConfig, TeConfig, TeProblem};
 use ffc_lp::{LpError, SimplexOptions};
 use ffc_net::prelude::*;
 use ffc_net::FaultScenario;
 
-/// Same 5-node ring-with-chords shape as the incremental ksweep chaos
-/// test: multi-tunnel flows so scenario re-solves do real pivoting.
+/// Same 5-node ring-with-chords shape as the batch chaos test:
+/// multi-tunnel flows so scenario re-solves do real pivoting.
 fn ring() -> (Topology, TrafficMatrix, TunnelTable, TeConfig) {
     let mut t = Topology::new();
     let ns = t.add_nodes(5, "r");
@@ -254,65 +247,4 @@ fn injected_panics_are_contained_by_worker_isolation() {
             "base-solve panic must propagate to the caller"
         );
     }
-}
-
-#[test]
-fn ksweep_contains_seeded_panic_campaigns_and_certifies_survivors() {
-    let (t, tm, tunnels, old) = ring();
-    let problem = TeProblem::new(&t, &tm, &tunnels);
-    let cfgs = vec![
-        FfcConfig::new(0, 0, 0).exact(),
-        FfcConfig::new(0, 1, 0).exact(),
-        FfcConfig::new(0, 1, 1).exact(),
-        FfcConfig::new(0, 2, 0).exact(),
-    ];
-
-    // Clean sweep first: everything solves and certifies.
-    let clean = solve_ffc_ksweep(problem, &old, &cfgs, &SimplexOptions::default());
-    assert_eq!(clean.len(), cfgs.len());
-    for (cfg, outcome) in cfgs.iter().zip(&clean) {
-        let o = outcome
-            .as_ref()
-            .expect("clean sweep must solve every level");
-        let cert = ffc_core::certify_config(&t, &tm, &tunnels, &o.config, None, cfg);
-        assert!(cert.ok(), "clean sweep uncertified: {}", cert.status_str());
-    }
-
-    // Seeded panic campaigns: injection points from the chaos
-    // injector's splitmix stream. Every level either certifies or
-    // reports a contained WorkerPanic; the sweep itself never unwinds.
-    let mut fired = 0usize;
-    for i in 0..6 {
-        let point = 1 + (splitmix64(campaign_seed(0xFFC0_5EED, i)) % 64) as usize;
-        let sab = SimplexOptions {
-            inject_panic_after: point,
-            ..SimplexOptions::default()
-        };
-        let outcomes = catch_unwind(AssertUnwindSafe(|| {
-            solve_ffc_ksweep(problem, &old, &cfgs, &sab)
-        }))
-        .expect("a worker panic escaped solve_ffc_ksweep");
-        assert_eq!(outcomes.len(), cfgs.len());
-        for (cfg, outcome) in cfgs.iter().zip(outcomes) {
-            match outcome {
-                Ok(o) => {
-                    let cert = ffc_core::certify_config(&t, &tm, &tunnels, &o.config, None, cfg);
-                    assert!(
-                        cert.ok(),
-                        "inject_panic_after={point}, cfg=({},{},{}): uncertified: {}",
-                        cfg.kc,
-                        cfg.ke,
-                        cfg.kv,
-                        cert.status_str()
-                    );
-                }
-                Err(LpError::WorkerPanic(msg)) => {
-                    assert!(msg.contains("injected solver panic"), "payload lost: {msg}");
-                    fired += 1;
-                }
-                Err(other) => panic!("expected WorkerPanic, got {other:?}"),
-            }
-        }
-    }
-    assert!(fired > 0, "no seeded campaign ever hit a solve");
 }

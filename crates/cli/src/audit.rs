@@ -1,4 +1,4 @@
-//! `ffc audit lint | analyze | fix | model`: the static verification
+//! `ffc audit lint | analyze | model`: the static verification
 //! layer from the command line.
 //!
 //! * `lint` checks the source tree rooted at `DIR` (default: the current
@@ -14,9 +14,6 @@
 //!   machine output). With `--baseline FILE` it ratchets: findings not
 //!   in the baseline fail, and so do stale baseline entries.
 //!   `--write-baseline FILE` regenerates the baseline.
-//! * `fix` applies the analyzer autofixes (hash→BTree rewrites in
-//!   deterministic modules, `unwrap`→`?` in `Result` fns, suppression
-//!   scaffolding elsewhere); `--check` plans without writing.
 //! * `model` builds the FFC model for a workload (built-in S-Net with
 //!   gravity traffic unless `--topo/--traffic` are given) and runs the
 //!   static model auditor over it: LP hygiene plus the FFC structural
@@ -25,7 +22,7 @@
 use std::path::Path;
 use std::process::ExitCode;
 
-use ffc_audit::analysis::{self, fixes};
+use ffc_audit::analysis;
 use ffc_core::{build_ffc_model, FfcConfig, TeConfig, TeProblem};
 
 use crate::args::Args;
@@ -92,41 +89,6 @@ pub(crate) fn analyze(mut a: Args) -> Done {
             );
         }
         eprintln!("ratchet ok: {} finding(s) match {path}", baseline.len());
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
-/// `ffc audit fix [DIR] [--check] [--rewrite-all]`.
-pub(crate) fn fix(mut a: Args) -> Done {
-    let check = a.flag("--check");
-    let opts = fixes::FixOptions {
-        rewrite_hash_all: a.flag("--rewrite-all"),
-        deterministic_modules: ffc_audit::lint::DETERMINISTIC_MODULES
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
-    };
-    let root = root_and_finish(a)?;
-    let config = ffc_audit::AnalysisConfig::workspace_default();
-    let plan = fixes::plan(Path::new(&root), &config, &opts)
-        .map_err(ctx(format_args!("cannot plan fixes for {root}")))?;
-    for note in &plan.notes {
-        println!("note: {note}");
-    }
-    for fix in &plan.fixes {
-        for action in &fix.actions {
-            println!("{}{action}", if check { "would fix: " } else { "fix: " });
-        }
-    }
-    println!(
-        "{} edit(s) across {} file(s){}",
-        plan.edit_count(),
-        plan.fixes.len(),
-        if check { " (dry run)" } else { "" }
-    );
-    if !check {
-        let n = fixes::apply(Path::new(&root), &plan).map_err(ctx("cannot apply fixes"))?;
-        println!("rewrote {n} file(s)");
     }
     Ok(ExitCode::SUCCESS)
 }

@@ -38,9 +38,8 @@
 //!   as text or (`--html`) a standalone HTML page.
 //! * `audit lint` runs the workspace source linter (exit 1 on any
 //!   violation); `audit analyze` the interprocedural analyzer and its
-//!   ratchet, `audit fix` its autofixes; `audit model` statically
-//!   audits the built FFC model for a workload (built-in S-Net by
-//!   default) before any solve.
+//!   ratchet; `audit model` statically audits the built FFC model for
+//!   a workload (built-in S-Net by default) before any solve.
 //!
 //! Every subcommand reads its own flags through [`args::Args`] before
 //! it touches a file; failures travel as [`Fail`] and become an exit
@@ -93,7 +92,6 @@ usage: ffc info  --topo FILE [--traffic FILE]
        ffc audit lint [DIR]
        ffc audit analyze [DIR] [--json] [--baseline FILE]
            [--write-baseline FILE]
-       ffc audit fix [DIR] [--check] [--rewrite-all]
        ffc audit model [--topo FILE --traffic FILE] [--kc N --ke N --kv N]
            [--tunnels N]";
 
@@ -175,7 +173,6 @@ fn dispatch(mut a: Args) -> Done {
         ("report", _) => report,
         ("audit", "lint") => audit::lint,
         ("audit", "analyze") => audit::analyze,
-        ("audit", "fix") => audit::fix,
         ("audit", "model") => audit::model,
         ("", _) => return a.usage("needs a command"),
         (_, "") if family => return a.usage(format_args!("{cmd} needs a subcommand")),

@@ -32,10 +32,8 @@ enum Out {
     Repo(&'static str),
     /// Nothing at all (what there is to say went to stderr or a file).
     Empty,
-    /// Not compared (output that depends on the source tree).
-    Any,
 }
-use Out::{Any, Empty, Golden, Repo};
+use Out::{Empty, Golden, Repo};
 
 /// `(command line, exit code, stdout)`; `{small}`, `{diamond}`,
 /// `{theta}` and `{run}` expand to the constants above.
@@ -88,7 +86,8 @@ const FLEET: Table = &[
 const AUDIT: Table = &[
     ("audit model {theta} --kc 1 --ke 1", 0, Golden("audit-model-theta")),
     ("audit lint crates/audit/tests/fixtures/lint_holes", 1, Repo("crates/audit/tests/fixtures/lint_holes/expected.txt")),
-    ("audit fix --check", 0, Any),
+    // The autofixer is gone: an unknown subcommand like any other.
+    ("audit fix --check", 2, Empty),
 ];
 
 fn repo_root() -> PathBuf {
@@ -159,7 +158,6 @@ fn run_table(family: &str, rows: Table) {
                 assert_eq!(stdout, "", "ffc {line} wrote to stdout");
                 continue;
             }
-            Any => continue,
         };
         let want = std::fs::read_to_string(&golden).expect("read golden");
         assert_eq!(stdout, want, "ffc {line} drifted from {}", golden.display());
@@ -284,9 +282,8 @@ const REFUSALS: &[(&str, i32, &[&str])] = &[
     ("fleet run --spec s --out o --kc 1", 2, &["--kc", "fleet run"]),
     ("report --store X --kc 1", 2, &["--kc", "report"]),
     ("audit lint --json", 2, &["--json", "audit lint"]),
-    ("audit model --rewrite-all", 2, &["--rewrite-all", "audit model"]),
+    ("audit model --baseline b", 2, &["--baseline", "audit model"]),
     ("audit analyze --check", 2, &["--check", "audit analyze"]),
-    ("audit fix --baseline b", 2, &["--baseline", "audit fix"]),
     ("info --topo a --topo b", 2, &["--topo", "info"]),
     ("info a --topo b", 2, &["'a'", "info"]),
     // Validation comes before the first file is touched: the bogus flag
@@ -317,11 +314,18 @@ const REFUSALS: &[(&str, i32, &[&str])] = &[
     ("ctrl replay /nonexistent/x.trace", 1, &["cannot read /nonexistent/x.trace"]),
     ("ctrl resume --ckpt-dir /nonexistent", 1, &["cannot read /nonexistent/run.trace"]),
     ("report --store /nonexistent/store", 1, &[]),
+    // A header value the controller cannot run on is refused where it
+    // is read (it used to replay to `NaN` volumes and exit 0).
+    ("ctrl replay {tmp}/nan.trace", 1, &["nan.trace: line 3: header `interval-secs`"]),
 ];
 
 #[test]
 fn refusals_name_what_was_wrong() {
     let tmp = scratch("refusals");
+    let trace = std::fs::read_to_string(repo_root().join("examples/data/small.trace"))
+        .expect("small.trace")
+        .replace("interval-secs 300", "interval-secs NaN");
+    std::fs::write(tmp.join("nan.trace"), trace).expect("nan.trace");
     for (line, code, needles) in REFUSALS {
         let out = ffc(&tmp, line);
         let stderr = String::from_utf8_lossy(&out.stderr);

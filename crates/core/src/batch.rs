@@ -10,9 +10,8 @@
 //! * [`par_map`] — an order-preserving parallel map over a slice, used
 //!   by everything below.
 //! * [`solve_te_batch`] — solve a batch of plain TE problems.
-//! * [`solve_ffc_batch`] / [`solve_ffc_ksweep`] — solve FFC instances
-//!   that differ in their protection configuration (the `k = 0..K`
-//!   sweeps of Figures 9–12).
+//! * [`solve_ffc_batch`] — solve FFC instances that differ in their
+//!   protection configuration (the `k = 0..K` sweeps of Figures 9–12).
 //! * [`solve_ffc_scenarios`] — verify one FFC configuration against a
 //!   list of fault scenarios, chaining **warm starts** within each
 //!   worker: consecutive scenarios differ only in which `a_{f,t}`
@@ -24,7 +23,6 @@
 //! can aggregate iteration counts and wall time per scenario.
 
 use crate::combined::{build_ffc_model, FfcConfig};
-use crate::incremental::FfcModelCache;
 use crate::te::{TeConfig, TeModelBuilder, TeProblem};
 use ffc_lp::{LpError, SimplexOptions, SolveStats};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -180,133 +178,6 @@ pub fn solve_ffc_batch(
             stats: sol.stats,
         })
     })
-}
-
-/// Solves one problem under several protection configurations in
-/// parallel — the `k = 0..K` sweep that dominates the repro harness.
-///
-/// Each worker chunk keeps one **standing model** ([`FfcModelCache`])
-/// and retargets it level by level: under the CVaR encoding a `kc`
-/// sweep patches a single coefficient per M-sum head instead of
-/// rebuilding the LP, while shape-changing levels (`ke`/`kv` sweeps,
-/// sorting networks) rebuild the standing model in place. Consecutive
-/// levels also chain **warm starts** (presolve off to keep column
-/// spaces aligned): the previous optimal basis seeds the next solve —
-/// and with [`ffc_lp::Algorithm::Auto`] (the default) the re-solve
-/// restarts in the *dual* simplex, since a protection change leaves the
-/// old basis dual-feasible. If a patched or warm-started solve fails,
-/// the level falls back to a fresh rebuild and a cold solve before
-/// reporting an error.
-pub fn solve_ffc_ksweep(
-    problem: TeProblem<'_>,
-    old: &TeConfig,
-    cfgs: &[FfcConfig],
-    opts: &SimplexOptions,
-) -> Vec<Result<BatchOutcome, LpError>> {
-    let mut warm_opts = opts.clone();
-    warm_opts.presolve = false;
-
-    let n = cfgs.len();
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(n.max(1));
-    let chunk = n.div_ceil(workers.max(1)).max(1);
-
-    let solve_chunk = |slice: &[FfcConfig]| {
-        let mut hint: Option<ffc_lp::BasisStatuses> = None;
-        let mut cache: Option<FfcModelCache> = None;
-        let mut out = Vec::with_capacity(slice.len());
-        for cfg in slice {
-            // A panicking level (malformed config) poisons neither the
-            // chunk nor the basis chain: the hint simply carries over
-            // from the last level that solved, and the standing model
-            // is dropped so the next level rebuilds from scratch.
-            let hint_ref = hint.as_ref();
-            let warm_opts = &warm_opts;
-            let cache_slot = AssertUnwindSafe(&mut cache);
-            let attempt = catch_unwind(AssertUnwindSafe(
-                move || -> Result<(BatchOutcome, ffc_lp::BasisStatuses), LpError> {
-                    let slot = cache_slot.0;
-                    let shortcut = match slot.as_mut() {
-                        Some(c) => c.retarget(problem, old, cfg, None).is_patch(),
-                        None => {
-                            *slot = Some(FfcModelCache::new(problem, old, cfg, None));
-                            false
-                        }
-                    };
-                    let c = slot.as_mut().expect("standing model was just built");
-                    let (config, sol) = match c.solve_with(warm_opts, hint_ref) {
-                        Ok(pair) => pair,
-                        // Fallback ladder: a failed patched or
-                        // warm-started solve gets one fresh rebuild and
-                        // a cold solve before the level reports an
-                        // error. A cold solve of a fresh build that
-                        // fails is authoritative as-is.
-                        Err(_) if shortcut || hint_ref.is_some() => {
-                            *c = FfcModelCache::new(problem, old, cfg, None);
-                            c.solve_with(warm_opts, None)?
-                        }
-                        Err(e) => return Err(e),
-                    };
-                    let outcome = BatchOutcome {
-                        config,
-                        stats: sol.stats,
-                    };
-                    if problem.reserved.is_none() {
-                        crate::verify::debug_certify(
-                            problem.topo,
-                            problem.tm,
-                            problem.tunnels,
-                            &outcome.config,
-                            (cfg.kc > 0).then_some(old),
-                            cfg,
-                            "solve_ffc_ksweep",
-                        );
-                    }
-                    Ok((outcome, sol.basis))
-                },
-            ));
-            out.push(match attempt {
-                Ok(Ok((outcome, basis))) => {
-                    hint = Some(basis);
-                    Ok(outcome)
-                }
-                Ok(Err(e)) => Err(e),
-                Err(p) => {
-                    cache = None;
-                    Err(LpError::WorkerPanic(panic_message(p.as_ref())))
-                }
-            });
-        }
-        out
-    };
-
-    if workers <= 1 {
-        return solve_chunk(cfgs);
-    }
-    let solve_chunk = &solve_chunk;
-    let results: Vec<Vec<Result<BatchOutcome, LpError>>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = cfgs
-            .chunks(chunk)
-            .map(|slice| (slice.len(), scope.spawn(move || solve_chunk(slice))))
-            .collect();
-        handles
-            .into_iter()
-            .map(|(len, h)| {
-                // Per-item catches make worker panics unreachable, but
-                // if one ever escapes, degrade to per-item errors
-                // instead of aborting the whole sweep.
-                h.join().unwrap_or_else(|p| {
-                    let msg = panic_message(p.as_ref());
-                    (0..len)
-                        .map(|_| Err(LpError::WorkerPanic(msg.clone())))
-                        .collect()
-                })
-            })
-            .collect()
-    });
-    results.into_iter().flatten().collect()
 }
 
 /// Verifies one FFC configuration against many fault scenarios in
@@ -552,33 +423,6 @@ mod tests {
     }
 
     #[test]
-    fn panicking_scenario_does_not_abort_the_sweep() {
-        // `par_map` itself still re-raises panics (after siblings run);
-        // the chunked sweeps map them to per-item errors instead. Drive
-        // the ksweep chunk path with a level whose old-config shape only
-        // trips once kc > 0.
-        let (topo, tm, tunnels) = fixture();
-        let problem = TeProblem::new(&topo, &tm, &tunnels);
-        let bad_old = TeConfig {
-            rate: vec![1.0],
-            alloc: vec![vec![1.0]],
-        };
-        // kc=0 levels ignore `old` entirely; the kc=1 level panics.
-        let cfgs = vec![
-            FfcConfig::new(0, 0, 0),
-            FfcConfig::new(0, 1, 0),
-            FfcConfig::new(1, 0, 0),
-            FfcConfig::new(0, 2, 0),
-        ];
-        let outcomes = solve_ffc_ksweep(problem, &bad_old, &cfgs, &SimplexOptions::default());
-        assert_eq!(outcomes.len(), 4);
-        assert!(outcomes[0].is_ok());
-        assert!(outcomes[1].is_ok());
-        assert!(matches!(outcomes[2], Err(LpError::WorkerPanic(_))));
-        assert!(outcomes[3].is_ok(), "chunk must survive the panic");
-    }
-
-    #[test]
     fn batch_matches_serial_te() {
         let (topo, tm, tunnels) = fixture();
         let problem = TeProblem::new(&topo, &tm, &tunnels);
@@ -601,8 +445,14 @@ mod tests {
         let (topo, tm, tunnels) = fixture();
         let problem = TeProblem::new(&topo, &tm, &tunnels);
         let old = TeConfig::zero(&tunnels);
-        let cfgs: Vec<FfcConfig> = (0..=2).map(|k| FfcConfig::new(0, k, 0)).collect();
-        let outcomes = solve_ffc_ksweep(problem, &old, &cfgs, &SimplexOptions::default());
+        let jobs: Vec<FfcJob<'_>> = (0..=2)
+            .map(|k| FfcJob {
+                problem,
+                old: &old,
+                cfg: FfcConfig::new(0, k, 0),
+            })
+            .collect();
+        let outcomes = solve_ffc_batch(&jobs, &SimplexOptions::default());
         let tputs: Vec<f64> = outcomes
             .into_iter()
             .map(|o| o.unwrap().config.throughput())
@@ -611,37 +461,6 @@ mod tests {
             assert!(
                 w[1] <= w[0] + 1e-7,
                 "more protection must not increase throughput: {tputs:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn cvar_kc_sweep_matches_serial_solves() {
-        // Under the CVaR encoding a kc sweep exercises the standing
-        // model's patch path (checked against a fresh build under debug
-        // assertions inside the cache); the outcomes must match
-        // per-level from-scratch solves either way.
-        let (topo, tm, tunnels) = fixture();
-        let problem = TeProblem::new(&topo, &tm, &tunnels);
-        let old = crate::te::solve_te(problem).unwrap();
-        let cfgs: Vec<FfcConfig> = (0..=3)
-            .map(|k| {
-                FfcConfig::new(k, 0, 0)
-                    .with_encoding(crate::MsumEncoding::Cvar)
-                    .exact()
-            })
-            .collect();
-        let outcomes = solve_ffc_ksweep(problem, &old, &cfgs, &SimplexOptions::default());
-        assert_eq!(outcomes.len(), cfgs.len());
-        for (cfg, outcome) in cfgs.iter().zip(outcomes) {
-            let got = outcome.unwrap().config.throughput();
-            let want = crate::combined::solve_ffc(problem, &old, cfg)
-                .unwrap()
-                .throughput();
-            assert!(
-                (got - want).abs() < 1e-6,
-                "kc={}: sweep {got} vs serial {want}",
-                cfg.kc
             );
         }
     }

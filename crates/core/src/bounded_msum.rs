@@ -5,24 +5,17 @@
 //! them collapse into a single constraint on the M largest (smallest)
 //! values (Eqn 12).
 //!
-//! Three interchangeable encodings are provided:
+//! Two interchangeable encodings are provided:
 //!
 //! * [`MsumEncoding::SortingNetwork`] — the paper's contribution
 //!   (§4.4.2): a partial bubble sorting network, `O(N·M)` comparators.
-//! * [`MsumEncoding::Cvar`] — an ablation **not from the paper**: the
-//!   classical dual/CVaR form of "sum of the M largest",
-//!   `M·t + Σ max(0, dᵢ−t)`, with `O(N)` variables. Exact; used to
-//!   benchmark what the sorting network costs relative to the
-//!   best-known encoding.
+//!   The only one that scales to production sizes.
 //! * [`MsumEncoding::Enumeration`] — the intractable strawman the paper
 //!   measures in §8.2 (Table 2): one constraint per fault combination.
-//!   Only usable for small N; it is also the ground truth the other two
-//!   are tested against.
-//!
-//! (The first two scale to production sizes; enumeration exists for
-//! validation and for reproducing Table 2's strawman row.)
+//!   Only usable for small N; it is also the ground truth the sorting
+//!   network is tested against.
 
-use ffc_lp::{Cmp, ConId, LinExpr, Model, VarId};
+use ffc_lp::{Cmp, LinExpr, Model};
 
 use crate::sorting_network::{sum_largest, sum_smallest};
 
@@ -32,47 +25,13 @@ pub enum MsumEncoding {
     /// Partial bubble sorting network (the paper's method).
     #[default]
     SortingNetwork,
-    /// CVaR / dual encoding (ablation; not from the paper).
-    Cvar,
     /// Explicit enumeration of all `(N choose M)` combinations.
     Enumeration,
 }
 
-/// Where an upper bounded-M-sum constraint put its `m`-dependent pieces,
-/// for delta-LP patching (see [`crate::incremental`]). Only the CVaR
-/// encoding exposes a patchable head; every other shape forces a rebuild
-/// when `m` changes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MsumShape {
-    /// `terms.len() <= m`: a single full-sum constraint with no `m`
-    /// dependence at all. An `m` change keeps this exact shape as long
-    /// as `m` stays ≥ `n_terms`; crossing below needs a rebuild.
-    Degenerate {
-        /// Number of summed terms; the shape survives any `m ≥ n_terms`.
-        n_terms: usize,
-    },
-    /// CVaR head row `m·t + Σ sᵢ ≤ budget`: `m` appears solely as the
-    /// coefficient of `t`, so an `m` change is a one-coefficient patch —
-    /// as long as both old and new `m` stay below the term count.
-    CvarHead {
-        /// The head constraint.
-        con: ConId,
-        /// The CVaR threshold variable `t` whose coefficient is `m`.
-        t: VarId,
-        /// Number of summed terms; patches require `m < n_terms`.
-        n_terms: usize,
-    },
-    /// Sorting-network comparators: `m` shapes the comparator lattice
-    /// itself, no single-coefficient patch exists.
-    SortingNetwork,
-    /// One row per combination: the row *set* depends on `m`.
-    Enumeration,
-}
-
 /// Adds constraints enforcing: **the sum of any `m` of `terms` is ≤
-/// `budget`** (both sides may contain variables). Returns where the
-/// `m`-dependent structure landed ([`MsumShape`]); `None` when the call
-/// was a no-op (empty terms or `m == 0`).
+/// `budget`** (both sides may contain variables). A no-op for empty
+/// terms or `m == 0`.
 ///
 /// For [`MsumEncoding::Enumeration`], `terms` must be provably
 /// non-negative (true for all FFC uses: they are `β − a ≥ 0` gaps), so
@@ -83,37 +42,20 @@ pub fn constrain_any_m_sum_le(
     m: usize,
     budget: LinExpr,
     encoding: MsumEncoding,
-) -> Option<MsumShape> {
+) {
     if terms.is_empty() || m == 0 {
-        return None;
+        return;
     }
-    let m = m.min(terms.len());
-    Some(match encoding {
-        _ if terms.len() <= m => {
-            // Degenerate: the single full-sum constraint dominates.
-            let n_terms = terms.len();
-            let total = terms.into_iter().fold(LinExpr::zero(), |a, e| a + e);
-            model.add_con(total - budget, Cmp::Le, 0.0);
-            MsumShape::Degenerate { n_terms }
-        }
+    if terms.len() <= m {
+        // Degenerate: the single full-sum constraint dominates.
+        let total = terms.into_iter().fold(LinExpr::zero(), |a, e| a + e);
+        model.add_con(total - budget, Cmp::Le, 0.0);
+        return;
+    }
+    match encoding {
         MsumEncoding::SortingNetwork => {
             let top = sum_largest(model, terms, m);
             model.add_con(top - budget, Cmp::Le, 0.0);
-            MsumShape::SortingNetwork
-        }
-        MsumEncoding::Cvar => {
-            // sum of m largest(d) = min_t [ m·t + Σ max(0, dᵢ − t) ].
-            let n_terms = terms.len();
-            let t = model.add_var(f64::NEG_INFINITY, f64::INFINITY, "cvar_t");
-            let mut lhs = LinExpr::term(t, m as f64);
-            for d in terms {
-                let s = model.add_var(0.0, f64::INFINITY, "cvar_s");
-                // s >= d - t.
-                model.add_con(d - LinExpr::from(t) - LinExpr::from(s), Cmp::Le, 0.0);
-                lhs.add_term(s, 1.0);
-            }
-            let con = model.add_con(lhs - budget, Cmp::Le, 0.0);
-            MsumShape::CvarHead { con, t, n_terms }
         }
         MsumEncoding::Enumeration => {
             for combo in combinations(terms.len(), m) {
@@ -123,9 +65,8 @@ pub fn constrain_any_m_sum_le(
                     .fold(LinExpr::zero(), |a, e| a + e);
                 model.add_con(total - budget.clone(), Cmp::Le, 0.0);
             }
-            MsumShape::Enumeration
         }
-    })
+    }
 }
 
 /// Adds constraints enforcing: **the sum of any `m` of `terms` is ≥
@@ -149,18 +90,6 @@ pub fn constrain_any_m_sum_ge(
         MsumEncoding::SortingNetwork => {
             let bottom = sum_smallest(model, terms, m);
             model.add_con(bottom - floor, Cmp::Ge, 0.0);
-        }
-        MsumEncoding::Cvar => {
-            // sum of m smallest(d) = max_t [ m·t − Σ max(0, t − dᵢ) ].
-            let t = model.add_var(f64::NEG_INFINITY, f64::INFINITY, "cvar_t");
-            let mut lhs = LinExpr::term(t, m as f64);
-            for d in terms {
-                let s = model.add_var(0.0, f64::INFINITY, "cvar_s");
-                // s >= t - d.
-                model.add_con(LinExpr::from(t) - d - LinExpr::from(s), Cmp::Le, 0.0);
-                lhs.add_term(s, -1.0);
-            }
-            model.add_con(lhs - floor, Cmp::Ge, 0.0);
         }
         MsumEncoding::Enumeration => {
             for combo in combinations(terms.len(), m) {
@@ -205,11 +134,7 @@ mod tests {
     use super::*;
     use ffc_lp::Sense;
 
-    const ENCODINGS: [MsumEncoding; 3] = [
-        MsumEncoding::SortingNetwork,
-        MsumEncoding::Cvar,
-        MsumEncoding::Enumeration,
-    ];
+    const ENCODINGS: [MsumEncoding; 2] = [MsumEncoding::SortingNetwork, MsumEncoding::Enumeration];
 
     #[test]
     fn combinations_basic() {
@@ -312,7 +237,7 @@ mod tests {
             vec![],
             2,
             LinExpr::constant(0.0),
-            MsumEncoding::Cvar,
+            MsumEncoding::Enumeration,
         );
         constrain_any_m_sum_le(
             &mut m,
@@ -324,8 +249,8 @@ mod tests {
         assert_eq!(m.num_cons(), 0);
     }
 
-    /// Randomized agreement: all three encodings give the same optimum
-    /// on small random instances.
+    /// Randomized agreement: both encodings give the same optimum on
+    /// small random instances.
     #[test]
     fn randomized_encoding_agreement() {
         let mut state = 0xfeedbeefu64;
@@ -353,10 +278,7 @@ mod tests {
                 m.set_objective(LinExpr::sum(xs.iter().copied()), Sense::Maximize);
                 objs.push(m.solve().unwrap().objective);
             }
-            assert!(
-                (objs[0] - objs[2]).abs() < 1e-5 && (objs[1] - objs[2]).abs() < 1e-5,
-                "trial {trial}: {objs:?}"
-            );
+            assert!((objs[0] - objs[1]).abs() < 1e-5, "trial {trial}: {objs:?}");
         }
     }
 }

@@ -53,7 +53,7 @@ use std::collections::HashSet;
 use ffc_lp::{Cmp, ConId, LinExpr};
 use ffc_net::LinkId;
 
-use crate::bounded_msum::{constrain_any_m_sum_le, MsumEncoding, MsumShape};
+use crate::bounded_msum::{constrain_any_m_sum_le, MsumEncoding};
 use crate::te::{TeConfig, TeModelBuilder};
 
 /// Parameters for control-plane FFC.
@@ -99,10 +99,6 @@ pub struct ControlFfcLayout {
     /// an old-config change with the *same support pattern* is a pure
     /// coefficient patch.
     pub stale_rows: Vec<(usize, usize, ConId)>,
-    /// The bounded-M-sum shape per protected link that received a
-    /// constraint, in link order. A `kc` change is patchable iff every
-    /// entry is a [`MsumShape::CvarHead`] admitting the new `kc`.
-    pub heads: Vec<MsumShape>,
 }
 
 impl ControlFfcLayout {
@@ -213,11 +209,7 @@ pub fn apply_control_ffc(
         let gaps: Vec<LinExpr> = gap_by_ingress.into_values().collect();
         // Budget: c_e − Σ_v a_{v,e}.
         let budget = LinExpr::constant(builder.problem.capacity(e)) - builder.link_load_expr(e);
-        if let Some(shape) =
-            constrain_any_m_sum_le(&mut builder.model, gaps, ffc.kc, budget, ffc.encoding)
-        {
-            layout.heads.push(shape);
-        }
+        constrain_any_m_sum_le(&mut builder.model, gaps, ffc.kc, budget, ffc.encoding);
     }
     layout
 }
@@ -318,11 +310,7 @@ mod tests {
     #[test]
     fn kc1_grants_seven() {
         let s = fig3_scenario();
-        for enc in [
-            MsumEncoding::SortingNetwork,
-            MsumEncoding::Cvar,
-            MsumEncoding::Enumeration,
-        ] {
+        for enc in [MsumEncoding::SortingNetwork, MsumEncoding::Enumeration] {
             let cfg = solve_with_kc(&s, 1, enc);
             assert!(
                 (cfg.rate[2] - 7.0).abs() < 1e-4,
@@ -339,11 +327,7 @@ mod tests {
     #[test]
     fn kc2_grants_four() {
         let s = fig3_scenario();
-        for enc in [
-            MsumEncoding::SortingNetwork,
-            MsumEncoding::Cvar,
-            MsumEncoding::Enumeration,
-        ] {
+        for enc in [MsumEncoding::SortingNetwork, MsumEncoding::Enumeration] {
             let cfg = solve_with_kc(&s, 2, enc);
             assert!(
                 (cfg.rate[2] - 4.0).abs() < 1e-4,

@@ -414,11 +414,7 @@ mod tests {
     fn encodings_agree_on_fig2() {
         let (topo, tm, tt) = fig2();
         let mut objs = Vec::new();
-        for enc in [
-            MsumEncoding::SortingNetwork,
-            MsumEncoding::Cvar,
-            MsumEncoding::Enumeration,
-        ] {
+        for enc in [MsumEncoding::SortingNetwork, MsumEncoding::Enumeration] {
             let ffc = DataFfc {
                 ke: 1,
                 kv: 0,
@@ -428,6 +424,5 @@ mod tests {
             objs.push(solve_data_ffc(&topo, &tm, &tt, &ffc).throughput());
         }
         assert!((objs[0] - objs[1]).abs() < 1e-5, "{objs:?}");
-        assert!((objs[0] - objs[2]).abs() < 1e-5, "{objs:?}");
     }
 }

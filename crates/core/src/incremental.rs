@@ -14,10 +14,9 @@
 //! | demand tick | `b_f` upper bounds | demands appear only in Eqn 4's bounds |
 //! | old config, same β support | `w'_{f,t}` coefficient per stale row | old weights appear only as the `b_f` coefficient in `w'·b − β ≤ 0` |
 //! | fault-set drift | pin/unpin `a_{f,t}` bounds | `zero_dead_tunnels` is itself a bounds change |
-//! | `kc` change, CVaR heads | the `m` coefficient of each head's `t` | `m` appears solely there (see [`MsumShape::CvarHead`]) |
 //!
 //! Everything else — mice-set flips (demand-dependent!), β-support
-//! changes, `ke`/`kv`/encoding changes, capacity or tunnel changes —
+//! changes, `kc`/`ke`/`kv`/encoding changes, capacity or tunnel changes —
 //! falls off the patch ladder and triggers a full in-place rebuild,
 //! reported as a [`RebuildReason`]. Correctness is enforced
 //! differentially: under debug assertions every *patched* model is
@@ -35,7 +34,7 @@ use ffc_lp::incremental::IncrementalModel;
 use ffc_lp::{BasisStatuses, LpError, Solution, VarId};
 use ffc_net::FaultScenario;
 
-use crate::bounded_msum::{MsumEncoding, MsumShape};
+use crate::bounded_msum::MsumEncoding;
 use crate::combined::{
     build_ffc_model_tracked, zero_dead_tunnels, FfcConfig, FfcLayout, WEIGHT_THRESHOLD,
 };
@@ -57,8 +56,8 @@ pub enum RebuildReason {
     /// The old configuration's β-support pattern changed (a tunnel's
     /// old weight crossed the threshold), changing the variable set.
     BetaSupportChanged,
-    /// `kc` changed but the M-sum heads are not patchable CVaR heads
-    /// admitting the new value (includes any `0 ↔ k` transition).
+    /// `kc` changed: it shapes the M-sum rows of every protected link
+    /// (the comparator lattice, or the enumerated row set).
     ProtectionChanged,
     /// A coefficient patch was rejected (sparsity-pattern mismatch) —
     /// the conservative escape hatch; not expected in practice.
@@ -108,8 +107,8 @@ pub struct CacheStats {
 }
 
 /// Everything that must be *identical* between the cached model's
-/// inputs and the new inputs for any patch to be sound. `kc` is
-/// deliberately excluded — it has its own patch path.
+/// inputs and the new inputs for any patch to be sound. `kc` is kept
+/// beside it so a change reports its own [`RebuildReason`].
 #[derive(Debug, Clone, PartialEq)]
 struct StructureKey {
     n_flows: usize,
@@ -259,7 +258,7 @@ impl FfcModelCache {
             return Err(RebuildReason::MiceSetChanged);
         }
         if cfg.kc != self.kc {
-            self.check_kc_patchable(cfg.kc)?;
+            return Err(RebuildReason::ProtectionChanged);
         }
         if cfg.kc > 0 && beta_support(old, WEIGHT_THRESHOLD) != self.layout.control.support() {
             return Err(RebuildReason::BetaSupportChanged);
@@ -274,24 +273,6 @@ impl FfcModelCache {
                 Err(reason)
             }
         }
-    }
-
-    /// `kc` is patchable only between two positive values when every
-    /// M-sum head keeps its shape: CVaR heads must not degenerate under
-    /// the new value (`kc < n_terms`), and degenerate full-sum heads
-    /// must stay degenerate (`kc ≥ n_terms`).
-    fn check_kc_patchable(&self, new_kc: usize) -> Result<(), RebuildReason> {
-        if self.kc == 0 || new_kc == 0 {
-            return Err(RebuildReason::ProtectionChanged);
-        }
-        for shape in &self.layout.control.heads {
-            match shape {
-                MsumShape::CvarHead { n_terms, .. } if new_kc < *n_terms => {}
-                MsumShape::Degenerate { n_terms } if new_kc >= *n_terms => {}
-                _ => return Err(RebuildReason::ProtectionChanged),
-            }
-        }
-        Ok(())
     }
 
     /// Applies the full patch set for the new inputs. Eligibility was
@@ -326,19 +307,6 @@ impl FfcModelCache {
                 if self.inc.set_coeff(con, self.b[fi], w_old).is_err() {
                     return Err(RebuildReason::PatchRejected);
                 }
-            }
-            // kc change: the m coefficient of each CVaR head's t
-            // (degenerate full-sum heads have no m dependence at all).
-            if cfg.kc != self.kc {
-                let heads = self.layout.control.heads.clone();
-                for shape in heads {
-                    if let MsumShape::CvarHead { con, t, .. } = shape {
-                        if self.inc.set_coeff(con, t, cfg.kc as f64).is_err() {
-                            return Err(RebuildReason::PatchRejected);
-                        }
-                    }
-                }
-                self.kc = cfg.kc;
             }
         }
 
@@ -553,100 +521,22 @@ mod tests {
         assert!((got.throughput() - want).abs() < 1e-6);
     }
 
-    /// Five ingresses, each with two paths to the sink: a narrow shared
-    /// link (via mid1, where all old traffic sits) and a wide one (via
-    /// mid2). The narrow link's CVaR head has five ingress gap terms,
-    /// so small `kc` sweeps stay patchable; the per-ingress access
-    /// links build degenerate full-sum heads which tolerate any `kc`
-    /// at or above their term count. A stale ingress keeps pushing its
-    /// rate onto the narrow link, so the optimum genuinely depends on
-    /// `kc`.
-    fn star() -> (Topology, TrafficMatrix, TunnelTable, TeConfig) {
-        let mut topo = Topology::new();
-        let srcs = topo.add_nodes(5, "src");
-        let mid1 = topo.add_node("mid1");
-        let mid2 = topo.add_node("mid2");
-        let sink = topo.add_node("sink");
-        for &s in &srcs {
-            topo.add_link(s, mid1, 10.0);
-            topo.add_link(s, mid2, 10.0);
-        }
-        topo.add_link(mid1, sink, 10.0);
-        topo.add_link(mid2, sink, 45.0);
-        let mut tm = TrafficMatrix::new();
-        for &s in &srcs {
-            tm.add_flow(s, sink, 9.0, Priority::High);
-        }
-        let mut tunnels = TunnelTable::new(5);
-        for (i, &s) in srcs.iter().enumerate() {
-            for &mid in &[mid1, mid2] {
-                let links = vec![
-                    topo.find_link(s, mid).unwrap(),
-                    topo.find_link(mid, sink).unwrap(),
-                ];
-                tunnels.push(FlowId(i), Tunnel::from_path(&topo, ffc_net::Path { links }));
-            }
-        }
-        // Installed state: everything on the narrow path, so old
-        // weights are [1, 0] and only the narrow path carries β terms.
-        let old = TeConfig {
-            rate: vec![2.0; 5],
-            alloc: vec![vec![2.0, 0.0]; 5],
-        };
-        (topo, tm, tunnels, old)
-    }
-
+    /// `kc` shapes every protected link's M-sum rows, so any change —
+    /// between two positive levels or to/from zero — is a rebuild.
     #[test]
-    fn kc_sweep_patches_under_cvar_and_rebuilds_otherwise() {
-        let (topo, tm, tunnels, old) = star();
+    fn kc_change_rebuilds() {
+        let (topo, tm, tunnels, old) = ring();
         let problem = TeProblem::new(&topo, &tm, &tunnels);
-        // CVaR: kc 1 → 2 patches the shared head's t coefficient and
-        // leaves the degenerate single-ingress heads untouched.
-        let cvar1 = FfcConfig::new(1, 0, 0)
-            .with_encoding(MsumEncoding::Cvar)
-            .exact();
-        let cvar2 = FfcConfig::new(2, 0, 0)
-            .with_encoding(MsumEncoding::Cvar)
-            .exact();
-        let mut cache = FfcModelCache::new(problem, &old, &cvar1, None);
-        let outcome = cache.retarget(problem, &old, &cvar2, None);
-        assert!(outcome.is_patch(), "{outcome:?}");
-        let (got, _) = cache.solve_with(&Default::default(), None).unwrap();
-        let want = fresh_objective(&topo, &tm, &tunnels, &old, &cvar2);
-        assert!((got.throughput() - want).abs() < 1e-6);
-        // And protection really tightened: kc=2 admits less than kc=1.
-        let t1 = fresh_objective(&topo, &tm, &tunnels, &old, &cvar1);
-        assert!(want < t1 - 1e-6, "kc=2 {want} vs kc=1 {t1}");
-
-        // kc 2 → 5 crosses the shared head's term count: rebuild.
-        let cvar5 = FfcConfig::new(5, 0, 0)
-            .with_encoding(MsumEncoding::Cvar)
-            .exact();
-        let outcome = cache.retarget(problem, &old, &cvar5, None);
-        assert_eq!(
-            outcome,
-            RetargetOutcome::Rebuilt(RebuildReason::ProtectionChanged)
-        );
-
-        // Sorting network: any kc sweep must rebuild.
-        let sn1 = FfcConfig::new(1, 0, 0).exact();
-        let sn2 = FfcConfig::new(2, 0, 0).exact();
-        let mut cache = FfcModelCache::new(problem, &old, &sn1, None);
-        let outcome = cache.retarget(problem, &old, &sn2, None);
-        assert_eq!(
-            outcome,
-            RetargetOutcome::Rebuilt(RebuildReason::ProtectionChanged)
-        );
-        // kc 2 → 0 always rebuilds, even under CVaR.
-        let cvar0 = FfcConfig::new(0, 0, 0)
-            .with_encoding(MsumEncoding::Cvar)
-            .exact();
-        let mut cache = FfcModelCache::new(problem, &old, &cvar2, None);
-        let outcome = cache.retarget(problem, &old, &cvar0, None);
-        assert_eq!(
-            outcome,
-            RetargetOutcome::Rebuilt(RebuildReason::ProtectionChanged)
-        );
+        let kc = |k| FfcConfig::new(k, 0, 0).exact();
+        let mut cache = FfcModelCache::new(problem, &old, &kc(1), None);
+        for next in [2, 0] {
+            let outcome = cache.retarget(problem, &old, &kc(next), None);
+            assert_eq!(
+                outcome,
+                RetargetOutcome::Rebuilt(RebuildReason::ProtectionChanged),
+                "kc -> {next}"
+            );
+        }
     }
 
     #[test]

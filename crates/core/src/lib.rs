@@ -22,7 +22,6 @@
 //! | §5.5 rate-limiter faults (Eqns 17–18) | [`rate_limiter`] |
 //! | §5.6 uncertain current TE | [`uncertainty`] |
 //! | §4.2/§8.2 enumeration strawman | [`enumerate`] |
-//! | §9 future work: demand uncertainty (extension, ours) | [`demand_robust`] |
 //! | §3.3 capacity-planning use case (extension, ours) | [`capacity_planning`] |
 //!
 //! ## Quick start
@@ -61,7 +60,6 @@ pub mod capacity_planning;
 pub mod combined;
 pub mod control_ffc;
 pub mod data_ffc;
-pub mod demand_robust;
 pub mod enumerate;
 pub mod fairness;
 pub mod incremental;
@@ -76,10 +74,9 @@ pub mod update;
 pub mod verify;
 
 pub use batch::{
-    par_map, solve_ffc_batch, solve_ffc_ksweep, solve_ffc_scenarios, solve_te_batch, BatchOutcome,
-    FfcJob,
+    par_map, solve_ffc_batch, solve_ffc_scenarios, solve_te_batch, BatchOutcome, FfcJob,
 };
-pub use bounded_msum::{MsumEncoding, MsumShape};
+pub use bounded_msum::MsumEncoding;
 pub use capacity_planning::{plan_capacities, CapacityPlan, PlanObjective};
 pub use combined::{
     build_ffc_model, build_ffc_model_tracked, solve_ffc, solve_ffc_with_faults,
@@ -87,7 +84,6 @@ pub use combined::{
 };
 pub use control_ffc::{apply_control_ffc, ControlFfc, ControlFfcLayout};
 pub use data_ffc::{apply_data_ffc, DataFfc, DataFfcLayout};
-pub use demand_robust::{apply_demand_robustness, DemandRobustness};
 pub use fairness::{solve_max_min_ffc, FairnessConfig};
 pub use incremental::{CacheStats, FfcModelCache, RebuildReason, RetargetOutcome};
 pub use mlu::{solve_min_mlu, MluSolution};

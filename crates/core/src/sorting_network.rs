@@ -127,48 +127,6 @@ pub fn sum_smallest(model: &mut Model, exprs: Vec<LinExpr>, m: usize) -> LinExpr
         .fold(LinExpr::zero(), |acc, e| acc + e)
 }
 
-/// **Ablation:** a *full* sort via Batcher's odd-even merge network —
-/// the `O(N·log²N)`-comparator alternative the paper contrasts with its
-/// `O(N·M)` partial bubble network (§4.4.2, Figure 8(a) shows exactly
-/// such a merge-sort network). Returns all `n` outputs in
-/// non-increasing order. Useful to quantify what the partial network
-/// saves when `M ≪ N`; for `M` close to `N` the full network can win.
-pub fn batcher_sorted_values(model: &mut Model, exprs: Vec<LinExpr>) -> Vec<LinExpr> {
-    let n = exprs.len();
-    let mut arr = exprs;
-    if n <= 1 {
-        return arr;
-    }
-    // Batcher's iterative odd-even merge exchange schedule (valid for
-    // arbitrary n, not just powers of two).
-    let mut p = 1usize;
-    while p < n {
-        let mut k = p;
-        while k >= 1 {
-            let mut j = k % p;
-            while j + k < n {
-                for i in 0..k.min(n - j - k) {
-                    let lo = i + j;
-                    let hi = i + j + k;
-                    if lo / (2 * p) == hi / (2 * p) {
-                        // Exchange so arr[lo] >= arr[hi] (descending).
-                        let (mx, mn) = compare_swap(model, &arr[lo], &arr[hi]);
-                        arr[lo] = mx;
-                        arr[hi] = mn;
-                    }
-                }
-                j += 2 * k;
-            }
-            if k == 1 {
-                break;
-            }
-            k /= 2;
-        }
-        p *= 2;
-    }
-    arr
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,55 +238,6 @@ mod tests {
         let comparators = (n - 1) + (n - 2);
         assert_eq!(m.num_vars() - base_vars, 3 * comparators);
         assert_eq!(m.num_cons() - base_cons, 4 * comparators);
-    }
-
-    #[test]
-    fn batcher_sorts_constants() {
-        for vals in [
-            vec![3.0, 1.0, 4.0, 1.5, 9.0, 2.6, 5.0],
-            vec![2.0, 1.0],
-            vec![1.0, 2.0, 3.0, 4.0],
-            vec![5.0],
-        ] {
-            let mut m = Model::new();
-            let cs = constants(&mut m, &vals);
-            let sorted = batcher_sorted_values(&mut m, cs);
-            // Minimizing the weighted head drives every comparator
-            // tight; use the total of all prefix sums as the target.
-            let mut obj = LinExpr::zero();
-            for (i, e) in sorted.iter().enumerate() {
-                obj += e.clone() * (sorted.len() - i) as f64;
-            }
-            let sol = minimize(&mut m, &obj);
-            let mut expect = vals.clone();
-            expect.sort_by(|a, b| b.partial_cmp(a).unwrap());
-            for (e, want) in sorted.iter().zip(&expect) {
-                assert!(
-                    (sol.eval(e) - want).abs() < 1e-5,
-                    "{vals:?}: got {} want {want}",
-                    sol.eval(e)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn batcher_comparator_count_is_nlog2n() {
-        // Comparators = (vars added) / 3.
-        for n in [4usize, 8, 16, 27] {
-            let mut m = Model::new();
-            let cs = constants(&mut m, &vec![1.0; n]);
-            let v0 = m.num_vars();
-            let _ = batcher_sorted_values(&mut m, cs);
-            let comparators = (m.num_vars() - v0) / 3;
-            let log2 = (n as f64).log2().ceil();
-            // Loose sanity bounds around n·log²n / 4.
-            assert!(
-                comparators as f64 <= n as f64 * log2 * log2,
-                "n={n}: {comparators} comparators"
-            );
-            assert!(comparators >= n - 1, "n={n}: too few ({comparators})");
-        }
     }
 
     #[test]

@@ -31,7 +31,8 @@ struct Step {
     fault_link: usize,
     kc: usize,
     ke: usize,
-    cvar: bool,
+    /// Use the enumeration encoding (an encoding flip must rebuild).
+    enumerate: bool,
     /// Arm the §6 mice optimization (mice sets may flip under demand
     /// ticks, which must force a rebuild).
     mice: bool,
@@ -48,16 +49,18 @@ fn step_strategy() -> impl Strategy<Value = Step> {
         (0..3usize, 0..3usize, any::<bool>(), any::<bool>()),
     )
         .prop_map(
-            |((demands, old_scale, old_zero, (faulty, fault_link)), (kc, ke, cvar, mice))| Step {
-                demands,
-                old_scale,
-                old_zero,
-                faulty,
-                fault_link,
-                kc,
-                ke,
-                cvar,
-                mice,
+            |((demands, old_scale, old_zero, (faulty, fault_link)), (kc, ke, enumerate, mice))| {
+                Step {
+                    demands,
+                    old_scale,
+                    old_zero,
+                    faulty,
+                    fault_link,
+                    kc,
+                    ke,
+                    enumerate,
+                    mice,
+                }
             },
         )
 }
@@ -127,8 +130,8 @@ proptest! {
                 .then(|| FaultScenario::links([links[step.fault_link % links.len()]]));
             // Protection / encoding change.
             let mut cfg = FfcConfig::new(step.kc, step.ke, 0);
-            if step.cvar {
-                cfg = cfg.with_encoding(MsumEncoding::Cvar);
+            if step.enumerate {
+                cfg = cfg.with_encoding(MsumEncoding::Enumeration);
             }
             cfg.mice_fraction = if step.mice { 0.3 } else { 0.0 };
 

@@ -111,27 +111,6 @@ pub struct CheckpointState {
     pub inflight: Option<InflightRollout>,
 }
 
-/// Why a checkpoint file was rejected.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CheckpointError {
-    /// Torn, truncated, or corrupt — recovery skips it and falls back
-    /// to an older checkpoint.
-    Invalid(String),
-    /// Structurally valid but written by a different run configuration
-    /// or schema — resuming from it would silently diverge, so this is
-    /// a hard error.
-    Mismatch(String),
-}
-
-impl From<SealError> for CheckpointError {
-    fn from(e: SealError) -> CheckpointError {
-        match e {
-            SealError::Torn(m) => CheckpointError::Invalid(m),
-            SealError::Mismatch(m) => CheckpointError::Mismatch(m),
-        }
-    }
-}
-
 /// Digest of everything that must be identical between the run that
 /// wrote a checkpoint and the run resuming from it: the controller
 /// configuration knobs that shape planning/rollout/sampling, and the
@@ -469,27 +448,27 @@ fn read_body(cur: &mut Cursor<'_>) -> Result<CheckpointState, String> {
 
 /// Deserializes and validates a checkpoint file: the seal, the schema
 /// version, and the run-configuration digest all have to check out
-/// before the body is trusted.
+/// before the body is trusted. [`SealError::Torn`] (truncated or
+/// corrupt) lets recovery fall back to an older checkpoint;
+/// [`SealError::Mismatch`] (another schema or run configuration —
+/// resuming from it would silently diverge) is a hard error.
 pub fn decode_checkpoint(
     bytes: &[u8],
     file: &str,
     expect_digest: u64,
-) -> Result<CheckpointState, CheckpointError> {
-    let read = || -> Result<CheckpointState, SealError> {
-        let body = unseal(bytes, file, CHECKPOINT_MAGIC, CHECKPOINT_END)?;
-        let mut cur = Cursor::at(body, CHECKPOINT_MAGIC.len(), file);
-        cur.schema_version("checkpoint", CHECKPOINT_SCHEMA_VERSION)?;
-        let (at, digest) = (cur.pos(), cur.u64("config digest")?);
-        if digest != expect_digest {
-            let what = format!(
-                "checkpoint belongs to a different run configuration \
-                 (digest {digest:#018x}, this run {expect_digest:#018x})"
-            );
-            return Err(SealError::mismatch(file, at, what));
-        }
-        Ok(read_body(&mut cur)?)
-    };
-    read().map_err(CheckpointError::from)
+) -> Result<CheckpointState, SealError> {
+    let body = unseal(bytes, file, CHECKPOINT_MAGIC, CHECKPOINT_END)?;
+    let mut cur = Cursor::at(body, CHECKPOINT_MAGIC.len(), file);
+    cur.schema_version("checkpoint", CHECKPOINT_SCHEMA_VERSION)?;
+    let (at, digest) = (cur.pos(), cur.u64("config digest")?);
+    if digest != expect_digest {
+        let what = format!(
+            "checkpoint belongs to a different run configuration \
+             (digest {digest:#018x}, this run {expect_digest:#018x})"
+        );
+        return Err(SealError::mismatch(file, at, what));
+    }
+    Ok(read_body(&mut cur)?)
 }
 
 /// Writes checkpoints into a directory as `ckpt-<seq>.ffck`, atomically
@@ -616,8 +595,8 @@ pub fn recover_latest(dir: &Path, digest: u64) -> Result<Recovery, String> {
                     notes,
                 })
             }
-            Err(CheckpointError::Invalid(e)) => notes.push(format!("skipped {e}")),
-            Err(CheckpointError::Mismatch(e)) => return Err(e),
+            Err(SealError::Torn(e)) => notes.push(format!("skipped {e}")),
+            Err(SealError::Mismatch(e)) => return Err(e),
         }
     }
     Ok(Recovery {
@@ -746,8 +725,8 @@ mod tests {
         let bytes = encode_checkpoint(&sample_state(), 42);
         for cut in 0..bytes.len() {
             match decode_checkpoint(&bytes[..cut], "t", 42) {
-                Err(CheckpointError::Invalid(_)) => {}
-                other => panic!("cut at {cut}: expected Invalid, got {other:?}"),
+                Err(SealError::Torn(_)) => {}
+                other => panic!("cut at {cut}: expected Torn, got {other:?}"),
             }
         }
     }
@@ -772,7 +751,7 @@ mod tests {
     fn digest_and_schema_mismatches_are_hard_errors() {
         let bytes = encode_checkpoint(&sample_state(), 42);
         match decode_checkpoint(&bytes, "t", 43) {
-            Err(CheckpointError::Mismatch(e)) => {
+            Err(SealError::Mismatch(e)) => {
                 assert!(e.contains("different run"), "{e}")
             }
             other => panic!("expected Mismatch, got {other:?}"),
@@ -784,7 +763,7 @@ mod tests {
         let checksum = fnv64(&other[..sealed]);
         other[sealed..sealed + 8].copy_from_slice(&checksum.to_le_bytes());
         match decode_checkpoint(&other, "t", 42) {
-            Err(CheckpointError::Mismatch(e)) => {
+            Err(SealError::Mismatch(e)) => {
                 assert!(e.contains("t: offset 8: checkpoint schema v99"), "{e}")
             }
             other => panic!("expected Mismatch, got {other:?}"),

@@ -350,7 +350,7 @@ pub fn rollout_staged(
         // total_cmp: completion times can be +inf (broken switches) and
         // a panic on an exotic float would kill the whole interval.
         sorted.sort_by(|a, b| a.total_cmp(b));
-        let advance_at = sorted[n.saturating_sub(cfg.kc + 1).min(n - 1)];
+        let advance_at = sorted[n.saturating_sub(cfg.kc.saturating_add(1)).min(n - 1)];
         if advance_at >= cfg.cap_secs {
             break;
         }

@@ -314,7 +314,7 @@ impl<'a> Controller<'a> {
         let mut rng = StdRng::seed_from_u64(self.cfg.seed);
 
         let mut tm = base_tm.clone();
-        let mut telemetry = Vec::with_capacity(intervals);
+        let mut telemetry = Vec::new();
         let mut totals = RunTotals::default();
         let mut recorded: Vec<TimedEvent> = events
             .iter()
@@ -760,6 +760,26 @@ mod tests {
         let replayed = ctrl2.run(&tm, &live.recorded_events, 4, true);
         assert_eq!(live.fingerprint(), replayed.fingerprint());
         assert!((live.totals.total_delivered() - replayed.totals.total_delivered()).abs() < 1e-12);
+    }
+
+    /// The interval count comes from a trace header: nothing may be
+    /// sized from it before the loop has run that far. With the crash
+    /// hook armed at interval 0 the run must get there, not die in an
+    /// allocation of `usize::MAX` records.
+    #[test]
+    fn an_absurd_interval_count_is_not_preallocated() {
+        let (topo, tm, tunnels) = diamond();
+        let mut cfg = ControllerConfig::new(FfcConfig::new(0, 1, 0), SwitchModel::Optimistic);
+        cfg.chaos.crash_at_interval = Some(0);
+        let mut ctrl = Controller::new(&topo, &tunnels, cfg);
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            ctrl.run_with_recovery(&tm, &[], usize::MAX, false, None, None, None)
+        }))
+        .expect_err("the armed crash point must fire");
+        assert_eq!(
+            panic.downcast_ref::<String>().map(String::as_str),
+            Some("chaos-crash: interval boundary 0")
+        );
     }
 
     #[test]

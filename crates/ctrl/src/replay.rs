@@ -189,7 +189,15 @@ impl EventTrace {
                     (|| -> Result<(), String> {
                         match key {
                             "intervals" => header.intervals = parse(one()?)?,
-                            "interval-secs" => header.interval_secs = parse(one()?)?,
+                            "interval-secs" => {
+                                let secs: f64 = parse(one()?)?;
+                                if !(secs.is_finite() && secs > 0.0) {
+                                    return Err(format!(
+                                        "header `{key}`: must be finite and positive, got `{secs}`"
+                                    ));
+                                }
+                                header.interval_secs = secs;
+                            }
                             "protection" => {
                                 if vals.len() != 3 {
                                     return Err("protection wants `kc ke kv`".into());
@@ -207,7 +215,12 @@ impl EventTrace {
                                 }
                             }
                             "seed" => header.seed = parse(one()?)?,
-                            "max-update-steps" => header.max_update_steps = parse(one()?)?,
+                            "max-update-steps" => {
+                                header.max_update_steps = parse(one()?)?;
+                                if header.max_update_steps == 0 {
+                                    return Err(format!("header `{key}`: must be at least 1"));
+                                }
+                            }
                             "solve-deadline-ms" => header.solve_deadline_ms = parse(one()?)?,
                             other => return Err(format!("unknown header key `{other}`")),
                         }
@@ -232,7 +245,10 @@ impl EventTrace {
             }
         }
         if topo_text.is_empty() || traffic_text.is_empty() {
-            return Err("trace missing [topo] or [traffic] section".into());
+            let last = text.lines().count();
+            return Err(format!(
+                "line {last}: trace missing [topo] or [traffic] section"
+            ));
         }
         Ok(EventTrace {
             header,
@@ -405,6 +421,30 @@ mod tests {
             err.contains("line 2:") && err.contains("bad value `many`"),
             "header error should name line 2: {err}"
         );
+
+        // The interval length divides and scales every volume the run
+        // reports: it must be a positive finite number. And a rollout
+        // needs at least one step to plan.
+        for bad in ["NaN", "inf", "-5", "0"] {
+            let text = text.replace("interval-secs 300", &format!("interval-secs {bad}"));
+            let err = EventTrace::parse(&text).unwrap_err();
+            assert!(
+                err.starts_with("line 3: header `interval-secs`:"),
+                "interval-secs {bad}: {err}"
+            );
+        }
+
+        let text = text.replace("max-update-steps 3", "max-update-steps 0");
+        let err = EventTrace::parse(&text).unwrap_err();
+        assert!(
+            err.starts_with("line 8: header `max-update-steps`:"),
+            "{err}"
+        );
+
+        // A trace cut off before its sections is located too: at its
+        // last line.
+        let err = EventTrace::parse("ffc-trace v1\nintervals 3\n").unwrap_err();
+        assert!(err.starts_with("line 2: trace missing"), "{err}");
     }
 
     #[test]

@@ -9,7 +9,8 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use ffc_core::TeConfig;
-use ffc_ctrl::checkpoint::{decode_checkpoint, encode_checkpoint, CheckpointError};
+use ffc_ctrl::checkpoint::{decode_checkpoint, encode_checkpoint};
+use ffc_ctrl::durable::SealError;
 use ffc_ctrl::state::{StoreSnapshot, VersionedConfig};
 use ffc_ctrl::{
     recover_latest, CheckpointState, Checkpointer, Event, InflightRollout, PlannerSnapshot,
@@ -243,7 +244,7 @@ proptest! {
         let bytes = encode_checkpoint(&state, digest);
         let cut = (cut_frac * (bytes.len() - 1) as f64) as usize;
         match decode_checkpoint(&bytes[..cut], "torn.ffck", digest) {
-            Err(CheckpointError::Invalid(_)) => {}
+            Err(SealError::Torn(_)) => {}
             other => prop_assert!(false, "truncated decode returned {:?}", other),
         }
 

@@ -1,6 +1,6 @@
 //! Delta-LP: in-place patching of a standing model.
 //!
-//! Re-solve workloads (the per-interval FFC controller loop, `k`-sweeps)
+//! Re-solve workloads (the per-interval FFC controller loop)
 //! solve long runs of models that differ only in right-hand sides,
 //! variable bounds and a handful of coefficients. Rebuilding the
 //! [`Model`] and re-lowering it to [`StdForm`] every time costs
@@ -12,7 +12,7 @@
 //! * [`IncrementalModel::set_var_bounds`] — patch a variable's bounds
 //!   (demand upper bounds, pinning dead tunnels to `[0, 0]`).
 //! * [`IncrementalModel::set_coeff`] — patch one existing coefficient
-//!   (stale-ingress weights, CVaR head multipliers). Only values already
+//!   (stale-ingress weights). Only values already
 //!   in the sparsity pattern may change — inserting or zeroing an entry
 //!   would diverge from what a fresh build produces, so both are
 //!   rejected as [`PatchError`]s.

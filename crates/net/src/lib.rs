@@ -31,7 +31,6 @@ pub mod flow;
 pub mod graph;
 pub mod ksp;
 pub mod layout;
-pub mod suurballe;
 pub mod topology;
 pub mod tunnel;
 
@@ -39,7 +38,6 @@ pub use failure::FaultScenario;
 pub use flow::{Flow, FlowId, Priority, TrafficMatrix};
 pub use graph::Path;
 pub use layout::{layout_flow_tunnels, layout_tunnels, LayoutConfig};
-pub use suurballe::disjoint_pair;
 pub use topology::{Link, LinkId, NodeId, Topology};
 pub use tunnel::{disjointness, residual_tunnel_bound, Disjointness, Tunnel, TunnelTable};
 

@@ -111,7 +111,11 @@ pub fn disjointness(tunnels: &[Tunnel]) -> Disjointness {
 /// The residual-tunnel lower bound `τ_f = |T_f| − k_e·p_f − k_v·q_f`
 /// (paper §4.4.1), clamped at zero.
 pub fn residual_tunnel_bound(num_tunnels: usize, d: Disjointness, ke: usize, kv: usize) -> usize {
-    num_tunnels.saturating_sub(ke * d.p + kv * d.q)
+    // Saturating: `ke` / `kv` can come straight from a trace file.
+    num_tunnels.saturating_sub(
+        ke.saturating_mul(d.p)
+            .saturating_add(kv.saturating_mul(d.q)),
+    )
 }
 
 /// All tunnels of all flows: `tunnels_of[f]` is flow `f`'s tunnel list,

@@ -13,11 +13,7 @@ use ffc_topo::{testbed, toy};
 fn fig3_fig5_quantities_all_encodings() {
     let s = toy::fig3_scenario();
     let old = s.old.clone().expect("config");
-    for enc in [
-        MsumEncoding::SortingNetwork,
-        MsumEncoding::Cvar,
-        MsumEncoding::Enumeration,
-    ] {
+    for enc in [MsumEncoding::SortingNetwork, MsumEncoding::Enumeration] {
         for (kc, expect) in [(0usize, 10.0), (1, 7.0), (2, 4.0)] {
             let cfg = solve_ffc(
                 TeProblem::new(&s.topo, &s.tm, &s.tunnels),

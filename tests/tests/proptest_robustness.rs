@@ -118,14 +118,14 @@ proptest! {
         }
     }
 
-    /// All three bounded-M-sum encodings produce the same optimum for
+    /// Both bounded-M-sum encodings produce the same optimum for
     /// control-plane FFC (§4.4.1 equivalence).
     #[test]
     fn encodings_agree_on_random_instances(net in net_strategy()) {
         let (topo, tm, tunnels) = build(&net);
         let old = solve_te(TeProblem::new(&topo, &tm, &tunnels)).expect("TE");
         let mut objs = Vec::new();
-        for enc in [MsumEncoding::SortingNetwork, MsumEncoding::Cvar, MsumEncoding::Enumeration] {
+        for enc in [MsumEncoding::SortingNetwork, MsumEncoding::Enumeration] {
             let cfg = solve_ffc(
                 TeProblem::new(&topo, &tm, &tunnels),
                 &old,
@@ -133,8 +133,7 @@ proptest! {
             ).expect("feasible");
             objs.push(cfg.throughput());
         }
-        prop_assert!((objs[0] - objs[2]).abs() < 1e-4 * (1.0 + objs[2].abs()), "{objs:?}");
-        prop_assert!((objs[1] - objs[2]).abs() < 1e-4 * (1.0 + objs[2].abs()), "{objs:?}");
+        prop_assert!((objs[0] - objs[1]).abs() < 1e-4 * (1.0 + objs[1].abs()), "{objs:?}");
     }
 
     /// FFC never grants more than plain TE (protection is never free
