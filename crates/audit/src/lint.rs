@@ -10,13 +10,17 @@
 //! |---|---|---|
 //! | `no-unwrap` | `crates/lp/src`, `crates/ctrl/src` (non-test) | no `.unwrap()` / `.expect(…)` on solver/controller hot paths |
 //! | `float-eq` | workspace (non-test) | no `==` / `!=` against a float literal |
-//! | `nondeterminism` | replay-deterministic modules | no `Instant::now` / `SystemTime` / `rand` |
+//! | `nondeterminism` | replay-deterministic modules | no `Instant::now` / `SystemTime` / ambient `rand` entropy (`thread_rng`, `random`, `from_entropy`, `OsRng`) |
 //! | `forbid-unsafe` | every crate root | `#![forbid(unsafe_code)]` present |
 //! | `no-process-exit` | workspace except `src/main.rs` / `src/bin/*.rs` | no `process::exit` / `process::abort` — library code must unwind so the supervisor and crash checkpoints see the failure |
 //! | `no-env-var` | workspace except `src/main.rs` / `src/bin/*.rs` | no `env::var` / `var_os` / `vars` / `vars_os` — a library's behaviour is a function of its arguments; only a process entrypoint may read its environment |
 //!
 //! Replay-deterministic modules ([`DETERMINISTIC_MODULES`]) are the
-//! files whose behaviour must be a pure function of the recorded seed.
+//! files whose behaviour must be a pure function of the recorded seed:
+//! a generator built by `StdRng::seed_from_u64` is one, so only the
+//! `rand` names that draw entropy from the process's surroundings are
+//! sites. (The vendored stand-in has none of the four; the clause is
+//! there for the day a real `rand` replaces it.)
 //!
 //! Findings are zero-tolerance (no baseline): an intended site carries
 //! its justification in the source, in the one suppression grammar of
@@ -181,7 +185,9 @@ fn site_rule(code: &Code, i: usize) -> Option<&'static str> {
         "unwrap" | "expect" if code.is_method_call(i) => Some("no-unwrap"),
         "Instant" if code.is_path(i, &["now"]) => Some("nondeterminism"),
         "SystemTime" => Some("nondeterminism"),
-        "rand" if code.is_path(i, &[]) || code.prev(i) == "use" => Some("nondeterminism"),
+        "thread_rng" | "random" | "from_entropy" | "OsRng" if code.prev(i) != "." => {
+            Some("nondeterminism")
+        }
         "process" if code.is_path(i, &["exit", "abort"]) => Some("no-process-exit"),
         "env" if code.is_path(i, ENV_READS) => Some("no-env-var"),
         // `==` / `!=` (two adjacent puncts) with a float literal on
@@ -350,6 +356,34 @@ fn f() -> &'static str { ".unwrap() == 0.5" }
             .collect();
         assert_eq!(nondet.len(), 1, "{:?}", report.violations);
         assert!(nondet[0].file.ends_with("crates/ctrl/src/event.rs"));
+    }
+
+    #[test]
+    fn seeded_generators_pass_and_ambient_entropy_fails() {
+        let lint = |body: &str| {
+            let dir = scratch_dir("rand");
+            fs::create_dir_all(dir.join("crates/ctrl/src")).unwrap();
+            fs::write(dir.join("crates/ctrl/src/replay.rs"), body).unwrap();
+            let report = lint_workspace(&LintConfig::new(&dir)).unwrap();
+            let _ = fs::remove_dir_all(&dir);
+            report.violations
+        };
+        let seeded = "use rand::rngs::StdRng;\nuse rand::{Rng, SeedableRng};\n\
+                      fn f(seed: u64) -> f64 { StdRng::seed_from_u64(seed).gen::<f64>() }\n";
+        assert!(lint(seeded).is_empty(), "{:?}", lint(seeded));
+        for ambient in [
+            "fn f() -> f64 { rand::thread_rng().gen() }",
+            "fn f() -> f64 { rand::random() }",
+            "use rand::random;",
+            "fn f() -> StdRng { StdRng::from_entropy() }",
+            "fn f() -> u64 { rand::rngs::OsRng.next_u64() }",
+        ] {
+            let hits = lint(ambient);
+            let rules: Vec<&str> = hits.iter().map(|v| v.rule).collect();
+            assert_eq!(rules, ["nondeterminism"], "{ambient}: {hits:?}");
+        }
+        // A seeded generator's own `random` method is not ambient.
+        assert!(lint("fn f(r: &mut StdRng) -> f64 { r.random() }").is_empty());
     }
 
     #[test]

@@ -10,7 +10,8 @@ use ffc_core::FfcConfig;
 pub use ffc_fleet::splitmix64;
 use ffc_fleet::{shape_demand_events, DemandShape};
 use ffc_net::{LinkId, NodeId, Topology, TrafficMatrix};
-use ffc_sim::DetRng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use ffc_ctrl::{Event, TimedEvent};
 
@@ -119,8 +120,8 @@ pub fn generate_campaign(
     intervals: usize,
 ) -> CampaignPlan {
     let seed = campaign_seed(master_seed, index);
-    let mut rng = DetRng::seed_from_u64(seed);
-    let kind = match rng.next_f64() {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let kind = match rng.gen::<f64>() {
         x if x < 0.55 => CampaignKind::WithinK,
         x if x < 0.80 => CampaignKind::OverK,
         _ => CampaignKind::SolverChaos,
@@ -131,14 +132,14 @@ pub fn generate_campaign(
     // Demand stream: jittered scales with occasional bursts; a "stale"
     // interval emits nothing and the controller keeps the old demands.
     for interval in 0..intervals {
-        let r = rng.next_f64();
+        let r = rng.gen::<f64>();
         if r < 0.15 {
             continue; // stale demand update
         }
         let factor = if r < 0.30 {
-            1.4 + rng.next_f64() * 0.8 // burst
+            1.4 + rng.gen::<f64>() * 0.8 // burst
         } else {
-            0.9 + rng.next_f64() * 0.2 // jitter
+            0.9 + rng.gen::<f64>() * 0.2 // jitter
         };
         events.push(TimedEvent {
             interval,
@@ -149,15 +150,15 @@ pub fn generate_campaign(
     // Correlated fault storm around a pivot switch: its incident links
     // fail together, optionally with the switch itself.
     let storm_interval = if intervals > 1 {
-        1 + rng.gen_index(intervals - 1)
+        1 + rng.gen_range(0..intervals - 1)
     } else {
         0
     };
     let (link_faults, switch_faults) = match kind {
-        CampaignKind::OverK => (ffc.ke + 1 + rng.gen_index(2), ffc.kv + 1),
-        _ => (rng.gen_index(ffc.ke + 1), rng.gen_index(ffc.kv + 1)),
+        CampaignKind::OverK => (ffc.ke + 1 + rng.gen_range(0..2usize), ffc.kv + 1),
+        _ => (rng.gen_range(0..ffc.ke + 1), rng.gen_range(0..ffc.kv + 1)),
     };
-    let pivot = ffc_net::NodeId(rng.gen_index(topo.num_nodes()));
+    let pivot = ffc_net::NodeId(rng.gen_range(0..topo.num_nodes()));
     let mut incident: Vec<ffc_net::LinkId> = topo
         .out_links(pivot)
         .iter()
@@ -177,10 +178,10 @@ pub fn generate_campaign(
     // Over-k switch storms only make sense when switch protection is in
     // play (or deliberately exceeded); keep them opt-in by probability
     // so most campaigns stress the link dimension.
-    let switch_storm = switch_faults > 0 && (ffc.kv > 0 || rng.next_f64() < 0.25);
+    let switch_storm = switch_faults > 0 && (ffc.kv > 0 || rng.gen::<f64>() < 0.25);
     if switch_storm {
         for _ in 0..switch_faults {
-            let v = ffc_net::NodeId(rng.gen_index(topo.num_nodes()));
+            let v = ffc_net::NodeId(rng.gen_range(0..topo.num_nodes()));
             if !switch_downed.contains(&v) {
                 events.push(TimedEvent {
                     interval: storm_interval,
@@ -191,7 +192,7 @@ pub fn generate_campaign(
         }
     }
     // Repairs one or two intervals later, when the run is long enough.
-    let repair_interval = storm_interval + 1 + rng.gen_index(2);
+    let repair_interval = storm_interval + 1 + rng.gen_range(0..2usize);
     if repair_interval < intervals {
         for &l in &downed {
             events.push(TimedEvent {
@@ -209,14 +210,14 @@ pub fn generate_campaign(
 
     // Occasional operator protection change (never above the configured
     // level, so within-k campaigns stay within k).
-    if rng.next_f64() < 0.15 && intervals > 2 {
-        let interval = 1 + rng.gen_index(intervals - 1);
+    if rng.gen::<f64>() < 0.15 && intervals > 2 {
+        let interval = 1 + rng.gen_range(0..intervals - 1);
         events.push(TimedEvent {
             interval,
             event: Event::SetProtection {
-                kc: rng.gen_index(ffc.kc + 1),
-                ke: rng.gen_index(ffc.ke + 1),
-                kv: rng.gen_index(ffc.kv + 1),
+                kc: rng.gen_range(0..ffc.kc + 1),
+                ke: rng.gen_range(0..ffc.ke + 1),
+                kv: rng.gen_range(0..ffc.kv + 1),
             },
         });
     }
@@ -226,14 +227,14 @@ pub fn generate_campaign(
     let solver = if kind == CampaignKind::SolverChaos {
         // At least one knob fires; each is drawn independently.
         let mut plan = SolverChaosPlan {
-            max_iters: rng.gen_bool(0.4).then(|| 20 + rng.gen_index(180)),
-            inject_singular_after: rng.gen_bool(0.4).then(|| 20 + rng.gen_index(180)),
+            max_iters: rng.gen_bool(0.4).then(|| 20 + rng.gen_range(0..180usize)),
+            inject_singular_after: rng.gen_bool(0.4).then(|| 20 + rng.gen_range(0..180usize)),
             poison_hint_intervals: Vec::new(),
         };
         if rng.gen_bool(0.5) || (plan.max_iters.is_none() && plan.inject_singular_after.is_none()) {
-            let n = 1 + rng.gen_index(2usize.min(intervals));
+            let n = 1 + rng.gen_range(0..2usize.min(intervals));
             for _ in 0..n {
-                let i = rng.gen_index(intervals);
+                let i = rng.gen_range(0..intervals);
                 if !plan.poison_hint_intervals.contains(&i) {
                     plan.poison_hint_intervals.push(i);
                 }
@@ -300,7 +301,7 @@ pub fn generate_campaign_shaped(
     let mut plan = generate_campaign(topo, ffc, master_seed, index, intervals);
 
     if let Some(tm) = shaping.tm {
-        let mut rng = DetRng::seed_from_u64(splitmix64(plan.seed ^ 0x5AFE));
+        let mut rng = StdRng::seed_from_u64(splitmix64(plan.seed ^ 0x5AFE));
         let groups: Vec<usize> = tm.iter().map(|(_, f)| f.src.index()).collect();
         plan.shapes = draw_demand_shapes(&mut rng, &groups, intervals);
         // Appended after the base events and stably sorted, so within
@@ -320,10 +321,10 @@ pub fn generate_campaign_shaped(
 /// flash crowd and/or a per-source skew with moderate probability. All
 /// multipliers stay within [`ffc_fleet::workload::combined_multiplier`]'s
 /// clamp band, so shaped demand can stress but never zero out a flow.
-fn draw_demand_shapes(rng: &mut DetRng, groups: &[usize], intervals: usize) -> Vec<DemandShape> {
+fn draw_demand_shapes(rng: &mut StdRng, groups: &[usize], intervals: usize) -> Vec<DemandShape> {
     let mut shapes = vec![DemandShape::Diurnal {
-        amplitude: 0.1 + rng.next_f64() * 0.35,
-        peak: rng.next_f64() * intervals.max(1) as f64,
+        amplitude: 0.1 + rng.gen::<f64>() * 0.35,
+        peak: rng.gen::<f64>() * intervals.max(1) as f64,
         period_intervals: intervals.max(2) as f64,
     }];
     let mut uniq: Vec<usize> = groups.to_vec();
@@ -331,18 +332,18 @@ fn draw_demand_shapes(rng: &mut DetRng, groups: &[usize], intervals: usize) -> V
     uniq.dedup();
     if !uniq.is_empty() {
         if rng.gen_bool(0.6) {
-            let duration = 1 + rng.gen_index(intervals.max(2) - 1);
+            let duration = 1 + rng.gen_range(0..intervals.max(2) - 1);
             shapes.push(DemandShape::FlashCrowd {
-                group: uniq[rng.gen_index(uniq.len())],
-                start: rng.gen_index(intervals.max(1)),
+                group: uniq[rng.gen_range(0..uniq.len())],
+                start: rng.gen_range(0..intervals.max(1)),
                 duration,
-                magnitude: 1.5 + rng.next_f64() * 2.0,
+                magnitude: 1.5 + rng.gen::<f64>() * 2.0,
             });
         }
         if rng.gen_bool(0.5) {
             shapes.push(DemandShape::SiteSkew {
-                group: uniq[rng.gen_index(uniq.len())],
-                factor: 0.5 + rng.next_f64() * 2.0,
+                group: uniq[rng.gen_range(0..uniq.len())],
+                factor: 0.5 + rng.gen::<f64>() * 2.0,
             });
         }
     }
@@ -446,7 +447,7 @@ fn retarget_storm(topo: &Topology, heat: &[f64], plan: &mut CampaignPlan) {
 /// duplicated, flipped to timeouts, and locally reordered under the
 /// campaign's RNG. Deterministic in `seed`.
 pub fn perturb_outcomes(events: &[TimedEvent], plan: &PerturbPlan, seed: u64) -> Vec<TimedEvent> {
-    let mut rng = DetRng::seed_from_u64(splitmix64(seed ^ 0xACED));
+    let mut rng = StdRng::seed_from_u64(splitmix64(seed ^ 0xACED));
     let mut out: Vec<TimedEvent> = Vec::with_capacity(events.len());
     for te in events {
         if !te.event.is_recorded_outcome() {
@@ -456,7 +457,7 @@ pub fn perturb_outcomes(events: &[TimedEvent], plan: &PerturbPlan, seed: u64) ->
         if plan.drop_all_interval == Some(te.interval) {
             continue;
         }
-        if rng.next_f64() < plan.drop_p {
+        if rng.gen::<f64>() < plan.drop_p {
             continue;
         }
         if let Event::UpdateAck {
@@ -465,7 +466,7 @@ pub fn perturb_outcomes(events: &[TimedEvent], plan: &PerturbPlan, seed: u64) ->
             delay,
         } = te.event
         {
-            if rng.next_f64() < plan.flip_p {
+            if rng.gen::<f64>() < plan.flip_p {
                 out.push(TimedEvent {
                     interval: te.interval,
                     event: Event::UpdateTimeout { switch, step },
@@ -473,7 +474,7 @@ pub fn perturb_outcomes(events: &[TimedEvent], plan: &PerturbPlan, seed: u64) ->
                 continue;
             }
             out.push(te.clone());
-            if rng.next_f64() < plan.dup_p {
+            if rng.gen::<f64>() < plan.dup_p {
                 // A duplicate with a different delay: last write wins in
                 // the executor, so this changes the rollout timing.
                 out.push(TimedEvent {
@@ -494,7 +495,7 @@ pub fn perturb_outcomes(events: &[TimedEvent], plan: &PerturbPlan, seed: u64) ->
         if out[i].event.is_recorded_outcome()
             && out[i - 1].event.is_recorded_outcome()
             && out[i].interval == out[i - 1].interval
-            && rng.next_f64() < plan.reorder_p
+            && rng.gen::<f64>() < plan.reorder_p
         {
             out.swap(i - 1, i);
         }

@@ -44,12 +44,6 @@ impl RescaledLoads {
             .map(|e| (self.load[e.index()] - topo.capacity(e)).max(0.0) / topo.capacity(e))
             .fold(0.0, f64::max)
     }
-
-    /// Total traffic above capacity, summed over links (congestion
-    /// volume per unit time).
-    pub fn total_overload(&self, topo: &Topology) -> f64 {
-        self.oversubscription(topo).iter().sum()
-    }
 }
 
 /// Splits `rate` over the residual tunnels proportionally to `weights`.
@@ -283,6 +277,5 @@ mod tests {
         let over = loads.oversubscription(&t);
         assert!((over[0] - 5.0).abs() < 1e-9);
         assert!((loads.max_oversubscription_ratio(&t) - 0.5).abs() < 1e-9);
-        assert!((loads.total_overload(&t) - 5.0).abs() < 1e-9);
     }
 }

@@ -39,7 +39,7 @@ use std::time::Duration;
 use ffc_core::{FfcConfig, TeConfig, TeProblem};
 use ffc_lp::{Algorithm, SimplexOptions};
 use ffc_net::{FaultScenario, FlowId, LinkId, NodeId, Topology, TrafficMatrix, TunnelTable};
-use ffc_sim::{DrivenSim, RunTotals, SwitchModel};
+use ffc_sim::{DrivenInterval, DrivenSim, RunTotals, SwitchModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -77,13 +77,6 @@ pub struct ChaosHooks {
     /// update" crash point. Fires only when a checkpointer is attached
     /// (stage checkpoints exist only then).
     pub crash_mid_rollout: Option<(usize, usize)>,
-}
-
-impl ChaosHooks {
-    /// Whether any hook is armed.
-    pub fn is_active(&self) -> bool {
-        *self != ChaosHooks::default()
-    }
 }
 
 /// Controller parameters (the union of planner + executor knobs).
@@ -168,6 +161,19 @@ impl ControllerConfig {
             seed: self.seed,
             max_update_steps: self.max_update_steps,
             solve_deadline_ms: self.solve_deadline.as_millis() as u64,
+        }
+    }
+
+    /// The rollout policy for an interval planned at `kc`.
+    fn executor(&self, kc: usize) -> ExecutorConfig {
+        ExecutorConfig {
+            max_steps: self.max_update_steps,
+            kc,
+            rules_per_step: self.rules_per_update,
+            switch_model: self.switch_model,
+            cap_secs: self.interval_secs,
+            retry_timeout_secs: self.retry_timeout_secs,
+            max_retries: self.max_retries,
         }
     }
 }
@@ -268,13 +274,6 @@ impl<'a> Controller<'a> {
         self.run_with_recovery(base_tm, events, intervals, replay, sink, None, None)
     }
 
-    /// The digest guarding this controller's checkpoints: resuming
-    /// under a different configuration, topology, tunnel layout, or
-    /// base traffic matrix is refused ([`checkpoint::recover_latest`]).
-    pub fn checkpoint_digest(&self, base_tm: &TrafficMatrix) -> u64 {
-        checkpoint::config_digest(&self.cfg, self.topo, self.tunnels, base_tm)
-    }
-
     /// [`Controller::run_with_sink`] with durable crash recovery.
     ///
     /// With `ckpt` attached, the run writes an atomic checksummed
@@ -298,382 +297,443 @@ impl<'a> Controller<'a> {
         intervals: usize,
         replay: bool,
         mut sink: Option<&mut dyn IntervalSink>,
-        mut ckpt: Option<&mut Checkpointer>,
+        ckpt: Option<&mut Checkpointer>,
         resume: Option<CheckpointState>,
     ) -> ControllerReport {
-        let mut planner = Planner::new(PlannerConfig {
-            ffc: self.cfg.ffc.clone(),
-            solve_deadline: self.cfg.solve_deadline,
-            recovery_probe: self.cfg.recovery_probe,
-            opts: self.cfg.opts.clone(),
-            incremental: self.cfg.incremental,
+        let mut st = LoopState::new(self, base_tm, events, replay);
+        let start = resume.map_or(0, |ck| st.restore(ck));
+        let prior = st.fp_lines.len();
+        let mut durable = ckpt.map(|ck| Durable {
+            last: st.checkpoint(start),
+            ck,
         });
-        let mut store = ConfigStore::new(TeConfig::zero(self.tunnels));
-        let mut sim = DrivenSim::new(self.topo, self.tunnels);
-        sim.interval_secs = self.cfg.interval_secs;
-        let mut rng = StdRng::seed_from_u64(self.cfg.seed);
-
-        let mut tm = base_tm.clone();
         let mut telemetry = Vec::new();
-        let mut totals = RunTotals::default();
-        let mut recorded: Vec<TimedEvent> = events
-            .iter()
-            .filter(|te| !replay || !te.event.is_recorded_outcome())
-            .cloned()
-            .collect();
-        if replay {
-            // Keep the recorded outcomes for the report too: a replay's
-            // recording is the trace it replayed.
-            recorded = events.to_vec();
-        }
-
-        // Restore every loop local from the checkpoint. The restored
-        // state is exactly what the crashed run held at its last
-        // boundary, so the re-run of each remaining interval —
-        // event application, warm re-solve, rollout, accounting — is
-        // bit-identical to what the uninterrupted run did.
-        let mut start_interval = 0usize;
-        let mut prior_fingerprints: Vec<String> = Vec::new();
-        let mut inflight: Option<InflightRollout> = None;
-        if let Some(st) = resume {
-            start_interval = st.next_interval;
-            for (i, &d) in st.demands.iter().enumerate() {
-                if i < tm.len() {
-                    tm.set_demand(FlowId(i), d);
-                }
-            }
-            store = ConfigStore::from_snapshot(st.store);
-            planner.restore(&st.planner);
-            let mut scenario = FaultScenario::none();
-            scenario.failed_links = st.failed_links.iter().map(|&i| LinkId(i)).collect();
-            scenario.failed_switches = st.failed_switches.iter().map(|&i| NodeId(i)).collect();
-            let installed = (st.next_interval > 0).then(|| store.installed().clone());
-            sim.restore_boundary(scenario, installed);
-            rng = StdRng::from_state(st.rng);
-            totals.delivered = st.totals[0];
-            totals.lost_congestion = st.totals[1];
-            totals.lost_blackhole = st.totals[2];
-            prior_fingerprints = st.fingerprints;
-            recorded = st.recorded;
-            inflight = st.inflight;
-        }
-        // Fingerprint lines of every completed interval (pre-resume
-        // included) — the boundary part of each checkpoint.
-        let mut fp_lines = prior_fingerprints.clone();
-        // The state at the last interval boundary; a mid-rollout
-        // checkpoint is this plus the in-flight record.
-        let mut last_boundary: Option<CheckpointState> = ckpt.as_ref().map(|_| {
-            boundary_state(
-                start_interval,
-                &tm,
-                &store,
-                &planner,
-                &sim,
-                &rng,
-                &totals,
-                &fp_lines,
-                &recorded,
-            )
-        });
-
-        for interval in start_interval..intervals {
-            // 1. Apply this interval's input events.
-            let mut events_applied = 0usize;
-            for te in events.iter().filter(|te| te.interval == interval) {
-                if te.event.is_recorded_outcome() {
-                    continue;
-                }
-                events_applied += 1;
-                // Out-of-range indices and non-finite rates are dropped
-                // rather than panicking: a controller fed a corrupted or
-                // adversarial event stream must degrade, not die.
-                match te.event {
-                    Event::DemandScale(f) if f.is_finite() && f >= 0.0 => tm = base_tm.scale(f),
-                    Event::DemandScale(_) => events_applied -= 1,
-                    Event::DemandSet { flow, demand } => {
-                        if flow < tm.len() && demand.is_finite() && demand >= 0.0 {
-                            tm.set_demand(ffc_net::FlowId(flow), demand)
-                        } else {
-                            events_applied -= 1;
-                        }
-                    }
-                    Event::LinkDown(l) if l.index() < self.topo.num_links() => sim.fail_link(l),
-                    Event::LinkUp(l) if l.index() < self.topo.num_links() => sim.repair_link(l),
-                    Event::LinkDown(_) | Event::LinkUp(_) => events_applied -= 1,
-                    Event::SwitchDown(v) if v.index() < self.topo.num_nodes() => sim.fail_switch(v),
-                    Event::SwitchUp(v) if v.index() < self.topo.num_nodes() => sim.repair_switch(v),
-                    Event::SwitchDown(_) | Event::SwitchUp(_) => events_applied -= 1,
-                    Event::SetProtection { kc, ke, kv } => {
-                        planner.set_protection(kc, ke, kv, &mut store)
-                    }
-                    // Recorded outcomes were filtered out above; if one
-                    // slips through (hand-built stream), ignore it.
-                    Event::UpdateAck { .. } | Event::UpdateTimeout { .. } => events_applied -= 1,
-                }
-            }
-
-            // 1b. Chaos hooks (no-ops unless armed by the harness).
-            if self.cfg.chaos.poison_hint_intervals.contains(&interval) {
-                store.poison_hint();
-            }
-
-            // 2. Re-solve (or degrade) for the new demands + faults.
-            let old = store.installed().clone();
-            let problem = TeProblem::new(self.topo, &tm, self.tunnels);
-            let outcome = planner.plan(problem, &old, sim.scenario(), &mut store);
-            let mut rolled_back = outcome.path == SolvePath::Infeasible;
-            // Certification gate: a freshly planned configuration is
-            // rolled out only if the independent certifier (ffc-audit)
-            // accepts it at the protection level the planner actually
-            // solved with. A rejected configuration is refused and the
-            // interval falls back to the last-known-good config, same
-            // as an infeasible solve.
-            let mut certificate = "n/a";
-            let target = match &outcome.target {
-                Some(t) => {
-                    let mut ffc = self.cfg.ffc.clone();
-                    ffc.kc = outcome.protection.0;
-                    ffc.ke = outcome.protection.1;
-                    ffc.kv = outcome.protection.2;
-                    let cert =
-                        ffc_core::certify_config(self.topo, &tm, self.tunnels, t, Some(&old), &ffc);
-                    certificate = cert.status_str();
-                    if cert.ok() {
-                        store.stage(t.clone());
-                        t.clone()
-                    } else {
-                        rolled_back = true;
-                        store.rollback().clone()
-                    }
-                }
-                None if rolled_back => store.rollback().clone(),
-                // Rescale-only: hold the installed config; ingress
-                // rescaling (inside the sim's load model) absorbs faults.
-                None => old.clone(),
-            };
-
-            // 3. Roll the target out across the flow ingresses.
-            let ingresses = flow_ingresses(&tm);
-            let exec_cfg = ExecutorConfig {
-                max_steps: self.cfg.max_update_steps,
-                kc: outcome.protection.0,
-                rules_per_step: self.cfg.rules_per_update,
-                switch_model: self.cfg.switch_model,
-                cap_secs: self.cfg.interval_secs,
-                retry_timeout_secs: self.cfg.retry_timeout_secs,
-                max_retries: self.cfg.max_retries,
-            };
-            // A crash left this interval's rollout in flight: re-plan
-            // deterministically (done above — same boundary state, same
-            // solve) and consume the durable outcome log instead of
-            // sampling. Stages the crashed run already pushed complete
-            // from the log — never re-pushed — and the remainder
-            // finishes exactly as it would have.
-            let resumed_inflight = inflight.take().filter(|f| f.interval == interval);
-            let rng_before = rng.state();
-            let hook_rng_after = resumed_inflight
-                .as_ref()
-                .map_or(rng_before, |f| f.rng_after);
-            let crash_mid = self.cfg.chaos.crash_mid_rollout;
-            let (reached, rollout) = {
-                let mut hook_storage;
-                let stage_hook: Option<&mut dyn FnMut(StageEvent<'_>)> =
-                    match (ckpt.as_deref_mut(), last_boundary.as_ref()) {
-                        (Some(ck), Some(bound)) => {
-                            hook_storage = |ev: StageEvent<'_>| {
-                                let mut st = bound.clone();
-                                st.inflight = Some(InflightRollout {
-                                    interval,
-                                    stage_reached: ev.completed_steps,
-                                    steps_planned: ev.steps_planned,
-                                    rng_after: ev.rng_state.unwrap_or(hook_rng_after),
-                                    outcomes: ev.outcomes.to_vec(),
-                                });
-                                ck.write(&st);
-                                if crash_mid == Some((interval, ev.completed_steps)) {
-                                    panic!(
-                                        "chaos-crash: mid-rollout interval {interval} stage {}",
-                                        ev.completed_steps
-                                    );
-                                }
-                            };
-                            Some(&mut hook_storage)
-                        }
-                        _ => None,
-                    };
-                let source = if let Some(f) = &resumed_inflight {
-                    OutcomeSource::Recorded(&f.outcomes)
-                } else if replay {
-                    OutcomeSource::Recorded(events)
-                } else {
-                    OutcomeSource::Sample(&mut rng)
-                };
-                executor::rollout_staged(
-                    self.topo,
-                    &tm,
-                    self.tunnels,
-                    &old,
-                    &target,
-                    &ingresses,
-                    &exec_cfg,
-                    interval,
-                    source,
-                    stage_hook,
-                )
-            };
-            if !replay {
-                if let Some(f) = &resumed_inflight {
-                    // Re-verification of the half-pushed stage: the
-                    // schedule recomputed from the durable log must
-                    // reach at least the stage the crashed run acked.
-                    // With a checksummed checkpoint and the config
-                    // digest guard this cannot diverge short of a bug;
-                    // failing loud beats silently double-pushing.
-                    assert!(
-                        rollout.steps_planned == f.steps_planned
-                            && rollout.steps_completed >= f.stage_reached,
-                        "resume diverged from the checkpointed rollout of interval {interval}: \
-                         planned {} vs {}, completed {} vs acked stage {}",
-                        rollout.steps_planned,
-                        f.steps_planned,
-                        rollout.steps_completed,
-                        f.stage_reached,
-                    );
-                    recorded.extend(f.outcomes.iter().cloned());
-                    // Continue later intervals from the post-sampling
-                    // RNG state — the crashed run's stream, bit-exact.
-                    rng = StdRng::from_state(f.rng_after);
-                } else {
-                    recorded.extend(rollout.recorded.iter().cloned());
-                }
-            }
-            let full = rollout.completed && rollout.congestion_free_plan && !rolled_back;
-            store.commit(reached.clone(), full);
-
-            // 4. Advance the data plane and account the interval.
-            let rec = sim.advance(&tm, &reached, &rollout.stale);
-            for p in 0..3 {
-                totals.delivered[p] += rec.delivered[p];
-                totals.lost_congestion[p] += rec.lost_congestion[p];
-                totals.lost_blackhole[p] += rec.lost_blackhole[p];
-            }
-            let stats = outcome.stats.as_ref();
-            let record = IntervalTelemetry {
+        for interval in start..intervals {
+            let events_applied = st.apply_events(interval);
+            let outcome = st.plan(interval);
+            let gate = st.certify(&outcome);
+            let (reached, rollout) = st.roll_out(
                 interval,
-                events_applied,
-                protection: outcome.protection,
-                path: outcome.path,
-                degraded: outcome.degraded,
-                rolled_back,
-                certificate,
-                iterations: stats.map_or(0, |s| s.iterations()),
-                dual_iterations: stats.map_or(0, |s| s.dual_iterations),
-                dual_bound_flips: stats.map_or(0, |s| s.dual_bound_flips),
-                solve_ms: outcome.wall.as_secs_f64() * 1e3,
-                model_patched: outcome.patched,
-                config_version: store.installed_version(),
-                rollout_steps_planned: rollout.steps_planned,
-                rollout_steps_completed: rollout.steps_completed,
-                congestion_free_plan: rollout.congestion_free_plan,
-                stale_switches: rollout.stale.len(),
-                update_retries: rollout.retries,
-                last_good_version: store.last_good_version(),
-                rollout_secs: rollout.rollout_secs,
-                overloaded_links: rec.overloaded_links,
-                max_oversubscription: rec.max_oversubscription,
-                delivered: rec.delivered.iter().sum(),
-                lost_congestion: rec.lost_congestion.iter().sum(),
-                lost_blackhole: rec.lost_blackhole.iter().sum(),
-            };
+                &gate.target,
+                outcome.protection.0,
+                durable.as_mut(),
+            );
+            let rec = st.commit_and_advance(reached, &rollout, gate.rolled_back);
+            let record =
+                st.telemetry_record(interval, events_applied, &outcome, &gate, &rollout, &rec);
             if let Some(sink) = sink.as_deref_mut() {
-                let util: Vec<f64> = self
-                    .topo
-                    .links()
-                    .map(|e| {
-                        let cap = self.topo.capacity(e);
-                        if cap > 0.0 {
-                            rec.link_load[e.index()] / cap
-                        } else {
-                            0.0
-                        }
-                    })
-                    .collect();
-                sink.record(&record, &util);
+                sink.record(&record, &link_utilization(self.topo, &rec));
             }
-            if ckpt.is_some() {
-                fp_lines.push(record.fingerprint());
-            }
+            st.close_interval(interval, &record, durable.as_mut());
             telemetry.push(record);
-            if let Some(ck) = ckpt.as_deref_mut() {
-                let st = boundary_state(
-                    interval + 1,
-                    &tm,
-                    &store,
-                    &planner,
-                    &sim,
-                    &rng,
-                    &totals,
-                    &fp_lines,
-                    &recorded,
-                );
-                ck.write(&st);
-                last_boundary = Some(st);
-            }
-            if self.cfg.chaos.crash_at_interval == Some(interval) {
-                panic!("chaos-crash: interval boundary {interval}");
-            }
         }
-
+        st.fp_lines.truncate(prior);
         ControllerReport {
             telemetry,
-            totals,
-            recorded_events: recorded,
-            prior_fingerprints,
+            totals: st.totals,
+            recorded_events: st.recorded,
+            prior_fingerprints: st.fp_lines,
         }
     }
 }
 
-/// The complete controller state at an interval boundary, as a
-/// checkpoint (no in-flight rollout).
-#[allow(clippy::too_many_arguments)]
-fn boundary_state(
-    next_interval: usize,
-    tm: &TrafficMatrix,
-    store: &ConfigStore,
-    planner: &Planner,
-    sim: &DrivenSim<'_>,
-    rng: &StdRng,
-    totals: &RunTotals,
-    fingerprints: &[String],
-    recorded: &[TimedEvent],
-) -> CheckpointState {
-    CheckpointState {
-        next_interval,
-        demands: tm.iter().map(|(_, f)| f.demand).collect(),
-        store: store.snapshot(),
-        planner: planner.snapshot(),
-        failed_links: sim
-            .scenario()
-            .failed_links
-            .iter()
-            .map(|l| l.index())
-            .collect(),
-        failed_switches: sim
-            .scenario()
-            .failed_switches
-            .iter()
-            .map(|v| v.index())
-            .collect(),
-        rng: rng.state(),
-        totals: [
-            totals.delivered,
-            totals.lost_congestion,
-            totals.lost_blackhole,
-        ],
-        fingerprints: fingerprints.to_vec(),
-        recorded: recorded.to_vec(),
-        inflight: None,
+/// The run's constant inputs and everything the loop carries from one
+/// interval to the next, stepped by the stage functions in the order
+/// [`Controller::run_with_recovery`] calls them. Only `checkpoint` and
+/// `restore` map it to and from a [`CheckpointState`].
+struct LoopState<'a> {
+    ctrl: &'a Controller<'a>,
+    base_tm: &'a TrafficMatrix,
+    events: &'a [TimedEvent],
+    replay: bool,
+    tm: TrafficMatrix,
+    store: ConfigStore,
+    planner: Planner,
+    sim: DrivenSim<'a>,
+    rng: StdRng,
+    totals: RunTotals,
+    /// Fingerprint line of every completed interval, pre-resume ones
+    /// included; grows only while a checkpointer is attached.
+    fp_lines: Vec<String>,
+    /// The input events plus, on live runs, the outcomes sampled so far.
+    recorded: Vec<TimedEvent>,
+    /// A rollout the recovered checkpoint caught in flight.
+    inflight: Option<InflightRollout>,
+}
+
+/// A run's checkpointer and the state it last made durable (a
+/// mid-rollout checkpoint is the last boundary plus the in-flight record).
+struct Durable<'c> {
+    ck: &'c mut Checkpointer,
+    last: CheckpointState,
+}
+
+/// What the certification gate decided for one interval.
+struct Gate {
+    target: TeConfig,
+    certificate: &'static str,
+    rolled_back: bool,
+}
+
+impl<'a> LoopState<'a> {
+    /// The state before interval 0.
+    fn new(
+        ctrl: &'a Controller<'a>,
+        base_tm: &'a TrafficMatrix,
+        events: &'a [TimedEvent],
+        replay: bool,
+    ) -> Self {
+        let cfg = &ctrl.cfg;
+        let mut sim = DrivenSim::new(ctrl.topo, ctrl.tunnels);
+        sim.interval_secs = cfg.interval_secs;
+        LoopState {
+            ctrl,
+            base_tm,
+            events,
+            replay,
+            tm: base_tm.clone(),
+            store: ConfigStore::new(TeConfig::zero(ctrl.tunnels)),
+            planner: Planner::new(PlannerConfig {
+                ffc: cfg.ffc.clone(),
+                solve_deadline: cfg.solve_deadline,
+                recovery_probe: cfg.recovery_probe,
+                opts: cfg.opts.clone(),
+                incremental: cfg.incremental,
+            }),
+            sim,
+            rng: StdRng::seed_from_u64(cfg.seed),
+            totals: RunTotals::default(),
+            fp_lines: Vec::new(),
+            // A replay's recording is the trace it replayed, outcomes
+            // included; a live run appends the outcomes it samples.
+            recorded: events.to_vec(),
+            inflight: None,
+        }
     }
+
+    /// Overwrites the state with a recovered checkpoint and returns the
+    /// interval to continue from: exactly what the crashed run held, so
+    /// each remaining interval re-runs bit-identical to an
+    /// uninterrupted run.
+    fn restore(&mut self, ck: CheckpointState) -> usize {
+        let CheckpointState {
+            next_interval,
+            demands,
+            store,
+            planner,
+            failed_links,
+            failed_switches,
+            rng,
+            totals: [delivered, lost_congestion, lost_blackhole],
+            fingerprints,
+            recorded,
+            inflight,
+        } = ck;
+        for (i, &d) in demands.iter().enumerate().take(self.tm.len()) {
+            self.tm.set_demand(FlowId(i), d);
+        }
+        self.store = ConfigStore::from_snapshot(store);
+        self.planner.restore(&planner);
+        let mut scenario = FaultScenario::none();
+        scenario.failed_links = failed_links.into_iter().map(LinkId).collect();
+        scenario.failed_switches = failed_switches.into_iter().map(NodeId).collect();
+        let installed = (next_interval > 0).then(|| self.store.installed().clone());
+        self.sim.restore_boundary(scenario, installed);
+        self.rng = StdRng::from_state(rng);
+        self.totals = RunTotals {
+            delivered,
+            lost_congestion,
+            lost_blackhole,
+        };
+        self.fp_lines = fingerprints;
+        self.recorded = recorded;
+        self.inflight = inflight;
+        next_interval
+    }
+
+    /// The state as a checkpoint to resume from at `next_interval`.
+    fn checkpoint(&self, next_interval: usize) -> CheckpointState {
+        let scenario = self.sim.scenario();
+        CheckpointState {
+            next_interval,
+            demands: self.tm.iter().map(|(_, f)| f.demand).collect(),
+            store: self.store.snapshot(),
+            planner: self.planner.snapshot(),
+            failed_links: scenario.failed_links.iter().map(|l| l.index()).collect(),
+            failed_switches: scenario.failed_switches.iter().map(|v| v.index()).collect(),
+            rng: self.rng.state(),
+            totals: [
+                self.totals.delivered,
+                self.totals.lost_congestion,
+                self.totals.lost_blackhole,
+            ],
+            fingerprints: self.fp_lines.clone(),
+            recorded: self.recorded.clone(),
+            inflight: self.inflight.clone(),
+        }
+    }
+
+    /// Stage 1: applies the interval's input events; counts those applied.
+    fn apply_events(&mut self, interval: usize) -> usize {
+        let events = self.events;
+        let mut applied = 0;
+        for te in events.iter().filter(|te| te.interval == interval) {
+            applied += usize::from(self.apply_event(&te.event));
+        }
+        applied
+    }
+
+    /// Applies one input event, or returns `false` with the state
+    /// untouched: out-of-range indices and non-finite rates are dropped
+    /// rather than panicking (a controller fed a corrupted or
+    /// adversarial event stream must degrade, not die), and recorded
+    /// outcomes are the rollout's input, not the loop's.
+    fn apply_event(&mut self, event: &Event) -> bool {
+        let topo = self.ctrl.topo;
+        match *event {
+            Event::DemandScale(f) if f.is_finite() && f >= 0.0 => self.tm = self.base_tm.scale(f),
+            Event::DemandSet { flow, demand }
+                if flow < self.tm.len() && demand.is_finite() && demand >= 0.0 =>
+            {
+                self.tm.set_demand(FlowId(flow), demand)
+            }
+            Event::LinkDown(l) if l.index() < topo.num_links() => self.sim.fail_link(l),
+            Event::LinkUp(l) if l.index() < topo.num_links() => self.sim.repair_link(l),
+            Event::SwitchDown(v) if v.index() < topo.num_nodes() => self.sim.fail_switch(v),
+            Event::SwitchUp(v) if v.index() < topo.num_nodes() => self.sim.repair_switch(v),
+            Event::SetProtection { kc, ke, kv } => {
+                self.planner.set_protection(kc, ke, kv, &mut self.store)
+            }
+            _ => return false,
+        }
+        true
+    }
+
+    /// Stage 2: re-solves (or degrades) for the new demands and faults,
+    /// after the hint-poisoning chaos hook. The installed config the
+    /// plan starts from stays installed until stage 5 commits.
+    fn plan(&mut self, interval: usize) -> PlanOutcome {
+        let ctrl = self.ctrl;
+        if ctrl.cfg.chaos.poison_hint_intervals.contains(&interval) {
+            self.store.poison_hint();
+        }
+        let old = self.store.installed().clone();
+        let problem = TeProblem::new(ctrl.topo, &self.tm, ctrl.tunnels);
+        self.planner
+            .plan(problem, &old, self.sim.scenario(), &mut self.store)
+    }
+
+    /// Stage 3, the certification gate: a freshly planned configuration
+    /// is staged for rollout only if the independent certifier
+    /// (ffc-audit) accepts it at the protection level the planner
+    /// actually solved with. A rejected configuration is refused and the
+    /// interval falls back to the last-known-good config, same as an
+    /// infeasible solve.
+    fn certify(&mut self, outcome: &PlanOutcome) -> Gate {
+        let (ctrl, old) = (self.ctrl, self.store.installed());
+        let mut certificate = "n/a";
+        let mut rolled_back = outcome.path == SolvePath::Infeasible;
+        let mut accepted = None;
+        if let Some(t) = &outcome.target {
+            let mut ffc = ctrl.cfg.ffc.clone();
+            (ffc.kc, ffc.ke, ffc.kv) = outcome.protection;
+            let cert =
+                ffc_core::certify_config(ctrl.topo, &self.tm, ctrl.tunnels, t, Some(old), &ffc);
+            certificate = cert.status_str();
+            rolled_back |= !cert.ok();
+            accepted = cert.ok().then(|| {
+                self.store.stage(t.clone());
+                t.clone()
+            });
+        }
+        let target = match accepted {
+            Some(t) => t,
+            None if rolled_back => self.store.rollback().clone(),
+            // Rescale-only: hold the installed config; ingress
+            // rescaling (inside the sim's load model) absorbs faults.
+            None => self.store.installed().clone(),
+        };
+        Gate {
+            target,
+            certificate,
+            rolled_back,
+        }
+    }
+
+    /// Stage 4: rolls `target` out across the flow ingresses; returns
+    /// the configuration the network reached. With `durable`, every
+    /// fully issued step is checkpointed (and is a chaos crash point).
+    /// If a crash left this interval's rollout in flight, the plan was
+    /// re-derived from the same boundary state and the durable outcome
+    /// log is consumed instead of sampling: stages the crashed run
+    /// pushed complete from the log, never re-pushed, and the remainder
+    /// finishes exactly as it would have.
+    fn roll_out(
+        &mut self,
+        interval: usize,
+        target: &TeConfig,
+        kc: usize,
+        durable: Option<&mut Durable<'_>>,
+    ) -> (TeConfig, RolloutReport) {
+        let ctrl = self.ctrl;
+        let resumed = self.inflight.take().filter(|f| f.interval == interval);
+        let rng_after = resumed.as_ref().map_or(self.rng.state(), |f| f.rng_after);
+        let mut stage_hook = durable.map(|d| {
+            move |ev: StageEvent<'_>| {
+                d.last.inflight = Some(InflightRollout {
+                    interval,
+                    stage_reached: ev.completed_steps,
+                    steps_planned: ev.steps_planned,
+                    rng_after: ev.rng_state.unwrap_or(rng_after),
+                    outcomes: ev.outcomes.to_vec(),
+                });
+                d.ck.write(&d.last);
+                if ctrl.cfg.chaos.crash_mid_rollout == Some((interval, ev.completed_steps)) {
+                    panic!(
+                        "chaos-crash: mid-rollout interval {interval} stage {}",
+                        ev.completed_steps
+                    );
+                }
+            }
+        });
+        let source = match &resumed {
+            Some(f) => OutcomeSource::Recorded(&f.outcomes),
+            None if self.replay => OutcomeSource::Recorded(self.events),
+            None => OutcomeSource::Sample(&mut self.rng),
+        };
+        let (reached, rollout) = executor::rollout_staged(
+            ctrl.topo,
+            &self.tm,
+            ctrl.tunnels,
+            self.store.installed(),
+            target,
+            &flow_ingresses(&self.tm),
+            &ctrl.cfg.executor(kc),
+            interval,
+            source,
+            stage_hook
+                .as_mut()
+                .map(|h| h as &mut dyn FnMut(StageEvent<'_>)),
+        );
+        if !self.replay {
+            match resumed {
+                Some(f) => self.reconcile_resumed(interval, f, &rollout),
+                None => self.recorded.extend(rollout.recorded.iter().cloned()),
+            }
+        }
+        (reached, rollout)
+    }
+
+    /// Re-verification of a half-pushed rollout: the schedule
+    /// recomputed from the durable log must reach at least the stage
+    /// the crashed run acked. With a checksummed checkpoint and the
+    /// config digest guard this cannot diverge short of a bug; failing
+    /// loud beats silently double-pushing. Later intervals continue
+    /// from the post-sampling RNG state — the crashed run's stream,
+    /// bit-exact.
+    fn reconcile_resumed(&mut self, interval: usize, f: InflightRollout, rollout: &RolloutReport) {
+        assert!(
+            rollout.steps_planned == f.steps_planned && rollout.steps_completed >= f.stage_reached,
+            "resume diverged from the checkpointed rollout of interval {interval}: \
+             planned {} vs {}, completed {} vs acked stage {}",
+            rollout.steps_planned,
+            f.steps_planned,
+            rollout.steps_completed,
+            f.stage_reached,
+        );
+        self.recorded.extend(f.outcomes);
+        self.rng = StdRng::from_state(f.rng_after);
+    }
+
+    /// Stage 5: commits what the rollout reached, advances the data
+    /// plane over the interval and accounts its volumes.
+    fn commit_and_advance(
+        &mut self,
+        reached: TeConfig,
+        rollout: &RolloutReport,
+        rolled_back: bool,
+    ) -> DrivenInterval {
+        let full = rollout.completed && rollout.congestion_free_plan && !rolled_back;
+        self.store.commit(reached.clone(), full);
+        let rec = self.sim.advance(&self.tm, &reached, &rollout.stale);
+        self.totals
+            .add(&rec.delivered, &rec.lost_congestion, &rec.lost_blackhole);
+        rec
+    }
+
+    /// Stage 6: the interval's telemetry record.
+    fn telemetry_record(
+        &self,
+        interval: usize,
+        events_applied: usize,
+        outcome: &PlanOutcome,
+        gate: &Gate,
+        rollout: &RolloutReport,
+        rec: &DrivenInterval,
+    ) -> IntervalTelemetry {
+        let stats = outcome.stats.as_ref();
+        IntervalTelemetry {
+            interval,
+            events_applied,
+            protection: outcome.protection,
+            path: outcome.path,
+            degraded: outcome.degraded,
+            rolled_back: gate.rolled_back,
+            certificate: gate.certificate,
+            iterations: stats.map_or(0, |s| s.iterations()),
+            dual_iterations: stats.map_or(0, |s| s.dual_iterations),
+            dual_bound_flips: stats.map_or(0, |s| s.dual_bound_flips),
+            solve_ms: outcome.wall.as_secs_f64() * 1e3,
+            model_patched: outcome.patched,
+            config_version: self.store.installed_version(),
+            rollout_steps_planned: rollout.steps_planned,
+            rollout_steps_completed: rollout.steps_completed,
+            congestion_free_plan: rollout.congestion_free_plan,
+            stale_switches: rollout.stale.len(),
+            update_retries: rollout.retries,
+            last_good_version: self.store.last_good_version(),
+            rollout_secs: rollout.rollout_secs,
+            overloaded_links: rec.overloaded_links,
+            max_oversubscription: rec.max_oversubscription,
+            delivered: rec.delivered.iter().sum(),
+            lost_congestion: rec.lost_congestion.iter().sum(),
+            lost_blackhole: rec.lost_blackhole.iter().sum(),
+        }
+    }
+
+    /// Stage 8, after the sink: makes the boundary after `interval`
+    /// durable; then the "killed between intervals" chaos crash point.
+    fn close_interval(
+        &mut self,
+        interval: usize,
+        record: &IntervalTelemetry,
+        durable: Option<&mut Durable<'_>>,
+    ) {
+        if let Some(d) = durable {
+            self.fp_lines.push(record.fingerprint());
+            d.last = self.checkpoint(interval + 1);
+            d.ck.write(&d.last);
+        }
+        if self.ctrl.cfg.chaos.crash_at_interval == Some(interval) {
+            panic!("chaos-crash: interval boundary {interval}");
+        }
+    }
+}
+
+/// Steady-state utilization (load / capacity) of every link, in
+/// `LinkId` order — what an [`IntervalSink`] is handed.
+fn link_utilization(topo: &Topology, rec: &DrivenInterval) -> Vec<f64> {
+    topo.links()
+        .zip(&rec.link_load)
+        .map(|(e, load)| {
+            let cap = topo.capacity(e);
+            if cap > 0.0 {
+                load / cap
+            } else {
+                0.0
+            }
+        })
+        .collect()
 }
 
 /// The distinct flow sources — the switches a rollout must update.
@@ -780,6 +840,141 @@ mod tests {
             panic.downcast_ref::<String>().map(String::as_str),
             Some("chaos-crash: interval boundary 0")
         );
+    }
+
+    /// Stage 1 alone: a malformed event leaves the state untouched and
+    /// counts 0, a valid one counts 1, other intervals' events wait.
+    #[test]
+    fn apply_events_counts_what_took_effect_and_drops_the_rest() {
+        let (topo, tm, tunnels) = diamond();
+        let cfg = ControllerConfig::new(FfcConfig::new(0, 1, 0), SwitchModel::Optimistic);
+        let ctrl = Controller::new(&topo, &tunnels, cfg);
+        let at = |interval, event| TimedEvent { interval, event };
+        let (past_links, past_nodes) = (LinkId(topo.num_links()), NodeId(topo.num_nodes()));
+        let ack = Event::UpdateAck {
+            switch: NodeId(0),
+            step: 0,
+            delay: 0.1,
+        };
+        for bad in [
+            Event::DemandScale(f64::NAN),
+            Event::DemandScale(f64::INFINITY),
+            Event::DemandScale(-1.0),
+            Event::DemandSet {
+                flow: tm.len(),
+                demand: 1.0,
+            },
+            Event::DemandSet {
+                flow: 0,
+                demand: f64::NAN,
+            },
+            Event::DemandSet {
+                flow: 0,
+                demand: -1.0,
+            },
+            Event::LinkDown(past_links),
+            Event::LinkUp(past_links),
+            Event::SwitchDown(past_nodes),
+            Event::SwitchUp(past_nodes),
+            ack,
+        ] {
+            let events = [at(0, bad.clone())];
+            let mut st = LoopState::new(&ctrl, &tm, &events, false);
+            // The recorded stream holds the event itself, and NaN != NaN.
+            st.recorded.clear();
+            let before = st.checkpoint(0);
+            assert_eq!(st.apply_events(0), 0, "{bad:?}");
+            assert_eq!(st.checkpoint(0), before, "{bad:?}");
+        }
+
+        let events = [
+            at(0, Event::DemandScale(0.5)),
+            at(
+                0,
+                Event::DemandSet {
+                    flow: 0,
+                    demand: 3.0,
+                },
+            ),
+            at(0, Event::LinkDown(LinkId(0))),
+            at(0, Event::SwitchDown(NodeId(1))),
+            at(
+                0,
+                Event::SetProtection {
+                    kc: 0,
+                    ke: 0,
+                    kv: 0,
+                },
+            ),
+            at(1, Event::LinkUp(LinkId(0))),
+        ];
+        let mut st = LoopState::new(&ctrl, &tm, &events, false);
+        assert_eq!(st.apply_events(0), 5);
+        let after = st.checkpoint(0);
+        assert_eq!(after.demands, [3.0]);
+        assert_eq!(after.failed_links, [0]);
+        assert_eq!(after.failed_switches, [1]);
+        assert_eq!(after.planner.requested, (0, 0, 0));
+        assert_eq!(st.apply_events(1), 1);
+        assert!(st.checkpoint(1).failed_links.is_empty());
+    }
+
+    /// Stages 1–6 of one interval, as the driver sequences them (no
+    /// sink, no checkpointer).
+    fn step(st: &mut LoopState<'_>, interval: usize) -> IntervalTelemetry {
+        let events_applied = st.apply_events(interval);
+        let outcome = st.plan(interval);
+        let gate = st.certify(&outcome);
+        let (reached, rollout) = st.roll_out(interval, &gate.target, outcome.protection.0, None);
+        let rec = st.commit_and_advance(reached, &rollout, gate.rolled_back);
+        st.telemetry_record(interval, events_applied, &outcome, &gate, &rollout, &rec)
+    }
+
+    /// `checkpoint` → `restore` into a fresh state → `checkpoint` is the
+    /// identity, on a mid-run state with a fault active, a degraded
+    /// planner, a chained basis hint, sampled outcomes, and — as a
+    /// mid-rollout checkpoint carries — a pending in-flight rollout.
+    #[test]
+    fn checkpoint_restore_round_trip_is_the_identity() {
+        let (topo, tm, tunnels) = diamond();
+        let mut cfg = ControllerConfig::new(FfcConfig::new(0, 1, 0), SwitchModel::Realistic);
+        // Every solve overruns a zero deadline: (0,1,0) → (0,0,0) →
+        // rescale-only in two intervals, the second solve's basis chained.
+        cfg.solve_deadline = Duration::ZERO;
+        let ctrl = Controller::new(&topo, &tunnels, cfg);
+        let events = [
+            TimedEvent {
+                interval: 0,
+                event: Event::DemandSet {
+                    flow: 0,
+                    demand: 6.0,
+                },
+            },
+            TimedEvent {
+                interval: 1,
+                event: Event::LinkDown(LinkId(0)),
+            },
+        ];
+        let mut st = LoopState::new(&ctrl, &tm, &events, false);
+        for interval in 0..2 {
+            let record = step(&mut st, interval);
+            st.fp_lines.push(record.fingerprint());
+        }
+        let mut ck = st.checkpoint(2);
+        assert!(ck.planner.rescale_only && ck.store.hint.is_some());
+        assert_eq!((&ck.failed_links[..], ck.demands[0]), (&[0][..], 6.0));
+        assert!(ck.recorded.len() > events.len() && ck.totals[0][0] > 0.0);
+        ck.inflight = Some(InflightRollout {
+            interval: 2,
+            stage_reached: 1,
+            steps_planned: 2,
+            rng_after: [1, 2, 3, 4],
+            outcomes: ck.recorded[events.len()..].to_vec(),
+        });
+
+        let mut fresh = LoopState::new(&ctrl, &tm, &events, false);
+        assert_eq!(fresh.restore(ck.clone()), 2);
+        assert_eq!(fresh.checkpoint(2), ck);
     }
 
     #[test]

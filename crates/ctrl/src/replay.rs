@@ -33,8 +33,9 @@
 //! ```
 
 use ffc_net::Topology;
-use ffc_sim::DetRng;
 use ffc_sim::{FaultModel, FaultProcess, SwitchModel};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use crate::event::{Event, TimedEvent};
 
@@ -257,20 +258,6 @@ impl EventTrace {
             events,
         })
     }
-
-    /// The trace with recorded rollout outcomes stripped — i.e. the
-    /// *inputs* only, for re-running live rather than replaying.
-    pub fn without_outcomes(&self) -> EventTrace {
-        EventTrace {
-            events: self
-                .events
-                .iter()
-                .filter(|te| !te.event.is_recorded_outcome())
-                .cloned()
-                .collect(),
-            ..self.clone()
-        }
-    }
 }
 
 fn parse<T: std::str::FromStr>(s: &str) -> Result<T, String>
@@ -292,13 +279,13 @@ pub fn generate_poisson_events(
     interval_secs: f64,
     demand_jitter: f64,
 ) -> Vec<TimedEvent> {
-    let mut rng = DetRng::seed_from_u64(seed);
+    let mut rng = StdRng::seed_from_u64(seed);
     let mut process = FaultProcess::new();
     let mut prev = process.scenario();
     let mut events = Vec::new();
     for interval in 0..intervals {
         if demand_jitter > 0.0 {
-            let factor = 1.0 - demand_jitter + 2.0 * demand_jitter * rng.next_f64();
+            let factor = 1.0 - demand_jitter + 2.0 * demand_jitter * rng.gen::<f64>();
             events.push(TimedEvent {
                 interval,
                 event: Event::DemandScale(factor),
@@ -368,24 +355,6 @@ mod tests {
             back.to_text(),
             EventTrace::parse(&back.to_text()).unwrap().to_text()
         );
-    }
-
-    #[test]
-    fn without_outcomes_strips_only_outcomes() {
-        let mut t = sample_trace();
-        t.events.push(TimedEvent {
-            interval: 1,
-            event: Event::UpdateTimeout {
-                switch: ffc_net::NodeId(0),
-                step: 0,
-            },
-        });
-        let stripped = t.without_outcomes();
-        assert_eq!(stripped.events.len(), 2);
-        assert!(stripped
-            .events
-            .iter()
-            .all(|e| !e.event.is_recorded_outcome()));
     }
 
     #[test]

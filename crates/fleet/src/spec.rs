@@ -317,6 +317,28 @@ fn usize_key(t: &Table, key: &str, default: usize) -> Result<usize, String> {
     }
 }
 
+/// `Ok` when `ok`; otherwise the refusal of `key`'s value, at its
+/// assignment. (Defaults are in range, so a refused value was assigned.)
+fn in_range(t: &Table, key: &str, ok: bool, must_be: &str) -> Result<(), String> {
+    if ok {
+        return Ok(());
+    }
+    let line = t.take(key).map_or(t.header_line, |(line, _)| *line);
+    Err(format!("line {line}: `{key}` must be {must_be}"))
+}
+
+/// Refuses any key of `t` outside `known`, at its line.
+fn known_keys(t: &Table, table: &str, known: &[&str]) -> Result<(), String> {
+    match t
+        .entries
+        .iter()
+        .find(|(key, _)| !known.contains(&key.as_str()))
+    {
+        Some((key, (line, _))) => Err(format!("line {line}: unknown {table} key `{key}`")),
+        None => Ok(()),
+    }
+}
+
 impl FleetSpec {
     /// Parses a spec from its TOML text. Unknown sections and keys are
     /// errors — a typo'd cycle parameter must not silently fall back to
@@ -422,11 +444,7 @@ impl FleetSpec {
             "keep-fraction",
             "priority-split",
         ];
-        for (key, (line, _)) in &fleet.entries {
-            if !known_fleet.contains(&key.as_str()) {
-                return Err(format!("line {line}: unknown [fleet] key `{key}`"));
-            }
-        }
+        known_keys(&fleet, "[fleet]", &known_fleet)?;
         if let Some((_, v)) = fleet.take("name") {
             spec.name = v.as_str().unwrap_or("fleet").to_string();
         }
@@ -457,14 +475,22 @@ impl FleetSpec {
             };
         }
         spec.intervals = usize_key(&fleet, "intervals", spec.intervals)?;
-        if spec.intervals == 0 {
-            return Err("`intervals` must be positive".into());
-        }
         spec.interval_secs = f64_key(&fleet, "interval-secs", spec.interval_secs)?;
         spec.tunnels_per_flow = usize_key(&fleet, "tunnels-per-flow", spec.tunnels_per_flow)?;
         spec.mean_total = f64_key(&fleet, "mean-total", spec.mean_total)?;
         spec.users_per_unit = f64_key(&fleet, "users-per-unit", spec.users_per_unit)?;
         spec.keep_fraction = f64_key(&fleet, "keep-fraction", spec.keep_fraction)?;
+        let kept = spec.keep_fraction;
+        for (key, ok, must_be) in [
+            ("intervals", spec.intervals > 0, "positive"),
+            ("interval-secs", spec.interval_secs > 0.0, "positive"),
+            ("tunnels-per-flow", spec.tunnels_per_flow > 0, "positive"),
+            ("mean-total", spec.mean_total >= 0.0, "non-negative"),
+            ("users-per-unit", spec.users_per_unit >= 0.0, "non-negative"),
+            ("keep-fraction", kept > 0.0 && kept <= 1.0, "in (0, 1]"),
+        ] {
+            in_range(&fleet, key, ok, must_be)?;
+        }
         if let Some((line, v)) = fleet.take("protection") {
             let parts = match v {
                 Value::Array(a) if a.len() == 3 => a,
@@ -507,11 +533,7 @@ impl FleetSpec {
             "peak-hour",
             "noise-sigma",
         ];
-        for (key, (line, _)) in &cycles.entries {
-            if !known_cycles.contains(&key.as_str()) {
-                return Err(format!("line {line}: unknown [cycles] key `{key}`"));
-            }
-        }
+        known_keys(&cycles, "[cycles]", &known_cycles)?;
         spec.cycles.diurnal_amplitude =
             f64_key(&cycles, "diurnal-amplitude", spec.cycles.diurnal_amplitude)?;
         spec.cycles.weekly_weekend_dip = f64_key(
@@ -521,20 +543,16 @@ impl FleetSpec {
         )?;
         spec.cycles.peak_hour = f64_key(&cycles, "peak-hour", spec.cycles.peak_hour)?;
         spec.cycles.noise_sigma = f64_key(&cycles, "noise-sigma", spec.cycles.noise_sigma)?;
-        if !(0.0..1.0).contains(&spec.cycles.diurnal_amplitude) {
-            return Err("`diurnal-amplitude` must be in [0, 1)".into());
-        }
-        if !(0.0..1.0).contains(&spec.cycles.weekly_weekend_dip) {
-            return Err("`weekly-weekend-dip` must be in [0, 1)".into());
+        for (key, v) in [
+            ("diurnal-amplitude", spec.cycles.diurnal_amplitude),
+            ("weekly-weekend-dip", spec.cycles.weekly_weekend_dip),
+        ] {
+            in_range(&cycles, key, (0.0..1.0).contains(&v), "in [0, 1)")?;
         }
 
         for t in &site_tables {
-            for (key, (line, _)) in &t.entries {
-                if !["name", "population", "growth-per-week", "utc-offset"].contains(&key.as_str())
-                {
-                    return Err(format!("line {line}: unknown [[site]] key `{key}`"));
-                }
-            }
+            let known_site = ["name", "population", "growth-per-week", "utc-offset"];
+            known_keys(t, "[[site]]", &known_site)?;
             let (line, name) = t.require("name")?;
             let name = name
                 .as_str()
@@ -565,8 +583,15 @@ impl FleetSpec {
                 v.as_usize()
                     .ok_or_else(|| format!("line {line}: `{key}` wants a non-negative integer"))
             };
+            let keys = |known: &[&str]| known_keys(t, "[[event]]", known);
+            // A fault event: the failing element's index and the interval.
+            let fault = |element: &str| -> Result<(usize, usize), String> {
+                keys(&["kind", element, "at"])?;
+                Ok((at(element)?, at("at")?))
+            };
             let ev = match kind {
                 "flash-crowd" => {
+                    keys(&["kind", "site", "start", "duration", "magnitude"])?;
                     let (sline, site) = t.require("site")?;
                     let site = match site {
                         Value::Int(i) if *i >= 0 => *i as usize,
@@ -587,22 +612,22 @@ impl FleetSpec {
                         magnitude: f64_key(t, "magnitude", 2.0)?,
                     }
                 }
-                "link-down" => FleetEvent::LinkDown {
-                    link: at("link")?,
-                    at: at("at")?,
-                },
-                "link-up" => FleetEvent::LinkUp {
-                    link: at("link")?,
-                    at: at("at")?,
-                },
-                "switch-down" => FleetEvent::SwitchDown {
-                    switch: at("switch")?,
-                    at: at("at")?,
-                },
-                "switch-up" => FleetEvent::SwitchUp {
-                    switch: at("switch")?,
-                    at: at("at")?,
-                },
+                "link-down" => {
+                    let (link, at) = fault("link")?;
+                    FleetEvent::LinkDown { link, at }
+                }
+                "link-up" => {
+                    let (link, at) = fault("link")?;
+                    FleetEvent::LinkUp { link, at }
+                }
+                "switch-down" => {
+                    let (switch, at) = fault("switch")?;
+                    FleetEvent::SwitchDown { switch, at }
+                }
+                "switch-up" => {
+                    let (switch, at) = fault("switch")?;
+                    FleetEvent::SwitchUp { switch, at }
+                }
                 other => {
                     return Err(format!(
                         "line {kline}: unknown event kind `{other}` \
@@ -716,6 +741,52 @@ at = 6
         let bad = "[fleet]\nname = \"x\"\n[[event]]\nkind = \"flash-crowd\"\nsite = \"nope\"\nstart = 1\nduration = 1\n";
         let err = FleetSpec::parse(bad).unwrap_err();
         assert!(err.contains("unknown site `nope`"), "{err}");
+
+        // Out-of-range values and stray event keys are refused where
+        // they are assigned (line 3 of each).
+        for (assignment, what) in [
+            ("intervals = 0", "`intervals` must be positive"),
+            ("interval-secs = -300.0", "`interval-secs` must be positive"),
+            ("interval-secs = 0.0", "`interval-secs` must be positive"),
+            (
+                "tunnels-per-flow = 0",
+                "`tunnels-per-flow` must be positive",
+            ),
+            ("mean-total = -40.0", "`mean-total` must be non-negative"),
+            (
+                "users-per-unit = -1",
+                "`users-per-unit` must be non-negative",
+            ),
+            ("keep-fraction = 7.0", "`keep-fraction` must be in (0, 1]"),
+            ("keep-fraction = 0", "`keep-fraction` must be in (0, 1]"),
+        ] {
+            let bad = format!("[fleet]\nseed = 1\n{assignment}\n");
+            assert_eq!(
+                FleetSpec::parse(&bad).unwrap_err(),
+                format!("line 3: {what}")
+            );
+        }
+        for (assignment, what) in [
+            (
+                "diurnal-amplitude = 1.0",
+                "`diurnal-amplitude` must be in [0, 1)",
+            ),
+            (
+                "weekly-weekend-dip = -0.1",
+                "`weekly-weekend-dip` must be in [0, 1)",
+            ),
+        ] {
+            let bad = format!("[fleet]\n[cycles]\n{assignment}\n");
+            assert_eq!(
+                FleetSpec::parse(&bad).unwrap_err(),
+                format!("line 3: {what}")
+            );
+        }
+        for (kind, stray) in [("link-down", "lnik = 3"), ("flash-crowd", "at = 3")] {
+            let bad = format!("[[event]]\nkind = \"{kind}\"\n{stray}\n");
+            let err = FleetSpec::parse(&bad).unwrap_err();
+            assert!(err.starts_with("line 3: unknown [[event]] key"), "{err}");
+        }
     }
 
     #[test]

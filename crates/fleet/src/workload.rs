@@ -27,9 +27,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use ffc_ctrl::{Event, TimedEvent};
-use ffc_net::{LinkId, NodeId, Priority, TrafficMatrix};
+use ffc_net::{LinkId, NodeId, TrafficMatrix};
 use ffc_topo::rng::log_normal;
-use ffc_topo::SiteNetwork;
+use ffc_topo::{gravity_matrices, SiteNetwork};
 
 use crate::spec::{CycleSpec, FleetEvent, FleetSpec, SiteSpec};
 
@@ -96,58 +96,17 @@ pub fn build_workload(spec: &FleetSpec, net: &SiteNetwork) -> Result<Workload, S
 
     // Gravity base matrix: weights are the populations themselves.
     let w: Vec<f64> = sites.iter().map(|s| s.population).collect();
-    let wsum: f64 = w.iter().sum();
-    let denom = wsum * wsum - w.iter().map(|x| x * x).sum::<f64>();
-    let mut pairs: Vec<(usize, usize, f64)> = Vec::new();
-    for i in 0..n {
-        for j in 0..n {
-            if i != j {
-                pairs.push((i, j, spec.mean_total * w[i] * w[j] / denom));
-            }
-        }
-    }
-    // Keep the largest pairs covering `keep_fraction` of the demand
-    // (ties broken by pair order so the cut is deterministic).
-    pairs.sort_by(|a, b| {
-        b.2.partial_cmp(&a.2)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.0.cmp(&b.0))
-            .then(a.1.cmp(&b.1))
-    });
-    let total: f64 = pairs.iter().map(|p| p.2).sum();
-    let mut kept = Vec::new();
-    let mut acc = 0.0;
-    for p in pairs {
-        if acc >= spec.keep_fraction * total && !kept.is_empty() {
-            break;
-        }
-        acc += p.2;
-        kept.push(p);
-    }
-
-    let (hi, med) = spec.priority_split;
-    let mut base_tm = TrafficMatrix::new();
-    let mut flow_sites = Vec::new();
-    let mut base_demand = Vec::new();
-    for &(i, j, d) in &kept {
-        // Alternate the concrete switch by pair parity so both
-        // switches of a site originate traffic (same convention as
-        // `ffc_topo::gravity_trace`).
-        let src = net.switches[i][(i + j) % net.switches[i].len()];
-        let dst = net.switches[j][(i + j) % net.switches[j].len()];
-        let plan = [
-            (Priority::High, d * hi),
-            (Priority::Medium, d * med),
-            (Priority::Low, d * (1.0 - hi - med)),
-        ];
-        for (p, dd) in plan {
-            if dd > 0.0 {
-                base_tm.add_flow(src, dst, dd, p);
-                flow_sites.push((i, j));
-                base_demand.push(dd);
-            }
-        }
-    }
+    let (mut matrices, flow_sites) = gravity_matrices(
+        net,
+        &w,
+        spec.mean_total,
+        spec.keep_fraction,
+        spec.priority_split,
+        1,
+        || 1.0,
+    );
+    let base_tm = matrices.swap_remove(0);
+    let base_demand = base_tm.iter().map(|(_, f)| f.demand).collect();
     Ok(Workload {
         base_tm,
         flow_sites,
@@ -185,7 +144,7 @@ fn crowd_multiplier(events: &[FleetEvent], site: usize, interval: usize) -> f64 
             magnitude,
         } = ev
         {
-            if *s != site || interval < *start || interval >= start + duration {
+            if *s != site || interval < *start || interval - start >= *duration {
                 continue;
             }
             let half = *duration as f64 / 2.0;
@@ -233,7 +192,20 @@ pub fn demand_events(
 ) -> Result<Vec<TimedEvent>, String> {
     let n_links = net.topo.num_links();
     let n_nodes = net.topo.num_nodes();
-    let mut out = Vec::with_capacity(spec.intervals * wl.base_demand.len() + spec.events.len());
+    // `intervals` comes from the spec file: size the stream from it
+    // only if the product exists and the allocator agrees.
+    let mut out = Vec::new();
+    spec.intervals
+        .checked_mul(wl.base_demand.len())
+        .and_then(|n| n.checked_add(spec.events.len()))
+        .and_then(|n| out.try_reserve_exact(n).ok())
+        .ok_or_else(|| {
+            format!(
+                "campaign too large: the demand events of {} intervals x {} flows do not fit in memory",
+                spec.intervals,
+                wl.base_demand.len()
+            )
+        })?;
     for t in 0..spec.intervals {
         let acts: Vec<f64> = (0..wl.sites.len())
             .map(|s| site_activity(spec, &wl.sites, s, t))
@@ -432,6 +404,7 @@ pub fn shape_demand_events(
 mod tests {
     use super::*;
     use crate::spec::TopologySpec;
+    use ffc_net::Priority;
     use ffc_topo::{lnet, LNetConfig};
 
     fn net4() -> SiteNetwork {
@@ -586,6 +559,20 @@ mod tests {
         });
         let err = demand_events(&spec, &wl, &net).unwrap_err();
         assert!(err.contains("out of range"), "{err}");
+    }
+
+    /// An interval count no event stream fits in is a message, not an
+    /// aborted allocation (`intervals = 99999999999999` in a spec file).
+    #[test]
+    fn an_absurd_horizon_is_refused_not_allocated() {
+        let net = net4();
+        let mut spec = spec4();
+        let wl = build_workload(&spec, &net).expect("build");
+        for intervals in [99_999_999_999_999, usize::MAX] {
+            spec.intervals = intervals;
+            let err = demand_events(&spec, &wl, &net).unwrap_err();
+            assert!(err.starts_with("campaign too large"), "{err}");
+        }
     }
 
     #[test]

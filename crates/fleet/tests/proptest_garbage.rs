@@ -3,14 +3,20 @@
 //! store and rendering its report never panics, and every hard error
 //! and every recovery note names the file and a line or a byte offset
 //! that exists. The valid inputs are the records of the committed
-//! `fixtures/parent-store` (see `format_goldens.rs`).
+//! `fixtures/parent-store` (see `format_goldens.rs`). Likewise one
+//! corruption of the committed `mini.fleet.toml`: [`FleetSpec::parse`]
+//! refuses it at a line that exists, or what it lets through compiles
+//! into a topology, a workload and an event stream without a panic.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use ffc_ctrl::durable::fnv64;
-use ffc_fleet::{build_report, ReportOptions, StoreRecord, StoreWriter, TelemetryStore};
+use ffc_fleet::{
+    build_report, build_topology, build_workload, demand_events, FleetSpec, ReportOptions,
+    StoreRecord, StoreWriter, TelemetryStore,
+};
 use proptest::prelude::*;
 
 static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
@@ -116,8 +122,83 @@ fn named_offset(message: &str) -> Option<usize> {
     digits.parse().ok()
 }
 
+const MINI_SPEC: &str = include_str!("../../../examples/data/mini.fleet.toml");
+
+/// What a corrupted spec value becomes; one past the end stands for a
+/// random printable string.
+const TOKENS: &[&str] = &["NaN", "inf", "-1", "0", "1e999", "18446744073709551615", ""];
+
+/// `MINI_SPEC` with one corruption of the given `kind` applied: a
+/// `key = value` line or table header dropped, duplicated or swapped
+/// with another, one value replaced, or the file cut short.
+fn corrupt_spec(kind: usize, a: usize, b: usize, with: &str) -> String {
+    let mut lines: Vec<String> = MINI_SPEC.lines().map(String::from).collect();
+    // Everything but blank lines and comments, 0-based.
+    let content: Vec<usize> = (0..lines.len())
+        .filter(|&i| !lines[i].is_empty() && !lines[i].starts_with('#'))
+        .collect();
+    let pick = |n: usize| content[n % content.len()];
+    match kind {
+        0 => drop(lines.remove(pick(a))),
+        1 => lines.insert(pick(a), lines[pick(a)].clone()),
+        2 => lines.swap(pick(a), pick(b)),
+        3 => {
+            let assignments: Vec<usize> = content
+                .iter()
+                .copied()
+                .filter(|&i| lines[i].contains(" = "))
+                .collect();
+            let at = assignments[a % assignments.len()];
+            let (key, _) = lines[at].split_once(" = ").expect("key = value");
+            lines[at] = format!("{key} = {with}");
+        }
+        _ => {
+            let cut = a % (MINI_SPEC.len() + 1);
+            return String::from_utf8_lossy(&MINI_SPEC.as_bytes()[..cut]).into_owned();
+        }
+    }
+    lines.join("\n")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn one_corruption_of_the_mini_spec_is_a_located_error_or_compiles(
+        kind in 0..5usize,
+        a in 0..4096usize,
+        b in 0..4096usize,
+        with in 0..=TOKENS.len(),
+        junk in prop::collection::vec(0x21u8..0x7f, 1..12),
+    ) {
+        let junk = String::from_utf8(junk).expect("printable ASCII");
+        let with = TOKENS.get(with).copied().unwrap_or(&junk);
+        let text = corrupt_spec(kind, a, b, with);
+        match FleetSpec::parse(&text) {
+            Err(e) => {
+                let line: Option<usize> = e
+                    .strip_prefix("line ")
+                    .and_then(|rest| rest.split_once(':'))
+                    .and_then(|(n, _)| n.parse().ok());
+                let lines = text.lines().count();
+                prop_assert!(
+                    line.is_some_and(|n| (1..=lines).contains(&n)),
+                    "error not at a line in 1..={}: {}\n{}", lines, e, text
+                );
+            }
+            Ok(mut spec) => {
+                // Compile errors (a site count that no longer matches,
+                // a fault past the capped horizon) are fine; panics are not.
+                spec.intervals = spec.intervals.min(8);
+                let net = build_topology(&spec);
+                if let Ok(wl) = build_workload(&spec, &net) {
+                    if let Ok(events) = demand_events(&spec, &wl, &net) {
+                        prop_assert!(events.iter().all(|te| te.interval < spec.intervals));
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn one_damaged_wal_member_is_at_worst_a_note_naming_its_line(

@@ -70,11 +70,6 @@ impl Basis {
         self.m
     }
 
-    /// Number of eta updates since the last factorization.
-    pub fn eta_count(&self) -> usize {
-        self.etas.len()
-    }
-
     /// Whether the caller should refactorize (eta file grew long).
     pub fn should_refactorize(&self) -> bool {
         self.etas.len() >= REFACTOR_INTERVAL

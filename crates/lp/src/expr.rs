@@ -84,14 +84,6 @@ impl LinExpr {
         }
     }
 
-    /// Builds a weighted sum `Σ coeffᵢ·varᵢ`.
-    pub fn weighted_sum<I: IntoIterator<Item = (VarId, f64)>>(terms: I) -> Self {
-        Self {
-            terms: terms.into_iter().collect(),
-            constant: 0.0,
-        }
-    }
-
     /// Adds `coeff·var` to the expression in place.
     pub fn add_term(&mut self, var: VarId, coeff: f64) -> &mut Self {
         if coeff != 0.0 {

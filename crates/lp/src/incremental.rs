@@ -148,11 +148,6 @@ impl IncrementalModel {
         &self.model
     }
 
-    /// Releases the standing model.
-    pub fn into_model(self) -> Model {
-        self.model
-    }
-
     /// The applied-change journal since construction (or the last
     /// [`clear_journal`](IncrementalModel::clear_journal)).
     pub fn journal(&self) -> &[PatchOp] {

@@ -262,11 +262,6 @@ impl LuFactors {
         self.m
     }
 
-    /// Number of stored nonzeros in `L` and `U` (fill-in indicator).
-    pub fn fill_nnz(&self) -> usize {
-        self.l.nnz() + self.u.nnz() + self.m
-    }
-
     /// Solves `B·w = v`. `v` is given in original row coordinates; the
     /// result (overwriting `work`) is indexed by basis position.
     pub fn ftran(&mut self, v: &[f64], work: &mut [f64]) {

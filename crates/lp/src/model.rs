@@ -371,24 +371,6 @@ impl Model {
         id
     }
 
-    /// Convenience: `lhs ≤ rhs` between two expressions.
-    pub fn add_le(&mut self, lhs: impl Into<LinExpr>, rhs: impl Into<LinExpr>) -> ConId {
-        let e = lhs.into() - rhs.into();
-        self.add_con(e, Cmp::Le, 0.0)
-    }
-
-    /// Convenience: `lhs ≥ rhs` between two expressions.
-    pub fn add_ge(&mut self, lhs: impl Into<LinExpr>, rhs: impl Into<LinExpr>) -> ConId {
-        let e = lhs.into() - rhs.into();
-        self.add_con(e, Cmp::Ge, 0.0)
-    }
-
-    /// Convenience: `lhs = rhs` between two expressions.
-    pub fn add_eq(&mut self, lhs: impl Into<LinExpr>, rhs: impl Into<LinExpr>) -> ConId {
-        let e = lhs.into() - rhs.into();
-        self.add_con(e, Cmp::Eq, 0.0)
-    }
-
     /// Sets the objective expression and direction.
     pub fn set_objective(&mut self, expr: impl Into<LinExpr>, sense: Sense) {
         self.objective = expr.into();

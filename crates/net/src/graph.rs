@@ -37,11 +37,6 @@ impl Path {
     pub fn is_empty(&self) -> bool {
         self.links.is_empty()
     }
-
-    /// Total weight under a link-weight function.
-    pub fn weight(&self, mut w: impl FnMut(LinkId) -> f64) -> f64 {
-        self.links.iter().map(|&l| w(l)).sum()
-    }
 }
 
 /// Min-heap entry for Dijkstra.
@@ -260,12 +255,5 @@ mod tests {
         let b = t2.add_node("b");
         t2.add_bidi(a, b, 1.0);
         assert!(strongly_connected(&t2));
-    }
-
-    #[test]
-    fn path_weight_sums() {
-        let (t, ns, _) = diamond();
-        let p = shortest_path_hops(&t, ns[0], ns[3]).unwrap();
-        assert_eq!(p.weight(|_| 2.5), 2.5);
     }
 }

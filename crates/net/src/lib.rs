@@ -3,7 +3,7 @@
 //! Substrate crate for the FFC (SIGCOMM'14) reproduction: topologies of
 //! switches and directed capacitated links, ingress→egress flows with
 //! priorities, tunnels with `(p, q)` link-switch disjoint layout, graph
-//! algorithms (Dijkstra, Yen's k-shortest-paths), and fault scenarios.
+//! algorithms (Dijkstra, reachability), and fault scenarios.
 //!
 //! ```
 //! use ffc_net::prelude::*;
@@ -29,7 +29,6 @@
 pub mod failure;
 pub mod flow;
 pub mod graph;
-pub mod ksp;
 pub mod layout;
 pub mod topology;
 pub mod tunnel;

@@ -31,7 +31,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod det_rng;
 pub mod events;
 pub mod faults;
 pub mod loss;
@@ -40,7 +39,6 @@ pub mod runner;
 pub mod switch_model;
 pub mod update_exec;
 
-pub use det_rng::DetRng;
 pub use faults::{FaultModel, FaultProcess, IntervalFaults};
 pub use metrics::{percentile, Cdf, RunTotals};
 pub use runner::{

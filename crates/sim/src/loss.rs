@@ -123,16 +123,6 @@ impl PriorityLoads {
     }
 }
 
-/// Congestion loss volume for a segment: `Σ_e max(0, load_e − c_e) ×
-/// duration` (the paper's proxy: intensity × duration of
-/// oversubscription).
-pub fn congestion_loss(topo: &Topology, load: &[f64], duration: f64) -> f64 {
-    topo.links()
-        .map(|e| (load[e.index()] - topo.capacity(e)).max(0.0))
-        .sum::<f64>()
-        * duration
-}
-
 /// Per-priority congestion loss volume for a segment.
 pub fn priority_congestion_loss(
     topo: &Topology,
@@ -141,12 +131,6 @@ pub fn priority_congestion_loss(
 ) -> PerPriority {
     let d = loads.congestion_drops(topo);
     [d[0] * duration, d[1] * duration, d[2] * duration]
-}
-
-/// Blackhole loss: traffic still aimed at dead tunnels between the
-/// failure and the rescaling, `dead_rate × duration`.
-pub fn blackhole_loss(dead_rate: f64, duration: f64) -> f64 {
-    dead_rate * duration
 }
 
 /// The traffic rate a configuration currently sends into tunnels that
@@ -256,20 +240,11 @@ mod tests {
     }
 
     #[test]
-    fn congestion_loss_scales_with_duration() {
-        let (t, _, _, _) = setup();
-        let load = vec![12.0, 5.0];
-        assert_eq!(congestion_loss(&t, &load, 2.0), 4.0);
-        assert_eq!(congestion_loss(&t, &load, 0.0), 0.0);
-    }
-
-    #[test]
     fn dead_tunnel_rate() {
         let (t, tm, tt, cfg) = setup();
         let sc = FaultScenario::links([LinkId(0)]);
         let dead = rate_on_dead_tunnels(&t, &tm, &tt, &cfg, &sc);
         assert_eq!(dead, 8.0);
-        assert_eq!(blackhole_loss(dead, 0.055), 8.0 * 0.055);
     }
 
     #[test]

@@ -84,6 +84,24 @@ pub struct RunTotals {
 }
 
 impl RunTotals {
+    /// Adds one interval's per-priority volumes.
+    pub fn add(
+        &mut self,
+        delivered: &[f64; 3],
+        lost_congestion: &[f64; 3],
+        lost_blackhole: &[f64; 3],
+    ) {
+        for (total, interval) in [
+            (&mut self.delivered, delivered),
+            (&mut self.lost_congestion, lost_congestion),
+            (&mut self.lost_blackhole, lost_blackhole),
+        ] {
+            for (t, v) in total.iter_mut().zip(interval) {
+                *t += v;
+            }
+        }
+    }
+
     /// Total delivered volume.
     pub fn total_delivered(&self) -> f64 {
         self.delivered.iter().sum()

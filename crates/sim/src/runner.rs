@@ -175,11 +175,9 @@ impl<'a> Simulator<'a> {
         let mut report = SimReport::default();
         for tm in trace {
             let rec = self.step(tm);
-            for p in 0..3 {
-                report.totals.delivered[p] += rec.delivered[p];
-                report.totals.lost_congestion[p] += rec.lost_congestion[p];
-                report.totals.lost_blackhole[p] += rec.lost_blackhole[p];
-            }
+            report
+                .totals
+                .add(&rec.delivered, &rec.lost_congestion, &rec.lost_blackhole);
             report.intervals.push(rec);
         }
         report

@@ -37,4 +37,6 @@ pub use reference::abilene;
 pub use sites::SiteNetwork;
 pub use snet::snet;
 pub use testbed::{testbed, Testbed, TestbedExperiment};
-pub use traffic::{gravity_trace, gravity_trace_single_priority, TrafficConfig, TrafficTrace};
+pub use traffic::{
+    gravity_matrices, gravity_trace, gravity_trace_single_priority, TrafficConfig, TrafficTrace,
+};

@@ -74,59 +74,57 @@ impl TrafficTrace {
     }
 }
 
-/// Generates a gravity-model traffic trace over the sites of `net`.
+/// The gravity model over the sites of `net`: `num_intervals` matrices
+/// over one flow set, plus the `(src_site, dst_site)` of each flow.
 ///
-/// Flows run between the *head switches* of site pairs (one aggregate
-/// ingress-egress flow per kept pair, alternating the concrete switch by
-/// pair parity so both switches of a site carry traffic). Each flow is
-/// split into up to three priority flows per `priority_split`.
-pub fn gravity_trace(net: &SiteNetwork, cfg: &TrafficConfig, num_intervals: usize) -> TrafficTrace {
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let n = net.num_sites();
-    assert!(n >= 2);
-
-    // Site weights.
-    let w: Vec<f64> = (0..n)
-        .map(|_| log_normal(&mut rng, 0.0, cfg.site_sigma))
-        .collect();
-    let wsum: f64 = w.iter().sum();
+/// The ordered site pair `(i, j)` gets the base demand `mean_total ·
+/// wᵢ·wⱼ / Σ_{a≠b} w_a·w_b`; the largest pairs covering `keep_fraction`
+/// of the total are kept (exact ties in `(i, j)` order: the sort is
+/// stable). Flows run between the *head switches* of a kept pair, the
+/// concrete switch alternating by pair parity so both switches of a site
+/// carry traffic. Per interval, each pair's base demand is multiplied by
+/// one `jitter()` draw, in kept order, and split into up to three
+/// priority flows per `priority_split` = (high, medium) fractions, the
+/// rest low.
+pub fn gravity_matrices(
+    net: &SiteNetwork,
+    weights: &[f64],
+    mean_total: f64,
+    keep_fraction: f64,
+    priority_split: (f64, f64),
+    num_intervals: usize,
+    mut jitter: impl FnMut() -> f64,
+) -> (Vec<TrafficMatrix>, Vec<(usize, usize)>) {
+    let wsum: f64 = weights.iter().sum();
     // Normalizer over off-diagonal pairs so totals hit `mean_total`.
-    let denom = wsum * wsum - w.iter().map(|x| x * x).sum::<f64>();
-
-    // Base demand per ordered pair.
+    let denom = wsum * wsum - weights.iter().map(|x| x * x).sum::<f64>();
     let mut pairs: Vec<(usize, usize, f64)> = Vec::new();
-    for i in 0..n {
-        for j in 0..n {
+    for (i, wi) in weights.iter().enumerate() {
+        for (j, wj) in weights.iter().enumerate() {
             if i != j {
-                let d = cfg.mean_total * w[i] * w[j] / denom;
-                pairs.push((i, j, d));
+                pairs.push((i, j, mean_total * wi * wj / denom));
             }
         }
     }
-    // Keep the largest pairs covering `keep_fraction` of total demand.
-    pairs.sort_by(|a, b| b.2.partial_cmp(&a.2).expect("finite"));
+    pairs.sort_by(|a, b| b.2.total_cmp(&a.2));
     let total: f64 = pairs.iter().map(|p| p.2).sum();
     let mut kept = Vec::new();
     let mut acc = 0.0;
     for p in pairs {
-        if acc >= cfg.keep_fraction * total && !kept.is_empty() {
+        if acc >= keep_fraction * total && !kept.is_empty() {
             break;
         }
         acc += p.2;
         kept.push(p);
     }
 
-    // Build per-interval matrices with jitter.
-    let (hi, med) = cfg.priority_split;
-    assert!(hi >= 0.0 && med >= 0.0 && hi + med <= 1.0);
+    let (hi, med) = priority_split;
+    let mut flow_sites = Vec::new();
     let mut intervals = Vec::with_capacity(num_intervals);
-    for _ in 0..num_intervals {
+    for t in 0..num_intervals {
         let mut tm = TrafficMatrix::new();
         for &(i, j, base) in &kept {
-            let jitter = log_normal(&mut rng, 0.0, cfg.interval_sigma);
-            let d = base * jitter;
-            // Alternate the concrete switch by parity so both switches
-            // of a site originate traffic.
+            let d = base * jitter();
             let src = net.switches[i][(i + j) % net.switches[i].len()];
             let dst = net.switches[j][(i + j) % net.switches[j].len()];
             let plan = [
@@ -137,11 +135,38 @@ pub fn gravity_trace(net: &SiteNetwork, cfg: &TrafficConfig, num_intervals: usiz
             for (p, dd) in plan {
                 if dd > 0.0 {
                     tm.add_flow(src, dst, dd, p);
+                    if t == 0 {
+                        flow_sites.push((i, j));
+                    }
                 }
             }
         }
         intervals.push(tm);
     }
+    (intervals, flow_sites)
+}
+
+/// Generates a gravity-model traffic trace over the sites of `net`:
+/// [`gravity_matrices`] with seeded log-normal site weights and
+/// log-normal interval-to-interval jitter.
+pub fn gravity_trace(net: &SiteNetwork, cfg: &TrafficConfig, num_intervals: usize) -> TrafficTrace {
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let n = net.num_sites();
+    assert!(n >= 2);
+    let (hi, med) = cfg.priority_split;
+    assert!(hi >= 0.0 && med >= 0.0 && hi + med <= 1.0);
+    let w: Vec<f64> = (0..n)
+        .map(|_| log_normal(&mut rng, 0.0, cfg.site_sigma))
+        .collect();
+    let (intervals, _) = gravity_matrices(
+        net,
+        &w,
+        cfg.mean_total,
+        cfg.keep_fraction,
+        cfg.priority_split,
+        num_intervals,
+        || log_normal(&mut rng, 0.0, cfg.interval_sigma),
+    );
     TrafficTrace { intervals }
 }
 
