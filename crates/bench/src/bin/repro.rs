@@ -448,7 +448,7 @@ fn quick(args: &Args) {
 /// patch path; under `cargo test` the same invariant is checked
 /// coefficient-for-coefficient by the debug differential oracle.
 fn quick_incremental(args: &Args) {
-    use ffc_core::{build_ffc_model, FfcModelCache};
+    use ffc_core::{build_ffc_model, mice_flags, FfcModelCache};
 
     println!("\n=== quick: incremental patch vs full rebuild, S-Net ke=1 demand ticks ===");
     let inst = snet_instance(args.seed, 1);
@@ -463,13 +463,17 @@ fn quick_incremental(args: &Args) {
     let opts = SimplexOptions::default();
 
     let first = TeProblem::new(topo, &tms[0], &inst.tunnels);
-    let mut cache = FfcModelCache::new(first, &old, &cfg, None);
+    // One-shot style: the greedy mice set of each tick's own demands,
+    // which uniform scaling never reorders.
+    let mice = |tm| mice_flags(tm, cfg.mice_fraction);
+    let mut cache = FfcModelCache::new(first, &old, &cfg, &mice(&tms[0]), None);
     let (_, base) = cache.solve_with(&opts, None).expect("base FFC (standing)");
     let mut basis = base.basis;
     let (mut patch_ms, mut full_ms) = (0.0f64, 0.0f64);
     for (i, tm) in tms[1..].iter().enumerate() {
         let t0 = Instant::now();
-        let outcome = cache.retarget(TeProblem::new(topo, tm, &inst.tunnels), &old, &cfg, None);
+        let problem = TeProblem::new(topo, tm, &inst.tunnels);
+        let outcome = cache.retarget(problem, &old, &cfg, &mice(tm), None);
         let (got, sol) = cache
             .solve_with(&opts, Some(&basis))
             .expect("patched warm solve");

@@ -208,14 +208,22 @@ fn emit(report: &ControllerReport) {
         .iter()
         .filter(|t| matches!(t.path, SolvePath::WarmDual | SolvePath::WarmPrimal))
         .count();
+    // Solving rounds that built the LP instead of patching the standing
+    // one (the first always does).
+    let rebuilds = report
+        .telemetry
+        .iter()
+        .filter(|t| t.path != SolvePath::RescaleOnly && !t.model_patched)
+        .count();
     eprintln!(
         "{} intervals: delivered {:.1}, lost {:.1} (congestion {:.1} / blackhole {:.1}), \
-         {} warm re-solves",
+         {} warm re-solves, {} model rebuilds",
         report.telemetry.len(),
         report.totals.total_delivered(),
         report.totals.total_lost(),
         report.totals.lost_congestion.iter().sum::<f64>(),
         report.totals.lost_blackhole.iter().sum::<f64>(),
-        warm
+        warm,
+        rebuilds
     );
 }

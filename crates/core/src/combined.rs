@@ -10,7 +10,7 @@ use ffc_net::LinkId;
 
 use crate::bounded_msum::MsumEncoding;
 use crate::control_ffc::{apply_control_ffc, ControlFfc, ControlFfcLayout};
-use crate::data_ffc::{apply_data_ffc, DataFfc, DataFfcLayout};
+use crate::data_ffc::{apply_data_ffc, mice_flags, DataFfc, DataFfcLayout};
 use crate::te::{TeConfig, TeModelBuilder, TeProblem};
 
 /// A full FFC protection level `(kc, ke, kv)` with encoding options.
@@ -24,7 +24,11 @@ pub struct FfcConfig {
     pub kv: usize,
     /// Bounded M-sum encoding for both fault classes.
     pub encoding: MsumEncoding,
-    /// Mice-flow optimization threshold (see [`DataFfc::mice_fraction`]).
+    /// Mice-flow optimization (§6): the share of total demand the
+    /// pinned equal-split flows may collectively carry — what
+    /// [`mice_flags`] picks a set by and
+    /// [`standing_mice`](crate::data_ffc::standing_mice) keeps one by.
+    /// `0.0` disables the optimization.
     pub mice_fraction: f64,
     /// Links exempted from control-plane protection (§4.5's escape hatch
     /// for links congested by an over-protection-level data-plane fault).
@@ -91,21 +95,25 @@ pub struct FfcLayout {
 
 /// Builds the TE model with both FFC families applied (not yet solved),
 /// for callers that want to add further constraints (fairness bounds,
-/// pinned rates, …).
+/// pinned rates, …). A one-shot build: the §6 mice set is the greedy
+/// one for `problem.tm`.
 pub fn build_ffc_model<'a>(
     problem: TeProblem<'a>,
     old: &TeConfig,
     cfg: &FfcConfig,
 ) -> TeModelBuilder<'a> {
-    build_ffc_model_tracked(problem, old, cfg).0
+    let mice = mice_flags(problem.tm, cfg.mice_fraction);
+    build_ffc_model_tracked(problem, old, cfg, &mice).0
 }
 
-/// [`build_ffc_model`] plus the [`FfcLayout`] recording where the
-/// patchable pieces landed.
+/// [`build_ffc_model`] with the §6 mice set as an input (one flag per
+/// flow; `cfg.mice_fraction` is not read), plus the [`FfcLayout`]
+/// recording where the patchable pieces landed.
 pub fn build_ffc_model_tracked<'a>(
     problem: TeProblem<'a>,
     old: &TeConfig,
     cfg: &FfcConfig,
+    mice: &[bool],
 ) -> (TeModelBuilder<'a>, FfcLayout) {
     let mut builder = TeModelBuilder::new(problem);
     let mut layout = FfcLayout::default();
@@ -114,9 +122,8 @@ pub fn build_ffc_model_tracked<'a>(
             ke: cfg.ke,
             kv: cfg.kv,
             encoding: cfg.encoding,
-            mice_fraction: cfg.mice_fraction,
         };
-        layout.data = apply_data_ffc(&mut builder, &data);
+        layout.data = apply_data_ffc(&mut builder, &data, mice);
     }
     if cfg.kc > 0 {
         let control = ControlFfc {

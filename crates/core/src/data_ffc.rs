@@ -26,12 +26,17 @@
 //! The §6 *mice-flow* optimization is included: flows collectively
 //! carrying less than a threshold share of traffic skip the sorting
 //! network and instead pin `a_{f,t} = b_f / τ_f`, which satisfies Eqn 15
-//! by construction.
-
+//! by construction. *Which* flows are pinned is an input of the build
+//! ([`apply_data_ffc`]'s `mice`), not something it derives: a one-shot
+//! solve passes the greedy set [`mice_flags`] picks from its traffic
+//! matrix, while a caller with a history keeps a set standing for as
+//! long as §6's own criterion holds ([`standing_mice`]) — the paper asks
+//! that the pinned flows stay under the share, not that the set be
+//! re-derived from every noisy demand sample.
 //!
 //! # Example
 //! ```
-//! use ffc_core::{apply_data_ffc, DataFfc, TeModelBuilder, TeProblem};
+//! use ffc_core::{apply_data_ffc, mice_flags, DataFfc, TeModelBuilder, TeProblem};
 //! use ffc_net::prelude::*;
 //!
 //! let mut topo = Topology::new();
@@ -44,7 +49,8 @@
 //! let tunnels = layout_tunnels(&topo, &tm, &LayoutConfig::default());
 //!
 //! let mut builder = TeModelBuilder::new(TeProblem::new(&topo, &tm, &tunnels));
-//! apply_data_ffc(&mut builder, &DataFfc::new(1, 0)); // survive 1 link failure
+//! // Survive 1 link failure; pin the flows under 1 % of demand (none here).
+//! apply_data_ffc(&mut builder, &DataFfc::new(1, 0), &mice_flags(&tm, 0.01));
 //! let cfg = builder.solve().unwrap();
 //! // With two disjoint tunnels and τ = 1, each alone covers the rate.
 //! for (f, _) in tm.iter() {
@@ -69,41 +75,28 @@ pub struct DataFfc {
     pub kv: usize,
     /// Bounded M-sum encoding.
     pub encoding: MsumEncoding,
-    /// Mice-flow optimization (§6): flows are sorted by demand and the
-    /// smallest ones, collectively carrying less than this fraction of
-    /// total demand, get pinned equal-split allocations instead of a
-    /// sorting network. `0.0` disables the optimization.
-    pub mice_fraction: f64,
 }
 
 impl DataFfc {
-    /// Data-plane FFC with the paper's defaults: sorting-network
-    /// encoding, 1% mice fraction.
+    /// Data-plane FFC with the paper's default sorting-network encoding.
     pub fn new(ke: usize, kv: usize) -> Self {
         DataFfc {
             ke,
             kv,
             encoding: MsumEncoding::SortingNetwork,
-            mice_fraction: 0.01,
         }
-    }
-
-    /// Disables the mice optimization (exact formulation for all flows).
-    pub fn exact(mut self) -> Self {
-        self.mice_fraction = 0.0;
-        self
     }
 }
 
 /// Which structural branch data-plane FFC took per flow — the facts the
-/// delta-LP cache (see [`crate::incremental`]) must re-derive each
-/// interval to decide whether a patch is sound or the constraint shape
+/// delta-LP cache (see [`crate::incremental`]) compares its next inputs
+/// against to decide whether a patch is sound or the constraint shape
 /// changed. Both vectors are indexed by flow; empty when data-plane FFC
 /// was inactive (`ke == kv == 0`).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct DataFfcLayout {
-    /// Flows that took the §6 mice branch (pinned equal-split rows).
-    /// Depends on the *demands*, so a demand tick can flip it.
+    /// The §6 mice set the model was built with (pinned equal-split
+    /// rows), as handed to [`apply_data_ffc`].
     pub mice: Vec<bool>,
     /// The residual-tunnel bound `τ_f` per flow (0 both for flows whose
     /// tunnels can all die and for flows with no tunnels at all).
@@ -119,11 +112,12 @@ impl DataFfcLayout {
     }
 }
 
-/// The §6 mice-flow set implied by a traffic matrix: flows are sorted by
+/// The greedy §6 mice-flow set of a traffic matrix: flows are sorted by
 /// demand and the smallest ones, collectively carrying less than
-/// `mice_fraction` of total demand, are flagged. Exposed so the
-/// incremental cache can recompute the set on a demand tick and detect
-/// when it flipped (which changes the constraint shape).
+/// `mice_fraction` of total demand, are flagged (`0.0` flags none — the
+/// exact formulation for every flow). The only chooser of a mice set:
+/// one-shot builds use it as is, [`standing_mice`] decides when a caller
+/// with a history takes a new one.
 pub fn mice_flags(tm: &TrafficMatrix, mice_fraction: f64) -> Vec<bool> {
     let mut mice = vec![false; tm.len()];
     if mice_fraction > 0.0 {
@@ -141,6 +135,36 @@ pub fn mice_flags(tm: &TrafficMatrix, mice_fraction: f64) -> Vec<bool> {
         }
     }
     mice
+}
+
+/// The mice set a caller with a history builds with: `prev` for as long
+/// as it is still a §6 mice set of `tm`, the greedy [`mice_flags`] set
+/// otherwise (no history, another flow count, or a condition broken).
+/// `prev` stands while **(a)** its flows together carry less than
+/// `mice_fraction` of total demand — the paper's criterion — and
+/// **(b)** the greedy set has no more members, so a standing set never
+/// pins fewer flows than a fresh one would. Under per-flow demand noise
+/// the greedy set's *identity* flips whenever two near-equal small flows
+/// trade places; the set standing through that is what keeps the
+/// controller's model (and its chained basis) from being rebuilt for a
+/// change that moved no constraint's meaning.
+pub fn standing_mice(prev: Option<&[bool]>, tm: &TrafficMatrix, mice_fraction: f64) -> Vec<bool> {
+    let greedy = mice_flags(tm, mice_fraction);
+    let Some(prev) = prev.filter(|p| p.len() == tm.len()) else {
+        return greedy;
+    };
+    let members = |flags: &[bool]| flags.iter().filter(|&&m| m).count();
+    let share: f64 = tm
+        .iter()
+        .zip(prev)
+        .filter(|(_, &mouse)| mouse)
+        .map(|((_, flow), _)| flow.demand)
+        .sum();
+    if share < mice_fraction * tm.total_demand() && members(&greedy) <= members(prev) {
+        prev.to_vec()
+    } else {
+        greedy
+    }
 }
 
 /// The residual-tunnel bound `τ_f` per flow for a protection level
@@ -167,16 +191,22 @@ pub fn tau_per_flow(
 
 /// Adds data-plane FFC constraints to a TE model under construction,
 /// returning which branch each flow took (for the incremental cache).
-pub fn apply_data_ffc(builder: &mut TeModelBuilder<'_>, ffc: &DataFfc) -> DataFfcLayout {
+/// `mice` flags, per flow, the §6 set to pin — [`mice_flags`] of the
+/// builder's traffic matrix for a one-shot build.
+///
+/// # Panics
+/// If `mice` is not one flag per flow.
+pub fn apply_data_ffc(
+    builder: &mut TeModelBuilder<'_>,
+    ffc: &DataFfc,
+    mice: &[bool],
+) -> DataFfcLayout {
     if ffc.ke == 0 && ffc.kv == 0 {
         return DataFfcLayout::default();
     }
     let tm = builder.problem.tm;
     let tunnels = builder.problem.tunnels;
-
-    // Identify mice flows: smallest-demand flows that together carry
-    // less than `mice_fraction` of total demand.
-    let mice = mice_flags(tm, ffc.mice_fraction);
+    assert_eq!(mice.len(), tm.len(), "one mice flag per flow");
     let taus = tau_per_flow(tm, tunnels, ffc.ke, ffc.kv);
 
     for f in tm.ids() {
@@ -210,7 +240,10 @@ pub fn apply_data_ffc(builder: &mut TeModelBuilder<'_>, ffc: &DataFfc) -> DataFf
         let floor = LinExpr::from(builder.b[fi]);
         constrain_any_m_sum_ge(&mut builder.model, exprs, tau, floor, ffc.encoding);
     }
-    DataFfcLayout { mice, tau: taus }
+    DataFfcLayout {
+        mice: mice.to_vec(),
+        tau: taus,
+    }
 }
 
 #[cfg(test)]
@@ -261,7 +294,7 @@ mod tests {
         ffc: &DataFfc,
     ) -> crate::te::TeConfig {
         let mut builder = TeModelBuilder::new(TeProblem::new(topo, tm, tt));
-        apply_data_ffc(&mut builder, ffc);
+        apply_data_ffc(&mut builder, ffc, &mice_flags(tm, 0.0));
         builder.solve().expect("feasible")
     }
 
@@ -307,7 +340,7 @@ mod tests {
     #[test]
     fn ffc_k1_survives_any_single_link_failure() {
         let (topo, tm, tt) = fig2();
-        let ffc = DataFfc::new(1, 0).exact();
+        let ffc = DataFfc::new(1, 0);
         let cfg = solve_data_ffc(&topo, &tm, &tt, &ffc);
         assert_robust_to_link_failures(&topo, &tm, &tt, &cfg, 1);
         // With two disjoint tunnels and τ = 1, Eqn 15 forces *both*
@@ -329,7 +362,7 @@ mod tests {
             .unwrap()
             .throughput();
         for ke in 0..3 {
-            let ffc = DataFfc::new(ke, 0).exact();
+            let ffc = DataFfc::new(ke, 0);
             let cfg = solve_data_ffc(&topo, &tm, &tt, &ffc);
             assert!(cfg.throughput() <= base + 1e-6);
         }
@@ -339,7 +372,7 @@ mod tests {
     fn tau_zero_zeroes_flow() {
         let (topo, tm, tt) = fig2();
         // ke=2 with p=1 and 2 tunnels -> tau = 0: flows must be zeroed.
-        let ffc = DataFfc::new(2, 0).exact();
+        let ffc = DataFfc::new(2, 0);
         let cfg = solve_data_ffc(&topo, &tm, &tt, &ffc);
         assert!(cfg.throughput().abs() < 1e-9);
     }
@@ -349,7 +382,7 @@ mod tests {
         let (topo, tm, tt) = fig2();
         // Both flows' tunnels share only transit switch s1 (q=1).
         // kv=1 -> tau = 2 - 1 = 1 per flow.
-        let ffc = DataFfc::new(0, 1).exact();
+        let ffc = DataFfc::new(0, 1);
         let cfg = solve_data_ffc(&topo, &tm, &tt, &ffc);
         // q = 1 (only transit switch s1, used once per flow), so
         // τ = 2 − 1 = 1 and Eqn 15 requires both allocations ≥ b_f.
@@ -391,14 +424,10 @@ mod tests {
         tt.push(FlowId(0), mk(&[ns[1], ns[0], ns[3]]));
         tt.push(FlowId(1), mk(&[ns[2], ns[3]]));
         tt.push(FlowId(1), mk(&[ns[2], ns[0], ns[3]]));
-        let ffc = DataFfc {
-            ke: 1,
-            kv: 0,
-            encoding: MsumEncoding::SortingNetwork,
-            mice_fraction: 0.01,
-        };
+        let mice = mice_flags(&tm, 0.01);
+        assert_eq!(mice, [false, true]);
         let mut builder = TeModelBuilder::new(TeProblem::new(&topo, &tm, &tt));
-        apply_data_ffc(&mut builder, &ffc);
+        apply_data_ffc(&mut builder, &DataFfc::new(1, 0), &mice);
         let cfg = builder.solve().unwrap();
         // Mouse flow (τ=1): a_{f,t} = b_f for each tunnel.
         let b = cfg.rate[1];
@@ -410,6 +439,58 @@ mod tests {
         assert_robust_to_link_failures(&topo, &tm, &tt, &cfg, 1);
     }
 
+    /// A traffic matrix with the given per-flow demands.
+    fn tm_of(demands: &[f64]) -> TrafficMatrix {
+        let mut tm = TrafficMatrix::new();
+        for (i, &d) in demands.iter().enumerate() {
+            tm.add_flow(NodeId(i), NodeId(i + 1), d, Priority::High);
+        }
+        tm
+    }
+
+    /// The one rule that keeps or replaces a mice set, case by case.
+    #[test]
+    fn standing_mice_keeps_a_set_while_it_is_one() {
+        // Σ = 200, share 1 % = 2.0: the greedy set is the two smallest.
+        let tm = tm_of(&[0.5, 0.9, 0.95, 97.65, 100.0]);
+        let greedy = mice_flags(&tm, 0.01);
+        assert_eq!(greedy, [true, true, false, false, false]);
+
+        // No history: the greedy set.
+        assert_eq!(standing_mice(None, &tm, 0.01), greedy);
+
+        // Identity swap: flows 1 and 2 trade places under noise. The
+        // greedy set moves, the standing pair still qualifies: it stays.
+        let swapped = tm_of(&[0.5, 0.96, 0.9, 97.64, 100.0]);
+        assert_eq!(
+            mice_flags(&swapped, 0.01),
+            [true, false, true, false, false]
+        );
+        assert_eq!(standing_mice(Some(&greedy), &swapped, 0.01), greedy);
+
+        // (a) broken: a pinned flow grows past the share.
+        let grown = tm_of(&[0.5, 3.0, 0.95, 95.55, 100.0]);
+        let after = standing_mice(Some(&greedy), &grown, 0.01);
+        assert_eq!(after, mice_flags(&grown, 0.01));
+        assert_eq!(after, [true, false, true, false, false]);
+
+        // (b) broken: the greedy set gains a member (the input of
+        // `incremental::tests::mice_set_flip_rebuilds`).
+        let ring = tm_of(&[0.01, 6.0, 6.0]);
+        assert_eq!(
+            standing_mice(Some(&[false; 3]), &ring, 0.05),
+            [true, false, false]
+        );
+
+        // fraction = 0: nothing is ever a mouse, whatever stood.
+        assert_eq!(standing_mice(Some(&greedy), &tm, 0.0), [false; 5]);
+        assert_eq!(standing_mice(None, &tm, 0.0), [false; 5]);
+
+        // Another flow count: the history is not about this matrix.
+        assert_eq!(standing_mice(Some(&greedy[..4]), &tm, 0.01), greedy);
+        assert_eq!(standing_mice(Some(&[true; 6]), &tm, 0.01), greedy);
+    }
+
     #[test]
     fn encodings_agree_on_fig2() {
         let (topo, tm, tt) = fig2();
@@ -419,7 +500,6 @@ mod tests {
                 ke: 1,
                 kv: 0,
                 encoding: enc,
-                mice_fraction: 0.0,
             };
             objs.push(solve_data_ffc(&topo, &tm, &tt, &ffc).throughput());
         }

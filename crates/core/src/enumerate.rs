@@ -173,7 +173,7 @@ mod tests {
     use super::*;
     use crate::bounded_msum::MsumEncoding;
     use crate::control_ffc::{apply_control_ffc, ControlFfc};
-    use crate::data_ffc::{apply_data_ffc, DataFfc};
+    use crate::data_ffc::{apply_data_ffc, mice_flags, DataFfc};
     use crate::te::{TeModelBuilder, TeProblem};
     use ffc_net::prelude::*;
 
@@ -234,7 +234,7 @@ mod tests {
         let (topo, tm, tunnels, _) = ring();
         for ke in 1..=2 {
             let mut b1 = TeModelBuilder::new(TeProblem::new(&topo, &tm, &tunnels));
-            apply_data_ffc(&mut b1, &DataFfc::new(ke, 0).exact());
+            apply_data_ffc(&mut b1, &DataFfc::new(ke, 0), &mice_flags(&tm, 0.0));
             let t_compact = b1.solve().unwrap().throughput();
 
             let mut b2 = TeModelBuilder::new(TeProblem::new(&topo, &tm, &tunnels));
@@ -302,7 +302,7 @@ mod tests {
         tt.push(FlowId(0), mk(&[ns[0], ns[1], ns[2]]));
 
         let mut b1 = TeModelBuilder::new(TeProblem::new(&t, &tm, &tt));
-        apply_data_ffc(&mut b1, &DataFfc::new(0, 1).exact());
+        apply_data_ffc(&mut b1, &DataFfc::new(0, 1), &mice_flags(&tm, 0.0));
         let t_compact = b1.solve().unwrap().throughput();
 
         let mut b2 = TeModelBuilder::new(TeProblem::new(&t, &tm, &tt));

@@ -15,12 +15,17 @@
 //! | old config, same β support | `w'_{f,t}` coefficient per stale row | old weights appear only as the `b_f` coefficient in `w'·b − β ≤ 0` |
 //! | fault-set drift | pin/unpin `a_{f,t}` bounds | `zero_dead_tunnels` is itself a bounds change |
 //!
-//! Everything else — mice-set flips (demand-dependent!), β-support
-//! changes, `kc`/`ke`/`kv`/encoding changes, capacity or tunnel changes —
-//! falls off the patch ladder and triggers a full in-place rebuild,
-//! reported as a [`RebuildReason`]. Correctness is enforced
-//! differentially: under debug assertions every *patched* model is
-//! compared coefficient-for-coefficient against a freshly built one
+//! The §6 mice set is an *input* like the other three, handed to
+//! [`FfcModelCache::new`] and [`FfcModelCache::retarget`] by the caller:
+//! the cache never derives it from the demands, so a demand tick alone
+//! cannot change the constraint shape. Handing in a different set than
+//! the standing model was built with does — that, β-support changes,
+//! `kc`/`ke`/`kv`/encoding changes and capacity or tunnel changes fall
+//! off the patch ladder and trigger a full in-place rebuild, reported
+//! as a [`RebuildReason`] and tallied per reason in [`CacheStats`].
+//! Correctness is enforced differentially: under debug assertions every
+//! *patched* model is compared coefficient-for-coefficient against one
+//! freshly built from the same inputs, mice set included
 //! ([`ffc_lp::incremental::diff_models`]).
 
 // audit:allow-file(float-eq): comparisons here are exact structural
@@ -39,7 +44,6 @@ use crate::combined::{
     build_ffc_model_tracked, zero_dead_tunnels, FfcConfig, FfcLayout, WEIGHT_THRESHOLD,
 };
 use crate::control_ffc::beta_support;
-use crate::data_ffc::mice_flags;
 use crate::te::{extract_config, TeConfig, TeProblem};
 
 /// Why the cache could not patch and rebuilt the standing model.
@@ -48,10 +52,10 @@ pub enum RebuildReason {
     /// First use — there was nothing to patch yet.
     Initial,
     /// Topology, tunnel layout, capacities, reservations, encoding,
-    /// mice threshold, unprotected links or `ke`/`kv` changed.
+    /// unprotected links or `ke`/`kv` changed.
     StructureChanged,
-    /// The §6 mice set flipped under a demand tick, changing which
-    /// flows get pinned equal-split rows.
+    /// The caller handed in another §6 mice set than the standing model
+    /// was built with, changing which flows get pinned equal-split rows.
     MiceSetChanged,
     /// The old configuration's β-support pattern changed (a tunnel's
     /// old weight crossed the threshold), changing the variable set.
@@ -62,6 +66,20 @@ pub enum RebuildReason {
     /// A coefficient patch was rejected (sparsity-pattern mismatch) —
     /// the conservative escape hatch; not expected in practice.
     PatchRejected,
+}
+
+impl RebuildReason {
+    /// Every reason in declaration order: a reason's position here is
+    /// its discriminant and its slot in
+    /// [`CacheStats::rebuilds_by_reason`].
+    pub const ALL: [RebuildReason; 6] = [
+        RebuildReason::Initial,
+        RebuildReason::StructureChanged,
+        RebuildReason::MiceSetChanged,
+        RebuildReason::BetaSupportChanged,
+        RebuildReason::ProtectionChanged,
+        RebuildReason::PatchRejected,
+    ];
 }
 
 impl fmt::Display for RebuildReason {
@@ -102,8 +120,25 @@ pub struct CacheStats {
     /// Retargets satisfied by in-place patches.
     pub patches: u64,
     /// Retargets that fell back to a full rebuild (including the
-    /// initial build).
+    /// initial build): the sum of `rebuilds_by_reason`.
     pub rebuilds: u64,
+    /// `rebuilds` split by cause, in [`RebuildReason::ALL`] order.
+    pub rebuilds_by_reason: [u64; RebuildReason::ALL.len()],
+}
+
+impl CacheStats {
+    /// How many rebuilds `reason` caused.
+    pub fn rebuilds_for(&self, reason: RebuildReason) -> u64 {
+        let slot = self.rebuilds_by_reason.get(reason as usize);
+        slot.copied().unwrap_or(0)
+    }
+
+    fn count_rebuild(&mut self, reason: RebuildReason) {
+        self.rebuilds += 1;
+        if let Some(n) = self.rebuilds_by_reason.get_mut(reason as usize) {
+            *n += 1;
+        }
+    }
 }
 
 /// Everything that must be *identical* between the cached model's
@@ -121,7 +156,6 @@ struct StructureKey {
     ke: usize,
     kv: usize,
     encoding: MsumEncoding,
-    mice_fraction: f64,
     unprotected: Vec<usize>,
 }
 
@@ -153,7 +187,6 @@ impl StructureKey {
             ke: cfg.ke,
             kv: cfg.kv,
             encoding: cfg.encoding,
-            mice_fraction: cfg.mice_fraction,
             unprotected,
         }
     }
@@ -165,7 +198,11 @@ impl StructureKey {
 /// The cache owns no borrows of the problem inputs: each
 /// [`retarget`](FfcModelCache::retarget) receives the current inputs
 /// and decides for itself whether the standing model can be patched to
-/// match them.
+/// match them. `mice` is the §6 set to pin, one flag per flow, exactly
+/// as [`build_ffc_model_tracked`] takes it (`cfg.mice_fraction` is not
+/// read): [`mice_flags`](crate::data_ffc::mice_flags) for a caller
+/// without a history, [`standing_mice`](crate::data_ffc::standing_mice)
+/// for one that has.
 #[derive(Debug, Clone)]
 pub struct FfcModelCache {
     inc: IncrementalModel,
@@ -187,6 +224,7 @@ impl FfcModelCache {
         problem: TeProblem<'_>,
         old: &TeConfig,
         cfg: &FfcConfig,
+        mice: &[bool],
         scenario: Option<&FaultScenario>,
     ) -> FfcModelCache {
         let mut cache = FfcModelCache {
@@ -200,7 +238,7 @@ impl FfcModelCache {
             pinned: BTreeSet::new(),
             stats: CacheStats::default(),
         };
-        cache.rebuild(problem, old, cfg, scenario);
+        cache.rebuild(problem, old, cfg, mice, scenario, RebuildReason::Initial);
         cache
     }
 
@@ -220,21 +258,22 @@ impl FfcModelCache {
         problem: TeProblem<'_>,
         old: &TeConfig,
         cfg: &FfcConfig,
+        mice: &[bool],
         scenario: Option<&FaultScenario>,
     ) -> RetargetOutcome {
-        let outcome = match self.try_patch(problem, old, cfg, scenario) {
+        let outcome = match self.try_patch(problem, old, cfg, mice, scenario) {
             Ok(n) => {
                 self.stats.patches += 1;
                 RetargetOutcome::Patched(n)
             }
             Err(reason) => {
-                self.rebuild(problem, old, cfg, scenario);
+                self.rebuild(problem, old, cfg, mice, scenario, reason);
                 RetargetOutcome::Rebuilt(reason)
             }
         };
         #[cfg(debug_assertions)]
         if outcome.is_patch() {
-            self.debug_check_against_fresh(problem, old, cfg, scenario);
+            self.debug_check_against_fresh(problem, old, cfg, mice, scenario);
         }
         outcome
     }
@@ -247,6 +286,7 @@ impl FfcModelCache {
         problem: TeProblem<'_>,
         old: &TeConfig,
         cfg: &FfcConfig,
+        mice: &[bool],
         scenario: Option<&FaultScenario>,
     ) -> Result<usize, RebuildReason> {
         let key = StructureKey::of(&problem, cfg);
@@ -254,7 +294,7 @@ impl FfcModelCache {
             return Err(RebuildReason::StructureChanged);
         }
         let data_active = cfg.ke > 0 || cfg.kv > 0;
-        if data_active && mice_flags(problem.tm, cfg.mice_fraction) != self.layout.data.mice {
+        if data_active && mice != self.layout.data.mice {
             return Err(RebuildReason::MiceSetChanged);
         }
         if cfg.kc != self.kc {
@@ -322,15 +362,18 @@ impl FfcModelCache {
         Ok(())
     }
 
-    /// Discards the standing model and rebuilds it from the new inputs.
+    /// Discards the standing model and rebuilds it from the new inputs,
+    /// tallying `reason`.
     fn rebuild(
         &mut self,
         problem: TeProblem<'_>,
         old: &TeConfig,
         cfg: &FfcConfig,
+        mice: &[bool],
         scenario: Option<&FaultScenario>,
+        reason: RebuildReason,
     ) {
-        let (mut builder, layout) = build_ffc_model_tracked(problem, old, cfg);
+        let (mut builder, layout) = build_ffc_model_tracked(problem, old, cfg, mice);
         if let Some(s) = scenario {
             zero_dead_tunnels(&mut builder, s);
         }
@@ -342,7 +385,7 @@ impl FfcModelCache {
         self.pinned = scenario_pins(&problem, scenario);
         self.inc =
             IncrementalModel::new(builder.model).expect("freshly built FFC model always validates");
-        self.stats.rebuilds += 1;
+        self.stats.count_rebuild(reason);
     }
 
     /// Solves the standing form, cold or from a warm-start basis (see
@@ -372,9 +415,10 @@ impl FfcModelCache {
         problem: TeProblem<'_>,
         old: &TeConfig,
         cfg: &FfcConfig,
+        mice: &[bool],
         scenario: Option<&FaultScenario>,
     ) {
-        let (mut fresh, _) = build_ffc_model_tracked(problem, old, cfg);
+        let (mut fresh, _) = build_ffc_model_tracked(problem, old, cfg, mice);
         if let Some(s) = scenario {
             zero_dead_tunnels(&mut fresh, s);
         }
@@ -410,7 +454,11 @@ fn scenario_pins(
 mod tests {
     use super::*;
     use crate::combined::{build_ffc_model, solve_ffc};
+    use crate::data_ffc::mice_flags;
     use ffc_net::prelude::*;
+
+    /// No §6 mice: what every `.exact()` config below builds with.
+    const NO_MICE: [bool; 3] = [false; 3];
 
     /// A 5-node ring with chords (same shape as combined.rs's tests).
     fn ring() -> (Topology, TrafficMatrix, TunnelTable, TeConfig) {
@@ -455,14 +503,26 @@ mod tests {
     fn demand_tick_is_a_patch_and_matches_fresh() {
         let (topo, mut tm, tunnels, old) = ring();
         let cfg = FfcConfig::new(1, 1, 0).exact();
-        let mut cache = FfcModelCache::new(TeProblem::new(&topo, &tm, &tunnels), &old, &cfg, None);
+        let mut cache = FfcModelCache::new(
+            TeProblem::new(&topo, &tm, &tunnels),
+            &old,
+            &cfg,
+            &NO_MICE,
+            None,
+        );
         for round in 1..4 {
             let scale = 1.0 + 0.25 * round as f64;
             for f in tm.ids() {
                 let d = 6.0 * scale;
                 tm.set_demand(f, d);
             }
-            let outcome = cache.retarget(TeProblem::new(&topo, &tm, &tunnels), &old, &cfg, None);
+            let outcome = cache.retarget(
+                TeProblem::new(&topo, &tm, &tunnels),
+                &old,
+                &cfg,
+                &NO_MICE,
+                None,
+            );
             assert!(outcome.is_patch(), "round {round}: {outcome:?}");
             let (got, _) = cache.solve_with(&Default::default(), None).unwrap();
             let want = fresh_objective(&topo, &tm, &tunnels, &old, &cfg);
@@ -481,7 +541,7 @@ mod tests {
         let (topo, tm, tunnels, old) = ring();
         let cfg = FfcConfig::new(2, 0, 0).exact();
         let problem = TeProblem::new(&topo, &tm, &tunnels);
-        let mut cache = FfcModelCache::new(problem, &old, &cfg, None);
+        let mut cache = FfcModelCache::new(problem, &old, &cfg, &NO_MICE, None);
         // Advance the installed config without changing its support:
         // scale allocations (weights are scale-invariant per flow, but
         // shifting mass between tunnels changes the weights).
@@ -493,7 +553,7 @@ mod tests {
                 }
             }
         }
-        let outcome = cache.retarget(problem, &next, &cfg, None);
+        let outcome = cache.retarget(problem, &next, &cfg, &NO_MICE, None);
         assert!(outcome.is_patch(), "{outcome:?}");
         let (got, _) = cache.solve_with(&Default::default(), None).unwrap();
         let want = fresh_objective(&topo, &tm, &tunnels, &next, &cfg);
@@ -505,13 +565,13 @@ mod tests {
         let (topo, tm, tunnels, old) = ring();
         let cfg = FfcConfig::new(1, 0, 0).exact();
         let problem = TeProblem::new(&topo, &tm, &tunnels);
-        let mut cache = FfcModelCache::new(problem, &old, &cfg, None);
+        let mut cache = FfcModelCache::new(problem, &old, &cfg, &NO_MICE, None);
         // Zeroing one flow's allocations changes the support pattern.
         let mut next = old.clone();
         for a in &mut next.alloc[0] {
             *a = 0.0;
         }
-        let outcome = cache.retarget(problem, &next, &cfg, None);
+        let outcome = cache.retarget(problem, &next, &cfg, &NO_MICE, None);
         assert_eq!(
             outcome,
             RetargetOutcome::Rebuilt(RebuildReason::BetaSupportChanged)
@@ -528,9 +588,9 @@ mod tests {
         let (topo, tm, tunnels, old) = ring();
         let problem = TeProblem::new(&topo, &tm, &tunnels);
         let kc = |k| FfcConfig::new(k, 0, 0).exact();
-        let mut cache = FfcModelCache::new(problem, &old, &kc(1), None);
+        let mut cache = FfcModelCache::new(problem, &old, &kc(1), &NO_MICE, None);
         for next in [2, 0] {
-            let outcome = cache.retarget(problem, &old, &kc(next), None);
+            let outcome = cache.retarget(problem, &old, &kc(next), &NO_MICE, None);
             assert_eq!(
                 outcome,
                 RetargetOutcome::Rebuilt(RebuildReason::ProtectionChanged),
@@ -544,11 +604,11 @@ mod tests {
         let (topo, tm, tunnels, old) = ring();
         let cfg = FfcConfig::new(0, 1, 0).exact();
         let problem = TeProblem::new(&topo, &tm, &tunnels);
-        let mut cache = FfcModelCache::new(problem, &old, &cfg, None);
+        let mut cache = FfcModelCache::new(problem, &old, &cfg, &NO_MICE, None);
         let clean = cache.solve_with(&Default::default(), None).unwrap().0;
 
         let scenario = FaultScenario::links([topo.links().next().unwrap()]);
-        let outcome = cache.retarget(problem, &old, &cfg, Some(&scenario));
+        let outcome = cache.retarget(problem, &old, &cfg, &NO_MICE, Some(&scenario));
         assert!(outcome.is_patch(), "{outcome:?}");
         let (faulted, _) = cache.solve_with(&Default::default(), None).unwrap();
         let mut fresh = build_ffc_model(problem, &old, &cfg);
@@ -557,7 +617,7 @@ mod tests {
         assert!((faulted.throughput() - want).abs() < 1e-6);
 
         // Recovery releases the pins and returns to the clean optimum.
-        let outcome = cache.retarget(problem, &old, &cfg, None);
+        let outcome = cache.retarget(problem, &old, &cfg, &NO_MICE, None);
         assert!(outcome.is_patch(), "{outcome:?}");
         let (recovered, _) = cache.solve_with(&Default::default(), None).unwrap();
         assert!((recovered.throughput() - clean.throughput()).abs() < 1e-6);
@@ -567,7 +627,13 @@ mod tests {
     fn capacity_change_rebuilds() {
         let (topo, tm, tunnels, old) = ring();
         let cfg = FfcConfig::new(1, 1, 0).exact();
-        let mut cache = FfcModelCache::new(TeProblem::new(&topo, &tm, &tunnels), &old, &cfg, None);
+        let mut cache = FfcModelCache::new(
+            TeProblem::new(&topo, &tm, &tunnels),
+            &old,
+            &cfg,
+            &NO_MICE,
+            None,
+        );
         let reserved = vec![1.0; topo.num_links()];
         let problem = TeProblem {
             topo: &topo,
@@ -575,7 +641,7 @@ mod tests {
             tunnels: &tunnels,
             reserved: Some(&reserved),
         };
-        let outcome = cache.retarget(problem, &old, &cfg, None);
+        let outcome = cache.retarget(problem, &old, &cfg, &NO_MICE, None);
         assert_eq!(
             outcome,
             RetargetOutcome::Rebuilt(RebuildReason::StructureChanged)
@@ -585,18 +651,34 @@ mod tests {
         assert!((got.throughput() - want).abs() < 1e-6);
     }
 
+    /// The mice set is an input: the same set under moved demands is a
+    /// patch, another set is a `MiceSetChanged` rebuild — and either way
+    /// the standing model solves like a fresh build with the set the
+    /// caller handed in.
     #[test]
     fn mice_set_flip_rebuilds() {
         let (topo, mut tm, tunnels, old) = ring();
-        // Default mice fraction, with one flow small enough to be a
-        // mouse once the others grow.
         let mut cfg = FfcConfig::new(0, 1, 0);
         cfg.mice_fraction = 0.05;
-        let mut cache = FfcModelCache::new(TeProblem::new(&topo, &tm, &tunnels), &old, &cfg, None);
-        // Shrink flow 0 far below the 5% threshold: the mice set flips.
+        let problem = TeProblem::new(&topo, &tm, &tunnels);
+        let none = mice_flags(&tm, cfg.mice_fraction);
+        assert_eq!(none, NO_MICE, "three equal flows: no mouse");
+        let mut cache = FfcModelCache::new(problem, &old, &cfg, &none, None);
+
+        // Shrink flow 0 far below the 5% threshold. The greedy set now
+        // flags it, but a caller that keeps handing in the old set gets
+        // a patch…
         let f0 = tm.ids().next().unwrap();
         tm.set_demand(f0, 0.01);
-        let outcome = cache.retarget(TeProblem::new(&topo, &tm, &tunnels), &old, &cfg, None);
+        let problem = TeProblem::new(&topo, &tm, &tunnels);
+        let outcome = cache.retarget(problem, &old, &cfg, &none, None);
+        assert!(outcome.is_patch(), "{outcome:?}");
+
+        // …and one that hands in the greedy set a rebuild that solves
+        // like the one-shot build (which picks the greedy set itself).
+        let greedy = mice_flags(&tm, cfg.mice_fraction);
+        assert_eq!(greedy, [true, false, false]);
+        let outcome = cache.retarget(problem, &old, &cfg, &greedy, None);
         assert_eq!(
             outcome,
             RetargetOutcome::Rebuilt(RebuildReason::MiceSetChanged)
@@ -604,18 +686,59 @@ mod tests {
         let (got, _) = cache.solve_with(&Default::default(), None).unwrap();
         let want = fresh_objective(&topo, &tm, &tunnels, &old, &cfg);
         assert!((got.throughput() - want).abs() < 1e-6);
+
+        // `cfg.mice_fraction` itself is not an input of the model.
+        cfg.mice_fraction = 0.5;
+        let outcome = cache.retarget(problem, &old, &cfg, &greedy, None);
+        assert!(outcome.is_patch(), "{outcome:?}");
+    }
+
+    /// `rebuilds` is the sum of the per-reason tally, and each rebuild
+    /// lands in the slot of the reason `retarget` reported.
+    #[test]
+    fn rebuilds_are_tallied_by_reason() {
+        for (i, r) in RebuildReason::ALL.iter().enumerate() {
+            assert_eq!(*r as usize, i, "{r}: ALL is in discriminant order");
+        }
+        let (topo, tm, tunnels, old) = ring();
+        let problem = TeProblem::new(&topo, &tm, &tunnels);
+        let kc = |k| FfcConfig::new(k, 1, 0).exact();
+        let mut cache = FfcModelCache::new(problem, &old, &kc(1), &NO_MICE, None);
+        cache.retarget(problem, &old, &kc(1), &NO_MICE, None);
+        cache.retarget(problem, &old, &kc(1), &[true, false, false], None);
+        cache.retarget(problem, &old, &kc(2), &[true, false, false], None);
+        cache.retarget(problem, &old, &kc(1), &[true, false, false], None);
+        let stats = cache.stats();
+        assert_eq!((stats.patches, stats.rebuilds), (1, 4));
+        assert_eq!(stats.rebuilds_by_reason.iter().sum::<u64>(), stats.rebuilds);
+        assert_eq!(stats.rebuilds_for(RebuildReason::Initial), 1);
+        assert_eq!(stats.rebuilds_for(RebuildReason::MiceSetChanged), 1);
+        assert_eq!(stats.rebuilds_for(RebuildReason::ProtectionChanged), 2);
+        assert_eq!(stats.rebuilds_for(RebuildReason::BetaSupportChanged), 0);
     }
 
     #[test]
     fn warm_patched_solve_matches_fresh() {
         let (topo, mut tm, tunnels, old) = ring();
         let cfg = FfcConfig::new(1, 1, 0).exact();
-        let mut cache = FfcModelCache::new(TeProblem::new(&topo, &tm, &tunnels), &old, &cfg, None);
+        let mut cache = FfcModelCache::new(
+            TeProblem::new(&topo, &tm, &tunnels),
+            &old,
+            &cfg,
+            &NO_MICE,
+            None,
+        );
         let (_, sol) = cache.solve_with(&Default::default(), None).unwrap();
         for f in tm.ids() {
             tm.set_demand(f, 7.5);
         }
-        let outcome = cache.retarget(TeProblem::new(&topo, &tm, &tunnels), &old, &cfg, None);
+        let outcome = cache.retarget(
+            TeProblem::new(&topo, &tm, &tunnels),
+            &old,
+            &cfg,
+            &NO_MICE,
+            None,
+        );
         assert!(outcome.is_patch());
         let (warm, _) = cache
             .solve_with(&Default::default(), Some(&sol.basis))

@@ -83,7 +83,7 @@ pub use combined::{
     unprotected_links_from_loads, zero_dead_tunnels, FfcConfig, FfcLayout,
 };
 pub use control_ffc::{apply_control_ffc, ControlFfc, ControlFfcLayout};
-pub use data_ffc::{apply_data_ffc, DataFfc, DataFfcLayout};
+pub use data_ffc::{apply_data_ffc, mice_flags, standing_mice, DataFfc, DataFfcLayout};
 pub use fairness::{solve_max_min_ffc, FairnessConfig};
 pub use incremental::{CacheStats, FfcModelCache, RebuildReason, RetargetOutcome};
 pub use mlu::{solve_min_mlu, MluSolution};

@@ -18,7 +18,7 @@ use ffc_net::{Topology, TrafficMatrix, TunnelTable};
 
 use crate::bounded_msum::constrain_any_m_sum_le;
 use crate::combined::FfcConfig;
-use crate::data_ffc::{apply_data_ffc, DataFfc};
+use crate::data_ffc::{apply_data_ffc, mice_flags, DataFfc};
 use crate::te::{TeConfig, TeModelBuilder, TeProblem};
 
 /// Result of an MLU computation.
@@ -115,17 +115,14 @@ pub fn solve_min_mlu(
 
     // Data-plane FFC (Eqn 15, rates pinned to demand).
     if ffc.ke > 0 || ffc.kv > 0 {
-        apply_data_ffc(
-            &mut builder,
-            &DataFfc {
-                ke: ffc.ke,
-                kv: ffc.kv,
-                encoding: ffc.encoding,
-                // Mice pinning (a = b/τ) conflicts with pinned b when
-                // capacity is scarce; use the exact form here.
-                mice_fraction: 0.0,
-            },
-        );
+        let data = DataFfc {
+            ke: ffc.ke,
+            kv: ffc.kv,
+            encoding: ffc.encoding,
+        };
+        // Mice pinning (a = b/τ) conflicts with pinned b when
+        // capacity is scarce; use the exact form here.
+        apply_data_ffc(&mut builder, &data, &mice_flags(problem.tm, 0.0));
     }
 
     // Control-plane FFC on the fault MLU: u_f·c_e ≥ Σ_v a_{v,e} + (kc

@@ -3,13 +3,16 @@
 //! demand ticks, installed-config edits, fault-set drift, and
 //! protection/encoding changes must solve to the same objective as a
 //! from-scratch build at every step — whether the step patched or
-//! rebuilt. Under debug assertions (always on in tests) every patched
+//! rebuilt. The §6 mice set is an input of both, and any set that meets
+//! §6's criterion may be handed in, not only the greedy one. Under debug
+//! assertions (always on in tests) every patched
 //! step is additionally compared coefficient-for-coefficient against a
 //! fresh model inside the cache itself, so a passing run certifies both
 //! the patch ladder and its invalidation rules.
 
 use ffc_core::{
-    solve_ffc_with_faults, FfcConfig, FfcModelCache, MsumEncoding, TeConfig, TeProblem,
+    build_ffc_model_tracked, mice_flags, zero_dead_tunnels, FfcConfig, FfcModelCache, MsumEncoding,
+    TeConfig, TeProblem,
 };
 use ffc_net::prelude::*;
 use proptest::prelude::*;
@@ -33,9 +36,12 @@ struct Step {
     ke: usize,
     /// Use the enumeration encoding (an encoding flip must rebuild).
     enumerate: bool,
-    /// Arm the §6 mice optimization (mice sets may flip under demand
-    /// ticks, which must force a rebuild).
+    /// Arm the §6 mice optimization (a different set than the standing
+    /// model's must force a rebuild).
     mice: bool,
+    /// Candidate mice set, one bit per flow: handed in when its flows
+    /// carry less than the share, the greedy set otherwise.
+    mice_mask: usize,
 }
 
 fn step_strategy() -> impl Strategy<Value = Step> {
@@ -46,10 +52,18 @@ fn step_strategy() -> impl Strategy<Value = Step> {
             any::<bool>(),
             (any::<bool>(), 0..64usize),
         ),
-        (0..3usize, 0..3usize, any::<bool>(), any::<bool>()),
+        (
+            0..3usize,
+            0..3usize,
+            any::<bool>(),
+            (any::<bool>(), 0..8usize),
+        ),
     )
         .prop_map(
-            |((demands, old_scale, old_zero, (faulty, fault_link)), (kc, ke, enumerate, mice))| {
+            |(
+                (demands, old_scale, old_zero, (faulty, fault_link)),
+                (kc, ke, enumerate, (mice, mice_mask)),
+            )| {
                 Step {
                     demands,
                     old_scale,
@@ -60,9 +74,27 @@ fn step_strategy() -> impl Strategy<Value = Step> {
                     ke,
                     enumerate,
                     mice,
+                    mice_mask,
                 }
             },
         )
+}
+
+/// The mice set a step hands in: its random candidate when that meets
+/// §6's criterion (Σ demand under the share), the greedy set otherwise.
+fn qualifying_mice(tm: &TrafficMatrix, fraction: f64, mask: usize) -> Vec<bool> {
+    let candidate: Vec<bool> = (0..tm.len()).map(|fi| mask >> fi & 1 == 1).collect();
+    let share: f64 = tm
+        .iter()
+        .zip(&candidate)
+        .filter(|(_, &mouse)| mouse)
+        .map(|((_, flow), _)| flow.demand)
+        .sum();
+    if share < fraction * tm.total_demand() {
+        candidate
+    } else {
+        mice_flags(tm, fraction)
+    }
 }
 
 /// A 5-node ring with chords — rich enough for multi-tunnel flows, small
@@ -108,6 +140,7 @@ proptest! {
             problem,
             &old,
             &FfcConfig::new(1, 1, 0).exact(),
+            &[false; 3],
             None,
         );
 
@@ -134,15 +167,17 @@ proptest! {
                 cfg = cfg.with_encoding(MsumEncoding::Enumeration);
             }
             cfg.mice_fraction = if step.mice { 0.3 } else { 0.0 };
+            let mice = qualifying_mice(&tm, cfg.mice_fraction, step.mice_mask);
 
             let problem = TeProblem::new(&topo, &tm, &tunnels);
-            cache.retarget(problem, &old, &cfg, scenario.as_ref());
+            cache.retarget(problem, &old, &cfg, &mice, scenario.as_ref());
             let (got, _) = cache.solve_with(&Default::default(), None).unwrap();
 
-            let fresh_scenario = scenario.clone().unwrap_or_else(FaultScenario::none);
-            let want = solve_ffc_with_faults(problem, &old, &cfg, &fresh_scenario)
-                .unwrap()
-                .throughput();
+            let (mut fresh, _) = build_ffc_model_tracked(problem, &old, &cfg, &mice);
+            if let Some(s) = &scenario {
+                zero_dead_tunnels(&mut fresh, s);
+            }
+            let want = fresh.solve().unwrap().throughput();
             prop_assert!(
                 (got.throughput() - want).abs() < 1e-6,
                 "step {i} ({step:?}): cache {} vs fresh {want}",

@@ -3,12 +3,12 @@
 //! A checkpoint externalizes **everything** the controller needs to
 //! continue a run bit-identically after a crash: the versioned config
 //! store (installed / last-known-good / staged, plus the chained
-//! warm-basis hint), the planner's degradation-ladder position, the
-//! active fault scenario, the live-sampling RNG state, the mutated
-//! traffic matrix, aggregate totals, the fingerprint lines of every
-//! completed interval, the recorded event stream, and — when a rollout
-//! was in flight — the interval's complete sampled outcome log plus
-//! the post-sampling RNG state.
+//! warm-basis hint), the planner's degradation-ladder position and
+//! standing §6 mice set, the active fault scenario, the live-sampling
+//! RNG state, the mutated traffic matrix, aggregate totals, the
+//! fingerprint lines of every completed interval, the recorded event
+//! stream, and — when a rollout was in flight — the interval's complete
+//! sampled outcome log plus the post-sampling RNG state.
 //!
 //! On disk a checkpoint is a sealed file ([`crate::durable::seal`], the
 //! framing `ffc-fleet`'s segments share): magic, a schema version, a
@@ -49,8 +49,9 @@ use crate::ControllerConfig;
 pub const CHECKPOINT_MAGIC: &[u8; 8] = b"FFCKPT1\n";
 /// Trailing end marker (after the checksum).
 pub const CHECKPOINT_END: &[u8; 8] = b"FFCKEND\n";
-/// Bumped on any incompatible change to the checkpoint body layout.
-pub const CHECKPOINT_SCHEMA_VERSION: u32 = 1;
+/// Bumped on any incompatible change to the checkpoint body layout
+/// (2: the planner's standing mice set follows its ladder position).
+pub const CHECKPOINT_SCHEMA_VERSION: u32 = 2;
 /// How many checkpoint files [`Checkpointer`] retains: the newest may
 /// be torn by a crash mid-rename-window or corrupted on disk, so
 /// recovery needs older fallbacks.
@@ -89,7 +90,8 @@ pub struct CheckpointState {
     pub demands: Vec<f64>,
     /// The versioned config store, including the chained basis hint.
     pub store: StoreSnapshot,
-    /// The planner's degradation-ladder position.
+    /// The planner's degradation-ladder position and standing mice set
+    /// (one flag per entry of `demands`).
     pub planner: PlannerSnapshot,
     /// Failed-link indices of the active fault scenario.
     pub failed_links: Vec<usize>,
@@ -216,6 +218,45 @@ fn status_from_code(b: u8) -> Result<ColStatus, String> {
     })
 }
 
+/// The planner's standing mice set as the indices of its members.
+fn put_mice(buf: &mut Vec<u8>, mice: Option<&[bool]>) {
+    let Some(flags) = mice else {
+        buf.push(0);
+        return;
+    };
+    buf.push(1);
+    let members = flags.iter().enumerate().filter(|(_, &mouse)| mouse);
+    put_varint(buf, members.clone().count() as u64);
+    for (flow, _) in members {
+        put_varint(buf, flow as u64);
+    }
+}
+
+/// Reads [`put_mice`]'s image back into one flag per flow. A count or
+/// a member beyond the `flows` demands read before it is refused here,
+/// at its offset, so no out-of-range index reaches the planner.
+fn read_mice(cur: &mut Cursor<'_>, flows: usize) -> Result<Option<Vec<bool>>, String> {
+    if cur.take(1, "mice flag")?[0] == 0 {
+        return Ok(None);
+    }
+    let (at, members) = (cur.pos(), cur.varint("mice count")? as usize);
+    if members > flows {
+        return Err(cur.error_at(at, format!("{members} mice among {flows} demands")));
+    }
+    let mut flags = vec![false; flows];
+    for _ in 0..members {
+        let (at, flow) = (cur.pos(), cur.varint("mouse flow")? as usize);
+        match flags.get_mut(flow) {
+            Some(flag) => *flag = true,
+            None => {
+                let what = format!("mouse flow {flow} out of range ({flows} demands)");
+                return Err(cur.error_at(at, what));
+            }
+        }
+    }
+    Ok(Some(flags))
+}
+
 fn put_events(buf: &mut Vec<u8>, events: &[TimedEvent]) {
     put_varint(buf, events.len() as u64);
     for te in events {
@@ -282,6 +323,7 @@ pub fn encode_checkpoint(state: &CheckpointState, digest: u64) -> Vec<u8> {
     }
     buf.push(state.planner.rescale_only as u8);
     put_varint(&mut buf, state.planner.intervals_since_probe as u64);
+    put_mice(&mut buf, state.planner.mice.as_deref());
 
     put_varint(&mut buf, state.failed_links.len() as u64);
     for &l in &state.failed_links {
@@ -379,6 +421,7 @@ fn read_body(cur: &mut Cursor<'_>) -> Result<CheckpointState, String> {
         ),
         rescale_only: cur.take(1, "rescale flag")?[0] != 0,
         intervals_since_probe: cur.varint("probe counter")? as usize,
+        mice: read_mice(cur, demands.len())?,
     };
 
     let nl = cur.varint("failed link count")? as usize;
@@ -651,6 +694,7 @@ mod tests {
                 current: (1, 1, 0),
                 rescale_only: false,
                 intervals_since_probe: 2,
+                mice: Some(vec![false, true, false]),
             },
             failed_links: vec![0, 5],
             failed_switches: vec![3],
@@ -705,6 +749,7 @@ mod tests {
         let mut min = sample_state();
         min.store.staged = None;
         min.store.hint = None;
+        min.planner.mice = None;
         min.inflight = None;
         min.recorded.clear();
         min.fingerprints.clear();
@@ -712,12 +757,31 @@ mod tests {
         assert_eq!(decode_checkpoint(&bytes, "t", 1).expect("decode"), min);
     }
 
-    /// Recorded at commit aaade72, before the framing moved into
-    /// `durable::seal`, by running this test with zeroed expectations.
+    /// The schema-1 image of the sample state was recorded at commit
+    /// aaade72 (449 bytes, before the framing moved into
+    /// `durable::seal`). Schema 2 is that image with the version bumped
+    /// and the mice field — flag, count, member 1 — after the planner's
+    /// probe counter: taking the two back out must give the recorded
+    /// image, so nothing else moved.
     #[test]
     fn golden_checkpoint_image_of_the_sample_state() {
         let bytes = encode_checkpoint(&sample_state(), 7);
-        assert_eq!((bytes.len(), fnv64(&bytes)), (449, 12741876513052809226));
+        assert_eq!((bytes.len(), fnv64(&bytes)), (452, 6205727008863894943));
+
+        let mut no_mice = sample_state();
+        no_mice.planner.mice = None;
+        let without = encode_checkpoint(&no_mice, 7);
+        let field = bytes
+            .iter()
+            .zip(&without)
+            .position(|(a, b)| a != b)
+            .expect("the flag byte differs");
+        assert_eq!(bytes[field..field + 3], [1, 1, 1]);
+        let mut v1 = bytes[..field].to_vec();
+        v1.extend_from_slice(&bytes[field + 3..bytes.len() - 16]);
+        v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+        seal(&mut v1, CHECKPOINT_END);
+        assert_eq!((v1.len(), fnv64(&v1)), (449, 12741876513052809226));
     }
 
     #[test]

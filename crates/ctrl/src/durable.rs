@@ -138,6 +138,12 @@ impl<'a> Cursor<'a> {
         Ok(f64::from_bits(self.u64(what)?))
     }
 
+    /// An error in this cursor's format — file, offset, what — for a
+    /// value that read fine at `at` but cannot be right.
+    pub fn error_at(&self, at: usize, what: impl Display) -> String {
+        format!("{}: offset {at}: {what}", self.file)
+    }
+
     /// Reads an LEB128 varint.
     pub fn varint(&mut self, what: &str) -> Result<u64, String> {
         let mut v = 0u64;

@@ -36,7 +36,7 @@ pub mod telemetry;
 
 use std::time::Duration;
 
-use ffc_core::{FfcConfig, TeConfig, TeProblem};
+use ffc_core::{CacheStats, FfcConfig, TeConfig, TeProblem};
 use ffc_lp::{Algorithm, SimplexOptions};
 use ffc_net::{FaultScenario, FlowId, LinkId, NodeId, Topology, TrafficMatrix, TunnelTable};
 use ffc_sim::{DrivenInterval, DrivenSim, RunTotals, SwitchModel};
@@ -224,6 +224,14 @@ impl ControllerReport {
 pub trait IntervalSink {
     /// Records one interval.
     fn record(&mut self, telemetry: &IntervalTelemetry, link_util: &[f64]);
+
+    /// What the plan stage did, before the interval's
+    /// [`record`](IntervalSink::record): the planner's outcome with the
+    /// raw solver statistics ([`ffc_lp::SolveStats::hint_used`] among
+    /// them) and the standing model's running tally
+    /// ([`Planner::cache_stats`]) — what the telemetry record, whose
+    /// field set is the fingerprint's, does not carry.
+    fn planned(&mut self, _outcome: &PlanOutcome, _model: CacheStats) {}
 }
 
 /// The online controller: owns the planner, executor, config store, and
@@ -311,6 +319,9 @@ impl<'a> Controller<'a> {
         for interval in start..intervals {
             let events_applied = st.apply_events(interval);
             let outcome = st.plan(interval);
+            if let Some(sink) = sink.as_deref_mut() {
+                sink.planned(&outcome, st.planner.cache_stats());
+            }
             let gate = st.certify(&outcome);
             let (reached, rollout) = st.roll_out(
                 interval,

@@ -1,6 +1,6 @@
 //! Per-interval re-solve with warm-start reuse and graceful degradation.
 //!
-//! Every TE interval the planner rebuilds the FFC model for the current
+//! Every TE interval the planner points the FFC model at the current
 //! demands and active faults and re-solves it. Because successive
 //! models at a fixed protection level differ only in variable bounds
 //! (demand upper bounds, dead tunnels pinned to zero), the previous
@@ -8,6 +8,18 @@
 //! the dual simplex from the chained hint instead of solving cold
 //! (DESIGN §5a). Presolve is forced off on warm solves so the hint's
 //! column space lines up.
+//!
+//! That only holds while the model keeps its *shape*, and the one
+//! demand-dependent piece of the shape is the §6 mice set (which flows
+//! get pinned equal-split rows instead of a sorting network). The
+//! planner therefore owns a **standing** mice set: every solving round
+//! refreshes it with [`ffc_core::standing_mice`] — kept while it is
+//! still a §6 mice set of the new demands, replaced by the greedy set
+//! when it is not — and hands it to the build as an input. Two small
+//! flows trading places under demand noise no longer throw away the
+//! standing model and the chained basis. The set is planner state like
+//! the ladder position: [`PlannerSnapshot`] carries it, so a resumed
+//! planner applies the same rule to the same set.
 //!
 //! Degradation ladder (ISSUE: "degrades k and falls back to
 //! rescale-only when the solve deadline is exceeded"):
@@ -27,7 +39,10 @@
 
 use std::time::{Duration, Instant};
 
-use ffc_core::{build_ffc_model, zero_dead_tunnels, FfcConfig, FfcModelCache, TeConfig, TeProblem};
+use ffc_core::{
+    build_ffc_model_tracked, standing_mice, zero_dead_tunnels, CacheStats, FfcConfig,
+    FfcModelCache, TeConfig, TeProblem,
+};
 use ffc_lp::{Algorithm, SimplexOptions, SolveStats};
 use ffc_net::FaultScenario;
 
@@ -100,9 +115,10 @@ pub struct PlannerConfig {
     /// Keep a standing [`FfcModelCache`] across intervals and *patch*
     /// it (demand ticks, fault drift, installed-config advances)
     /// instead of rebuilding the LP every round (default: on). The
-    /// patched model is bit-identical to a fresh build — checked under
-    /// debug assertions — so the solve path, iteration counts, and
-    /// telemetry fingerprints match the rebuild-every-interval mode.
+    /// patched model is bit-identical to a fresh build from the same
+    /// inputs (the standing mice set among them) — checked under debug
+    /// assertions — so the solve path, iteration counts, and telemetry
+    /// fingerprints match the rebuild-every-interval mode.
     pub incremental: bool,
 }
 
@@ -155,16 +171,21 @@ pub struct Planner {
     /// True once the ladder has bottomed out entirely.
     rescale_only: bool,
     intervals_since_probe: usize,
+    /// The standing §6 mice set, one flag per flow: what the last
+    /// solving round built with (`None` before the first).
+    mice: Option<Vec<bool>>,
     /// The standing model reused across intervals (incremental mode).
     cache: Option<FfcModelCache>,
 }
 
-/// The planner's externalized ladder state — what a crash checkpoint
-/// persists. The standing [`FfcModelCache`] is deliberately *not* part
-/// of it: a patched model is bit-identical to a fresh build (checked
+/// The planner's externalized state — what a crash checkpoint persists:
+/// the ladder position and the standing mice set. The standing
+/// [`FfcModelCache`] is deliberately *not* part of it: a patched model
+/// is bit-identical to a fresh build from the same inputs (checked
 /// under debug assertions), so a resumed planner rebuilds the cache on
-/// its first solve and the fingerprints still match.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// its first solve — with the restored mice set — and the fingerprints
+/// still match.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlannerSnapshot {
     /// Requested protection level (mutable at runtime via
     /// [`Planner::set_protection`]).
@@ -175,6 +196,9 @@ pub struct PlannerSnapshot {
     pub rescale_only: bool,
     /// Intervals since the last rescale-only probe solve.
     pub intervals_since_probe: usize,
+    /// The standing §6 mice set, one flag per flow (`None` before the
+    /// first solve).
+    pub mice: Option<Vec<bool>>,
 }
 
 impl Planner {
@@ -186,26 +210,28 @@ impl Planner {
             current,
             rescale_only: false,
             intervals_since_probe: 0,
+            mice: None,
             cache: None,
         }
     }
 
-    /// Externalizes the ladder state for a crash checkpoint.
+    /// Externalizes the planner state for a crash checkpoint.
     pub fn snapshot(&self) -> PlannerSnapshot {
         PlannerSnapshot {
             requested: (self.cfg.ffc.kc, self.cfg.ffc.ke, self.cfg.ffc.kv),
             current: (self.current.kc, self.current.ke, self.current.kv),
             rescale_only: self.rescale_only,
             intervals_since_probe: self.intervals_since_probe,
+            mice: self.mice.clone(),
         }
     }
 
-    /// Restores the ladder state captured by [`Planner::snapshot`].
-    /// Only the `(kc, ke, kv)` triples travel through the snapshot; the
-    /// rest of the [`FfcConfig`] (encoding, mice fraction, unprotected
-    /// links) is immutable per run and comes from this planner's
-    /// config. The standing model cache starts empty and is rebuilt on
-    /// the first post-restore solve.
+    /// Restores the state captured by [`Planner::snapshot`]. Of the
+    /// [`FfcConfig`] only the `(kc, ke, kv)` triples travel through the
+    /// snapshot; the rest (encoding, mice fraction, unprotected links)
+    /// is immutable per run and comes from this planner's config. The
+    /// standing model cache starts empty and is rebuilt on the first
+    /// post-restore solve, from the restored mice set.
     pub fn restore(&mut self, s: &PlannerSnapshot) {
         self.cfg.ffc = FfcConfig {
             kc: s.requested.0,
@@ -221,7 +247,16 @@ impl Planner {
         };
         self.rescale_only = s.rescale_only;
         self.intervals_since_probe = s.intervals_since_probe;
+        self.mice = s.mice.clone();
         self.cache = None;
+    }
+
+    /// The standing model's patch / rebuild tally, rebuilds split by
+    /// [`ffc_core::RebuildReason`]. All zero while there is no standing
+    /// model: before the first solve, after a failed one dropped it,
+    /// and with [`PlannerConfig::incremental`] off.
+    pub fn cache_stats(&self) -> CacheStats {
+        self.cache.as_ref().map(|c| c.stats()).unwrap_or_default()
     }
 
     /// The protection level the next solve will use.
@@ -289,6 +324,10 @@ impl Planner {
         );
 
         let t0 = Instant::now();
+        // The §6 mice set both arms build with: the standing one while
+        // it still is a mice set of these demands, the greedy one
+        // otherwise (`standing_mice` is the whole rule).
+        let mice = standing_mice(self.mice.as_deref(), problem.tm, self.current.mice_fraction);
         let mut patched = false;
         let hint = store.hint_for(shape);
         let warm = hint.is_some();
@@ -301,7 +340,7 @@ impl Planner {
             let cache = match self.cache.as_mut() {
                 Some(c) => {
                     patched = c
-                        .retarget(problem, old, &self.current, Some(scenario))
+                        .retarget(problem, old, &self.current, &mice, Some(scenario))
                         .is_patch();
                     c
                 }
@@ -309,15 +348,17 @@ impl Planner {
                     problem,
                     old,
                     &self.current,
+                    &mice,
                     Some(scenario),
                 )),
             };
             cache.solve_with(&opts, hint)
         } else {
-            let mut builder = build_ffc_model(problem, old, &self.current);
+            let (mut builder, _) = build_ffc_model_tracked(problem, old, &self.current, &mice);
             zero_dead_tunnels(&mut builder, scenario);
             builder.solve_with(&opts, hint)
         };
+        self.mice = Some(mice);
         let wall = t0.elapsed();
 
         match result {

@@ -15,6 +15,44 @@ use ffc_ctrl::{
 use ffc_net::prelude::*;
 use ffc_sim::SwitchModel;
 
+mod common;
+use common::SWAP_AT;
+
+/// One campaign the kill–resume harness below runs: an instance, its
+/// controller configuration and the input events.
+struct Case {
+    topo: Topology,
+    tm: TrafficMatrix,
+    tunnels: TunnelTable,
+    cfg: ControllerConfig,
+    events: Vec<TimedEvent>,
+}
+
+/// Demand churn plus a fault on the diamond at (0,1,0).
+fn churn() -> Case {
+    let (topo, tm, tunnels) = diamond();
+    Case {
+        topo,
+        tm,
+        tunnels,
+        cfg: base_cfg(),
+        events: churn_events(),
+    }
+}
+
+/// [`common::mice_swap`] at (0,1,0): a planner that forgot the standing
+/// mice set across a crash would re-derive the greedy one and diverge.
+fn mice_swap() -> Case {
+    let (topo, tm, tunnels, events) = common::mice_swap();
+    Case {
+        topo,
+        tm,
+        tunnels,
+        cfg: base_cfg(),
+        events,
+    }
+}
+
 fn diamond() -> (Topology, TrafficMatrix, TunnelTable) {
     let mut topo = Topology::new();
     let (a, b, c, d) = (
@@ -75,24 +113,25 @@ fn scratch_dir(tag: &str) -> PathBuf {
 const INTERVALS: usize = 6;
 
 /// The ground truth: the same run, never interrupted, no checkpointing.
-fn uninterrupted() -> ControllerReport {
-    let (topo, tm, tunnels) = diamond();
-    let mut ctrl = Controller::new(&topo, &tunnels, base_cfg());
-    ctrl.run(&tm, &churn_events(), INTERVALS, false)
+fn uninterrupted(case: &Case) -> ControllerReport {
+    let mut ctrl = Controller::new(&case.topo, &case.tunnels, case.cfg.clone());
+    ctrl.run(&case.tm, &case.events, INTERVALS, false)
 }
 
 /// Runs with checkpointing and the given chaos crash hooks armed,
 /// expecting a panic; returns the panic message.
-fn run_until_crash(dir: &Path, hooks: ChaosHooks) -> String {
-    let (topo, tm, tunnels) = diamond();
-    let mut cfg = base_cfg();
+fn run_until_crash(case: &Case, dir: &Path, hooks: ChaosHooks) -> String {
+    let Case {
+        topo, tm, tunnels, ..
+    } = case;
+    let mut cfg = case.cfg.clone();
     cfg.chaos = hooks;
-    let digest = config_digest(&cfg, &topo, &tunnels, &tm);
+    let digest = config_digest(&cfg, topo, tunnels, tm);
     let mut ck = Checkpointer::create(dir, digest).expect("checkpointer");
-    let mut ctrl = Controller::new(&topo, &tunnels, cfg);
-    let events = churn_events();
+    let mut ctrl = Controller::new(topo, tunnels, cfg);
+    let events = &case.events;
     let panic = catch_unwind(AssertUnwindSafe(|| {
-        ctrl.run_with_recovery(&tm, &events, INTERVALS, false, None, Some(&mut ck), None)
+        ctrl.run_with_recovery(tm, events, INTERVALS, false, None, Some(&mut ck), None)
     }))
     .expect_err("the armed crash point must fire");
     assert!(
@@ -109,18 +148,19 @@ fn run_until_crash(dir: &Path, hooks: ChaosHooks) -> String {
 /// Recovers the newest valid checkpoint and finishes the run (fresh
 /// process: new controller, crash hooks disarmed). Returns the report
 /// and the recovery notes.
-fn resume(dir: &Path) -> (ControllerReport, Vec<String>) {
-    let (topo, tm, tunnels) = diamond();
-    let cfg = base_cfg();
-    let digest = config_digest(&cfg, &topo, &tunnels, &tm);
+fn resume(case: &Case, dir: &Path) -> (ControllerReport, Vec<String>) {
+    let Case {
+        topo, tm, tunnels, ..
+    } = case;
+    let cfg = case.cfg.clone();
+    let digest = config_digest(&cfg, topo, tunnels, tm);
     let rec = recover_latest(dir, digest).expect("recover");
     let got = rec.checkpoint.expect("a valid checkpoint must exist");
     let mut ck = Checkpointer::create(dir, digest).expect("checkpointer");
-    let mut ctrl = Controller::new(&topo, &tunnels, cfg);
-    let events = churn_events();
+    let mut ctrl = Controller::new(topo, tunnels, cfg);
     let report = ctrl.run_with_recovery(
-        &tm,
-        &events,
+        tm,
+        &case.events,
         INTERVALS,
         false,
         None,
@@ -150,8 +190,10 @@ fn assert_exactly_once(report: &ControllerReport) {
 #[test]
 fn crash_at_interval_boundary_resumes_to_identical_fingerprint() {
     let dir = scratch_dir("boundary");
-    let full = uninterrupted();
+    let case = churn();
+    let full = uninterrupted(&case);
     let msg = run_until_crash(
+        &case,
         &dir,
         ChaosHooks {
             crash_at_interval: Some(2),
@@ -160,7 +202,7 @@ fn crash_at_interval_boundary_resumes_to_identical_fingerprint() {
     );
     assert!(msg.contains("interval boundary 2"), "{msg}");
 
-    let (resumed, notes) = resume(&dir);
+    let (resumed, notes) = resume(&case, &dir);
     assert!(notes.is_empty(), "clean files, no fallback: {notes:?}");
     assert_eq!(
         resumed.prior_fingerprints.len(),
@@ -192,10 +234,12 @@ fn crash_at_interval_boundary_resumes_to_identical_fingerprint() {
 #[test]
 fn crash_mid_rollout_stage_completes_exactly_once() {
     let dir = scratch_dir("midstage");
-    let full = uninterrupted();
+    let case = churn();
+    let full = uninterrupted(&case);
     // Interval 1 re-solves (demand drop) so its rollout has stages;
     // crash right after the first stage's checkpoint hits the write.
     let msg = run_until_crash(
+        &case,
         &dir,
         ChaosHooks {
             crash_mid_rollout: Some((1, 1)),
@@ -204,7 +248,7 @@ fn crash_mid_rollout_stage_completes_exactly_once() {
     );
     assert!(msg.contains("mid-rollout interval 1 stage 1"), "{msg}");
 
-    let (resumed, notes) = resume(&dir);
+    let (resumed, notes) = resume(&case, &dir);
     assert!(notes.is_empty(), "{notes:?}");
     assert_eq!(resumed.prior_fingerprints.len(), 1, "interval 0 restored");
     assert_eq!(
@@ -222,8 +266,10 @@ fn crash_mid_rollout_stage_completes_exactly_once() {
 #[test]
 fn corrupted_newest_checkpoint_falls_back_and_still_converges() {
     let dir = scratch_dir("corrupt");
-    let full = uninterrupted();
+    let case = churn();
+    let full = uninterrupted(&case);
     let msg = run_until_crash(
+        &case,
         &dir,
         ChaosHooks {
             crash_at_interval: Some(3),
@@ -246,7 +292,7 @@ fn corrupted_newest_checkpoint_falls_back_and_still_converges() {
     bytes[mid] ^= 0xff;
     std::fs::write(newest, &bytes).expect("write");
 
-    let (resumed, notes) = resume(&dir);
+    let (resumed, notes) = resume(&case, &dir);
     assert_eq!(notes.len(), 1, "one skipped-file note: {notes:?}");
     assert!(notes[0].contains("checksum mismatch"), "{}", notes[0]);
     assert_eq!(
@@ -267,7 +313,9 @@ fn corrupted_newest_checkpoint_falls_back_and_still_converges() {
 #[test]
 fn resume_under_a_different_configuration_is_refused() {
     let dir = scratch_dir("refuse");
+    let case = churn();
     let _ = run_until_crash(
+        &case,
         &dir,
         ChaosHooks {
             crash_at_interval: Some(1),
@@ -288,15 +336,17 @@ fn replayed_trace_of_a_resumed_run_reproduces_the_fingerprint() {
     // The recorded stream a resumed run emits is itself a valid trace:
     // replaying it end-to-end reproduces the converged fingerprint.
     let dir = scratch_dir("replay");
-    let full = uninterrupted();
+    let case = churn();
+    let full = uninterrupted(&case);
     let _ = run_until_crash(
+        &case,
         &dir,
         ChaosHooks {
             crash_mid_rollout: Some((2, 1)),
             ..ChaosHooks::default()
         },
     );
-    let (resumed, _) = resume(&dir);
+    let (resumed, _) = resume(&case, &dir);
     assert_eq!(resumed.fingerprint(), full.fingerprint());
 
     let (topo, tm, tunnels) = diamond();
@@ -304,4 +354,58 @@ fn replayed_trace_of_a_resumed_run_reproduces_the_fingerprint() {
     let replayed = ctrl.run(&tm, &resumed.recorded_events, INTERVALS, true);
     assert_eq!(replayed.fingerprint(), full.fingerprint());
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The standing mice set is planner state a checkpoint must carry: crash
+/// right after the interval whose events swap the two smallest flows
+/// (and mid-rollout of the next), and the resumed run must keep the set
+/// the uninterrupted run kept.
+#[test]
+fn crash_after_a_mice_swap_resumes_with_the_standing_set() {
+    let case = mice_swap();
+    // The swap is one: the greedy set moves from {0} to {1}.
+    let mut swapped = case.tm.clone();
+    for te in case.events.iter().filter(|te| te.interval <= SWAP_AT) {
+        if let Event::DemandSet { flow, demand } = te.event {
+            swapped.set_demand(FlowId(flow), demand);
+        }
+    }
+    let fraction = case.cfg.ffc.mice_fraction;
+    assert_eq!(
+        ffc_core::mice_flags(&case.tm, fraction),
+        [true, false, false]
+    );
+    assert_eq!(
+        ffc_core::mice_flags(&swapped, fraction),
+        [false, true, false]
+    );
+
+    let full = uninterrupted(&case);
+    for (tag, hooks) in [
+        (
+            "swap-boundary",
+            ChaosHooks {
+                crash_at_interval: Some(SWAP_AT),
+                ..ChaosHooks::default()
+            },
+        ),
+        (
+            "swap-midstage",
+            ChaosHooks {
+                crash_mid_rollout: Some((SWAP_AT + 1, 1)),
+                ..ChaosHooks::default()
+            },
+        ),
+    ] {
+        let dir = scratch_dir(tag);
+        let msg = run_until_crash(&case, &dir, hooks);
+        assert!(msg.contains("chaos-crash"), "{tag}: {msg}");
+        let (resumed, notes) = resume(&case, &dir);
+        assert!(notes.is_empty(), "{tag}: {notes:?}");
+        assert_eq!(resumed.prior_fingerprints.len(), SWAP_AT + 1, "{tag}");
+        assert_eq!(resumed.fingerprint(), full.fingerprint(), "{tag}");
+        assert_eq!(resumed.recorded_events, full.recorded_events, "{tag}");
+        assert_exactly_once(&resumed);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -2,14 +2,18 @@
 //! controller run with the standing-model cache on and the same run
 //! with it off (rebuild every interval) must produce bit-identical
 //! fingerprints — same solve paths, same iteration counts, same
-//! configs, same loss accounting. Under debug assertions every patched
-//! model is additionally compared coefficient-for-coefficient against
-//! a fresh build inside the cache itself.
+//! configs, same loss accounting. Both arms build with the planner's
+//! standing §6 mice set, so the parity covers a campaign whose two
+//! smallest flows swap. Under debug assertions every patched model is
+//! additionally compared coefficient-for-coefficient against a fresh
+//! build inside the cache itself.
 
 use ffc_core::FfcConfig;
 use ffc_ctrl::{Controller, ControllerConfig, Event, SolvePath, TimedEvent};
 use ffc_net::prelude::*;
 use ffc_sim::SwitchModel;
+
+mod common;
 
 const INTERVALS: usize = 5;
 
@@ -142,4 +146,27 @@ fn control_ffc_run_matches_with_incremental_on_and_off() {
     let on = Controller::new(&topo, &tunnels, on_cfg).run(&tm, &events, 4, false);
     let off = Controller::new(&topo, &tunnels, off_cfg).run(&tm, &events, 4, false);
     assert_eq!(on.fingerprint(), off.fingerprint());
+}
+
+/// Two small flows trade places mid-run: the standing mice set is what
+/// both arms build with, so the cache-on run keeps patching through the
+/// swap and the rebuild-every-interval run solves the same LPs.
+#[test]
+fn mice_swap_run_matches_with_incremental_on_and_off() {
+    let (topo, tm, tunnels, events) = common::mice_swap();
+    let on_cfg = ControllerConfig::new(FfcConfig::new(0, 1, 0), SwitchModel::Realistic);
+    let mut off_cfg = on_cfg.clone();
+    off_cfg.incremental = false;
+
+    let on = Controller::new(&topo, &tunnels, on_cfg).run(&tm, &events, 6, false);
+    let off = Controller::new(&topo, &tunnels, off_cfg).run(&tm, &events, 6, false);
+    assert_eq!(on.fingerprint(), off.fingerprint());
+    for t in &on.telemetry[1..] {
+        assert!(t.model_patched, "interval {} rebuilt", t.interval);
+        assert_eq!(
+            t.iterations, 0,
+            "interval {}: off the chained basis",
+            t.interval
+        );
+    }
 }

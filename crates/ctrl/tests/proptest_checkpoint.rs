@@ -2,23 +2,28 @@
 //! state is externalized, `state → encode → decode` and the full
 //! file-level `write → recover` path must hand back the identical
 //! state, and no damaged input — truncated at an arbitrary offset, or
-//! arbitrary garbage — may ever panic the decoder.
+//! arbitrary garbage — may ever panic the decoder. The plain tests at
+//! the end hold the body reader to the same contract for the planner's
+//! standing mice set, past the frame: re-sealed images whose checksum is
+//! right and whose field is not.
 
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use ffc_core::TeConfig;
+use ffc_core::{FfcConfig, TeConfig, TeProblem};
 use ffc_ctrl::checkpoint::{decode_checkpoint, encode_checkpoint};
-use ffc_ctrl::durable::SealError;
+use ffc_ctrl::durable::{fnv64, SealError};
 use ffc_ctrl::state::{StoreSnapshot, VersionedConfig};
 use ffc_ctrl::{
-    recover_latest, CheckpointState, Checkpointer, Event, InflightRollout, PlannerSnapshot,
-    TimedEvent,
+    recover_latest, CheckpointState, Checkpointer, ConfigStore, Event, InflightRollout, Planner,
+    PlannerConfig, PlannerSnapshot, TimedEvent,
 };
 use ffc_lp::{BasisStatuses, ColStatus};
-use ffc_net::{LinkId, NodeId};
+use ffc_net::prelude::*;
 use proptest::prelude::*;
+
+mod common;
 
 static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
 
@@ -88,19 +93,24 @@ fn store_snapshot() -> impl Strategy<Value = StoreSnapshot> {
         )
 }
 
+/// The standing mice set is generated at an arbitrary length;
+/// [`checkpoint_state`] fits it to the demands, one flag per flow, as
+/// the planner keeps it.
 fn planner_snapshot() -> impl Strategy<Value = PlannerSnapshot> {
     (
         (0usize..4, 0usize..4, 0usize..2),
         (0usize..4, 0usize..4, 0usize..2),
         any::<bool>(),
         0usize..100,
+        opt(prop::collection::vec(any::<bool>(), 0..12)),
     )
         .prop_map(
-            |(requested, current, rescale_only, intervals_since_probe)| PlannerSnapshot {
+            |(requested, current, rescale_only, intervals_since_probe, mice)| PlannerSnapshot {
                 requested,
                 current,
                 rescale_only,
                 intervals_since_probe,
+                mice,
             },
         )
 }
@@ -182,24 +192,29 @@ fn checkpoint_state() -> impl Strategy<Value = CheckpointState> {
     )
         .prop_map(
             |(
-                (next_interval, demands, store, planner, failed_links, failed_switches),
+                (next_interval, demands, store, mut planner, failed_links, failed_switches),
                 (rng, totals, fingerprints, recorded, inflight),
-            )| CheckpointState {
-                next_interval,
-                demands,
-                store,
-                planner,
-                failed_links,
-                failed_switches,
-                rng: [rng[0], rng[1], rng[2], rng[3]],
-                totals: [
-                    [totals[0], totals[1], totals[2]],
-                    [totals[3], totals[4], totals[5]],
-                    [totals[6], totals[7], totals[8]],
-                ],
-                fingerprints,
-                recorded,
-                inflight,
+            )| {
+                if let Some(mice) = &mut planner.mice {
+                    mice.resize(demands.len(), false);
+                }
+                CheckpointState {
+                    next_interval,
+                    demands,
+                    store,
+                    planner,
+                    failed_links,
+                    failed_switches,
+                    rng: [rng[0], rng[1], rng[2], rng[3]],
+                    totals: [
+                        [totals[0], totals[1], totals[2]],
+                        [totals[3], totals[4], totals[5]],
+                        [totals[6], totals[7], totals[8]],
+                    ],
+                    fingerprints,
+                    recorded,
+                    inflight,
+                }
             },
         )
 }
@@ -268,5 +283,169 @@ proptest! {
     #[test]
     fn garbage_bytes_never_panic(bytes in prop::collection::vec(0u8..=255, 0..512)) {
         let _ = decode_checkpoint(&bytes, "garbage.ffck", 7);
+    }
+}
+
+/// The three-flow ring instance the mice-field tests decode against
+/// (`ke = 1` sorting networks, so the restored set shapes the model).
+fn ring() -> (Topology, TrafficMatrix, TunnelTable) {
+    let (topo, tm, tunnels, _) = common::mice_swap();
+    (topo, tm, tunnels)
+}
+
+/// A boundary state of the ring instance whose planner holds `mice`.
+fn ring_state(
+    tm: &TrafficMatrix,
+    tunnels: &TunnelTable,
+    mice: Option<Vec<bool>>,
+) -> CheckpointState {
+    let store = ConfigStore::new(TeConfig::zero(tunnels));
+    let mut planner = Planner::new(PlannerConfig::new(FfcConfig::new(0, 1, 0))).snapshot();
+    planner.mice = mice;
+    CheckpointState {
+        next_interval: 1,
+        demands: tm.iter().map(|(_, f)| f.demand).collect(),
+        store: store.snapshot(),
+        planner,
+        failed_links: vec![],
+        failed_switches: vec![],
+        rng: [1, 2, 3, 4],
+        totals: [[0.0; 3]; 3],
+        fingerprints: vec![],
+        recorded: vec![],
+        inflight: None,
+    }
+}
+
+/// Re-seals an edited image: the checksum is right again, so only the
+/// body reader stands between the edit and the planner.
+fn reseal(mut body: Vec<u8>, good: &[u8]) -> Vec<u8> {
+    body.extend_from_slice(&fnv64(&body).to_le_bytes());
+    body.extend_from_slice(&good[good.len() - 8..]);
+    body
+}
+
+/// The byte range of the mice field in `with`: it starts where the
+/// image parts from the same state's image without a set (the flag
+/// byte) and is as long as the two images differ in length, plus the
+/// flag.
+fn mice_field(with: &[u8], without: &[u8]) -> std::ops::Range<usize> {
+    let start = with
+        .iter()
+        .zip(without)
+        .position(|(a, b)| a != b)
+        .expect("the images differ");
+    start..start + 1 + with.len() - without.len()
+}
+
+const DIGEST: u64 = 7;
+
+/// Restores a decoded planner snapshot and plans one interval with it:
+/// what a resume does first.
+fn restore_and_plan(state: &CheckpointState) {
+    let (topo, tm, tunnels) = ring();
+    let mut planner = Planner::new(PlannerConfig::new(FfcConfig::new(0, 1, 0)));
+    planner.restore(&state.planner);
+    let mut store = ConfigStore::new(TeConfig::zero(&tunnels));
+    let old = store.installed().clone();
+    let outcome = planner.plan(
+        TeProblem::new(&topo, &tm, &tunnels),
+        &old,
+        &FaultScenario::none(),
+        &mut store,
+    );
+    assert!(outcome.target.is_some());
+}
+
+#[test]
+fn a_mouse_beyond_the_demands_is_refused_at_its_offset() {
+    let (_, tm, tunnels) = ring();
+    // Four flags for three demands: the encoder writes member 3 as told.
+    let bad = ring_state(&tm, &tunnels, Some(vec![true, false, false, true]));
+    let bytes = encode_checkpoint(&bad, DIGEST);
+    let err = match decode_checkpoint(&bytes, "m.ffck", DIGEST) {
+        Err(SealError::Torn(e)) => e,
+        other => panic!("expected a torn body, got {other:?}"),
+    };
+    assert!(
+        err.ends_with("mouse flow 3 out of range (3 demands)"),
+        "{err}"
+    );
+    let at: usize = err
+        .strip_prefix("m.ffck: offset ")
+        .and_then(|rest| rest.split(':').next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no offset in {err:?}"));
+    assert_eq!(bytes[at], 3, "the offset is the refused member's");
+}
+
+#[test]
+fn a_mice_count_beyond_the_demands_is_refused_before_it_is_believed() {
+    let (_, tm, tunnels) = ring();
+    let with = encode_checkpoint(&ring_state(&tm, &tunnels, Some(vec![true; 3])), DIGEST);
+    let without = encode_checkpoint(&ring_state(&tm, &tunnels, None), DIGEST);
+    let field = mice_field(&with, &without);
+    assert_eq!(with[field.clone()], [1, 3, 0, 1, 2], "flag, count, members");
+    // The count byte becomes the varint of u64::MAX.
+    let mut body = with[..field.start + 1].to_vec();
+    body.extend_from_slice(&[0xff; 9]);
+    body.push(0x01);
+    body.extend_from_slice(&with[field.start + 2..with.len() - 16]);
+    let err = decode_checkpoint(&reseal(body, &with), "m.ffck", DIGEST)
+        .expect_err("a count no set of three flows can have");
+    let want = format!(
+        "m.ffck: offset {}: {} mice among 3 demands",
+        field.start + 1,
+        u64::MAX
+    );
+    assert_eq!(err, SealError::Torn(want));
+}
+
+#[test]
+fn a_damaged_mice_field_is_an_error_or_a_state_that_restores() {
+    let (_, tm, tunnels) = ring();
+    let with = encode_checkpoint(
+        &ring_state(&tm, &tunnels, Some(vec![true, false, true])),
+        DIGEST,
+    );
+    let without = encode_checkpoint(&ring_state(&tm, &tunnels, None), DIGEST);
+    let field = mice_field(&with, &without);
+    let sealed = with.len() - 16;
+    let mut survivors = 0;
+    let mut check = |body: Vec<u8>| {
+        if let Ok(state) = decode_checkpoint(&reseal(body, &with), "m.ffck", DIGEST) {
+            restore_and_plan(&state);
+            survivors += 1;
+        }
+    };
+    // Every bit of every byte of the field, flipped.
+    for at in field.clone() {
+        for bit in 0..8 {
+            let mut body = with[..sealed].to_vec();
+            body[at] ^= 1 << bit;
+            check(body);
+        }
+    }
+    // The field cut short by 1..=all of its bytes.
+    for cut in 1..=field.len() {
+        let mut body = with[..field.end - cut].to_vec();
+        body.extend_from_slice(&with[field.end..sealed]);
+        check(body);
+    }
+    assert!(survivors > 0, "some flips only rename a member");
+}
+
+#[test]
+fn a_schema_1_checkpoint_is_refused_as_a_mismatch() {
+    let (_, tm, tunnels) = ring();
+    let good = encode_checkpoint(&ring_state(&tm, &tunnels, None), DIGEST);
+    let mut body = good[..good.len() - 16].to_vec();
+    body[8..12].copy_from_slice(&1u32.to_le_bytes());
+    match decode_checkpoint(&reseal(body, &good), "old.ffck", DIGEST) {
+        Err(SealError::Mismatch(e)) => assert_eq!(
+            e,
+            "old.ffck: offset 8: checkpoint schema v1 not supported (this reader reads v2)"
+        ),
+        other => panic!("expected Mismatch, got {other:?}"),
     }
 }

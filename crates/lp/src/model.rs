@@ -234,6 +234,12 @@ pub struct SolveStats {
     pub full_pricing_passes: usize,
     /// Wall-clock time of the solve (both phases, excluding presolve).
     pub solve_time: std::time::Duration,
+    /// Whether the supplied warm basis seeded the start (dual or primal
+    /// path). `false` for a solve without a hint, and for one whose hint
+    /// did not fit — wrong shape, singular, or beyond repair — so that
+    /// the start fell back to the crash basis or the retry ladder's cold
+    /// rung: a "warm" solve that paid a cold solve's iterations.
+    pub hint_used: bool,
 }
 
 impl SolveStats {

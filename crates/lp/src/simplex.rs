@@ -1699,6 +1699,7 @@ fn solve_std_once(
         };
         if loaded {
             if eng.dual_feasibilize(&cost2) {
+                eng.stats.hint_used = hint.is_some();
                 match eng.optimize_dual(&cost2)? {
                     DualEnd::Feasible => dual_done = true,
                     DualEnd::Infeasible => return Err(LpError::Infeasible),
@@ -1711,6 +1712,7 @@ fn solve_std_once(
 
     if !dual_done {
         let warm = hint.map(|h| eng.warm_basis(h)).unwrap_or(false);
+        eng.stats.hint_used = warm;
         if !warm {
             eng.crash_basis()?;
         }
@@ -2170,6 +2172,7 @@ mod tests {
             "warm took {} iterations",
             warm.iterations
         );
+        assert!(warm.stats.hint_used && !cold.stats.hint_used);
     }
 
     #[test]
@@ -2250,6 +2253,31 @@ mod tests {
             .solve_with(&SimplexOptions::default(), Some(&hint))
             .unwrap();
         almost(s.objective, 5.0);
+        assert!(!s.stats.hint_used, "a hint that does not fit seeds nothing");
+    }
+
+    /// Two parallel rows with both structurals hinted basic: the hinted
+    /// basis is singular, the start falls back to the crash basis, and
+    /// the stats say the hint seeded nothing.
+    #[test]
+    fn singular_hint_falls_back_and_says_so() {
+        let mut m = Model::new();
+        let x = m.add_nonneg("x");
+        let y = m.add_nonneg("y");
+        m.add_con(LinExpr::from(x) + y, Cmp::Le, 4.0);
+        m.add_con(LinExpr::term(x, 2.0) + LinExpr::term(y, 2.0), Cmp::Le, 10.0);
+        m.set_objective(LinExpr::from(x) + y, Sense::Maximize);
+        let hint = BasisStatuses(vec![
+            ColStatus::Basic,
+            ColStatus::Basic,
+            ColStatus::Lower,
+            ColStatus::Lower,
+        ]);
+        let s = m
+            .solve_with(&SimplexOptions::default(), Some(&hint))
+            .unwrap();
+        almost(s.objective, 4.0);
+        assert!(!s.stats.hint_used);
     }
 
     #[test]
@@ -2492,6 +2520,7 @@ mod tests {
             "dual restart must not run phase 1: {:?}",
             warm.stats
         );
+        assert!(warm.stats.hint_used);
     }
 
     #[test]
