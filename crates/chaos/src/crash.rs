@@ -12,18 +12,23 @@
 //! * no `(interval, switch, step)` ack may appear twice — an acked
 //!   rollout stage is never re-pushed (exactly-once semantics),
 //! * for the file-damage points, recovery must skip the damaged
-//!   newest checkpoint with a note and fall back to the previous one.
+//!   newest checkpoint with a note and fall back to the previous one;
+//!   for the log-damage points, to the newest checkpoint whose prefix
+//!   of the history log is still whole — or, when none is, restart
+//!   from interval 0 and converge all the same.
 //!
-//! Campaigns cycle four crash flavours ([`CrashPoint`]), with the
+//! Campaigns cycle six crash flavours ([`CrashPoint`]), with the
 //! crash interval derived from the campaign seed, so a fixed master
 //! seed exercises kills at interval boundaries, mid-rollout-stage,
-//! and against corrupted and torn checkpoint files. Everything is
-//! deterministic; the suite summary is safe to diff across runs.
+//! and against corrupted and torn checkpoint files and history logs.
+//! Everything is deterministic; the suite summary is safe to diff
+//! across runs.
 
 use std::fs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
+use ffc_ctrl::checkpoint::HISTORY_LOG;
 use ffc_ctrl::{
     config_digest, recover_latest, ChaosHooks, Checkpointer, Controller, ControllerConfig,
     ControllerReport, Event,
@@ -48,20 +53,29 @@ pub enum CrashPoint {
     /// Boundary crash, then the newest checkpoint is truncated mid-file
     /// (a torn write) — recovery must fall back likewise.
     TruncateNewest(usize),
+    /// Boundary crash, then the history log loses its last byte: the
+    /// newest checkpoint's prefix is torn, the one before it is whole.
+    TruncateLog(usize),
+    /// Boundary crash, then a byte in the middle of the history log is
+    /// flipped: every checkpoint whose prefix reaches it is lost —
+    /// usually all of them, and the run starts over.
+    CorruptLog(usize),
 }
 
 impl CrashPoint {
-    /// Deterministic crash point for campaign `index`: cycles the four
+    /// Deterministic crash point for campaign `index`: cycles the six
     /// flavours, with the crash interval derived from the campaign
     /// seed (always ≥ 1 so there is state worth restoring).
     pub fn for_campaign(seed: u64, index: usize, intervals: usize) -> CrashPoint {
         let span = intervals.saturating_sub(2).max(1) as u64;
         let k = 1 + (seed % span) as usize;
-        match index % 4 {
+        match index % 6 {
             0 => CrashPoint::IntervalBoundary(k),
             1 => CrashPoint::MidRolloutStage(k),
             2 => CrashPoint::CorruptNewest(k),
-            _ => CrashPoint::TruncateNewest(k),
+            3 => CrashPoint::TruncateNewest(k),
+            4 => CrashPoint::TruncateLog(k),
+            _ => CrashPoint::CorruptLog(k),
         }
     }
 
@@ -71,7 +85,9 @@ impl CrashPoint {
             CrashPoint::IntervalBoundary(k)
             | CrashPoint::MidRolloutStage(k)
             | CrashPoint::CorruptNewest(k)
-            | CrashPoint::TruncateNewest(k) => k,
+            | CrashPoint::TruncateNewest(k)
+            | CrashPoint::TruncateLog(k)
+            | CrashPoint::CorruptLog(k) => k,
         }
     }
 
@@ -82,6 +98,8 @@ impl CrashPoint {
             CrashPoint::MidRolloutStage(k) => format!("mid-rollout@{k}"),
             CrashPoint::CorruptNewest(k) => format!("corrupt-newest@{k}"),
             CrashPoint::TruncateNewest(k) => format!("truncate-newest@{k}"),
+            CrashPoint::TruncateLog(k) => format!("truncate-log@{k}"),
+            CrashPoint::CorruptLog(k) => format!("corrupt-log@{k}"),
         }
     }
 }
@@ -100,7 +118,7 @@ pub struct CrashCampaignOutcome {
     /// then simply completes and is checked as-is).
     pub fired: bool,
     /// Whether recovery skipped at least one file (expected for the
-    /// corrupt/truncate points, a violation of none elsewhere).
+    /// four damage points, a violation of none elsewhere).
     pub fell_back: bool,
     /// Intervals restored from the checkpoint rather than re-run.
     pub restored_intervals: usize,
@@ -181,21 +199,28 @@ fn checkpoint_files(dir: &Path) -> Vec<PathBuf> {
     files
 }
 
-/// Damages the newest checkpoint: a flipped interior byte (checksum
-/// corruption) or a 60% truncation (torn write).
-fn damage_newest(dir: &Path, truncate: bool) -> Result<(), String> {
-    let newest = checkpoint_files(dir)
-        .pop()
-        .ok_or_else(|| "no checkpoint file to damage".to_string())?;
-    let mut bytes = fs::read(&newest).map_err(|e| format!("{}: read: {e}", newest.display()))?;
-    if truncate {
-        let keep = bytes.len() * 3 / 5;
-        bytes.truncate(keep);
-    } else {
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xff;
+/// Damages the newest checkpoint or the history log: a flipped interior
+/// byte (corruption) or a cut tail (torn write) — 40 % of a checkpoint,
+/// the last byte of the log.
+fn damage(dir: &Path, point: CrashPoint) -> Result<(), String> {
+    let path = match point {
+        CrashPoint::TruncateLog(_) | CrashPoint::CorruptLog(_) => dir.join(HISTORY_LOG),
+        _ => checkpoint_files(dir)
+            .pop()
+            .ok_or_else(|| "no checkpoint file to damage".to_string())?,
+    };
+    let mut bytes = fs::read(&path).map_err(|e| format!("{}: read: {e}", path.display()))?;
+    let len = bytes.len();
+    match point {
+        CrashPoint::TruncateNewest(_) => bytes.truncate(len * 3 / 5),
+        CrashPoint::TruncateLog(_) => bytes.truncate(len.saturating_sub(1)),
+        _ => {
+            if let Some(b) = bytes.get_mut(len / 2) {
+                *b ^= 0xff;
+            }
+        }
     }
-    fs::write(&newest, &bytes).map_err(|e| format!("{}: write: {e}", newest.display()))
+    fs::write(&path, &bytes).map_err(|e| format!("{}: write: {e}", path.display()))
 }
 
 /// No `(interval, switch, step)` ack may appear twice in the recorded
@@ -263,10 +288,8 @@ pub fn run_crash_campaign(
             crash_mid_rollout: Some((k, 1)),
             ..ChaosHooks::default()
         },
-        CrashPoint::IntervalBoundary(k)
-        | CrashPoint::CorruptNewest(k)
-        | CrashPoint::TruncateNewest(k) => ChaosHooks {
-            crash_at_interval: Some(k),
+        _ => ChaosHooks {
+            crash_at_interval: Some(point.interval()),
             ..ChaosHooks::default()
         },
     };
@@ -310,12 +333,12 @@ pub fn run_crash_campaign(
     }
 
     // Post-mortem file damage for the corruption points.
-    let damaged = matches!(
+    let damaged = !matches!(
         point,
-        CrashPoint::CorruptNewest(_) | CrashPoint::TruncateNewest(_)
+        CrashPoint::IntervalBoundary(_) | CrashPoint::MidRolloutStage(_)
     );
     if damaged {
-        if let Err(e) = damage_newest(&dir, matches!(point, CrashPoint::TruncateNewest(_))) {
+        if let Err(e) = damage(&dir, point) {
             out.violations.push(Violation::ResumeFailed(e));
             let _ = fs::remove_dir_all(&dir);
             return out;
@@ -334,7 +357,7 @@ pub fn run_crash_campaign(
     out.fell_back = !rec.notes.is_empty();
     if damaged && rec.notes.is_empty() {
         out.violations.push(Violation::ResumeFailed(
-            "damaged newest checkpoint was not skipped with a recovery note".to_string(),
+            "damaged file was not skipped with a recovery note".to_string(),
         ));
     }
     let state = match rec.checkpoint {
@@ -342,6 +365,9 @@ pub fn run_crash_campaign(
             out.restored_intervals = c.state.next_interval;
             Some(c.state)
         }
+        // One log under every checkpoint: damage inside the oldest
+        // prefix leaves none, and the run starts over.
+        None if matches!(point, CrashPoint::CorruptLog(_)) => None,
         None => {
             out.violations.push(Violation::ResumeFailed(
                 "no valid checkpoint survived the crash".to_string(),
@@ -464,7 +490,7 @@ mod tests {
             traffic_text: "",
         };
         let mut cfg = ChaosConfig::new(7);
-        cfg.campaigns = 8;
+        cfg.campaigns = 14;
         cfg.intervals = 4;
         cfg.ffc = FfcConfig::new(1, 1, 0);
         let dir = scratch("healthy");
@@ -476,7 +502,7 @@ mod tests {
             "healthy build must survive every crash point:\n{}",
             report.summary()
         );
-        // All four flavours appear and most points actually fire.
+        // All six flavours appear and most points actually fire.
         assert!(report.fired() >= 3, "{}", report.summary());
         assert!(
             report
@@ -490,7 +516,7 @@ mod tests {
             report
                 .campaigns
                 .iter()
-                .filter(|c| c.fired)
+                .filter(|c| c.fired && !matches!(c.point, CrashPoint::CorruptLog(_)))
                 .all(|c| c.restored_intervals > 0),
             "fired crashes must restore state, not restart from scratch:\n{}",
             report.summary()
@@ -500,10 +526,11 @@ mod tests {
                 .campaigns
                 .iter()
                 .filter(|c| {
-                    matches!(
+                    let clean = matches!(
                         c.point,
-                        CrashPoint::CorruptNewest(_) | CrashPoint::TruncateNewest(_)
-                    ) && c.fired
+                        CrashPoint::IntervalBoundary(_) | CrashPoint::MidRolloutStage(_)
+                    );
+                    !clean && c.fired
                 })
                 .all(|c| c.fell_back),
             "damaged checkpoints must be skipped via fallback:\n{}",

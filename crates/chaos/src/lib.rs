@@ -31,7 +31,8 @@
 //! The [`crash`] module runs kill–resume campaigns against the
 //! checkpointing controller: each campaign crashes at a seeded crash
 //! point (interval boundary, mid-rollout-stage, or with the newest
-//! checkpoint corrupted/truncated), resumes via [`ffc_ctrl`]'s
+//! checkpoint or the history log corrupted/truncated), resumes via
+//! [`ffc_ctrl`]'s
 //! recovery path, and verifies the resumed run converges to the
 //! uninterrupted run's fingerprint with no rollout stage pushed twice
 //! ([`Violation::StageReplayed`], [`Violation::ResumeFailed`]).

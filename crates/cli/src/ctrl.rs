@@ -102,7 +102,8 @@ pub(crate) fn run_live(mut a: Args) -> Done {
     };
 
     // One tail for both branches, so `--out` holds under `--supervise`.
-    emit(&report);
+    let (report, durable) = report;
+    emit(&report, durable);
     if let (Some(w), Some(dir)) = (sink, &store) {
         let segments = w.finish().map_err(ctx("telemetry store"))?;
         eprintln!("sealed telemetry store in {dir} ({segments} segment(s))");
@@ -121,9 +122,14 @@ pub(crate) fn resume(mut a: Args) -> Done {
     let dir = a.required("--ckpt-dir")?;
     a.finish()?;
     let run = Instance::from_trace(&format!("{dir}/run.trace"))?;
-    emit(&pass(&run, Some(Path::new(&dir)), true, None)?);
+    let (report, durable) = pass(&run, Some(Path::new(&dir)), true, None)?;
+    emit(&report, durable);
     Ok(ExitCode::SUCCESS)
 }
+
+/// What durability cost one pass: checkpoints written, and the bytes of
+/// them and of the history log's appends together.
+type DurableCost = Option<(u64, u64)>;
 
 /// One live pass over `run`'s events, checkpointing into `ckpt_dir` if
 /// there is one and, with `recover`, picking up from its newest valid
@@ -134,7 +140,7 @@ fn pass(
     ckpt_dir: Option<&Path>,
     recover: bool,
     sink: Option<&mut dyn IntervalSink>,
-) -> Result<ControllerReport, String> {
+) -> Result<(ControllerReport, DurableCost), String> {
     let RunInputs { inst, cfg, .. } = run;
     let digest = config_digest(cfg, &inst.topo, &inst.tunnels, &inst.tm);
     let mut state = None;
@@ -146,7 +152,12 @@ fn pass(
         match rec.checkpoint {
             Some(c) => {
                 let next = c.state.next_interval;
-                eprintln!("resuming from {} (next interval {next})", c.file);
+                eprintln!(
+                    "resuming from {} (next interval {next}), {} history entries read back from {}",
+                    c.file,
+                    c.state.fingerprints.len() + c.state.recorded.len(),
+                    ffc_ctrl::checkpoint::HISTORY_LOG
+                );
                 state = Some(c.state);
             }
             None => eprintln!(
@@ -171,14 +182,15 @@ fn pass(
     if let Some(e) = ck.as_ref().and_then(|c| c.error()) {
         eprintln!("checkpointing degraded (run continued): {e}");
     }
-    Ok(report)
+    let durable = ck.as_ref().map(|c| (c.writes(), c.bytes_written()));
+    Ok((report, durable))
 }
 
 /// `ffc ctrl replay TRACE`.
 pub(crate) fn replay(mut a: Args) -> Done {
     let trace_path = a.need_word("a trace file")?;
     a.finish()?;
-    emit(&replay_trace(&trace_path)?.1);
+    emit(&replay_trace(&trace_path)?.1, None);
     Ok(ExitCode::SUCCESS)
 }
 
@@ -191,8 +203,9 @@ pub(crate) fn replay_trace(path: &str) -> Result<(Vec<TimedEvent>, ControllerRep
 }
 
 /// What every controller run ends with: the telemetry lines and the
-/// fingerprint on stdout, the totals on stderr.
-fn emit(report: &ControllerReport) {
+/// fingerprint on stdout, the totals — and, with a checkpoint directory
+/// attached, what durability cost — on stderr.
+fn emit(report: &ControllerReport, durable: DurableCost) {
     for t in &report.telemetry {
         println!("{}", t.to_json());
     }
@@ -215,9 +228,12 @@ fn emit(report: &ControllerReport) {
         .iter()
         .filter(|t| t.path != SolvePath::RescaleOnly && !t.model_patched)
         .count();
+    let durable = durable.map_or(String::new(), |(writes, bytes)| {
+        format!(", {writes} checkpoints ({bytes} bytes)")
+    });
     eprintln!(
         "{} intervals: delivered {:.1}, lost {:.1} (congestion {:.1} / blackhole {:.1}), \
-         {} warm re-solves, {} model rebuilds",
+         {} warm re-solves, {} model rebuilds{durable}",
         report.telemetry.len(),
         report.totals.total_delivered(),
         report.totals.total_lost(),

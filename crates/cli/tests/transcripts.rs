@@ -226,6 +226,69 @@ fn written_files_match_stdout_and_the_committed_trace() {
     let _ = std::fs::remove_dir_all(&tmp);
 }
 
+/// What goes to stderr beside the goldens' stdout: with a checkpoint
+/// directory attached the summary line ends with what durability cost,
+/// and a resume says how much history it read back. And the history log
+/// is the run's, not the directory's: a second run of the same
+/// configuration over other events (the jitter is not in the digest)
+/// into the same directory starts the log afresh, so a resume continues
+/// the second run — not its checkpoint over the first run's entries.
+#[test]
+fn a_checkpoint_directory_reports_its_cost_and_belongs_to_its_last_run() {
+    let tmp = scratch("ckpt-cost");
+    let stderr = |out: &Output| String::from_utf8_lossy(&out.stderr).into_owned();
+    let fingerprint = |out: &Output| {
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        let line = stdout.lines().rfind(|l| l.starts_with("fingerprint "));
+        line.expect("a fingerprint line").to_string()
+    };
+
+    let plain = ffc(&tmp, "ctrl run {small} {run}");
+    assert!(
+        !stderr(&plain).contains("checkpoints"),
+        "{}",
+        stderr(&plain)
+    );
+
+    let first = ffc(
+        &tmp,
+        "ctrl run {small} {run} --ckpt-dir {tmp}/ck --jitter 0.05",
+    );
+    assert!(first.status.success(), "{first:?}");
+    let summary = stderr(&first);
+    let summary = summary.lines().find(|l| l.starts_with("5 intervals: "));
+    let cost = summary
+        .and_then(|l| l.split_once(" model rebuilds, "))
+        .unwrap_or_else(|| panic!("no durability cost in {:?}", stderr(&first)))
+        .1;
+    let (writes, bytes) = cost
+        .split_once(" checkpoints (")
+        .expect("N checkpoints (B bytes)");
+    let bytes = bytes
+        .strip_suffix(" bytes)")
+        .expect("N checkpoints (B bytes)");
+    let (writes, bytes): (u64, u64) = (writes.parse().expect("N"), bytes.parse().expect("B"));
+    let log = std::fs::metadata(tmp.join("ck/history.ffhl")).expect("history.ffhl");
+    assert!(writes > 5 && bytes > log.len(), "{cost}");
+
+    let second = ffc(
+        &tmp,
+        "ctrl run {small} {run} --ckpt-dir {tmp}/ck --jitter 0.3",
+    );
+    assert!(second.status.success(), "{second:?}");
+    assert_ne!(fingerprint(&first), fingerprint(&second));
+    let resumed = ffc(&tmp, "ctrl resume --ckpt-dir {tmp}/ck");
+    assert!(resumed.status.success(), "{resumed:?}");
+    assert_eq!(fingerprint(&resumed), fingerprint(&second));
+    let note = stderr(&resumed);
+    assert!(
+        note.contains("(next interval 5), ")
+            && note.contains(" history entries read back from history.ffhl"),
+        "{note}"
+    );
+    let _ = std::fs::remove_dir_all(&tmp);
+}
+
 /// A crash-shaped store whose WAL carries a non-finite utilization used
 /// to panic `ffc report` (exit 101, `finite samples` in `percentile`):
 /// the line is a recovery note and the report is rendered without it.

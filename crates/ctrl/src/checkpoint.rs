@@ -10,14 +10,30 @@
 //! stream, and — when a rollout was in flight — the interval's complete
 //! sampled outcome log plus the post-sampling RNG state.
 //!
-//! On disk a checkpoint is a sealed file ([`crate::durable::seal`], the
-//! framing `ffc-fleet`'s segments share): magic, a schema version, a
-//! run-configuration digest, a binary body, then the checksum and end
-//! marker. Files are written with temp-file + rename so a crash
-//! mid-write never damages an existing checkpoint, and recovery scans
-//! newest-to-oldest, skipping torn or corrupt files (with a note)
-//! until it finds a valid one — the same torn-tail tolerance the
-//! telemetry store has.
+//! On disk that is two kinds of file, split by what changes and what
+//! only grows. A checkpoint, `ckpt-<seq>.ffck`, is a sealed file
+//! ([`crate::durable::seal`], the framing `ffc-fleet`'s segments
+//! share): magic, a schema version, a run-configuration digest, a
+//! binary body, then the checksum and end marker. Its body holds every
+//! field but the two histories — the fingerprint lines and the recorded
+//! events — and in their place a *history reference*: the entry count
+//! and running FNV-1a chain of each, and a byte length. The entries
+//! themselves are in one append-only log beside the checkpoints,
+//! [`HISTORY_LOG`] (magic and run digest, then `tag | varint length |
+//! line` entries), whose first that-many bytes hold exactly the history
+//! the reference names. So a checkpoint's size does not grow with the
+//! run, and a write costs what the interval added: its new entries are
+//! appended to the log first, then the checkpoint is written with temp
+//! file + rename. A crash between the two leaves entries past every
+//! checkpoint's reference — a tail no reader looks at and the next
+//! [`Checkpointer`] cuts off.
+//!
+//! Recovery scans checkpoints newest-to-oldest, skipping torn or
+//! corrupt ones (with a note) until one is valid *and* the log still
+//! holds the prefix it names — the same torn-tail tolerance the
+//! telemetry store has. There is one copy of the history, not one per
+//! checkpoint: damage inside the log's oldest surviving prefix loses
+//! every checkpoint at once, and the run restarts from interval 0.
 //!
 //! Exactly-once rollout across a crash: because the executor samples
 //! *all* switch outcomes before issuing the first step, a mid-rollout
@@ -29,7 +45,8 @@
 //! remaining stages complete (or the commit falls back to
 //! last-known-good) exactly as the crashed run would have.
 
-use std::fs;
+use std::fs::{self, File, OpenOptions};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use ffc_core::TeConfig;
@@ -37,8 +54,8 @@ use ffc_lp::{BasisStatuses, ColStatus};
 use ffc_net::{Topology, TrafficMatrix, TunnelTable};
 
 use crate::durable::{
-    fnv64, io_err, list_numbered, put_bytes, put_f64, put_u32, put_u64, put_varint, seal, unseal,
-    write_atomic, Cursor, SealError,
+    fnv64, fnv_step, io_err, list_numbered, put_bytes, put_f64, put_u32, put_u64, put_varint, seal,
+    unseal, write_atomic, Cursor, SealError, FNV_OFFSET,
 };
 use crate::event::TimedEvent;
 use crate::planner::PlannerSnapshot;
@@ -50,12 +67,22 @@ pub const CHECKPOINT_MAGIC: &[u8; 8] = b"FFCKPT1\n";
 /// Trailing end marker (after the checksum).
 pub const CHECKPOINT_END: &[u8; 8] = b"FFCKEND\n";
 /// Bumped on any incompatible change to the checkpoint body layout
-/// (2: the planner's standing mice set follows its ladder position).
-pub const CHECKPOINT_SCHEMA_VERSION: u32 = 2;
+/// (2: the planner's standing mice set follows its ladder position;
+/// 3: a reference into [`HISTORY_LOG`] where the two histories were).
+pub const CHECKPOINT_SCHEMA_VERSION: u32 = 3;
 /// How many checkpoint files [`Checkpointer`] retains: the newest may
 /// be torn by a crash mid-rename-window or corrupted on disk, so
 /// recovery needs older fallbacks.
 pub const CHECKPOINT_KEEP: usize = 3;
+/// The append-only log of both histories, beside the checkpoints that
+/// refer into it.
+pub const HISTORY_LOG: &str = "history.ffhl";
+/// First line of the history log; the run-configuration digest follows.
+pub const HISTORY_MAGIC: &[u8; 8] = b"FFHLOG1\n";
+/// Tag of a fingerprint-line entry of the history log.
+const TAG_FINGERPRINT: u8 = b'F';
+/// Tag of a recorded-event entry of the history log.
+const TAG_EVENT: u8 = b'E';
 
 /// A rollout that was in flight when the checkpoint was written: the
 /// stage the controller had issued, the interval's complete sampled
@@ -268,14 +295,223 @@ fn read_events(cur: &mut Cursor<'_>, what: &str) -> Result<Vec<TimedEvent>, Stri
     let n = cur.varint(what)? as usize;
     let mut out = Vec::with_capacity(n.min(1 << 20));
     for _ in 0..n {
-        let line = cur.string(what)?;
-        out.push(TimedEvent::parse_line(&line)?);
+        let (at, line) = (cur.pos(), cur.string(what)?);
+        out.push(TimedEvent::parse_line(&line).map_err(|e| cur.error_at(at, e))?);
     }
     Ok(out)
 }
 
-/// Serializes a checkpoint, checksum footer included.
+/// Where one of the two histories stands: how many entries, and the
+/// FNV-1a of their log frames chained in order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct StreamRef {
+    count: u64,
+    chain: u64,
+}
+
+/// What a checkpoint says of the histories instead of holding them: the
+/// first `bytes` bytes of [`HISTORY_LOG`] hold exactly `fingerprints`
+/// and `events`. A pure function of the two vectors — per-stream chains
+/// and a byte total do not depend on how the streams interleave in the
+/// file — so [`encode_checkpoint`] folds it from a state alone and a
+/// [`Checkpointer`] carries the same fold from write to write.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct HistoryRef {
+    fingerprints: StreamRef,
+    events: StreamRef,
+    bytes: u64,
+}
+
+impl HistoryRef {
+    /// The reference to no history: the log's header alone.
+    const EMPTY: HistoryRef = {
+        let none = StreamRef {
+            count: 0,
+            chain: FNV_OFFSET,
+        };
+        HistoryRef {
+            fingerprints: none,
+            events: none,
+            bytes: (HISTORY_MAGIC.len() + 8) as u64,
+        }
+    };
+
+    /// Whether `state`'s histories are at least as long as this
+    /// reference's, so that what it lacks is a suffix of theirs.
+    fn within(&self, state: &CheckpointState) -> bool {
+        self.fingerprints.count <= state.fingerprints.len() as u64
+            && self.events.count <= state.recorded.len() as u64
+    }
+
+    /// Advances the reference over the entries of `state` past it,
+    /// appending their log frames to `frames`.
+    fn extend(&mut self, state: &CheckpointState, frames: &mut Vec<u8>) {
+        let logged = self.fingerprints.count as usize;
+        for line in state.fingerprints.iter().skip(logged) {
+            self.push(TAG_FINGERPRINT, line.as_bytes(), frames);
+        }
+        let logged = self.events.count as usize;
+        for te in state.recorded.iter().skip(logged) {
+            self.push(TAG_EVENT, te.to_line().as_bytes(), frames);
+        }
+    }
+
+    /// One entry: `tag | varint length | line`.
+    fn push(&mut self, tag: u8, line: &[u8], frames: &mut Vec<u8>) {
+        let start = frames.len();
+        frames.push(tag);
+        put_bytes(frames, line);
+        self.count(tag, frames.iter().skip(start));
+    }
+
+    /// Counts one entry of stream `tag` whose frame is `frame`.
+    fn count<'a>(&mut self, tag: u8, frame: impl Iterator<Item = &'a u8>) {
+        let stream = match tag {
+            TAG_FINGERPRINT => &mut self.fingerprints,
+            _ => &mut self.events,
+        };
+        stream.count += 1;
+        for &byte in frame {
+            stream.chain = fnv_step(stream.chain, byte);
+            self.bytes += 1;
+        }
+    }
+
+    /// The reference to all of `state`'s histories, folded from scratch.
+    fn of(state: &CheckpointState) -> HistoryRef {
+        let mut whole = HistoryRef::EMPTY;
+        whole.extend(state, &mut Vec::new());
+        whole
+    }
+
+    fn put(&self, buf: &mut Vec<u8>) {
+        for stream in [&self.fingerprints, &self.events] {
+            put_varint(buf, stream.count);
+            put_u64(buf, stream.chain);
+        }
+        put_varint(buf, self.bytes);
+    }
+
+    fn read(cur: &mut Cursor<'_>) -> Result<HistoryRef, String> {
+        let mut stream = |count: &str, chain: &str| -> Result<StreamRef, String> {
+            Ok(StreamRef {
+                count: cur.varint(count)?,
+                chain: cur.u64(chain)?,
+            })
+        };
+        Ok(HistoryRef {
+            fingerprints: stream("fingerprint count", "fingerprint chain")?,
+            events: stream("recorded event count", "recorded event chain")?,
+            bytes: cur.varint("history log length")?,
+        })
+    }
+}
+
+impl std::fmt::Display for HistoryRef {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (lines, events) = (&self.fingerprints, &self.events);
+        write!(
+            f,
+            "{} fingerprint lines (chain {:016x}) and {} events (chain {:016x})",
+            lines.count, lines.chain, events.count, events.chain
+        )
+    }
+}
+
+/// The history log a run holding exactly `state`'s histories leaves:
+/// the header, then every fingerprint line and every recorded event.
+/// (A [`Checkpointer`] writes the same entries, interleaved interval by
+/// interval as the run produced them.)
+pub fn encode_history(state: &CheckpointState, digest: u64) -> Vec<u8> {
+    let mut log = history_header(digest);
+    let mut whole = HistoryRef::EMPTY;
+    whole.extend(state, &mut log);
+    log
+}
+
+/// The log's first 16 bytes: magic, then the run-configuration digest.
+fn history_header(digest: u64) -> Vec<u8> {
+    let mut header = HISTORY_MAGIC.to_vec();
+    put_u64(&mut header, digest);
+    header
+}
+
+/// Reads the histories `href` names back out of `log`, the bytes of
+/// [`HISTORY_LOG`]: the header must be this run's and the first
+/// `href.bytes` bytes must hold whole entries, as many of each stream
+/// as the reference counts, chaining to its two checksums. Whatever
+/// follows that prefix — entries of a later checkpoint, or of none — is
+/// not looked at. Any failure is [`SealError::Torn`] naming the log and
+/// an offset inside it.
+fn read_history(
+    log: &[u8],
+    digest: u64,
+    href: &HistoryRef,
+) -> Result<(Vec<String>, Vec<TimedEvent>), SealError> {
+    let torn = |at: usize, what: String| SealError::torn(HISTORY_LOG, at, what);
+    let header = HistoryRef::EMPTY.bytes as usize;
+    if log.len() < header {
+        let what = format!("truncated ({} bytes, the header needs {header})", log.len());
+        return Err(torn(log.len(), what));
+    }
+    if !log.starts_with(HISTORY_MAGIC) {
+        return Err(torn(0, "bad magic (not a history log)".to_string()));
+    }
+    let mut cur = Cursor::at(log, HISTORY_MAGIC.len(), HISTORY_LOG);
+    let (at, owner) = (cur.pos(), cur.u64("log digest")?);
+    if owner != digest {
+        let what = format!(
+            "log belongs to a different run configuration \
+             (digest {owner:#018x}, this run {digest:#018x})"
+        );
+        return Err(torn(at, what));
+    }
+    let prefix = usize::try_from(href.bytes)
+        .ok()
+        .and_then(|end| log.get(..end))
+        .filter(|prefix| prefix.len() >= header);
+    let Some(prefix) = prefix else {
+        let what = format!(
+            "checkpoint refers to the first {} bytes of a {}-byte log",
+            href.bytes,
+            log.len()
+        );
+        return Err(torn(log.len(), what));
+    };
+
+    let mut cur = Cursor::at(prefix, header, HISTORY_LOG);
+    let mut found = HistoryRef::EMPTY;
+    let (mut fingerprints, mut recorded) = (Vec::new(), Vec::new());
+    while cur.pos() < prefix.len() {
+        let at = cur.pos();
+        let tag = cur.take(1, "entry tag")?[0];
+        let line = cur.string("history entry")?;
+        match tag {
+            TAG_FINGERPRINT => fingerprints.push(line),
+            TAG_EVENT => recorded.push(TimedEvent::parse_line(&line).map_err(|e| torn(at, e))?),
+            _ => return Err(torn(at, format!("unknown entry tag {tag:#04x}"))),
+        }
+        found.count(tag, prefix.iter().take(cur.pos()).skip(at));
+    }
+    if found != *href {
+        let what = format!(
+            "the log's first {} bytes hold {found}; the checkpoint names {href}",
+            href.bytes
+        );
+        return Err(torn(prefix.len(), what));
+    }
+    Ok((fingerprints, recorded))
+}
+
+/// Serializes a checkpoint, checksum footer included: every field of
+/// `state` but the two histories, which it refers to — as they stand
+/// in [`HISTORY_LOG`] once a [`Checkpointer`] has logged them, or in
+/// [`encode_history`]'s image — by count, chain and byte length.
 pub fn encode_checkpoint(state: &CheckpointState, digest: u64) -> Vec<u8> {
+    encode_referring(state, digest, &HistoryRef::of(state))
+}
+
+fn encode_referring(state: &CheckpointState, digest: u64, history: &HistoryRef) -> Vec<u8> {
     let mut buf = Vec::with_capacity(4096);
     buf.extend_from_slice(CHECKPOINT_MAGIC);
     put_u32(&mut buf, CHECKPOINT_SCHEMA_VERSION);
@@ -343,11 +579,7 @@ pub fn encode_checkpoint(state: &CheckpointState, digest: u64) -> Vec<u8> {
         }
     }
 
-    put_varint(&mut buf, state.fingerprints.len() as u64);
-    for line in &state.fingerprints {
-        put_bytes(&mut buf, line.as_bytes());
-    }
-    put_events(&mut buf, &state.recorded);
+    history.put(&mut buf);
 
     match &state.inflight {
         Some(f) => {
@@ -367,12 +599,19 @@ pub fn encode_checkpoint(state: &CheckpointState, digest: u64) -> Vec<u8> {
     buf
 }
 
-fn read_body(cur: &mut Cursor<'_>) -> Result<CheckpointState, String> {
+/// Reads the body: the state less its two histories, and the reference
+/// that stands for them.
+fn read_body(cur: &mut Cursor<'_>) -> Result<(CheckpointState, HistoryRef), String> {
     let next_interval = cur.varint("next interval")? as usize;
     let n = cur.varint("demand count")? as usize;
     let mut demands = Vec::with_capacity(n.min(1 << 20));
     for _ in 0..n {
-        demands.push(cur.f64("demand")?);
+        let (at, d) = (cur.pos(), cur.f64("demand")?);
+        // What `TrafficMatrix::set_demand` asserts of its caller.
+        if !(d.is_finite() && d >= 0.0) {
+            return Err(cur.error_at(at, format!("demand {d} is not a finite rate ≥ 0")));
+        }
+        demands.push(d);
     }
 
     let installed = read_versioned(cur)?;
@@ -386,10 +625,10 @@ fn read_body(cur: &mut Cursor<'_>) -> Result<CheckpointState, String> {
         0 => None,
         _ => {
             let k = cur.varint("basis len")? as usize;
-            let raw = cur.take(k, "basis statuses")?;
+            let (at, raw) = (cur.pos(), cur.take(k, "basis statuses")?);
             let mut statuses = Vec::with_capacity(k);
-            for &b in raw {
-                statuses.push(status_from_code(b)?);
+            for (i, &b) in raw.iter().enumerate() {
+                statuses.push(status_from_code(b).map_err(|e| cur.error_at(at + i, e))?);
             }
             let shape: HintShape = (
                 cur.varint("shape kc")? as usize,
@@ -446,12 +685,7 @@ fn read_body(cur: &mut Cursor<'_>) -> Result<CheckpointState, String> {
         }
     }
 
-    let nf = cur.varint("fingerprint count")? as usize;
-    let mut fingerprints = Vec::with_capacity(nf.min(1 << 20));
-    for _ in 0..nf {
-        fingerprints.push(cur.string("fingerprint line")?);
-    }
-    let recorded = read_events(cur, "recorded event")?;
+    let history = HistoryRef::read(cur)?;
 
     let inflight = match cur.take(1, "inflight flag")?[0] {
         0 => None,
@@ -474,7 +708,7 @@ fn read_body(cur: &mut Cursor<'_>) -> Result<CheckpointState, String> {
         }
     };
 
-    Ok(CheckpointState {
+    let state = CheckpointState {
         next_interval,
         demands,
         store,
@@ -483,22 +717,27 @@ fn read_body(cur: &mut Cursor<'_>) -> Result<CheckpointState, String> {
         failed_switches,
         rng,
         totals,
-        fingerprints,
-        recorded,
+        fingerprints: Vec::new(),
+        recorded: Vec::new(),
         inflight,
-    })
+    };
+    Ok((state, history))
 }
 
-/// Deserializes and validates a checkpoint file: the seal, the schema
+/// Deserializes and validates a checkpoint file against `log`, the
+/// bytes of the [`HISTORY_LOG`] beside it: the seal, the schema
 /// version, and the run-configuration digest all have to check out
-/// before the body is trusted. [`SealError::Torn`] (truncated or
-/// corrupt) lets recovery fall back to an older checkpoint;
-/// [`SealError::Mismatch`] (another schema or run configuration —
-/// resuming from it would silently diverge) is a hard error.
+/// before the body is trusted, and the log has to hold the histories
+/// the body refers to. [`SealError::Torn`] (either file truncated or
+/// corrupt) lets recovery fall back to an older checkpoint, whose
+/// shorter prefix of the log may still be whole; [`SealError::Mismatch`]
+/// (another schema or run configuration — resuming from it would
+/// silently diverge) is a hard error.
 pub fn decode_checkpoint(
     bytes: &[u8],
     file: &str,
     expect_digest: u64,
+    log: &[u8],
 ) -> Result<CheckpointState, SealError> {
     let body = unseal(bytes, file, CHECKPOINT_MAGIC, CHECKPOINT_END)?;
     let mut cur = Cursor::at(body, CHECKPOINT_MAGIC.len(), file);
@@ -511,11 +750,18 @@ pub fn decode_checkpoint(
         );
         return Err(SealError::mismatch(file, at, what));
     }
-    Ok(read_body(&mut cur)?)
+    let (mut state, history) = read_body(&mut cur)?;
+    (state.fingerprints, state.recorded) = read_history(log, expect_digest, &history)
+        .map_err(|e| SealError::Torn(format!("{file}: {}", e.into_message())))?;
+    Ok(state)
 }
 
 /// Writes checkpoints into a directory as `ckpt-<seq>.ffck`, atomically
-/// (temp + rename), pruning all but the newest [`CHECKPOINT_KEEP`].
+/// (temp + rename), keeping the newest [`CHECKPOINT_KEEP`], over one
+/// append-only [`HISTORY_LOG`] that each write extends by the entries
+/// its state has and the log lacks. One checkpointer serves one run:
+/// the histories of the states it is handed only grow, or fall back to
+/// a prefix.
 ///
 /// A write failure latches: checkpointing degrades to a no-op and the
 /// first error is reported via [`Checkpointer::error`] — a full disk
@@ -525,20 +771,36 @@ pub struct Checkpointer {
     dir: PathBuf,
     digest: u64,
     next_seq: u64,
+    /// The log, open for appending, and the reference to all it holds;
+    /// `None` until the first write positions it.
+    log: Option<(File, HistoryRef)>,
+    writes: u64,
+    bytes_written: u64,
     error: Option<String>,
 }
 
 impl Checkpointer {
     /// Opens (creating if needed) a checkpoint directory. Sequence
     /// numbers continue after any checkpoints already present, so a
-    /// resumed run never overwrites the files it recovered from.
+    /// resumed run never overwrites the files it recovered from; more
+    /// than [`CHECKPOINT_KEEP`] of them (a run killed between a write
+    /// and its prune) are trimmed to the newest. The history log is not
+    /// touched before the first write.
     pub fn create(dir: &Path, digest: u64) -> Result<Checkpointer, String> {
         fs::create_dir_all(dir).map_err(|e| io_err(dir, "create checkpoint dir", e))?;
-        let next_seq = list_checkpoints(dir)?.last().map_or(0, |&(seq, _)| seq + 1);
+        let files = list_checkpoints(dir)?;
+        let next_seq = files.last().map_or(0, |&(seq, _)| seq + 1);
+        for (_, path) in files.iter().rev().skip(CHECKPOINT_KEEP) {
+            // Best effort: a stale extra checkpoint is harmless.
+            let _ = fs::remove_file(path);
+        }
         Ok(Checkpointer {
             dir: dir.to_path_buf(),
             digest,
             next_seq,
+            log: None,
+            writes: 0,
+            bytes_written: 0,
             error: None,
         })
     }
@@ -550,17 +812,76 @@ impl Checkpointer {
 
     /// Writes one checkpoint; errors latch instead of propagating.
     pub fn write(&mut self, state: &CheckpointState) {
-        if self.error.is_some() {
-            return;
+        if self.error.is_none() {
+            self.error = self.try_write(state).err();
         }
-        let path = self.dir.join(format!("ckpt-{:08}.ffck", self.next_seq));
-        match write_atomic(&path, &encode_checkpoint(state, self.digest)) {
-            Ok(()) => {
-                self.next_seq += 1;
-                self.prune();
+    }
+
+    /// Append, then rename: the entries a checkpoint refers to are in
+    /// the log before the checkpoint can be found.
+    fn try_write(&mut self, state: &CheckpointState) -> Result<(), String> {
+        let (history, appended) = self.log_history(state)?;
+        debug_assert_eq!(
+            history,
+            HistoryRef::of(state),
+            "one checkpointer, one run: histories only grow"
+        );
+        let image = encode_referring(state, self.digest, &history);
+        write_atomic(&self.dir.join(checkpoint_name(self.next_seq)), &image)?;
+        self.writes += 1;
+        self.bytes_written += (appended + image.len()) as u64;
+        // Sequence numbers are dense, so one file at most is now past
+        // the keep limit, and its name is known.
+        if let Some(stale) = self.next_seq.checked_sub(CHECKPOINT_KEEP as u64) {
+            // Best effort: a stale extra checkpoint is harmless.
+            let _ = fs::remove_file(self.dir.join(checkpoint_name(stale)));
+        }
+        self.next_seq += 1;
+        Ok(())
+    }
+
+    /// Brings the log up to `state`'s histories; returns the reference
+    /// to them and the bytes it appended.
+    ///
+    /// While the histories grow that is the frames of their new
+    /// entries. The first write, and any write of a state *shorter*
+    /// than what is logged, instead positions the log from scratch,
+    /// trusting nothing it did not check: the log is kept, cut to the
+    /// prefix that is `state`'s history, if it holds exactly that there
+    /// (a resumed run — the cut drops what the crashed run appended
+    /// after its last durable checkpoint), and started afresh otherwise
+    /// (a new run, or another run's log in the directory).
+    fn log_history(&mut self, state: &CheckpointState) -> Result<(HistoryRef, usize), String> {
+        let path = self.dir.join(HISTORY_LOG);
+        let (open, mut history) = match self.log.take() {
+            Some((file, logged)) if logged.within(state) => (Some(file), logged),
+            _ => (None, HistoryRef::EMPTY),
+        };
+        let mut frames = Vec::new();
+        history.extend(state, &mut frames);
+        let mut file = match open {
+            Some(file) => file,
+            None => {
+                let holds = |log: Vec<u8>| read_history(&log, self.digest, &history).is_ok();
+                if fs::read(&path).is_ok_and(holds) {
+                    frames.clear();
+                    let file = OpenOptions::new().append(true).open(&path);
+                    let file = file.map_err(|e| io_err(&path, "open", e))?;
+                    file.set_len(history.bytes)
+                        .map_err(|e| io_err(&path, "truncate", e))?;
+                    file
+                } else {
+                    frames.splice(..0, history_header(self.digest));
+                    File::create(&path).map_err(|e| io_err(&path, "create", e))?
+                }
             }
-            Err(e) => self.error = Some(e),
+        };
+        if !frames.is_empty() {
+            file.write_all(&frames)
+                .map_err(|e| io_err(&path, "append", e))?;
         }
+        self.log = Some((file, history));
+        Ok((history, frames.len()))
     }
 
     /// The first write error, if checkpointing has failed and latched.
@@ -568,16 +889,20 @@ impl Checkpointer {
         self.error.as_deref()
     }
 
-    fn prune(&self) {
-        if let Ok(files) = list_checkpoints(&self.dir) {
-            if files.len() > CHECKPOINT_KEEP {
-                for (_, path) in &files[..files.len() - CHECKPOINT_KEEP] {
-                    // Best effort: a stale extra checkpoint is harmless.
-                    let _ = fs::remove_file(path);
-                }
-            }
-        }
+    /// Checkpoints written.
+    pub fn writes(&self) -> u64 {
+        self.writes
     }
+
+    /// Bytes written so far: every checkpoint file plus every append to
+    /// the history log.
+    pub fn bytes_written(&self) -> u64 {
+        self.bytes_written
+    }
+}
+
+fn checkpoint_name(seq: u64) -> String {
+    format!("ckpt-{seq:08}.ffck")
 }
 
 /// Checkpoint files in `dir`, sorted by ascending sequence number.
@@ -614,6 +939,9 @@ pub struct Recovery {
 /// diverge.
 pub fn recover_latest(dir: &Path, digest: u64) -> Result<Recovery, String> {
     let files = list_checkpoints(dir)?;
+    // Read once for every candidate; a missing log is an empty one, torn
+    // at offset 0.
+    let log = fs::read(dir.join(HISTORY_LOG)).unwrap_or_default();
     let mut notes = Vec::new();
     for (seq, path) in files.iter().rev() {
         let file = path
@@ -627,7 +955,7 @@ pub fn recover_latest(dir: &Path, digest: u64) -> Result<Recovery, String> {
                 continue;
             }
         };
-        match decode_checkpoint(&bytes, &file, digest) {
+        match decode_checkpoint(&bytes, &file, digest, &log) {
             Ok(state) => {
                 return Ok(Recovery {
                     checkpoint: Some(RecoveredCheckpoint {
@@ -742,7 +1070,8 @@ mod tests {
     fn encode_decode_round_trip_is_identity() {
         let state = sample_state();
         let bytes = encode_checkpoint(&state, 0xdead_beef);
-        let back = decode_checkpoint(&bytes, "t", 0xdead_beef).expect("decode");
+        let log = encode_history(&state, 0xdead_beef);
+        let back = decode_checkpoint(&bytes, "t", 0xdead_beef, &log).expect("decode");
         assert_eq!(back, state);
 
         // Minimal state (no staged, no hint, no inflight) too.
@@ -754,19 +1083,45 @@ mod tests {
         min.recorded.clear();
         min.fingerprints.clear();
         let bytes = encode_checkpoint(&min, 1);
-        assert_eq!(decode_checkpoint(&bytes, "t", 1).expect("decode"), min);
+        let log = encode_history(&min, 1);
+        assert_eq!(log.len(), 16, "no history: the header alone");
+        assert_eq!(
+            decode_checkpoint(&bytes, "t", 1, &log).expect("decode"),
+            min
+        );
     }
 
     /// The schema-1 image of the sample state was recorded at commit
     /// aaade72 (449 bytes, before the framing moved into
-    /// `durable::seal`). Schema 2 is that image with the version bumped
+    /// `durable::seal`); schema 2 was that image with the version bumped
     /// and the mice field — flag, count, member 1 — after the planner's
-    /// probe counter: taking the two back out must give the recorded
-    /// image, so nothing else moved.
+    /// probe counter (452 bytes). Schema 3 is the schema-2 image with the
+    /// version bumped and the history reference where the two inline
+    /// histories were: putting them back must give the recorded schema-2
+    /// image, and taking the mice field out of that the schema-1 one, so
+    /// nothing else moved.
     #[test]
     fn golden_checkpoint_image_of_the_sample_state() {
-        let bytes = encode_checkpoint(&sample_state(), 7);
-        assert_eq!((bytes.len(), fnv64(&bytes)), (452, 6205727008863894943));
+        let state = sample_state();
+        let bytes = encode_checkpoint(&state, 7);
+        assert_eq!((bytes.len(), fnv64(&bytes)), (423, 5393573755572124572));
+
+        let mut reference = Vec::new();
+        HistoryRef::of(&state).put(&mut reference);
+        let field = bytes
+            .windows(reference.len())
+            .position(|w| w == reference)
+            .expect("the reference is in the image");
+        let mut v2 = bytes[..field].to_vec();
+        put_varint(&mut v2, state.fingerprints.len() as u64);
+        for line in &state.fingerprints {
+            put_bytes(&mut v2, line.as_bytes());
+        }
+        put_events(&mut v2, &state.recorded);
+        v2.extend_from_slice(&bytes[field + reference.len()..bytes.len() - 16]);
+        v2[8..12].copy_from_slice(&2u32.to_le_bytes());
+        seal(&mut v2, CHECKPOINT_END);
+        assert_eq!((v2.len(), fnv64(&v2)), (452, 6205727008863894943));
 
         let mut no_mice = sample_state();
         no_mice.planner.mice = None;
@@ -776,19 +1131,40 @@ mod tests {
             .zip(&without)
             .position(|(a, b)| a != b)
             .expect("the flag byte differs");
-        assert_eq!(bytes[field..field + 3], [1, 1, 1]);
-        let mut v1 = bytes[..field].to_vec();
-        v1.extend_from_slice(&bytes[field + 3..bytes.len() - 16]);
+        assert_eq!(v2[field..field + 3], [1, 1, 1]);
+        let mut v1 = v2[..field].to_vec();
+        v1.extend_from_slice(&v2[field + 3..v2.len() - 16]);
         v1[8..12].copy_from_slice(&1u32.to_le_bytes());
         seal(&mut v1, CHECKPOINT_END);
         assert_eq!((v1.len(), fnv64(&v1)), (449, 12741876513052809226));
     }
 
+    /// The log's image of the sample state: header, the two fingerprint
+    /// lines, the two events, each `tag | length | line`.
+    #[test]
+    fn golden_history_log_of_the_sample_state() {
+        let log = encode_history(&sample_state(), 7);
+        let mut want = b"FFHLOG1\n".to_vec();
+        want.extend_from_slice(&7u64.to_le_bytes());
+        for (tag, line) in [
+            (b'F', "i0 ok"),
+            (b'F', "i1 ok"),
+            (b'E', "1 demand-scale 1.25"),
+            (b'E', "2 ack 0 1 0.5"),
+        ] {
+            want.push(tag);
+            want.push(line.len() as u8);
+            want.extend_from_slice(line.as_bytes());
+        }
+        assert_eq!(log, want);
+    }
+
     #[test]
     fn truncation_at_every_offset_is_invalid_never_a_panic() {
         let bytes = encode_checkpoint(&sample_state(), 42);
+        let log = encode_history(&sample_state(), 42);
         for cut in 0..bytes.len() {
-            match decode_checkpoint(&bytes[..cut], "t", 42) {
+            match decode_checkpoint(&bytes[..cut], "t", 42, &log) {
                 Err(SealError::Torn(_)) => {}
                 other => panic!("cut at {cut}: expected Torn, got {other:?}"),
             }
@@ -798,6 +1174,7 @@ mod tests {
     #[test]
     fn every_single_byte_flip_in_the_body_is_detected() {
         let good = encode_checkpoint(&sample_state(), 42);
+        let log = encode_history(&sample_state(), 42);
         // Flipping any body byte must trip the checksum (or the magic);
         // a flip inside the footer trips the checksum comparison or the
         // end marker. Nothing may decode successfully or panic.
@@ -805,7 +1182,7 @@ mod tests {
             let mut bad = good.clone();
             bad[i] ^= 0x40;
             assert!(
-                decode_checkpoint(&bad, "t", 42).is_err(),
+                decode_checkpoint(&bad, "t", 42, &log).is_err(),
                 "flip at byte {i} went undetected"
             );
         }
@@ -814,7 +1191,8 @@ mod tests {
     #[test]
     fn digest_and_schema_mismatches_are_hard_errors() {
         let bytes = encode_checkpoint(&sample_state(), 42);
-        match decode_checkpoint(&bytes, "t", 43) {
+        let log = encode_history(&sample_state(), 42);
+        match decode_checkpoint(&bytes, "t", 43, &log) {
             Err(SealError::Mismatch(e)) => {
                 assert!(e.contains("different run"), "{e}")
             }
@@ -826,7 +1204,7 @@ mod tests {
         other[8] = 99;
         let checksum = fnv64(&other[..sealed]);
         other[sealed..sealed + 8].copy_from_slice(&checksum.to_le_bytes());
-        match decode_checkpoint(&other, "t", 42) {
+        match decode_checkpoint(&other, "t", 42, &log) {
             Err(SealError::Mismatch(e)) => {
                 assert!(e.contains("t: offset 8: checkpoint schema v99"), "{e}")
             }
@@ -853,6 +1231,36 @@ mod tests {
         assert_eq!(got.state.next_interval, 4);
         assert_eq!(got.seq, 4);
         assert!(rec.notes.is_empty());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Sequence numbers are dense, so a write removes the one file that
+    /// fell out of the keep window, by name, and never lists the
+    /// directory; `create`, which lists it anyway, trims what a run
+    /// killed between a write and its prune left over.
+    #[test]
+    fn a_write_prunes_by_name_and_create_trims_an_inherited_directory() {
+        let dir = scratch_dir("prune-by-name");
+        let seqs = |dir: &Path| -> Vec<u64> {
+            let files = list_checkpoints(dir).expect("list");
+            files.iter().map(|&(seq, _)| seq).collect()
+        };
+        let mut ck = Checkpointer::create(&dir, 7).expect("create");
+        for _ in 0..5 {
+            ck.write(&sample_state());
+        }
+        assert_eq!(seqs(&dir), [2, 3, 4]);
+        // A file outside the window is not this write's to look for.
+        fs::copy(dir.join(checkpoint_name(4)), dir.join(checkpoint_name(0))).expect("plant");
+        ck.write(&sample_state());
+        assert_eq!(seqs(&dir), [0, 3, 4, 5], "5 displaced 2 and nothing else");
+        assert!(ck.error().is_none());
+        drop(ck);
+
+        fs::copy(dir.join(checkpoint_name(5)), dir.join(checkpoint_name(6))).expect("plant");
+        let ck = Checkpointer::create(&dir, 7).expect("reopen");
+        assert_eq!(seqs(&dir), [4, 5, 6], "trimmed to the newest three on open");
+        assert_eq!(ck.next_seq, 7);
         let _ = fs::remove_dir_all(&dir);
     }
 

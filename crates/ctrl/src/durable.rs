@@ -174,9 +174,10 @@ impl<'a> Cursor<'a> {
 
     /// Reads a length-prefixed UTF-8 string.
     pub fn string(&mut self, what: &str) -> Result<String, String> {
+        let at = self.pos;
         let b = self.bytes(what)?;
         String::from_utf8(b.to_vec())
-            .map_err(|_| format!("{}: non-UTF-8 bytes reading {what}", self.file))
+            .map_err(|_| self.error_at(at, format_args!("non-UTF-8 bytes reading {what}")))
     }
 
     /// Reads the `u32` version of the `what` schema and refuses any but

@@ -379,6 +379,21 @@ struct Durable<'c> {
     last: CheckpointState,
 }
 
+impl Durable<'_> {
+    /// Writes `last` with the run's two histories lent to it: moved in
+    /// for the write and back out, never copied, so a checkpoint costs
+    /// what the interval added and not what the run has accumulated.
+    fn write(&mut self, fp_lines: &mut Vec<String>, recorded: &mut Vec<TimedEvent>) {
+        let mut lend = |last: &mut CheckpointState| {
+            std::mem::swap(&mut last.fingerprints, fp_lines);
+            std::mem::swap(&mut last.recorded, recorded);
+        };
+        lend(&mut self.last);
+        self.ck.write(&self.last);
+        lend(&mut self.last);
+    }
+}
+
 /// What the certification gate decided for one interval.
 struct Gate {
     target: TeConfig,
@@ -462,7 +477,8 @@ impl<'a> LoopState<'a> {
         next_interval
     }
 
-    /// The state as a checkpoint to resume from at `next_interval`.
+    /// The state as a checkpoint to resume from at `next_interval`, less
+    /// the two histories: [`Durable::write`] lends them to it.
     fn checkpoint(&self, next_interval: usize) -> CheckpointState {
         let scenario = self.sim.scenario();
         CheckpointState {
@@ -478,8 +494,8 @@ impl<'a> LoopState<'a> {
                 self.totals.lost_congestion,
                 self.totals.lost_blackhole,
             ],
-            fingerprints: self.fp_lines.clone(),
-            recorded: self.recorded.clone(),
+            fingerprints: Vec::new(),
+            recorded: Vec::new(),
             inflight: self.inflight.clone(),
         }
     }
@@ -589,6 +605,7 @@ impl<'a> LoopState<'a> {
         let ctrl = self.ctrl;
         let resumed = self.inflight.take().filter(|f| f.interval == interval);
         let rng_after = resumed.as_ref().map_or(self.rng.state(), |f| f.rng_after);
+        let (fp_lines, recorded) = (&mut self.fp_lines, &mut self.recorded);
         let mut stage_hook = durable.map(|d| {
             move |ev: StageEvent<'_>| {
                 d.last.inflight = Some(InflightRollout {
@@ -598,7 +615,7 @@ impl<'a> LoopState<'a> {
                     rng_after: ev.rng_state.unwrap_or(rng_after),
                     outcomes: ev.outcomes.to_vec(),
                 });
-                d.ck.write(&d.last);
+                d.write(fp_lines, recorded);
                 if ctrl.cfg.chaos.crash_mid_rollout == Some((interval, ev.completed_steps)) {
                     panic!(
                         "chaos-crash: mid-rollout interval {interval} stage {}",
@@ -723,7 +740,7 @@ impl<'a> LoopState<'a> {
         if let Some(d) = durable {
             self.fp_lines.push(record.fingerprint());
             d.last = self.checkpoint(interval + 1);
-            d.ck.write(&d.last);
+            d.write(&mut self.fp_lines, &mut self.recorded);
         }
         if self.ctrl.cfg.chaos.crash_at_interval == Some(interval) {
             panic!("chaos-crash: interval boundary {interval}");
@@ -891,8 +908,6 @@ mod tests {
         ] {
             let events = [at(0, bad.clone())];
             let mut st = LoopState::new(&ctrl, &tm, &events, false);
-            // The recorded stream holds the event itself, and NaN != NaN.
-            st.recorded.clear();
             let before = st.checkpoint(0);
             assert_eq!(st.apply_events(0), 0, "{bad:?}");
             assert_eq!(st.checkpoint(0), before, "{bad:?}");
@@ -941,6 +956,15 @@ mod tests {
         st.telemetry_record(interval, events_applied, &outcome, &gate, &rollout, &rec)
     }
 
+    /// `checkpoint` with the histories a write lends it.
+    fn lent_checkpoint(st: &LoopState<'_>, next_interval: usize) -> CheckpointState {
+        CheckpointState {
+            fingerprints: st.fp_lines.clone(),
+            recorded: st.recorded.clone(),
+            ..st.checkpoint(next_interval)
+        }
+    }
+
     /// `checkpoint` → `restore` into a fresh state → `checkpoint` is the
     /// identity, on a mid-run state with a fault active, a degraded
     /// planner, a chained basis hint, sampled outcomes, and — as a
@@ -971,7 +995,8 @@ mod tests {
             let record = step(&mut st, interval);
             st.fp_lines.push(record.fingerprint());
         }
-        let mut ck = st.checkpoint(2);
+        let mut ck = lent_checkpoint(&st, 2);
+        assert_eq!(ck.fingerprints.len(), 2);
         assert!(ck.planner.rescale_only && ck.store.hint.is_some());
         assert_eq!((&ck.failed_links[..], ck.demands[0]), (&[0][..], 6.0));
         assert!(ck.recorded.len() > events.len() && ck.totals[0][0] > 0.0);
@@ -985,7 +1010,7 @@ mod tests {
 
         let mut fresh = LoopState::new(&ctrl, &tm, &events, false);
         assert_eq!(fresh.restore(ck.clone()), 2);
-        assert_eq!(fresh.checkpoint(2), ck);
+        assert_eq!(lent_checkpoint(&fresh, 2), ck);
     }
 
     #[test]

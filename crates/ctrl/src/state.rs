@@ -107,7 +107,8 @@ impl ConfigStore {
     /// Stages a freshly planned configuration; returns its version.
     pub fn stage(&mut self, config: TeConfig) -> u64 {
         let version = self.next_version;
-        self.next_version += 1;
+        // Saturating: a counter restored from a checkpoint may sit anywhere.
+        self.next_version = version.saturating_add(1);
         self.staged = Some(VersionedConfig { version, config });
         version
     }
@@ -121,7 +122,7 @@ impl ConfigStore {
             Some(v) => v.version,
             None => {
                 let v = self.next_version;
-                self.next_version += 1;
+                self.next_version = v.saturating_add(1);
                 v
             }
         };

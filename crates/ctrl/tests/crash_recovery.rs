@@ -1,16 +1,20 @@
 //! Kill–resume convergence: a controller crashed at an interval
-//! boundary, mid-rollout-stage, or facing a corrupted checkpoint must
-//! resume from durable state and converge to the *bit-identical*
-//! replay fingerprint of an uninterrupted run, with exactly-once
-//! rollout semantics (no acked stage is ever re-pushed).
+//! boundary, mid-rollout-stage, between the history log's append and
+//! the checkpoint's rename, or facing a corrupted checkpoint or a torn
+//! log must resume from durable state and converge to the
+//! *bit-identical* replay fingerprint of an uninterrupted run, with
+//! exactly-once rollout semantics (no acked stage is ever re-pushed).
+//! The last test holds the checkpoint files to their size contract:
+//! constant at boundaries, whatever the run has accumulated.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
-use ffc_core::FfcConfig;
+use ffc_core::{CacheStats, FfcConfig};
+use ffc_ctrl::checkpoint::{encode_history, CHECKPOINT_KEEP, HISTORY_LOG};
 use ffc_ctrl::{
     config_digest, recover_latest, ChaosHooks, Checkpointer, Controller, ControllerConfig,
-    ControllerReport, Event, TimedEvent,
+    ControllerReport, Event, IntervalSink, IntervalTelemetry, PlanOutcome, TimedEvent,
 };
 use ffc_net::prelude::*;
 use ffc_sim::SwitchModel;
@@ -170,6 +174,10 @@ fn resume(case: &Case, dir: &Path) -> (ControllerReport, Vec<String>) {
     (report, rec.notes)
 }
 
+fn log_len(dir: &Path) -> u64 {
+    std::fs::metadata(dir.join(HISTORY_LOG)).expect("log").len()
+}
+
 /// No `(interval, switch, step)` ack appears twice — the recorded
 /// stream is the ground truth for what was pushed to the switches.
 fn assert_exactly_once(report: &ControllerReport) {
@@ -292,6 +300,15 @@ fn corrupted_newest_checkpoint_falls_back_and_still_converges() {
     bytes[mid] ^= 0xff;
     std::fs::write(newest, &bytes).expect("write");
 
+    // The older checkpoint's history is a shorter prefix of the same
+    // log: interval 3's entries lie past it and are not read.
+    let digest = config_digest(&case.cfg, &case.topo, &case.tunnels, &case.tm);
+    let older = recover_latest(&dir, digest).expect("recover");
+    let older = older.checkpoint.expect("the older checkpoint").state;
+    assert_eq!(older.fingerprints.len(), 3);
+    let prefix = encode_history(&older, digest).len() as u64;
+    assert!(prefix < log_len(&dir), "the log runs past the prefix");
+
     let (resumed, notes) = resume(&case, &dir);
     assert_eq!(notes.len(), 1, "one skipped-file note: {notes:?}");
     assert!(notes[0].contains("checksum mismatch"), "{}", notes[0]);
@@ -408,4 +425,275 @@ fn crash_after_a_mice_swap_resumes_with_the_standing_set() {
         assert_exactly_once(&resumed);
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// Asserts that `resumed` is the uninterrupted run, bit for bit.
+fn assert_converged(resumed: &ControllerReport, full: &ControllerReport) {
+    assert_eq!(resumed.fingerprint(), full.fingerprint());
+    assert_eq!(resumed.recorded_events, full.recorded_events);
+    for (a, b) in [
+        (&resumed.totals.delivered, &full.totals.delivered),
+        (
+            &resumed.totals.lost_congestion,
+            &full.totals.lost_congestion,
+        ),
+        (&resumed.totals.lost_blackhole, &full.totals.lost_blackhole),
+    ] {
+        assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits));
+    }
+    assert_exactly_once(resumed);
+}
+
+/// The window the log opens: interval k + 1's entries are appended and
+/// the process dies before the checkpoint that refers to them is
+/// renamed into place. The tail is past every checkpoint's reference;
+/// the resume starts from checkpoint k and its first write cuts it off.
+#[test]
+fn crash_between_the_log_append_and_the_rename_resumes_from_the_checkpoint_before() {
+    const K: usize = 2;
+    let case = churn();
+    let full = uninterrupted(&case);
+    let crash_after = |interval, tag| {
+        let dir = scratch_dir(tag);
+        let hooks = ChaosHooks {
+            crash_at_interval: Some(interval),
+            ..ChaosHooks::default()
+        };
+        run_until_crash(&case, &dir, hooks);
+        dir
+    };
+    // The same run killed one boundary later logged the same bytes and
+    // then interval k + 1's: the tail to orphan.
+    let (dir, later) = (crash_after(K, "orphan"), crash_after(K + 1, "orphan-next"));
+    let log = std::fs::read(dir.join(HISTORY_LOG)).expect("log");
+    let longer = std::fs::read(later.join(HISTORY_LOG)).expect("log");
+    assert!(longer.len() > log.len() && longer.starts_with(&log));
+    std::fs::write(dir.join(HISTORY_LOG), &longer).expect("append the orphan tail");
+
+    let (resumed, notes) = resume(&case, &dir);
+    assert!(notes.is_empty(), "an orphan tail is no damage: {notes:?}");
+    assert_eq!(resumed.prior_fingerprints.len(), K + 1, "from checkpoint k");
+    assert_converged(&resumed, &full);
+
+    // The tail is gone, not spliced under what the resumed run logged:
+    // the finished directory holds the uninterrupted run's history and
+    // not a byte more, and interval k + 1's entries once.
+    let digest = config_digest(&case.cfg, &case.topo, &case.tunnels, &case.tm);
+    let end = recover_latest(&dir, digest).expect("recover");
+    let end = end.checkpoint.expect("the final checkpoint").state;
+    assert_eq!(end.fingerprints.join("\n") + "\n", full.fingerprint());
+    assert_eq!(end.recorded, full.recorded_events);
+    assert_eq!(log_len(&dir), encode_history(&end, digest).len() as u64);
+    let _ = (
+        std::fs::remove_dir_all(&dir),
+        std::fs::remove_dir_all(&later),
+    );
+}
+
+/// One copy of the history instead of one per checkpoint: damage inside
+/// the oldest surviving checkpoint's prefix loses all three at once.
+/// Every note names the log, the run restarts from interval 0 — its
+/// first write starts the log afresh — and still converges.
+#[test]
+fn a_log_torn_inside_every_prefix_restarts_from_interval_0_and_converges() {
+    let dir = scratch_dir("torn-log");
+    let case = churn();
+    let full = uninterrupted(&case);
+    let hooks = ChaosHooks {
+        crash_at_interval: Some(3),
+        ..ChaosHooks::default()
+    };
+    run_until_crash(&case, &dir, hooks);
+    // Byte 20 is inside the first input event: every prefix holds it.
+    let mut log = std::fs::read(dir.join(HISTORY_LOG)).expect("log");
+    log[20] ^= 0xff;
+    std::fs::write(dir.join(HISTORY_LOG), &log).expect("write");
+
+    let Case {
+        topo, tm, tunnels, ..
+    } = &case;
+    let digest = config_digest(&case.cfg, topo, tunnels, tm);
+    let rec = recover_latest(&dir, digest).expect("recover");
+    assert!(rec.checkpoint.is_none(), "no prefix is whole");
+    assert_eq!(rec.notes.len(), CHECKPOINT_KEEP, "{:?}", rec.notes);
+    assert!(
+        rec.notes.iter().all(|n| n.contains("history.ffhl: ")),
+        "{:?}",
+        rec.notes
+    );
+
+    let mut ck = Checkpointer::create(&dir, digest).expect("checkpointer");
+    let mut ctrl = Controller::new(topo, tunnels, case.cfg.clone());
+    let events = &case.events;
+    let rerun = ctrl.run_with_recovery(tm, events, INTERVALS, false, None, Some(&mut ck), None);
+    assert!(ck.error().is_none(), "{:?}", ck.error());
+    assert!(rerun.prior_fingerprints.is_empty(), "from interval 0");
+    assert_converged(&rerun, &full);
+    let end = recover_latest(&dir, digest).expect("recover");
+    assert!(end.notes.is_empty(), "{:?}", end.notes);
+    assert_eq!(
+        end.checkpoint.expect("final").state.recorded,
+        full.recorded_events
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// What a run's checkpoint directory held at one instant.
+#[derive(Debug)]
+struct DirSnapshot {
+    /// `(sequence number, bytes)` of each `ckpt-*.ffck`, ascending.
+    checkpoints: Vec<(u64, u64)>,
+    log_bytes: u64,
+}
+
+/// `(file name, bytes)` of everything in `dir`.
+fn dir_listing(dir: &Path) -> Vec<(String, u64)> {
+    let entries = std::fs::read_dir(dir).into_iter().flatten().flatten();
+    let sized =
+        entries.filter_map(|e| Some((e.file_name().into_string().ok()?, e.metadata().ok()?.len())));
+    sized.collect()
+}
+
+fn snapshot_of(listing: &[(String, u64)]) -> DirSnapshot {
+    let seq_of = |name: &str| {
+        name.strip_prefix("ckpt-")?
+            .strip_suffix(".ffck")?
+            .parse()
+            .ok()
+    };
+    let mut checkpoints: Vec<(u64, u64)> = listing
+        .iter()
+        .filter_map(|(name, bytes)| Some((seq_of(name)?, *bytes)))
+        .collect();
+    checkpoints.sort_unstable();
+    let log = listing.iter().find(|(name, _)| name == HISTORY_LOG);
+    DirSnapshot {
+        checkpoints,
+        log_bytes: log.map_or(0, |&(_, bytes)| bytes),
+    }
+}
+
+/// Lists the directory after every plan stage: the newest checkpoint
+/// is then the boundary of the interval before, the ones under it that
+/// interval's mid-rollout checkpoints. (It runs inside the controller
+/// loop, so it only lists; the test reads the listings afterwards.)
+struct DirWatcher<'a> {
+    dir: &'a Path,
+    seen: Vec<Vec<(String, u64)>>,
+}
+
+impl IntervalSink for DirWatcher<'_> {
+    fn record(&mut self, _: &IntervalTelemetry, _: &[f64]) {}
+
+    fn planned(&mut self, _: &PlanOutcome, _: CacheStats) {
+        self.seen.push(dir_listing(self.dir));
+    }
+}
+
+/// Bytes of a varint.
+fn varint_len(v: usize) -> u64 {
+    (1 + v.checked_ilog2().unwrap_or(0) / 7) as u64
+}
+
+/// Bytes of one log entry or inline event: `[tag] | varint length | line`.
+fn framed(line: &str, tag: u64) -> u64 {
+    tag + varint_len(line.len()) + line.len() as u64
+}
+
+/// Checkpoint size is a function of the instance, not of the run so
+/// far: every boundary checkpoint is the size of the first to within
+/// the varint widths of its counters, every mid-rollout one larger by
+/// exactly its in-flight record, the log grows each interval by exactly
+/// the frames of that interval's fingerprint line and outcomes, and the
+/// bytes written are linear in the interval count.
+#[test]
+fn checkpoint_size_does_not_grow_with_the_run() {
+    const N: usize = 48;
+    let dir = scratch_dir("size");
+    let (topo, tm, tunnels) = diamond();
+    let cfg = base_cfg();
+    // Churn: every interval re-solves and rolls out.
+    let events: Vec<TimedEvent> = (1..N)
+        .map(|interval| TimedEvent {
+            interval,
+            event: Event::DemandScale(0.6 + 0.01 * (interval % 7) as f64),
+        })
+        .collect();
+    let digest = config_digest(&cfg, &topo, &tunnels, &tm);
+    let mut ck = Checkpointer::create(&dir, digest).expect("checkpointer");
+    let mut watch = DirWatcher {
+        dir: &dir,
+        seen: Vec::new(),
+    };
+    let mut ctrl = Controller::new(&topo, &tunnels, cfg);
+    let sink: &mut dyn IntervalSink = &mut watch;
+    let report = ctrl.run_with_recovery(&tm, &events, N, false, Some(sink), Some(&mut ck), None);
+    assert!(ck.error().is_none(), "{:?}", ck.error());
+    watch.seen.push(dir_listing(&dir));
+    // seen[i] is the directory after the boundary of interval i - 1.
+    let seen: Vec<DirSnapshot> = watch.seen.iter().map(|l| snapshot_of(l)).collect();
+    assert_eq!(seen.len(), N + 1);
+
+    let outcomes = |interval: usize| {
+        let sampled = report.recorded_events.iter().skip(events.len());
+        sampled.filter(move |te| te.interval == interval)
+    };
+    let newest = |snap: &DirSnapshot| snap.checkpoints.last().map(|&(_, bytes)| bytes);
+    let first = newest(&seen[1]).expect("the first boundary checkpoint");
+    let mut mid_rollout = 0;
+    for (interval, pair) in seen.windows(2).enumerate() {
+        let (before, after) = (&pair[0], &pair[1]);
+        assert!(after.checkpoints.len() <= CHECKPOINT_KEEP, "{after:?}");
+        // Counters that widen over a run: the interval index, three
+        // config versions, two history counts and the log length.
+        let size = newest(after).expect("a boundary checkpoint");
+        assert!(
+            size.abs_diff(first) <= 8,
+            "boundary {interval}: {size} vs {first}"
+        );
+
+        // What the interval added to the log, and nothing else.
+        let line = report.telemetry[interval].fingerprint();
+        let logged = outcomes(interval).map(|te| framed(&te.to_line(), 1));
+        let mut grown = framed(&line, 1) + logged.sum::<u64>();
+        if interval == 0 {
+            // The first write: the header and the run's input events.
+            let inputs = events.iter().map(|te| framed(&te.to_line(), 1));
+            grown += 16 + inputs.sum::<u64>();
+        }
+        assert_eq!(
+            after.log_bytes - before.log_bytes,
+            grown,
+            "interval {interval}"
+        );
+
+        // Its mid-rollout checkpoints: the boundary before plus the
+        // in-flight record (three counters, the RNG state, the outcome
+        // log inline).
+        let Some(boundary) = newest(before) else {
+            continue;
+        };
+        let inline = outcomes(interval).map(|te| framed(&te.to_line(), 0));
+        let record = 3 + 32 + varint_len(outcomes(interval).count()) + inline.sum::<u64>();
+        for &(seq, size) in after.checkpoints.iter().rev().skip(1) {
+            if before.checkpoints.iter().all(|&(s, _)| s != seq) {
+                assert_eq!(size, boundary + record, "interval {interval} seq {seq}");
+                mid_rollout += 1;
+            }
+        }
+    }
+    assert!(
+        mid_rollout >= N - 1,
+        "every churn interval rolls out in stages"
+    );
+
+    // Linear: each write is a checkpoint no larger than the largest
+    // seen, plus the log, which is the sum of the per-interval growth.
+    let log = log_len(&dir);
+    let largest = seen.iter().flat_map(|s| &s.checkpoints).map(|c| c.1).max();
+    let largest = largest.expect("checkpoints");
+    assert!(ck.writes() >= 2 * N as u64 - 1, "{}", ck.writes());
+    assert!(ck.bytes_written() >= log + ck.writes() * (first - 8));
+    assert!(ck.bytes_written() <= log + ck.writes() * largest);
+    let _ = std::fs::remove_dir_all(&dir);
 }
