@@ -40,12 +40,18 @@
 //!   bounds on `z¹` / `zᵐ`; `M¹ = z¹` needs no variable and step 1 no
 //!   M-sum rows. The all-slack basis is then feasible for every row but
 //!   the per-flow rate equalities, which is all phase 1 has to repair.
+//! * **A chain no flow can enter is refused by arithmetic.** The same
+//!   bounds cap how far the first free step can stray from `A⁰` (and the
+//!   last from `Aᵐ`) on each tunnel; a flow whose capped tunnels cannot
+//!   carry its scheduled rate rules the chain out before any LP is built
+//!   ([`chain_ruled_out`]). On saturated transitions — every atomic
+//!   fallback of a link storm — that is every `m ≥ 2` attempt.
 
 use std::collections::BTreeMap;
 use std::iter::{once, repeat_n};
 
-use ffc_lp::{Cmp, LinExpr, LpError, Model, VarId};
-use ffc_net::{Topology, TrafficMatrix, TunnelTable};
+use ffc_lp::{Cmp, LinExpr, LpError, Model, SimplexOptions, VarId};
+use ffc_net::{FlowId, Topology, TrafficMatrix, TunnelTable};
 
 use crate::bounded_msum::{constrain_any_m_sum_le, MsumEncoding};
 use crate::te::TeConfig;
@@ -83,6 +89,8 @@ pub struct UpdateStats {
     /// Simplex iterations of the solves that returned a chain (an
     /// infeasible attempt reports none).
     pub simplex_iterations: usize,
+    /// Chain lengths [`chain_ruled_out`] refused without building an LP.
+    pub bound_refusals: usize,
 }
 
 /// Parameters for update planning.
@@ -160,6 +168,10 @@ fn plan_chain(
         return admitted
             .then(|| vec![to.clone()])
             .ok_or(LpError::Infeasible);
+    }
+    if chain_ruled_out(topo, tunnels, from, to, m) {
+        stats.bound_refusals += 1;
+        return Err(LpError::Infeasible);
     }
 
     // Rate schedule b^i_f (constants), i = 0..=m.
@@ -287,6 +299,87 @@ pub fn plan_update_auto(
         }
     }
     Err(last_err)
+}
+
+/// A necessary condition for an `m`-step chain (`m ≥ 2`) from `from` to
+/// `to`: `true` when some flow provably cannot follow its rate schedule
+/// through any such chain, so the chain LP — for every `kc`, whose
+/// M-sum families only add rows — is infeasible. `false` decides
+/// nothing. Costs two passes over the tunnels' links.
+///
+/// Transition 1 bounds `z¹ ≥ a⁰` on every tunnel, so on each link `e`
+/// of tunnel `t` the growth `a¹_t − a⁰_t ≤ Σ_{t'∋e} (z¹_{t'} − a⁰_{t'})`
+/// is at most `s⁰_e = c_e − Σ_{t'∋e} a⁰_{t'}`, and `z¹_t ≤ c_e`:
+///
+/// ```text
+/// a¹_t ≤ u⁰_t = min(a⁰_t + max(0, min_{e∈t} s⁰_e), min_{e∈t} c_e)
+/// ```
+///
+/// and `a^{m−1}_t ≤ uᵐ_t` likewise from `aᵐ`. A flow `f` rules the chain
+/// out when `Σ_t min(u⁰_t, uᵐ_t) < b¹_f − margin_f` (`m = 2`: one free
+/// step, capped from both sides) or when `Σ_t u⁰_t < b¹_f − margin_f` or
+/// `Σ_t uᵐ_t < b^{m−1}_f − margin_f` (`m ≥ 3`).
+///
+/// `margin_f` is what the simplex lets through when it admits a chain,
+/// so that nothing it would admit is refused: the rate equality may
+/// miss by the phase-1 residual it accepts (`ADMIT_TOL`, summed over
+/// all rows), and every bound or inequality by `feas_tol`. Along the
+/// derivation that is one `feas_tol` for `a¹_t ≤ z¹_t`, one for link
+/// `e`'s row and one per other tunnel on `e` sitting below its `z ≥ a⁰`
+/// bound — `(1 + k_t)·feas_tol` per tunnel, `k_t` the most tunnels on
+/// any link of `t` — so `margin_f = ADMIT_TOL + feas_tol·Σ_t (1 + k_t)`
+/// (≤ 8e-6 on S-Net at 4 tunnels per flow, where the refusals of a link
+/// storm fall short by 1.2e-3 and more).
+pub fn chain_ruled_out(
+    topo: &Topology,
+    tunnels: &TunnelTable,
+    from: &TeConfig,
+    to: &TeConfig,
+    num_steps: usize,
+) -> bool {
+    assert!(num_steps >= 2, "one step is decided exactly");
+    let feas_tol = SimplexOptions::default().feas_tol;
+    // Per link: tunnels crossing it and its slack under either endpoint.
+    let mut links: Vec<(usize, [f64; 2])> =
+        topo.links().map(|e| (0, [topo.capacity(e); 2])).collect();
+    let ends = from.alloc.iter().flatten().zip(to.alloc.iter().flatten());
+    for ((_, _, tunnel), (&a0, &am)) in tunnels.iter_all().zip(ends) {
+        for l in &tunnel.links {
+            if let Some((crossing, [s0, sm])) = links.get_mut(l.index()) {
+                *crossing += 1;
+                *s0 -= a0.max(0.0);
+                *sm -= am.max(0.0);
+            }
+        }
+    }
+
+    let m = num_steps as f64;
+    let rows = from.alloc.iter().zip(&to.alloc);
+    let mut flows = rows.zip(from.rate.iter().zip(&to.rate)).enumerate();
+    flows.any(|(f, ((row0, rowm), (&b0, &bm)))| {
+        let rate = |i: f64| b0 * (1.0 - i / m) + bm * (i / m);
+        let (mut near, mut far, mut both, mut margin) = (0.0, 0.0, 0.0, ADMIT_TOL);
+        let ends = row0.iter().zip(rowm);
+        for (tunnel, (&a0, &am)) in tunnels.tunnels(FlowId(f)).iter().zip(ends) {
+            let (mut s0, mut sm, mut cap, mut k) = (f64::INFINITY, f64::INFINITY, f64::INFINITY, 0);
+            for l in &tunnel.links {
+                if let Some(&(crossing, [l0, lm])) = links.get(l.index()) {
+                    (s0, sm) = (s0.min(l0), sm.min(lm));
+                    cap = cap.min(topo.capacity(*l));
+                    k = k.max(crossing);
+                }
+            }
+            let u0 = (a0.max(0.0) + s0.max(0.0)).min(cap);
+            let um = (am.max(0.0) + sm.max(0.0)).min(cap);
+            (near, far, both) = (near + u0, far + um, both + u0.min(um));
+            margin += feas_tol * (1 + k) as f64;
+        }
+        if num_steps == 2 {
+            both < rate(1.0) - margin
+        } else {
+            near < rate(1.0) - margin || far < rate(m - 1.0) - margin
+        }
+    })
 }
 
 /// Per link, `Σ_v max(a_{v,e}, b_{v,e})`: what the link may carry while
@@ -651,6 +744,66 @@ mod tests {
         };
         let r = plan_update(&topo, &tm, &tt, &from, &to, &UpdateConfig::ffc(1, 1));
         assert_eq!(r.unwrap_err(), LpError::Infeasible);
+    }
+
+    /// A saturated swap — a growing flow trades paths with a shrinking
+    /// one while both links are full — has no chain of any length: the
+    /// growing flow cannot take one more unit at step 1. The bound
+    /// refuses `m = 2` and `m = 3` without building an LP.
+    #[test]
+    fn saturated_swap_is_refused_without_an_lp() {
+        let mut t = Topology::new();
+        let ns = t.add_nodes(2, "s");
+        let x = t.add_link(ns[0], ns[1], 10.0);
+        let y = t.add_link(ns[0], ns[1], 10.0);
+        let mut tm = TrafficMatrix::new();
+        tm.add_flow(ns[0], ns[1], 9.0, Priority::High);
+        tm.add_flow(ns[0], ns[1], 11.0, Priority::High);
+        let mut tt = TunnelTable::new(2);
+        for f in [FlowId(0), FlowId(1)] {
+            for l in [x, y] {
+                tt.push(f, Tunnel::from_path(&t, ffc_net::Path { links: vec![l] }));
+            }
+        }
+        // Flow 0 grows 6 → 9 and moves x → y; flow 1 shrinks the other way.
+        let from = TeConfig {
+            rate: vec![6.0, 14.0],
+            alloc: vec![vec![6.0, 0.0], vec![4.0, 10.0]],
+        };
+        let to = TeConfig {
+            rate: vec![9.0, 11.0],
+            alloc: vec![vec![0.0, 9.0], vec![10.0, 1.0]],
+        };
+        for kc in 0..=1 {
+            let mut stats = UpdateStats::default();
+            for m in 1..=3 {
+                assert!(m == 1 || chain_ruled_out(&t, &tt, &from, &to, m));
+                let cfg = UpdateConfig::ffc(m, kc);
+                let r = plan_chain(&t, &tm, &tt, &from, &to, &cfg, &mut stats);
+                assert_eq!(r.unwrap_err(), LpError::Infeasible, "m={m} kc={kc}");
+            }
+            assert_eq!(stats.lp_solves, 0, "kc={kc}");
+            assert_eq!(stats.bound_refusals, 2, "kc={kc}");
+        }
+        // Without the growth the swap passes the bound at m = 3 and the
+        // LP refuses it (every step is pinned to A⁰, so the last
+        // transition overloads x): necessary, not sufficient.
+        let flat = TeConfig {
+            rate: vec![6.0, 14.0],
+            alloc: vec![vec![0.0, 6.0], vec![10.0, 4.0]],
+        };
+        let mut stats = UpdateStats::default();
+        let r = plan_chain(
+            &t,
+            &tm,
+            &tt,
+            &from,
+            &flat,
+            &UpdateConfig::plain(3),
+            &mut stats,
+        );
+        assert_eq!(r.unwrap_err(), LpError::Infeasible);
+        assert_eq!((stats.lp_solves, stats.bound_refusals), (1, 0));
     }
 
     /// Shape ratchet for the lean chain LP on the paper-layout L-Net

@@ -15,12 +15,19 @@
 //!   trivially feasible region), and
 //! * pinned S-Net and L-Net transitions between two `ke = 1` FFC
 //!   optima a demand drift apart — the shape the controller plans every
-//!   interval — at utilisations on both sides of each verdict.
+//!   interval — at utilisations on both sides of each verdict, and one
+//!   S-Net storm interval (a link down, demand jittered ±5 %) that only
+//!   the atomic install survives.
+//!
+//! Every `m ≥ 2` attempt also holds `ffc_core::chain_ruled_out` — the
+//! necessary condition the lean planner refuses chains by before it
+//! builds an LP — to the full formulation: whatever it rules out, the
+//! full formulation finds infeasible.
 
 use ffc_core::bounded_msum::constrain_any_m_sum_le;
 use ffc_core::{
-    max_transition_violation, plan_update, solve_ffc, solve_te, FfcConfig, TeConfig, TeProblem,
-    UpdateConfig, UpdatePlan, UpdateStats,
+    chain_ruled_out, max_transition_violation, plan_update, solve_ffc_with_faults, solve_te,
+    FfcConfig, TeConfig, TeProblem, UpdateConfig, UpdatePlan, UpdateStats,
 };
 use ffc_lp::{Cmp, LinExpr, LpError, Model, Sense, VarId};
 use ffc_net::prelude::*;
@@ -282,6 +289,10 @@ impl Case {
         let lean = self.lean(m, kc);
         if oracle {
             let full = self.full(m, kc);
+            assert!(
+                !(self.ruled_out(m) && full.is_ok()),
+                "m={m} kc={kc}: the bound refuses a chain the full formulation admits"
+            );
             assert_eq!(lean.is_ok(), full.is_ok(), "m={m} kc={kc}: verdicts differ");
         }
         let Ok(plan) = lean else {
@@ -293,7 +304,7 @@ impl Case {
             Some(&self.to),
             "the chain ends on the target"
         );
-        assert_eq!(plan.stats.lp_solves, 1);
+        assert_eq!((plan.stats.lp_solves, plan.stats.bound_refusals), (1, 0));
         let viol = max_transition_violation(&self.topo, &self.tunnels, &self.from, &plan);
         assert!(
             viol <= 1e-6,
@@ -313,6 +324,11 @@ impl Case {
             self.check_any_one_ingress_stuck(&plan);
         }
         true
+    }
+
+    /// Whether [`chain_ruled_out`] refuses `m` steps.
+    fn ruled_out(&self, m: usize) -> bool {
+        chain_ruled_out(&self.topo, &self.tunnels, &self.from, &self.to, m)
     }
 
     /// The kc = 1 promise, exhaustively: with every tunnel of one ingress
@@ -400,11 +416,13 @@ fn fuzzed_saturated_transitions_match_the_oracle() {
     let mut rng = StdRng::seed_from_u64(52);
     // [one step admitted, chain found after a refused step, no chain at all]
     let mut seen = [0usize; 3];
+    let mut refused = 0;
     for _ in 0..256 {
         let case = saturated_ring(&mut rng);
         let one_step = case.check_one_step();
         let mut chains = 0;
         for m in 2..=3 {
+            refused += case.ruled_out(m) as usize;
             for kc in 0..=1 {
                 chains += case.check_chain(m, kc, true) as usize;
             }
@@ -419,6 +437,7 @@ fn fuzzed_saturated_transitions_match_the_oracle() {
         seen[kind] += 1;
     }
     assert!(seen.iter().all(|&n| n >= 16), "one-sided fuzz: {seen:?}");
+    assert!(refused >= 16, "the bound refused {refused} chains");
 }
 
 /// A pinned evaluation instance as `ffc_bench` / the repo's benchmark
@@ -429,6 +448,19 @@ fn fuzzed_saturated_transitions_match_the_oracle() {
 /// saturated on both sides, so nothing short of the atomic install
 /// works; [`Case::at_utilisation`] walks the pair back from there.
 fn pinned(net: SiteNetwork, traffic_seed: u64, tunnels_per_flow: usize) -> Case {
+    pinned_then(net, traffic_seed, tunnels_per_flow, |_, tm| {
+        (tm.scale(0.98), FaultScenario::none())
+    })
+}
+
+/// [`pinned`] with the second optimum's demand and active faults chosen
+/// by `next` from the first's.
+fn pinned_then(
+    net: SiteNetwork,
+    traffic_seed: u64,
+    tunnels_per_flow: usize,
+    next: impl FnOnce(&Topology, TrafficMatrix) -> (TrafficMatrix, FaultScenario),
+) -> Case {
     let traffic = TrafficConfig {
         mean_total: net.topo.total_capacity() * 0.05,
         priority_split: (1.0, 0.0),
@@ -443,12 +475,13 @@ fn pinned(net: SiteNetwork, traffic_seed: u64, tunnels_per_flow: usize) -> Case 
     let tunnels = layout_tunnels(&net.topo, &tm, &layout);
     let tm = tm.scale(calibrate_scale(&net.topo, &tm, &tunnels, 0.99));
     let ffc = FfcConfig::new(0, 1, 0);
-    let solve = |tm: &TrafficMatrix, old: &TeConfig| {
-        solve_ffc(TeProblem::new(&net.topo, tm, &tunnels), old, &ffc).expect("FFC TE")
+    let solve = |tm: &TrafficMatrix, old: &TeConfig, faults: &FaultScenario| {
+        let problem = TeProblem::new(&net.topo, tm, &tunnels);
+        solve_ffc_with_faults(problem, old, &ffc, faults).expect("FFC TE")
     };
-    let from = solve(&tm, &TeConfig::zero(&tunnels));
-    let tm = tm.scale(0.98);
-    let to = solve(&tm, &from);
+    let from = solve(&tm, &TeConfig::zero(&tunnels), &FaultScenario::none());
+    let (tm, faults) = next(&net.topo, tm);
+    let to = solve(&tm, &from, &faults);
     Case {
         topo: net.topo,
         tm,
@@ -461,6 +494,27 @@ fn pinned(net: SiteNetwork, traffic_seed: u64, tunnels_per_flow: usize) -> Case 
 /// S-Net at 4 tunnels per flow (the benchmark's `snet_storm` layout).
 fn snet_pinned() -> Case {
     pinned(snet(), 44, 4)
+}
+
+/// [`snet_pinned`] through one interval of the benchmark's `snet_storm`:
+/// the second optimum has the first physical link (both directions) —
+/// the storm's first fault — failed and every demand moved by a seeded
+/// draw within ±5 %.
+fn snet_storm_pinned() -> Case {
+    pinned_then(snet(), 44, 4, |topo, mut tm| {
+        let mut rng = StdRng::seed_from_u64(7);
+        for f in 0..tm.len() {
+            let d = tm.flow(FlowId(f)).demand;
+            tm.set_demand(FlowId(f), d * rng.gen_range(0.95..1.05));
+        }
+        let pair = topo.links().find_map(|l| {
+            let link = topo.link(l);
+            let back = topo.find_link(link.dst, link.src)?;
+            (link.src < link.dst).then_some([l, back])
+        });
+        let pair = pair.expect("a physical link");
+        (tm, FaultScenario::links(pair))
+    })
 }
 
 /// The paper-layout L-Net (the benchmark's `lnet_drift` instance).
@@ -510,6 +564,20 @@ fn pinned_snet_transitions_match_the_oracle() {
     }
 }
 
+/// The transition behind `snet_storm`'s atomic fallbacks: the new
+/// optimum moves traffic off the failed link onto links the old one
+/// already fills, so no chain exists — and the bound refuses `m = 2`
+/// and `m = 3` without an LP, as the full formulation confirms.
+#[test]
+fn pinned_snet_storm_transition_is_refused_by_the_bound() {
+    let case = snet_storm_pinned();
+    assert!(!case.check_one_step());
+    for m in 2..=3 {
+        assert!(case.ruled_out(m), "m={m}");
+        assert!(!case.check_chain(m, 0, true), "m={m}");
+    }
+}
+
 #[test]
 fn pinned_lnet_transitions_match_the_oracle() {
     let base = lnet_pinned();
@@ -526,7 +594,8 @@ fn pinned_lnet_transitions_match_the_oracle() {
     }
 }
 
-/// The kc = 1 chain LPs of the pinned instances against the oracle. The
+/// The kc = 1 chain LPs of the pinned instances (the storm interval
+/// included, where the bound refuses) against the oracle. The
 /// full formulation takes 1.5–10 s for each of these in a release build,
 /// so tier-1 leaves them out and CI's release job runs them
 /// (`--include-ignored`).
@@ -542,5 +611,9 @@ fn pinned_ffc_chains_match_the_oracle() {
     for (u, verdict) in [(0.70, true), (0.75, false)] {
         let found = lnet.at_utilisation(u).check_chain(2, 1, true);
         assert_eq!(found, verdict, "L-Net u={u}");
+    }
+    let storm = snet_storm_pinned();
+    for m in 2..=3 {
+        assert!(!storm.check_chain(m, 1, true), "S-Net storm m={m}");
     }
 }

@@ -50,6 +50,8 @@
 
 use std::collections::BTreeMap;
 
+use ffc_topo::LNetConfig;
+
 /// Which topology generator a fleet run drives.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TopologySpec {
@@ -461,6 +463,10 @@ impl FleetSpec {
                 if sites < 3 {
                     return Err(format!("line {line}: lnet wants at least 3 sites"));
                 }
+                let most = LNetConfig::full().sites;
+                if sites > most {
+                    return Err(format!("line {line}: lnet wants at most {most} sites"));
+                }
                 TopologySpec::Lnet(sites)
             } else {
                 return Err(format!(
@@ -726,6 +732,16 @@ at = 6
         let bad = "[fleet]\ntopology = \"mars\"\n";
         let err = FleetSpec::parse(bad).unwrap_err();
         assert!(err.contains("line 2") && err.contains("mars"), "{err}");
+
+        // The site count is bounded on both sides: the paper-scale L-Net
+        // (50 sites) is the largest the generator is built for.
+        for (sites, what) in [("2", "at least 3"), ("51", "at most 50")] {
+            let bad = format!("[fleet]\ntopology = \"lnet:{sites}\"\n");
+            let err = FleetSpec::parse(&bad).unwrap_err();
+            assert_eq!(err, format!("line 2: lnet wants {what} sites"));
+        }
+        let ok = FleetSpec::parse("[fleet]\ntopology = \"lnet:50\"\n").unwrap();
+        assert_eq!(ok.topology, TopologySpec::Lnet(50));
 
         let bad = "[fleet]\nseed = -4\n";
         let err = FleetSpec::parse(bad).unwrap_err();
