@@ -95,7 +95,7 @@ pub use rescale::{rescaled_link_loads, rescaled_link_loads_mixed, RescaledLoads}
 pub use te::{solve_te, TeConfig, TeModelBuilder, TeProblem};
 pub use uncertainty::apply_uncertainty;
 pub use update::{
-    chain_ruled_out, max_transition_violation, plan_update, plan_update_auto, UpdateConfig,
-    UpdatePlan, UpdateStats,
+    chain_excess, chain_ruled_out, max_transition_violation, plan_update, plan_update_auto,
+    UpdateConfig, UpdatePlan, UpdateStats,
 };
 pub use verify::{audit_te_model, certify_config};

@@ -46,9 +46,18 @@
 //!   carry its scheduled rate rules the chain out before any LP is built
 //!   ([`chain_ruled_out`]). On saturated transitions — every atomic
 //!   fallback of a link storm — that is every `m ≥ 2` attempt.
+//! * **A chain arithmetic can build is built by arithmetic.** Each tunnel
+//!   first shrinks to its floor `φ_t = max(0, min(a⁰_t, aᵐ_t))`, then
+//!   grows to the target: every inner step scales the floor to its
+//!   scheduled rate, so `zⁱ ≤ a⁰` for `i < m` and `zᵐ = aᵐ`. When every
+//!   flow's floor carries its inner rates, the built chain is checked by
+//!   [`chain_excess`] at `ADMIT_TOL` — the chain LP has no objective, so a
+//!   chain that fits is one it would accept — and the LP runs only when
+//!   the floor falls short or the check fails.
 
 use std::collections::BTreeMap;
 use std::iter::{once, repeat_n};
+use std::slice;
 
 use ffc_lp::{Cmp, LinExpr, LpError, Model, SimplexOptions, VarId};
 use ffc_net::{FlowId, Topology, TrafficMatrix, TunnelTable};
@@ -56,7 +65,8 @@ use ffc_net::{FlowId, Topology, TrafficMatrix, TunnelTable};
 use crate::bounded_msum::{constrain_any_m_sum_le, MsumEncoding};
 use crate::te::TeConfig;
 
-/// Absolute per-link excess the one-step admission test lets through.
+/// Absolute per-link excess an admission by arithmetic — a one-step plan
+/// or a common-floor chain — lets through.
 const ADMIT_TOL: f64 = 1e-6;
 
 /// A planned chain of intermediate configurations.
@@ -91,6 +101,8 @@ pub struct UpdateStats {
     pub simplex_iterations: usize,
     /// Chain lengths [`chain_ruled_out`] refused without building an LP.
     pub bound_refusals: usize,
+    /// Chains built from the endpoints' common floor without an LP.
+    pub direct_chains: usize,
 }
 
 /// Parameters for update planning.
@@ -162,9 +174,7 @@ fn plan_chain(
     assert!(fits(from) && fits(to), "one allocation per tunnel");
 
     if m == 1 {
-        let loads = transition_loads(topo, tunnels, from, to);
-        let within = |(load, e)| load <= topo.capacity(e) + ADMIT_TOL;
-        let admitted = loads.into_iter().zip(topo.links()).all(within);
+        let admitted = chain_excess(topo, tunnels, from, slice::from_ref(to), 0) <= ADMIT_TOL;
         return admitted
             .then(|| vec![to.clone()])
             .ok_or(LpError::Infeasible);
@@ -180,6 +190,13 @@ fn plan_chain(
         let ends = from.rate.iter().zip(&to.rate);
         ends.map(move |(&b0, &bm)| b0 * (1.0 - t) + bm * t)
     };
+
+    if let Some(steps) = floor_chain(from, to, m, rates) {
+        if chain_excess(topo, tunnels, from, &steps, cfg.kc) <= ADMIT_TOL {
+            stats.direct_chains += 1;
+            return Ok(steps);
+        }
+    }
 
     let mut model = Model::new();
     // a^i_{f,t} for 0 < i < m, flattened in tunnel order; each flow's
@@ -382,45 +399,131 @@ pub fn chain_ruled_out(
     })
 }
 
-/// Per link, `Σ_v max(a_{v,e}, b_{v,e})`: what the link may carry while
-/// switches move from `a` to `b` in any order (Eqn 16's left side).
-fn transition_loads(
+/// The common-floor chain `A¹ … Aᵐ` from `from` to `to`, or `None` when
+/// some flow's floor `F_f = Σ_t φ_t`, `φ_t = max(0, min(a⁰_t, aᵐ_t))`,
+/// cannot carry an inner rate (`b¹_f` or `b^{m−1}_f`, which bracket the
+/// linear schedule). Inner step `i` allocates `φ_t · bⁱ_f / F_f`, so its
+/// rate row is exact and every tunnel stays at or below both endpoints.
+fn floor_chain<I: Iterator<Item = f64>>(
+    from: &TeConfig,
+    to: &TeConfig,
+    m: usize,
+    rates: impl Fn(usize) -> I,
+) -> Option<Vec<TeConfig>> {
+    let rows = from.alloc.iter().zip(&to.alloc);
+    let floor: Vec<Vec<f64>> = rows
+        .map(|(row0, rowm)| {
+            let ends = row0.iter().zip(rowm);
+            ends.map(|(&a0, &am)| a0.min(am).max(0.0)).collect()
+        })
+        .collect();
+    let carried: Vec<f64> = floor.iter().map(|row| row.iter().sum()).collect();
+    let fits = |i| {
+        rates(i)
+            .zip(&carried)
+            .all(|(b, &sum)| (0.0..=sum).contains(&b))
+    };
+    if !(fits(1) && fits(m - 1)) {
+        return None;
+    }
+    let scaled = |row: &Vec<f64>, sum: f64, b: f64| {
+        let share = if b > 0.0 { b / sum } else { 0.0 };
+        row.iter().map(|&phi| phi * share).collect()
+    };
+    let mut steps: Vec<TeConfig> = (1..m)
+        .map(|i| {
+            let rate: Vec<f64> = rates(i).collect();
+            let ends = floor.iter().zip(&carried).zip(&rate);
+            let alloc = ends.map(|((row, &sum), &b)| scaled(row, sum, b)).collect();
+            TeConfig { rate, alloc }
+        })
+        .collect();
+    steps.push(to.clone());
+    Some(steps)
+}
+
+/// The worst absolute excess over capacity of any link in any transition
+/// of the chain `from → steps[0] → … → steps[m−1]`, or 0 when every link
+/// fits: per transition `i` and link `e`, Eqn 16's `Σ_v zⁱ_{v,e}` plus the
+/// `kc` largest per-ingress gaps `Σ_{t∋e} (Mⁱ_t − zⁱ_t)`, where
+/// `zⁱ = max(a^{i−1}, aⁱ)` and `Mⁱ = max_{j ≤ i} a^j` are read off the
+/// chain. This is the §5.2 promise for up to `kc` switches stuck at any
+/// earlier config, under the ordered-update discipline. One pass over the
+/// tunnels' links and one sort per link per transition; a NaN load is
+/// reported as NaN.
+pub fn chain_excess(
     topo: &Topology,
     tunnels: &TunnelTable,
-    a: &TeConfig,
-    b: &TeConfig,
-) -> Vec<f64> {
+    from: &TeConfig,
+    steps: &[TeConfig],
+    kc: usize,
+) -> f64 {
+    let mut worst: f64 = 0.0;
+    let mut peak: Vec<f64> = from.alloc.iter().flatten().copied().collect();
     let mut load = vec![0.0; topo.num_links()];
-    let ends = a.alloc.iter().flatten().zip(b.alloc.iter().flatten());
-    for ((_, _, tunnel), (&x, &y)) in tunnels.iter_all().zip(ends) {
-        for l in &tunnel.links {
-            if let Some(sum) = load.get_mut(l.index()) {
-                *sum += x.max(y);
+    // Per link: (ingress, Mⁱ − zⁱ) of every tunnel with a positive gap;
+    // no lists at all when kc = 0 counts none.
+    let mut gaps: Vec<Vec<(usize, f64)>> = vec![Vec::new(); if kc > 0 { load.len() } else { 0 }];
+    let mut prev = from;
+    for step in steps {
+        load.fill(0.0);
+        gaps.iter_mut().for_each(Vec::clear);
+        let ends = prev.alloc.iter().flatten().zip(step.alloc.iter().flatten());
+        for (((_, _, tunnel), (&x, &y)), peak) in tunnels.iter_all().zip(ends).zip(&mut peak) {
+            let z = x.max(y);
+            *peak = peak.max(y);
+            let gap = *peak - z;
+            for l in &tunnel.links {
+                if let Some(sum) = load.get_mut(l.index()) {
+                    *sum += z;
+                }
+                if let Some(stale) = gaps.get_mut(l.index()).filter(|_| gap > 0.0) {
+                    stale.push((tunnel.src().index(), gap));
+                }
             }
         }
+        for (i, (e, &sum)) in topo.links().zip(&load).enumerate() {
+            let stale = gaps.get_mut(i).map_or(0.0, |g| largest_ingress_gaps(g, kc));
+            let excess = sum + stale - topo.capacity(e);
+            if excess > worst || excess.is_nan() {
+                worst = excess;
+            }
+        }
+        prev = step;
     }
-    load
+    worst
+}
+
+/// Sums `gaps` per ingress and returns the total of the `kc` largest.
+fn largest_ingress_gaps(gaps: &mut Vec<(usize, f64)>, kc: usize) -> f64 {
+    if kc == 0 || gaps.is_empty() {
+        return 0.0;
+    }
+    gaps.sort_by_key(|&(ingress, _)| ingress);
+    gaps.dedup_by(|next, kept| {
+        let same = next.0 == kept.0;
+        if same {
+            kept.1 += next.1;
+        }
+        same
+    });
+    if kc < gaps.len() {
+        gaps.select_nth_unstable_by(kc - 1, |a, b| b.1.total_cmp(&a.1));
+        gaps.truncate(kc);
+    }
+    gaps.iter().map(|&(_, gap)| gap).sum()
 }
 
 /// Verifies Eqn 16 for a realized plan: every adjacent pair of configs
 /// (including the source) keeps `Σ_v max(a, a')` within capacity.
-/// Returns the worst relative violation (0 when clean).
+/// Returns the worst absolute excess — [`chain_excess`] at `kc = 0`.
 pub fn max_transition_violation(
     topo: &Topology,
     tunnels: &TunnelTable,
     from: &TeConfig,
     plan: &UpdatePlan,
 ) -> f64 {
-    let mut worst: f64 = 0.0;
-    let mut prev = from;
-    for step in &plan.steps {
-        let loads = transition_loads(topo, tunnels, prev, step);
-        for (load, e) in loads.into_iter().zip(topo.links()) {
-            worst = worst.max((load - topo.capacity(e)) / topo.capacity(e));
-        }
-        prev = step;
-    }
-    worst
+    chain_excess(topo, tunnels, from, &plan.steps, 0)
 }
 
 #[cfg(test)]
@@ -804,6 +907,96 @@ mod tests {
         );
         assert_eq!(r.unwrap_err(), LpError::Infeasible);
         assert_eq!((stats.lp_solves, stats.bound_refusals), (1, 0));
+    }
+
+    /// Four ingresses `s0..s3` reach `d` through a hub over two parallel
+    /// links `x` and `y` of capacity `cap`. Flows 0 and 1 move their
+    /// over-allocated split `(4, 2) → (2, 4)` from `x` towards `y`, flows
+    /// 2 and 3 the other way, while every rate drops 4 → 3. Both endpoints
+    /// load `x` and `y` at 12; the one-step transition loads them at 16,
+    /// the common floor is `(2, 2)` per flow, and with one ingress stuck
+    /// at `A⁰` the last transition loads them at 12 + 2.
+    fn exchange_scenario(cap: f64) -> (Topology, TrafficMatrix, TunnelTable, TeConfig, TeConfig) {
+        let mut t = Topology::new();
+        let ns = t.add_nodes(6, "s");
+        let (hub, sink) = (ns[4], ns[5]);
+        let x = t.add_link(hub, sink, cap);
+        let y = t.add_link(hub, sink, cap);
+        let mut tm = TrafficMatrix::new();
+        let mut tt = TunnelTable::new(4);
+        for (f, &src) in ns[..4].iter().enumerate() {
+            tm.add_flow(src, sink, 4.0, Priority::High);
+            let access = t.add_link(src, hub, 100.0);
+            for l in [x, y] {
+                let path = ffc_net::Path {
+                    links: vec![access, l],
+                };
+                tt.push(FlowId(f), Tunnel::from_path(&t, path));
+            }
+        }
+        let (out, back) = (vec![4.0, 2.0], vec![2.0, 4.0]);
+        let from = TeConfig {
+            rate: vec![4.0; 4],
+            alloc: vec![out.clone(), out.clone(), back.clone(), back.clone()],
+        };
+        let to = TeConfig {
+            rate: vec![3.0; 4],
+            alloc: vec![back.clone(), back, out.clone(), out],
+        };
+        (t, tm, tt, from, to)
+    }
+
+    /// Where the endpoints overlap, the two-step chain is the common floor
+    /// scaled to the midpoint rate, built without an LP for `kc = 0` and,
+    /// with the stale-switch gaps fitting exactly, for `kc = 1`.
+    #[test]
+    fn common_floor_chain_needs_no_lp() {
+        let (t, tm, tt, from, to) = exchange_scenario(14.0);
+        let floor = TeConfig {
+            rate: vec![3.5; 4],
+            alloc: vec![vec![1.75, 1.75]; 4],
+        };
+        for kc in 0..=1 {
+            let one = plan_update(&t, &tm, &tt, &from, &to, &UpdateConfig::ffc(1, kc));
+            assert_eq!(one.unwrap_err(), LpError::Infeasible, "kc={kc}");
+            let plan = plan_update_auto(&t, &tm, &tt, &from, &to, 3, kc).unwrap();
+            assert_eq!(plan.steps, vec![floor.clone(), to.clone()], "kc={kc}");
+            let direct = UpdateStats {
+                direct_chains: 1,
+                ..UpdateStats::default()
+            };
+            assert_eq!(plan.stats, direct, "kc={kc}");
+            assert_eq!(chain_excess(&t, &tt, &from, &plan.steps, kc), 0.0);
+        }
+    }
+
+    /// One unit less capacity leaves the floor chain valid for `kc = 0`
+    /// but not with an ingress stuck at `A⁰` (14 > 13): at `kc = 1` the
+    /// closed form falls through to the LP, which finds no chain either.
+    #[test]
+    fn floor_chain_is_checked_against_stale_switches() {
+        let (t, tm, tt, from, to) = exchange_scenario(13.0);
+        let plan = plan_update(&t, &tm, &tt, &from, &to, &UpdateConfig::plain(2)).unwrap();
+        assert_eq!((plan.stats.lp_solves, plan.stats.direct_chains), (0, 1));
+        assert_eq!(chain_excess(&t, &tt, &from, &plan.steps, 1), 1.0);
+
+        let mut stats = UpdateStats::default();
+        let cfg = UpdateConfig::ffc(2, 1);
+        let r = plan_chain(&t, &tm, &tt, &from, &to, &cfg, &mut stats);
+        assert_eq!(r.unwrap_err(), LpError::Infeasible);
+        assert_eq!((stats.lp_solves, stats.direct_chains), (1, 0));
+    }
+
+    /// The swap's floor `(6, 6)` carries 12 of the 16 the midpoint needs,
+    /// so its chain still comes from the LP.
+    #[test]
+    fn swap_below_its_floor_goes_to_the_lp() {
+        let (topo, tm, tt, from, to) = swap_scenario();
+        for kc in 0..=1 {
+            let plan = plan_update(&topo, &tm, &tt, &from, &to, &UpdateConfig::ffc(2, kc)).unwrap();
+            assert_eq!((plan.stats.lp_solves, plan.stats.direct_chains), (1, 0));
+            assert!(chain_excess(&topo, &tt, &from, &plan.steps, kc) <= 1e-6);
+        }
     }
 
     /// Shape ratchet for the lean chain LP on the paper-layout L-Net

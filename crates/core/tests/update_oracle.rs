@@ -12,7 +12,11 @@
 //!   whose demand exceeds capacity — both endpoints saturate links, so
 //!   one-step, multi-step and infeasible cases all occur (the sibling
 //!   `proptest_update.rs` halves both endpoints and never leaves the
-//!   trivially feasible region), and
+//!   trivially feasible region),
+//! * fuzzed transitions between two `ke = 1` FFC optima on the same
+//!   rings a small demand drift apart, the second warm-started from the
+//!   first: over-allocated endpoints whose splits overlap, the shape the
+//!   closed-form chain takes, and
 //! * pinned S-Net and L-Net transitions between two `ke = 1` FFC
 //!   optima a demand drift apart — the shape the controller plans every
 //!   interval — at utilisations on both sides of each verdict, and one
@@ -22,14 +26,17 @@
 //! Every `m ≥ 2` attempt also holds `ffc_core::chain_ruled_out` — the
 //! necessary condition the lean planner refuses chains by before it
 //! builds an LP — to the full formulation: whatever it rules out, the
-//! full formulation finds infeasible.
+//! full formulation finds infeasible. Every chain it finds, by LP or in
+//! closed form, is also held to `ffc_core::chain_excess` at `kc = 1`:
+//! where that bound admits, the exhaustive one-ingress-stuck check does.
 
 use ffc_core::bounded_msum::constrain_any_m_sum_le;
 use ffc_core::{
-    chain_ruled_out, max_transition_violation, plan_update, solve_ffc_with_faults, solve_te,
-    FfcConfig, TeConfig, TeProblem, UpdateConfig, UpdatePlan, UpdateStats,
+    build_ffc_model, chain_excess, chain_ruled_out, max_transition_violation, plan_update,
+    solve_ffc_with_faults, solve_te, FfcConfig, TeConfig, TeProblem, UpdateConfig, UpdatePlan,
+    UpdateStats,
 };
-use ffc_lp::{Cmp, LinExpr, LpError, Model, Sense, VarId};
+use ffc_lp::{Cmp, LinExpr, LpError, Model, Sense, SimplexOptions, VarId};
 use ffc_net::prelude::*;
 use ffc_topo::{
     calibrate_scale, gravity_trace, lnet, snet, LNetConfig, SiteNetwork, TrafficConfig,
@@ -284,8 +291,8 @@ impl Case {
 
     /// (ii) `m ≥ 2`: the lean model's verdict is the full model's (when
     /// `oracle` is set) and a lean chain keeps every promise of §5.2.
-    /// Returns the lean verdict.
-    fn check_chain(&self, m: usize, kc: usize, oracle: bool) -> bool {
+    /// Returns what the lean chain cost, or `None` when there is none.
+    fn check_chain(&self, m: usize, kc: usize, oracle: bool) -> Option<UpdateStats> {
         let lean = self.lean(m, kc);
         if oracle {
             let full = self.full(m, kc);
@@ -295,16 +302,18 @@ impl Case {
             );
             assert_eq!(lean.is_ok(), full.is_ok(), "m={m} kc={kc}: verdicts differ");
         }
-        let Ok(plan) = lean else {
-            return false;
-        };
+        let plan = lean.ok()?;
         assert_eq!(plan.num_steps(), m);
         assert_eq!(
             plan.steps.last(),
             Some(&self.to),
             "the chain ends on the target"
         );
-        assert_eq!((plan.stats.lp_solves, plan.stats.bound_refusals), (1, 0));
+        let stats = plan.stats;
+        assert_eq!(
+            (stats.lp_solves + stats.direct_chains, stats.bound_refusals),
+            (1, 0)
+        );
         let viol = max_transition_violation(&self.topo, &self.tunnels, &self.from, &plan);
         assert!(
             viol <= 1e-6,
@@ -320,10 +329,21 @@ impl Case {
                 assert!((sum - rate).abs() <= 1e-6 * (1.0 + rate), "{sum} vs {rate}");
             }
         }
+        // The M-sum bound is sufficient for the exhaustive kc = 1 check,
+        // and every kc = 1 chain meets both.
+        let bounded = chain_excess(&self.topo, &self.tunnels, &self.from, &plan.steps, 1) <= 1e-6;
+        let survives = self.any_one_ingress_stuck_fits(&plan);
+        assert!(
+            !bounded || survives,
+            "m={m} kc={kc}: bound admits, stuck check fails"
+        );
         if kc == 1 {
-            self.check_any_one_ingress_stuck(&plan);
+            assert!(
+                bounded && survives,
+                "m={m}: a kc = 1 chain overloads a link"
+            );
         }
-        true
+        Some(stats)
     }
 
     /// Whether [`chain_ruled_out`] refuses `m` steps.
@@ -334,7 +354,7 @@ impl Case {
     /// The kc = 1 promise, exhaustively: with every tunnel of one ingress
     /// switch stuck at any config `j ≤ i` while everything else is
     /// anywhere inside transition `i`, no link is overloaded.
-    fn check_any_one_ingress_stuck(&self, plan: &UpdatePlan) {
+    fn any_one_ingress_stuck_fits(&self, plan: &UpdatePlan) -> bool {
         let mut chain = vec![&self.from];
         chain.extend(plan.steps.iter());
         let mut ingresses: Vec<NodeId> = self.tunnels.iter_all().map(|(_, _, t)| t.src()).collect();
@@ -355,17 +375,14 @@ impl Case {
                             load[l.index()] += a;
                         }
                     }
-                    for e in self.topo.links() {
-                        let cap = self.topo.capacity(e);
-                        assert!(
-                            load[e.index()] <= cap * (1.0 + 1e-6),
-                            "{stuck:?} stuck at {j} during step {i}: {e} carries {} of {cap}",
-                            load[e.index()]
-                        );
+                    let fits = |e: LinkId| load[e.index()] <= self.topo.capacity(e) * (1.0 + 1e-6);
+                    if !self.topo.links().all(fits) {
+                        return false;
                     }
                 }
             }
         }
+        true
     }
 }
 
@@ -373,14 +390,8 @@ impl Case {
 /// exceeds what it can carry, before and after a correlated surge that
 /// also zeroes some flows: both TE optima saturate links.
 fn saturated_ring(rng: &mut StdRng) -> Case {
-    let nodes = rng.gen_range(4..7usize);
-    let mut topo = Topology::new();
-    let ns = topo.add_nodes(nodes, "n");
-    let caps: Vec<f64> = (0..4).map(|_| rng.gen_range(10.0..30.0)).collect();
-    for i in 0..nodes {
-        topo.add_bidi(ns[i], ns[(i + 1) % nodes], caps[i % 4]);
-    }
-    topo.add_bidi(ns[0], ns[2], caps[3]);
+    let (topo, ns) = ring(rng);
+    let nodes = ns.len();
     let surge = rng.gen_range(0.5..1.6);
     let zero_stride = rng.gen_range(0..4usize);
     let (mut tm_from, mut tm_to) = (TrafficMatrix::new(), TrafficMatrix::new());
@@ -393,13 +404,7 @@ fn saturated_ring(rng: &mut StdRng) -> Case {
         let target = if zeroed { 0.0 } else { demand * surge };
         tm_to.add_flow(ns[s], ns[d], target, Priority::High);
     }
-    let layout = LayoutConfig {
-        tunnels_per_flow: 3,
-        p: 2,
-        q: 3,
-        reuse_penalty: 0.5,
-    };
-    let tunnels = layout_tunnels(&topo, &tm_from, &layout);
+    let tunnels = layout_tunnels(&topo, &tm_from, &RING_LAYOUT);
     let from = solve_te(TeProblem::new(&topo, &tm_from, &tunnels)).expect("from TE");
     let to = solve_te(TeProblem::new(&topo, &tm_to, &tunnels)).expect("to TE");
     Case {
@@ -411,12 +416,67 @@ fn saturated_ring(rng: &mut StdRng) -> Case {
     }
 }
 
+/// The same ring shape under two `ke = 1` FFC optima a ±10 % per-flow
+/// demand drift apart, the second warm-started from the first's basis as
+/// the controller solves them: both endpoints over-allocate, and their
+/// splits mostly overlap — the shape the closed-form chain is built for.
+fn drifting_ring(rng: &mut StdRng) -> Case {
+    let (topo, ns) = ring(rng);
+    let nodes = ns.len();
+    let (mut tm_from, mut tm_to) = (TrafficMatrix::new(), TrafficMatrix::new());
+    for _ in 0..rng.gen_range(2..6usize) {
+        let s = rng.gen_range(0..nodes);
+        let d = (s + rng.gen_range(1..nodes)) % nodes;
+        let demand = rng.gen_range(4.0..24.0);
+        tm_from.add_flow(ns[s], ns[d], demand, Priority::High);
+        let drifted = demand * rng.gen_range(0.9..1.1);
+        tm_to.add_flow(ns[s], ns[d], drifted, Priority::High);
+    }
+    let tunnels = layout_tunnels(&topo, &tm_from, &RING_LAYOUT);
+    let (old, ffc) = (TeConfig::zero(&tunnels), FfcConfig::new(0, 1, 0));
+    let opts = SimplexOptions::default();
+    let solve = |tm: &TrafficMatrix, warm| {
+        let builder = build_ffc_model(TeProblem::new(&topo, tm, &tunnels), &old, &ffc);
+        builder.solve_with(&opts, warm).expect("FFC TE")
+    };
+    let (from, first) = solve(&tm_from, None);
+    let (to, _) = solve(&tm_to, Some(&first.basis));
+    Case {
+        topo,
+        tm: tm_to,
+        tunnels,
+        from,
+        to,
+    }
+}
+
+/// Tunnel layout of the fuzzed rings.
+const RING_LAYOUT: LayoutConfig = LayoutConfig {
+    tunnels_per_flow: 3,
+    p: 2,
+    q: 3,
+    reuse_penalty: 0.5,
+};
+
+/// A ring of 4–6 nodes with one chord, capacities drawn from 10–30.
+fn ring(rng: &mut StdRng) -> (Topology, Vec<NodeId>) {
+    let nodes = rng.gen_range(4..7usize);
+    let mut topo = Topology::new();
+    let ns = topo.add_nodes(nodes, "n");
+    let caps: Vec<f64> = (0..4).map(|_| rng.gen_range(10.0..30.0)).collect();
+    for i in 0..nodes {
+        topo.add_bidi(ns[i], ns[(i + 1) % nodes], caps[i % 4]);
+    }
+    topo.add_bidi(ns[0], ns[2], caps[3]);
+    (topo, ns)
+}
+
 #[test]
 fn fuzzed_saturated_transitions_match_the_oracle() {
     let mut rng = StdRng::seed_from_u64(52);
     // [one step admitted, chain found after a refused step, no chain at all]
     let mut seen = [0usize; 3];
-    let mut refused = 0;
+    let (mut refused, mut solved) = (0, 0);
     for _ in 0..256 {
         let case = saturated_ring(&mut rng);
         let one_step = case.check_one_step();
@@ -424,7 +484,9 @@ fn fuzzed_saturated_transitions_match_the_oracle() {
         for m in 2..=3 {
             refused += case.ruled_out(m) as usize;
             for kc in 0..=1 {
-                chains += case.check_chain(m, kc, true) as usize;
+                let found = case.check_chain(m, kc, true);
+                chains += found.is_some() as usize;
+                solved += found.map_or(0, |s| s.lp_solves);
             }
         }
         let kind = if one_step {
@@ -438,6 +500,23 @@ fn fuzzed_saturated_transitions_match_the_oracle() {
     }
     assert!(seen.iter().all(|&n| n >= 16), "one-sided fuzz: {seen:?}");
     assert!(refused >= 16, "the bound refused {refused} chains");
+    assert!(solved >= 16, "the LP found {solved} chains");
+
+    // Every closed-form chain is one the full formulation admits, and at
+    // kc = 1 survives any one ingress stuck (both inside `check_chain`).
+    let mut rng = StdRng::seed_from_u64(53);
+    let mut direct = 0;
+    for _ in 0..32 {
+        let case = drifting_ring(&mut rng);
+        case.check_one_step();
+        for m in 2..=3 {
+            for kc in 0..=1 {
+                let found = case.check_chain(m, kc, true);
+                direct += found.map_or(0, |s| s.direct_chains);
+            }
+        }
+    }
+    assert!(direct >= 16, "the closed form built {direct} chains");
 }
 
 /// A pinned evaluation instance as `ffc_bench` / the repo's benchmark
@@ -557,10 +636,10 @@ fn pinned_snet_transitions_match_the_oracle() {
     ] {
         let case = base.at_utilisation(u);
         assert_eq!(case.check_one_step(), one, "u={u}");
-        assert_eq!(case.check_chain(2, 0, true), two, "u={u}");
-        assert_eq!(case.check_chain(3, 0, true), three, "u={u}");
+        assert_eq!(case.check_chain(2, 0, true).is_some(), two, "u={u}");
+        assert_eq!(case.check_chain(3, 0, true).is_some(), three, "u={u}");
         // Lean chain only; the ignored test below holds it to the oracle.
-        assert_eq!(case.check_chain(2, 1, false), two_ffc, "u={u}");
+        assert_eq!(case.check_chain(2, 1, false).is_some(), two_ffc, "u={u}");
     }
 }
 
@@ -574,7 +653,7 @@ fn pinned_snet_storm_transition_is_refused_by_the_bound() {
     assert!(!case.check_one_step());
     for m in 2..=3 {
         assert!(case.ruled_out(m), "m={m}");
-        assert!(!case.check_chain(m, 0, true), "m={m}");
+        assert!(case.check_chain(m, 0, true).is_none(), "m={m}");
     }
 }
 
@@ -589,8 +668,8 @@ fn pinned_lnet_transitions_match_the_oracle() {
     ] {
         let case = base.at_utilisation(u);
         assert_eq!(case.check_one_step(), one, "u={u}");
-        assert_eq!(case.check_chain(2, 0, true), two, "u={u}");
-        assert_eq!(case.check_chain(3, 0, true), three, "u={u}");
+        assert_eq!(case.check_chain(2, 0, true).is_some(), two, "u={u}");
+        assert_eq!(case.check_chain(3, 0, true).is_some(), three, "u={u}");
     }
 }
 
@@ -605,15 +684,16 @@ fn pinned_ffc_chains_match_the_oracle() {
     let snet = snet_pinned();
     for (u, m, verdict) in [(0.85, 2, true), (0.90, 2, false), (0.85, 3, true)] {
         let found = snet.at_utilisation(u).check_chain(m, 1, true);
-        assert_eq!(found, verdict, "S-Net u={u} m={m}");
+        assert_eq!(found.is_some(), verdict, "S-Net u={u} m={m}");
     }
     let lnet = lnet_pinned();
     for (u, verdict) in [(0.70, true), (0.75, false)] {
         let found = lnet.at_utilisation(u).check_chain(2, 1, true);
-        assert_eq!(found, verdict, "L-Net u={u}");
+        assert_eq!(found.is_some(), verdict, "L-Net u={u}");
     }
     let storm = snet_storm_pinned();
     for m in 2..=3 {
-        assert!(!storm.check_chain(m, 1, true), "S-Net storm m={m}");
+        let found = storm.check_chain(m, 1, true);
+        assert!(found.is_none(), "S-Net storm m={m}");
     }
 }

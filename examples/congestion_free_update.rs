@@ -7,7 +7,7 @@
 //! cargo run --release -p ffc-examples --bin congestion_free_update
 //! ```
 
-use ffc_core::update::{max_transition_violation, plan_update, UpdateConfig};
+use ffc_core::update::{max_transition_violation, plan_update, UpdateConfig, UpdatePlan};
 use ffc_core::TeConfig;
 use ffc_net::prelude::*;
 use ffc_sim::update_exec::{update_time_samples, UpdateExecConfig};
@@ -57,8 +57,8 @@ fn main() {
             Ok(plan) => {
                 let viol = max_transition_violation(&topo, &tunnels, &from, &plan);
                 println!(
-                    "plain plan, {steps} step(s): worst transition overload = {:.1}% {}",
-                    viol * 100.0,
+                    "plain plan, {steps} step(s), {}: worst transition overload = {viol:.3} Gbps {}",
+                    source(&plan),
                     if viol <= 1e-9 {
                         "(congestion-free)"
                     } else {
@@ -77,7 +77,10 @@ fn main() {
     // step (§5.2).
     let plan =
         plan_update(&topo, &tm, &tunnels, &from, &to, &UpdateConfig::ffc(3, 1)).expect("FFC plan");
-    println!("\nFFC plan (kc=1, 3 steps): every config in the chain fits alone:");
+    println!(
+        "\nFFC plan (kc=1, 3 steps, {}): every config in the chain fits alone:",
+        source(&plan)
+    );
     for (i, s) in plan.steps.iter().enumerate() {
         println!("   step {}: alloc = {:?}", i + 1, s.alloc[0]);
     }
@@ -99,5 +102,17 @@ fn main() {
             percentile(&samples, 0.9),
             stalled * 100.0
         );
+    }
+}
+
+/// How the planner found `plan`: a one-step plan and a chain built from
+/// the endpoints' common floor need no LP.
+fn source(plan: &UpdatePlan) -> &'static str {
+    if plan.stats.direct_chains > 0 {
+        "closed form"
+    } else if plan.stats.lp_solves > 0 {
+        "chain LP"
+    } else {
+        "one step"
     }
 }
