@@ -262,7 +262,8 @@ fn solve(mut a: Args) -> Done {
         let s = &sol.stats;
         eprintln!(
             "solver: {} iterations (phase1 {} / phase2 {} / dual {}), {} degenerate, \
-             {} bound flips ({} dual), {} refactorizations, {} full pricing passes, {:.1?}",
+             {} bound flips ({} dual), {} refactorizations, {} full pricing passes, {:.1?} \
+             (factor {:.1?}, ftran {:.1?}, btran {:.1?}, pricing and the rest {:.1?})",
             s.iterations(),
             s.phase1_iterations,
             s.phase2_iterations,
@@ -272,7 +273,12 @@ fn solve(mut a: Args) -> Done {
             s.dual_bound_flips,
             s.refactorizations,
             s.full_pricing_passes,
+            s.solve_time,
+            s.factor_time,
+            s.ftran_time,
+            s.btran_time,
             s.solve_time
+                .saturating_sub(s.factor_time + s.ftran_time + s.btran_time),
         );
     }
     eprintln!(

@@ -54,15 +54,28 @@ impl Basis {
     pub fn factorize(m: usize, columns: &[Vec<(usize, f64)>]) -> Result<Self, Singular> {
         assert_eq!(columns.len(), m);
         let mat = CscMatrix::from_columns(m, columns);
-        let lu = LuFactors::factorize(&mat)?;
-        Ok(Self {
+        Ok(Self::from_lu(LuFactors::factorize(&mat)?))
+    }
+
+    /// A basis over an existing factorization of its matrix, with an
+    /// empty eta file.
+    pub fn from_lu(lu: LuFactors) -> Self {
+        let m = lu.dim();
+        Self {
             m,
             lu,
             etas: Vec::new(),
             scratch: vec![0.0; m],
             sp_scratch: ScatterVec::new(m),
             pairs: Vec::new(),
-        })
+        }
+    }
+
+    /// The factorization of the current basis matrix, when no pivot has
+    /// been recorded since it was computed (after one, the LU factorizes
+    /// an older basis and only the etas bridge the difference).
+    pub fn into_lu(self) -> Option<LuFactors> {
+        self.etas.is_empty().then_some(self.lu)
     }
 
     /// Dimension of the basis.
@@ -331,6 +344,79 @@ mod tests {
         for (i, &d) in dense_y.iter().enumerate() {
             assert!((d - sp_y.get(i)).abs() < 1e-9, "eta btran mismatch at {i}");
         }
+    }
+
+    #[test]
+    fn sparse_solves_through_etas_match_heap_reference_bitwise() {
+        // A 60-row basis with fill, six pivots recorded as etas, then
+        // solves from one entry to dense: the sweeps and the heap order
+        // must agree to the bit, pattern order included, at every step.
+        let m = 60;
+        let mut state = 0x5eed_1234u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
+        };
+        let row = move |x: f64| (x.abs() * m as f64) as usize % m;
+        let cols: Vec<Vec<(usize, f64)>> = (0..m)
+            .map(|j| {
+                let mut col = vec![(j, 4.0 + next().abs())];
+                for _ in 0..2 {
+                    let r = row(next());
+                    if r != j {
+                        col.push((r, next()));
+                    }
+                }
+                col
+            })
+            .collect();
+        let mut sweep = Basis::factorize(m, &cols).unwrap();
+        let mut heap = Basis::factorize(m, &cols).unwrap();
+        heap.lu.use_heap_reference();
+        let bits = |v: &ScatterVec| {
+            v.pattern()
+                .iter()
+                .map(|&i| (i, v.get(i).to_bits()))
+                .collect::<Vec<_>>()
+        };
+        let (mut a, mut b) = (ScatterVec::new(m), ScatterVec::new(m));
+        for step in 0..6 {
+            // Entering column: a few random entries; leaving position:
+            // its largest FTRAN'd entry, so the pivot is sound.
+            let entering: Vec<(usize, f64)> = (0..3).map(|_| (row(next()), 1.0 + next())).collect();
+            sweep.ftran_sparse(&entering, &mut a);
+            heap.ftran_sparse(&entering, &mut b);
+            assert_eq!(bits(&a), bits(&b), "entering ftran, step {step}");
+            let pos = a
+                .pattern()
+                .iter()
+                .copied()
+                .max_by(|&i, &k| a.get(i).abs().total_cmp(&a.get(k).abs()))
+                .unwrap();
+            sweep.push_eta_sparse(pos, &a).unwrap();
+            heap.push_eta_sparse(pos, &b).unwrap();
+            for nnz in [1, 5, m / 2, m] {
+                let rhs: Vec<(usize, f64)> = (0..nnz).map(|_| (row(next()), next())).collect();
+                sweep.ftran_sparse(&rhs, &mut a);
+                heap.ftran_sparse(&rhs, &mut b);
+                assert_eq!(bits(&a), bits(&b), "ftran, step {step}, {nnz} entries");
+                sweep.btran_sparse(&rhs, &mut a);
+                heap.btran_sparse(&rhs, &mut b);
+                assert_eq!(bits(&a), bits(&b), "btran, step {step}, {nnz} entries");
+            }
+        }
+    }
+
+    #[test]
+    fn into_lu_only_without_etas() {
+        let cols = vec![vec![(0, 1.0)], vec![(1, 1.0)]];
+        let basis = Basis::factorize(2, &cols).unwrap();
+        let lu = basis.into_lu().expect("no pivot recorded");
+        let mut basis = Basis::from_lu(lu);
+        basis.push_eta(0, &[2.0, 0.0]).unwrap();
+        assert!(basis.into_lu().is_none(), "the LU no longer factorizes B");
     }
 
     #[test]

@@ -25,7 +25,12 @@
 //! skipping the per-solve lowering entirely. Presolve never runs here
 //! (the standing form must keep its column space, exactly like warm
 //! starts), so a patched solve is bit-identical to rebuilding the same
-//! model and solving it with `presolve: false`.
+//! model and solving it with `presolve: false`. The standing form also
+//! keeps the LU of the basis a solve last left factorized, which the
+//! next solve takes instead of factorizing when it starts from exactly
+//! that basis matrix — bound and rhs patches never touch `B`, and a
+//! coefficient patch on one of its columns drops it — at no change to
+//! any result.
 //!
 //! Correctness contract: after any sequence of patches, the standing
 //! `Model` and `StdForm` are **bit-identical** to what a fresh build
@@ -40,10 +45,11 @@
 // patched coefficient exactly zero), not approximate value tests.
 
 use std::fmt;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::expr::VarId;
 use crate::model::{BasisStatuses, ConId, LpError, Model, Solution};
-use crate::simplex::{self, SimplexOptions};
+use crate::simplex::{self, HeldLu, SimplexOptions};
 use crate::standard::StdForm;
 
 /// Why a coefficient patch was rejected (the standing model is left
@@ -122,11 +128,28 @@ pub enum PatchOp {
 
 /// A standing model plus its lowered standard form, kept in lockstep
 /// under in-place patches. See the [module docs](self).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct IncrementalModel {
     model: Model,
     std: StdForm,
     journal: Vec<PatchOp>,
+    /// `LU(B)` of the basis the last solve left factorized, for the next
+    /// solve to take (moved out for the duration of a solve, so
+    /// [`solve_with`](Self::solve_with) stays `&self`).
+    held: Mutex<Option<HeldLu>>,
+}
+
+/// A clone starts without a held factorization: its first solve
+/// factorizes afresh, with the same result.
+impl Clone for IncrementalModel {
+    fn clone(&self) -> Self {
+        IncrementalModel {
+            model: self.model.clone(),
+            std: self.std.clone(),
+            journal: self.journal.clone(),
+            held: Mutex::new(None),
+        }
+    }
 }
 
 impl IncrementalModel {
@@ -139,6 +162,7 @@ impl IncrementalModel {
             model,
             std,
             journal: Vec::new(),
+            held: Mutex::new(None),
         })
     }
 
@@ -230,14 +254,27 @@ impl IncrementalModel {
 
     /// Solves the standing form, cold or from a warm-start basis:
     /// [`Model::solve_with`] on the standing model with presolve off,
-    /// minus the lowering.
+    /// minus the lowering — and, when the start basis is exactly the
+    /// one the previous solve left factorized, minus its factorization
+    /// ([`SolveStats::factor_reused`](crate::SolveStats::factor_reused)).
+    /// The result is bit-identical either way.
     pub fn solve_with(
         &self,
         opts: &SimplexOptions,
         warm: Option<&BasisStatuses>,
     ) -> Result<Solution, LpError> {
         self.model.validate()?;
-        simplex::solve(&self.std, opts, warm)
+        let mut held = self.held().take();
+        let result = simplex::solve(&self.std, opts, warm, &mut held);
+        *self.held() = held;
+        result
+    }
+
+    /// The held factorization slot. The lock is only taken to move the
+    /// slot out or back in, never across a solve (a solve that panics
+    /// just loses it), so a poisoned lock cannot hold a torn value.
+    fn held(&self) -> MutexGuard<'_, Option<HeldLu>> {
+        self.held.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn apply_rhs(&mut self, con: ConId, rhs: f64) {
@@ -275,6 +312,13 @@ impl IncrementalModel {
         };
         let old = expr.terms[pos].1;
         expr.terms[pos].1 = coeff;
+        if old != coeff {
+            // The held LU factorizes B's old coefficients.
+            let held = self.held.get_mut().unwrap_or_else(PoisonError::into_inner);
+            if held.as_ref().is_some_and(|h| h.uses_column(var.index())) {
+                *held = None;
+            }
+        }
         let patched = self.std.a.set_entry(con.index(), var.index(), coeff);
         debug_assert!(
             patched,
@@ -337,7 +381,8 @@ pub fn diff_models(a: &Model, b: &Model) -> Option<String> {
 mod tests {
     use super::*;
     use crate::expr::LinExpr;
-    use crate::model::{Cmp, Sense};
+    use crate::model::{Cmp, Sense, SolveStats};
+    use std::time::Duration;
 
     /// The classic 2-variable LP: max 3x + 5y, x ≤ xcap, 2y ≤ 12,
     /// wx·x + 2y ≤ 18.
@@ -467,6 +512,107 @@ mod tests {
         let (mut b, ..) = build(4.0, 3.0);
         b.set_objective(LinExpr::from(VarId::from_index(0)), Sense::Minimize);
         assert!(diff_models(&a, &b).unwrap().contains("objective"));
+    }
+
+    /// Two solves agree to the bit: objective, values, duals, basis and
+    /// every counter. Only the time splits and `factor_reused` may differ.
+    fn assert_bit_identical(a: &Solution, b: &Solution) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(a.objective.to_bits(), b.objective.to_bits());
+        assert_eq!(bits(&a.values), bits(&b.values));
+        assert_eq!(bits(&a.duals), bits(&b.duals));
+        assert_eq!(a.basis, b.basis);
+        let untimed = |s: &SolveStats| SolveStats {
+            factor_reused: false,
+            solve_time: Duration::ZERO,
+            factor_time: Duration::ZERO,
+            ftran_time: Duration::ZERO,
+            btran_time: Duration::ZERO,
+            ..*s
+        };
+        assert_eq!(untimed(&a.stats), untimed(&b.stats));
+    }
+
+    /// A standing model whose last solve left `LU(B)` of its optimal
+    /// basis held: a cold solve, then a zero-iteration re-solve from
+    /// its basis. Returns that basis.
+    fn primed(inc: &IncrementalModel) -> BasisStatuses {
+        let opts = SimplexOptions::default();
+        let cold = inc.solve_with(&opts, None).unwrap();
+        let again = inc.solve_with(&opts, Some(&cold.basis)).unwrap();
+        assert_eq!(again.iterations, 0);
+        assert!(again.stats.hint_used && !again.stats.factor_reused);
+        again.basis
+    }
+
+    #[test]
+    fn bound_patch_resolve_reuses_the_held_factorization() {
+        let (base, x, _y, _c0, _c2) = build(4.0, 3.0);
+        let mut inc = IncrementalModel::new(base).unwrap();
+        let hint = primed(&inc);
+        // x is basic at 2 in the optimum; capping it at 1.5 leaves B
+        // untouched but primal infeasible, so the re-solve pivots.
+        inc.set_var_bounds(x, 0.0, 1.5);
+        let opts = SimplexOptions::default();
+        let reused = inc.solve_with(&opts, Some(&hint)).unwrap();
+        assert!(reused.stats.factor_reused);
+        assert!(reused.stats.dual_iterations > 0);
+        let (mut fresh, ..) = build(4.0, 3.0);
+        fresh.set_bounds(x, 0.0, 1.5);
+        let fresh = IncrementalModel::new(fresh).unwrap();
+        let cold_slot = fresh.solve_with(&opts, Some(&hint)).unwrap();
+        assert!(!cold_slot.stats.factor_reused);
+        assert_bit_identical(&reused, &cold_slot);
+    }
+
+    #[test]
+    fn coefficient_patch_on_a_basic_column_drops_the_held_factorization() {
+        let (base, x, _y, _c0, c2) = build(4.0, 3.0);
+        let mut inc = IncrementalModel::new(base).unwrap();
+        let hint = primed(&inc);
+        inc.set_coeff(c2, x, 2.5).unwrap();
+        let opts = SimplexOptions::default();
+        let patched = inc.solve_with(&opts, Some(&hint)).unwrap();
+        assert!(!patched.stats.factor_reused, "B's column x changed");
+        let (fresh, ..) = build(4.0, 2.5);
+        let fresh = IncrementalModel::new(fresh)
+            .unwrap()
+            .solve_with(&opts, Some(&hint));
+        assert_bit_identical(&patched, &fresh.unwrap());
+    }
+
+    #[test]
+    fn revert_across_a_coefficient_patch_drops_the_held_factorization() {
+        let (base, x, _y, _c0, c2) = build(4.0, 3.0);
+        let mut inc = IncrementalModel::new(base).unwrap();
+        let mark = inc.mark();
+        inc.set_coeff(c2, x, 2.5).unwrap();
+        // Held now: LU(B) with x's coefficient 2.5 in row c2.
+        let hint = primed(&inc);
+        inc.revert_to(mark);
+        let opts = SimplexOptions::default();
+        let reverted = inc.solve_with(&opts, Some(&hint)).unwrap();
+        assert!(
+            !reverted.stats.factor_reused,
+            "the revert changed B's column x"
+        );
+        let (fresh, ..) = build(4.0, 3.0);
+        let fresh = IncrementalModel::new(fresh)
+            .unwrap()
+            .solve_with(&opts, Some(&hint));
+        assert_bit_identical(&reverted, &fresh.unwrap());
+    }
+
+    #[test]
+    fn a_clone_starts_without_the_held_factorization() {
+        let (base, ..) = build(4.0, 3.0);
+        let inc = IncrementalModel::new(base).unwrap();
+        let hint = primed(&inc);
+        let opts = SimplexOptions::default();
+        let copy = inc.clone().solve_with(&opts, Some(&hint)).unwrap();
+        let own = inc.solve_with(&opts, Some(&hint)).unwrap();
+        assert!(own.stats.factor_reused && !copy.stats.factor_reused);
+        assert_bit_identical(&own, &copy);
     }
 
     #[test]

@@ -18,13 +18,12 @@
 // not approximate value checks.
 
 use crate::sparse::{CscMatrix, ScatterVec};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Error raised when the basis matrix is (numerically) singular.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Singular {
-    /// Column at which no acceptable pivot was found.
+    /// Input column (basis position) for which no acceptable pivot was
+    /// found.
     pub column: usize,
 }
 
@@ -60,9 +59,10 @@ pub struct LuFactors {
     aux: Option<SparseAux>,
     /// Scratch workspace for the sparse solves (permuted coordinates).
     tmp_sp: ScatterVec,
-    /// Reusable heaps ordering the sparse triangular eliminations.
-    heap_asc: BinaryHeap<Reverse<usize>>,
-    heap_desc: BinaryHeap<usize>,
+    /// Routes the sparse solves through the heap-ordered reference the
+    /// sweeps must match bit for bit.
+    #[cfg(test)]
+    heap_reference: bool,
 }
 
 /// Row-access views and inverse permutations needed by
@@ -198,7 +198,7 @@ impl LuFactors {
                 }
             }
             if best <= PIVOT_TOL {
-                return Err(Singular { column: k });
+                return Err(Singular { column: bk });
             }
             let mut ipiv = NONE;
             let mut best_count = usize::MAX;
@@ -252,8 +252,8 @@ impl LuFactors {
             tmp: vec![0.0; m],
             aux: None,
             tmp_sp: ScatterVec::new(m),
-            heap_asc: BinaryHeap::new(),
-            heap_desc: BinaryHeap::new(),
+            #[cfg(test)]
+            heap_reference: false,
         })
     }
 
@@ -334,13 +334,17 @@ impl LuFactors {
     /// pairs in original row coordinates, writing the (sparse) result
     /// into `out` indexed by basis position.
     ///
-    /// The triangular solves touch only the reachable pattern: indices
-    /// are processed in elimination order via a heap, so the cost scales
-    /// with the solution's nonzeros rather than with `m`. Entering
+    /// Each triangular solve is a `sweep` over the positions between
+    /// the lowest and highest one touched, so no `O(m)` pass over the
+    /// whole factor is paid when the result stays local. Entering
     /// simplex columns have a handful of nonzeros, making this far
     /// cheaper than the dense [`LuFactors::ftran`] on large bases.
     pub fn ftran_sparse(&mut self, rhs: &[(usize, f64)], out: &mut ScatterVec) {
         debug_assert_eq!(out.len(), self.m);
+        #[cfg(test)]
+        if self.heap_reference {
+            return self.ftran_sparse_heap(rhs, out);
+        }
         let t = &mut self.tmp_sp;
         t.clear();
         for &(i, v) in rhs {
@@ -349,49 +353,10 @@ impl LuFactors {
             }
         }
         // Forward solve L z = P v, ascending (fill lands at rows > j).
-        self.heap_asc.clear();
-        for &k in t.pattern() {
-            self.heap_asc.push(Reverse(k));
-        }
-        while let Some(Reverse(j)) = self.heap_asc.pop() {
-            while self.heap_asc.peek() == Some(&Reverse(j)) {
-                self.heap_asc.pop();
-            }
-            let xj = t.get(j);
-            if xj == 0.0 {
-                continue;
-            }
-            for (r, val) in self.l.col(j) {
-                let fresh = !t.contains(r);
-                t.add(r, -val * xj);
-                if fresh {
-                    self.heap_asc.push(Reverse(r));
-                }
-            }
-        }
+        sweep(t, &self.l, Order::Ascending, |_, x| x);
         // Back solve U x = z, descending (fill lands at rows < j).
-        self.heap_desc.clear();
-        for &k in t.pattern() {
-            self.heap_desc.push(k);
-        }
-        while let Some(j) = self.heap_desc.pop() {
-            while self.heap_desc.peek() == Some(&j) {
-                self.heap_desc.pop();
-            }
-            let tj = t.get(j);
-            if tj == 0.0 {
-                continue;
-            }
-            let xj = tj / self.u_diag[j];
-            t.set(j, xj);
-            for (r, val) in self.u.col(j) {
-                let fresh = !t.contains(r);
-                t.add(r, -val * xj);
-                if fresh {
-                    self.heap_desc.push(r);
-                }
-            }
-        }
+        let u_diag = &self.u_diag;
+        sweep(t, &self.u, Order::Descending, |j, x| x / u_diag[j]);
         // Undo the column preorder: out[q[k]] = t[k].
         out.clear();
         for &k in t.pattern() {
@@ -411,6 +376,10 @@ impl LuFactors {
     /// (an `O(nnz)` pass, negligible next to the factorization itself).
     pub fn btran_sparse(&mut self, rhs: &[(usize, f64)], out: &mut ScatterVec) {
         debug_assert_eq!(out.len(), self.m);
+        #[cfg(test)]
+        if self.heap_reference {
+            return self.btran_sparse_heap(rhs, out);
+        }
         self.ensure_aux();
         let Some(aux) = self.aux.as_ref() else {
             out.clear();
@@ -425,50 +394,11 @@ impl LuFactors {
         }
         // Solve Uᵀ z = c', ascending: Uᵀ is lower triangular and
         // ut.col(j) holds row j of U (the entries U[j, r], r > j).
-        self.heap_asc.clear();
-        for &k in t.pattern() {
-            self.heap_asc.push(Reverse(k));
-        }
-        while let Some(Reverse(j)) = self.heap_asc.pop() {
-            while self.heap_asc.peek() == Some(&Reverse(j)) {
-                self.heap_asc.pop();
-            }
-            let tj = t.get(j);
-            if tj == 0.0 {
-                continue;
-            }
-            let zj = tj / self.u_diag[j];
-            t.set(j, zj);
-            for (r, val) in aux.ut.col(j) {
-                let fresh = !t.contains(r);
-                t.add(r, -val * zj);
-                if fresh {
-                    self.heap_asc.push(Reverse(r));
-                }
-            }
-        }
+        let u_diag = &self.u_diag;
+        sweep(t, &aux.ut, Order::Ascending, |j, x| x / u_diag[j]);
         // Solve Lᵀ y' = z, descending: Lᵀ is unit upper triangular and
         // lt.col(j) holds row j of L (the entries L[j, r], r < j).
-        self.heap_desc.clear();
-        for &k in t.pattern() {
-            self.heap_desc.push(k);
-        }
-        while let Some(j) = self.heap_desc.pop() {
-            while self.heap_desc.peek() == Some(&j) {
-                self.heap_desc.pop();
-            }
-            let yj = t.get(j);
-            if yj == 0.0 {
-                continue;
-            }
-            for (r, val) in aux.lt.col(j) {
-                let fresh = !t.contains(r);
-                t.add(r, -val * yj);
-                if fresh {
-                    self.heap_desc.push(r);
-                }
-            }
-        }
+        sweep(t, &aux.lt, Order::Descending, |_, x| x);
         // y = Pᵀ y': out[rowof[k]] = y'[k].
         out.clear();
         for &k in t.pattern() {
@@ -499,6 +429,167 @@ impl LuFactors {
             qinv,
             rowof,
         });
+    }
+}
+
+/// Direction of a [`sweep`].
+#[derive(Clone, Copy)]
+enum Order {
+    /// Lowest touched position first; fill lands above the position
+    /// being eliminated (`L`, `Uᵀ`).
+    Ascending,
+    /// Highest touched position first; fill lands below (`U`, `Lᵀ`).
+    Descending,
+}
+
+/// One sparse triangular solve in place on `t`: every touched position
+/// `j` with a nonzero value, in `order`, becomes `x_j = divide(j, t_j)`
+/// (by the diagonal entry, or by nothing for a unit diagonal)
+/// and subtracts `x_j · cols.col(j)` from the positions it reaches.
+///
+/// The sweep walks the positions between the lowest and the highest one
+/// touched so far (the far end moves as fill lands beyond it) and skips
+/// untouched and zero entries. Triangularity puts all fill ahead of the
+/// sweep, so each position is final when reached and is visited once:
+/// the same positions, in the same order, with the same additions as a
+/// heap popping the touched positions one by one — and fill joins `t`'s
+/// pattern in the same first-touch order, which the eta file and every
+/// later solve inherit. Only the ordering cost differs: one pass over
+/// the touched range instead of a `log` per touched entry, which is the
+/// cheaper of the two once results stop being hypersparse (Hall and
+/// McKinnon, "Hyper-sparsity in the revised simplex method", 2005).
+fn sweep(t: &mut ScatterVec, cols: &CscMatrix, order: Order, divide: impl Fn(usize, f64) -> f64) {
+    let Some(&first) = t.pattern().first() else {
+        return;
+    };
+    let (mut lo, mut hi) = t
+        .pattern()
+        .iter()
+        .fold((first, first), |(lo, hi), &k| (lo.min(k), hi.max(k)));
+    let mut eliminate = |j: usize, lo: &mut usize, hi: &mut usize| {
+        // Untouched positions read as zero.
+        let tj = t.get(j);
+        if tj == 0.0 {
+            return;
+        }
+        let xj = divide(j, tj);
+        t.set(j, xj);
+        for (r, val) in cols.col(j) {
+            t.add(r, -val * xj);
+            *lo = (*lo).min(r);
+            *hi = (*hi).max(r);
+        }
+    };
+    match order {
+        Order::Ascending => {
+            let mut j = lo;
+            while j <= hi {
+                eliminate(j, &mut lo, &mut hi);
+                j += 1;
+            }
+        }
+        Order::Descending => {
+            let mut j = hi + 1;
+            while j > lo {
+                j -= 1;
+                eliminate(j, &mut lo, &mut hi);
+            }
+        }
+    }
+}
+
+/// The heap-ordered sparse solves the sweeps replaced, kept as the
+/// bit-identity oracle: a min-heap (`L`, `Uᵀ`) or max-heap (`U`, `Lᵀ`)
+/// pops each touched position once, in elimination order.
+#[cfg(test)]
+impl LuFactors {
+    /// Makes the sparse solves of this factorization run the heap
+    /// reference, so a [`crate::basis::Basis`] over it can be compared
+    /// with one over the sweeps.
+    pub(crate) fn use_heap_reference(&mut self) {
+        self.heap_reference = true;
+    }
+
+    fn ftran_sparse_heap(&mut self, rhs: &[(usize, f64)], out: &mut ScatterVec) {
+        let t = &mut self.tmp_sp;
+        t.clear();
+        for &(i, v) in rhs {
+            if v != 0.0 {
+                t.add(self.pinv[i], v);
+            }
+        }
+        heap_solve(t, &self.l, Order::Ascending, |_, x| x);
+        let u_diag = &self.u_diag;
+        heap_solve(t, &self.u, Order::Descending, |j, x| x / u_diag[j]);
+        out.clear();
+        for &k in t.pattern() {
+            let v = t.get(k);
+            if v != 0.0 {
+                out.set(self.q[k], v);
+            }
+        }
+    }
+
+    fn btran_sparse_heap(&mut self, rhs: &[(usize, f64)], out: &mut ScatterVec) {
+        self.ensure_aux();
+        let Some(aux) = self.aux.as_ref() else {
+            out.clear();
+            return;
+        };
+        let t = &mut self.tmp_sp;
+        t.clear();
+        for &(j, v) in rhs {
+            if v != 0.0 {
+                t.add(aux.qinv[j], v);
+            }
+        }
+        let u_diag = &self.u_diag;
+        heap_solve(t, &aux.ut, Order::Ascending, |j, x| x / u_diag[j]);
+        heap_solve(t, &aux.lt, Order::Descending, |_, x| x);
+        out.clear();
+        for &k in t.pattern() {
+            let v = t.get(k);
+            if v != 0.0 {
+                out.set(aux.rowof[k], v);
+            }
+        }
+    }
+}
+
+/// [`sweep`]'s reference: the touched positions ordered by a heap.
+#[cfg(test)]
+fn heap_solve(
+    t: &mut ScatterVec,
+    cols: &CscMatrix,
+    order: Order,
+    divide: impl Fn(usize, f64) -> f64,
+) {
+    use std::collections::BinaryHeap;
+    // Keys are ordered so that the heap's maximum is the next position
+    // to eliminate.
+    let key = |j: usize| match order {
+        Order::Ascending => usize::MAX - j,
+        Order::Descending => j,
+    };
+    let mut heap: BinaryHeap<usize> = t.pattern().iter().map(|&k| key(k)).collect();
+    while let Some(top) = heap.pop() {
+        while heap.peek() == Some(&top) {
+            heap.pop();
+        }
+        let j = key(top);
+        let tj = t.get(j);
+        if tj == 0.0 {
+            continue;
+        }
+        let xj = divide(j, tj);
+        t.set(j, xj);
+        for (r, val) in cols.col(j) {
+            let fresh = !t.contains(r);
+            t.add(r, -val * xj);
+            if fresh {
+                heap.push(key(r));
+            }
+        }
     }
 }
 
@@ -598,15 +689,58 @@ mod tests {
     fn structurally_singular_detected() {
         let a: &[&[f64]] = &[&[1.0, 0.0], &[0.0, 0.0]];
         let b = dense_to_csc(a);
-        // (The reported column index is in preordered space; only the
-        // fact of singularity is contractual.)
-        assert!(LuFactors::factorize(&b).is_err());
+        // The empty column 1 is eliminated first (sparsest-first
+        // preorder); the error still names it by its position.
+        assert_eq!(
+            LuFactors::factorize(&b).unwrap_err(),
+            Singular { column: 1 }
+        );
+    }
+
+    #[test]
+    fn singular_column_is_the_basis_position() {
+        // Column 2 = 2 · column 1. The preorder eliminates the two
+        // singletons first (1 at step 0, 2 at step 1) and the dense
+        // column 0 last, so the step that finds no pivot, 1, is not the
+        // position of the dependent column, 2.
+        let a: &[&[f64]] = &[&[1.0, 1.0, 2.0], &[1.0, 0.0, 0.0], &[1.0, 0.0, 0.0]];
+        let b = dense_to_csc(a);
+        assert_eq!(
+            LuFactors::factorize(&b).unwrap_err(),
+            Singular { column: 2 }
+        );
+    }
+
+    /// The sweeps against the heap-ordered reference on one RHS, used
+    /// as an FTRAN and as a BTRAN right-hand side: every value equal to
+    /// the bit, and the result and workspace patterns in the same order.
+    fn assert_sweeps_match_heap(lu: &LuFactors, rhs: &[(usize, f64)]) {
+        let m = lu.dim();
+        let mut sweep = lu.clone();
+        let mut heap = lu.clone();
+        heap.use_heap_reference();
+        let bits = |v: &ScatterVec| {
+            v.pattern()
+                .iter()
+                .map(|&i| (i, v.get(i).to_bits()))
+                .collect::<Vec<_>>()
+        };
+        let (mut a, mut b) = (ScatterVec::new(m), ScatterVec::new(m));
+        sweep.ftran_sparse(rhs, &mut a);
+        heap.ftran_sparse(rhs, &mut b);
+        assert_eq!(bits(&a), bits(&b), "ftran_sparse, rhs {rhs:?}");
+        assert_eq!(bits(&sweep.tmp_sp), bits(&heap.tmp_sp), "ftran fill order");
+        sweep.btran_sparse(rhs, &mut a);
+        heap.btran_sparse(rhs, &mut b);
+        assert_eq!(bits(&a), bits(&b), "btran_sparse, rhs {rhs:?}");
+        assert_eq!(bits(&sweep.tmp_sp), bits(&heap.tmp_sp), "btran fill order");
     }
 
     fn check_sparse_matches_dense(a: &[&[f64]], rhs: &[(usize, f64)]) {
         let m = a.len();
         let b = dense_to_csc(a);
         let mut lu = LuFactors::factorize(&b).expect("nonsingular");
+        assert_sweeps_match_heap(&lu, rhs);
         let mut dense_in = vec![0.0; m];
         for &(i, v) in rhs {
             dense_in[i] += v;
@@ -687,6 +821,33 @@ mod tests {
             if i1 != i2 {
                 check_sparse_matches_dense(&refs, &[(i1, next() * 3.0), (i2, next() * 3.0)]);
             }
+        }
+        // Sparse bases up to a few hundred rows with fill in both
+        // factors, each solved for right-hand sides from one entry to
+        // dense: the sweeps must reproduce the heap order exactly.
+        for (trial, m) in [12usize, 40, 97, 180, 320].into_iter().enumerate() {
+            let cols: Vec<Vec<(usize, f64)>> = (0..m)
+                .map(|j| {
+                    // Column-diagonally dominant, hence nonsingular.
+                    let mut col = vec![(j, 5.0 + next().abs())];
+                    for _ in 0..1 + trial % 3 {
+                        let r = (next().abs() * m as f64) as usize % m;
+                        if r != j {
+                            col.push((r, next()));
+                        }
+                    }
+                    col
+                })
+                .collect();
+            let lu = LuFactors::factorize(&CscMatrix::from_columns(m, &cols)).expect("nonsingular");
+            for nnz in [1, 2, m / 8, m / 2, m] {
+                let rhs: Vec<(usize, f64)> = (0..nnz)
+                    .map(|_| ((next().abs() * m as f64) as usize % m, next() * 3.0))
+                    .collect();
+                assert_sweeps_match_heap(&lu, &rhs);
+            }
+            let dense: Vec<(usize, f64)> = (0..m).map(|i| (i, next())).collect();
+            assert_sweeps_match_heap(&lu, &dense);
         }
     }
 

@@ -226,14 +226,33 @@ pub struct SolveStats {
     /// ratio-test flips plus the flips that restore dual feasibility of
     /// a warm basis. Also counted in `bound_flips`.
     pub dual_bound_flips: usize,
-    /// Basis refactorizations (including the initial one per phase).
+    /// Basis refactorizations inside the pivot loops: the periodic and
+    /// recovery ones, and the one each primal start pays on its first
+    /// iteration (the start's factors are dropped once artificials may
+    /// have been patched in). The factorization of the start basis
+    /// itself — crash or loaded hint, fresh or reused — is not counted.
     pub refactorizations: usize,
+    /// Whether the start basis was not factorized at all: its LU was the
+    /// one an earlier solve of the same standing form left behind (see
+    /// [`crate::IncrementalModel::solve_with`]). Diagnostic only; a
+    /// reused factorization is bit-identical to a fresh one.
+    pub factor_reused: bool,
     /// Full passes over all columns during pricing. With partial
     /// pricing this is much smaller than the iteration count; for full
     /// pricing rules it equals iterations + optimality checks.
     pub full_pricing_passes: usize,
     /// Wall-clock time of the solve (both phases, excluding presolve).
     pub solve_time: std::time::Duration,
+    /// The part of `solve_time` spent factorizing basis matrices (start
+    /// and refactorizations, gathering their columns included).
+    pub factor_time: std::time::Duration,
+    /// The part of `solve_time` spent in FTRAN (`B·w = v`, dense and
+    /// sparse, eta file included).
+    pub ftran_time: std::time::Duration,
+    /// The part of `solve_time` spent in BTRAN (`Bᵀ·y = c`, dense and
+    /// sparse, eta file included). Pricing, ratio tests and bookkeeping
+    /// are the remainder of `solve_time`.
+    pub btran_time: std::time::Duration,
     /// Whether the supplied warm basis seeded the start (dual or primal
     /// path). `false` for a solve without a hint, and for one whose hint
     /// did not fit — wrong shape, singular, or beyond repair — so that
@@ -508,7 +527,8 @@ impl Model {
         warm: Option<&BasisStatuses>,
     ) -> Result<Solution, LpError> {
         self.validate()?;
-        let run = |m: &Model| simplex::solve(&StdForm::from_model(m), opts, warm);
+        // A fresh lowering per call: nothing to hold a factorization for.
+        let run = |m: &Model| simplex::solve(&StdForm::from_model(m), opts, warm, &mut None);
         if warm.is_some() || !opts.presolve {
             return run(self);
         }

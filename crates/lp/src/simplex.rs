@@ -19,12 +19,19 @@
 //!   per-iteration solves (entering column FTRAN, devex pivot-row BTRAN)
 //!   use the sparse-RHS paths; only the per-refactorization value
 //!   recomputation and the cost-vector BTRAN stay dense.
+//! * **Held factorization**: a solve that ends with no pivot since its
+//!   last factorization hands `LU(B)` back as a `HeldLu`; a later
+//!   solve of the same standing form whose start basis is exactly that
+//!   column list skips the factorization (see `solve`).
 
 // audit:allow-file(float-eq): exact-zero comparisons here are
 // structural sparsity guards (skip entries that are identically zero),
 // not approximate value checks.
 
+use std::time::{Duration, Instant};
+
 use crate::basis::Basis;
+use crate::lu::{LuFactors, Singular};
 use crate::model::{BasisStatuses, ColStatus, LimitKind, LpError, Solution, SolveStats};
 use crate::pricing::{Pricer, Pricing};
 use crate::sparse::ScatterVec;
@@ -122,6 +129,26 @@ impl Default for SimplexOptions {
     }
 }
 
+/// `LU(B)` of one basis matrix `B`, kept between solves of one standing
+/// form: the factorization together with `B`'s column list, in basis
+/// position order. `LU(B)` is a pure function of that list (and of the
+/// columns' coefficients), so a later start basis with exactly the same
+/// list may take it instead of factorizing — the result is the one a
+/// fresh factorization would give, bit for bit. The owner must drop it
+/// when a coefficient of one of its columns changes.
+#[derive(Debug)]
+pub(crate) struct HeldLu {
+    columns: Vec<usize>,
+    lu: LuFactors,
+}
+
+impl HeldLu {
+    /// Whether column `j` of the standard form is one of `B`'s.
+    pub(crate) fn uses_column(&self, j: usize) -> bool {
+        self.columns.contains(&j)
+    }
+}
+
 /// Status of a column in the current basis partition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum VStat {
@@ -150,6 +177,10 @@ struct Engine<'a> {
     /// Value of every column (basic and nonbasic).
     xval: Vec<f64>,
     factors: Option<Basis>,
+    /// A factorization handed in by the caller, until the first
+    /// factorization of the solve either takes it (same column list) or
+    /// drops it.
+    held: Option<HeldLu>,
     iterations: usize,
     /// Whether Bland's anti-cycling rule is currently active.
     bland: bool,
@@ -169,7 +200,7 @@ struct Engine<'a> {
     /// Performance counters reported on the solution.
     stats: SolveStats,
     /// Solve start, used to stamp `solve_time` on budget overruns.
-    start: std::time::Instant,
+    start: Instant,
     // Scratch buffers.
     w: Vec<f64>,
     y: Vec<f64>,
@@ -228,7 +259,7 @@ impl<'a> Engine<'a> {
         }
         let m = std.m;
         let pricing = opts.pricing;
-        let start = std::time::Instant::now();
+        let start = Instant::now();
         let mut eng = Engine {
             std,
             opts,
@@ -240,6 +271,7 @@ impl<'a> Engine<'a> {
             basis: Vec::with_capacity(m),
             xval: Vec::with_capacity(std.n),
             factors: None,
+            held: None,
             iterations: 0,
             bland: false,
             degen_run: 0,
@@ -666,7 +698,9 @@ impl<'a> Engine<'a> {
                     self.reset_state();
                     return false;
                 };
-                factors.btran_sparse(&[(pos, 1.0)], &mut self.rho_sp);
+                timed(&mut self.stats.btran_time, || {
+                    factors.btran_sparse(&[(pos, 1.0)], &mut self.rho_sp)
+                });
                 let mut best: Option<(usize, f64)> = None;
                 for &r in self.rho_sp.pattern() {
                     let s = std.n_struct + r;
@@ -689,7 +723,9 @@ impl<'a> Engine<'a> {
                     self.reset_state();
                     return false;
                 };
-                factors.ftran_sparse(&self.col_buf, &mut self.w_sp);
+                timed(&mut self.stats.ftran_time, || {
+                    factors.ftran_sparse(&self.col_buf, &mut self.w_sp)
+                });
                 if factors.push_eta_sparse(pos, &self.w_sp).is_err() {
                     self.reset_state();
                     return false;
@@ -705,6 +741,20 @@ impl<'a> Engine<'a> {
         false
     }
 
+    /// The factorization this solve leaves for the next one: `LU(B)` of
+    /// the final basis, when no pivot has been recorded since it was
+    /// computed and `B` has no artificial column (no start basis does).
+    fn into_held(self) -> Option<HeldLu> {
+        if self.basis.iter().any(|&j| self.is_artificial(j)) {
+            return None;
+        }
+        let lu = self.factors?.into_lu()?;
+        Some(HeldLu {
+            columns: self.basis,
+            lu,
+        })
+    }
+
     /// Clears all crash/warm state so another start can be attempted.
     fn reset_state(&mut self) {
         self.stat.clear();
@@ -716,17 +766,38 @@ impl<'a> Engine<'a> {
         self.factors = None;
     }
 
-    /// Factorizes the current basis and fills basic values; used by the
-    /// crash to validate the triangular matching.
-    fn compute_tentative_values(&mut self) -> Result<(), crate::lu::Singular> {
+    /// Factorizes the current basis (`self.basis`). With `reuse`, a held
+    /// factorization of exactly this column list is taken instead; any
+    /// other held factorization is dropped before a fresh one is built,
+    /// so two never coexist.
+    fn factorize_basis(&mut self, reuse: bool) -> Result<Basis, Singular> {
+        let t = Instant::now();
+        let factors = match self.held.take() {
+            Some(held) if reuse && held.columns == self.basis => {
+                self.stats.factor_reused = true;
+                Ok(Basis::from_lu(held.lu))
+            }
+            _ => {
+                let m = self.std.m;
+                let mut cols: Vec<Vec<(usize, f64)>> = Vec::with_capacity(m);
+                for &j in &self.basis {
+                    let mut col = Vec::new();
+                    self.for_col(j, |r, v| col.push((r, v)));
+                    cols.push(col);
+                }
+                Basis::factorize(m, &cols)
+            }
+        };
+        self.stats.factor_time += t.elapsed();
+        factors
+    }
+
+    /// Factorizes the start basis and fills basic values; used by the
+    /// crash to validate the triangular matching and by the hint load.
+    /// The one factorization that may reuse a held one.
+    fn compute_tentative_values(&mut self) -> Result<(), Singular> {
         let m = self.std.m;
-        let mut cols: Vec<Vec<(usize, f64)>> = Vec::with_capacity(m);
-        for &j in &self.basis {
-            let mut col = Vec::new();
-            self.for_col(j, |r, v| col.push((r, v)));
-            cols.push(col);
-        }
-        let mut factors = Basis::factorize(m, &cols)?;
+        let mut factors = self.factorize_basis(true)?;
         self.rhs.copy_from_slice(&self.std.b);
         let (a, arts, n) = (&self.std.a, &self.arts, self.std.n);
         for j in 0..self.ncols() {
@@ -739,7 +810,9 @@ impl<'a> Engine<'a> {
                 col_apply(a, arts, n, j, |r, aij| rhs[r] -= aij * v);
             }
         }
-        factors.ftran(&self.rhs, &mut self.w);
+        timed(&mut self.stats.ftran_time, || {
+            factors.ftran(&self.rhs, &mut self.w)
+        });
         for i in 0..m {
             self.xval[self.basis[i]] = self.w[i];
         }
@@ -750,14 +823,8 @@ impl<'a> Engine<'a> {
     /// (Re)factorizes the basis and recomputes basic values from scratch.
     fn refactorize(&mut self) -> Result<(), LpError> {
         self.stats.refactorizations += 1;
-        let m = self.std.m;
-        let mut cols: Vec<Vec<(usize, f64)>> = Vec::with_capacity(m);
-        for &j in &self.basis {
-            let mut col = Vec::new();
-            self.for_col(j, |r, v| col.push((r, v)));
-            cols.push(col);
-        }
-        let factors = Basis::factorize(m, &cols)
+        let factors = self
+            .factorize_basis(false)
             .map_err(|e| LpError::NumericalFailure(format!("refactorization failed: {e}")))?;
         self.factors = Some(factors);
         self.recompute_basic_values();
@@ -787,7 +854,9 @@ impl<'a> Engine<'a> {
         // audit:allow(no-unwrap): every caller (re)factorizes immediately
         // beforehand; returning silently would leave stale basic values.
         let factors = self.factors.as_mut().expect("factorized");
-        factors.ftran(&rhs, &mut self.w);
+        timed(&mut self.stats.ftran_time, || {
+            factors.ftran(&rhs, &mut self.w)
+        });
         self.rhs = rhs;
         for i in 0..m {
             self.xval[self.basis[i]] = self.w[i];
@@ -822,7 +891,9 @@ impl<'a> Engine<'a> {
                         "internal: basis not factorized".into(),
                     ));
                 };
-                factors.btran(&mut cb, &mut self.y);
+                timed(&mut self.stats.btran_time, || {
+                    factors.btran(&mut cb, &mut self.y)
+                });
                 self.cb = cb;
             }
 
@@ -852,7 +923,9 @@ impl<'a> Engine<'a> {
                         "internal: basis not factorized".into(),
                     ));
                 };
-                factors.ftran_sparse(&self.col_buf, &mut self.w_sp);
+                timed(&mut self.stats.ftran_time, || {
+                    factors.ftran_sparse(&self.col_buf, &mut self.w_sp)
+                });
             }
 
             // Ratio test.
@@ -930,7 +1003,9 @@ impl<'a> Engine<'a> {
                 self.cb = cb;
                 return false;
             };
-            factors.btran(&mut cb, &mut self.y);
+            timed(&mut self.stats.btran_time, || {
+                factors.btran(&mut cb, &mut self.y)
+            });
             self.cb = cb;
         }
         // Mild wrong-sign reduced costs are tolerated: the dual ratio
@@ -1062,7 +1137,9 @@ impl<'a> Engine<'a> {
                         "internal: basis not factorized".into(),
                     ));
                 };
-                factors.btran(&mut cb, &mut self.y);
+                timed(&mut self.stats.btran_time, || {
+                    factors.btran(&mut cb, &mut self.y)
+                });
                 self.cb = cb;
                 y_valid = true;
             }
@@ -1072,7 +1149,9 @@ impl<'a> Engine<'a> {
                         "internal: basis not factorized".into(),
                     ));
                 };
-                factors.btran_sparse(&[(r, 1.0)], &mut self.rho_sp);
+                timed(&mut self.stats.btran_time, || {
+                    factors.btran_sparse(&[(r, 1.0)], &mut self.rho_sp)
+                });
             }
 
             // Entering candidates: nonbasic columns whose pivot-row
@@ -1155,7 +1234,9 @@ impl<'a> Engine<'a> {
                             "internal: basis not factorized".into(),
                         ));
                     };
-                    factors.ftran(&rhs, &mut self.w);
+                    timed(&mut self.stats.ftran_time, || {
+                        factors.ftran(&rhs, &mut self.w)
+                    });
                     self.rhs = rhs;
                 }
                 for i in 0..m {
@@ -1182,7 +1263,9 @@ impl<'a> Engine<'a> {
                         "internal: basis not factorized".into(),
                     ));
                 };
-                factors.ftran_sparse(&self.col_buf, &mut self.w_sp);
+                timed(&mut self.stats.ftran_time, || {
+                    factors.ftran_sparse(&self.col_buf, &mut self.w_sp)
+                });
             }
             let alpha_r = self.w_sp.get(r);
             if alpha_r.abs() <= ptol {
@@ -1314,7 +1397,9 @@ impl<'a> Engine<'a> {
         let Some(factors) = self.factors.as_mut() else {
             return;
         };
-        factors.btran_sparse(&[(pos, 1.0)], &mut self.rho_sp);
+        timed(&mut self.stats.btran_time, || {
+            factors.btran_sparse(&[(pos, 1.0)], &mut self.rho_sp)
+        });
         let mut pricer = std::mem::take(&mut self.pricer);
         pricer.update_weights(q, leaving, alpha_q, |j| {
             if matches!(self.stat[j], VStat::Basic(_)) {
@@ -1608,6 +1693,16 @@ impl<'a> Engine<'a> {
     }
 }
 
+/// Runs `f`, adding its wall time to `acc` — one of the
+/// [`SolveStats`] time splits.
+#[inline]
+fn timed<R>(acc: &mut Duration, f: impl FnOnce() -> R) -> R {
+    let t = Instant::now();
+    let out = f();
+    *acc += t.elapsed();
+    out
+}
+
 /// What the ratio test decided.
 enum Step {
     /// The entering variable travels to its opposite bound first.
@@ -1648,39 +1743,61 @@ pub const DEFAULT_WARM_PERTURB: f64 = 1e-9;
 /// on the rare model where that trade goes wrong the exact solve is the
 /// fallback); then, for a warm solve, once **cold** — a hint whose basis
 /// refactorizes singular must cost a slower solve, never an error.
+///
+/// `held` carries a factorization between solves of one standing form
+/// (callers without one pass `&mut None`). The solve moves it in, and
+/// the first factorization of the start basis takes it when its column
+/// list is exactly the held one, or drops it before factorizing afresh;
+/// no later refactorization looks at it. A successful solve whose last
+/// factorization saw no pivot after it moves `LU(B)` of its final basis
+/// back out — so the re-solve after a zero-iteration solve, from that
+/// solve's basis, factorizes nothing. Every pivot is the one an empty
+/// `held` gives: only [`SolveStats::factor_reused`] and the time splits
+/// can tell the difference.
 pub(crate) fn solve(
     std: &StdForm,
     opts: &SimplexOptions,
     warm: Option<&BasisStatuses>,
+    held: &mut Option<HeldLu>,
 ) -> Result<Solution, LpError> {
     let mut as_given = opts.clone();
     // audit:allow(float-eq): 0.0 is the documented "unset" sentinel.
     if warm.is_some() && as_given.perturb == 0.0 {
         as_given.perturb = DEFAULT_WARM_PERTURB;
     }
-    let mut result = solve_std_once(std, &as_given, warm);
+    let mut result = solve_once(std, &as_given, warm, held);
     if matches!(result, Err(LpError::NumericalFailure(_)))
         && (as_given.perturb > 0.0 || as_given.degen_expand > 0)
     {
         let mut exact = as_given;
         exact.perturb = 0.0;
         exact.degen_expand = 0;
-        result = solve_std_once(std, &exact, warm);
+        result = solve_once(std, &exact, warm, held);
     }
     if warm.is_some() && matches!(result, Err(LpError::NumericalFailure(_))) {
-        return solve(std, opts, None);
+        return solve(std, opts, None, held);
     }
     result
 }
 
-/// One simplex run over a lowered standard form (no retry ladder).
-fn solve_std_once(
+/// One simplex run (no retry ladder), passing the held factorization
+/// in and the one the run leaves back out.
+fn solve_once(
     std: &StdForm,
     opts: &SimplexOptions,
     hint: Option<&BasisStatuses>,
+    held: &mut Option<HeldLu>,
 ) -> Result<Solution, LpError> {
-    let t0 = std::time::Instant::now();
     let mut eng = Engine::new(std, opts);
+    eng.held = held.take();
+    let sol = solve_std_once(&mut eng, hint)?;
+    *held = eng.into_held();
+    Ok(sol)
+}
+
+/// One simplex run over a lowered standard form.
+fn solve_std_once(eng: &mut Engine<'_>, hint: Option<&BasisStatuses>) -> Result<Solution, LpError> {
+    let std = eng.std;
     let cost2 = std.obj.clone();
 
     // Dual attempt: explicitly requested, or `Auto` with a warm hint —
@@ -1692,6 +1809,11 @@ fn solve_std_once(
         Algorithm::Auto => hint.is_some(),
     };
     let mut dual_done = false;
+    // Whether the engine still holds the hint exactly as
+    // `load_hint_basis` left it: a dual start that failed
+    // `dual_feasibilize` (which changes nothing when it fails) hands its
+    // load to the primal repair instead of loading it a second time.
+    let mut hint_loaded = false;
     if try_dual {
         let loaded = match hint {
             Some(h) => eng.load_hint_basis(h),
@@ -1704,6 +1826,8 @@ fn solve_std_once(
                     DualEnd::Feasible => dual_done = true,
                     DualEnd::Infeasible => return Err(LpError::Infeasible),
                 }
+            } else if hint.is_some() {
+                hint_loaded = true;
             } else {
                 eng.reset_state();
             }
@@ -1711,7 +1835,11 @@ fn solve_std_once(
     }
 
     if !dual_done {
-        let warm = hint.map(|h| eng.warm_basis(h)).unwrap_or(false);
+        let warm = if hint_loaded {
+            eng.repair_warm_basis()
+        } else {
+            hint.is_some_and(|h| eng.warm_basis(h))
+        };
         eng.stats.hint_used = warm;
         if !warm {
             eng.crash_basis()?;
@@ -1746,17 +1874,13 @@ fn solve_std_once(
     // On the dual path phase 1 never runs: its iterations (and the
     // primal cleanup below) all count as phase 2.
 
-    finish_solve(eng, std, &cost2, t0)
+    finish_solve(eng, &cost2)
 }
 
 /// Tail of a solve: phase 2 on the real objective, perturbed bound
 /// restoration, stats stamping and the solution report.
-fn finish_solve(
-    mut eng: Engine<'_>,
-    std: &StdForm,
-    cost2: &[f64],
-    t0: std::time::Instant,
-) -> Result<Solution, LpError> {
+fn finish_solve(eng: &mut Engine<'_>, cost2: &[f64]) -> Result<Solution, LpError> {
+    let std = eng.std;
     // Phase 2: optimize the real objective. After the dual loop this is
     // a cleanup pass that certifies optimality — normally 0 iterations.
     eng.expand_armed = true;
@@ -1801,7 +1925,7 @@ fn finish_solve(
     }
     eng.stats.phase2_iterations = eng.iterations - eng.stats.phase1_iterations;
     eng.stats.full_pricing_passes = eng.pricer.full_passes;
-    eng.stats.solve_time = t0.elapsed();
+    eng.stats.solve_time = eng.start.elapsed();
 
     // Report, including the basis for warm-starting future solves.
     let min_val: f64 = (0..std.n).map(|j| std.obj[j] * eng.xval[j]).sum();
