@@ -94,9 +94,9 @@ pub struct FfcLayout {
 }
 
 /// Builds the TE model with both FFC families applied (not yet solved),
-/// for callers that want to add further constraints (fairness bounds,
-/// pinned rates, …). A one-shot build: the §6 mice set is the greedy
-/// one for `problem.tm`.
+/// for callers that want to add further constraints or pin bounds
+/// (fault scenarios, pinned rates, …). A one-shot build: the §6 mice
+/// set is the greedy one for `problem.tm`.
 pub fn build_ffc_model<'a>(
     problem: TeProblem<'a>,
     old: &TeConfig,
@@ -327,7 +327,7 @@ mod tests {
         let problem = TeProblem::new(&topo, &tm, &tt);
         let mut b1 = build_ffc_model(problem, &old, &FfcConfig::new(2, 0, 0));
         for i in 0..2 {
-            b1.model.tighten_bounds(b1.b[i], 7.0, 7.0);
+            b1.model.set_bounds(b1.b[i], 7.0, 7.0);
         }
         assert!(
             b1.solve().is_err(),
@@ -339,7 +339,7 @@ mod tests {
         cfg.unprotected_links = hatch;
         let mut b2 = build_ffc_model(problem, &old, &cfg);
         for i in 0..2 {
-            b2.model.tighten_bounds(b2.b[i], 7.0, 7.0);
+            b2.model.set_bounds(b2.b[i], 7.0, 7.0);
         }
         let fixed = b2.solve().expect("escape hatch restores feasibility");
         assert!((fixed.throughput() - 14.0).abs() < 1e-6);

@@ -2,8 +2,8 @@
 //!
 //! Guarantee: no link is overloaded as long as at most `kc` ingress
 //! switches fail to apply the new configuration and keep splitting
-//! traffic by their *old* weights (rate limiters are assumed updated; see
-//! [`crate::rate_limiter`] for limiter faults).
+//! traffic by their *old* weights (rate limiters are assumed updated;
+//! the paper's §5.5 limiter faults are not modeled).
 //!
 //! For a faulted ingress `v`, the traffic it can put on link `e` is at
 //! most `β_{v,e} = Σ_{f,t} β_{f,t}·L[t,e]·S[t,v]` with

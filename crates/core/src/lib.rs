@@ -17,10 +17,6 @@
 //! | §4.5 combined protection | [`combined`] |
 //! | §5.1 traffic priorities | [`priority`] |
 //! | §5.2 congestion-free updates | [`update`] |
-//! | §5.3 max-min fairness | [`fairness`] |
-//! | §5.4 TE without rate control (MLU) | [`mlu`] |
-//! | §5.5 rate-limiter faults (Eqns 17–18) | [`rate_limiter`] |
-//! | §5.6 uncertain current TE | [`uncertainty`] |
 //! | §4.2/§8.2 enumeration strawman | [`enumerate`] |
 //! | §3.3 capacity-planning use case (extension, ours) | [`capacity_planning`] |
 //!
@@ -61,15 +57,11 @@ pub mod combined;
 pub mod control_ffc;
 pub mod data_ffc;
 pub mod enumerate;
-pub mod fairness;
 pub mod incremental;
-pub mod mlu;
 pub mod priority;
-pub mod rate_limiter;
 pub mod rescale;
 pub mod sorting_network;
 pub mod te;
-pub mod uncertainty;
 pub mod update;
 pub mod verify;
 
@@ -84,16 +76,12 @@ pub use combined::{
 };
 pub use control_ffc::{apply_control_ffc, ControlFfc, ControlFfcLayout};
 pub use data_ffc::{apply_data_ffc, mice_flags, standing_mice, DataFfc, DataFfcLayout};
-pub use fairness::{solve_max_min_ffc, FairnessConfig};
 pub use incremental::{CacheStats, FfcModelCache, RebuildReason, RetargetOutcome};
-pub use mlu::{solve_min_mlu, MluSolution};
 pub use priority::{
     solve_priority_ffc, solve_priority_ffc_with_faults, PriorityFfcConfig, PrioritySolution,
 };
-pub use rate_limiter::{apply_limiter_ffc, LimiterFfc, UpdateOrdering};
 pub use rescale::{rescaled_link_loads, rescaled_link_loads_mixed, RescaledLoads};
 pub use te::{solve_te, TeConfig, TeModelBuilder, TeProblem};
-pub use uncertainty::apply_uncertainty;
 pub use update::{
     chain_excess, chain_ruled_out, max_transition_violation, plan_update, plan_update_auto,
     UpdateConfig, UpdatePlan, UpdateStats,

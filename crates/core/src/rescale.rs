@@ -9,8 +9,8 @@
 //! Control-plane faults are modeled per §4.2: a switch whose
 //! configuration update failed keeps its *old* splitting weights, while
 //! rate limiters (end hosts) are assumed updated — so a stale ingress
-//! sends the *new* rate through the *old* weights. (Stale rate limiters
-//! are modeled separately; see [`crate::rate_limiter`].)
+//! sends the *new* rate through the *old* weights. (Stale rate limiters,
+//! paper §5.5, are not modeled.)
 
 use ffc_net::{FaultScenario, Topology, TrafficMatrix, TunnelTable};
 

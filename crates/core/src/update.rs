@@ -59,7 +59,8 @@ use std::collections::BTreeMap;
 use std::iter::{once, repeat_n};
 use std::slice;
 
-use ffc_lp::{Cmp, LinExpr, LpError, Model, SimplexOptions, VarId};
+use ffc_lp::simplex::FEAS_TOL;
+use ffc_lp::{Cmp, LinExpr, LpError, Model, VarId};
 use ffc_net::{FlowId, Topology, TrafficMatrix, TunnelTable};
 
 use crate::bounded_msum::{constrain_any_m_sum_le, MsumEncoding};
@@ -340,11 +341,11 @@ pub fn plan_update_auto(
 /// `margin_f` is what the simplex lets through when it admits a chain,
 /// so that nothing it would admit is refused: the rate equality may
 /// miss by the phase-1 residual it accepts (`ADMIT_TOL`, summed over
-/// all rows), and every bound or inequality by `feas_tol`. Along the
-/// derivation that is one `feas_tol` for `a¹_t ≤ z¹_t`, one for link
+/// all rows), and every bound or inequality by `FEAS_TOL`. Along the
+/// derivation that is one `FEAS_TOL` for `a¹_t ≤ z¹_t`, one for link
 /// `e`'s row and one per other tunnel on `e` sitting below its `z ≥ a⁰`
-/// bound — `(1 + k_t)·feas_tol` per tunnel, `k_t` the most tunnels on
-/// any link of `t` — so `margin_f = ADMIT_TOL + feas_tol·Σ_t (1 + k_t)`
+/// bound — `(1 + k_t)·FEAS_TOL` per tunnel, `k_t` the most tunnels on
+/// any link of `t` — so `margin_f = ADMIT_TOL + FEAS_TOL·Σ_t (1 + k_t)`
 /// (≤ 8e-6 on S-Net at 4 tunnels per flow, where the refusals of a link
 /// storm fall short by 1.2e-3 and more).
 pub fn chain_ruled_out(
@@ -355,7 +356,6 @@ pub fn chain_ruled_out(
     num_steps: usize,
 ) -> bool {
     assert!(num_steps >= 2, "one step is decided exactly");
-    let feas_tol = SimplexOptions::default().feas_tol;
     // Per link: tunnels crossing it and its slack under either endpoint.
     let mut links: Vec<(usize, [f64; 2])> =
         topo.links().map(|e| (0, [topo.capacity(e); 2])).collect();
@@ -389,7 +389,7 @@ pub fn chain_ruled_out(
             let u0 = (a0.max(0.0) + s0.max(0.0)).min(cap);
             let um = (am.max(0.0) + sm.max(0.0)).min(cap);
             (near, far, both) = (near + u0, far + um, both + u0.min(um));
-            margin += feas_tol * (1 + k) as f64;
+            margin += FEAS_TOL * (1 + k) as f64;
         }
         if num_steps == 2 {
             both < rate(1.0) - margin

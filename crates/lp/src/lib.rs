@@ -37,7 +37,7 @@
 //! | [`lu`] | Gilbert–Peierls sparse LU with partial pivoting |
 //! | [`basis`] | factorization + eta-file updates (FTRAN/BTRAN) |
 //! | [`presolve`] | fixed-variable elimination + trivial-row checks |
-//! | [`pricing`] | entering-column rules: Dantzig, devex, partial devex |
+//! | [`pricing`] | the entering-column rule: devex |
 //! | [`simplex`] | the bounded-variable two-phase revised simplex |
 //! | [`incremental`] | delta-LP: in-place patching of a standing model |
 //! | [`dense`] | an independent dense tableau oracle for testing |
@@ -49,8 +49,8 @@
 //! [`IncrementalModel`] (standing lowered form, never presolved), with
 //! [`Model::solve`] as the default-options cold shorthand. `warm` is the
 //! [`BasisStatuses`] a previous [`Solution`] of a structurally identical
-//! model reported; passing one defaults the anti-degeneracy
-//! perturbation to [`DEFAULT_WARM_PERTURB`] and lets
+//! model reported; passing one expands the bounds by
+//! [`DEFAULT_WARM_PERTURB`] against degeneracy and lets
 //! [`Algorithm::Auto`] restart in the dual. Both end in one
 //! crate-private function that owns the numerical retry ladder (as
 //! given → exact → cold).
@@ -76,5 +76,4 @@ pub use model::{
     BasisStatuses, Cmp, ColStatus, ConId, ConView, LimitKind, LpError, Model, Sense, Solution,
     SolveStats,
 };
-pub use pricing::{Pricing, AUTO_PARTIAL_MIN_COLS};
 pub use simplex::{Algorithm, SimplexOptions, DEFAULT_WARM_PERTURB};

@@ -197,8 +197,8 @@ pub enum ColStatus {
 /// followed by one per constraint (its slack). Feed it back via
 /// [`Model::solve_with`] to warm-start a *structurally identical* model
 /// (same variables and constraints; bounds, right-hand sides and
-/// objective may differ) — e.g. successive iterations of max-min
-/// fairness, or re-solves after demand changes.
+/// objective may differ) — e.g. re-solves after demand changes or a
+/// fault scenario's pinned bounds.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BasisStatuses(pub Vec<ColStatus>);
 
@@ -237,9 +237,8 @@ pub struct SolveStats {
     /// [`crate::IncrementalModel::solve_with`]). Diagnostic only; a
     /// reused factorization is bit-identical to a fresh one.
     pub factor_reused: bool,
-    /// Full passes over all columns during pricing. With partial
-    /// pricing this is much smaller than the iteration count; for full
-    /// pricing rules it equals iterations + optimality checks.
+    /// Full passes over all columns during primal pricing: every primal
+    /// iteration and every optimality check runs one.
     pub full_pricing_passes: usize,
     /// Wall-clock time of the solve (both phases, excluding presolve).
     pub solve_time: std::time::Duration,
@@ -462,13 +461,6 @@ impl Model {
         (d.lb, d.ub)
     }
 
-    /// Tightens (never loosens) the bounds of an existing variable.
-    pub fn tighten_bounds(&mut self, v: VarId, lb: f64, ub: f64) {
-        let d = &mut self.vars[v.index()];
-        d.lb = d.lb.max(lb);
-        d.ub = d.ub.min(ub);
-    }
-
     /// Replaces the bounds of an existing variable.
     pub fn set_bounds(&mut self, v: VarId, lb: f64, ub: f64) {
         let d = &mut self.vars[v.index()];
@@ -513,7 +505,7 @@ impl Model {
     /// shape, singular, primal-infeasible beyond repair) falls back to a
     /// cold start, so passing one is always safe; see
     /// [`crate::simplex`]'s single solve entry for what else `warm:
-    /// Some` changes (default anti-degeneracy perturbation,
+    /// Some` changes (anti-degeneracy bound perturbation,
     /// [`crate::Algorithm::Auto`] → dual attempt) and for the numerical
     /// retry ladder.
     ///
@@ -650,16 +642,6 @@ mod tests {
         let x = m.add_nonneg("x");
         m.add_con(LinExpr::term(x, f64::NAN), Cmp::Le, 1.0);
         assert_eq!(m.validate(), Err(LpError::NotANumber));
-    }
-
-    #[test]
-    fn tighten_bounds_never_loosens() {
-        let mut m = Model::new();
-        let x = m.add_var(0.0, 5.0, "x");
-        m.tighten_bounds(x, -1.0, 10.0);
-        assert_eq!(m.var_bounds(x), (0.0, 5.0));
-        m.tighten_bounds(x, 1.0, 4.0);
-        assert_eq!(m.var_bounds(x), (1.0, 4.0));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! 1. **Fixed-variable elimination** — a variable with `lb == ub` is a
 //!    constant; substitute it into every constraint and the objective.
 //!    FFC workloads produce many of these (dead tunnels pinned to zero,
-//!    `τ = 0` flows, frozen max-min allocations).
+//!    `τ = 0` flows).
 //! 2. **Empty-constraint elimination** — rows with no variables left
 //!    are checked against their right-hand side: trivially true rows
 //!    vanish; trivially false rows prove infeasibility before any

@@ -1,13 +1,15 @@
-//! Differential LP oracle: three independent solve paths — the dense
-//! tableau solver, the sparse *primal* simplex, and the sparse *dual*
-//! simplex — must classify every random LP identically (optimal /
-//! infeasible / unbounded) and agree on the objective when optimal.
+//! Differential LP oracle: four solve paths — the dense tableau solver,
+//! the sparse simplex with default options (presolve on), and the
+//! sparse *primal* and *dual* simplex on the whole model — must classify
+//! every random LP identically (optimal / infeasible / unbounded) and
+//! agree on the objective when optimal.
 //!
-//! Three instance families stress different corners:
+//! Four instance families stress different corners:
 //! * fully boxed LPs (the dual starts directly from a dual-feasibilized
 //!   slack/crash basis — no primal fallback),
 //! * mixed-bound LPs with one-sided and near-free variables (can be
 //!   unbounded; the dual may fall back to primal and must still agree),
+//! * larger LPs with boxes at or below zero and nonnegative rays,
 //! * small-integer degenerate LPs (tied ratios, duplicated rows, zero
 //!   right-hand sides — the classic cycling traps).
 
@@ -68,6 +70,37 @@ fn mixed_lp(max_vars: usize, max_cons: usize) -> impl Strategy<Value = RandomLp>
                 1 => (0.0, f64::INFINITY), // nonnegative ray
                 2 => (lo, f64::INFINITY),  // shifted ray
                 _ => (-50.0, 50.0),        // wide (near-free) box
+            }),
+            nvars,
+        );
+        let term = (0..nvars, -3.0..3.0f64);
+        let con = (
+            prop::collection::vec(term, 1..=nvars.min(4)),
+            0..3u8,
+            -6.0..10.0f64,
+        );
+        let cons = prop::collection::vec(con, 1..=max_cons);
+        let obj = prop::collection::vec(-4.0..4.0f64, nvars);
+        (bounds, cons, obj, any::<bool>()).prop_map(move |(bounds, cons, obj, maximize)| RandomLp {
+            nvars,
+            bounds,
+            cons,
+            obj,
+            maximize,
+        })
+    })
+}
+
+/// Boxes, nonnegative rays and boxes ending at or below zero, on up to
+/// six variables and eight rows: larger than the other families, and
+/// often needing phase 1 from the slack basis.
+fn crossing_lp(max_vars: usize, max_cons: usize) -> impl Strategy<Value = RandomLp> {
+    (2..=max_vars).prop_flat_map(move |nvars| {
+        let bounds = prop::collection::vec(
+            (0..3u8, -5.0..5.0f64, 0.1..8.0f64).prop_map(|(kind, lo, span)| match kind {
+                0 => (lo, lo + span),                   // box
+                1 => (0.0, f64::INFINITY),              // nonnegative ray
+                _ => (lo.min(0.0), lo.min(0.0) + span), // box from at or below zero
             }),
             nvars,
         );
@@ -220,8 +253,10 @@ fn wrappers_agree(
 fn differential(lp: &RandomLp) -> Result<(), TestCaseError> {
     let m = build(lp);
     let dense = solve_dense(&m);
+    let default = m.solve();
     let primal = solve_algo(&m, Algorithm::Primal);
     let dual = solve_algo(&m, Algorithm::Dual);
+    agree("default vs dense", &default, &dense)?;
     agree("primal vs dense", &primal, &dense)?;
     agree("dual vs dense", &dual, &dense)?;
     agree("dual vs primal", &dual, &primal)?;
@@ -241,6 +276,13 @@ proptest! {
     /// Mixed/one-sided bounds, including unbounded instances.
     #[test]
     fn mixed_lps_agree_across_solvers(lp in mixed_lp(5, 6)) {
+        differential(&lp)?;
+    }
+
+    /// Larger LPs with bounds below zero: the default options (presolve
+    /// on) agree with the dense oracle as well.
+    #[test]
+    fn crossing_lps_agree_across_solvers(lp in crossing_lp(6, 8)) {
         differential(&lp)?;
     }
 
