@@ -11,7 +11,7 @@
 //!    test-gated items, and the `audit:allow` suppressions — the front
 //!    end [`crate::lint`]'s rules run on too;
 //! 3. [`symbols`] — workspace discovery by manifest membership (never
-//!    by directory-name skip lists) and per-crate symbol tables;
+//!    by directory-name skip lists), each crate with its parsed sources;
 //! 4. [`callgraph`] — workspace-wide call graph from call-shaped token
 //!    sequences, resolved by a deterministic name heuristic;
 //! 5. [`taint`] — the interprocedural passes: determinism taint

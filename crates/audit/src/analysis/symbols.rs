@@ -1,4 +1,5 @@
-//! Workspace discovery and per-crate symbol tables (analysis pass 2).
+//! Workspace discovery: member crates and their parsed sources
+//! (analysis pass 2; `callgraph` indexes their functions).
 //!
 //! Crates are enumerated **by construction** from the root
 //! `Cargo.toml`'s `[workspace] members` list (globs expanded), never
@@ -13,7 +14,6 @@
 //! e.g. committed bad-fixture mini-crates under a member's `tests/`
 //! tree — is analyzed on its own, never mixed into its host).
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -278,18 +278,6 @@ fn glob_matches(pattern: &str, rel: &str) -> bool {
         Some(prefix) => rel.strip_prefix(prefix).is_some_and(|r| r.starts_with('/')),
         None => pattern == rel,
     }
-}
-
-/// A per-crate symbol table: function definitions indexed for call
-/// resolution.
-#[derive(Debug, Default)]
-pub struct SymbolTable {
-    /// `simple name` → global fn indices (free functions only).
-    pub free_by_name: BTreeMap<String, Vec<usize>>,
-    /// `Type::name` → global fn indices (impl/trait methods).
-    pub method_by_qual: BTreeMap<String, Vec<usize>>,
-    /// `simple name` → global fn indices (methods only).
-    pub method_by_name: BTreeMap<String, Vec<usize>>,
 }
 
 #[cfg(test)]

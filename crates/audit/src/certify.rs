@@ -1087,6 +1087,30 @@ mod tests {
     }
 
     #[test]
+    fn cold_solve_with_fixed_column_certifies_and_chains() {
+        // A fixed column and a row it alone satisfies: the cold solve
+        // answers for the model it was given — a status per column and
+        // row, a dual per row — so KKT certifies it and its basis seeds
+        // the re-solve.
+        let mut m = Model::new();
+        let x = m.add_var(3.0, 3.0, "x");
+        let y = m.add_var(0.0, 10.0, "y");
+        m.add_con(ffc_lp::LinExpr::from(x), Cmp::Le, 5.0);
+        m.add_con(ffc_lp::LinExpr::from(x) + y, Cmp::Le, 8.0);
+        m.set_objective(ffc_lp::LinExpr::from(x) + y, ffc_lp::Sense::Maximize);
+        let sol = m.solve().unwrap();
+        assert_eq!(sol.basis.0.len(), 4);
+        assert_eq!(sol.duals.len(), 2);
+        let cert = verify_lp_certificate(&m, &sol);
+        assert!(cert.is_optimal(), "{cert:?}");
+        let again = m
+            .solve_with(&ffc_lp::SimplexOptions::default(), Some(&sol.basis))
+            .unwrap();
+        assert!(again.stats.hint_used);
+        assert_eq!(again.iterations, 0);
+    }
+
+    #[test]
     fn dual_certificate_demotes_on_corrupted_duals() {
         let mut m = Model::new();
         let x = m.add_var(0.0, 10.0, "x");

@@ -183,14 +183,12 @@ pub fn solve_ffc_batch(
 /// Verifies one FFC configuration against many fault scenarios in
 /// parallel, chaining warm starts within each worker.
 ///
-/// The base model (no faults) is built and solved **once** with
-/// presolve disabled — presolve eliminates fixed columns, which would
-/// change the model's column space and make the resulting basis useless
-/// as a warm-start hint for the full model. Each worker then walks a
-/// contiguous chunk of scenarios: it clones the base model, pins the
-/// `a_{f,t}` variables of tunnels killed by the scenario to zero
-/// (bounds `[0, 0]` — the model *shape* never changes), and re-solves
-/// from the most recent successful basis in its chain.
+/// The base model (no faults) is built and solved **once**. Each
+/// worker then walks a contiguous chunk of scenarios: it clones the
+/// base model, pins the `a_{f,t}` variables of tunnels killed by the
+/// scenario to zero (bounds `[0, 0]` — the model *shape* never
+/// changes), and re-solves from the most recent successful basis in its
+/// chain.
 ///
 /// Pinning bounds never touches the objective, so the previous optimal
 /// basis stays **dual**-feasible: with [`ffc_lp::Algorithm::Auto`] (the
@@ -207,11 +205,8 @@ pub fn solve_ffc_scenarios(
     scenarios: &[ffc_net::FaultScenario],
     opts: &SimplexOptions,
 ) -> Result<Vec<Result<BatchOutcome, LpError>>, LpError> {
-    let mut warm_opts = opts.clone();
-    warm_opts.presolve = false;
-
     let builder = build_ffc_model(problem, old, cfg);
-    let base_sol = builder.model.solve_with(&warm_opts, None)?;
+    let base_sol = builder.model.solve_with(opts, None)?;
     if problem.reserved.is_none() {
         crate::verify::debug_certify(
             problem.topo,
@@ -254,7 +249,7 @@ pub fn solve_ffc_scenarios(
                                 model.set_bounds(builder.a[f.index()][ti], 0.0, 0.0);
                             }
                         }
-                        let sol = model.solve_with(&warm_opts, Some(hint_ref))?;
+                        let sol = model.solve_with(opts, Some(hint_ref))?;
                         let outcome = BatchOutcome {
                             config: builder.extract(&sol),
                             stats: sol.stats,

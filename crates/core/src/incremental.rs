@@ -390,8 +390,7 @@ impl FfcModelCache {
 
     /// Solves the standing form, cold or from a warm-start basis (see
     /// [`IncrementalModel::solve_with`]): the same LP, pivot for pivot,
-    /// as [`crate::te::TeModelBuilder::solve_with`] on a fresh build
-    /// with presolve off.
+    /// as [`crate::te::TeModelBuilder::solve_with`] on a fresh build.
     pub fn solve_with(
         &self,
         opts: &ffc_lp::SimplexOptions,

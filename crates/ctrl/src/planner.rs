@@ -6,8 +6,7 @@
 //! (demand upper bounds, dead tunnels pinned to zero), the previous
 //! optimum's basis stays *dual feasible* and `Algorithm::Auto` restarts
 //! the dual simplex from the chained hint instead of solving cold
-//! (DESIGN §5a). Presolve is forced off on warm solves so the hint's
-//! column space lines up.
+//! (DESIGN §5a).
 //!
 //! That only holds while the model keeps its *shape*, and the one
 //! demand-dependent piece of the shape is the §6 mice set (which flows
@@ -110,7 +109,7 @@ pub struct PlannerConfig {
     pub recovery_probe: usize,
     /// Simplex options for every solve. `algorithm` defaults to
     /// [`Algorithm::Auto`] so dual-feasible warm bases take the dual
-    /// path; `presolve` is forced off on warm solves regardless.
+    /// path.
     pub opts: SimplexOptions,
     /// Keep a standing [`FfcModelCache`] across intervals and *patch*
     /// it (demand ticks, fault drift, installed-config advances)
@@ -314,8 +313,6 @@ impl Planner {
             self.intervals_since_probe = 0;
         }
 
-        let mut opts = self.cfg.opts.clone();
-        opts.presolve = false;
         let shape = (
             self.current.kc,
             self.current.ke,
@@ -352,11 +349,11 @@ impl Planner {
                     Some(scenario),
                 )),
             };
-            cache.solve_with(&opts, hint)
+            cache.solve_with(&self.cfg.opts, hint)
         } else {
             let (mut builder, _) = build_ffc_model_tracked(problem, old, &self.current, &mice);
             zero_dead_tunnels(&mut builder, scenario);
-            builder.solve_with(&opts, hint)
+            builder.solve_with(&self.cfg.opts, hint)
         };
         self.mice = Some(mice);
         let wall = t0.elapsed();

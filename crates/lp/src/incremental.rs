@@ -22,15 +22,13 @@
 //!
 //! Solving: [`IncrementalModel::solve_with`] hands the standing lowered
 //! form to the same simplex entry [`Model::solve_with`] ends in,
-//! skipping the per-solve lowering entirely. Presolve never runs here
-//! (the standing form must keep its column space, exactly like warm
-//! starts), so a patched solve is bit-identical to rebuilding the same
-//! model and solving it with `presolve: false`. The standing form also
-//! keeps the LU of the basis a solve last left factorized, which the
-//! next solve takes instead of factorizing when it starts from exactly
-//! that basis matrix — bound and rhs patches never touch `B`, and a
-//! coefficient patch on one of its columns drops it — at no change to
-//! any result.
+//! skipping the per-solve lowering entirely, so a patched solve is
+//! bit-identical to rebuilding the same model and solving it with
+//! [`Model::solve_with`]. The standing form also keeps the LU of the
+//! basis a solve last left factorized, which the next solve takes
+//! instead of factorizing when it starts from exactly that basis
+//! matrix — bound and rhs patches never touch `B`, and a coefficient
+//! patch on one of its columns drops it — at no change to any result.
 //!
 //! Correctness contract: after any sequence of patches, the standing
 //! `Model` and `StdForm` are **bit-identical** to what a fresh build
@@ -253,9 +251,9 @@ impl IncrementalModel {
     }
 
     /// Solves the standing form, cold or from a warm-start basis:
-    /// [`Model::solve_with`] on the standing model with presolve off,
-    /// minus the lowering — and, when the start basis is exactly the
-    /// one the previous solve left factorized, minus its factorization
+    /// [`Model::solve_with`] on the standing model, minus the lowering
+    /// — and, when the start basis is exactly the one the previous
+    /// solve left factorized, minus its factorization
     /// ([`SolveStats::factor_reused`](crate::SolveStats::factor_reused)).
     /// The result is bit-identical either way.
     pub fn solve_with(

@@ -36,7 +36,6 @@
 //! | [`sparse`] | CSC matrices and scatter workspaces |
 //! | [`lu`] | Gilbert–Peierls sparse LU with partial pivoting |
 //! | [`basis`] | factorization + eta-file updates (FTRAN/BTRAN) |
-//! | [`presolve`] | fixed-variable elimination + trivial-row checks |
 //! | [`pricing`] | the entering-column rule: devex |
 //! | [`simplex`] | the bounded-variable two-phase revised simplex |
 //! | [`incremental`] | delta-LP: in-place patching of a standing model |
@@ -45,8 +44,8 @@
 //! ## Solving
 //!
 //! One signature runs the simplex: `solve_with(&opts, warm)` on
-//! [`Model`] (lowers, and presolves cold solves) and on
-//! [`IncrementalModel`] (standing lowered form, never presolved), with
+//! [`Model`] (lowers per solve) and on [`IncrementalModel`] (standing
+//! lowered form); both solve the model as given, with
 //! [`Model::solve`] as the default-options cold shorthand. `warm` is the
 //! [`BasisStatuses`] a previous [`Solution`] of a structurally identical
 //! model reported; passing one expands the bounds by
@@ -64,7 +63,6 @@ pub mod expr;
 pub mod incremental;
 pub mod lu;
 pub mod model;
-pub mod presolve;
 pub mod pricing;
 pub mod simplex;
 pub mod sparse;

@@ -240,7 +240,7 @@ pub struct SolveStats {
     /// Full passes over all columns during primal pricing: every primal
     /// iteration and every optimality check runs one.
     pub full_pricing_passes: usize,
-    /// Wall-clock time of the solve (both phases, excluding presolve).
+    /// Wall-clock time of the solve (both phases, lowering excluded).
     pub solve_time: std::time::Duration,
     /// The part of `solve_time` spent factorizing basis matrices (start
     /// and refactorizations, gathering their columns included).
@@ -509,10 +509,9 @@ impl Model {
     /// [`crate::Algorithm::Auto`] → dual attempt) and for the numerical
     /// retry ladder.
     ///
-    /// Cold solves with [`SimplexOptions::presolve`] set run
-    /// [`crate::presolve`] first (fixed-variable elimination and
-    /// trivial-row checks) and expand the solution back afterwards.
-    /// Warm solves never do: the hint indexes the full column space.
+    /// The solve runs on the model as given: fixed columns stay columns
+    /// and every row keeps its slack, so the returned basis and duals
+    /// index this model and chain into the next solve of it.
     pub fn solve_with(
         &self,
         opts: &SimplexOptions,
@@ -520,30 +519,7 @@ impl Model {
     ) -> Result<Solution, LpError> {
         self.validate()?;
         // A fresh lowering per call: nothing to hold a factorization for.
-        let run = |m: &Model| simplex::solve(&StdForm::from_model(m), opts, warm, &mut None);
-        if warm.is_some() || !opts.presolve {
-            return run(self);
-        }
-        let pre = crate::presolve::presolve(self)?;
-        if pre.eliminated() == 0 && pre.model.num_cons() == self.num_cons() {
-            return run(self);
-        }
-        let mut sol = run(&pre.model)?;
-        sol.values = crate::presolve::postsolve(&pre, &sol.values);
-        // The reduced objective already folds the fixed variables'
-        // contribution into its constant, so the reported value is the
-        // original objective; recompute defensively from values.
-        sol.objective = {
-            let direct = self.objective.eval(&sol.values);
-            debug_assert!(
-                (direct - sol.objective).abs() <= 1e-6 * (1.0 + direct.abs()),
-                "presolve objective drift: {} vs {}",
-                direct,
-                sol.objective
-            );
-            direct
-        };
-        Ok(sol)
+        simplex::solve(&StdForm::from_model(self), opts, warm, &mut None)
     }
 
     /// Dumps the model in a human-readable LP-like format (for debugging
@@ -642,6 +618,38 @@ mod tests {
         let x = m.add_nonneg("x");
         m.add_con(LinExpr::term(x, f64::NAN), Cmp::Le, 1.0);
         assert_eq!(m.validate(), Err(LpError::NotANumber));
+    }
+
+    #[test]
+    fn fixed_column_is_solved_in_place() {
+        // x = 3 fixed under x + y ≤ 8, maximising x + y: objective 8 at
+        // (3, 5), with the fixed column still in the basis statuses.
+        let mut m = Model::new();
+        let x = m.add_var(3.0, 3.0, "x");
+        let y = m.add_var(0.0, 10.0, "y");
+        m.add_con(LinExpr::from(x) + y, Cmp::Le, 8.0);
+        m.set_objective(LinExpr::from(x) + y, Sense::Maximize);
+        let sol = m.solve().unwrap();
+        assert!((sol.objective - 8.0).abs() < 1e-9);
+        assert_eq!(sol.values, vec![3.0, 5.0]);
+        assert_eq!(sol.basis.0.len(), 3);
+    }
+
+    #[test]
+    fn fixed_column_violating_a_row_is_infeasible() {
+        let mut m = Model::new();
+        let x = m.add_var(3.0, 3.0, "x");
+        m.add_con(LinExpr::from(x), Cmp::Ge, 5.0);
+        assert_eq!(m.solve().unwrap_err(), LpError::Infeasible);
+    }
+
+    #[test]
+    fn cancelled_row_with_negative_rhs_is_infeasible() {
+        // x − x ≤ −1 is stored as the empty row 0 ≤ −1.
+        let mut m = Model::new();
+        let x = m.add_var(0.0, 5.0, "x");
+        m.add_con(LinExpr::from(x) - LinExpr::from(x), Cmp::Le, -1.0);
+        assert_eq!(m.solve().unwrap_err(), LpError::Infeasible);
     }
 
     #[test]

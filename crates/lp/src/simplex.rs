@@ -85,9 +85,6 @@ pub struct SimplexOptions {
     /// well below the 2 000 that switch to Bland's rule, so the cheap
     /// geometric fix gets a chance before the slow anti-cycling rule.
     pub degen_expand: usize,
-    /// Whether [`crate::presolve`] runs before the simplex (cold starts
-    /// only; warm starts always skip it to keep column spaces aligned).
-    pub presolve: bool,
     /// Simplex variant selection (see [`Algorithm`]). The default,
     /// [`Algorithm::Auto`], only changes warm-hinted solves.
     pub algorithm: Algorithm,
@@ -100,7 +97,6 @@ impl Default for SimplexOptions {
             inject_singular_after: 0,
             inject_panic_after: 0,
             degen_expand: 256,
-            presolve: true,
             algorithm: Algorithm::default(),
         }
     }
@@ -1694,9 +1690,8 @@ pub const DEFAULT_WARM_PERTURB: f64 = 1e-9;
 
 /// The one way to run the simplex: every `solve_with` in the workspace
 /// ([`Model::solve_with`], [`crate::IncrementalModel::solve_with`] and
-/// the FFC wrappers above them) lowers to a [`StdForm`] and ends here.
-/// Presolve is a [`Model`]-level rewrite and has already run — cold
-/// `Model` solves only — or been skipped by the time this is called.
+/// the FFC wrappers above them) lowers to a [`StdForm`] and ends here,
+/// so every solve's basis and duals index the model it was given.
 ///
 /// `warm: Some(basis)` changes three things against a cold solve: the
 /// basis seeds the start (falling back to the crash basis when it does
@@ -2102,7 +2097,6 @@ mod tests {
             .solve_with(
                 &SimplexOptions {
                     degen_expand: 0,
-                    presolve: false,
                     ..SimplexOptions::default()
                 },
                 None,
@@ -2112,7 +2106,6 @@ mod tests {
             .solve_with(
                 &SimplexOptions {
                     degen_expand: 1,
-                    presolve: false,
                     ..SimplexOptions::default()
                 },
                 None,
@@ -2133,7 +2126,6 @@ mod tests {
             .solve_with(
                 &SimplexOptions {
                     degen_expand: 0,
-                    presolve: false,
                     ..SimplexOptions::default()
                 },
                 None,
@@ -2409,7 +2401,6 @@ mod tests {
         );
         let opts = SimplexOptions {
             algorithm: Algorithm::Dual,
-            presolve: false,
             ..SimplexOptions::default()
         };
         let s = m.solve_with(&opts, None).unwrap();
@@ -2433,7 +2424,6 @@ mod tests {
         m.set_objective(LinExpr::from(x), Sense::Maximize);
         let opts = SimplexOptions {
             algorithm: Algorithm::Dual,
-            presolve: false,
             ..SimplexOptions::default()
         };
         assert_eq!(m.solve_with(&opts, None).unwrap_err(), LpError::Infeasible);
@@ -2450,7 +2440,6 @@ mod tests {
         m.set_objective(LinExpr::from(x), Sense::Maximize);
         let opts = SimplexOptions {
             algorithm: Algorithm::Dual,
-            presolve: false,
             ..SimplexOptions::default()
         };
         let s = m.solve_with(&opts, None).unwrap();
@@ -2546,7 +2535,6 @@ mod tests {
         let m = multi_iteration_model();
         let opts = SimplexOptions {
             max_iters: 1,
-            presolve: false,
             ..SimplexOptions::default()
         };
         match m.solve_with(&opts, None) {
@@ -2565,7 +2553,6 @@ mod tests {
         let m = multi_iteration_model();
         let opts = SimplexOptions {
             max_iters: 1,
-            presolve: false,
             ..SimplexOptions::default()
         };
         let err = m.solve_with(&opts, None).unwrap_err();
@@ -2578,7 +2565,6 @@ mod tests {
         let m = multi_iteration_model();
         let opts = SimplexOptions {
             inject_singular_after: 1,
-            presolve: false,
             ..SimplexOptions::default()
         };
         match m.solve_with(&opts, None) {

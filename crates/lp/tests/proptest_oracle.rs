@@ -1,15 +1,17 @@
-//! Differential LP oracle: four solve paths — the dense tableau solver,
-//! the sparse simplex with default options (presolve on), and the
-//! sparse *primal* and *dual* simplex on the whole model — must classify
-//! every random LP identically (optimal / infeasible / unbounded) and
-//! agree on the objective when optimal.
+//! Differential LP oracle: the dense tableau solver and the sparse
+//! simplex with default options, forced *primal* and forced *dual* must
+//! classify every random LP identically (optimal / infeasible /
+//! unbounded) and agree on the objective when optimal; the sparse
+//! simplex on a per-solve lowering and on a standing form must agree
+//! bit for bit.
 //!
 //! Four instance families stress different corners:
 //! * fully boxed LPs (the dual starts directly from a dual-feasibilized
 //!   slack/crash basis — no primal fallback),
 //! * mixed-bound LPs with one-sided and near-free variables (can be
 //!   unbounded; the dual may fall back to primal and must still agree),
-//! * larger LPs with boxes at or below zero and nonnegative rays,
+//! * larger LPs with boxes at or below zero, nonnegative rays and fixed
+//!   columns (`lb == ub`, which stay columns of the solved model),
 //! * small-integer degenerate LPs (tied ratios, duplicated rows, zero
 //!   right-hand sides — the classic cycling traps).
 
@@ -91,15 +93,16 @@ fn mixed_lp(max_vars: usize, max_cons: usize) -> impl Strategy<Value = RandomLp>
     })
 }
 
-/// Boxes, nonnegative rays and boxes ending at or below zero, on up to
-/// six variables and eight rows: larger than the other families, and
-/// often needing phase 1 from the slack basis.
+/// Boxes, nonnegative rays, fixed columns and boxes ending at or below
+/// zero, on up to six variables and eight rows: larger than the other
+/// families, and often needing phase 1 from the slack basis.
 fn crossing_lp(max_vars: usize, max_cons: usize) -> impl Strategy<Value = RandomLp> {
     (2..=max_vars).prop_flat_map(move |nvars| {
         let bounds = prop::collection::vec(
-            (0..3u8, -5.0..5.0f64, 0.1..8.0f64).prop_map(|(kind, lo, span)| match kind {
+            (0..4u8, -5.0..5.0f64, 0.1..8.0f64).prop_map(|(kind, lo, span)| match kind {
                 0 => (lo, lo + span),                   // box
                 1 => (0.0, f64::INFINITY),              // nonnegative ray
+                2 => (lo, lo),                          // fixed
                 _ => (lo.min(0.0), lo.min(0.0) + span), // box from at or below zero
             }),
             nvars,
@@ -181,13 +184,11 @@ fn build(lp: &RandomLp) -> Model {
     m
 }
 
+/// A cold solve with the variant forced (a cold `Auto` runs primal).
 fn solve_algo(m: &Model, algorithm: Algorithm) -> Result<Solution, LpError> {
-    // Presolve off so the simplex (primal or dual) sees the whole model
-    // rather than a reduced one the presolver may have already decided.
     m.solve_with(
         &SimplexOptions {
             algorithm,
-            presolve: false,
             ..SimplexOptions::default()
         },
         None,
@@ -214,9 +215,9 @@ fn agree(
     Ok(())
 }
 
-/// One engine regardless of wrapper: with presolve off, solving the
-/// standing lowered form and lowering the model per solve must walk the
-/// same pivots to the same bits.
+/// One engine regardless of wrapper: solving the standing lowered form
+/// and lowering the model per solve must walk the same pivots to the
+/// same bits.
 fn wrappers_agree(
     label: &str,
     m: &Model,
@@ -260,6 +261,12 @@ fn differential(lp: &RandomLp) -> Result<(), TestCaseError> {
     agree("primal vs dense", &primal, &dense)?;
     agree("dual vs dense", &dual, &dense)?;
     agree("dual vs primal", &dual, &primal)?;
+    wrappers_agree(
+        "default, model vs standing form",
+        &m,
+        &SimplexOptions::default(),
+        None,
+    )?;
     Ok(())
 }
 
@@ -279,8 +286,8 @@ proptest! {
         differential(&lp)?;
     }
 
-    /// Larger LPs with bounds below zero: the default options (presolve
-    /// on) agree with the dense oracle as well.
+    /// Larger LPs with bounds below zero and fixed columns: the default
+    /// options agree with the dense oracle as well.
     #[test]
     fn crossing_lps_agree_across_solvers(lp in crossing_lp(6, 8)) {
         differential(&lp)?;
@@ -315,7 +322,7 @@ proptest! {
             }
         }
         let cold = solve_algo(&m2, Algorithm::Primal);
-        let auto = SimplexOptions { algorithm: Algorithm::Auto, presolve: false, ..SimplexOptions::default() };
+        let auto = SimplexOptions { algorithm: Algorithm::Auto, ..SimplexOptions::default() };
         let warm = m2.solve_with(&auto, Some(&first.basis));
         agree("warm auto vs cold", &warm, &cold)?;
         wrappers_agree("cold, model vs standing form", &m, &auto, None)?;
