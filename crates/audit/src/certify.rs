@@ -10,16 +10,22 @@
 //! independently), so a bug in the solver or in core's rescaling cannot
 //! certify itself.
 //!
-//! There is one production evaluator: [`certify`] runs the static
-//! checks and then the batched SoA kernels of `crate::kernels`, always.
-//! [`certify_scalar`] is the one-scenario-at-a-time walk the kernels
-//! were derived from; it stays as the reference the differential tests
-//! hold the kernels bit-identical to, and nothing but tests calls it.
+//! [`certify`] runs the static checks, then tries to prove the
+//! configuration by the paper's Lemma 1 (`crate::lemma`: per-flow
+//! residual cover, per-link capacity, per-ingress stale gaps) without
+//! enumerating a scenario. What the proof does not accept falls back to
+//! the batched SoA kernels of `crate::kernels`, which enumerate every
+//! scenario and stay the one authority for rejections
+//! ([`certify_batched`] runs them unconditionally). [`certify_scalar`]
+//! is the one-scenario-at-a-time walk the kernels were derived from; it
+//! stays as the reference the differential tests hold the kernels
+//! bit-identical to, and nothing but tests calls it.
 //!
 //! The result is a machine-readable [`Certificate`]: accepted/rejected,
-//! how many fault scenarios were checked, whether the enumeration was
-//! exhaustive or budget-capped, and the worst relative oversubscription
-//! observed.
+//! how the verdict was reached ([`CertMethod`]), how many fault
+//! scenarios were checked, whether the check was exhaustive or
+//! budget-capped, and the worst relative oversubscription observed (an
+//! upper bound when the lemma decided).
 //!
 //! The module also provides [`verify_lp_solution`], a generic check of
 //! a primal vector against an [`ffc_lp::Model`]: variable bounds and
@@ -39,6 +45,10 @@ pub const REL_TOL: f64 = 1e-6;
 /// Default cap on the number of fault scenarios enumerated before the
 /// certificate is marked non-exhaustive.
 pub const DEFAULT_SCENARIO_BUDGET: usize = 200_000;
+
+/// A group bucket whose residual weights sum to at most this forwards
+/// nothing.
+pub(crate) const ZERO_WEIGHT: f64 = 1e-12;
 
 /// Combined `x ≤ bound` test under [`ABS_TOL`] + [`REL_TOL`].
 #[inline]
@@ -132,11 +142,35 @@ pub enum CertStatus {
     Rejected,
 }
 
+/// How a certificate's verdict was reached.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CertMethod {
+    /// Proved by the paper's Lemma 1 over the configuration, the
+    /// topology and the tunnel paths; no scenario was enumerated.
+    Lemma,
+    /// Scenario by scenario (up to the budget), or refused by the
+    /// static checks before any scenario ran.
+    Enumeration,
+}
+
+impl CertMethod {
+    /// Short single-token name, as in [`Certificate::to_json`].
+    pub fn as_str(self) -> &'static str {
+        match self {
+            CertMethod::Lemma => "lemma",
+            CertMethod::Enumeration => "enumeration",
+        }
+    }
+}
+
 /// Machine-readable certification result.
 #[derive(Debug, Clone)]
 pub struct Certificate {
     /// Verdict.
     pub status: CertStatus,
+    /// How the verdict was reached. Only an accepted certificate can
+    /// say [`CertMethod::Lemma`].
+    pub method: CertMethod,
     /// Number of fault scenarios whose link loads were recomputed.
     pub scenarios_checked: usize,
     /// Whether every scenario within the protection level was checked
@@ -145,7 +179,9 @@ pub struct Certificate {
     /// configuration).
     pub exhaustive: bool,
     /// Worst observed `load / capacity` over live, protected links
-    /// across all scenarios (1.0 = exactly full).
+    /// across all scenarios (1.0 = exactly full). Under
+    /// [`CertMethod::Lemma`] it is the proof's bound, which is at least
+    /// what enumeration would observe.
     pub max_oversubscription: f64,
     /// Total number of individual check failures.
     pub num_violations: usize,
@@ -182,6 +218,8 @@ impl Certificate {
         let mut s = String::with_capacity(256);
         s.push_str("{\"status\":\"");
         s.push_str(self.status_str());
+        s.push_str("\",\"method\":\"");
+        s.push_str(self.method.as_str());
         s.push_str("\",\"scenarios_checked\":");
         s.push_str(&self.scenarios_checked.to_string());
         s.push_str(",\"exhaustive\":");
@@ -454,7 +492,7 @@ fn add_rescaled_loads(
             continue;
         }
         let total: f64 = residual.iter().map(|&t| weights[t]).sum();
-        if total <= 1e-12 {
+        if total <= ZERO_WEIGHT {
             continue; // zero-weight buckets forward nothing
         }
         for &t in &residual {
@@ -518,14 +556,36 @@ pub(crate) fn for_each_combo_up_to(
 ///    configuration is supplied), the rescaled link loads stay within
 ///    capacity on all live, protected links.
 ///
-/// Scenario enumeration is deterministic and stops at
-/// [`CertInput::max_scenarios`]; the certificate's `exhaustive` flag
-/// records whether the full protected set was covered.
+/// Phase 4 first tries the proof by Lemma 1: per flow, the smallest
+/// residual allocation any ≤`ke` link × ≤`kv` switch failure leaves
+/// bounds how far rescaling stretches it, and per link the stretched
+/// allocations plus, at `kc > 0`, the `kc` largest stale-ingress gaps
+/// must fit capacity. A configuration it proves is
+/// [`CertMethod::Lemma`], `certified` and exhaustive with no scenario
+/// checked.
 ///
-/// Phase 4 runs on the batched SoA kernels over [`kernel_workers`]
-/// threads; the verdict does not depend on the thread count.
+/// Everything else — a static-phase violation, `kc > 0` without an old
+/// configuration, any bound over capacity — gets [`certify_batched`]'s
+/// certificate, field for field: scenario enumeration is
+/// deterministic, stops at [`CertInput::max_scenarios`] (the
+/// `exhaustive` flag records whether the full protected set was
+/// covered), and runs on the batched SoA kernels over
+/// [`kernel_workers`] threads; the verdict does not depend on the
+/// thread count.
 pub fn certify(input: &CertInput<'_>) -> Certificate {
-    certify_batched(input, kernel_workers())
+    let mut cert = match static_phase(input) {
+        Ok(cert) => cert,
+        Err(cert) => return cert,
+    };
+    if cert.ok() {
+        if let Some(bound) = crate::lemma::prove(input) {
+            cert.method = CertMethod::Lemma;
+            cert.max_oversubscription = bound;
+            return cert;
+        }
+    }
+    crate::kernels::batched_scenario_phase(input, &mut cert, kernel_workers());
+    cert
 }
 
 /// Worker count [`certify`] fans the kernels out over:
@@ -536,8 +596,9 @@ pub fn kernel_workers() -> usize {
         .unwrap_or(1)
 }
 
-/// [`certify`] with an explicit worker count, for the tests that pin
-/// worker-independence. Bit-identical to [`certify_scalar`].
+/// [`certify`]'s fall-back alone, with an explicit worker count: the
+/// static checks and then scenario enumeration, whatever the lemma
+/// would say. Bit-identical to [`certify_scalar`].
 pub fn certify_batched(input: &CertInput<'_>, workers: usize) -> Certificate {
     let mut cert = match static_phase(input) {
         Ok(cert) => cert,
@@ -553,6 +614,7 @@ pub fn certify_batched(input: &CertInput<'_>, workers: usize) -> Certificate {
 fn static_phase(input: &CertInput<'_>) -> Result<Certificate, Certificate> {
     let mut cert = Certificate {
         status: CertStatus::Certified,
+        method: CertMethod::Enumeration,
         scenarios_checked: 0,
         exhaustive: true,
         max_oversubscription: 0.0,
@@ -773,14 +835,10 @@ mod tests {
         let (t, tm, tt) = fig2();
         let rate = [8.0];
         let alloc = [vec![6.0, 2.0]];
-        let cert = certify(&CertInput::new(
-            &t,
-            &tm,
-            &tt,
-            &rate,
-            &alloc,
-            Protection::none(),
-        ));
+        let cert = certify_batched(
+            &CertInput::new(&t, &tm, &tt, &rate, &alloc, Protection::none()),
+            kernel_workers(),
+        );
         assert!(cert.ok(), "{:?}", cert.violations);
         assert_eq!(cert.scenarios_checked, 1);
         assert!(cert.exhaustive);
@@ -884,7 +942,8 @@ mod tests {
             let old = [vec![0.0, bad]];
             let mut input = CertInput::new(&t, &tm, &tt, &rate, &alloc, Protection::new(1, 0, 0));
             input.old_alloc = Some(&old);
-            for cert in [certify(&input), certify_scalar(&input)] {
+            let batched = certify_batched(&input, kernel_workers());
+            for cert in [certify(&input), batched, certify_scalar(&input)] {
                 assert_eq!(cert.status, CertStatus::Rejected);
                 assert_eq!(
                     cert.scenarios_checked, 0,
@@ -906,7 +965,8 @@ mod tests {
         let old = [vec![0.0, 8.0]];
         let mut input = CertInput::new(&t, &tm, &tt, &rate, &alloc, Protection::new(1, 0, 0));
         input.old_alloc = Some(&old);
-        let cert = certify(&input);
+        assert!(certify(&input).ok());
+        let cert = certify_batched(&input, kernel_workers());
         assert!(cert.ok(), "{:?}", cert.violations);
         assert_eq!(cert.scenarios_checked, 2); // none + {stale s0}
         assert!(cert.exhaustive);
@@ -940,6 +1000,10 @@ mod tests {
         assert!(cert.ok());
         assert!(!cert.exhaustive);
         assert_eq!(cert.status_str(), "certified-sampled");
+        // The proof needs the old weights, so enumeration decided: the
+        // fault-free scenario, and no stale one.
+        assert_eq!(cert.method, CertMethod::Enumeration);
+        assert_eq!(cert.scenarios_checked, 1);
     }
 
     #[test]
@@ -948,14 +1012,10 @@ mod tests {
         // kv=1: s1 dying kills the via tunnel; 8 units rescale onto the
         // direct link. Fine. But cap the direct link lower via a fresh
         // topology to force a violation, then exempt it.
-        let cert = certify(&CertInput::new(
-            &t,
-            &tm,
-            &tt,
-            &[8.0],
-            &[vec![4.0, 4.0]],
-            Protection::new(0, 0, 1),
-        ));
+        let (rate, alloc) = ([8.0], [vec![4.0, 4.0]]);
+        let input = CertInput::new(&t, &tm, &tt, &rate, &alloc, Protection::new(0, 0, 1));
+        assert!(certify(&input).ok());
+        let cert = certify_batched(&input, kernel_workers());
         assert!(cert.ok(), "{:?}", cert.violations);
         // 1 (none) + 3 switch singletons.
         assert_eq!(cert.scenarios_checked, 4);
@@ -999,9 +1059,202 @@ mod tests {
         let alloc = [vec![6.0, 2.0]];
         let mut input = CertInput::new(&t, &tm, &tt, &rate, &alloc, Protection::new(0, 1, 0));
         input.max_scenarios = 2; // 1 + 3 links would need 4
-        let cert = certify(&input);
+        let cert = certify_batched(&input, kernel_workers());
         assert_eq!(cert.scenarios_checked, 2);
         assert!(!cert.exhaustive);
+    }
+
+    /// `fig2` with the direct link at `direct` and both via links at
+    /// `via` capacity, and the one flow's demand raised to `demand`.
+    fn triangle(direct: f64, via: f64, demand: f64) -> (Topology, TrafficMatrix, TunnelTable) {
+        let (mut t, mut tm, tt) = fig2();
+        t.set_capacity(LinkId(0), direct);
+        t.set_capacity(LinkId(1), via);
+        t.set_capacity(LinkId(2), via);
+        tm.set_demand(FlowId(0), demand);
+        (t, tm, tt)
+    }
+
+    /// `certify` decided `input` by the lemma, and the enumerating
+    /// reference agrees that it is congestion-free.
+    fn assert_proved(input: &CertInput<'_>) {
+        let cert = certify(input);
+        assert_eq!(cert.method, CertMethod::Lemma, "{}", cert.to_json());
+        assert_eq!(cert.status_str(), "certified");
+        assert_eq!(cert.scenarios_checked, 0);
+        let reference = certify_scalar(input);
+        assert!(reference.ok(), "{:?}", reference.violations);
+        assert!(cert.max_oversubscription >= reference.max_oversubscription);
+    }
+
+    /// `certify` fell back to enumeration and returned its certificate.
+    fn assert_enumerated(input: &CertInput<'_>) -> Certificate {
+        let cert = certify(input);
+        assert_eq!(cert.method, CertMethod::Enumeration);
+        assert_eq!(cert.to_json(), certify_scalar(input).to_json());
+        cert
+    }
+
+    #[test]
+    fn lemma_accepts_a_residual_short_by_lp_slack() {
+        // Either tunnel alone must carry the full rate at ke = 1; the
+        // via tunnel's cover falls short by an LP's feasibility slack,
+        // so losing the direct link stretches it by 1 + 1e-9.
+        let (t, tm, tt) = triangle(10.0, 10.0, 10.0);
+        let rate = [10.0];
+        let alloc = [vec![10.0, 10.0 * (1.0 - 1e-9)]];
+        assert_proved(&CertInput::new(
+            &t,
+            &tm,
+            &tt,
+            &rate,
+            &alloc,
+            Protection::new(0, 1, 0),
+        ));
+    }
+
+    #[test]
+    fn lemma_refuses_a_rescale_blow_up_that_enumeration_rejects() {
+        // The via tunnel holds a sliver: losing the direct link
+        // stretches it 8e6-fold and puts all 8 units on 5-unit links.
+        let (t, tm, tt) = triangle(10.0, 5.0, 8.0);
+        let rate = [8.0];
+        let alloc = [vec![8.0, 1e-6]];
+        let input = CertInput::new(&t, &tm, &tt, &rate, &alloc, Protection::new(0, 1, 0));
+        let cert = assert_enumerated(&input);
+        assert_eq!(cert.status, CertStatus::Rejected);
+        assert!(cert.violations[0].contains("carries 8.000000/5.000000"));
+
+        // At or below the zero-weight threshold the bucket forwards
+        // nothing at all, so the proof skips that residual.
+        let alloc = [vec![8.0, 1e-13]];
+        assert_proved(&CertInput::new(
+            &t,
+            &tm,
+            &tt,
+            &rate,
+            &alloc,
+            Protection::new(0, 1, 0),
+        ));
+    }
+
+    #[test]
+    fn lemma_clamps_a_negative_allocation_to_zero() {
+        // Flow 0 puts the direct link just past the tolerance edge;
+        // flow 1 holds −1e-7 on it, inside the static tolerance. The
+        // rescaling drops negative traffic, so the −1e-7 must not pull
+        // the bound back under the edge.
+        let edge = 10.0 + ABS_TOL + REL_TOL * 10.0;
+        let (t, mut tm, one) = fig2();
+        tm.set_demand(FlowId(0), 11.0);
+        tm.add_flow(NodeId(0), NodeId(2), 1.0, Priority::High);
+        let mut tt = TunnelTable::new(2);
+        for f in [FlowId(0), FlowId(1)] {
+            for tunnel in one.tunnels(FlowId(0)) {
+                tt.push(f, tunnel.clone());
+            }
+        }
+        let rate = [edge + 5e-8, 1.0];
+        let alloc = [vec![edge + 5e-8, 0.0], vec![-1e-7, 1.0 + 1e-7]];
+        let cert = assert_enumerated(&CertInput::new(
+            &t,
+            &tm,
+            &tt,
+            &rate,
+            &alloc,
+            Protection::none(),
+        ));
+        assert_eq!(cert.status, CertStatus::Rejected);
+    }
+
+    #[test]
+    fn unprotected_link_is_exempt_from_the_proof() {
+        let (t, tm, tt) = triangle(5.0, 10.0, 8.0);
+        let rate = [8.0];
+        let alloc = [vec![8.0, 0.0]];
+        let mut input = CertInput::new(&t, &tm, &tt, &rate, &alloc, Protection::none());
+        assert!(!assert_enumerated(&input).ok());
+        let hatch = [LinkId(0)];
+        input.unprotected_links = &hatch;
+        assert_proved(&input);
+    }
+
+    #[test]
+    fn stale_gaps_are_summed_per_link_up_to_kc() {
+        // Two ingresses, each moving 6 units from its direct link onto
+        // the shared 10-unit link m→d when it goes stale: one stale
+        // ingress fits, two overload it.
+        let mut t = Topology::new();
+        let [a, b, m, d] = [0, 1, 2, 3].map(|_| t.add_node("s"));
+        for (x, y) in [(a, d), (b, d), (a, m), (b, m), (m, d)] {
+            t.add_link(x, y, 10.0);
+        }
+        let mut tm = TrafficMatrix::new();
+        let mut tt = TunnelTable::new(2);
+        for (fi, src) in [a, b].into_iter().enumerate() {
+            tm.add_flow(src, d, 6.0, Priority::High);
+            for hops in [&[src, d][..], &[src, m, d][..]] {
+                let links = hops
+                    .windows(2)
+                    .map(|w| t.find_link(w[0], w[1]).unwrap())
+                    .collect();
+                tt.push(FlowId(fi), Tunnel::from_path(&t, ffc_net::Path { links }));
+            }
+        }
+        let rate = [6.0, 6.0];
+        let alloc = [vec![6.0, 0.0], vec![6.0, 0.0]];
+        let old = [vec![0.0, 6.0], vec![0.0, 6.0]];
+        let mut input = CertInput::new(&t, &tm, &tt, &rate, &alloc, Protection::new(1, 0, 0));
+        input.old_alloc = Some(&old);
+        assert_proved(&input);
+
+        input.protection = Protection::new(2, 0, 0);
+        let cert = assert_enumerated(&input);
+        assert_eq!(cert.status, CertStatus::Rejected);
+        assert!(
+            cert.violations[0].contains("stale"),
+            "{:?}",
+            cert.violations
+        );
+    }
+
+    #[test]
+    fn rounding_allowance_keeps_the_proof_inside_the_tolerance() {
+        // Fault-free, one tunnel, load `edge − slack` on a 10-unit link:
+        // the proof accepts only with its rounding allowance
+        // (ROUNDING × 10 = 1e-8) to spare, enumeration decides the rest.
+        let edge = 10.0 + ABS_TOL + REL_TOL * 10.0;
+        let (t, tm, tt) = triangle(10.0, 10.0, 11.0);
+        let run = |load: f64| {
+            let (rate, alloc) = ([load], [vec![load, 0.0]]);
+            let input = CertInput::new(&t, &tm, &tt, &rate, &alloc, Protection::none());
+            (certify(&input), certify_scalar(&input).ok())
+        };
+        let (cert, reference) = run(edge - 5e-8);
+        assert_eq!(cert.method, CertMethod::Lemma);
+        assert!(reference);
+        let (cert, reference) = run(edge - 5e-9);
+        assert_eq!((cert.method, cert.ok()), (CertMethod::Enumeration, true));
+        assert!(reference);
+        let (cert, reference) = run(edge + 5e-9);
+        assert_eq!((cert.method, cert.ok()), (CertMethod::Enumeration, false));
+        assert!(!reference);
+    }
+
+    #[test]
+    fn proof_is_exhaustive_past_the_scenario_budget() {
+        // Either tunnel alone covers the rate, so the proof holds at
+        // ke = 1 whatever the budget; enumeration stops at it.
+        let (t, tm, tt) = fig2();
+        let rate = [8.0];
+        let alloc = [vec![8.0, 8.0]];
+        let mut input = CertInput::new(&t, &tm, &tt, &rate, &alloc, Protection::new(0, 1, 0));
+        input.max_scenarios = 2;
+        assert_proved(&input);
+        assert_eq!(
+            certify_batched(&input, kernel_workers()).status_str(),
+            "certified-sampled"
+        );
     }
 
     #[test]
@@ -1196,7 +1449,7 @@ mod tests {
             Protection::none(),
         ));
         let j = cert.to_json();
-        assert!(j.starts_with("{\"status\":\"rejected\""));
+        assert!(j.starts_with("{\"status\":\"rejected\",\"method\":\"enumeration\""));
         assert!(j.contains("\"violations\":["));
         assert!(j.ends_with("]}"));
     }

@@ -1,5 +1,7 @@
-//! Batched SoA scenario kernels: the congestion-freedom phase of
-//! [`crate::certify::certify`].
+//! Batched SoA scenario kernels: the enumerating congestion-freedom
+//! phase of [`crate::certify::certify`] — its fall-back when the proof
+//! by Lemma 1 (`crate::lemma`) does not go through, and the oracle the
+//! proof is tested against.
 //!
 //! The scalar reference in [`crate::certify::certify_scalar`] walks
 //! fault scenarios one at a time, and each scenario walk re-probes
@@ -39,7 +41,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use ffc_net::{FaultScenario, LinkId, NodeId, Topology, TrafficMatrix, TunnelTable};
 
-use crate::certify::{for_each_combo_up_to, within, CertInput, Certificate, Protection};
+use crate::certify::{
+    for_each_combo_up_to, within, CertInput, Certificate, Protection, ZERO_WEIGHT,
+};
 
 /// Scenarios evaluated per SoA block. One cache-friendly lane stripe of
 /// `f64` loads per link; also the unit of thread fan-out.
@@ -444,7 +448,7 @@ impl BatchEvaluator {
                 }
                 for (lane, slot) in tr[..lanes].iter_mut().enumerate() {
                     let tot = total[lane];
-                    let on = (bits >> lane) & 1 == 1 && tot > 1e-12;
+                    let on = (bits >> lane) & 1 == 1 && tot > ZERO_WEIGHT;
                     let w = if stale_bits >> lane & 1 == 1 {
                         t.w_old
                     } else {

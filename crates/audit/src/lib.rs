@@ -21,10 +21,12 @@
 //! coverage row shapes).
 //!
 //! The certifier re-derives the congestion-free property of a solved
-//! configuration by direct arithmetic over the tunnel layout — tunnel
-//! rescaling, stale-ingress weights, per-scenario link loads — with no
-//! simplex code anywhere on the path, and returns a machine-readable
-//! [`certify::Certificate`].
+//! configuration by direct arithmetic over the tunnel layout — first by
+//! the paper's Lemma 1 (per-flow residual cover, per-link capacity,
+//! per-ingress stale gaps), then, for what that proof does not accept,
+//! by per-scenario link loads under tunnel rescaling and stale-ingress
+//! weights — with no simplex code anywhere on the path, and returns a
+//! machine-readable [`certify::Certificate`].
 //!
 //! There is one source checker, dependency-free (no `syn`): the
 //! [`analysis`] front end — a lossless tokenizer and an item extractor
@@ -43,13 +45,14 @@
 pub mod analysis;
 pub mod certify;
 mod kernels;
+mod lemma;
 pub mod lint;
 pub mod model_audit;
 
 pub use analysis::{analyze_path, AnalysisConfig, AnalysisReport};
 pub use certify::{
     certify, certify_batched, certify_scalar, kernel_workers, verify_lp_certificate, CertInput,
-    CertStatus, Certificate, LpCertificate, Protection,
+    CertMethod, CertStatus, Certificate, LpCertificate, Protection,
 };
 pub use lint::{lint_workspace, LintConfig, LintReport, LintViolation};
 pub use model_audit::{audit_model, AuditConfig, AuditReport, Finding, Severity};

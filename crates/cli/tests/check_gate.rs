@@ -2,7 +2,9 @@
 //!
 //! The check used to be a hand-rolled walk that never read `--kv` and
 //! counted the fault-free scenario once per scenario list it built; it
-//! now prints the verdict of `ffc_audit::certify` at `--kc/--ke/--kv`.
+//! now prints the verdict of `ffc_audit::certify` at `--kc/--ke/--kv`:
+//! an OK it proved by Lemma 1 names the lemma, anything the proof does
+//! not accept is enumerated and counted.
 //! The diamond fixture is the smallest instance that tells the two
 //! apart: its one flow has to be split over both transit switches, so a
 //! plain TE solution is fine fault-free and overloads the surviving path
@@ -64,10 +66,10 @@ fn check(paths: &(String, String, String), flags: &[&str]) -> (Option<i32>, Stri
 fn check_evaluates_switch_failures_and_counts_each_scenario_once() {
     let paths = solve("diamond", &[]);
 
-    // kv = 0: the fault-free scenario, once.
+    // kv = 0: the fault-free scenario, proved without enumerating it.
     let (code, line, _) = check(&paths, &[]);
     assert_eq!(code, Some(0), "{line}");
-    assert!(line.starts_with("OK: 1 fault scenarios checked"), "{line}");
+    assert!(line.starts_with("OK: proved by Lemma 1"), "{line}");
 
     // kv = 1: fault-free + 4 single-switch failures; losing either
     // transit switch puts all 15 units on one 10-unit path.
@@ -76,6 +78,13 @@ fn check_evaluates_switch_failures_and_counts_each_scenario_once() {
     assert!(line.starts_with("FAILED: "), "{line}");
     assert!(line.contains("across 5 scenarios"), "{line}");
 
+    // ke = 1 reaches the gate too: fault-free + 8 single-link failures,
+    // and losing a link of either path overloads the other.
+    let (code, line, _) = check(&paths, &["--ke", "1"]);
+    assert_eq!(code, Some(1), "{line}");
+    assert!(line.starts_with("FAILED: "), "{line}");
+    assert!(line.contains("across 9 scenarios"), "{line}");
+
     let _ = std::fs::remove_file(&paths.2);
 }
 
@@ -83,10 +92,10 @@ fn check_evaluates_switch_failures_and_counts_each_scenario_once() {
 fn check_accepts_the_quickstart_solution_and_still_needs_old_for_kc() {
     let paths = solve("small", &["--ke", "1"]);
 
-    // 1 fault-free + 14 single-link failures.
+    // 1 fault-free + 14 single-link failures, all covered by the proof.
     let (code, line, _) = check(&paths, &["--ke", "1"]);
     assert_eq!(code, Some(0), "{line}");
-    assert!(line.starts_with("OK: 15 fault scenarios checked"), "{line}");
+    assert!(line.starts_with("OK: proved by Lemma 1"), "{line}");
 
     let (code, line, _) = check(&paths, &["--kc", "1"]);
     assert_eq!(code, Some(1));

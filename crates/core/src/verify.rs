@@ -152,8 +152,8 @@ mod tests {
         (t, tm, tunnels)
     }
 
-    /// End-to-end: an FFC solve certifies; hand-corrupting the solved
-    /// rates afterwards makes certification fail.
+    /// End-to-end: an FFC solve certifies by Lemma 1; hand-corrupting the
+    /// solved rates afterwards makes certification fail.
     #[test]
     fn solved_config_certifies_and_corruption_is_caught() {
         let (topo, tm, tunnels) = ring();
@@ -163,7 +163,21 @@ mod tests {
         let cert = certify_config(&topo, &tm, &tunnels, &cfg, Some(&old), &ffc);
         assert!(cert.ok(), "{}", cert.to_json());
         assert!(cert.exhaustive);
-        assert!(cert.scenarios_checked > 1);
+        // An FFC solution is proved by Lemma 1, with no scenario enumerated.
+        assert_eq!(cert.method, ffc_audit::CertMethod::Lemma);
+
+        // The protection level reaches the certifier: both flows mostly on
+        // their first tunnel, which is fine fault-free, but losing link 1
+        // moves flow 1 onto link 12 beside flow 0's 5 units (11 > 10).
+        let mut lopsided = cfg.clone();
+        lopsided.rate = vec![6.0, 6.0];
+        lopsided.alloc = vec![vec![5.0, 1.0, 0.0], vec![5.0, 1.0]];
+        let none = FfcConfig::new(0, 0, 0).exact();
+        let cert = certify_config(&topo, &tm, &tunnels, &lopsided, Some(&old), &none);
+        assert!(cert.ok(), "{}", cert.to_json());
+        let cert = certify_config(&topo, &tm, &tunnels, &lopsided, Some(&old), &ffc);
+        assert!(!cert.ok(), "{}", cert.to_json());
+        assert_eq!(cert.method, ffc_audit::CertMethod::Enumeration);
 
         let mut corrupted = cfg.clone();
         corrupted.rate[0] += 5.0; // breaks coverage + demand bound

@@ -1,16 +1,23 @@
-//! Differential oracle on the paper's own instances: the certifier the
-//! controller gates rollouts on (`ffc_audit::certify`, batched SoA
+//! Differential oracle on the paper's own instances. The certifier the
+//! controller gates rollouts on (`ffc_audit::certify`) must decide the
+//! FFC solutions of the built-in S-Net and of the §7 testbed by the
+//! paper's Lemma 1 — a silent fall-back to enumeration fails here — and
+//! the enumeration it falls back to (`certify_batched`, batched SoA
 //! kernels) must equal its scalar reference (`certify_scalar`) field for
-//! field — on FFC solutions of the built-in S-Net and of the §7 testbed,
-//! and on a copy of each with one flow inflated so the violation path
-//! (the rejected-block re-scan and the recorded strings) runs too.
+//! field on them. A copy of each with one flow inflated must fall back,
+//! and there the gate's certificate must equal the scalar reference bit
+//! for bit, so the violation path (the rejected-block re-scan and the
+//! recorded strings) runs too.
 //!
 //! `crates/audit/tests/proptest_kernels.rs` covers the input space on
 //! ≤6-node rings; this pins the same contract at the sizes the system
 //! actually certifies, which is what the second CI pass under a
 //! kernel-routing switch used to stand in for.
 
-use ffc_audit::certify::{certify, certify_scalar, CertInput, Certificate, Protection};
+use ffc_audit::certify::{
+    certify, certify_batched, certify_scalar, kernel_workers, CertInput, CertMethod, Certificate,
+    Protection,
+};
 use ffc_core::{solve_ffc, solve_te, FfcConfig, TeConfig, TeProblem};
 use ffc_net::prelude::*;
 
@@ -36,9 +43,11 @@ fn assert_same(got: &Certificate, want: &Certificate, what: &str) {
     assert_eq!(got.to_json(), want.to_json(), "{what}: json");
 }
 
-/// Solves FFC at `(kc, ke, kv)` against a plain-TE old configuration and
-/// holds `certify` to `certify_scalar` on the solution and on an
-/// inflated copy. Returns the number of scenarios one pass walked.
+/// Solves FFC at `(kc, ke, kv)` against a plain-TE old configuration,
+/// requires `certify` to prove the solution by Lemma 1 and to fall back
+/// on an inflated copy, and holds enumeration to `certify_scalar` on
+/// both. Returns the number of scenarios enumeration walked on the
+/// solution.
 fn differential(
     name: &str,
     topo: &Topology,
@@ -66,14 +75,28 @@ fn differential(
             Protection::new(kc, ke, kv),
         );
         input.old_alloc = (kc > 0).then_some(&old.alloc[..]);
-        let got = certify(&input);
-        assert_same(&got, &certify_scalar(&input), what);
-        got
+        let enumerated = certify_batched(&input, kernel_workers());
+        assert_same(&enumerated, &certify_scalar(&input), what);
+        (certify(&input), enumerated)
     };
 
-    let solved = run(tm, &cfg, &what);
+    let (gated, solved) = run(tm, &cfg, &what);
+    assert_eq!(
+        gated.method,
+        CertMethod::Lemma,
+        "{what}: {}",
+        gated.to_json()
+    );
+    assert_eq!(gated.status_str(), "certified", "{what}");
+    assert_eq!(gated.scenarios_checked, 0, "{what}");
     assert!(solved.ok(), "{what}: {:?}", solved.violations);
     assert!(solved.exhaustive, "{what}: budget-capped");
+    assert!(
+        gated.max_oversubscription >= solved.max_oversubscription,
+        "{what}: bound {} under the enumerated {}",
+        gated.max_oversubscription,
+        solved.max_oversubscription
+    );
 
     // Inflate the largest flow eightfold (demand, rate and allocations
     // together, so only the congestion checks can object).
@@ -88,7 +111,9 @@ fn differential(
     tm_bad.set_demand(FlowId(big), tm.flow(FlowId(big)).demand * 8.0);
     bad.rate[big] *= 8.0;
     bad.alloc[big].iter_mut().for_each(|a| *a *= 8.0);
-    let rejected = run(&tm_bad, &bad, &format!("{what}, inflated"));
+    let (gated, rejected) = run(&tm_bad, &bad, &format!("{what}, inflated"));
+    assert_eq!(gated.method, CertMethod::Enumeration, "{what}, inflated");
+    assert_same(&gated, &rejected, &format!("{what}, inflated gate"));
     assert!(!rejected.ok(), "{what}: inflated config certified");
     assert!(
         rejected.violations.iter().all(|v| v.contains("carries")),
