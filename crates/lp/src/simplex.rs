@@ -51,8 +51,9 @@ pub enum Algorithm {
     /// Dual simplex. Falls back to the primal when no dual-feasible
     /// start basis can be constructed (see [`SimplexOptions::algorithm`]).
     Dual,
-    /// Dual for warm starts whose basis is (or can be flipped to be)
-    /// dual-feasible; primal otherwise. Cold solves always run primal.
+    /// Dual for warm starts whose hint loads: wrong-sign reduced costs
+    /// are bound-flipped away, or shifted away where no flip fixes them.
+    /// Primal otherwise. Cold solves always run primal.
     #[default]
     Auto,
 }
@@ -639,10 +640,17 @@ impl<'a> Engine<'a> {
     /// single sparse solve and applied as an eta update. Refilled
     /// slacks' own bound violations are absorbed by artificials via
     /// `patch_infeasible_basic_slacks`, which phase 1 repairs.
+    ///
+    /// Rounds repeat until no structural basic violates its bounds. A
+    /// refill only ever brings in a slack, so every round with a
+    /// violator leaves at least one structural basic fewer: the loop
+    /// ends within as many rounds as the hint has structural basics,
+    /// plus the round that finds none.
     fn repair_warm_basis(&mut self) -> bool {
         let std = self.std;
         let tol = FEAS_TOL * 10.0;
-        for round in 0..3 {
+        let structural_basics = self.basis.iter().filter(|&&j| j < std.n_struct).count();
+        for round in 0..=structural_basics {
             if round > 0 && self.compute_tentative_values().is_err() {
                 self.reset_state();
                 return false;
@@ -716,7 +724,7 @@ impl<'a> Engine<'a> {
                 self.basis[pos] = s;
             }
         }
-        // Still violating after the repair budget: start cold instead.
+        // Not reached: the last round finds no structural basic at all.
         self.reset_state();
         false
     }
@@ -1032,6 +1040,41 @@ impl<'a> Engine<'a> {
             self.recompute_basic_values();
         }
         true
+    }
+
+    /// The cost-shifting dual phase 1 (Koberstein 2005, as in HiGHS):
+    /// `cost` with the cost of every nonbasic column whose reduced cost
+    /// has a sign no bound flip fixes — at a lower bound with no upper
+    /// one, at an upper bound with no lower one, or free — moved by
+    /// minus that reduced cost, so the column prices out at zero. Only
+    /// nonbasic costs move, so `y = B⁻ᵀc_B` and every other reduced cost
+    /// stay as they are. Reads `self.y` as a refused
+    /// [`Self::dual_feasibilize`] leaves it, with the same tolerance.
+    fn shift_costs(&self, cost: &[f64]) -> Vec<f64> {
+        let tol = OPT_TOL * 10.0;
+        let bounds = self.lb.iter().zip(&self.ub);
+        cost.iter()
+            .zip(&self.stat)
+            .zip(bounds)
+            .enumerate()
+            .map(|(j, ((&c, &st), (&l, &u)))| {
+                if l == u {
+                    return c;
+                }
+                let d = c - self.col_dot(j, &self.y);
+                let unfixable = match st {
+                    VStat::AtLower => d < -tol && !u.is_finite(),
+                    VStat::AtUpper => d > tol && !l.is_finite(),
+                    VStat::FreeZero => d.abs() > tol,
+                    VStat::Basic(_) => false,
+                };
+                if unfixable {
+                    c - d
+                } else {
+                    c
+                }
+            })
+            .collect()
     }
 
     /// Dual simplex loop: from a dual-feasible basis, drives out primal
@@ -1783,16 +1826,30 @@ fn solve_std_once(eng: &mut Engine<'_>, hint: Option<&BasisStatuses>) -> Result<
             None => eng.crash_basis_core().is_ok(),
         };
         if loaded {
-            if eng.dual_feasibilize(&cost2) {
-                eng.stats.hint_used = hint.is_some();
-                match eng.optimize_dual(&cost2)? {
-                    DualEnd::Feasible => dual_done = true,
-                    DualEnd::Infeasible => return Err(LpError::Infeasible),
-                }
+            // A loaded hint the true costs refuse keeps its basis: the
+            // dual runs on shifted costs instead (see `shift_costs`). Its
+            // `Infeasible` verdict reads no cost, and `finish_solve`'s
+            // primal pass optimizes, and reports duals for, the true
+            // costs. A cold crash basis is not shifted.
+            let shifted;
+            let dual_cost = if eng.dual_feasibilize(&cost2) {
+                Some(&cost2[..])
             } else if hint.is_some() {
-                hint_loaded = true;
+                shifted = eng.shift_costs(&cost2);
+                eng.dual_feasibilize(&shifted).then_some(&shifted[..])
             } else {
-                eng.reset_state();
+                None
+            };
+            match dual_cost {
+                Some(cost) => {
+                    eng.stats.hint_used = hint.is_some();
+                    match eng.optimize_dual(cost)? {
+                        DualEnd::Feasible => dual_done = true,
+                        DualEnd::Infeasible => return Err(LpError::Infeasible),
+                    }
+                }
+                None if hint.is_some() => hint_loaded = true,
+                None => eng.reset_state(),
             }
         }
     }
@@ -2474,6 +2531,131 @@ mod tests {
             warm.stats
         );
         assert!(warm.stats.hint_used);
+    }
+
+    /// `max x + 2y` over `x + y ≤ 4`, `x + t·y ≤ 6` and `x + y ≥ g`. At
+    /// `t = 3`, `g = 1` the optimum is the vertex `(3, 1)` of the first
+    /// two rows, with both structurals basic.
+    fn coefficient_model(t: f64, g: f64) -> Model {
+        let mut m = Model::new();
+        let x = m.add_nonneg("x");
+        let y = m.add_nonneg("y");
+        m.add_con(LinExpr::from(x) + y, Cmp::Le, 4.0);
+        m.add_con(LinExpr::from(x) + LinExpr::term(y, t), Cmp::Le, 6.0);
+        m.add_con(LinExpr::from(x) + y, Cmp::Ge, g);
+        m.set_objective(LinExpr::from(x) + LinExpr::term(y, 2.0), Sense::Maximize);
+        m
+    }
+
+    /// At `t = 1.25` the old basis puts `x` at −4 and prices the first
+    /// row's slack (bounds `[0, ∞)`, nothing to flip to) at the wrong
+    /// sign: no bound flip makes the hint dual-feasible. The solve keeps
+    /// it anyway — the dual runs on shifted costs, the primal pass on
+    /// the true ones — and lands on the cold optimum, `(0, 4)`.
+    #[test]
+    fn warm_dual_start_shifts_costs_the_hint_prices_wrong() {
+        let hint = coefficient_model(3.0, 1.0).solve().unwrap().basis;
+        assert_eq!(&hint.0[..2], &[ColStatus::Basic, ColStatus::Basic]);
+        let m = coefficient_model(1.25, 1.0);
+        let cold = m.solve().unwrap();
+        let warm = m
+            .solve_with(&SimplexOptions::default(), Some(&hint))
+            .unwrap();
+        almost(warm.objective, cold.objective);
+        almost(warm.objective, 8.0);
+        assert!(warm.stats.hint_used, "{:?}", warm.stats);
+        assert!(warm.stats.dual_iterations > 0, "{:?}", warm.stats);
+        assert_eq!(warm.stats.phase1_iterations, 0, "{:?}", warm.stats);
+        // The duals are the true costs' at the optimum: only the first
+        // row binds, at price 2.
+        almost(warm.duals[0], 2.0);
+        almost(warm.duals[1], 0.0);
+    }
+
+    /// The same shifted start on a model with no feasible point
+    /// (`x + y ≥ 5` against `x + y ≤ 4`): the dual's verdict reads no
+    /// cost, so it is the cold primal's.
+    #[test]
+    fn warm_shifted_dual_start_detects_infeasible() {
+        let hint = coefficient_model(3.0, 1.0).solve().unwrap().basis;
+        let m = coefficient_model(1.25, 5.0);
+        let primal = SimplexOptions {
+            algorithm: Algorithm::Primal,
+            ..SimplexOptions::default()
+        };
+        assert_eq!(
+            m.solve_with(&primal, None).unwrap_err(),
+            LpError::Infeasible
+        );
+        assert_eq!(
+            m.solve_with(&SimplexOptions::default(), Some(&hint))
+                .unwrap_err(),
+            LpError::Infeasible
+        );
+    }
+
+    /// Five rows that chain the structurals: each row, tight, defines
+    /// the next `x` from earlier ones (the third row is scaled so that
+    /// the fourth row's slack refills `x4`'s position). `weights` are
+    /// the sum of the `≤` rows less the `≥` row, so at `bounds = [0, 10]`
+    /// the optimum has every row tight and every structural basic at 5.
+    fn repair_chain_model(bounds: [(f64, f64); 5]) -> Model {
+        let mut m = Model::new();
+        let x: Vec<VarId> = bounds
+            .iter()
+            .enumerate()
+            .map(|(i, &(l, u))| m.add_var(l, u, format!("x{}", i + 1)))
+            .collect();
+        m.add_con(LinExpr::from(x[0]), Cmp::Le, 5.0);
+        m.add_con(LinExpr::from(x[1]) - x[0], Cmp::Ge, 0.0);
+        m.add_con(
+            LinExpr::term(x[2], 10.0) - LinExpr::term(x[1], 20.0) + LinExpr::term(x[0], 10.0),
+            Cmp::Le,
+            0.0,
+        );
+        m.add_con(
+            LinExpr::from(x[3]) - LinExpr::term(x[2], 2.0) + x[1],
+            Cmp::Le,
+            0.0,
+        );
+        m.add_con(
+            LinExpr::from(x[4]) - x[3] + LinExpr::term(x[2], 1.375) - LinExpr::term(x[0], 1.375),
+            Cmp::Le,
+            0.0,
+        );
+        let weights = [10.625, -20.0, 9.375, 0.0, 1.0];
+        let mut obj = LinExpr::zero();
+        for (&v, w) in x.iter().zip(weights) {
+            obj.add_term(v, w);
+        }
+        m.set_objective(obj, Sense::Maximize);
+        m
+    }
+
+    /// New bounds that put one structural out of bounds per repair
+    /// round: `x1` (5 > 1), then `x2` (1 < 3), then `x4` (7 > 6), then
+    /// `x5` (0.5 < 0.75). Four rounds of demotions, where a fixed budget
+    /// of three gave the hint up and crash-started.
+    #[test]
+    fn warm_primal_repair_runs_until_no_structural_violates() {
+        let hint = repair_chain_model([(0.0, 10.0); 5]).solve().unwrap();
+        almost(hint.objective, 5.0);
+        assert!(hint.basis.0[..5].iter().all(|&s| s == ColStatus::Basic));
+        let m = repair_chain_model([
+            (0.0, 1.0),
+            (3.0, 10.0),
+            (0.0, 10.0),
+            (0.0, 6.0),
+            (0.75, 10.0),
+        ]);
+        let cold = m.solve().unwrap();
+        let primal = SimplexOptions {
+            algorithm: Algorithm::Primal,
+            ..SimplexOptions::default()
+        };
+        let warm = m.solve_with(&primal, Some(&hint.basis)).unwrap();
+        assert!(warm.stats.hint_used, "{:?}", warm.stats);
+        almost(warm.objective, cold.objective);
     }
 
     #[test]

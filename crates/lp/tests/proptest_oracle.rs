@@ -5,7 +5,7 @@
 //! simplex on a per-solve lowering and on a standing form must agree
 //! bit for bit.
 //!
-//! Four instance families stress different corners:
+//! Five instance families stress different corners:
 //! * fully boxed LPs (the dual starts directly from a dual-feasibilized
 //!   slack/crash basis — no primal fallback),
 //! * mixed-bound LPs with one-sided and near-free variables (can be
@@ -13,11 +13,13 @@
 //! * larger LPs with boxes at or below zero, nonnegative rays and fixed
 //!   columns (`lb == ub`, which stay columns of the solved model),
 //! * small-integer degenerate LPs (tied ratios, duplicated rows, zero
-//!   right-hand sides — the classic cycling traps).
+//!   right-hand sides — the classic cycling traps),
+//! * one-sided LPs re-solved warm after a coefficient change (the hint
+//!   can price a ray column at a sign no bound flip fixes).
 
 use ffc_lp::dense::solve_dense;
 use ffc_lp::{
-    Algorithm, BasisStatuses, Cmp, IncrementalModel, LinExpr, LpError, Model, Sense,
+    Algorithm, BasisStatuses, Cmp, ColStatus, IncrementalModel, LinExpr, LpError, Model, Sense,
     SimplexOptions, Solution,
 };
 use proptest::prelude::*;
@@ -121,6 +123,58 @@ fn crossing_lp(max_vars: usize, max_cons: usize) -> impl Strategy<Value = Random
             cons,
             obj,
             maximize,
+        })
+    })
+}
+
+/// Every column one-sided — a nonnegative ray, a shifted ray, or a ray
+/// bounded above only — apart from the odd box. A basis that prices a
+/// ray column at the wrong sign has no bound to flip it to. Each ray's
+/// cost points away from its open end and every row holds at one point
+/// inside the bounds, so each instance has an optimum for a warm
+/// re-solve to start from.
+fn one_sided_lp(max_vars: usize, max_cons: usize) -> impl Strategy<Value = RandomLp> {
+    (2..=max_vars).prop_flat_map(move |nvars| {
+        // (bounds, cost, a point inside the bounds)
+        let column =
+            (0..4u8, -5.0..5.0f64, 0.1..8.0f64, 0.1..4.0f64).prop_map(|(kind, lo, span, cost)| {
+                match kind {
+                    0 => ((lo, lo + span), cost - 2.0, lo + span / 2.0), // box
+                    1 => ((0.0, f64::INFINITY), cost, span),             // nonnegative ray
+                    2 => ((lo, f64::INFINITY), cost, lo + span),         // shifted ray
+                    _ => ((f64::NEG_INFINITY, lo), -cost, lo - span),    // ray bounded above
+                }
+            });
+        let columns = prop::collection::vec(column, nvars);
+        let term = (0..nvars, -3.0..3.0f64);
+        // The last entry is the row's slack at the point.
+        let con = (
+            prop::collection::vec(term, 1..=nvars.min(4)),
+            0..3u8,
+            0.0..4.0f64,
+        );
+        let cons = prop::collection::vec(con, 1..=max_cons);
+        (columns, cons, any::<bool>()).prop_map(move |(columns, cons, maximize)| {
+            let sign = if maximize { -1.0 } else { 1.0 };
+            let cons = cons
+                .into_iter()
+                .map(|(terms, cmp, slack)| {
+                    let at: f64 = terms.iter().map(|&(j, c)| c * columns[j].2).sum();
+                    let rhs = match cmp % 3 {
+                        0 => at + slack,
+                        1 => at - slack,
+                        _ => at,
+                    };
+                    (terms, cmp, rhs)
+                })
+                .collect();
+            RandomLp {
+                nvars,
+                bounds: columns.iter().map(|&(b, _, _)| b).collect(),
+                cons,
+                obj: columns.iter().map(|&(_, c, _)| sign * c).collect(),
+                maximize,
+            }
         })
     })
 }
@@ -326,6 +380,43 @@ proptest! {
         let warm = m2.solve_with(&auto, Some(&first.basis));
         agree("warm auto vs cold", &warm, &cold)?;
         wrappers_agree("cold, model vs standing form", &m, &auto, None)?;
+        wrappers_agree("warm, model vs standing form", &m2, &auto, Some(&first.basis))?;
+    }
+
+    /// Warm `Auto` restart after one coefficient changes, on one-sided
+    /// columns: the old basis can turn primal- *and* dual-infeasible,
+    /// with a wrong-sign ray no bound flip fixes. The dual then starts
+    /// on shifted costs and must still land on the cold answer —
+    /// optimal, infeasible or unbounded.
+    #[test]
+    fn warm_auto_matches_cold_after_coefficient_change(
+        lp in one_sided_lp(5, 6),
+        pick in 0..64usize,
+        coeff in -3.0..3.0f64,
+    ) {
+        let Ok(first) = solve_algo(&build(&lp), Algorithm::Primal) else { return Ok(()) };
+        // A coefficient of a basic column moves both the basic values
+        // and the duals; fall back to any term when none is basic.
+        let all: Vec<(usize, usize)> = lp
+            .cons
+            .iter()
+            .enumerate()
+            .flat_map(|(i, (t, _, _))| (0..t.len()).map(move |k| (i, k)))
+            .collect();
+        let basic: Vec<(usize, usize)> = all
+            .iter()
+            .copied()
+            .filter(|&(i, k)| first.basis.0[lp.cons[i].0[k].0] == ColStatus::Basic)
+            .collect();
+        let terms = if basic.is_empty() { all } else { basic };
+        let (i, k) = terms[pick % terms.len()];
+        let mut lp2 = lp.clone();
+        lp2.cons[i].0[k].1 = coeff;
+        let m2 = build(&lp2);
+        let cold = solve_algo(&m2, Algorithm::Primal);
+        let auto = SimplexOptions { algorithm: Algorithm::Auto, ..SimplexOptions::default() };
+        let warm = m2.solve_with(&auto, Some(&first.basis));
+        agree("warm auto vs cold primal", &warm, &cold)?;
         wrappers_agree("warm, model vs standing form", &m2, &auto, Some(&first.basis))?;
     }
 }
