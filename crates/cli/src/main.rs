@@ -264,7 +264,7 @@ fn solve(mut a: Args) -> Done {
         eprintln!(
             "solver: {} iterations (phase1 {} / phase2 {} / dual {}), {} degenerate, \
              {} bound flips ({} dual), {} refactorizations, {} full pricing passes, {:.1?} \
-             (factor {:.1?}, ftran {:.1?}, btran {:.1?}, pricing and the rest {:.1?})",
+             (factor {:.1?}, ftran {:.1?}, btran {:.1?}, pricing {:.1?}, the rest {:.1?})",
             s.iterations(),
             s.phase1_iterations,
             s.phase2_iterations,
@@ -278,8 +278,9 @@ fn solve(mut a: Args) -> Done {
             s.factor_time,
             s.ftran_time,
             s.btran_time,
+            s.price_time,
             s.solve_time
-                .saturating_sub(s.factor_time + s.ftran_time + s.btran_time),
+                .saturating_sub(s.factor_time + s.ftran_time + s.btran_time + s.price_time),
         );
     }
     eprintln!(

@@ -410,6 +410,65 @@ mod tests {
     }
 
     #[test]
+    fn memoized_btran_through_etas_matches_a_full_solve_bitwise() {
+        // The heap-reference test's shapes: a 60-row basis with fill and
+        // six pivots recorded as etas. One basis keeps its BTRAN memo
+        // across every call; the other forgets it before each, so it
+        // solves in full. Cost vectors change in no, one, a few and all
+        // positions between calls.
+        let m = 60;
+        let mut state = 0x5eed_1234u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
+        };
+        let row = move |x: f64| (x.abs() * m as f64) as usize % m;
+        let cols: Vec<Vec<(usize, f64)>> = (0..m)
+            .map(|j| {
+                let mut col = vec![(j, 4.0 + next().abs())];
+                for _ in 0..2 {
+                    let r = row(next());
+                    if r != j {
+                        col.push((r, next()));
+                    }
+                }
+                col
+            })
+            .collect();
+        let mut memo = Basis::factorize(m, &cols).unwrap();
+        let mut full = Basis::factorize(m, &cols).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut cost: Vec<f64> = (0..m).map(|_| next()).collect();
+        let mut w = ScatterVec::new(m);
+        for step in 0..6 {
+            let entering: Vec<(usize, f64)> = (0..3).map(|_| (row(next()), 1.0 + next())).collect();
+            memo.ftran_sparse(&entering, &mut w);
+            let pos = w
+                .pattern()
+                .iter()
+                .copied()
+                .max_by(|&i, &k| w.get(i).abs().total_cmp(&w.get(k).abs()))
+                .unwrap();
+            memo.push_eta_sparse(pos, &w).unwrap();
+            full.push_eta_sparse(pos, &w).unwrap();
+            for changes in [0, 1, 4, m] {
+                for k in 0..changes {
+                    let i = if changes == m { k } else { row(next()) };
+                    cost[i] = next();
+                }
+                let (mut c, mut got) = (cost.clone(), vec![0.0; m]);
+                memo.btran(&mut c, &mut got);
+                full.lu.forget_btran_memo();
+                let (mut c, mut want) = (cost.clone(), vec![0.0; m]);
+                full.btran(&mut c, &mut want);
+                assert_eq!(bits(&got), bits(&want), "step {step}, {changes} changes");
+            }
+        }
+    }
+
+    #[test]
     fn into_lu_only_without_etas() {
         let cols = vec![vec![(0, 1.0)], vec![(1, 1.0)]];
         let basis = Basis::factorize(2, &cols).unwrap();

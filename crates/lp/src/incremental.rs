@@ -526,6 +526,7 @@ mod tests {
             factor_time: Duration::ZERO,
             ftran_time: Duration::ZERO,
             btran_time: Duration::ZERO,
+            price_time: Duration::ZERO,
             ..*s
         };
         assert_eq!(untimed(&a.stats), untimed(&b.stats));
@@ -577,6 +578,36 @@ mod tests {
             .unwrap()
             .solve_with(&opts, Some(&hint));
         assert_bit_identical(&patched, &fresh.unwrap());
+    }
+
+    #[test]
+    fn coefficient_patch_on_a_nonbasic_column_keeps_the_held_factorization() {
+        // The classic LP plus z, which prices out (reduced cost 1 − zc
+        // against the dual 1 of row c2) and rests at its lower bound.
+        let model = |zc: f64| {
+            let (mut m, x, y, _c0, c2) = build(4.0, 3.0);
+            let z = m.add_nonneg("z");
+            m.cons[c2.index()].expr += LinExpr::term(z, zc);
+            m.set_objective(
+                LinExpr::term(x, 3.0) + LinExpr::term(y, 5.0) + z,
+                Sense::Maximize,
+            );
+            (m, z, c2)
+        };
+        let (base, z, c2) = model(2.0);
+        let mut inc = IncrementalModel::new(base).unwrap();
+        let hint = primed(&inc);
+        assert_eq!(hint.0[z.index()], crate::model::ColStatus::Lower);
+        inc.set_coeff(c2, z, 3.0).unwrap();
+        let opts = SimplexOptions::default();
+        let patched = inc.solve_with(&opts, Some(&hint)).unwrap();
+        assert!(patched.stats.factor_reused, "z is not one of B's columns");
+        let fresh = IncrementalModel::new(model(3.0).0)
+            .unwrap()
+            .solve_with(&opts, Some(&hint))
+            .unwrap();
+        assert!(!fresh.stats.factor_reused);
+        assert_bit_identical(&patched, &fresh);
     }
 
     #[test]

@@ -12,6 +12,11 @@
 //!
 //! * [`LuFactors::ftran`] — `B·w = v`, i.e. `w = U⁻¹ L⁻¹ P v`
 //! * [`LuFactors::btran`] — `Bᵀ·y = c`, i.e. `y = Pᵀ L⁻ᵀ U⁻ᵀ c`
+//!
+//! A factorization remembers its last dense BTRAN (from its second call
+//! on): the next one recomputes only the positions whose input changed
+//! or that read a changed position, and returns the same bits a full
+//! solve would.
 
 // audit:allow-file(float-eq): exact-zero comparisons here are
 // structural sparsity guards (skip entries that are identically zero),
@@ -59,6 +64,11 @@ pub struct LuFactors {
     aux: Option<SparseAux>,
     /// Scratch workspace for the sparse solves (permuted coordinates).
     tmp_sp: ScatterVec,
+    /// The last dense BTRAN's stage vectors, kept from the second dense
+    /// BTRAN of this factorization on (most factorizations see one).
+    btran_memo: Option<Box<BtranMemo>>,
+    /// Whether a dense BTRAN has run on this factorization.
+    btran_seen: bool,
     /// Routes the sparse solves through the heap-ordered reference the
     /// sweeps must match bit for bit.
     #[cfg(test)]
@@ -75,6 +85,27 @@ struct SparseAux {
     ut: CscMatrix,
     qinv: Vec<usize>,
     rowof: Vec<usize>,
+}
+
+/// The stages of one dense BTRAN, `c' = Q c`, `Uᵀz = c'`, `Lᵀy' = z`,
+/// `y = Pᵀy'`, as the last call left them. Each entry is a pure function
+/// of the entries it reads, so a later call recomputes an entry only
+/// when one of those changed.
+#[derive(Debug, Clone)]
+struct BtranMemo {
+    /// `c'`: the input in factorization column order.
+    input: Vec<f64>,
+    /// `z`: the `Uᵀ` solve.
+    z: Vec<f64>,
+    /// `y'`: the `Lᵀ` solve, in permuted row coordinates.
+    w: Vec<f64>,
+    /// `y`: the output, in original row coordinates.
+    out: Vec<f64>,
+    /// Positions still to recompute in the current stage (all `false`
+    /// between calls).
+    pending: Vec<bool>,
+    /// Positions whose `z` changed in the current call.
+    moved: Vec<usize>,
 }
 
 /// Absolute pivot magnitude below which a column is declared singular.
@@ -252,6 +283,8 @@ impl LuFactors {
             tmp: vec![0.0; m],
             aux: None,
             tmp_sp: ScatterVec::new(m),
+            btran_memo: None,
+            btran_seen: false,
             #[cfg(test)]
             heap_reference: false,
         })
@@ -297,11 +330,22 @@ impl LuFactors {
         }
     }
 
-    /// Solves `Bᵀ·y = c`. `c` is indexed by basis position; the result
-    /// (written into `out`) is in original row coordinates.
+    /// Solves `Bᵀ·y = c`. `c` is indexed by basis position and consumed
+    /// as scratch; the result (written into `out`) is in original row
+    /// coordinates.
+    ///
+    /// From the second call on a factorization, the solve is memoized:
+    /// only the entries of `z = U⁻ᵀc'` and `y' = L⁻ᵀz` whose inputs
+    /// changed since the previous call are recomputed (see
+    /// `btran_memoized`). The bits are those of the full
+    /// solve either way.
     pub fn btran(&mut self, c: &mut [f64], out: &mut [f64]) {
         debug_assert_eq!(c.len(), self.m);
         debug_assert_eq!(out.len(), self.m);
+        if self.btran_seen {
+            return self.btran_memoized(c, out);
+        }
+        self.btran_seen = true;
         // Apply the column preorder: c'[k] = c[q[k]].
         let t = &mut self.tmp;
         for k in 0..self.m {
@@ -328,6 +372,122 @@ impl LuFactors {
         for i in 0..self.m {
             out[i] = c[self.pinv[i]];
         }
+    }
+
+    /// The memoized dense BTRAN. The call that creates the memo solves
+    /// in full into it. Later calls mark the positions whose permuted
+    /// input changed bit-wise; the `Uᵀ` stage then walks ascending from
+    /// the lowest mark, recomputing each marked `z_j` with the full
+    /// solve's dot product (same terms, same order) and, when its bits
+    /// moved, marking the later positions that read it — row `j` of `U`,
+    /// `aux.ut.col(j)`. The `Lᵀ` stage walks descending from the highest
+    /// moved `z` the same way through `aux.lt`. An entry not recomputed
+    /// reads only unchanged entries, so it keeps the value the full
+    /// solve gives it.
+    fn btran_memoized(&mut self, c: &[f64], out: &mut [f64]) {
+        let m = self.m;
+        let fresh = self.btran_memo.is_none();
+        if !fresh {
+            self.ensure_aux();
+        }
+        let memo = self.btran_memo.get_or_insert_with(|| {
+            Box::new(BtranMemo {
+                input: vec![0.0; m],
+                z: vec![0.0; m],
+                w: vec![0.0; m],
+                out: vec![0.0; m],
+                pending: vec![true; m],
+                moved: Vec::new(),
+            })
+        });
+        // A fresh memo has every position pending: nothing to propagate.
+        let aux = if fresh { None } else { self.aux.as_ref() };
+        let BtranMemo {
+            input,
+            z,
+            w,
+            out: memo_out,
+            pending,
+            moved,
+        } = memo.as_mut();
+        let mark = |pending: &mut Vec<bool>, r: usize| {
+            if let Some(flag) = pending.get_mut(r) {
+                *flag = true;
+            }
+        };
+        // c'[k] = c[q[k]], marking the positions that changed.
+        let mut lo = if fresh { 0 } else { m };
+        for (k, ((slot, &qk), flag)) in input
+            .iter_mut()
+            .zip(&self.q)
+            .zip(pending.iter_mut())
+            .enumerate()
+        {
+            let v = c.get(qk).copied().unwrap_or(0.0);
+            if v.to_bits() != slot.to_bits() {
+                *slot = v;
+                *flag = true;
+                lo = lo.min(k);
+            }
+        }
+        // Uᵀ z = c', ascending: z_j reads z_r for r < j (column j of U).
+        moved.clear();
+        for j in lo..m {
+            let Some(flag) = pending.get_mut(j).filter(|f| **f) else {
+                continue;
+            };
+            *flag = false;
+            let mut acc = input.get(j).copied().unwrap_or(0.0);
+            for (r, val) in self.u.col(j) {
+                acc -= val * z.get(r).copied().unwrap_or(0.0);
+            }
+            let zj = acc / self.u_diag.get(j).copied().unwrap_or(1.0);
+            match z.get_mut(j) {
+                Some(slot) if slot.to_bits() != zj.to_bits() => *slot = zj,
+                _ => continue,
+            }
+            moved.push(j);
+            if let Some(aux) = aux {
+                aux.ut.col(j).for_each(|(r, _)| mark(pending, r));
+            }
+        }
+        // Lᵀ y' = z, descending: y'_j reads y'_r for r > j (column j of
+        // L) and z_j.
+        let hi = if fresh {
+            pending.iter_mut().for_each(|f| *f = true);
+            m
+        } else {
+            moved.iter().for_each(|&j| mark(pending, j));
+            moved.last().map_or(0, |&j| j + 1)
+        };
+        for j in (0..hi).rev() {
+            let Some(flag) = pending.get_mut(j).filter(|f| **f) else {
+                continue;
+            };
+            *flag = false;
+            let mut acc = z.get(j).copied().unwrap_or(0.0);
+            for (r, val) in self.l.col(j) {
+                acc -= val * w.get(r).copied().unwrap_or(0.0);
+            }
+            match w.get_mut(j) {
+                Some(slot) if slot.to_bits() != acc.to_bits() => *slot = acc,
+                _ => continue,
+            }
+            // y = Pᵀ y': y[rowof[j]] = y'_j.
+            if let Some(aux) = aux {
+                if let Some(o) = aux.rowof.get(j).and_then(|&i| memo_out.get_mut(i)) {
+                    *o = acc;
+                }
+                aux.lt.col(j).for_each(|(r, _)| mark(pending, r));
+            }
+        }
+        if fresh {
+            // y[i] = y'[pinv[i]].
+            for (o, &k) in memo_out.iter_mut().zip(&self.pinv) {
+                *o = w.get(k).copied().unwrap_or(0.0);
+            }
+        }
+        out.copy_from_slice(memo_out);
     }
 
     /// Sparse-RHS FTRAN: solves `B·w = v` for `v` given as `(row, value)`
@@ -508,6 +668,13 @@ impl LuFactors {
     /// with one over the sweeps.
     pub(crate) fn use_heap_reference(&mut self) {
         self.heap_reference = true;
+    }
+
+    /// Makes the next dense BTRAN a full solve, as on a fresh
+    /// factorization: the reference the memoized solves must match.
+    pub(crate) fn forget_btran_memo(&mut self) {
+        self.btran_memo = None;
+        self.btran_seen = false;
     }
 
     fn ftran_sparse_heap(&mut self, rhs: &[(usize, f64)], out: &mut ScatterVec) {
@@ -848,6 +1015,70 @@ mod tests {
             }
             let dense: Vec<(usize, f64)> = (0..m).map(|i| (i, next())).collect();
             assert_sweeps_match_heap(&lu, &dense);
+        }
+    }
+
+    /// Random column-diagonally dominant (hence nonsingular) sparse
+    /// bases with fill in both factors, as in
+    /// `sparse_solves_random_matrices`.
+    fn random_sparse_basis(m: usize, extra: usize, next: &mut impl FnMut() -> f64) -> CscMatrix {
+        let cols: Vec<Vec<(usize, f64)>> = (0..m)
+            .map(|j| {
+                let mut col = vec![(j, 5.0 + next().abs())];
+                for _ in 0..extra {
+                    let r = (next().abs() * m as f64) as usize % m;
+                    if r != j {
+                        col.push((r, next()));
+                    }
+                }
+                col
+            })
+            .collect();
+        CscMatrix::from_columns(m, &cols)
+    }
+
+    #[test]
+    fn memoized_btran_matches_a_full_solve_bitwise() {
+        let mut state = 0xb7a2_0c11u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
+        };
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (trial, m) in [12usize, 40, 97, 180, 320].into_iter().enumerate() {
+            let mut lu = LuFactors::factorize(&random_sparse_basis(m, 1 + trial % 3, &mut next))
+                .expect("nonsingular");
+            let mut c: Vec<f64> = (0..m).map(|_| next()).collect();
+            // Right-hand sides changing in no, one, a few and all
+            // positions, signed zeros among the new values.
+            for step in 0..16 {
+                let changes = [0, 1, 1 + m / 20, m][step % 4];
+                for k in 0..changes {
+                    let i = if changes == m {
+                        k
+                    } else {
+                        (next().abs() * m as f64) as usize % m
+                    };
+                    let v = next();
+                    c[i] = if v > 0.7 {
+                        -0.0
+                    } else if v < -0.7 {
+                        0.0
+                    } else {
+                        v * 3.0
+                    };
+                }
+                let mut full = lu.clone();
+                full.forget_btran_memo();
+                let (mut scratch, mut want) = (c.clone(), vec![0.0; m]);
+                full.btran(&mut scratch, &mut want);
+                let (mut scratch, mut got) = (c.clone(), vec![7.0; m]);
+                lu.btran(&mut scratch, &mut got);
+                assert_eq!(bits(&got), bits(&want), "m {m}, step {step}");
+            }
+            assert!(lu.btran_memo.is_some(), "memo kept from the second call on");
         }
     }
 

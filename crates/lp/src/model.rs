@@ -237,8 +237,11 @@ pub struct SolveStats {
     /// [`crate::IncrementalModel::solve_with`]). Diagnostic only; a
     /// reused factorization is bit-identical to a fresh one.
     pub factor_reused: bool,
-    /// Full passes over all columns during primal pricing: every primal
-    /// iteration and every optimality check runs one.
+    /// Selection scans over all columns during primal pricing: every
+    /// primal iteration and every optimality check runs one. The scan
+    /// reads reduced costs the engine keeps across a phase's iterations,
+    /// refreshing only the columns in rows whose dual changed — so a
+    /// pass counts a selection, not a recomputation of every column.
     pub full_pricing_passes: usize,
     /// Wall-clock time of the solve (both phases, lowering excluded).
     pub solve_time: std::time::Duration,
@@ -249,9 +252,13 @@ pub struct SolveStats {
     /// sparse, eta file included).
     pub ftran_time: std::time::Duration,
     /// The part of `solve_time` spent in BTRAN (`Bᵀ·y = c`, dense and
-    /// sparse, eta file included). Pricing, ratio tests and bookkeeping
-    /// are the remainder of `solve_time`.
+    /// sparse, eta file included).
     pub btran_time: std::time::Duration,
+    /// The part of `solve_time` spent pricing: refreshing reduced costs,
+    /// selecting the entering column (the dual's candidate scan
+    /// included) and computing pivot rows `α = ρᵀA`. Ratio tests, value
+    /// updates and bookkeeping are the remainder of `solve_time`.
+    pub price_time: std::time::Duration,
     /// Whether the supplied warm basis seeded the start (dual or primal
     /// path). `false` for a solve without a hint, and for one whose hint
     /// did not fit — wrong shape, singular, or beyond repair — so that

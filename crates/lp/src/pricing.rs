@@ -6,9 +6,11 @@
 //! framework. After a pivot on entering column `q` and tableau pivot row
 //! value `α_q`, every nonbasic weight is updated
 //! `γ_j ← max(γ_j, (α_j/α_q)²·γ_q)` and the weights are reset to 1 when
-//! `γ_q` outgrows `10⁸` (fresh reference framework). Every selection is
-//! a full scan over all columns, so optimality is declared only after a
-//! clean full scan.
+//! `γ_q` outgrows `10⁸` (fresh reference framework). Only a column the
+//! pivot row reaches (`α_j ≠ 0`) can move, so the engine hands over just
+//! those. Every selection is a full scan over all columns, so optimality
+//! is declared only after a clean full scan; the engine keeps the
+//! reduced costs the scan reads up to date between scans.
 //!
 //! The rule defers to Bland's first-eligible-index scan while the engine
 //! has anti-cycling mode engaged (`DEGEN_SWITCH` consecutive degenerate
@@ -75,12 +77,16 @@ impl Pricer {
 
     /// Devex weight update after a pivot: entering column `q`, leaving
     /// column `leaving`, pivot-row value `alpha_q = (B⁻¹A_q)_pos`.
-    /// `alpha(j)` yields the pivot-row entry `α_j = (ρᵀA_j)` for column
-    /// `j` (engine computes `ρ = B⁻ᵀe_pos` once, sparsely).
-    pub(crate) fn update_weights<F>(&mut self, q: usize, leaving: usize, alpha_q: f64, mut alpha: F)
-    where
-        F: FnMut(usize) -> Option<f64>,
-    {
+    /// `touched` holds `(j, α_j)`, `α_j = ρᵀA_j ≠ 0`, for the nonbasic
+    /// columns the pivot row reaches (every other nonbasic column has
+    /// `α_j = 0`, which leaves its weight as it is).
+    pub(crate) fn update_weights(
+        &mut self,
+        q: usize,
+        leaving: usize,
+        alpha_q: f64,
+        touched: impl IntoIterator<Item = (usize, f64)>,
+    ) {
         let gamma_q = self.weights[q].max(1.0);
         if gamma_q > WEIGHT_RESET {
             // Fresh reference framework.
@@ -93,14 +99,14 @@ impl Pricer {
             return;
         }
         let scale = gamma_q / (alpha_q * alpha_q);
-        for j in 0..self.weights.len() {
+        for (j, alpha_j) in touched {
             if j == q {
                 continue;
             }
-            if let Some(alpha_j) = alpha(j) {
+            if let Some(g) = self.weights.get_mut(j) {
                 let cand = alpha_j * alpha_j * scale;
-                if cand > self.weights[j] {
-                    self.weights[j] = cand;
+                if cand > *g {
+                    *g = cand;
                 }
             }
         }
@@ -156,13 +162,13 @@ mod tests {
         let mut p = Pricer::default();
         p.reset(3);
         // q=0 leaves weights of others bumped by (α_j/α_q)²γ_q.
-        p.update_weights(0, 2, 2.0, |j| [None, Some(4.0), None][j]);
+        p.update_weights(0, 2, 2.0, [(1, 4.0)]);
         assert!((p.weights[1] - 4.0).abs() < 1e-12); // (4/2)² * 1
         assert_eq!(p.weights[0], 1.0);
         assert!((p.weights[2] - 1.0).abs() < 1e-12); // leaving: max(γq/αq², 1)
                                                      // Blown-up reference weight triggers a reset.
         p.weights[0] = 1e9;
-        p.update_weights(0, 1, 1.0, |_| Some(7.0));
+        p.update_weights(0, 1, 1.0, [(1, 7.0), (2, 7.0)]);
         assert!(p.weights.iter().all(|&g| g == 1.0));
     }
 }

@@ -9,7 +9,12 @@
 //!   `[0, ∞)`); phase 1 minimizes the sum of artificials.
 //! * **Pricing**: devex over every column ([`crate::pricing`]),
 //!   switching to Bland's rule after `DEGEN_SWITCH` (2 000) consecutive
-//!   degenerate pivots to guarantee termination.
+//!   degenerate pivots to guarantee termination. The reduced costs the
+//!   scan reads are kept across a phase's iterations and refreshed only
+//!   for columns with an entry in a row whose dual moved.
+//! * **Pivot row**: `α = ρᵀA` for the devex update and the dual ratio
+//!   test, accumulated over `ρ`'s rows when `ρ` is hypersparse and over
+//!   the columns otherwise (`PivotRow`).
 //! * **Ratio test**: bounded-variable, including bound flips of the
 //!   entering variable (no basis change).
 //! * **Factorization**: sparse LU ([`crate::lu`]) with product-form eta
@@ -117,21 +122,33 @@ pub(crate) const DEGEN_SWITCH: usize = 2000;
 
 /// `LU(B)` of one basis matrix `B`, kept between solves of one standing
 /// form: the factorization together with `B`'s column list, in basis
-/// position order. `LU(B)` is a pure function of that list (and of the
-/// columns' coefficients), so a later start basis with exactly the same
-/// list may take it instead of factorizing — the result is the one a
-/// fresh factorization would give, bit for bit. The owner must drop it
-/// when a coefficient of one of its columns changes.
+/// position order, and a sorted copy of it to look columns up in.
+/// `LU(B)` is a pure function of that list (and of the columns'
+/// coefficients), so a later start basis with exactly the same list may
+/// take it instead of factorizing — the result is the one a fresh
+/// factorization would give, bit for bit. The owner must drop it when a
+/// coefficient of one of its columns changes.
 #[derive(Debug)]
 pub(crate) struct HeldLu {
     columns: Vec<usize>,
+    sorted: Vec<usize>,
     lu: LuFactors,
 }
 
 impl HeldLu {
+    fn new(columns: Vec<usize>, lu: LuFactors) -> HeldLu {
+        let mut sorted = columns.clone();
+        sorted.sort_unstable();
+        HeldLu {
+            columns,
+            sorted,
+            lu,
+        }
+    }
+
     /// Whether column `j` of the standard form is one of `B`'s.
     pub(crate) fn uses_column(&self, j: usize) -> bool {
-        self.columns.contains(&j)
+        self.sorted.binary_search(&j).is_ok()
     }
 }
 
@@ -196,8 +213,113 @@ struct Engine<'a> {
     w_sp: ScatterVec,
     /// Devex pivot row `ρ = B⁻ᵀe_pos` (sparse).
     rho_sp: ScatterVec,
+    /// `α = ρᵀA` over the columns the current loop wants.
+    prow: PivotRow,
+    /// Primal pricing: `d_j = c_j − A_jᵀy` of every nonbasic structural
+    /// and slack column, for `y = y_priced` (see [`Self::price_columns`]).
+    d: Vec<f64>,
+    y_priced: Vec<f64>,
+    /// Rows whose dual changed bit-wise since the last pricing.
+    changed_rows: Vec<usize>,
+    /// Columns to reprice on the next pass, and their membership flags.
+    reprice: Vec<usize>,
+    repricing: Vec<bool>,
+    /// Pricings that refreshed only the columns of changed rows.
+    #[cfg(test)]
+    partial_pricings: usize,
     /// Gathered entries of the entering column.
     col_buf: Vec<(usize, f64)>,
+}
+
+/// The pivot row `α_j = ρᵀA_j` over the extended columns (structural,
+/// slack, artificial): [`PivotRow::load`] prepares it for one `ρ`, and
+/// [`PivotRow::entries`] lists `(j, α_j)` for every column a caller
+/// keeps with `α_j ≠ 0`, in no particular order.
+///
+/// Two ways to the same bits. While `ρ` has at most `m/10` nonzeros
+/// (Hall and McKinnon's hypersparsity switch) the row is accumulated
+/// over `ρ`'s rows, ascending, through the standard form's row index:
+/// each `α_j` then adds the products `a_rj·ρ_r` in the order the column
+/// lists them, skipping only the rows where `ρ_r = 0`, whose products
+/// are `±0` and leave a nonzero sum as it is (a zero sum, whatever its
+/// sign, is dropped either way). Otherwise each kept column is dotted
+/// with `ρ` in full as it is listed.
+#[derive(Debug, Default)]
+struct PivotRow {
+    /// Whether the loaded row was accumulated over `ρ`'s rows.
+    row_wise: bool,
+    /// Row-wise sums over the extended columns (allocated on the first
+    /// row-wise load).
+    acc: Option<ScatterVec>,
+    /// `ρ`'s pattern, ascending.
+    rows: Vec<usize>,
+}
+
+impl PivotRow {
+    /// Prepares the row for `rho`, accumulating it when `rho` is
+    /// hypersparse.
+    fn load(&mut self, std: &StdForm, arts: &[(usize, f64)], rho: &ScatterVec) {
+        self.row_wise = rho.pattern().len() <= std.m / 10;
+        if !self.row_wise {
+            return;
+        }
+        let ncols = std.n + arts.len();
+        let acc = match &mut self.acc {
+            Some(acc) if acc.len() >= ncols => acc,
+            slot => slot.insert(ScatterVec::new(ncols)),
+        };
+        acc.clear();
+        self.rows.clear();
+        self.rows.extend_from_slice(rho.pattern());
+        self.rows.sort_unstable();
+        for &r in &self.rows {
+            let x = rho.get(r);
+            for j in std.rows.row(r) {
+                acc.add(j, std.a.value_at(r, j).unwrap_or(0.0) * x);
+            }
+        }
+        for (j, &(r, sign)) in (std.n..).zip(arts) {
+            if rho.contains(r) {
+                acc.add(j, sign * rho.get(r));
+            }
+        }
+    }
+
+    /// `(j, α_j)` of the loaded row for every column `keep` accepts with
+    /// `α_j ≠ 0`: read off the row-wise sums, or computed column by
+    /// column. `std`, `arts` and `rho` must be the ones loaded.
+    fn entries<'s>(
+        &'s self,
+        std: &'s StdForm,
+        arts: &'s [(usize, f64)],
+        rho: &'s ScatterVec,
+        keep: impl Fn(usize) -> bool + 's,
+    ) -> impl Iterator<Item = (usize, f64)> + 's {
+        let acc = self.acc.as_ref().filter(|_| self.row_wise);
+        let none: &[usize] = &[];
+        let (touched, every) = match acc {
+            Some(acc) => (acc.pattern(), 0..0),
+            None => (none, 0..std.n + arts.len()),
+        };
+        let alpha = move |j: usize| match (acc, j.checked_sub(std.n)) {
+            (Some(acc), _) => acc.get(j),
+            (None, None) => dot_sparse(std.a.col(j), rho),
+            (None, Some(k)) => dot_sparse(arts.get(k).copied().into_iter(), rho),
+        };
+        touched
+            .iter()
+            .copied()
+            .chain(every)
+            .filter(move |&j| keep(j))
+            .map(move |j| (j, alpha(j)))
+            .filter(|&(_, a)| a != 0.0)
+    }
+}
+
+/// `Σ v·x_r` over a column's `(r, v)` entries, in their order, from `+0`.
+#[inline]
+fn dot_sparse(col: impl Iterator<Item = (usize, f64)>, x: &ScatterVec) -> f64 {
+    col.fold(0.0, |acc, (r, v)| acc + v * x.get(r))
 }
 
 /// Applies `f(row, value)` over sparse column `j` of the extended column
@@ -271,6 +393,14 @@ impl<'a> Engine<'a> {
             cb: vec![0.0; m],
             w_sp: ScatterVec::new(m),
             rho_sp: ScatterVec::new(m),
+            prow: PivotRow::default(),
+            d: Vec::new(),
+            y_priced: Vec::new(),
+            changed_rows: Vec::new(),
+            reprice: Vec::new(),
+            repricing: Vec::new(),
+            #[cfg(test)]
+            partial_pricings: 0,
             col_buf: Vec::new(),
         }
     }
@@ -737,10 +867,7 @@ impl<'a> Engine<'a> {
             return None;
         }
         let lu = self.factors?.into_lu()?;
-        Some(HeldLu {
-            columns: self.basis,
-            lu,
-        })
+        Some(HeldLu::new(self.basis, lu))
     }
 
     /// Clears all crash/warm state so another start can be attempted.
@@ -858,6 +985,7 @@ impl<'a> Engine<'a> {
         self.degen_run = 0;
         let ncols = self.ncols();
         self.pricer.reset(ncols);
+        let mut fresh = true;
         loop {
             if self
                 .factors
@@ -886,14 +1014,18 @@ impl<'a> Engine<'a> {
             }
 
             // Pricing: the pricer is temporarily moved out so the
-            // reduced-cost closure can borrow the engine.
+            // eligibility closure can borrow the engine.
+            let priced = Instant::now();
+            self.price_columns(cost, fresh);
+            fresh = false;
             let entering = {
                 let mut pricer = std::mem::take(&mut self.pricer);
                 let bland = self.bland;
-                let got = pricer.select(ncols, bland, |j| self.reduced_cost(j, cost));
+                let got = pricer.select(ncols, bland, |j| self.eligible(j));
                 self.pricer = pricer;
                 got
             };
+            self.stats.price_time += priced.elapsed();
             let Some((q, dir)) = entering else {
                 return Ok(PhaseEnd::Optimal);
             };
@@ -965,6 +1097,7 @@ impl<'a> Engine<'a> {
                     self.xval[leaving] = snapped;
                     self.basis[pos] = q;
                     self.stat[q] = VStat::Basic(pos);
+                    self.queue_reprice(leaving);
                     self.note_progress(t);
                 }
             }
@@ -1090,7 +1223,6 @@ impl<'a> Engine<'a> {
         // The dual loop always optimizes the real objective: plateau
         // expansion may fire from here on.
         self.expand_armed = true;
-        let ncols = self.ncols();
         // Dual devex reference weights, one per basis *position*.
         let mut dw = vec![1.0f64; m];
         // (column, pivot-row entry α_j, dual ratio) per iteration.
@@ -1178,16 +1310,14 @@ impl<'a> Engine<'a> {
             // entry lets the leaving variable move toward its bound
             // without that column's own reduced cost crossing zero the
             // wrong way (a_j = σ·α_j must oppose the column's bound).
+            // Only columns the pivot row reaches can qualify.
+            let priced = Instant::now();
+            self.prow.load(self.std, &self.arts, &self.rho_sp);
+            let (stat, lb, ub, n) = (&self.stat, &self.lb, &self.ub, self.std.n);
+            let keep = |j: usize| j < n && !matches!(stat[j], VStat::Basic(_)) && lb[j] != ub[j];
             cands.clear();
-            for j in 0..ncols {
+            for (j, alpha) in self.prow.entries(self.std, &self.arts, &self.rho_sp, keep) {
                 let st = self.stat[j];
-                if matches!(st, VStat::Basic(_))
-                    || self.lb[j] == self.ub[j]
-                    || self.is_artificial(j)
-                {
-                    continue;
-                }
-                let alpha = self.col_dot_sp(j, &self.rho_sp);
                 let a = sigma * alpha;
                 let eligible = match st {
                     VStat::AtLower => a > PIVOT_TOL,
@@ -1202,6 +1332,7 @@ impl<'a> Engine<'a> {
                 let ratio = (d / a).max(0.0);
                 cands.push((j, alpha, ratio));
             }
+            self.stats.price_time += priced.elapsed();
             if cands.is_empty() {
                 // A violated row no entering column can repair: the dual
                 // is unbounded, i.e. the primal is infeasible.
@@ -1403,8 +1534,9 @@ impl<'a> Engine<'a> {
 
     /// Devex weight update after choosing entering column `q` and
     /// leaving basis position `pos`. The pivot row `ρ = B⁻ᵀe_pos` is
-    /// obtained with one *sparse* BTRAN (the RHS is a unit vector), and
-    /// the update itself lives in [`Pricer::update_weights`].
+    /// obtained with one *sparse* BTRAN (the RHS is a unit vector), its
+    /// nonbasic entries `α = ρᵀA` by [`PivotRow`], and the update itself
+    /// lives in [`Pricer::update_weights`].
     fn update_pricing(&mut self, q: usize, pos: usize, leaving: usize) {
         let alpha_q = self.w_sp.get(pos);
         // Devex weights are a pricing heuristic: with no factors there is
@@ -1415,31 +1547,104 @@ impl<'a> Engine<'a> {
         timed(&mut self.stats.btran_time, || {
             factors.btran_sparse(&[(pos, 1.0)], &mut self.rho_sp)
         });
-        let mut pricer = std::mem::take(&mut self.pricer);
-        pricer.update_weights(q, leaving, alpha_q, |j| {
-            if matches!(self.stat[j], VStat::Basic(_)) {
-                return None;
-            }
-            let alpha_j = self.col_dot_sp(j, &self.rho_sp);
-            (alpha_j != 0.0).then_some(alpha_j)
+        let priced = Instant::now();
+        self.prow.load(self.std, &self.arts, &self.rho_sp);
+        let stat = &self.stat;
+        let touched = self.prow.entries(self.std, &self.arts, &self.rho_sp, |j| {
+            !matches!(stat.get(j), Some(VStat::Basic(_)))
         });
-        self.pricer = pricer;
+        self.pricer.update_weights(q, leaving, alpha_q, touched);
+        self.stats.price_time += priced.elapsed();
     }
 
-    /// Reduced cost eligibility for pricing: `Some((d_j, dir))` when
-    /// column `j` may enter moving in `dir`, `None` otherwise.
+    /// Refreshes `self.d` for the duals BTRAN just left in `self.y`.
+    /// A phase's first pass (`fresh`) prices every nonbasic structural
+    /// and slack column; later passes reprice only the columns with an
+    /// entry in a row whose dual changed bit-wise since the last pass —
+    /// the other columns' dot products read the same values — and the
+    /// columns that left the basis since, unless more than `m/10` rows
+    /// changed, when pricing everything is the cheaper walk. Every `d_j`
+    /// is computed as `c_j − A_jᵀy` in column order, as a full pass
+    /// would. A basic column's `d_j` is never read.
+    fn price_columns(&mut self, cost: &[f64], fresh: bool) {
+        let std = self.std;
+        let y = &self.y;
+        let reduced = |j: usize| cost.get(j).copied().unwrap_or(0.0) - std.a.dot_col(j, y);
+        let stat = &self.stat;
+        let nonbasic = |j: usize| !matches!(stat.get(j), Some(VStat::Basic(_)));
+        self.changed_rows.clear();
+        let full = fresh || self.y_priced.len() != y.len() || {
+            self.changed_rows.extend(
+                y.iter()
+                    .zip(&self.y_priced)
+                    .enumerate()
+                    .filter(|(_, (now, then))| now.to_bits() != then.to_bits())
+                    .map(|(i, _)| i)
+                    .take(std.m / 10 + 1),
+            );
+            self.changed_rows.len() > std.m / 10
+        };
+        if full {
+            self.d.clear();
+            self.d
+                .extend((0..std.n).map(|j| if nonbasic(j) { reduced(j) } else { f64::NAN }));
+            self.repricing.resize(std.n, false);
+        } else {
+            for j in self.changed_rows.iter().flat_map(|&r| std.rows.row(r)) {
+                if let Some(flag) = self.repricing.get_mut(j).filter(|f| !**f) {
+                    *flag = true;
+                    self.reprice.push(j);
+                }
+            }
+        }
+        while let Some(j) = self.reprice.pop() {
+            if let (Some(dj), Some(flag)) = (self.d.get_mut(j), self.repricing.get_mut(j)) {
+                if !full {
+                    *dj = reduced(j);
+                }
+                *flag = false;
+            }
+        }
+        #[cfg(test)]
+        {
+            self.partial_pricings += usize::from(!full);
+        }
+        self.y_priced.clear();
+        self.y_priced.extend_from_slice(y);
+        // Like the KKT hook: with debug assertions (and in this crate's
+        // tests) every kept reduced cost must equal a fresh one.
+        #[cfg(any(test, debug_assertions))]
+        {
+            let stale = (0..std.n)
+                .filter(|&j| nonbasic(j))
+                .find(|&j| self.d.get(j).map(|dj| dj.to_bits()) != Some(reduced(j).to_bits()));
+            assert!(stale.is_none(), "stale reduced cost of column {stale:?}");
+        }
+    }
+
+    /// Makes the next [`Self::price_columns`] pass recompute `d_j`
+    /// (column `j` left the basis, whose reduced costs are not kept).
+    fn queue_reprice(&mut self, j: usize) {
+        if let Some(flag) = self.repricing.get_mut(j).filter(|f| !**f) {
+            *flag = true;
+            self.reprice.push(j);
+        }
+    }
+
+    /// Pricing eligibility of column `j` from its current reduced cost:
+    /// `Some((d_j, dir))` when it may enter moving in `dir`, `None`
+    /// otherwise.
     #[inline]
-    fn reduced_cost(&self, j: usize, cost: &[f64]) -> Option<(f64, f64)> {
-        let st = self.stat[j];
-        if matches!(st, VStat::Basic(_)) {
+    fn eligible(&self, j: usize) -> Option<(f64, f64)> {
+        let st = *self.stat.get(j)?;
+        // Basic, fixed and artificial columns never (re-)enter.
+        if matches!(st, VStat::Basic(_))
+            || self.lb.get(j) == self.ub.get(j)
+            || self.is_artificial(j)
+        {
             return None;
         }
-        // Fixed variables and artificials never (re-)enter.
-        if self.lb[j] == self.ub[j] || self.is_artificial(j) {
-            return None;
-        }
-        let cj = cost.get(j).copied().unwrap_or(0.0);
-        let d = cj - self.col_dot(j, &self.y);
+        let d = *self.d.get(j)?;
         match st {
             VStat::AtLower => (d < -OPT_TOL).then_some((d, 1.0)),
             VStat::AtUpper => (d > OPT_TOL).then_some((d, -1.0)),
@@ -1452,16 +1657,8 @@ impl<'a> Engine<'a> {
                     None
                 }
             }
-            VStat::Basic(_) => unreachable!(),
+            VStat::Basic(_) => None,
         }
-    }
-
-    /// Dot of column `j` with a sparse row-space vector.
-    #[inline]
-    fn col_dot_sp(&self, j: usize, x: &ScatterVec) -> f64 {
-        let mut acc = 0.0;
-        self.for_col(j, |r, v| acc += v * x.get(r));
-        acc
     }
 
     /// Tracks degenerate-pivot runs and toggles Bland's rule.
@@ -1977,11 +2174,143 @@ fn finish_solve(eng: &mut Engine<'_>, cost2: &[f64]) -> Result<Solution, LpError
     })
 }
 
+/// The column-at-a-time dot products the pivot row replaced, kept as
+/// its bit-identity oracle.
+#[cfg(test)]
+impl Engine<'_> {
+    /// Dot of column `j` with a sparse row-space vector.
+    fn col_dot_sp(&self, j: usize, x: &ScatterVec) -> f64 {
+        let mut acc = 0.0;
+        self.for_col(j, |r, v| acc += v * x.get(r));
+        acc
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::expr::{LinExpr, VarId};
     use crate::model::{Cmp, Model, Sense};
+
+    #[test]
+    fn repricing_by_changed_rows_keeps_every_reduced_cost_fresh() {
+        // 120 rows, 240 columns of three entries each: far enough from
+        // the all-slack start that many iterations change the duals of
+        // a few rows, fewer than m/10. `price_columns` checks every kept
+        // reduced cost against a fresh one on each pass in this crate's
+        // tests.
+        let mut state = 0x9e37_79b9u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as f64 / (1u64 << 31) as f64
+        };
+        let m = 120;
+        let mut model = Model::new();
+        let mut rows: Vec<LinExpr> = vec![LinExpr::default(); m];
+        let mut objective = LinExpr::default();
+        for _ in 0..240 {
+            let x = model.add_var(0.0, 10.0, "");
+            for _ in 0..3 {
+                let r = (next() * m as f64) as usize % m;
+                rows[r] += LinExpr::term(x, 0.5 + next());
+            }
+            objective += LinExpr::term(x, 1.0 + next());
+        }
+        for row in rows {
+            model.add_con(row, Cmp::Le, 5.0 + 10.0 * next());
+        }
+        model.set_objective(objective, Sense::Maximize);
+        let std = StdForm::from_model(&model);
+        let mut eng = Engine::new(&std, &SimplexOptions::default());
+        let sol = solve_std_once(&mut eng, None).unwrap();
+        assert!(sol.iterations > 50, "{} iterations", sol.iterations);
+        assert!(
+            eng.partial_pricings > 10,
+            "{} partial pricings",
+            eng.partial_pricings
+        );
+        let reference = crate::dense::solve_dense(&model).unwrap();
+        almost(sol.objective, reference.objective);
+    }
+
+    #[test]
+    fn a_column_leaving_the_basis_is_repriced_while_the_duals_stand_still() {
+        let model = classic_model();
+        let std = StdForm::from_model(&model);
+        let mut eng = Engine::new(&std, &SimplexOptions::default());
+        eng.crash_basis().unwrap();
+        let cost = std.obj.clone();
+        eng.y.iter_mut().for_each(|y| *y = 0.5);
+        eng.price_columns(&cost, true);
+        let leaving = eng.basis[0];
+        assert!(eng.d[leaving].is_nan(), "basic columns are not priced");
+        // It leaves and no dual moves, so no changed row reaches it.
+        eng.stat[leaving] = VStat::AtLower;
+        eng.queue_reprice(leaving);
+        eng.price_columns(&cost, false);
+        let fresh = cost[leaving] - std.a.dot_col(leaving, &eng.y);
+        assert_eq!(eng.d[leaving].to_bits(), fresh.to_bits());
+    }
+
+    #[test]
+    fn pivot_row_matches_column_dots_on_both_sides_of_the_switch() {
+        // 40 rows; every column has an entry in each of rows 0..4 (so
+        // sums over ρ's rows have several terms, whose order shows in
+        // the bits) plus a scattered one. Some entries are explicitly
+        // stored zeros, and three rows carry artificial columns.
+        let mut state = 0x0dd_ba11u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
+        };
+        let m = 40;
+        let mut model = Model::new();
+        let vars: Vec<VarId> = (0..60).map(|k| model.add_nonneg(format!("x{k}"))).collect();
+        let mut rows: Vec<LinExpr> = vec![LinExpr::default(); m];
+        for (k, &v) in vars.iter().enumerate() {
+            for row in rows.iter_mut().take(4) {
+                *row += LinExpr::term(v, next() * 3.0);
+            }
+            rows[4 + (k * 7) % (m - 4)] += LinExpr::term(v, next());
+        }
+        for row in rows {
+            model.add_con(row, Cmp::Le, 1.0);
+        }
+        let mut std = StdForm::from_model(&model);
+        for (r, j) in [(0, 3), (2, 3), (1, 17), (3, 40), (0, 59)] {
+            assert!(std.a.set_entry(r, j, 0.0));
+        }
+        let arts = vec![(1, 1.0), (3, -1.0), (22, 1.0)];
+        let mut eng = Engine::new(&std, &SimplexOptions::default());
+        eng.arts = arts.clone();
+        let ncols = std.n + arts.len();
+        let keep = |j: usize| j % 5 != 2;
+        let mut prow = PivotRow::default();
+        // ρ with 1..=m/10 nonzeros goes row-wise, more goes column-wise.
+        for nnz in [1, 2, 4, 5, 12, m] {
+            let mut rho = ScatterVec::new(m);
+            // Rows 3, 2, 1, 0 first, then scattered ones, inserted
+            // unordered: the row-wise pass must sort them.
+            for k in (0..nnz).rev() {
+                let r = if k < 4 { 3 - k } else { 4 + (k * 13) % (m - 4) };
+                rho.set(r, next() * 2.0);
+            }
+            prow.load(&std, &arts, &rho);
+            let mut got = vec![None; ncols];
+            for (j, alpha) in prow.entries(&std, &arts, &rho, keep) {
+                assert!(got[j].replace(alpha).is_none(), "column {j} listed twice");
+            }
+            for (j, got) in got.iter().enumerate() {
+                let want = eng.col_dot_sp(j, &rho);
+                let want = (keep(j) && want != 0.0).then_some(want.to_bits());
+                assert_eq!(got.map(f64::to_bits), want, "ρ nnz {nnz}, column {j}");
+            }
+        }
+    }
 
     fn almost(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-6, "{a} != {b}");

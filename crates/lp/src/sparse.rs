@@ -99,6 +99,16 @@ impl CscMatrix {
         }
     }
 
+    /// The value stored at `(row, col)`, `None` outside the pattern.
+    /// Like [`CscMatrix::set_entry`], needs the column sorted by row.
+    #[inline]
+    pub fn value_at(&self, row: usize, col: usize) -> Option<f64> {
+        let lo = *self.colptr.get(col)?;
+        let hi = *self.colptr.get(col + 1)?;
+        let k = self.rowidx.get(lo..hi)?.binary_search(&row).ok()?;
+        self.values.get(lo + k).copied()
+    }
+
     /// Iterates over `(row, value)` entries of column `j`.
     #[inline]
     pub fn col(&self, j: usize) -> impl Iterator<Item = (usize, f64)> + '_ {

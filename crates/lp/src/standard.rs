@@ -9,6 +9,10 @@
 //!
 //! Objectives are normalized to *minimization*; the original sense is
 //! restored when reporting.
+//!
+//! Beside the column-major `A` the form keeps a `RowIndex` over it:
+//! per row, the columns with an entry there. The simplex engine reads it
+//! to touch only the columns a changed row reaches.
 
 use crate::model::{Cmp, Model, Sense};
 use crate::sparse::CscMatrix;
@@ -37,6 +41,72 @@ pub struct StdForm {
     pub obj_offset: f64,
     /// Whether the original model maximized (flip sign when reporting).
     pub maximize: bool,
+    /// The by-row index of `a`'s pattern. Patching a stored value in
+    /// place ([`CscMatrix::set_entry`]) keeps it valid; replacing `a`'s
+    /// pattern does not.
+    pub(crate) rows: RowIndex,
+}
+
+/// A by-row view of a [`CscMatrix`]'s pattern that holds no values: for
+/// each row, the column of every stored entry in that row, ascending. A
+/// coefficient patch writes the one value array, and a reader looks the
+/// value up in its column ([`CscMatrix::value_at`]). Four bytes per
+/// entry: the view adds a sixth to the matrix's own storage.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RowIndex {
+    /// Row start offsets into `cols`; length `nrows + 1`.
+    starts: Vec<usize>,
+    /// The column of each stored entry, row by row.
+    cols: Vec<u32>,
+}
+
+impl RowIndex {
+    /// Indexes every stored entry of `a` by row (explicit zeros too).
+    pub(crate) fn of(a: &CscMatrix) -> RowIndex {
+        let mut starts = vec![0usize; a.nrows + 1];
+        for &r in &a.rowidx {
+            if let Some(count) = starts.get_mut(r + 1) {
+                *count += 1;
+            }
+        }
+        let mut total = 0;
+        for s in starts.iter_mut() {
+            total += *s;
+            *s = total;
+        }
+        // Filled in column order, so every row lists its columns
+        // ascending.
+        let mut next = starts.clone();
+        let mut cols = vec![0u32; a.nnz()];
+        let col_of_entry = a.colptr.windows(2).enumerate().flat_map(|(j, w)| {
+            let len = match *w {
+                [lo, hi] => hi - lo,
+                _ => 0,
+            };
+            std::iter::repeat_n(j, len)
+        });
+        for (&r, j) in a.rowidx.iter().zip(col_of_entry) {
+            if let Some(at) = next.get_mut(r) {
+                if let Some(c) = cols.get_mut(*at) {
+                    *c = j as u32;
+                }
+                *at += 1;
+            }
+        }
+        RowIndex { starts, cols }
+    }
+
+    /// The column of every entry in row `i`, ascending.
+    #[inline]
+    pub(crate) fn row(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+        let lo = self.starts.get(i).copied().unwrap_or(0);
+        let hi = self.starts.get(i + 1).copied().unwrap_or(lo);
+        self.cols
+            .get(lo..hi)
+            .unwrap_or_default()
+            .iter()
+            .map(|&j| j as usize)
+    }
 }
 
 impl StdForm {
@@ -86,11 +156,13 @@ impl StdForm {
             objective.constant_part()
         };
 
+        let a = CscMatrix::from_columns(m, &columns);
         StdForm {
             m,
             n,
             n_struct,
-            a: CscMatrix::from_columns(m, &columns),
+            rows: RowIndex::of(&a),
+            a,
             b,
             lb,
             ub,
@@ -153,5 +225,23 @@ mod tests {
         let s = StdForm::from_model(&m);
         let col: Vec<_> = s.a.col(0).collect();
         assert_eq!(col, vec![(0, 3.0)]);
+    }
+
+    #[test]
+    fn row_index_lists_every_entry_by_row() {
+        // Rows: 0 = [x0, x2], 1 = [x1, x2 with an explicit zero], plus
+        // the slacks.
+        let a = CscMatrix::from_columns(
+            2,
+            &[vec![(0, 1.0)], vec![(1, 2.0)], vec![(1, 0.0), (0, 3.0)]],
+        );
+        let rows = RowIndex::of(&a);
+        let row = |i| -> Vec<(usize, Option<f64>)> {
+            rows.row(i).map(|j| (j, a.value_at(i, j))).collect()
+        };
+        assert_eq!(row(0), vec![(0, Some(1.0)), (2, Some(3.0))]);
+        assert_eq!(row(1), vec![(1, Some(2.0)), (2, Some(0.0))]);
+        assert_eq!(a.value_at(1, 0), None);
+        assert!(rows.row(2).next().is_none());
     }
 }
