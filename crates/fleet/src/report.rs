@@ -13,7 +13,7 @@
 
 use std::fmt::Write as _;
 
-use ffc_sim::percentile;
+use ffc_sim::{percentile_sorted, sort_samples};
 
 use crate::store::TelemetryStore;
 
@@ -107,14 +107,17 @@ pub fn build_report(store: &TelemetryStore, opts: &ReportOptions) -> Report {
             for (i, r) in records.iter().enumerate() {
                 series[i] = r.link_util.get(l).copied().unwrap_or(0.0);
             }
+            // The mean sums in record order, before the one sort.
             let mean = series.iter().sum::<f64>() / n as f64;
+            let hot_intervals = series.iter().filter(|&&u| u >= 0.9).count();
+            sort_samples(&mut series);
             links.push(LinkSummary {
                 name: name.clone(),
                 mean,
-                p50: percentile(&series, 0.50),
-                p99: percentile(&series, 0.99),
-                max: percentile(&series, 1.0),
-                hot_intervals: series.iter().filter(|&&u| u >= 0.9).count(),
+                p50: percentile_sorted(&series, 0.50),
+                p99: percentile_sorted(&series, 0.99),
+                max: percentile_sorted(&series, 1.0),
+                hot_intervals,
             });
         }
         links.sort_by(|a, b| {
@@ -159,14 +162,15 @@ pub fn build_report(store: &TelemetryStore, opts: &ReportOptions) -> Report {
         });
     }
 
-    let dist = |vals: Vec<f64>| -> (f64, f64, f64) {
+    let dist = |mut vals: Vec<f64>| -> (f64, f64, f64) {
         if vals.is_empty() {
             (0.0, 0.0, 0.0)
         } else {
+            sort_samples(&mut vals);
             (
-                percentile(&vals, 0.50),
-                percentile(&vals, 0.99),
-                percentile(&vals, 1.0),
+                percentile_sorted(&vals, 0.50),
+                percentile_sorted(&vals, 0.99),
+                percentile_sorted(&vals, 1.0),
             )
         }
     };

@@ -238,10 +238,26 @@ fn decode_segment(path: &Path) -> Result<Vec<StoreRecord>, SealError> {
     }
     let (mut cur, what) = (block_of(UTIL_COLUMN, KIND_F64_RAW)?, "column `link_util`");
     for r in &mut out {
-        for _ in 0..n_links {
-            let (at, u) = (cur.pos(), cur.f64(what)?);
-            let u = finite(u).map_err(|e| torn(at, format!("{what}: {e}")))?;
-            r.link_util.push(u);
+        let at = cur.pos();
+        match cur.take(8 * n_links, what) {
+            Ok(row) => {
+                for (k, cell) in row.chunks_exact(8).enumerate() {
+                    let mut bits = [0u8; 8];
+                    bits.copy_from_slice(cell);
+                    let u = finite(f64::from_le_bytes(bits));
+                    r.link_util
+                        .push(u.map_err(|e| torn(at + 8 * k, format!("{what}: {e}")))?);
+                }
+            }
+            // A short row, read cell by cell: the error names the first
+            // non-finite cell or the first that does not fit.
+            Err(_) => {
+                for _ in 0..n_links {
+                    let (at, u) = (cur.pos(), cur.f64(what)?);
+                    let u = finite(u).map_err(|e| torn(at, format!("{what}: {e}")))?;
+                    r.link_util.push(u);
+                }
+            }
         }
     }
     Ok(out)
@@ -885,6 +901,39 @@ mod tests {
             assert!(err.contains(&located), "{err}");
             let _ = fs::remove_dir_all(&dir);
         }
+    }
+
+    /// A `link_util` block cut 4 bytes short leaves the last row short:
+    /// the error names its last cell, where 4 of 8 bytes are left.
+    #[test]
+    fn a_short_utilization_row_is_torn_at_its_first_missing_cell() {
+        let dir = tmpdir("short-util");
+        write_store(&dir, 8, 3, 4);
+        let seg = dir.join(segment_name(0));
+        let mut bytes = fs::read(&seg).expect("read");
+        let span = block_span(&bytes, UTIL_COLUMN);
+        // The block's length sits just after its offset in the footer.
+        let footer = Cursor::at(&bytes, bytes.len() - 24, "t")
+            .u64("footer offset")
+            .expect("footer offset") as usize;
+        let len_field = (footer..bytes.len() - 8)
+            .find(|&i| {
+                bytes[i..i + 8] == (span.start as u64).to_le_bytes()
+                    && bytes[i + 8..i + 16] == (span.len() as u64).to_le_bytes()
+            })
+            .expect("footer entry")
+            + 8;
+        bytes[len_field..len_field + 8].copy_from_slice(&(span.len() as u64 - 4).to_le_bytes());
+        rechecksum(&mut bytes);
+        fs::write(&seg, &bytes).expect("rewrite");
+        let err = TelemetryStore::open(&dir).unwrap_err();
+        let located = format!(
+            "{}: truncated at offset {} reading column `link_util` (4 of 8 bytes left)",
+            segment_name(0),
+            span.end - 8
+        );
+        assert!(err.contains(&located), "{err}");
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -47,14 +47,11 @@ pub struct Basis {
 pub const REFACTOR_INTERVAL: usize = 50;
 
 impl Basis {
-    /// Factorizes the basis matrix given by its columns.
-    ///
-    /// `columns[i]` is the sparse column (in constraint-row coordinates)
-    /// of the variable basic at position `i`.
-    pub fn factorize(m: usize, columns: &[Vec<(usize, f64)>]) -> Result<Self, Singular> {
-        assert_eq!(columns.len(), m);
-        let mat = CscMatrix::from_columns(m, columns);
-        Ok(Self::from_lu(LuFactors::factorize(&mat)?))
+    /// Factorizes the basis matrix `b`, whose column `i` (in
+    /// constraint-row coordinates) is that of the variable basic at
+    /// position `i`.
+    pub fn factorize(b: &CscMatrix) -> Result<Self, Singular> {
+        Ok(Self::from_lu(LuFactors::factorize(b)?))
     }
 
     /// A basis over an existing factorization of its matrix, with an
@@ -249,7 +246,7 @@ mod tests {
             vec![(1, 1.0), (0, 0.5)],
             vec![(2, 4.0), (1, -1.0)],
         ];
-        let mut basis = Basis::factorize(m, &cols).unwrap();
+        let mut basis = Basis::factorize(&CscMatrix::from_columns(m, &cols)).unwrap();
 
         // Dense copy of B for reference.
         let mut b = vec![vec![0.0; m]; m];
@@ -304,7 +301,7 @@ mod tests {
             vec![(1, 1.0), (0, 0.5)],
             vec![(2, 4.0), (1, -1.0)],
         ];
-        let mut basis = Basis::factorize(m, &cols).unwrap();
+        let mut basis = Basis::factorize(&CscMatrix::from_columns(m, &cols)).unwrap();
         // Two pivots recorded via the sparse path.
         for (pos, col) in [
             (1usize, vec![(0, 1.0), (1, 3.0), (2, 1.0)]),
@@ -372,8 +369,8 @@ mod tests {
                 col
             })
             .collect();
-        let mut sweep = Basis::factorize(m, &cols).unwrap();
-        let mut heap = Basis::factorize(m, &cols).unwrap();
+        let mut sweep = Basis::factorize(&CscMatrix::from_columns(m, &cols)).unwrap();
+        let mut heap = Basis::factorize(&CscMatrix::from_columns(m, &cols)).unwrap();
         heap.lu.use_heap_reference();
         let bits = |v: &ScatterVec| {
             v.pattern()
@@ -437,8 +434,8 @@ mod tests {
                 col
             })
             .collect();
-        let mut memo = Basis::factorize(m, &cols).unwrap();
-        let mut full = Basis::factorize(m, &cols).unwrap();
+        let mut memo = Basis::factorize(&CscMatrix::from_columns(m, &cols)).unwrap();
+        let mut full = Basis::factorize(&CscMatrix::from_columns(m, &cols)).unwrap();
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let mut cost: Vec<f64> = (0..m).map(|_| next()).collect();
         let mut w = ScatterVec::new(m);
@@ -471,7 +468,7 @@ mod tests {
     #[test]
     fn into_lu_only_without_etas() {
         let cols = vec![vec![(0, 1.0)], vec![(1, 1.0)]];
-        let basis = Basis::factorize(2, &cols).unwrap();
+        let basis = Basis::factorize(&CscMatrix::from_columns(2, &cols)).unwrap();
         let lu = basis.into_lu().expect("no pivot recorded");
         let mut basis = Basis::from_lu(lu);
         basis.push_eta(0, &[2.0, 0.0]).unwrap();
@@ -481,7 +478,7 @@ mod tests {
     #[test]
     fn push_eta_sparse_rejects_tiny_pivot() {
         let cols = vec![vec![(0, 1.0)], vec![(1, 1.0)]];
-        let mut basis = Basis::factorize(2, &cols).unwrap();
+        let mut basis = Basis::factorize(&CscMatrix::from_columns(2, &cols)).unwrap();
         let mut w = ScatterVec::new(2);
         w.set(1, 1e-14);
         assert!(basis.push_eta_sparse(1, &w).is_err());
@@ -490,7 +487,7 @@ mod tests {
     #[test]
     fn push_eta_rejects_tiny_pivot() {
         let cols = vec![vec![(0, 1.0)], vec![(1, 1.0)]];
-        let mut basis = Basis::factorize(2, &cols).unwrap();
+        let mut basis = Basis::factorize(&CscMatrix::from_columns(2, &cols)).unwrap();
         let w = vec![0.0, 1e-14];
         assert!(basis.push_eta(1, &w).is_err());
     }
@@ -498,7 +495,7 @@ mod tests {
     #[test]
     fn should_refactorize_after_interval() {
         let cols = vec![vec![(0, 1.0)], vec![(1, 1.0)]];
-        let mut basis = Basis::factorize(2, &cols).unwrap();
+        let mut basis = Basis::factorize(&CscMatrix::from_columns(2, &cols)).unwrap();
         assert!(!basis.should_refactorize());
         for _ in 0..REFACTOR_INTERVAL {
             basis.push_eta(0, &[1.0, 0.0]).unwrap();

@@ -117,6 +117,11 @@ const THRESHOLD: f64 = 0.1;
 
 impl LuFactors {
     /// Factorizes the `m × m` matrix `b` given in CSC form.
+    ///
+    /// The order of the entries within each column of `b` is part of the
+    /// input: it fixes the DFS order below, hence the elimination order
+    /// and the bits of the factors. Every caller in this crate passes
+    /// columns sorted by row.
     pub fn factorize(b: &CscMatrix) -> Result<LuFactors, Singular> {
         assert_eq!(b.nrows, b.ncols, "basis must be square");
         let m = b.nrows;
@@ -135,10 +140,14 @@ impl LuFactors {
             row_count[r] += 1;
         }
 
-        // Growing triplet storage for L (strict lower, original row ids
-        // during factorization) and U (permuted row ids).
-        let mut l_cols: Vec<Vec<(usize, f64)>> = Vec::with_capacity(m);
-        let mut u_cols: Vec<Vec<(usize, f64)>> = Vec::with_capacity(m);
+        // L (strict lower, original row ids during factorization) and U
+        // (permuted row ids), appended column by column, each into one
+        // CSC triple; `colptr` keeps the room `zeros` gave it and starts
+        // over from its first entry.
+        let mut l = CscMatrix::zeros(m, m);
+        let mut u = CscMatrix::zeros(m, m);
+        l.colptr.truncate(1);
+        u.colptr.truncate(1);
         let mut u_diag = vec![0.0; m];
 
         const NONE: usize = usize::MAX;
@@ -169,10 +178,10 @@ impl LuFactors {
                     let col = pinv[node];
                     let mut descended = false;
                     if col != NONE {
-                        let children = &l_cols[col];
+                        let children = &l.rowidx[l.colptr[col]..l.colptr[col + 1]];
                         let mut cur = cursor;
                         while cur < children.len() {
-                            let child = children[cur].0;
+                            let child = children[cur];
                             cur += 1;
                             if mark[child] != stamp {
                                 mark[child] = stamp;
@@ -210,7 +219,7 @@ impl LuFactors {
                 if xj == 0.0 {
                     continue;
                 }
-                for &(r, v) in &l_cols[col] {
+                for (r, v) in l.col(col) {
                     x[r] -= v * xj;
                 }
             }
@@ -244,39 +253,40 @@ impl LuFactors {
             pinv[ipiv] = k;
             u_diag[k] = pivot;
 
-            // --- Store U column k (already-pivotal rows) and L column k. ---
-            let mut ucol = Vec::new();
-            let mut lcol = Vec::new();
+            // --- Append U column k (already-pivotal rows) and L column k. ---
             for &i in &topo {
                 let v = x[i];
                 if v == 0.0 || i == ipiv {
                     continue;
                 }
                 if pinv[i] != NONE && pinv[i] < k {
-                    ucol.push((pinv[i], v));
+                    u.rowidx.push(pinv[i]);
+                    u.values.push(v);
                 } else if pinv[i] == NONE {
-                    lcol.push((i, v / pivot));
+                    l.rowidx.push(i);
+                    l.values.push(v / pivot);
                 }
             }
-            u_cols.push(ucol);
-            l_cols.push(lcol);
+            u.colptr.push(u.rowidx.len());
+            l.colptr.push(l.rowidx.len());
         }
 
-        // Remap L's row indices into permuted coordinates.
-        for col in &mut l_cols {
-            for e in col.iter_mut() {
-                e.0 = pinv[e.0];
-            }
-            col.sort_unstable_by_key(|&(r, _)| r);
+        // Remap L's row indices into permuted coordinates, then order
+        // every column of both factors by row.
+        for r in l.rowidx.iter_mut() {
+            *r = pinv[*r];
         }
-        for col in &mut u_cols {
-            col.sort_unstable_by_key(|&(r, _)| r);
+        let mut pairs = Vec::new();
+        for f in [&mut l, &mut u] {
+            sort_columns_by_row(f, &mut pairs);
+            f.rowidx.shrink_to_fit();
+            f.values.shrink_to_fit();
         }
 
         Ok(LuFactors {
             m,
-            l: CscMatrix::from_columns(m, &l_cols),
-            u: CscMatrix::from_columns(m, &u_cols),
+            l,
+            u,
             u_diag,
             pinv,
             q,
@@ -592,6 +602,38 @@ impl LuFactors {
     }
 }
 
+/// Orders the entries of every column of `f` by row, in place. No
+/// column holds a row twice, so this is the one order every sort gives,
+/// the order `CscMatrix::from_columns` gives. `pairs` is a reused
+/// workspace.
+fn sort_columns_by_row(f: &mut CscMatrix, pairs: &mut Vec<(usize, f64)>) {
+    let (mut rows, mut vals) = (f.rowidx.as_mut_slice(), f.values.as_mut_slice());
+    for w in f.colptr.windows(2) {
+        let &[lo, hi] = w else { continue };
+        let (col_rows, rest) = std::mem::take(&mut rows).split_at_mut(hi - lo);
+        rows = rest;
+        let (col_vals, rest) = std::mem::take(&mut vals).split_at_mut(hi - lo);
+        vals = rest;
+        if !col_rows.is_sorted() {
+            pairs.clear();
+            pairs.extend(col_rows.iter().copied().zip(col_vals.iter().copied()));
+            pairs.sort_unstable_by_key(|&(r, _)| r);
+            for ((r, v), &(pr, pv)) in col_rows
+                .iter_mut()
+                .zip(col_vals.iter_mut())
+                .zip(pairs.iter())
+            {
+                *r = pr;
+                *v = pv;
+            }
+        }
+        debug_assert!(
+            col_rows.is_sorted_by(|a, b| a < b),
+            "a column holds a row twice"
+        );
+    }
+}
+
 /// Direction of a [`sweep`].
 #[derive(Clone, Copy)]
 enum Order {
@@ -658,11 +700,187 @@ fn sweep(t: &mut ScatterVec, cols: &CscMatrix, order: Order, divide: impl Fn(usi
     }
 }
 
-/// The heap-ordered sparse solves the sweeps replaced, kept as the
-/// bit-identity oracle: a min-heap (`L`, `Uᵀ`) or max-heap (`U`, `Lᵀ`)
-/// pops each touched position once, in elimination order.
+/// The kernels the fast ones replaced, kept as their bit-identity
+/// oracles: the per-column factorization, and the heap-ordered sparse
+/// solves, where a min-heap (`L`, `Uᵀ`) or max-heap (`U`, `Lᵀ`) pops
+/// each touched position once, in elimination order.
 #[cfg(test)]
 impl LuFactors {
+    /// The per-column factorization the flat one replaced, kept as its
+    /// bit-identity oracle: each column of `L` and `U` grows in its own
+    /// `Vec`, and `CscMatrix::from_columns` packs them at the end.
+    pub(crate) fn factorize_per_column(b: &CscMatrix) -> Result<LuFactors, Singular> {
+        assert_eq!(b.nrows, b.ncols, "basis must be square");
+        let m = b.nrows;
+
+        // Column preorder: sparsest columns first. Simplex bases are
+        // mostly slack (singleton) columns; eliminating them first keeps
+        // the active submatrix — and therefore fill-in — small.
+        let mut q: Vec<usize> = (0..m).collect();
+        q.sort_by_key(|&j| b.col_nnz(j));
+
+        // Row occupancy counts of the input matrix: the Markowitz-style
+        // tie-break below prefers pivots in sparse rows, which keeps U's
+        // rows (and the DFS reach of later columns) short.
+        let mut row_count = vec![0usize; m];
+        for &r in &b.rowidx {
+            row_count[r] += 1;
+        }
+
+        // Growing triplet storage for L (strict lower, original row ids
+        // during factorization) and U (permuted row ids).
+        let mut l_cols: Vec<Vec<(usize, f64)>> = Vec::with_capacity(m);
+        let mut u_cols: Vec<Vec<(usize, f64)>> = Vec::with_capacity(m);
+        let mut u_diag = vec![0.0; m];
+
+        const NONE: usize = usize::MAX;
+        let mut pinv = vec![NONE; m];
+
+        // Dense workspace with stamps for the sparse solve.
+        let mut x = vec![0.0; m];
+        let mut mark = vec![0u64; m];
+        let mut stamp = 0u64;
+        // DFS stacks.
+        let mut node_stack: Vec<(usize, usize)> = Vec::new(); // (node, child cursor)
+        let mut topo: Vec<usize> = Vec::new();
+
+        for k in 0..m {
+            let bk = q[k];
+            stamp += 1;
+            topo.clear();
+
+            // --- Symbolic: nonzero pattern of x = L \ b[:, q[k]] via DFS. ---
+            for (r, _) in b.col(bk) {
+                if mark[r] == stamp {
+                    continue;
+                }
+                // Iterative DFS from r through columns of L already built.
+                node_stack.push((r, 0));
+                mark[r] = stamp;
+                while let Some(&(node, cursor)) = node_stack.last() {
+                    let col = pinv[node];
+                    let mut descended = false;
+                    if col != NONE {
+                        let children = &l_cols[col];
+                        let mut cur = cursor;
+                        while cur < children.len() {
+                            let child = children[cur].0;
+                            cur += 1;
+                            if mark[child] != stamp {
+                                mark[child] = stamp;
+                                if let Some(top) = node_stack.last_mut() {
+                                    top.1 = cur;
+                                }
+                                node_stack.push((child, 0));
+                                descended = true;
+                                break;
+                            }
+                        }
+                    }
+                    if !descended {
+                        node_stack.pop();
+                        topo.push(node);
+                    }
+                }
+            }
+            // `topo` is a postorder; reverse gives topological order.
+            topo.reverse();
+
+            // --- Numeric: scatter b[:, k] then eliminate in topo order. ---
+            for i in topo.iter() {
+                x[*i] = 0.0;
+            }
+            for (r, v) in b.col(bk) {
+                x[r] = v;
+            }
+            for &node in &topo {
+                let col = pinv[node];
+                if col == NONE {
+                    continue;
+                }
+                let xj = x[node];
+                if xj == 0.0 {
+                    continue;
+                }
+                for &(r, v) in &l_cols[col] {
+                    x[r] -= v * xj;
+                }
+            }
+
+            // --- Pivot selection: threshold partial pivoting with a
+            // Markowitz-style sparsity tie-break — among rows whose
+            // magnitude is within a factor of the maximum, prefer the
+            // one lying in the sparsest row of B. ---
+            let mut best = 0.0f64;
+            for &i in &topo {
+                if pinv[i] == NONE {
+                    let t = x[i].abs();
+                    if t > best {
+                        best = t;
+                    }
+                }
+            }
+            if best <= PIVOT_TOL {
+                return Err(Singular { column: bk });
+            }
+            let mut ipiv = NONE;
+            let mut best_count = usize::MAX;
+            for &i in &topo {
+                if pinv[i] == NONE && x[i].abs() >= THRESHOLD * best && row_count[i] < best_count {
+                    best_count = row_count[i];
+                    ipiv = i;
+                }
+            }
+            debug_assert!(ipiv != NONE);
+            let pivot = x[ipiv];
+            pinv[ipiv] = k;
+            u_diag[k] = pivot;
+
+            // --- Store U column k (already-pivotal rows) and L column k. ---
+            let mut ucol = Vec::new();
+            let mut lcol = Vec::new();
+            for &i in &topo {
+                let v = x[i];
+                if v == 0.0 || i == ipiv {
+                    continue;
+                }
+                if pinv[i] != NONE && pinv[i] < k {
+                    ucol.push((pinv[i], v));
+                } else if pinv[i] == NONE {
+                    lcol.push((i, v / pivot));
+                }
+            }
+            u_cols.push(ucol);
+            l_cols.push(lcol);
+        }
+
+        // Remap L's row indices into permuted coordinates.
+        for col in &mut l_cols {
+            for e in col.iter_mut() {
+                e.0 = pinv[e.0];
+            }
+            col.sort_unstable_by_key(|&(r, _)| r);
+        }
+        for col in &mut u_cols {
+            col.sort_unstable_by_key(|&(r, _)| r);
+        }
+
+        Ok(LuFactors {
+            m,
+            l: CscMatrix::from_columns(m, &l_cols),
+            u: CscMatrix::from_columns(m, &u_cols),
+            u_diag,
+            pinv,
+            q,
+            tmp: vec![0.0; m],
+            aux: None,
+            tmp_sp: ScatterVec::new(m),
+            btran_memo: None,
+            btran_seen: false,
+            heap_reference: false,
+        })
+    }
+
     /// Makes the sparse solves of this factorization run the heap
     /// reference, so a [`crate::basis::Basis`] over it can be compared
     /// with one over the sweeps.
@@ -1035,6 +1253,176 @@ mod tests {
             })
             .collect();
         CscMatrix::from_columns(m, &cols)
+    }
+
+    /// The flat factorization against the per-column reference on one
+    /// input: the same `L` and `U` patterns in the same order with the
+    /// same bits, the same `u_diag`, `pinv` and `q`, or the same
+    /// `Singular` column. Returns whether `b` factorized.
+    fn assert_flat_matches_per_column(b: &CscMatrix) -> bool {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        match (LuFactors::factorize(b), LuFactors::factorize_per_column(b)) {
+            (Ok(got), Ok(want)) => {
+                for (name, g, w) in [("L", &got.l, &want.l), ("U", &got.u, &want.u)] {
+                    assert_eq!((g.nrows, g.ncols), (w.nrows, w.ncols), "{name} shape");
+                    assert_eq!(g.colptr, w.colptr, "{name} column pointers");
+                    assert_eq!(g.rowidx, w.rowidx, "{name} row order");
+                    assert_eq!(bits(&g.values), bits(&w.values), "{name} values");
+                }
+                assert_eq!(bits(&got.u_diag), bits(&want.u_diag), "u_diag");
+                assert_eq!(got.pinv, want.pinv, "pinv");
+                assert_eq!(got.q, want.q, "q");
+                true
+            }
+            (Err(got), Err(want)) => {
+                assert_eq!(got, want, "singular column");
+                false
+            }
+            (got, want) => panic!(
+                "flat {:?} vs per-column {:?}",
+                got.map(|_| ()),
+                want.map(|_| ())
+            ),
+        }
+    }
+
+    /// A CSC matrix from columns given as they are: unsorted rows and
+    /// stored zeros kept, which `CscMatrix::from_columns` would not.
+    fn csc_as_given(m: usize, cols: &[Vec<(usize, f64)>]) -> CscMatrix {
+        let mut b = CscMatrix::zeros(m, m);
+        b.colptr.truncate(1);
+        for col in cols {
+            for &(r, v) in col {
+                b.rowidx.push(r);
+                b.values.push(v);
+            }
+            b.colptr.push(b.rowidx.len());
+        }
+        b
+    }
+
+    /// Random columns of a basis with fill in both factors: every third
+    /// one a unit slack, the others a diagonal entry scaled by `diag`
+    /// (small values leave the pivot to the threshold rule) and up to
+    /// `extra` off-diagonal entries, about one in ten an explicitly
+    /// stored zero, in shuffled row order.
+    fn random_basis_columns(
+        m: usize,
+        extra: usize,
+        diag: f64,
+        next: &mut impl FnMut() -> f64,
+    ) -> Vec<Vec<(usize, f64)>> {
+        let pick = |n: usize, next: &mut dyn FnMut() -> f64| (next().abs() * n as f64) as usize % n;
+        (0..m)
+            .map(|j| {
+                let mut col = vec![(j, diag * (1.0 + next().abs()))];
+                if j % 3 != 0 {
+                    for _ in 0..extra {
+                        let r = pick(m, next);
+                        if col.iter().all(|&(s, _)| s != r) {
+                            let v = next();
+                            col.push((r, if v.abs() < 0.1 { 0.0 } else { v }));
+                        }
+                    }
+                }
+                for i in (1..col.len()).rev() {
+                    col.swap(i, pick(i + 1, next));
+                }
+                col
+            })
+            .collect()
+    }
+
+    #[test]
+    fn flat_factorization_matches_the_per_column_reference_bitwise() {
+        let mut state = 0x5eed_f1a7u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
+        };
+        let (mut factorized, mut singular) = (0, 0);
+        let mut tally = |ok: bool| {
+            if ok {
+                factorized += 1;
+            } else {
+                singular += 1;
+            }
+        };
+        for m in [1usize, 2, 5, 12, 40, 97, 180, 320] {
+            // Sorted, duplicate-free columns: what the simplex passes.
+            for extra in [1, 2, 3] {
+                tally(assert_flat_matches_per_column(&random_sparse_basis(
+                    m, extra, &mut next,
+                )));
+            }
+            for extra in [1, 3, 5] {
+                for diag in [5.0, 0.05] {
+                    let mut cols = random_basis_columns(m, extra, diag, &mut next);
+                    tally(assert_flat_matches_per_column(&csc_as_given(m, &cols)));
+                    if m < 2 {
+                        continue;
+                    }
+                    // Singular variants: a column made a multiple of
+                    // another, then one holding only a stored zero.
+                    let (a, c) = (m / 3, m - 1);
+                    cols[c] = cols[a].iter().map(|&(r, v)| (r, -2.0 * v)).collect();
+                    tally(assert_flat_matches_per_column(&csc_as_given(m, &cols)));
+                    cols[a] = vec![(a, 0.0)];
+                    tally(assert_flat_matches_per_column(&csc_as_given(m, &cols)));
+                }
+            }
+        }
+        assert!(
+            factorized >= 40 && singular >= 40,
+            "{factorized} factorized, {singular} singular"
+        );
+    }
+
+    /// The same oracle on a basis of L-Net's size and shape (m = 8 000,
+    /// 37 % unit columns, ≈ 26 000 nonzeros, near-triangular columns).
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "L-Net-sized: runs in release (--include-ignored)"
+    )]
+    fn flat_factorization_matches_the_reference_at_l_net_size() {
+        let mut state = 0x1e7_d21f7u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
+        };
+        let m = 8_000;
+        // A fixed row relabelling, so that near-triangular is not
+        // already in elimination order.
+        let row = |i: usize| i * 7_919 % m;
+        let cols: Vec<Vec<(usize, f64)>> = (0..m)
+            .map(|j| {
+                if next().abs() < 0.37 {
+                    return vec![(row(j), if next() < 0.0 { -1.0 } else { 1.0 })];
+                }
+                let mut col = vec![(row(j), 0.5 + next().abs())];
+                for _ in 0..3 + j % 2 {
+                    let step = 1 + (next().abs() * 30.0) as usize;
+                    let i = if next().abs() < 0.02 {
+                        j + m - step
+                    } else {
+                        j + step
+                    } % m;
+                    if col.iter().all(|&(s, _)| s != row(i)) {
+                        col.push((row(i), next()));
+                    }
+                }
+                col.sort_unstable_by_key(|&(r, _)| r);
+                col
+            })
+            .collect();
+        let b = CscMatrix::from_columns(m, &cols);
+        assert!((24_000..28_000).contains(&b.nnz()), "nnz(B) = {}", b.nnz());
+        assert!(assert_flat_matches_per_column(&b), "nonsingular");
     }
 
     #[test]

@@ -32,13 +32,15 @@
 // structural sparsity guards (skip entries that are identically zero),
 // not approximate value checks.
 
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
 
 use crate::basis::Basis;
 use crate::lu::{LuFactors, Singular};
 use crate::model::{BasisStatuses, ColStatus, LimitKind, LpError, Solution, SolveStats};
 use crate::pricing::Pricer;
-use crate::sparse::ScatterVec;
+use crate::sparse::{CscMatrix, ScatterVec};
 use crate::standard::StdForm;
 
 /// Which simplex variant drives a solve (see [`SimplexOptions::algorithm`]).
@@ -326,7 +328,7 @@ fn dot_sparse(col: impl Iterator<Item = (usize, f64)>, x: &ScatterVec) -> f64 {
 /// set (structural/slack columns of `a`, then artificial columns).
 #[inline]
 fn col_apply(
-    a: &crate::sparse::CscMatrix,
+    a: &CscMatrix,
     arts: &[(usize, f64)],
     n: usize,
     j: usize,
@@ -340,6 +342,68 @@ fn col_apply(
         let (r, s) = arts[j - n];
         f(r, s);
     }
+}
+
+/// A dual ratio-test candidate: a nonbasic column `j`, its pivot-row
+/// entry `alpha` and its dual ratio. Ordered so that the max-heap
+/// [`BinaryHeap`] pops the smallest ratio first (by `total_cmp`, so
+/// `-0.0` before `+0.0`), the lower column among equal ratios: a strict
+/// total order over distinct columns.
+#[derive(Debug, Clone, Copy)]
+struct RatioCand {
+    j: usize,
+    alpha: f64,
+    ratio: f64,
+}
+
+impl Ord for RatioCand {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .ratio
+            .total_cmp(&self.ratio)
+            .then(other.j.cmp(&self.j))
+    }
+}
+
+impl PartialOrd for RatioCand {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for RatioCand {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for RatioCand {}
+
+/// The bound-flipping walk of the dual ratio test: visits `cands` in
+/// ascending (ratio, column) order, asks `flip` of each but the last,
+/// and stops at the first it refuses. `walked` receives the visited
+/// prefix, the flipped candidates followed by the entering one.
+///
+/// The candidates come off a binary heap, heapified in O(k) and popped
+/// in O(log k) each: the walk reads one or two of them on average, so
+/// ordering only the visited prefix beats sorting all k. The order is
+/// strict, so that prefix is the sorted list's. `cands` is left empty
+/// with its allocation.
+fn ratio_walk(
+    cands: &mut Vec<RatioCand>,
+    walked: &mut Vec<RatioCand>,
+    mut flip: impl FnMut(&RatioCand) -> bool,
+) {
+    let mut heap = BinaryHeap::from(std::mem::take(cands));
+    walked.clear();
+    while let Some(c) = heap.pop() {
+        walked.push(c);
+        if heap.is_empty() || !flip(&c) {
+            break;
+        }
+    }
+    *cands = heap.into_vec();
+    cands.clear();
 }
 
 /// Outcome of one phase.
@@ -449,12 +513,6 @@ impl<'a> Engine<'a> {
             return Err(self.limit_error(LimitKind::Iterations));
         }
         Ok(())
-    }
-
-    /// Iterates the sparse column `j` (structural/slack or artificial).
-    #[inline]
-    fn for_col(&self, j: usize, f: impl FnMut(usize, f64)) {
-        col_apply(&self.std.a, &self.arts, self.std.n, j, f);
     }
 
     /// Dot of column `j` with a dense row-space vector.
@@ -892,19 +950,41 @@ impl<'a> Engine<'a> {
                 self.stats.factor_reused = true;
                 Ok(Basis::from_lu(held.lu))
             }
-            _ => {
-                let m = self.std.m;
-                let mut cols: Vec<Vec<(usize, f64)>> = Vec::with_capacity(m);
-                for &j in &self.basis {
-                    let mut col = Vec::new();
-                    self.for_col(j, |r, v| col.push((r, v)));
-                    cols.push(col);
-                }
-                Basis::factorize(m, &cols)
-            }
+            _ => Basis::factorize(&self.basis_matrix()),
         };
         self.stats.factor_time += t.elapsed();
         factors
+    }
+
+    /// `B` in CSC form: the standard form's column slices and the
+    /// artificials' unit columns, in basis order. The standard form's
+    /// columns are sorted by row and hold no row twice, so this is the
+    /// matrix `CscMatrix::from_columns` would build from them, entry for
+    /// entry; their order fixes the factorization's bits.
+    fn basis_matrix(&self) -> CscMatrix {
+        let (a, arts, n, m) = (&self.std.a, &self.arts, self.std.n, self.std.m);
+        let width = |j: usize| if j < n { a.col_nnz(j) } else { 1 };
+        let nnz = self.basis.iter().map(|&j| width(j)).sum();
+        let mut b = CscMatrix {
+            nrows: m,
+            ncols: self.basis.len(),
+            colptr: Vec::with_capacity(self.basis.len() + 1),
+            rowidx: Vec::with_capacity(nnz),
+            values: Vec::with_capacity(nnz),
+        };
+        b.colptr.push(0);
+        for &j in &self.basis {
+            debug_assert!(
+                j >= n || a.col(j).map(|(r, _)| r).is_sorted_by(|r, s| r < s),
+                "column {j} of the standard form is unsorted or repeats a row"
+            );
+            col_apply(a, arts, n, j, |r, v| {
+                b.rowidx.push(r);
+                b.values.push(v);
+            });
+            b.colptr.push(b.rowidx.len());
+        }
+        b
     }
 
     /// Factorizes the start basis and fills basic values; used by the
@@ -1225,8 +1305,10 @@ impl<'a> Engine<'a> {
         self.expand_armed = true;
         // Dual devex reference weights, one per basis *position*.
         let mut dw = vec![1.0f64; m];
-        // (column, pivot-row entry α_j, dual ratio) per iteration.
-        let mut cands: Vec<(usize, f64, f64)> = Vec::new();
+        // This iteration's ratio-test candidates, and the prefix of them
+        // the bound-flipping walk visited.
+        let mut cands: Vec<RatioCand> = Vec::new();
+        let mut walked: Vec<RatioCand> = Vec::new();
         let mut retried = false;
         // Whether `self.y` currently holds B⁻ᵀc_B for the current basis.
         // The duals are maintained incrementally across pivots (the
@@ -1330,15 +1412,9 @@ impl<'a> Engine<'a> {
                 }
                 let d = cost.get(j).copied().unwrap_or(0.0) - self.col_dot(j, &self.y);
                 let ratio = (d / a).max(0.0);
-                cands.push((j, alpha, ratio));
+                cands.push(RatioCand { j, alpha, ratio });
             }
             self.stats.price_time += priced.elapsed();
-            if cands.is_empty() {
-                // A violated row no entering column can repair: the dual
-                // is unbounded, i.e. the primal is infeasible.
-                return Ok(DualEnd::Infeasible);
-            }
-            cands.sort_unstable_by(|x, z| x.2.total_cmp(&z.2).then(x.0.cmp(&z.0)));
 
             // Bound-flipping walk in ratio order: flipping a boxed
             // blocker moves the leaving row by span·|α| — as long as
@@ -1346,27 +1422,29 @@ impl<'a> Engine<'a> {
             // first candidate that must enter pivots. (Disabled under
             // Bland: plain smallest-ratio, lowest-index entering.)
             let mut delta = viol.abs();
-            let mut q_idx = cands.len() - 1;
-            for (idx, &(j, alpha, _)) in cands.iter().enumerate() {
-                let span = self.ub[j] - self.lb[j];
-                let can_flip = !self.bland
+            let (stat, lb, ub, bland) = (&self.stat, &self.lb, &self.ub, self.bland);
+            ratio_walk(&mut cands, &mut walked, |c| {
+                let span = ub[c.j] - lb[c.j];
+                let can_flip = !bland
                     && span.is_finite()
-                    && idx + 1 < cands.len()
-                    && matches!(self.stat[j], VStat::AtLower | VStat::AtUpper)
-                    && delta - span * alpha.abs() > FEAS_TOL;
+                    && matches!(stat[c.j], VStat::AtLower | VStat::AtUpper)
+                    && delta - span * c.alpha.abs() > FEAS_TOL;
                 if can_flip {
-                    delta -= span * alpha.abs();
-                } else {
-                    q_idx = idx;
-                    break;
+                    delta -= span * c.alpha.abs();
                 }
-            }
-            let nflips = q_idx;
+                can_flip
+            });
+            let Some((&entering, flipped)) = walked.split_last() else {
+                // A violated row no entering column can repair: the dual
+                // is unbounded, i.e. the primal is infeasible.
+                return Ok(DualEnd::Infeasible);
+            };
+            let nflips = flipped.len();
             if nflips > 0 {
                 // All flipped columns update the basics via one FTRAN of
                 // the combined flip column Σ Δx_j·A_j.
                 self.rhs.iter_mut().for_each(|v| *v = 0.0);
-                for &(j, _, _) in &cands[..nflips] {
+                for &RatioCand { j, .. } in flipped {
                     let (st, target) = match self.stat[j] {
                         VStat::AtLower => (VStat::AtUpper, self.ub[j]),
                         VStat::AtUpper => (VStat::AtLower, self.lb[j]),
@@ -1397,7 +1475,11 @@ impl<'a> Engine<'a> {
                 self.stats.bound_flips += nflips;
                 self.stats.dual_bound_flips += nflips;
             }
-            let (q, _, t_dual) = cands[q_idx];
+            let RatioCand {
+                j: q,
+                ratio: t_dual,
+                ..
+            } = entering;
 
             // FTRAN the entering column; the pivot element must agree
             // with the BTRAN'd row entry — a tiny value means stale
@@ -2181,7 +2263,9 @@ impl Engine<'_> {
     /// Dot of column `j` with a sparse row-space vector.
     fn col_dot_sp(&self, j: usize, x: &ScatterVec) -> f64 {
         let mut acc = 0.0;
-        self.for_col(j, |r, v| acc += v * x.get(r));
+        col_apply(&self.std.a, &self.arts, self.std.n, j, |r, v| {
+            acc += v * x.get(r)
+        });
         acc
     }
 }
@@ -3084,5 +3168,118 @@ mod tests {
             }
             other => panic!("expected injected NumericalFailure, got {other:?}"),
         }
+    }
+
+    /// The walk the heap replaced: every candidate sorted by (ratio by
+    /// `total_cmp`, column), then walked by index.
+    fn sorted_walk(
+        cands: &[RatioCand],
+        mut flip: impl FnMut(&RatioCand) -> bool,
+    ) -> Vec<RatioCand> {
+        let mut sorted = cands.to_vec();
+        sorted.sort_unstable_by(|x, z| x.ratio.total_cmp(&z.ratio).then(x.j.cmp(&z.j)));
+        let mut q_idx = sorted.len().saturating_sub(1);
+        for (idx, c) in sorted.iter().enumerate() {
+            if idx + 1 == sorted.len() || !flip(c) {
+                q_idx = idx;
+                break;
+            }
+        }
+        sorted.truncate(q_idx + 1);
+        sorted
+    }
+
+    #[test]
+    fn heap_ratio_walk_visits_the_sorted_prefix_bitwise() {
+        let mut state = 0x0d0a_11e5u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
+        };
+        let key = |v: &[RatioCand]| {
+            v.iter()
+                .map(|c| (c.j, c.alpha.to_bits(), c.ratio.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        let (mut cands, mut walked) = (Vec::new(), Vec::new());
+        let mut long_budget_walks = 0;
+        for trial in 0..400 {
+            let k = 1 + trial % 61;
+            // Distinct columns in shuffled order; ratios drawn from a
+            // few values, both zeros among them, so most of them tie.
+            let mut cols: Vec<usize> = (0..3 * k).collect();
+            for i in (1..cols.len()).rev() {
+                cols.swap(i, (next().abs() * (i + 1) as f64) as usize % (i + 1));
+            }
+            let list: Vec<RatioCand> = cols[..k]
+                .iter()
+                .map(|&j| {
+                    let ratio = match (next().abs() * 6.0) as usize {
+                        0 => 0.0,
+                        1 => -0.0,
+                        2 => 0.5,
+                        3 => 1.0,
+                        _ => next().abs() * 2.0,
+                    };
+                    RatioCand {
+                        j,
+                        alpha: next() * 4.0,
+                        ratio,
+                    }
+                })
+                .collect();
+            // Spans per column, some unbounded, and a leaving row's
+            // excess to spend as the dual loop does.
+            let span: Vec<f64> = (0..3 * k)
+                .map(|_| {
+                    if next() < -0.6 {
+                        f64::INFINITY
+                    } else {
+                        next().abs()
+                    }
+                })
+                .collect();
+            let excess = next().abs() * k as f64;
+            let span = &span;
+            let flip = |rule: &'static str| {
+                let mut delta = excess;
+                move |c: &RatioCand| match rule {
+                    "budget" => {
+                        let step = span[c.j] * c.alpha.abs();
+                        let can_flip = step.is_finite() && delta - step > FEAS_TOL;
+                        if can_flip {
+                            delta -= step;
+                        }
+                        can_flip
+                    }
+                    "never flip" => false,
+                    _ => true,
+                }
+            };
+            for rule in ["budget", "flip all but the last", "never flip"] {
+                cands.clear();
+                cands.extend_from_slice(&list);
+                ratio_walk(&mut cands, &mut walked, flip(rule));
+                let want = sorted_walk(&list, flip(rule));
+                assert_eq!(key(&walked), key(&want), "trial {trial}, {rule}");
+                assert!(cands.is_empty() && cands.capacity() >= k, "allocation kept");
+                if rule == "budget" && walked.len() > 2 {
+                    long_budget_walks += 1;
+                }
+            }
+            let mut all = Vec::new();
+            ratio_walk(&mut list.clone(), &mut all, |_| true);
+            assert_eq!(
+                all.len(),
+                k,
+                "a walk flipping all but the last visits every candidate"
+            );
+        }
+        assert!(
+            long_budget_walks > 50,
+            "{long_budget_walks} budget walks flipped twice"
+        );
     }
 }

@@ -7,9 +7,12 @@
 
 /// A matrix stored in compressed-sparse-column form.
 ///
-/// Entries within one column are not required to be sorted by row (the LU
-/// code never relies on intra-column ordering), but builders in this crate
-/// produce sorted columns.
+/// Entries within one column need not be sorted by row, but their order
+/// is not free: [`crate::lu::LuFactors::factorize`] walks a column of `B`
+/// in stored order, which fixes its DFS order, hence the elimination
+/// order and the bits of the factors. The constructors in this crate
+/// produce sorted, duplicate-free columns, and [`CscMatrix::set_entry`] and
+/// [`CscMatrix::value_at`] rely on the sorting.
 #[derive(Debug, Clone, Default)]
 pub struct CscMatrix {
     /// Number of rows.

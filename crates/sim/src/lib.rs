@@ -40,7 +40,7 @@ pub mod switch_model;
 pub mod update_exec;
 
 pub use faults::{FaultModel, FaultProcess, IntervalFaults};
-pub use metrics::{percentile, Cdf, RunTotals};
+pub use metrics::{percentile, percentile_sorted, sort_samples, Cdf, RunTotals};
 pub use runner::{
     DrivenInterval, DrivenSim, IntervalRecord, Protection, SimConfig, SimReport, Simulator,
 };

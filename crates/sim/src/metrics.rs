@@ -1,20 +1,35 @@
 //! Aggregation helpers: percentiles, CDFs, and the paper's two headline
 //! metrics — throughput ratio and data-loss ratio (§8.1).
 
-/// A percentile over a sample set (linear interpolation).
+/// A percentile over a sample set (linear interpolation). Sorts a copy;
+/// to read several percentiles of one set, sort it once with
+/// [`sort_samples`] and read [`percentile_sorted`].
 pub fn percentile(samples: &[f64], p: f64) -> f64 {
-    assert!((0.0..=1.0).contains(&p));
-    assert!(!samples.is_empty(), "percentile of empty sample set");
     let mut v: Vec<f64> = samples.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
-    let idx = p * (v.len() - 1) as f64;
+    sort_samples(&mut v);
+    percentile_sorted(&v, p)
+}
+
+/// Sorts samples ascending in the order [`percentile_sorted`] reads:
+/// a stable sort by `partial_cmp`, so equal values (`-0.0` and `+0.0`
+/// among them) keep their input order.
+pub fn sort_samples(samples: &mut [f64]) {
+    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
+}
+
+/// A percentile, by linear interpolation, of samples already sorted by
+/// [`sort_samples`].
+pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
+    assert!((0.0..=1.0).contains(&p));
+    assert!(!sorted.is_empty(), "percentile of empty sample set");
+    let idx = p * (sorted.len() - 1) as f64;
     let lo = idx.floor() as usize;
     let hi = idx.ceil() as usize;
     if lo == hi {
-        v[lo]
+        sorted[lo]
     } else {
         let frac = idx - lo as f64;
-        v[lo] * (1.0 - frac) + v[hi] * frac
+        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
     }
 }
 
@@ -27,7 +42,7 @@ pub struct Cdf {
 impl Cdf {
     /// Builds a CDF from samples.
     pub fn new(mut samples: Vec<f64>) -> Self {
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
+        sort_samples(&mut samples);
         Self { sorted: samples }
     }
 
@@ -42,7 +57,7 @@ impl Cdf {
 
     /// Inverse CDF (quantile).
     pub fn quantile(&self, p: f64) -> f64 {
-        percentile(&self.sorted, p)
+        percentile_sorted(&self.sorted, p)
     }
 
     /// Number of samples.
@@ -157,6 +172,65 @@ mod tests {
     #[should_panic(expected = "empty")]
     fn percentile_empty_panics() {
         percentile(&[], 0.5);
+    }
+
+    /// `percentile` as it was before the sorted-slice split: every call
+    /// sorts its own copy.
+    fn percentile_sorting_each_call(samples: &[f64], p: f64) -> f64 {
+        let mut v = samples.to_vec();
+        v.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
+        let idx = p * (v.len() - 1) as f64;
+        let (lo, hi) = (idx.floor() as usize, idx.ceil() as usize);
+        if lo == hi {
+            v[lo]
+        } else {
+            let frac = idx - lo as f64;
+            v[lo] * (1.0 - frac) + v[hi] * frac
+        }
+    }
+
+    #[test]
+    fn one_sort_reads_the_bits_of_a_sort_per_percentile() {
+        let mut state = 0x9e37_79b9u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as f64 / (1u64 << 31) as f64
+        };
+        for n in [1usize, 2, 3, 7, 100, 1001] {
+            // Few distinct values, so ties everywhere, both zeros among
+            // them, in record order.
+            let series: Vec<f64> = (0..n)
+                .map(|_| match (next() * 5.0) as usize {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => 0.9,
+                    _ => (next() * 8.0).floor() / 8.0,
+                })
+                .collect();
+            let mut sorted = series.clone();
+            sort_samples(&mut sorted);
+            let cdf = Cdf::new(series.clone());
+            for p in [0.0, 0.01, 0.25, 0.37, 0.5, 0.9, 0.99, 1.0] {
+                let want = percentile_sorting_each_call(&series, p).to_bits();
+                assert_eq!(
+                    percentile(&series, p).to_bits(),
+                    want,
+                    "percentile, n {n}, p {p}"
+                );
+                assert_eq!(
+                    percentile_sorted(&sorted, p).to_bits(),
+                    want,
+                    "sorted, n {n}, p {p}"
+                );
+                assert_eq!(
+                    cdf.quantile(p).to_bits(),
+                    want,
+                    "Cdf::quantile, n {n}, p {p}"
+                );
+            }
+        }
     }
 
     #[test]
