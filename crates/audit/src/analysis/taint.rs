@@ -13,8 +13,9 @@
 //!
 //! **Panic reachability.** The same traversal from panic-sensitive
 //! *roots* (the controller interval loop, the solver pivot loop, the
-//! kernel blocks) to fns containing `unwrap`/`expect`, indexing,
-//! remainder-by-nonliteral, or explicit panic macros.
+//! certifier's scenario enumeration) to fns containing
+//! `unwrap`/`expect`, indexing, remainder-by-nonliteral, or explicit
+//! panic macros.
 //!
 //! Findings are keyed `(rule, kind, containing fn)` — no line numbers
 //! — so the committed baseline survives unrelated edits; chains and
@@ -110,8 +111,8 @@ impl AnalysisConfig {
                     FnMatcher::QnamePrefix(s("ffc-lp::simplex::Engine::optimize")),
                 ),
                 (
-                    s("kernel-blocks"),
-                    FnMatcher::QnamePrefix(s("ffc-audit::kernels::")),
+                    s("certifier-enumeration"),
+                    FnMatcher::QnamePrefix(s("ffc-audit::certify::scenario_phase")),
                 ),
             ],
             max_depth: 64,

@@ -14,12 +14,9 @@
 //! configuration by the paper's Lemma 1 (`crate::lemma`: per-flow
 //! residual cover, per-link capacity, per-ingress stale gaps) without
 //! enumerating a scenario. What the proof does not accept falls back to
-//! the batched SoA kernels of `crate::kernels`, which enumerate every
-//! scenario and stay the one authority for rejections
-//! ([`certify_batched`] runs them unconditionally). [`certify_scalar`]
-//! is the one-scenario-at-a-time walk the kernels were derived from; it
-//! stays as the reference the differential tests hold the kernels
-//! bit-identical to, and nothing but tests calls it.
+//! one enumeration walk, scenario by scenario, which stays the one
+//! authority for rejections. [`certify_enumerated`] runs that walk
+//! whatever the proof would say; it is what the tests hold the proof to.
 //!
 //! The result is a machine-readable [`Certificate`]: accepted/rejected,
 //! how the verdict was reached ([`CertMethod`]), how many fault
@@ -34,7 +31,7 @@
 use std::collections::BTreeSet;
 
 use ffc_lp::{Cmp, Model};
-use ffc_net::{FaultScenario, LinkId, NodeId, Topology, TrafficMatrix, TunnelTable};
+use ffc_net::{FaultScenario, LinkId, NodeId, Topology, TrafficMatrix, Tunnel, TunnelTable};
 
 /// Absolute feasibility tolerance (rates and loads are in capacity
 /// units, typically O(1)–O(100)).
@@ -446,13 +443,15 @@ pub fn verify_lp_certificate(model: &Model, sol: &ffc_lp::Solution) -> LpCertifi
     LpCertificate::Optimal { gap }
 }
 
-/// Independent rescaling: splits `rate` over `residual` tunnel indices
-/// proportionally to `weights`, accumulating per-link loads.
+/// Independent rescaling: splits `rate` over the tunnels that survive
+/// `scenario` proportionally to `weights`, accumulating per-link loads.
 ///
 /// Mirrors the data-plane semantics of `ffc-core::rescale`
 /// (re-implemented here on purpose): group buckets whose residual
 /// weights sum to (numerically) zero forward nothing, and the caller
 /// never sees traffic invented on links the constraints did not cover.
+/// The static phase has checked that `rate`, `alloc` and `old_alloc`
+/// match the traffic matrix and the tunnel layout in shape.
 #[allow(clippy::too_many_arguments)]
 fn add_rescaled_loads(
     topo: &Topology,
@@ -464,12 +463,11 @@ fn add_rescaled_loads(
     scenario: &FaultScenario,
     load: &mut [f64],
 ) {
-    for x in load.iter_mut() {
-        *x = 0.0;
-    }
-    for (f, flow) in tm.iter() {
-        let fi = f.index();
-        let r = rate[fi];
+    debug_assert_eq!(load.len(), topo.num_links());
+    load.fill(0.0);
+    let stale_alloc = old_alloc.unwrap_or(alloc);
+    for (((f, flow), &r), (fresh, stale)) in tm.iter().zip(rate).zip(alloc.iter().zip(stale_alloc))
+    {
         if r <= 0.0 {
             continue;
         }
@@ -478,27 +476,33 @@ fn add_rescaled_loads(
         {
             continue; // blackholed at the source; no load anywhere
         }
-        let ts = tunnels.tunnels(f);
-        let weights: &[f64] = if scenario.config_failures.contains(&flow.src) {
-            match old_alloc {
-                Some(old) => &old[fi],
-                None => &alloc[fi],
-            }
+        let weights = if scenario.config_failures.contains(&flow.src) {
+            stale
         } else {
-            &alloc[fi]
+            fresh
         };
-        let residual = scenario.residual_tunnels(topo, ts);
+        let residual: Vec<(&Tunnel, f64)> = tunnels
+            .tunnels(f)
+            .iter()
+            .zip(weights)
+            .filter(|(t, _)| !scenario.kills_tunnel(topo, t))
+            .map(|(t, &w)| (t, w))
+            .collect();
         if residual.is_empty() {
             continue;
         }
-        let total: f64 = residual.iter().map(|&t| weights[t]).sum();
+        let total: f64 = residual.iter().map(|&(_, w)| w).sum();
         if total <= ZERO_WEIGHT {
             continue; // zero-weight buckets forward nothing
         }
-        for &t in &residual {
-            let traffic = r * weights[t] / total;
+        for &(tunnel, w) in &residual {
+            let traffic = r * w / total;
             if traffic > 0.0 {
-                for &l in &ts[t].links {
+                for &l in &tunnel.links {
+                    debug_assert!(l.index() < load.len(), "{l} is not a link of topo");
+                    // audit:allow(panic-reachable/index): `load` holds one
+                    // entry per link of `topo`, and a tunnel's links are
+                    // links of `topo`.
                     load[l.index()] += traffic;
                 }
             }
@@ -509,33 +513,22 @@ fn add_rescaled_loads(
 /// Walks every `n`-choose-`≤k` index combination (including the empty
 /// one) in deterministic lexicographic order, calling `f` for each.
 /// Stops early (returning `false`) when `f` returns `false`.
-pub(crate) fn for_each_combo_up_to(
-    n: usize,
-    k: usize,
-    mut f: impl FnMut(&[usize]) -> bool,
-) -> bool {
+fn for_each_combo_up_to(n: usize, k: usize, mut f: impl FnMut(&[usize]) -> bool) -> bool {
     for size in 0..=k.min(n) {
         let mut idx: Vec<usize> = (0..size).collect();
         loop {
             if !f(&idx) {
                 return false;
             }
-            // Advance to the next combination of `size` out of `n`.
-            let mut i = size;
-            let mut advanced = false;
-            while i > 0 {
-                i -= 1;
-                if idx[i] != i + n - size {
-                    idx[i] += 1;
-                    for j in i + 1..size {
-                        idx[j] = idx[j - 1] + 1;
-                    }
-                    advanced = true;
-                    break;
-                }
-            }
-            if !advanced {
+            // Advance to the next combination of `size` out of `n`: the
+            // last index below its maximum (`i + n - size` at position
+            // `i`) moves up by one, and the ones after it follow it.
+            let Some(i) = idx.iter().zip(n - size..n).rposition(|(&x, max)| x != max) else {
                 break;
+            };
+            let next = idx.get(i).map_or(0, |&x| x + 1);
+            for (x, v) in idx.iter_mut().skip(i).zip(next..) {
+                *x = v;
             }
         }
     }
@@ -565,13 +558,11 @@ pub(crate) fn for_each_combo_up_to(
 /// checked.
 ///
 /// Everything else — a static-phase violation, `kc > 0` without an old
-/// configuration, any bound over capacity — gets [`certify_batched`]'s
-/// certificate, field for field: scenario enumeration is
-/// deterministic, stops at [`CertInput::max_scenarios`] (the
-/// `exhaustive` flag records whether the full protected set was
-/// covered), and runs on the batched SoA kernels over
-/// [`kernel_workers`] threads; the verdict does not depend on the
-/// thread count.
+/// configuration, any bound over capacity — gets
+/// [`certify_enumerated`]'s certificate, field for field: scenario
+/// enumeration is deterministic and stops at
+/// [`CertInput::max_scenarios`] (the `exhaustive` flag records whether
+/// the full protected set was covered).
 pub fn certify(input: &CertInput<'_>) -> Certificate {
     let mut cert = match static_phase(input) {
         Ok(cert) => cert,
@@ -584,27 +575,18 @@ pub fn certify(input: &CertInput<'_>) -> Certificate {
             return cert;
         }
     }
-    crate::kernels::batched_scenario_phase(input, &mut cert, kernel_workers());
+    scenario_phase(input, &mut cert);
     cert
 }
 
-/// Worker count [`certify`] fans the kernels out over:
-/// [`std::thread::available_parallelism`].
-pub fn kernel_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// [`certify`]'s fall-back alone, with an explicit worker count: the
-/// static checks and then scenario enumeration, whatever the lemma
-/// would say. Bit-identical to [`certify_scalar`].
-pub fn certify_batched(input: &CertInput<'_>, workers: usize) -> Certificate {
+/// [`certify`]'s fall-back alone: the static checks and then scenario
+/// enumeration, whatever the lemma would say.
+pub fn certify_enumerated(input: &CertInput<'_>) -> Certificate {
     let mut cert = match static_phase(input) {
         Ok(cert) => cert,
         Err(cert) => return cert,
     };
-    crate::kernels::batched_scenario_phase(input, &mut cert, workers);
+    scenario_phase(input, &mut cert);
     cert
 }
 
@@ -705,22 +687,13 @@ fn static_phase(input: &CertInput<'_>) -> Result<Certificate, Certificate> {
     Ok(cert)
 }
 
-/// [`certify`] over the original one-scenario-at-a-time arithmetic.
-/// The reference implementation the batched kernels are differentially
-/// tested against (`tests/proptest_kernels.rs`, and the paper instances
-/// in the workspace integration tests); no production code calls it.
-pub fn certify_scalar(input: &CertInput<'_>) -> Certificate {
-    let mut cert = match static_phase(input) {
-        Ok(cert) => cert,
-        Err(cert) => return cert,
-    };
+/// Congestion-freedom (phase 4), scenario by scenario: the fault-free
+/// case, every joint ≤`ke` link × ≤`kv` switch failure, then every
+/// ≤`kc` stale-ingress set, in lexicographic order until the budget.
+fn scenario_phase(input: &CertInput<'_>, cert: &mut Certificate) {
     let topo = input.topo;
     let tm = input.tm;
-
-    // 4. Congestion-freedom, scenario by scenario.
     let unprotected: BTreeSet<LinkId> = input.unprotected_links.iter().copied().collect();
-    let links: Vec<LinkId> = topo.links().collect();
-    let switches: Vec<NodeId> = topo.nodes().collect();
     let sources: Vec<NodeId> = {
         let set: BTreeSet<NodeId> = tm.iter().map(|(_, fl)| fl.src).collect();
         set.into_iter().collect()
@@ -743,12 +716,11 @@ pub fn certify_scalar(input: &CertInput<'_>) -> Certificate {
             sc,
             load,
         );
-        for e in topo.links() {
+        for (e, &l) in topo.links().zip(load.iter()) {
             if sc.link_dead(topo, e) || unprotected.contains(&e) {
                 continue;
             }
             let cap = topo.capacity(e);
-            let l = load[e.index()];
             if cap > 0.0 {
                 cert.max_oversubscription = cert.max_oversubscription.max(l / cap);
             }
@@ -763,17 +735,18 @@ pub fn certify_scalar(input: &CertInput<'_>) -> Certificate {
     };
 
     // Joint data-plane scenarios: ≤ke links × ≤kv switches (the empty
-    // combination is the fault-free case).
-    for_each_combo_up_to(links.len(), input.protection.ke, |lc| {
-        for_each_combo_up_to(switches.len(), input.protection.kv, |vc| {
+    // combination is the fault-free case). Link and node ids are their
+    // indices.
+    for_each_combo_up_to(topo.num_links(), input.protection.ke, |lc| {
+        for_each_combo_up_to(topo.num_nodes(), input.protection.kv, |vc| {
             let mut sc = FaultScenario::none();
             for &i in lc {
-                sc.fail_link(links[i]);
+                sc.fail_link(LinkId(i));
             }
             for &i in vc {
-                sc.fail_switch(switches[i]);
+                sc.fail_switch(NodeId(i));
             }
-            check_scenario(&sc, &mut cert, &mut load)
+            check_scenario(&sc, cert, &mut load)
         })
     });
 
@@ -786,8 +759,8 @@ pub fn certify_scalar(input: &CertInput<'_>) -> Certificate {
                     if cc.is_empty() {
                         return true; // fault-free case already covered
                     }
-                    let sc = FaultScenario::config(cc.iter().map(|&i| sources[i]));
-                    check_scenario(&sc, &mut cert, &mut load)
+                    let stale = cc.iter().filter_map(|&i| sources.get(i).copied());
+                    check_scenario(&FaultScenario::config(stale), cert, &mut load)
                 });
             }
             None => {
@@ -798,8 +771,6 @@ pub fn certify_scalar(input: &CertInput<'_>) -> Certificate {
             }
         }
     }
-
-    cert
 }
 
 #[cfg(test)]
@@ -835,10 +806,14 @@ mod tests {
         let (t, tm, tt) = fig2();
         let rate = [8.0];
         let alloc = [vec![6.0, 2.0]];
-        let cert = certify_batched(
-            &CertInput::new(&t, &tm, &tt, &rate, &alloc, Protection::none()),
-            kernel_workers(),
-        );
+        let cert = certify_enumerated(&CertInput::new(
+            &t,
+            &tm,
+            &tt,
+            &rate,
+            &alloc,
+            Protection::none(),
+        ));
         assert!(cert.ok(), "{:?}", cert.violations);
         assert_eq!(cert.scenarios_checked, 1);
         assert!(cert.exhaustive);
@@ -942,8 +917,7 @@ mod tests {
             let old = [vec![0.0, bad]];
             let mut input = CertInput::new(&t, &tm, &tt, &rate, &alloc, Protection::new(1, 0, 0));
             input.old_alloc = Some(&old);
-            let batched = certify_batched(&input, kernel_workers());
-            for cert in [certify(&input), batched, certify_scalar(&input)] {
+            for cert in [certify(&input), certify_enumerated(&input)] {
                 assert_eq!(cert.status, CertStatus::Rejected);
                 assert_eq!(
                     cert.scenarios_checked, 0,
@@ -966,7 +940,7 @@ mod tests {
         let mut input = CertInput::new(&t, &tm, &tt, &rate, &alloc, Protection::new(1, 0, 0));
         input.old_alloc = Some(&old);
         assert!(certify(&input).ok());
-        let cert = certify_batched(&input, kernel_workers());
+        let cert = certify_enumerated(&input);
         assert!(cert.ok(), "{:?}", cert.violations);
         assert_eq!(cert.scenarios_checked, 2); // none + {stale s0}
         assert!(cert.exhaustive);
@@ -1015,7 +989,7 @@ mod tests {
         let (rate, alloc) = ([8.0], [vec![4.0, 4.0]]);
         let input = CertInput::new(&t, &tm, &tt, &rate, &alloc, Protection::new(0, 0, 1));
         assert!(certify(&input).ok());
-        let cert = certify_batched(&input, kernel_workers());
+        let cert = certify_enumerated(&input);
         assert!(cert.ok(), "{:?}", cert.violations);
         // 1 (none) + 3 switch singletons.
         assert_eq!(cert.scenarios_checked, 4);
@@ -1059,7 +1033,7 @@ mod tests {
         let alloc = [vec![6.0, 2.0]];
         let mut input = CertInput::new(&t, &tm, &tt, &rate, &alloc, Protection::new(0, 1, 0));
         input.max_scenarios = 2; // 1 + 3 links would need 4
-        let cert = certify_batched(&input, kernel_workers());
+        let cert = certify_enumerated(&input);
         assert_eq!(cert.scenarios_checked, 2);
         assert!(!cert.exhaustive);
     }
@@ -1082,7 +1056,7 @@ mod tests {
         assert_eq!(cert.method, CertMethod::Lemma, "{}", cert.to_json());
         assert_eq!(cert.status_str(), "certified");
         assert_eq!(cert.scenarios_checked, 0);
-        let reference = certify_scalar(input);
+        let reference = certify_enumerated(input);
         assert!(reference.ok(), "{:?}", reference.violations);
         assert!(cert.max_oversubscription >= reference.max_oversubscription);
     }
@@ -1091,7 +1065,7 @@ mod tests {
     fn assert_enumerated(input: &CertInput<'_>) -> Certificate {
         let cert = certify(input);
         assert_eq!(cert.method, CertMethod::Enumeration);
-        assert_eq!(cert.to_json(), certify_scalar(input).to_json());
+        assert_eq!(cert.to_json(), certify_enumerated(input).to_json());
         cert
     }
 
@@ -1228,7 +1202,7 @@ mod tests {
         let run = |load: f64| {
             let (rate, alloc) = ([load], [vec![load, 0.0]]);
             let input = CertInput::new(&t, &tm, &tt, &rate, &alloc, Protection::none());
-            (certify(&input), certify_scalar(&input).ok())
+            (certify(&input), certify_enumerated(&input).ok())
         };
         let (cert, reference) = run(edge - 5e-8);
         assert_eq!(cert.method, CertMethod::Lemma);
@@ -1251,10 +1225,7 @@ mod tests {
         let mut input = CertInput::new(&t, &tm, &tt, &rate, &alloc, Protection::new(0, 1, 0));
         input.max_scenarios = 2;
         assert_proved(&input);
-        assert_eq!(
-            certify_batched(&input, kernel_workers()).status_str(),
-            "certified-sampled"
-        );
+        assert_eq!(certify_enumerated(&input).status_str(), "certified-sampled");
     }
 
     #[test]

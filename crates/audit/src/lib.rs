@@ -24,9 +24,10 @@
 //! configuration by direct arithmetic over the tunnel layout — first by
 //! the paper's Lemma 1 (per-flow residual cover, per-link capacity,
 //! per-ingress stale gaps), then, for what that proof does not accept,
-//! by per-scenario link loads under tunnel rescaling and stale-ingress
-//! weights — with no simplex code anywhere on the path, and returns a
-//! machine-readable [`certify::Certificate`].
+//! by one walk over the fault scenarios, recomputing per-scenario link
+//! loads under tunnel rescaling and stale-ingress weights — with no
+//! simplex code anywhere on the path, and returns a machine-readable
+//! [`certify::Certificate`].
 //!
 //! There is one source checker, dependency-free (no `syn`): the
 //! [`analysis`] front end — a lossless tokenizer and an item extractor
@@ -44,15 +45,14 @@
 
 pub mod analysis;
 pub mod certify;
-mod kernels;
 mod lemma;
 pub mod lint;
 pub mod model_audit;
 
 pub use analysis::{analyze_path, AnalysisConfig, AnalysisReport};
 pub use certify::{
-    certify, certify_batched, certify_scalar, kernel_workers, verify_lp_certificate, CertInput,
-    CertMethod, CertStatus, Certificate, LpCertificate, Protection,
+    certify, certify_enumerated, verify_lp_certificate, CertInput, CertMethod, CertStatus,
+    Certificate, LpCertificate, Protection,
 };
 pub use lint::{lint_workspace, LintConfig, LintReport, LintViolation};
 pub use model_audit::{audit_model, AuditConfig, AuditReport, Finding, Severity};

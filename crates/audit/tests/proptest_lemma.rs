@@ -1,9 +1,9 @@
-//! Soundness oracle for the certifier's proof by Lemma 1: over the
-//! random rings of `proptest_kernels.rs`, every configuration `certify`
-//! accepts by [`CertMethod::Lemma`] is also accepted by the exhaustive
-//! scalar walk, with a `max_oversubscription` bound at least as large
-//! as the one it observes, and every configuration the proof hands on
-//! gets `certify_batched`'s certificate field for field.
+//! Soundness oracle for the certifier's proof by Lemma 1: over random
+//! rings (`ring/mod.rs`), every configuration `certify` accepts by
+//! [`CertMethod::Lemma`] is also accepted by the exhaustive enumeration
+//! walk, with a `max_oversubscription` bound at least as large as the
+//! one it observes, and every configuration the proof hands on gets
+//! `certify_enumerated`'s certificate field for field.
 //!
 //! Each instance is checked as drawn and with rates and allocations
 //! shrunk together by a random factor, so the proof decides a good
@@ -13,7 +13,7 @@
 mod ring;
 
 use ffc_audit::certify::{
-    certify, certify_batched, certify_scalar, CertInput, CertMethod, Certificate, Protection,
+    certify, certify_enumerated, CertInput, CertMethod, Certificate, Protection,
 };
 use ffc_net::prelude::*;
 use proptest::prelude::*;
@@ -23,7 +23,7 @@ use ring::{build, inst_strategy, Inst};
 /// Proptest cases: 64 under the debug test pass, 2 048 in release.
 const CASES: u32 = if cfg!(debug_assertions) { 64 } else { 2048 };
 
-/// Holds `certify`'s certificate on `input` to the enumerating walks.
+/// Holds `certify`'s certificate on `input` to the enumerating walk.
 fn check(input: &CertInput<'_>) -> Result<(), TestCaseError> {
     let got = certify(input);
     match got.method {
@@ -32,7 +32,7 @@ fn check(input: &CertInput<'_>) -> Result<(), TestCaseError> {
             prop_assert_eq!(got.scenarios_checked, 0);
             let mut everything = CertInput { ..*input };
             everything.max_scenarios = usize::MAX;
-            let want = certify_scalar(&everything);
+            let want = certify_enumerated(&everything);
             prop_assert!(
                 want.ok(),
                 "lemma certified what enumeration rejects: {:?}",
@@ -46,7 +46,7 @@ fn check(input: &CertInput<'_>) -> Result<(), TestCaseError> {
             );
         }
         CertMethod::Enumeration => {
-            let want = certify_batched(input, 1);
+            let want = certify_enumerated(input);
             same(&got, &want)?;
         }
     }

@@ -1,7 +1,8 @@
-//! The random ring instances the certifier's differential proptests
-//! share: a 4–6 node ring with chords, a surged / zeroed /
-//! ingress-permuted traffic matrix, a (p,q) tunnel layout, and rate,
-//! allocation and old-allocation vectors that may be out of bounds.
+//! The random ring instances the certifier's proof is held to
+//! enumeration on (`proptest_lemma.rs`): a 4–6 node ring with chords, a
+//! surged / zeroed / ingress-permuted traffic matrix, a (p,q) tunnel
+//! layout, and rate, allocation and old-allocation vectors that may be
+//! out of bounds.
 
 use ffc_net::prelude::*;
 use proptest::prelude::*;
