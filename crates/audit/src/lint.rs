@@ -102,13 +102,15 @@ impl LintReport {
 /// Replay-deterministic modules (relative to the root, `/`-separated):
 /// files on the replay/fingerprint-critical path, where wall-clock and
 /// ambient randomness are outright lint errors. The checkpoint codec
-/// and the fleet telemetry store/report are included because their
-/// byte output feeds committed goldens and store fingerprints.
+/// and the fleet telemetry store/report/digest are included because
+/// their byte output feeds committed goldens, digests and store
+/// fingerprints.
 pub const DETERMINISTIC_MODULES: &[&str] = &[
     "crates/ctrl/src/checkpoint.rs",
     "crates/ctrl/src/event.rs",
     "crates/ctrl/src/replay.rs",
     "crates/chaos/src/injector.rs",
+    "crates/fleet/src/digest.rs",
     "crates/fleet/src/report.rs",
     "crates/fleet/src/store.rs",
 ];

@@ -37,6 +37,12 @@
 //!   utilization percentiles, protection-degradation episodes,
 //!   certificate rejections and rollbacks, solver-time distributions —
 //!   as text or (`--html`) a standalone HTML page.
+//! * `digest` prints a telemetry store's decision digest — per interval
+//!   the answers (verdict, degradation, rollback, atomic transition,
+//!   delivered and lost volumes) and the solver work (path, iterations),
+//!   with per-run totals; `digest diff` classifies a change's digest
+//!   against its parent's as `bit-equal`, `equivalent` or `changed`
+//!   (exit 1).
 //! * `audit lint` runs the workspace source linter (exit 1 on any
 //!   violation); `audit analyze` the interprocedural analyzer and its
 //!   ratchet; `audit model` statically audits the built FFC model for
@@ -90,6 +96,8 @@ usage: ffc info  --topo FILE [--traffic FILE]
        ffc fleet run --spec FILE --out DIR
        ffc report --store DIR [--top N] [--html FILE] [--no-timing]
            [--fingerprint]
+       ffc digest STORE
+       ffc digest diff PARENT CHANGE
        ffc audit lint [DIR]
        ffc audit analyze [DIR] [--json] [--baseline FILE]
            [--write-baseline FILE]
@@ -172,6 +180,7 @@ fn dispatch(mut a: Args) -> Done {
         ("chaos", "replay") => chaos::replay,
         ("fleet", "run") => fleet_run,
         ("report", _) => report,
+        ("digest", _) => digest,
         ("audit", "lint") => audit::lint,
         ("audit", "analyze") => audit::analyze,
         ("audit", "model") => audit::model,
@@ -413,4 +422,25 @@ fn report(mut a: Args) -> Done {
         eprintln!("wrote {p}");
     }
     Ok(ExitCode::SUCCESS)
+}
+
+/// `ffc digest STORE`: a store's decision digest on stdout. `ffc digest
+/// diff PARENT CHANGE`: two digest files compared; the last line is the
+/// class, and `changed` exits 1.
+fn digest(mut a: Args) -> Done {
+    let first = a.need_word("a store directory or 'diff'")?;
+    if first != "diff" {
+        a.finish()?;
+        let store = ffc_fleet::TelemetryStore::open(Path::new(&first))?;
+        print!("{}", ffc_fleet::Digest::of(store.records()).to_text());
+        return Ok(ExitCode::SUCCESS);
+    }
+    a.cmd = "digest diff".into();
+    let parent_path = a.need_word("a parent digest")?;
+    let change_path = a.need_word("a change digest")?;
+    a.finish()?;
+    let read = |p: &String| ffc_fleet::Digest::parse(&read_file(p)?).map_err(ctx(p));
+    let d = ffc_fleet::digest::diff(&read(&parent_path)?, &read(&change_path)?);
+    print!("{}", d.to_text());
+    Ok(verdict(d.class != ffc_fleet::Class::Changed))
 }

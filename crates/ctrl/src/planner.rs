@@ -55,7 +55,8 @@ pub enum SolvePath {
     /// Warm basis accepted/repaired through the primal path (e.g. zero
     /// iterations because the old optimum is still optimal).
     WarmPrimal,
-    /// Cold solve (no usable chained basis).
+    /// Cold solve: no chained basis, or one that did not fit the model
+    /// (the solver fell back to its crash start).
     Cold,
     /// Solve failed — infeasible (§4.5 heavy active faults) or
     /// numerical breakdown: no target, controller rolls back.
@@ -327,7 +328,6 @@ impl Planner {
         let mice = standing_mice(self.mice.as_deref(), problem.tm, self.current.mice_fraction);
         let mut patched = false;
         let hint = store.hint_for(shape);
-        let warm = hint.is_some();
         let result = if self.cfg.incremental {
             // Standing model: patch it to the new inputs when sound
             // (demand ticks, installed-config advances, fault drift),
@@ -360,12 +360,14 @@ impl Planner {
 
         match result {
             Ok((target, sol)) => {
-                let path = if warm && sol.stats.dual_iterations + sol.stats.dual_bound_flips > 0 {
-                    SolvePath::WarmDual
-                } else if warm {
-                    SolvePath::WarmPrimal
-                } else {
+                // Warm means the chained basis seeded the start: a hint
+                // that did not fit costs the cold solve and says so.
+                let path = if !sol.stats.hint_used {
                     SolvePath::Cold
+                } else if sol.stats.dual_iterations + sol.stats.dual_bound_flips > 0 {
+                    SolvePath::WarmDual
+                } else {
+                    SolvePath::WarmPrimal
                 };
                 store.set_hint(sol.basis.clone(), shape);
                 let degraded = self.degraded();
@@ -447,6 +449,7 @@ impl Planner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ffc_lp::{BasisStatuses, ColStatus};
     use ffc_net::prelude::*;
 
     /// A 4-node diamond with two disjoint paths per flow.
@@ -501,6 +504,26 @@ mod tests {
             o2.path
         );
         assert!(o2.target.is_some());
+    }
+
+    /// A chained basis of the right key but the wrong column count seeds
+    /// nothing: the solve is cold, and the path says so.
+    #[test]
+    fn hint_that_does_not_fit_is_a_cold_path() {
+        let (topo, tm, tunnels) = diamond();
+        let mut store = ConfigStore::new(TeConfig::zero(&tunnels));
+        let mut planner = Planner::new(PlannerConfig::new(FfcConfig::new(0, 1, 0)));
+        store.set_hint(
+            BasisStatuses(vec![ColStatus::Basic; 3]),
+            (0, 1, 0, tm.len()),
+        );
+        let p = TeProblem::new(&topo, &tm, &tunnels);
+        let old = store.installed().clone();
+        let o = planner.plan(p, &old, &FaultScenario::none(), &mut store);
+        let stats = o.stats.expect("a solve ran");
+        assert!(!stats.hint_used);
+        assert_eq!(o.path, SolvePath::Cold);
+        assert!(o.target.is_some());
     }
 
     #[test]

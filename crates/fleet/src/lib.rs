@@ -14,7 +14,9 @@
 //!   that graduates into compact, checksummed, crash-recoverable
 //!   columnar segments behind the [`TelemetryStore`] API, with
 //!   [`build_report`] turning a week of records into top-N text/HTML
-//!   summaries in well under a second.
+//!   summaries in well under a second, and a [`Digest`] of what the
+//!   campaign decided and what deciding it cost, which `ffc digest diff`
+//!   compares across binaries.
 //!
 //! [`run_fleet`] wires the halves together: spec → topology + tunnels
 //! → controller run with a [`StoreWriter`] sink → sealed store. The
@@ -24,11 +26,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod digest;
 pub mod report;
 pub mod spec;
 pub mod store;
 pub mod workload;
 
+pub use digest::{Class, Digest, DigestDiff};
 pub use report::{build_report, Report, ReportOptions};
 pub use spec::{CycleSpec, FleetEvent, FleetSpec, SiteSpec, TopologySpec};
 pub use store::{

@@ -43,6 +43,14 @@ use crate::pricing::Pricer;
 use crate::sparse::{CscMatrix, ScatterVec};
 use crate::standard::StdForm;
 
+#[cfg(test)]
+thread_local! {
+    /// Bases this thread factorized afresh, start and refactorization
+    /// alike (a held factorization taken instead does not count): how
+    /// the tests see that a singular hint is factorized once.
+    static FRESH_FACTORIZATIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// Which simplex variant drives a solve (see [`SimplexOptions::algorithm`]).
 ///
 /// The dual simplex targets the re-solve workload: after a bound change
@@ -722,26 +730,10 @@ impl<'a> Engine<'a> {
         self.factors = None;
     }
 
-    /// Attempts a warm start from exported basis statuses. Returns
-    /// `false` (leaving the engine pristine) when the hint does not fit:
-    /// wrong shape or a singular basis. Structural basic variables that
-    /// land outside their (possibly changed) bounds are *repaired*: they
-    /// are demoted to the nearest bound and replaced with spare slacks,
-    /// whose own violations the artificial patching below absorbs. This
-    /// is what makes warm-starting across fault scenarios effective —
-    /// pinning a handful of tunnel variables to zero no longer discards
-    /// the whole basis.
-    fn warm_basis(&mut self, hint: &BasisStatuses) -> bool {
-        if !self.load_hint_basis(hint) {
-            return false;
-        }
-        self.repair_warm_basis()
-    }
-
     /// Installs the hinted statuses and factorizes, without any primal
     /// repair. Returns `false` (engine pristine) on a shape mismatch or
-    /// singular basis. The dual start uses this directly: the repair in
-    /// [`Self::repair_warm_basis`] would destroy exactly the
+    /// singular basis. The dual start consumes the load as it is: the
+    /// repair in [`Self::repair_warm_basis`] would destroy exactly the
     /// primal-infeasible-but-dual-feasible state the dual consumes.
     fn load_hint_basis(&mut self, hint: &BasisStatuses) -> bool {
         let std = self.std;
@@ -816,7 +808,11 @@ impl<'a> Engine<'a> {
 
     /// Primal repair of a loaded warm basis (assumes
     /// [`Self::load_hint_basis`] succeeded: values computed, factors
-    /// valid).
+    /// valid). Returns `false` (engine reset) when no repair exists.
+    /// Structural basics landing outside their (possibly changed) bounds
+    /// are demoted rather than the hint discarded — what makes
+    /// warm-starting across fault scenarios effective: pinning a handful
+    /// of tunnel variables to zero no longer discards the whole basis.
     ///
     /// Demote-and-refill rounds: structural basics landing outside
     /// their (possibly changed) bounds go nonbasic at the nearest
@@ -939,6 +935,16 @@ impl<'a> Engine<'a> {
         self.factors = None;
     }
 
+    /// Forgets a hint that did not fit, with the bound expansion that
+    /// came with it: the engine is left as a cold start finds it.
+    fn drop_hint(&mut self) {
+        self.reset_state();
+        self.lb.copy_from_slice(&self.std.lb);
+        self.ub.copy_from_slice(&self.std.ub);
+        self.expanded = false;
+        self.stats.factor_reused = false;
+    }
+
     /// Factorizes the current basis (`self.basis`). With `reuse`, a held
     /// factorization of exactly this column list is taken instead; any
     /// other held factorization is dropped before a fresh one is built,
@@ -950,7 +956,11 @@ impl<'a> Engine<'a> {
                 self.stats.factor_reused = true;
                 Ok(Basis::from_lu(held.lu))
             }
-            _ => Basis::factorize(&self.basis_matrix()),
+            _ => {
+                #[cfg(test)]
+                FRESH_FACTORIZATIONS.with(|c| c.set(c.get() + 1));
+                Basis::factorize(&self.basis_matrix())
+            }
         };
         self.stats.factor_time += t.elapsed();
         factors
@@ -1999,9 +2009,10 @@ enum Step {
     Unbounded,
 }
 
-/// Bound-perturbation magnitude of every **warm** solve's first attempt:
-/// every finite bound is relaxed outward by a deterministic
-/// pseudo-random amount of this relative magnitude. Warm restarts land
+/// Bound-perturbation magnitude of every **warm** solve's first attempt
+/// whose hint loads: every finite bound is relaxed outward by a
+/// deterministic pseudo-random amount of this relative magnitude (a hint
+/// that does not fit takes the expansion back with it). Warm restarts land
 /// on the previous optimal vertex, where the FFC models' many coinciding
 /// bounds produce long degenerate phase-2 plateaus; a tiny deterministic
 /// expansion breaks the ties. The value is far below the feasibility
@@ -2015,11 +2026,13 @@ pub const DEFAULT_WARM_PERTURB: f64 = 1e-9;
 /// the FFC wrappers above them) lowers to a [`StdForm`] and ends here,
 /// so every solve's basis and duals index the model it was given.
 ///
-/// `warm: Some(basis)` changes three things against a cold solve: the
-/// basis seeds the start (falling back to the crash basis when it does
-/// not fit), [`Algorithm::Auto`] attempts the dual simplex first, and
-/// the bounds are expanded by [`DEFAULT_WARM_PERTURB`] before the first
-/// attempt. A cold solve expands nothing up front.
+/// `warm: Some(basis)` that loads changes three things against a cold
+/// solve: the basis seeds the start, [`Algorithm::Auto`] attempts the
+/// dual simplex first, and the bounds are expanded by
+/// [`DEFAULT_WARM_PERTURB`] before the first attempt. A cold solve
+/// expands nothing up front, and a hint that does not fit (wrong shape,
+/// singular, or past repair) changes nothing: the solve is the cold one,
+/// bit for bit.
 ///
 /// Numerical breakdowns climb a three-rung ladder before surfacing as
 /// [`LpError::NumericalFailure`]: the solve **as given**; then once
@@ -2060,7 +2073,9 @@ pub(crate) fn solve(
 /// One simplex run (no retry ladder), passing the held factorization
 /// in and the one the run leaves back out. `exact` is the ladder's
 /// second rung: no up-front perturbation and no plateau expansion.
-/// Otherwise a warm run expands the bounds by [`DEFAULT_WARM_PERTURB`].
+/// Otherwise a warm run expands the bounds by [`DEFAULT_WARM_PERTURB`]
+/// before it loads the hint, and takes the expansion back if the hint
+/// does not fit.
 fn solve_once(
     std: &StdForm,
     opts: &SimplexOptions,
@@ -2081,66 +2096,72 @@ fn solve_once(
 }
 
 /// One simplex run over a lowered standard form.
+///
+/// A hint's fate is decided by one load. A hint that loads seeds the
+/// start: the dual simplex when the algorithm asks for it and the true
+/// (or shifted) costs admit it, the primal repair otherwise. A hint that
+/// does not fit, or that the repair gives up on, is dropped with the
+/// bound expansion it came with, and the run is the one `hint = None`
+/// gives under the same options.
 fn solve_std_once(eng: &mut Engine<'_>, hint: Option<&BasisStatuses>) -> Result<Solution, LpError> {
     let std = eng.std;
     let cost2 = std.obj.clone();
+    let warm = match hint {
+        Some(h) if eng.load_hint_basis(h) => true,
+        Some(_) => {
+            eng.drop_hint();
+            false
+        }
+        None => false,
+    };
 
-    // Dual attempt: explicitly requested, or `Auto` with a warm hint —
+    // Dual attempt: explicitly requested, or `Auto` with a loaded hint —
     // the bound-perturbation re-solve the dual is built for. Any failure
     // to construct a dual-feasible start falls through to the primal.
     let try_dual = match eng.opts.algorithm {
         Algorithm::Primal => false,
         Algorithm::Dual => true,
-        Algorithm::Auto => hint.is_some(),
+        Algorithm::Auto => warm,
     };
     let mut dual_done = false;
-    // Whether the engine still holds the hint exactly as
-    // `load_hint_basis` left it: a dual start that failed
-    // `dual_feasibilize` (which changes nothing when it fails) hands its
-    // load to the primal repair instead of loading it a second time.
-    let mut hint_loaded = false;
-    if try_dual {
-        let loaded = match hint {
-            Some(h) => eng.load_hint_basis(h),
-            None => eng.crash_basis_core().is_ok(),
+    if try_dual && (warm || eng.crash_basis_core().is_ok()) {
+        // A loaded hint the true costs refuse keeps its basis: the dual
+        // runs on shifted costs instead (see `shift_costs`). Its
+        // `Infeasible` verdict reads no cost, and `finish_solve`'s primal
+        // pass optimizes, and reports duals for, the true costs. A cold
+        // crash basis is not shifted.
+        let shifted;
+        let dual_cost = if eng.dual_feasibilize(&cost2) {
+            Some(&cost2[..])
+        } else if warm {
+            shifted = eng.shift_costs(&cost2);
+            eng.dual_feasibilize(&shifted).then_some(&shifted[..])
+        } else {
+            None
         };
-        if loaded {
-            // A loaded hint the true costs refuse keeps its basis: the
-            // dual runs on shifted costs instead (see `shift_costs`). Its
-            // `Infeasible` verdict reads no cost, and `finish_solve`'s
-            // primal pass optimizes, and reports duals for, the true
-            // costs. A cold crash basis is not shifted.
-            let shifted;
-            let dual_cost = if eng.dual_feasibilize(&cost2) {
-                Some(&cost2[..])
-            } else if hint.is_some() {
-                shifted = eng.shift_costs(&cost2);
-                eng.dual_feasibilize(&shifted).then_some(&shifted[..])
-            } else {
-                None
-            };
-            match dual_cost {
-                Some(cost) => {
-                    eng.stats.hint_used = hint.is_some();
-                    match eng.optimize_dual(cost)? {
-                        DualEnd::Feasible => dual_done = true,
-                        DualEnd::Infeasible => return Err(LpError::Infeasible),
-                    }
+        match dual_cost {
+            Some(cost) => {
+                eng.stats.hint_used = warm;
+                match eng.optimize_dual(cost)? {
+                    DualEnd::Feasible => dual_done = true,
+                    DualEnd::Infeasible => return Err(LpError::Infeasible),
                 }
-                None if hint.is_some() => hint_loaded = true,
-                None => eng.reset_state(),
             }
+            // A refused `dual_feasibilize` changes nothing: the load
+            // goes to the primal repair as it is.
+            None if warm => {}
+            None => eng.reset_state(),
         }
     }
 
     if !dual_done {
-        let warm = if hint_loaded {
-            eng.repair_warm_basis()
+        if warm {
+            if !eng.repair_warm_basis() {
+                eng.drop_hint();
+                return solve_std_once(eng, None);
+            }
+            eng.stats.hint_used = true;
         } else {
-            hint.is_some_and(|h| eng.warm_basis(h))
-        };
-        eng.stats.hint_used = warm;
-        if !warm {
             eng.crash_basis()?;
         }
 
@@ -2736,12 +2757,9 @@ mod tests {
         assert_eq!(warm.stats.degen_expansions, 0);
     }
 
-    /// [`solve`] owns the perturbation: the as-given attempt of a hinted
-    /// solve expands the bounds by [`DEFAULT_WARM_PERTURB`], the exact
-    /// rung expands nothing. On this LP the expansion breaks a ratio-test
-    /// tie the other way, so the pivot count tells the two apart.
-    #[test]
-    fn warm_solve_defaults_the_perturbation() {
+    /// An LP whose ratio test ties: a bound expansion breaks the tie the
+    /// other way and costs two more pivots than the exact solve.
+    fn tie_lp() -> Model {
         let mut m = Model::new();
         let x = m.add_var(0.0, 2.0, "x");
         let y = m.add_nonneg("y");
@@ -2755,6 +2773,16 @@ mod tests {
         );
         m.add_con(LinExpr::term(z, 2.0) - LinExpr::term(y, 2.0), Cmp::Le, 1.0);
         m.set_objective(LinExpr::term(z, 3.0) - x - y, Sense::Maximize);
+        m
+    }
+
+    /// [`solve`] owns the perturbation: the as-given attempt of a hinted
+    /// solve expands the bounds by [`DEFAULT_WARM_PERTURB`], the exact
+    /// rung expands nothing. On this LP the expansion breaks a ratio-test
+    /// tie the other way, so the pivot count tells the two apart.
+    #[test]
+    fn warm_solve_defaults_the_perturbation() {
+        let m = tie_lp();
         // The all-slack start, as a hint.
         let mut statuses = vec![ColStatus::Lower; 3];
         statuses.extend([ColStatus::Basic; 4]);
@@ -2771,6 +2799,37 @@ mod tests {
         almost(warm.objective, exact.objective);
     }
 
+    /// The solve a hint that does not fit gives, against `hint = None`'s
+    /// under the same options, for each algorithm: the same objective,
+    /// values and duals bit for bit, the same statuses and the same
+    /// iteration counts — and no claim that the hint seeded anything.
+    fn assert_falls_back_cold(m: &Model, hint: &BasisStatuses) {
+        for algorithm in [Algorithm::Auto, Algorithm::Primal, Algorithm::Dual] {
+            let opts = SimplexOptions {
+                algorithm,
+                ..SimplexOptions::default()
+            };
+            let cold = m.solve_with(&opts, None).unwrap();
+            let fell = m.solve_with(&opts, Some(hint)).unwrap();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                fell.objective.to_bits(),
+                cold.objective.to_bits(),
+                "{algorithm:?}"
+            );
+            assert_eq!(bits(&fell.values), bits(&cold.values), "{algorithm:?}");
+            assert_eq!(bits(&fell.duals), bits(&cold.duals), "{algorithm:?}");
+            assert_eq!(fell.basis, cold.basis, "{algorithm:?}");
+            let counts =
+                |s: &SolveStats| (s.phase1_iterations, s.phase2_iterations, s.dual_iterations);
+            assert_eq!(counts(&fell.stats), counts(&cold.stats), "{algorithm:?}");
+            assert!(
+                !fell.stats.hint_used,
+                "a hint that does not fit seeds nothing"
+            );
+        }
+    }
+
     #[test]
     fn warm_start_with_wrong_shape_falls_back() {
         let mut m = Model::new();
@@ -2781,14 +2840,15 @@ mod tests {
             .solve_with(&SimplexOptions::default(), Some(&hint))
             .unwrap();
         almost(s.objective, 5.0);
-        assert!(!s.stats.hint_used, "a hint that does not fit seeds nothing");
+        assert_falls_back_cold(&m, &hint);
+        // Where the warm perturbation would change the pivots, the
+        // fallback still runs on the model's own bounds.
+        assert_falls_back_cold(&tie_lp(), &BasisStatuses(vec![ColStatus::Basic; 6]));
     }
 
-    /// Two parallel rows with both structurals hinted basic: the hinted
-    /// basis is singular, the start falls back to the crash basis, and
-    /// the stats say the hint seeded nothing.
-    #[test]
-    fn singular_hint_falls_back_and_says_so() {
+    /// Two parallel rows, and a hint with both structurals basic: a
+    /// singular basis.
+    fn parallel_rows() -> (Model, BasisStatuses) {
         let mut m = Model::new();
         let x = m.add_nonneg("x");
         let y = m.add_nonneg("y");
@@ -2801,11 +2861,38 @@ mod tests {
             ColStatus::Lower,
             ColStatus::Lower,
         ]);
+        (m, hint)
+    }
+
+    #[test]
+    fn singular_hint_falls_back_and_says_so() {
+        let (m, hint) = parallel_rows();
         let s = m
             .solve_with(&SimplexOptions::default(), Some(&hint))
             .unwrap();
         almost(s.objective, 4.0);
-        assert!(!s.stats.hint_used);
+        assert_falls_back_cold(&m, &hint);
+    }
+
+    /// The hint's fate is decided by one load: a singular hint costs one
+    /// failed factorization on top of the cold solve's, whichever start
+    /// (dual or primal) the algorithm would have tried it for.
+    #[test]
+    fn singular_hint_is_factorized_once() {
+        let (m, hint) = parallel_rows();
+        for algorithm in [Algorithm::Auto, Algorithm::Primal, Algorithm::Dual] {
+            let opts = SimplexOptions {
+                algorithm,
+                ..SimplexOptions::default()
+            };
+            let factorizations = |hint: Option<&BasisStatuses>| {
+                FRESH_FACTORIZATIONS.with(|c| c.set(0));
+                m.solve_with(&opts, hint).unwrap();
+                FRESH_FACTORIZATIONS.with(std::cell::Cell::get)
+            };
+            let cold = factorizations(None);
+            assert_eq!(factorizations(Some(&hint)), cold + 1, "{algorithm:?}");
+        }
     }
 
     #[test]

@@ -3,8 +3,12 @@
 //! reported solutions must actually satisfy the constraints they claim to.
 
 use ffc_lp::dense::solve_dense;
-use ffc_lp::{Cmp, LinExpr, LpError, Model, Sense};
+use ffc_lp::{
+    Algorithm, BasisStatuses, Cmp, ColStatus, LinExpr, LpError, Model, Sense, SimplexOptions,
+    Solution,
+};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 /// One constraint: sparse terms, a comparison selector, and a rhs.
 type RawCon = (Vec<(usize, f64)>, u8, f64);
@@ -96,8 +100,81 @@ fn assert_feasible(m: &Model, values: &[f64], tol: f64) {
     }
 }
 
+/// Whether two solves agree bit for bit: objective, values and duals,
+/// statuses, and phase 1, phase 2 and dual iteration counts.
+fn same_bits(a: &Solution, b: &Solution) -> bool {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let counts = |s: &Solution| {
+        (
+            s.stats.phase1_iterations,
+            s.stats.phase2_iterations,
+            s.stats.dual_iterations,
+        )
+    };
+    a.objective.to_bits() == b.objective.to_bits()
+        && bits(&a.values) == bits(&b.values)
+        && bits(&a.duals) == bits(&b.duals)
+        && a.basis == b.basis
+        && counts(a) == counts(b)
+}
+
+/// A hint that does not fit must cost exactly the cold solve, under
+/// every algorithm: `hint = None`'s outcome, bit for bit, and no claim
+/// that the hint seeded the start.
+fn falls_back_cold(m: &Model, hint: &BasisStatuses) -> Result<(), TestCaseError> {
+    for algorithm in [Algorithm::Auto, Algorithm::Primal, Algorithm::Dual] {
+        let opts = SimplexOptions {
+            algorithm,
+            ..SimplexOptions::default()
+        };
+        match (m.solve_with(&opts, None), m.solve_with(&opts, Some(hint))) {
+            (Ok(cold), Ok(fell)) => {
+                prop_assert!(
+                    same_bits(&cold, &fell),
+                    "{algorithm:?}: {cold:?} vs {fell:?}"
+                );
+                prop_assert!(!fell.stats.hint_used, "{algorithm:?}");
+            }
+            (Err(a), Err(b)) => prop_assert_eq!(
+                std::mem::discriminant(&a),
+                std::mem::discriminant(&b),
+                "{:?}",
+                algorithm
+            ),
+            other => prop_assert!(false, "{algorithm:?}: cold/fallback disagree: {other:?}"),
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A hint one column too long or too short is refused by shape, and
+    /// the solve is the cold one.
+    #[test]
+    fn wrong_shape_hint_is_a_cold_solve(lp in lp_strategy(5, 6), longer in any::<bool>()) {
+        let m = build(&lp);
+        let n = lp.nvars + lp.cons.len();
+        let len = if longer { n + 1 } else { n - 1 };
+        falls_back_cold(&m, &BasisStatuses(vec![ColStatus::Basic; len]))?;
+    }
+
+    /// A hint that lists an empty column basic is singular: the model
+    /// gains a variable that no row mentions and the objective ignores,
+    /// and the hint makes it basic beside every slack but the last.
+    #[test]
+    fn singular_hint_is_a_cold_solve(lp in lp_strategy(5, 6)) {
+        let mut m = build(&lp);
+        m.add_var(0.0, 1.0, "empty");
+        let mut statuses = vec![ColStatus::Lower; lp.nvars];
+        statuses.push(ColStatus::Basic);
+        statuses.extend(vec![ColStatus::Basic; lp.cons.len()]);
+        if let Ok(cold) = m.solve() {
+            prop_assert_eq!(cold.basis.0.len(), statuses.len(), "one slack per row");
+        }
+        falls_back_cold(&m, &BasisStatuses(statuses))?;
+    }
 
     /// Both solvers agree on feasibility/unboundedness classification and,
     /// when optimal, on the objective value.
