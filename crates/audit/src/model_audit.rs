@@ -14,8 +14,10 @@
 //! * **FFC structural invariants**, recognized by the workspace's
 //!   naming conventions — `cs_max`/`cs_min`/`cs_z` sorting-network
 //!   comparator triples wired exactly as Algs 1–2 emit them (4 rows per
-//!   comparator: two `≤` guards and two defining equalities with the
-//!   `2·out − x − y ∓ z = 0` shape), comparator/aux-variable counts
+//!   comparator: two `±(x − y) − z ≤ 0` guards and two defining
+//!   equalities `2·out − x − y ∓ z = 0`, whose inputs `x`, `y` may be
+//!   single columns or expressions such as control FFC's per-ingress
+//!   gaps `Σ(β − a)`), comparator/aux-variable counts
 //!   matching the `O(kn)` bubble-pass formula, `cap_*` capacity rows
 //!   (all +1 coefficients, `≤`, nonnegative rhs) and `cover_*`
 //!   flow-coverage rows netting to zero at the rhs (`Σ a − b ≥ 0`).
@@ -24,7 +26,7 @@
 // integer constants (±1, 2) emitted by the model builder, so the
 // structural checks here compare them exactly on purpose.
 
-use ffc_lp::{Cmp, Model};
+use ffc_lp::{Cmp, ConView, Model};
 
 /// How serious a finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -307,10 +309,12 @@ fn ffc_structure(
 
     // Each comparator's slack `z` is fresh — it must appear in exactly
     // the comparator's own 4 rows: two Le guards (|x−y| ≤ z) and the
-    // two defining equalities. The equalities carry the exact
-    // `2·out − x − y ∓ z = 0` coefficient pattern; checking both pins
-    // the monotone wiring of the bubble outputs.
-    let mut z_rows: Vec<(usize, usize, usize)> = vec![(0, 0, 0); ncols]; // (le, eq, other)
+    // two defining equalities `2·out − x − y ∓ z = 0`. The inputs `x`,
+    // `y` may be expressions (control FFC compares per-ingress gaps
+    // Σ(β − a)), so the rows are read against each other: see
+    // `comparator_shape`. Checking them pins the monotone wiring of the
+    // bubble outputs.
+    let mut z_rows: Vec<ZRows> = vec![ZRows::default(); ncols];
     for (i, con) in model.con_views().enumerate() {
         let mut z_cols: Vec<usize> = Vec::new();
         for (v, _) in con.expr.terms() {
@@ -318,61 +322,52 @@ fn ffc_structure(
                 z_cols.push(v.index());
             }
         }
-        if z_cols.is_empty() {
-            continue;
-        }
-        if z_cols.len() > 1 {
-            err(
-                "comparator-shared-slack",
-                format!("row {i} references {} distinct cs_z columns", z_cols.len()),
-            );
-            continue;
-        }
-        let z = z_cols[0];
-        match con.cmp {
-            Cmp::Le => z_rows[z].0 += 1,
-            Cmp::Eq => {
-                z_rows[z].1 += 1;
-                // Defining equality shape: one output at +2, two inputs
-                // at −1, z at ±1, rhs 0.
-                let mut coeffs: Vec<f64> = con.expr.terms().map(|(_, c)| c).collect();
-                coeffs.sort_by(f64::total_cmp);
-                let shape_max = coeffs.len() == 4
-                    && coeffs[0] == -1.0
-                    && coeffs[1] == -1.0
-                    && coeffs[2] == -1.0
-                    && coeffs[3] == 2.0;
-                let shape_min = coeffs.len() == 4
-                    && coeffs[0] == -1.0
-                    && coeffs[1] == -1.0
-                    && coeffs[2] == 1.0
-                    && coeffs[3] == 2.0;
-                if con.rhs != 0.0 || (!shape_max && !shape_min) {
-                    err(
-                        "comparator-equality-shape",
-                        format!(
-                            "row {i} ({}): comparator equality must be 2*out - x - y \
-                             -/+ z = 0",
-                            con.name.unwrap_or("<unnamed>")
-                        ),
-                    );
-                }
+        let [z] = z_cols[..] else {
+            if z_cols.len() > 1 {
+                err(
+                    "comparator-shared-slack",
+                    format!("row {i} references {} distinct cs_z columns", z_cols.len()),
+                );
             }
-            Cmp::Ge => z_rows[z].2 += 1,
+            continue;
+        };
+        match con.cmp {
+            Cmp::Le => z_rows[z].le.push(i),
+            Cmp::Eq => z_rows[z].eq.push(i),
+            Cmp::Ge => z_rows[z].other += 1,
         }
     }
-    for j in 0..ncols {
+    let rows: Vec<ConView<'_>> = model.con_views().collect();
+    let is_out: Vec<bool> = (0..ncols)
+        .map(|j| {
+            matches!(
+                model.var_name(ffc_lp::VarId::from_index(j)),
+                Some("cs_max" | "cs_min")
+            )
+        })
+        .collect();
+    for (j, zr) in z_rows.iter().enumerate() {
         if !is_z[j] {
             continue;
         }
-        let (le, eq, other) = z_rows[j];
-        if le != 2 || eq != 2 || other != 0 {
+        let (le, eq, other) = (zr.le.len(), zr.eq.len(), zr.other);
+        let (&[g1, g2], &[e1, e2], 0) = (&zr.le[..], &zr.eq[..], other) else {
             err(
                 "comparator-wiring",
                 format!(
                     "cs_z column {j}: wired into {le} Le / {eq} Eq / {other} other rows \
                      (each comparator must contribute exactly 2 Le guards + 2 equalities)"
                 ),
+            );
+            continue;
+        };
+        let row = |i: usize| &rows[i];
+        if let Err((category, why)) =
+            comparator_shape(j, [row(e1), row(e2)], [row(g1), row(g2)], &is_out)
+        {
+            err(
+                category,
+                format!("cs_z column {j} (rows {e1}, {e2}, {g1}, {g2}): {why}"),
             );
         }
     }
@@ -420,6 +415,100 @@ fn ffc_structure(
             }
         }
     }
+}
+
+/// The rows one comparator slack `z` appears in, by sense.
+#[derive(Debug, Clone, Default)]
+struct ZRows {
+    le: Vec<usize>,
+    eq: Vec<usize>,
+    other: usize,
+}
+
+/// A row's terms other than `z` and (in an equality) the output, by
+/// column: the row's input part.
+type InputPart = Vec<(usize, f64)>;
+
+/// Splits a comparator row around its slack `z`: `z`'s coefficient, the
+/// output columns at +2 (when `outputs`), and the input part.
+fn split_row(
+    con: &ConView<'_>,
+    z: usize,
+    is_out: &[bool],
+    outputs: bool,
+) -> (f64, usize, InputPart) {
+    let mut zc = 0.0;
+    let mut n_out = 0;
+    let mut input = Vec::new();
+    for (v, c) in con.expr.terms() {
+        let j = v.index();
+        if j == z {
+            zc = c;
+        } else if outputs && c == 2.0 && is_out.get(j).copied().unwrap_or(false) {
+            n_out += 1;
+        } else {
+            input.push((j, c));
+        }
+    }
+    (zc, n_out, input)
+}
+
+/// The shape of one sorting-network comparator with slack `z`, inputs
+/// `x` and `y` single columns or expressions:
+///
+/// * both equalities are `2·out − x − y ∓ z = 0`: rhs 0, one output
+///   (`cs_max`/`cs_min`) at +2, `z` at −1 in one and +1 in the other,
+///   and the same nonempty input part `−(x + y)`;
+/// * both guards are `±(x − y) − z ≤ 0`: rhs 0, `z` at −1, input parts
+///   that negate each other, over exactly the equalities' input
+///   columns, each at the magnitude it has there (it belongs to `x` or
+///   to `y`) and with both inputs present (some column at the
+///   equalities' sign, some at the opposite one).
+///
+/// Returns the finding's category and detail on a mismatch.
+fn comparator_shape(
+    z: usize,
+    eqs: [&ConView<'_>; 2],
+    guards: [&ConView<'_>; 2],
+    is_out: &[bool],
+) -> Result<(), (&'static str, String)> {
+    let equality = |why: &str| Err(("comparator-equality-shape", why.to_string()));
+    let [(z1, o1, s1), (z2, o2, s2)] = eqs.map(|e| split_row(e, z, is_out, true));
+    if eqs.iter().any(|e| e.rhs != 0.0) {
+        return equality("comparator equality must be 2*out - x - y -/+ z = 0 (rhs not 0)");
+    }
+    if o1 != 1 || o2 != 1 {
+        return equality("comparator equality must carry one cs_max/cs_min output at +2");
+    }
+    let mut zs = [z1, z2];
+    zs.sort_by(f64::total_cmp);
+    if zs != [-1.0, 1.0] {
+        return equality("comparator equalities must carry z at -1 and at +1");
+    }
+    if s1 != s2 || s1.is_empty() {
+        return equality("comparator equalities must carry the same input part -(x + y)");
+    }
+
+    let guard = |why: &str| Err(("comparator-guard-shape", why.to_string()));
+    let [(zg1, _, d1), (zg2, _, d2)] = guards.map(|g| split_row(g, z, is_out, false));
+    if guards.iter().any(|g| g.rhs != 0.0) || zg1 != -1.0 || zg2 != -1.0 {
+        return guard("comparator guard must be +/-(x - y) - z <= 0");
+    }
+    let negated: InputPart = d1.iter().map(|&(j, c)| (j, -c)).collect();
+    if d2 != negated {
+        return guard("comparator guards must carry x - y and y - x");
+    }
+    let same_columns = d1.len() == s1.len()
+        && d1
+            .iter()
+            .zip(&s1)
+            .all(|(&(dj, dc), &(sj, sc))| dj == sj && dc.abs() == sc.abs());
+    let x_side = d1.iter().zip(&s1).any(|(&(_, dc), &(_, sc))| dc == -sc);
+    let y_side = d1.iter().zip(&s1).any(|(&(_, dc), &(_, sc))| dc == sc);
+    if !same_columns || !x_side || !y_side {
+        return guard("comparator guards' x - y does not match the equalities' input part");
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -529,6 +618,64 @@ mod tests {
         assert!(bad
             .errors()
             .any(|f| f.category == "comparator-equality-shape"));
+    }
+
+    /// Control FFC compares per-ingress gap expressions `Σ(β − a)`: a
+    /// comparator over two-term inputs passes, and corrupting one
+    /// equality's input part, or one guard's, fails.
+    #[test]
+    fn expression_comparators_are_checked() {
+        #[derive(Clone, Copy, PartialEq)]
+        enum Corrupt {
+            Nothing,
+            Equality,
+            Guard,
+        }
+        let build = |corrupt: Corrupt| {
+            let mut m = Model::new();
+            let (b1, a1) = (m.add_nonneg("beta_1"), m.add_nonneg("a_1"));
+            let (b2, a2) = (m.add_nonneg("beta_2"), m.add_nonneg("a_2"));
+            let x = LinExpr::from(b1) - LinExpr::from(a1);
+            let y = LinExpr::from(b2) - LinExpr::from(a2);
+            let xmax = m.add_free("cs_max");
+            let xmin = m.add_free("cs_min");
+            let z = m.add_nonneg("cs_z");
+            let guard_y = if corrupt == Corrupt::Guard {
+                LinExpr::from(b2) - LinExpr::term(a2, 2.0)
+            } else {
+                y.clone()
+            };
+            m.add_con(x.clone() - guard_y - z, Cmp::Le, 0.0);
+            m.add_con(y.clone() - x.clone() - z, Cmp::Le, 0.0);
+            m.add_con(
+                LinExpr::term(xmax, 2.0) - x.clone() - y.clone() - z,
+                Cmp::Eq,
+                0.0,
+            );
+            let min_x = if corrupt == Corrupt::Equality {
+                LinExpr::from(b1)
+            } else {
+                x
+            };
+            m.add_con(
+                LinExpr::term(xmin, 2.0) - min_x - y + LinExpr::from(z),
+                Cmp::Eq,
+                0.0,
+            );
+            m.set_objective(LinExpr::from(xmax) + xmin, Sense::Maximize);
+            m
+        };
+        let good = audit_model(&build(Corrupt::Nothing), &AuditConfig::default());
+        assert!(good.ok(), "{:?}", good.findings);
+        assert_eq!(good.comparators, 1);
+        for (corrupt, category) in [
+            (Corrupt::Equality, "comparator-equality-shape"),
+            (Corrupt::Guard, "comparator-guard-shape"),
+        ] {
+            let bad = audit_model(&build(corrupt), &AuditConfig::default());
+            let cats: Vec<_> = bad.errors().map(|f| f.category).collect();
+            assert_eq!(cats, [category]);
+        }
     }
 
     #[test]

@@ -17,17 +17,21 @@
 //! * `model` builds the FFC model for a workload (built-in S-Net with
 //!   gravity traffic unless `--topo/--traffic` are given) and runs the
 //!   static model auditor over it: LP hygiene plus the FFC structural
-//!   invariants. Exits non-zero on any error-severity finding.
+//!   invariants. The installed config is the zero one, where §6 drops
+//!   the whole control family, unless `--old FILE` names one (what
+//!   `ffc solve --out` wrote); then the control family's comparators
+//!   over per-ingress gaps are audited too. Exits non-zero on any
+//!   error-severity finding.
 
 use std::path::Path;
 use std::process::ExitCode;
 
 use ffc_audit::analysis;
-use ffc_core::{build_ffc_model, FfcConfig, TeConfig, TeProblem};
+use ffc_core::{build_ffc_model, FfcConfig, TeProblem};
 
 use crate::args::Args;
 use crate::instance::{workload_flags, Instance};
-use crate::{ctx, protection, read_file, verdict, write_file, Done, Fail};
+use crate::{ctx, old_config, protection, read_file, verdict, write_file, Done, Fail};
 
 /// `[DIR]`, then nothing else.
 fn root_and_finish(mut a: Args) -> Result<String, Fail> {
@@ -94,7 +98,7 @@ pub(crate) fn analyze(mut a: Args) -> Done {
 }
 
 /// `ffc audit model [--topo FILE --traffic FILE] [--kc N --ke N --kv N]
-/// [--tunnels N]`; protection defaults to `(1, 1, 0)`.
+/// [--tunnels N] [--old FILE]`; protection defaults to `(1, 1, 0)`.
 pub(crate) fn model(mut a: Args) -> Done {
     let workload = workload_flags(&mut a)?;
     let tunnels_per_flow = a.parsed("--tunnels", 6)?;
@@ -102,9 +106,10 @@ pub(crate) fn model(mut a: Args) -> Done {
         (0, 0, 0) => (1, 1, 0),
         k => k,
     };
+    let old_path = a.value("--old")?;
     a.finish()?;
     let inst = Instance::from_workload(&workload, tunnels_per_flow)?;
-    let old = TeConfig::zero(&inst.tunnels);
+    let old = old_config(old_path.as_ref(), &inst)?;
     let builder = build_ffc_model(
         TeProblem::new(&inst.topo, &inst.tm, &inst.tunnels),
         &old,

@@ -102,7 +102,7 @@ usage: ffc info  --topo FILE [--traffic FILE]
        ffc audit analyze [DIR] [--json] [--baseline FILE]
            [--write-baseline FILE]
        ffc audit model [--topo FILE --traffic FILE] [--kc N --ke N --kv N]
-           [--tunnels N]";
+           [--tunnels N] [--old FILE]";
 
 /// Why a subcommand stopped. `main` alone turns it into an exit code.
 enum Fail {
@@ -237,28 +237,10 @@ fn solve(mut a: Args) -> Done {
     a.finish()?;
 
     let inst = Instance::from_files(&topo_path, Some(&traffic_path), tunnels_per_flow)?;
+    let old = old_config(old_path.as_ref(), &inst)?;
     let Instance {
         topo, tm, tunnels, ..
     } = &inst;
-    // The old configuration (for control-plane FFC).
-    let old = match &old_path {
-        Some(p) => {
-            // Note: the old config's tunnels are informational here;
-            // control FFC uses its rates/allocs mapped to the freshly
-            // laid-out tunnels, so shapes must match.
-            let (old_tunnels, old_cfg) =
-                parse_config(&read_file(p)?, topo, tm.len()).map_err(ctx(p))?;
-            if (0..tm.len())
-                .any(|f| old_tunnels.tunnels(FlowId(f)).len() != tunnels.tunnels(FlowId(f)).len())
-            {
-                return Err("--old tunnel shape differs from this layout; \
-                            re-run solve without --old or keep --tunnels consistent"
-                    .into());
-            }
-            old_cfg
-        }
-        None => TeConfig::zero(tunnels),
-    };
     let ffc = FfcConfig::new(kc, ke, kv);
     let builder = build_ffc_model(TeProblem::new(topo, tm, tunnels), &old, &ffc);
     let opts = SimplexOptions {
@@ -307,6 +289,29 @@ fn solve(mut a: Args) -> Done {
         None => print!("{text}"),
     }
     Ok(ExitCode::SUCCESS)
+}
+
+/// The installed configuration for control-plane FFC: the `--old FILE`
+/// a previous `ffc solve` wrote, or the zero config without the flag.
+fn old_config(path: Option<&String>, inst: &Instance) -> Result<TeConfig, Fail> {
+    let Instance {
+        topo, tm, tunnels, ..
+    } = inst;
+    let Some(p) = path else {
+        return Ok(TeConfig::zero(tunnels));
+    };
+    // Note: the old config's tunnels are informational here; control
+    // FFC uses its rates/allocs mapped to the freshly laid-out tunnels,
+    // so shapes must match.
+    let (old_tunnels, old_cfg) = parse_config(&read_file(p)?, topo, tm.len()).map_err(ctx(p))?;
+    if (0..tm.len())
+        .any(|f| old_tunnels.tunnels(FlowId(f)).len() != tunnels.tunnels(FlowId(f)).len())
+    {
+        return Err("--old tunnel shape differs from this layout; \
+                    drop --old or keep --tunnels consistent"
+            .into());
+    }
+    Ok(old_cfg)
 }
 
 /// `ffc check`: the certifier's verdict on a configuration file.

@@ -9,7 +9,7 @@ use ffc_lp::LpError;
 use ffc_net::LinkId;
 
 use crate::bounded_msum::MsumEncoding;
-use crate::control_ffc::{apply_control_ffc, ControlFfc, ControlFfcLayout};
+use crate::control_ffc::{apply_control_ffc, BetaSupport, ControlFfc, ControlFfcLayout};
 use crate::data_ffc::{apply_data_ffc, mice_flags, DataFfc, DataFfcLayout};
 use crate::te::{TeConfig, TeModelBuilder, TeProblem};
 
@@ -77,10 +77,6 @@ impl FfcConfig {
     }
 }
 
-/// The old-weight threshold [`build_ffc_model`] hands to
-/// [`ControlFfc`] (§6's "little traffic load" optimization).
-pub(crate) const WEIGHT_THRESHOLD: f64 = 1e-9;
-
 /// Where the FFC constraint generators put their input-dependent pieces
 /// — everything the delta-LP cache ([`crate::incremental`]) needs to
 /// patch a standing model instead of rebuilding it.
@@ -88,32 +84,35 @@ pub(crate) const WEIGHT_THRESHOLD: f64 = 1e-9;
 pub struct FfcLayout {
     /// Data-plane branch taken per flow (empty when `ke == kv == 0`).
     pub data: DataFfcLayout,
-    /// Control-plane stale rows and M-sum head shapes (empty when
-    /// `kc == 0`).
+    /// Control-plane stale rows (empty when `kc == 0`).
     pub control: ControlFfcLayout,
 }
 
 /// Builds the TE model with both FFC families applied (not yet solved),
 /// for callers that want to add further constraints or pin bounds
 /// (fault scenarios, pinned rates, …). A one-shot build: the §6 mice
-/// set is the greedy one for `problem.tm`.
+/// set is the greedy one for `problem.tm`, and the β support is §6's
+/// support of `old` ([`BetaSupport::OldWeights`]).
 pub fn build_ffc_model<'a>(
     problem: TeProblem<'a>,
     old: &TeConfig,
     cfg: &FfcConfig,
 ) -> TeModelBuilder<'a> {
     let mice = mice_flags(problem.tm, cfg.mice_fraction);
-    build_ffc_model_tracked(problem, old, cfg, &mice).0
+    build_ffc_model_tracked(problem, old, cfg, &mice, BetaSupport::OldWeights).0
 }
 
-/// [`build_ffc_model`] with the §6 mice set as an input (one flag per
-/// flow; `cfg.mice_fraction` is not read), plus the [`FfcLayout`]
-/// recording where the patchable pieces landed.
+/// [`build_ffc_model`] with the §6 mice set (one flag per flow;
+/// `cfg.mice_fraction` is not read) and the β support as inputs, plus
+/// the [`FfcLayout`] recording where the patchable pieces landed. The
+/// standing model ([`crate::FfcModelCache`]) builds
+/// [`BetaSupport::AllTunnels`].
 pub fn build_ffc_model_tracked<'a>(
     problem: TeProblem<'a>,
     old: &TeConfig,
     cfg: &FfcConfig,
     mice: &[bool],
+    support: BetaSupport,
 ) -> (TeModelBuilder<'a>, FfcLayout) {
     let mut builder = TeModelBuilder::new(problem);
     let mut layout = FfcLayout::default();
@@ -130,7 +129,7 @@ pub fn build_ffc_model_tracked<'a>(
             kc: cfg.kc,
             old,
             encoding: cfg.encoding,
-            weight_threshold: WEIGHT_THRESHOLD,
+            support,
             unprotected_links: cfg.unprotected_links.clone(),
         };
         layout.control = apply_control_ffc(&mut builder, &control);

@@ -19,10 +19,14 @@
 //!
 //! Implementation notes (paper §6): ingresses whose *old* weights put no
 //! traffic on a link contribute a zero gap (`β_{f,t} = a_{f,t}` exactly
-//! when `w'_{f,t} = 0`) and are skipped — this is exact, not an
-//! approximation. A configurable threshold additionally skips ingresses
-//! with negligible old weight.
-
+//! when `w'_{f,t} = 0`), so a one-shot build skips them — this is exact,
+//! not an approximation — and also skips pairs of negligible old weight
+//! (`w' ≤ 1e-9`): [`BetaSupport::OldWeights`]. Which pairs get a β is a
+//! build input, though. The standing model the controller patches
+//! ([`crate::FfcModelCache`]) builds [`BetaSupport::AllTunnels`]: every
+//! pair gets its β, and each stale row keeps its `b_f` slot even at
+//! `w' = 0`, so the model is exact for `w' ≤ 1e-9` as well and its shape
+//! does not depend on which tunnels the installed config uses.
 //!
 //! # Example
 //! ```
@@ -56,6 +60,24 @@ use ffc_net::LinkId;
 use crate::bounded_msum::{constrain_any_m_sum_le, MsumEncoding};
 use crate::te::{TeConfig, TeModelBuilder};
 
+/// The old-weight threshold of §6's "little traffic load"
+/// optimization: [`BetaSupport::OldWeights`] gives no β to a pair whose
+/// old weight is at most this.
+pub(crate) const WEIGHT_THRESHOLD: f64 = 1e-9;
+
+/// Which `(flow, tunnel)` pairs get a β column: an input of the FFC
+/// build, beside the §6 mice set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BetaSupport {
+    /// §6's support of the old configuration: the pairs whose old
+    /// weight exceeds `1e-9`. What every one-shot build uses.
+    OldWeights,
+    /// Every pair, each stale row keeping its `b_f` slot at `w' = 0`
+    /// ([`LinExpr::kept_term`]): the standing model's, whose shape no
+    /// installed configuration changes.
+    AllTunnels,
+}
+
 /// Parameters for control-plane FFC.
 #[derive(Debug, Clone)]
 pub struct ControlFfc<'a> {
@@ -65,10 +87,8 @@ pub struct ControlFfc<'a> {
     pub old: &'a TeConfig,
     /// Bounded M-sum encoding to use.
     pub encoding: MsumEncoding,
-    /// Old splitting weights below this threshold are treated as zero
-    /// (§6's "little traffic load" optimization). Set to `0.0` for the
-    /// exact formulation.
-    pub weight_threshold: f64,
+    /// The pairs that get a β column.
+    pub support: BetaSupport,
     /// Links given `kc = 0` — the paper's escape hatch (§4.5) for links
     /// already overloaded by a large data-plane fault, whose traffic must
     /// be movable without control-plane protection.
@@ -77,13 +97,13 @@ pub struct ControlFfc<'a> {
 
 impl<'a> ControlFfc<'a> {
     /// Control FFC with defaults: given `kc` and old config, sorting
-    /// network encoding, tiny threshold, no unprotected links.
+    /// network encoding, §6's β support, no unprotected links.
     pub fn new(kc: usize, old: &'a TeConfig) -> Self {
         ControlFfc {
             kc,
             old,
             encoding: MsumEncoding::SortingNetwork,
-            weight_threshold: 1e-9,
+            support: BetaSupport::OldWeights,
             unprotected_links: HashSet::new(),
         }
     }
@@ -94,34 +114,11 @@ impl<'a> ControlFfc<'a> {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ControlFfcLayout {
     /// The `w'_{f,t}·b_f − β_{f,t} ≤ 0` stale-weight rows, one per
-    /// `(flow, tunnel)` with old weight above the threshold. The old
-    /// weight appears solely as the coefficient of `b_f` in this row, so
-    /// an old-config change with the *same support pattern* is a pure
+    /// `(flow, tunnel)` in the build's [`BetaSupport`]. The old weight
+    /// appears solely as the coefficient of `b_f` in this row, so under
+    /// [`BetaSupport::AllTunnels`] any old-config change is a pure
     /// coefficient patch.
     pub stale_rows: Vec<(usize, usize, ConId)>,
-}
-
-impl ControlFfcLayout {
-    /// The `(flow, tunnel)` β-support pattern, for comparing against a
-    /// fresh old configuration.
-    pub fn support(&self) -> Vec<(usize, usize)> {
-        self.stale_rows.iter().map(|&(f, t, _)| (f, t)).collect()
-    }
-}
-
-/// The β-variable support pattern a given old configuration would
-/// produce: every `(flow, tunnel)` whose old splitting weight exceeds
-/// `weight_threshold`, in emission order.
-pub fn beta_support(old: &TeConfig, weight_threshold: f64) -> Vec<(usize, usize)> {
-    let mut out = Vec::new();
-    for (fi, w) in old.all_weights().iter().enumerate() {
-        for (ti, &w_old) in w.iter().enumerate() {
-            if w_old > weight_threshold {
-                out.push((fi, ti));
-            }
-        }
-    }
-    out
 }
 
 /// Adds control-plane FFC constraints to a TE model under construction,
@@ -148,8 +145,8 @@ pub fn apply_control_ffc(
 
     let old_weights = ffc.old.all_weights();
 
-    // β_{f,t} variables, lazily created only where w'_{f,t} > threshold
-    // (otherwise β = a exactly and the gap is zero).
+    // β_{f,t} variables over the support: under §6's, only where
+    // w'_{f,t} > threshold (otherwise β = a exactly and the gap is zero).
     let mut layout = ControlFfcLayout::default();
     let mut beta: Vec<Vec<Option<ffc_lp::VarId>>> = (0..tunnels.num_flows())
         .map(|f| vec![None; builder.a[f].len()])
@@ -162,18 +159,18 @@ pub fn apply_control_ffc(
             "old config tunnel count mismatch for flow {f}"
         );
         for (ti, &w_old) in old_weights[fi].iter().enumerate() {
-            if w_old <= ffc.weight_threshold {
-                continue;
-            }
+            let stale_term = match ffc.support {
+                BetaSupport::OldWeights if w_old <= WEIGHT_THRESHOLD => continue,
+                BetaSupport::OldWeights => LinExpr::term(builder.b[fi], w_old),
+                BetaSupport::AllTunnels => LinExpr::kept_term(builder.b[fi], w_old),
+            };
             let bv = builder
                 .model
                 .add_var(0.0, f64::INFINITY, format!("beta_{f}_{ti}"));
             // β ≥ w'·b_f (Eqn 8, stale-weights term).
-            let stale = builder.model.add_con(
-                LinExpr::term(builder.b[fi], w_old) - LinExpr::from(bv),
-                Cmp::Le,
-                0.0,
-            );
+            let stale = builder
+                .model
+                .add_con(stale_term - LinExpr::from(bv), Cmp::Le, 0.0);
             layout.stale_rows.push((fi, ti, stale));
             // β ≥ a_{f,t} (fresh-config term).
             builder.model.add_con(

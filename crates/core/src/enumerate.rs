@@ -211,7 +211,6 @@ mod tests {
             let mut b1 = TeModelBuilder::new(TeProblem::new(&topo, &tm, &tunnels));
             let mut ffc = ControlFfc::new(kc, &old);
             ffc.encoding = MsumEncoding::SortingNetwork;
-            ffc.weight_threshold = 1e-12;
             apply_control_ffc(&mut b1, &ffc);
             let t_sn = b1.solve().unwrap().throughput();
 

@@ -12,17 +12,24 @@
 //! | input change | patch | why it is sound |
 //! |---|---|---|
 //! | demand tick | `b_f` upper bounds | demands appear only in Eqn 4's bounds |
-//! | old config, same β support | `w'_{f,t}` coefficient per stale row | old weights appear only as the `b_f` coefficient in `w'·b − β ≤ 0` |
+//! | old config | `w'_{f,t}` coefficient per stale row, zero included | old weights appear only as the `b_f` coefficient in `w'·b − β ≤ 0`, and every pair has that row |
 //! | fault-set drift | pin/unpin `a_{f,t}` bounds | `zero_dead_tunnels` is itself a bounds change |
 //!
-//! The §6 mice set is an *input* like the other three, handed to
+//! The standing model is built with [`BetaSupport::AllTunnels`]: every
+//! `(flow, tunnel)` pair has its β column and stale row, and the row
+//! keeps its `b_f` slot at `w' = 0`, so which tunnels the installed
+//! config uses never changes the model's shape. (A one-shot build skips
+//! the pairs §6 proves vacuous; the standing model pays for them once,
+//! at its build, and then never rebuilds for them.)
+//!
+//! The §6 mice set is an *input* like the others, handed to
 //! [`FfcModelCache::new`] and [`FfcModelCache::retarget`] by the caller:
 //! the cache never derives it from the demands, so a demand tick alone
 //! cannot change the constraint shape. Handing in a different set than
-//! the standing model was built with does — that, β-support changes,
-//! `kc`/`ke`/`kv`/encoding changes and capacity or tunnel changes fall
-//! off the patch ladder and trigger a full in-place rebuild, reported
-//! as a [`RebuildReason`] and tallied per reason in [`CacheStats`].
+//! the standing model was built with does — that, `kc`/`ke`/`kv`/encoding
+//! changes and capacity or tunnel changes fall off the patch ladder and
+//! trigger a full in-place rebuild, reported as a [`RebuildReason`] and
+//! tallied per reason in [`CacheStats`].
 //! Correctness is enforced differentially: under debug assertions every
 //! *patched* model is compared coefficient-for-coefficient against one
 //! freshly built from the same inputs, mice set included
@@ -40,10 +47,8 @@ use ffc_lp::{BasisStatuses, LpError, Solution, VarId};
 use ffc_net::FaultScenario;
 
 use crate::bounded_msum::MsumEncoding;
-use crate::combined::{
-    build_ffc_model_tracked, zero_dead_tunnels, FfcConfig, FfcLayout, WEIGHT_THRESHOLD,
-};
-use crate::control_ffc::beta_support;
+use crate::combined::{build_ffc_model_tracked, zero_dead_tunnels, FfcConfig, FfcLayout};
+use crate::control_ffc::BetaSupport;
 use crate::te::{extract_config, TeConfig, TeProblem};
 
 /// Why the cache could not patch and rebuilt the standing model.
@@ -57,9 +62,6 @@ pub enum RebuildReason {
     /// The caller handed in another §6 mice set than the standing model
     /// was built with, changing which flows get pinned equal-split rows.
     MiceSetChanged,
-    /// The old configuration's β-support pattern changed (a tunnel's
-    /// old weight crossed the threshold), changing the variable set.
-    BetaSupportChanged,
     /// `kc` changed: it shapes the M-sum rows of every protected link
     /// (the comparator lattice, or the enumerated row set).
     ProtectionChanged,
@@ -72,11 +74,10 @@ impl RebuildReason {
     /// Every reason in declaration order: a reason's position here is
     /// its discriminant and its slot in
     /// [`CacheStats::rebuilds_by_reason`].
-    pub const ALL: [RebuildReason; 6] = [
+    pub const ALL: [RebuildReason; 5] = [
         RebuildReason::Initial,
         RebuildReason::StructureChanged,
         RebuildReason::MiceSetChanged,
-        RebuildReason::BetaSupportChanged,
         RebuildReason::ProtectionChanged,
         RebuildReason::PatchRejected,
     ];
@@ -88,7 +89,6 @@ impl fmt::Display for RebuildReason {
             RebuildReason::Initial => "initial build",
             RebuildReason::StructureChanged => "structure changed",
             RebuildReason::MiceSetChanged => "mice set changed",
-            RebuildReason::BetaSupportChanged => "beta support changed",
             RebuildReason::ProtectionChanged => "protection level changed",
             RebuildReason::PatchRejected => "patch rejected",
         };
@@ -195,6 +195,13 @@ impl StructureKey {
 /// A standing FFC model reused across solves — see the [module
 /// docs](self) for the patch taxonomy.
 ///
+/// It is built with every tunnel in the β support
+/// ([`BetaSupport::AllTunnels`]), so an installed-config change is always
+/// a coefficient patch of the stale rows, never a rebuild. Against a
+/// one-shot build of the same inputs it carries the vacuous β columns
+/// and rows §6 skips (a larger first build and cold solve); it solves to
+/// the same optimum.
+///
 /// The cache owns no borrows of the problem inputs: each
 /// [`retarget`](FfcModelCache::retarget) receives the current inputs
 /// and decides for itself whether the standing model can be patched to
@@ -228,8 +235,7 @@ impl FfcModelCache {
         scenario: Option<&FaultScenario>,
     ) -> FfcModelCache {
         let mut cache = FfcModelCache {
-            inc: IncrementalModel::new(ffc_lp::Model::new())
-                .expect("empty model is trivially valid"),
+            inc: IncrementalModel::default(),
             b: Vec::new(),
             a: Vec::new(),
             layout: FfcLayout::default(),
@@ -300,9 +306,6 @@ impl FfcModelCache {
         if cfg.kc != self.kc {
             return Err(RebuildReason::ProtectionChanged);
         }
-        if cfg.kc > 0 && beta_support(old, WEIGHT_THRESHOLD) != self.layout.control.support() {
-            return Err(RebuildReason::BetaSupportChanged);
-        }
 
         let mark = self.inc.mark();
         let result = self.apply_patches(problem, old, cfg, scenario);
@@ -335,7 +338,8 @@ impl FfcModelCache {
                 .set_var_bounds(self.b[fi], 0.0, flow.demand.max(0.0));
         }
 
-        // Old-config tick: the w'_{f,t} coefficient in each stale row.
+        // Old-config tick: the w'_{f,t} coefficient in every stale row,
+        // a kept slot that takes 0.0 for a tunnel the config leaves idle.
         if cfg.kc > 0 {
             let weights = old.all_weights();
             // Work on a copy of the row list to keep the borrow checker
@@ -343,7 +347,6 @@ impl FfcModelCache {
             let stale_rows = self.layout.control.stale_rows.clone();
             for (fi, ti, con) in stale_rows {
                 let w_old = weights[fi][ti];
-                debug_assert!(w_old > WEIGHT_THRESHOLD, "support was just validated");
                 if self.inc.set_coeff(con, self.b[fi], w_old).is_err() {
                     return Err(RebuildReason::PatchRejected);
                 }
@@ -373,7 +376,11 @@ impl FfcModelCache {
         scenario: Option<&FaultScenario>,
         reason: RebuildReason,
     ) {
-        let (mut builder, layout) = build_ffc_model_tracked(problem, old, cfg, mice);
+        // Let the old standing model go before its successor is built,
+        // so a rebuild holds one model at a time.
+        self.inc = IncrementalModel::default();
+        let (mut builder, layout) =
+            build_ffc_model_tracked(problem, old, cfg, mice, BetaSupport::AllTunnels);
         if let Some(s) = scenario {
             zero_dead_tunnels(&mut builder, s);
         }
@@ -417,7 +424,8 @@ impl FfcModelCache {
         mice: &[bool],
         scenario: Option<&FaultScenario>,
     ) {
-        let (mut fresh, _) = build_ffc_model_tracked(problem, old, cfg, mice);
+        let (mut fresh, _) =
+            build_ffc_model_tracked(problem, old, cfg, mice, BetaSupport::AllTunnels);
         if let Some(s) = scenario {
             zero_dead_tunnels(&mut fresh, s);
         }
@@ -559,25 +567,40 @@ mod tests {
         assert!((got.throughput() - want).abs() < 1e-6);
     }
 
+    /// A tunnel the installed config stops using and then uses again
+    /// is a coefficient patch both ways: its stale row keeps the `b_f`
+    /// slot at 0.0, exactly as a fresh standing build stores it.
     #[test]
-    fn beta_support_change_rebuilds() {
+    fn idle_tunnel_round_trip_is_a_patch() {
         let (topo, tm, tunnels, old) = ring();
         let cfg = FfcConfig::new(1, 0, 0).exact();
         let problem = TeProblem::new(&topo, &tm, &tunnels);
         let mut cache = FfcModelCache::new(problem, &old, &cfg, &NO_MICE, None);
-        // Zeroing one flow's allocations changes the support pattern.
-        let mut next = old.clone();
-        for a in &mut next.alloc[0] {
-            *a = 0.0;
+        let (ti, _) = old.alloc[0]
+            .iter()
+            .enumerate()
+            .find(|(_, &a)| a > 0.0)
+            .expect("flow 0 uses a tunnel");
+        let mut idle = old.clone();
+        idle.rate[0] -= idle.alloc[0][ti];
+        idle.alloc[0][ti] = 0.0;
+        for next in [&idle, &old] {
+            let outcome = cache.retarget(problem, next, &cfg, &NO_MICE, None);
+            assert!(
+                matches!(outcome, RetargetOutcome::Patched(n) if n > 0),
+                "{outcome:?}"
+            );
+            let (fresh, _) =
+                build_ffc_model_tracked(problem, next, &cfg, &NO_MICE, BetaSupport::AllTunnels);
+            assert_eq!(
+                ffc_lp::incremental::diff_models(cache.inc.model(), &fresh.model),
+                None
+            );
+            let (got, _) = cache.solve_with(&Default::default(), None).unwrap();
+            let want = fresh_objective(&topo, &tm, &tunnels, next, &cfg);
+            assert!((got.throughput() - want).abs() < 1e-6);
         }
-        let outcome = cache.retarget(problem, &next, &cfg, &NO_MICE, None);
-        assert_eq!(
-            outcome,
-            RetargetOutcome::Rebuilt(RebuildReason::BetaSupportChanged)
-        );
-        let (got, _) = cache.solve_with(&Default::default(), None).unwrap();
-        let want = fresh_objective(&topo, &tm, &tunnels, &next, &cfg);
-        assert!((got.throughput() - want).abs() < 1e-6);
+        assert_eq!((cache.stats().patches, cache.stats().rebuilds), (2, 1));
     }
 
     /// `kc` shapes every protected link's M-sum rows, so any change —
@@ -713,7 +736,6 @@ mod tests {
         assert_eq!(stats.rebuilds_for(RebuildReason::Initial), 1);
         assert_eq!(stats.rebuilds_for(RebuildReason::MiceSetChanged), 1);
         assert_eq!(stats.rebuilds_for(RebuildReason::ProtectionChanged), 2);
-        assert_eq!(stats.rebuilds_for(RebuildReason::BetaSupportChanged), 0);
     }
 
     #[test]

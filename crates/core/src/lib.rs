@@ -74,7 +74,7 @@ pub use combined::{
     build_ffc_model, build_ffc_model_tracked, solve_ffc, solve_ffc_with_faults,
     unprotected_links_from_loads, zero_dead_tunnels, FfcConfig, FfcLayout,
 };
-pub use control_ffc::{apply_control_ffc, ControlFfc, ControlFfcLayout};
+pub use control_ffc::{apply_control_ffc, BetaSupport, ControlFfc, ControlFfcLayout};
 pub use data_ffc::{apply_data_ffc, mice_flags, standing_mice, DataFfc, DataFfcLayout};
 pub use incremental::{CacheStats, FfcModelCache, RebuildReason, RetargetOutcome};
 pub use priority::{

@@ -4,15 +4,19 @@
 //! protection/encoding changes must solve to the same objective as a
 //! from-scratch build at every step — whether the step patched or
 //! rebuilt. The §6 mice set is an input of both, and any set that meets
-//! §6's criterion may be handed in, not only the greedy one. Under debug
+//! §6's criterion may be handed in, not only the greedy one. The fresh
+//! build is the one-shot one, with §6's β support, so every step also
+//! holds the standing model's every-tunnel support to the same optimum.
+//! At a fixed `kc ≥ 1`, installed configs that zero and revive tunnels
+//! must patch every time. Under debug
 //! assertions (always on in tests) every patched
 //! step is additionally compared coefficient-for-coefficient against a
 //! fresh model inside the cache itself, so a passing run certifies both
 //! the patch ladder and its invalidation rules.
 
 use ffc_core::{
-    build_ffc_model_tracked, mice_flags, zero_dead_tunnels, FfcConfig, FfcModelCache, MsumEncoding,
-    TeConfig, TeProblem,
+    build_ffc_model_tracked, mice_flags, zero_dead_tunnels, BetaSupport, FfcConfig, FfcModelCache,
+    MsumEncoding, TeConfig, TeProblem,
 };
 use ffc_net::prelude::*;
 use proptest::prelude::*;
@@ -26,7 +30,8 @@ struct Step {
     /// Scale one tunnel allocation of the installed config (support-
     /// preserving when the entry was already positive).
     old_scale: f64,
-    /// Zero one tunnel allocation instead (may change β-support).
+    /// Zero one tunnel allocation instead (a tunnel the config leaves
+    /// idle).
     old_zero: bool,
     /// Whether a fault is live this step.
     faulty: bool,
@@ -78,6 +83,33 @@ fn step_strategy() -> impl Strategy<Value = Step> {
                 }
             },
         )
+}
+
+/// One installed-config edit at a fixed `kc ≥ 1`: a tunnel's
+/// allocation goes to zero (`alloc == 0.0`) or to a positive value (a
+/// tunnel revived, or a used one moved), demands tick along.
+#[derive(Debug, Clone)]
+struct Toggle {
+    flow: usize,
+    /// Tunnel index (taken modulo the flow's tunnel count).
+    tunnel: usize,
+    alloc: f64,
+    demand_scale: f64,
+}
+
+fn toggle_strategy() -> impl Strategy<Value = Toggle> {
+    (
+        0..3usize,
+        0..3usize,
+        (any::<bool>(), 0.5..4.0f64),
+        0.8..1.25f64,
+    )
+        .prop_map(|(flow, tunnel, (zero, alloc), demand_scale)| Toggle {
+            flow,
+            tunnel,
+            alloc: if zero { 0.0 } else { alloc },
+            demand_scale,
+        })
 }
 
 /// The mice set a step hands in: its random candidate when that meets
@@ -173,7 +205,8 @@ proptest! {
             cache.retarget(problem, &old, &cfg, &mice, scenario.as_ref());
             let (got, _) = cache.solve_with(&Default::default(), None).unwrap();
 
-            let (mut fresh, _) = build_ffc_model_tracked(problem, &old, &cfg, &mice);
+            let (mut fresh, _) =
+                build_ffc_model_tracked(problem, &old, &cfg, &mice, BetaSupport::OldWeights);
             if let Some(s) = &scenario {
                 zero_dead_tunnels(&mut fresh, s);
             }
@@ -186,5 +219,47 @@ proptest! {
         }
         let stats = cache.stats();
         prop_assert_eq!(stats.patches + stats.rebuilds, steps.len() as u64 + 1);
+    }
+
+    /// The standing model's shape does not depend on which tunnels the
+    /// installed config uses: zeroing and reviving tunnels (whole flows
+    /// included) is a coefficient patch at every step, and each patched
+    /// model solves like the one-shot build of the same inputs.
+    #[test]
+    fn zeroing_and_reviving_tunnels_always_patches(
+        kc in 1..3usize,
+        ke in 0..2usize,
+        toggles in prop::collection::vec(toggle_strategy(), 1..8)
+    ) {
+        let (topo, mut tm, tunnels, mut old) = ring();
+        let cfg = FfcConfig::new(kc, ke, 0).exact();
+        let mice = [false; 3];
+        let problem = TeProblem::new(&topo, &tm, &tunnels);
+        let mut cache = FfcModelCache::new(problem, &old, &cfg, &mice, None);
+
+        for (i, t) in toggles.iter().enumerate() {
+            let row = &mut old.alloc[t.flow];
+            let ti = t.tunnel % row.len();
+            row[ti] = t.alloc;
+            old.rate[t.flow] = row.iter().sum();
+            for f in tm.ids().collect::<Vec<_>>() {
+                let d = tm.flow(f).demand * t.demand_scale;
+                tm.set_demand(f, d);
+            }
+
+            let problem = TeProblem::new(&topo, &tm, &tunnels);
+            let outcome = cache.retarget(problem, &old, &cfg, &mice, None);
+            prop_assert!(outcome.is_patch(), "step {i} ({t:?}): {outcome:?}");
+            let (got, _) = cache.solve_with(&Default::default(), None).unwrap();
+            let (fresh, _) =
+                build_ffc_model_tracked(problem, &old, &cfg, &mice, BetaSupport::OldWeights);
+            let want = fresh.solve().unwrap().throughput();
+            prop_assert!(
+                (got.throughput() - want).abs() < 1e-6,
+                "step {i} ({t:?}): cache {} vs fresh {want}",
+                got.throughput()
+            );
+        }
+        prop_assert_eq!(cache.stats().rebuilds, 1);
     }
 }

@@ -39,7 +39,7 @@
 use std::time::{Duration, Instant};
 
 use ffc_core::{
-    build_ffc_model_tracked, standing_mice, zero_dead_tunnels, CacheStats, FfcConfig,
+    build_ffc_model_tracked, standing_mice, zero_dead_tunnels, BetaSupport, CacheStats, FfcConfig,
     FfcModelCache, TeConfig, TeProblem,
 };
 use ffc_lp::{Algorithm, SimplexOptions, SolveStats};
@@ -116,7 +116,9 @@ pub struct PlannerConfig {
     /// it (demand ticks, fault drift, installed-config advances)
     /// instead of rebuilding the LP every round (default: on). The
     /// patched model is bit-identical to a fresh build from the same
-    /// inputs (the standing mice set among them) — checked under debug
+    /// inputs (the standing mice set and the every-tunnel β support
+    /// among them; what the rebuild-every-interval mode builds too) —
+    /// checked under debug
     /// assertions — so the solve path, iteration counts, and telemetry
     /// fingerprints match the rebuild-every-interval mode.
     pub incremental: bool,
@@ -351,7 +353,13 @@ impl Planner {
             };
             cache.solve_with(&self.cfg.opts, hint)
         } else {
-            let (mut builder, _) = build_ffc_model_tracked(problem, old, &self.current, &mice);
+            let (mut builder, _) = build_ffc_model_tracked(
+                problem,
+                old,
+                &self.current,
+                &mice,
+                BetaSupport::AllTunnels,
+            );
             zero_dead_tunnels(&mut builder, scenario);
             builder.solve_with(&self.cfg.opts, hint)
         };

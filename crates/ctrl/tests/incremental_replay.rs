@@ -108,7 +108,8 @@ fn snet_fingerprints_match_with_incremental_on_and_off() {
 #[test]
 fn control_ffc_run_matches_with_incremental_on_and_off() {
     // kc > 0 exercises the stale-row coefficient patches (the installed
-    // config advances every interval) and the β-support rebuild rule.
+    // config advances every interval), kept zero slots included: the
+    // rebuild-every-interval arm builds the same every-tunnel β support.
     let mut topo = Topology::new();
     let (a, b, c, d) = (
         topo.add_node("a"),

@@ -7,7 +7,9 @@
 //! Expressions support the natural operators (`+`, `-`, `*` by a scalar)
 //! and can be built incrementally with [`LinExpr::add_term`]. Duplicate
 //! variable mentions are allowed and are merged lazily by
-//! [`LinExpr::compress`] (the solver compresses before use).
+//! [`LinExpr::compress`] (the solver compresses before use), which also
+//! drops exact zeros — except in a slot asked for with
+//! [`LinExpr::kept_term`], which stays stored at `0.0`.
 
 // audit:allow-file(float-eq): exact-zero comparisons here are
 // structural sparsity guards (skip entries that are identically zero),
@@ -52,6 +54,10 @@ pub struct LinExpr {
     pub(crate) terms: Vec<(VarId, f64)>,
     /// Additive constant.
     pub(crate) constant: f64,
+    /// Variables whose slot [`LinExpr::compress`] keeps at an exact-zero
+    /// coefficient (see [`LinExpr::kept_term`]); sorted and unique once
+    /// compressed.
+    pub(crate) kept: Vec<VarId>,
 }
 
 impl LinExpr {
@@ -63,8 +69,8 @@ impl LinExpr {
     /// An expression that is just a constant.
     pub fn constant(c: f64) -> Self {
         Self {
-            terms: Vec::new(),
             constant: c,
+            ..Self::default()
         }
     }
 
@@ -72,7 +78,22 @@ impl LinExpr {
     pub fn term(var: VarId, coeff: f64) -> Self {
         Self {
             terms: vec![(var, coeff)],
-            constant: 0.0,
+            ..Self::default()
+        }
+    }
+
+    /// A single `coeff·var` term whose slot is *kept*: [`compress`]
+    /// stores it even when the merged coefficient is exactly zero. A
+    /// builder asks for one where a later coefficient patch must move
+    /// the value to and from `0.0` without changing the row's sparsity
+    /// pattern ([`crate::IncrementalModel::set_coeff`]).
+    ///
+    /// [`compress`]: LinExpr::compress
+    pub fn kept_term(var: VarId, coeff: f64) -> Self {
+        Self {
+            terms: vec![(var, coeff)],
+            kept: vec![var],
+            ..Self::default()
         }
     }
 
@@ -80,7 +101,7 @@ impl LinExpr {
     pub fn sum<I: IntoIterator<Item = VarId>>(vars: I) -> Self {
         Self {
             terms: vars.into_iter().map(|v| (v, 1.0)).collect(),
-            constant: 0.0,
+            ..Self::default()
         }
     }
 
@@ -118,7 +139,8 @@ impl LinExpr {
         self.terms.is_empty()
     }
 
-    /// Merges duplicate variables and drops (near-)zero coefficients.
+    /// Merges duplicate variables and drops exact-zero coefficients,
+    /// except in kept slots ([`LinExpr::kept_term`]).
     ///
     /// The result is sorted by variable index, which downstream sparse
     /// assembly relies on.
@@ -134,8 +156,17 @@ impl LinExpr {
                 _ => out.push((v, c)),
             }
         }
-        out.retain(|&(_, c)| c != 0.0);
+        self.kept.sort_unstable();
+        self.kept.dedup();
+        let kept = &self.kept;
+        out.retain(|&(v, c)| c != 0.0 || kept.binary_search(&v).is_ok());
         self.terms = out;
+    }
+
+    /// Whether `var`'s slot is kept at an exact zero. Reads a compressed
+    /// expression (every stored model row is one).
+    pub(crate) fn is_kept(&self, var: VarId) -> bool {
+        self.kept.binary_search(&var).is_ok()
     }
 
     /// Returns a compressed copy (see [`LinExpr::compress`]).
@@ -179,8 +210,7 @@ impl From<f64> for LinExpr {
 impl Add for LinExpr {
     type Output = LinExpr;
     fn add(mut self, rhs: LinExpr) -> LinExpr {
-        self.terms.extend(rhs.terms);
-        self.constant += rhs.constant;
+        self += rhs;
         self
     }
 }
@@ -205,15 +235,14 @@ impl AddAssign for LinExpr {
     fn add_assign(&mut self, rhs: LinExpr) {
         self.terms.extend(rhs.terms);
         self.constant += rhs.constant;
+        self.kept.extend(rhs.kept);
     }
 }
 
 impl Sub for LinExpr {
     type Output = LinExpr;
     fn sub(mut self, rhs: LinExpr) -> LinExpr {
-        self.terms
-            .extend(rhs.terms.into_iter().map(|(v, c)| (v, -c)));
-        self.constant -= rhs.constant;
+        self -= rhs;
         self
     }
 }
@@ -239,6 +268,7 @@ impl SubAssign for LinExpr {
         self.terms
             .extend(rhs.terms.into_iter().map(|(v, c)| (v, -c)));
         self.constant -= rhs.constant;
+        self.kept.extend(rhs.kept);
     }
 }
 
@@ -327,6 +357,20 @@ mod tests {
     fn compress_drops_cancelled_terms() {
         let e = (LinExpr::term(v(3), 2.0) - LinExpr::term(v(3), 2.0)).compressed();
         assert!(e.is_empty());
+    }
+
+    /// A kept slot survives a merge to exact zero; an ordinary one in
+    /// the same expression does not, and the mark rides through `-`.
+    #[test]
+    fn compress_keeps_a_kept_zero_slot() {
+        let e = (LinExpr::kept_term(v(2), 0.0) - LinExpr::term(v(1), 1.0)
+            + LinExpr::term(v(0), 0.5)
+            - LinExpr::term(v(0), 0.5))
+        .compressed();
+        assert_eq!(e.terms, vec![(v(1), -1.0), (v(2), 0.0)]);
+        assert!(e.is_kept(v(2)) && !e.is_kept(v(1)));
+        let merged = (LinExpr::kept_term(v(3), 2.0) - LinExpr::term(v(3), 2.0)).compressed();
+        assert_eq!(merged.terms, vec![(v(3), 0.0)]);
     }
 
     #[test]

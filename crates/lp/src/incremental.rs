@@ -15,7 +15,10 @@
 //!   (stale-ingress weights). Only values already
 //!   in the sparsity pattern may change — inserting or zeroing an entry
 //!   would diverge from what a fresh build produces, so both are
-//!   rejected as [`PatchError`]s.
+//!   rejected as [`PatchError`]s. The exception is a slot the builder
+//!   asked to keep ([`LinExpr::kept_term`](crate::LinExpr::kept_term)):
+//!   a fresh build stores it at `0.0` too, so it patches to zero and
+//!   back like any other value.
 //!
 //! Every change is recorded in a journal of [`PatchOp`]s; [`mark`] /
 //! [`revert_to`](IncrementalModel::revert_to) give O(changes) undo.
@@ -63,9 +66,10 @@ pub enum PatchError {
         /// Variable index of the missing entry.
         var: usize,
     },
-    /// The new value is exactly zero. A fresh build drops exact zeros
-    /// from the pattern, so patching one in would leave the standing
-    /// form structurally different from a rebuild — rebuild instead.
+    /// The new value is exactly zero in an ordinary slot. A fresh build
+    /// drops such zeros from the pattern, so patching one in would leave
+    /// the standing form structurally different from a rebuild — rebuild
+    /// instead. A kept slot takes `0.0`.
     ZeroCoefficient {
         /// Constraint index of the targeted entry.
         con: usize,
@@ -150,6 +154,20 @@ impl Clone for IncrementalModel {
     }
 }
 
+/// The empty standing model: no variables, no constraints (valid by
+/// construction, so no validation to fail).
+impl Default for IncrementalModel {
+    fn default() -> Self {
+        let model = Model::new();
+        IncrementalModel {
+            std: StdForm::from_model(&model),
+            model,
+            journal: Vec::new(),
+            held: Mutex::new(None),
+        }
+    }
+}
+
 impl IncrementalModel {
     /// Takes ownership of a built model and lowers it once. Fails only
     /// on models that would fail [`Model::validate`].
@@ -199,8 +217,8 @@ impl IncrementalModel {
                 PatchOp::VarBounds { var, old, .. } => self.apply_bounds(var, old.0, old.1),
                 PatchOp::Coeff { con, var, old, .. } => {
                     // The entry existed when the patch was applied and
-                    // `old` was its (nonzero) stored value, so the
-                    // reverse patch cannot fail.
+                    // `old` was its stored value (zero only in a kept
+                    // slot), so the reverse patch cannot fail.
                     let _ = self.apply_coeff(con, var, old);
                 }
             }
@@ -235,8 +253,8 @@ impl IncrementalModel {
     }
 
     /// Patches one stored coefficient of constraint `con`. The entry
-    /// must already exist and the new value must be nonzero (see
-    /// [`PatchError`]); on rejection nothing changes.
+    /// must already exist, and the new value must be nonzero unless the
+    /// slot is kept (see [`PatchError`]); on rejection nothing changes.
     pub fn set_coeff(&mut self, con: ConId, var: VarId, coeff: f64) -> Result<(), PatchError> {
         let old = self.apply_coeff(con, var, coeff)?;
         if old != coeff {
@@ -293,12 +311,6 @@ impl IncrementalModel {
     /// Applies a coefficient patch to both representations, returning
     /// the previous value.
     fn apply_coeff(&mut self, con: ConId, var: VarId, coeff: f64) -> Result<f64, PatchError> {
-        if coeff == 0.0 {
-            return Err(PatchError::ZeroCoefficient {
-                con: con.index(),
-                var: var.index(),
-            });
-        }
         let expr = &mut self.model.cons[con.index()].expr;
         // Stored rows are compressed (sorted by variable, unique), so
         // the entry is binary-searchable.
@@ -308,6 +320,12 @@ impl IncrementalModel {
                 var: var.index(),
             });
         };
+        if coeff == 0.0 && !expr.is_kept(var) {
+            return Err(PatchError::ZeroCoefficient {
+                con: con.index(),
+                var: var.index(),
+            });
+        }
         let old = expr.terms[pos].1;
         expr.terms[pos].1 = coeff;
         if old != coeff {
@@ -329,7 +347,8 @@ impl IncrementalModel {
 }
 
 /// Exact structural comparison of two models: variables (bounds, names),
-/// constraints (sense, right-hand side, name, every stored term),
+/// constraints (sense, right-hand side, name, kept slots, every stored
+/// term),
 /// objective and optimization direction. Returns a description of the
 /// first difference, or `None` when the models are bit-identical. This
 /// is the differential oracle the FFC layer runs under debug assertions
@@ -361,6 +380,10 @@ pub fn diff_models(a: &Model, b: &Model) -> Option<String> {
         }
         if ca.name != cb.name {
             return Some(format!("con {i} name {:?} vs {:?}", ca.name, cb.name));
+        }
+        if ca.expr.kept != cb.expr.kept {
+            let (ka, kb) = (&ca.expr.kept, &cb.expr.kept);
+            return Some(format!("con {i} kept slots {ka:?} vs {kb:?}"));
         }
         if ca.expr != cb.expr {
             return Some(format!("con {i} row `{}` vs `{}`", ca.expr, cb.expr));
@@ -495,6 +518,57 @@ mod tests {
         // Neither rejection touched the model.
         let (reference, ..) = build(4.0, 3.0);
         assert_eq!(diff_models(inc.model(), &reference), None);
+    }
+
+    /// The classic LP with `x`'s slot in `c2` kept at weight `wx`, so
+    /// a zero weight still stores the entry.
+    fn build_kept(wx: f64) -> (Model, VarId, ConId) {
+        let (mut m, x, y, _c0, _c2) = build(4.0, 3.0);
+        m.cons.pop();
+        let c2 = m.add_con(
+            LinExpr::kept_term(x, wx) + LinExpr::term(y, 2.0),
+            Cmp::Le,
+            18.0,
+        );
+        (m, x, c2)
+    }
+
+    /// A kept slot is stored at `0.0` by a fresh build and its lowering,
+    /// patches to `0.0` and back, reverts through the journal, and is
+    /// what `diff_models` compares.
+    #[test]
+    fn kept_zero_slot_patches_to_zero_and_back() {
+        let (zero, x, c2) = build_kept(0.0);
+        let row: Vec<_> = zero.con_view(c2).expr.terms().collect();
+        assert_eq!(row, vec![(x, 0.0), (VarId::from_index(1), 2.0)]);
+        let lowered = StdForm::from_model(&zero);
+        assert_eq!(lowered.a.value_at(c2.index(), x.index()), Some(0.0));
+        assert_eq!(lowered.rows.row(c2.index()).count(), 3, "x, y, slack");
+
+        let (base, ..) = build_kept(3.0);
+        let mut inc = IncrementalModel::new(base).unwrap();
+        let mark = inc.mark();
+        inc.set_coeff(c2, x, 0.0).unwrap();
+        assert_eq!(diff_models(inc.model(), &zero), None);
+        assert_eq!(inc.std.a.value_at(c2.index(), x.index()), Some(0.0));
+        let opts = SimplexOptions::default();
+        let patched = inc.solve_with(&opts, None).unwrap();
+        let fresh = IncrementalModel::new(zero.clone()).unwrap();
+        assert_bit_identical(&patched, &fresh.solve_with(&opts, None).unwrap());
+
+        inc.set_coeff(c2, x, 1.5).unwrap();
+        assert_eq!(diff_models(inc.model(), &build_kept(1.5).0), None);
+        assert_eq!(inc.journal().len(), 2);
+        inc.revert_to(mark + 1);
+        assert_eq!(diff_models(inc.model(), &zero), None);
+        inc.revert_to(mark);
+        assert_eq!(diff_models(inc.model(), &build_kept(3.0).0), None);
+        assert_eq!(inc.std.a.value_at(c2.index(), x.index()), Some(3.0));
+
+        // The kept mark itself is part of the row: the same values in an
+        // ordinary slot are another model.
+        let (plain, ..) = build(4.0, 3.0);
+        assert!(diff_models(inc.model(), &plain).unwrap().contains("kept"));
     }
 
     #[test]

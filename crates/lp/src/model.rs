@@ -371,7 +371,8 @@ impl Model {
     ///
     /// Duplicate mentions of one variable are **merged by sum** at insert
     /// time (deterministically: terms end up sorted by variable index,
-    /// and exact-zero merged coefficients are dropped), so a stored row
+    /// and exact-zero merged coefficients are dropped unless their slot
+    /// is kept — [`LinExpr::kept_term`]), so a stored row
     /// never contains two entries for the same column. `ffc-audit`'s
     /// model auditor enforces this invariant on every constructed model.
     pub fn add_con(&mut self, expr: impl Into<LinExpr>, cmp: Cmp, rhs: f64) -> ConId {
@@ -423,9 +424,10 @@ impl Model {
         self.cons.len()
     }
 
-    /// Total number of nonzero coefficients across all constraints.
+    /// Total number of stored coefficients across all constraints.
     /// Duplicates are merged at [`Model::add_con`] time, so this is the
-    /// exact nonzero count of the constraint matrix.
+    /// exact entry count of the constraint matrix: its nonzeros, plus
+    /// any kept exact-zero slots ([`LinExpr::kept_term`]).
     pub fn num_nonzeros(&self) -> usize {
         self.cons.iter().map(|c| c.expr.len()).sum()
     }
