@@ -8,9 +8,9 @@
 //!       [--seed N] [--intervals N] [--trials N] [--fast] [--quick] [--incremental]
 //! ```
 //!
-//! `--quick` (or the `quick` subcommand) runs a ~30-second smoke: one
-//! Figure-3 check plus a warm dual-vs-primal scenario sweep on S-Net,
-//! for CI to catch solver regressions without the full harness cost.
+//! `--quick` (or the `quick` subcommand) runs a smoke of a minute or
+//! two: one Figure-3 check plus a warm scenario sweep on S-Net, for CI
+//! to catch solver regressions without the full harness cost.
 //! Adding `--incremental` extends the smoke with a delta-LP check: an
 //! S-Net demand-tick workload solved by patching the standing FFC model
 //! must match a from-scratch rebuild on every tick.
@@ -380,62 +380,41 @@ fn fig11(args: &Args) {
 
 // ---------------------------------------------------------------- Fig 12
 
-/// Figure 12: throughput overhead of control- and data-plane FFC.
 /// CI smoke (`repro --quick`): one fast paper check plus the warm
-/// dual-vs-primal scenario sweep the solver work targets — prints total
-/// simplex iterations per algorithm so a dual regression is visible in
-/// the job log.
+/// scenario sweep the solver work targets — prints the chain's total
+/// simplex iterations, dual ones apart, so a dual regression is visible
+/// in the job log.
 fn quick(args: &Args) {
     fig3();
-    println!("\n=== quick: warm scenario sweep, S-Net ke=1, primal vs auto(dual) ===");
+    println!("\n=== quick: warm scenario sweep, S-Net ke=1, dual restarts ===");
     let inst = snet_instance(args.seed, 1);
     let topo = &inst.net.topo;
     let tm = &inst.trace.intervals[0];
     let problem = TeProblem::new(topo, tm, &inst.tunnels);
     let old = TeConfig::zero(&inst.tunnels);
     let cfg = FfcConfig::new(0, 1, 0);
-    // 5 scenarios keeps the whole smoke near the 30-second mark while
-    // still spanning several warm re-solves per worker chunk.
+    // 5 scenarios span several warm re-solves per worker chunk.
     let scenarios: Vec<ffc_net::FaultScenario> = topo
         .links()
         .take(5)
         .map(|l| ffc_net::FaultScenario::links([l]))
         .collect();
-    let mut tputs: Vec<Vec<f64>> = Vec::new();
-    for (name, algorithm) in [
-        ("primal    ", ffc_lp::Algorithm::Primal),
-        ("auto(dual)", ffc_lp::Algorithm::Auto),
-    ] {
-        let opts = SimplexOptions {
-            algorithm,
-            ..SimplexOptions::default()
-        };
-        let t = Instant::now();
-        let outcomes = ffc_core::solve_ffc_scenarios(problem, &old, &cfg, &scenarios, &opts)
+    let t = Instant::now();
+    let outcomes =
+        ffc_core::solve_ffc_scenarios(problem, &old, &cfg, &scenarios, &SimplexOptions::default())
             .expect("base FFC solve");
-        let (mut iters, mut dual, mut flips) = (0usize, 0usize, 0usize);
-        let mut tput = Vec::new();
-        for o in &outcomes {
-            let o = o.as_ref().expect("scenario solve");
-            iters += o.stats.iterations();
-            dual += o.stats.dual_iterations;
-            flips += o.stats.dual_bound_flips;
-            tput.push(o.config.throughput());
-        }
-        println!(
-            "  {name}: {} re-solves, {iters} simplex iterations ({dual} dual, {flips} dual flips), {:.2?}",
-            outcomes.len(),
-            t.elapsed()
-        );
-        tputs.push(tput);
+    let (mut iters, mut dual, mut flips) = (0usize, 0usize, 0usize);
+    for o in &outcomes {
+        let o = o.as_ref().expect("scenario solve");
+        iters += o.stats.iterations();
+        dual += o.stats.dual_iterations;
+        flips += o.stats.dual_bound_flips;
     }
-    for (i, (p, a)) in tputs[0].iter().zip(&tputs[1]).enumerate() {
-        assert!(
-            (p - a).abs() < 1e-5,
-            "scenario {i}: primal {p} vs auto {a} throughput mismatch"
-        );
-    }
-    println!("  throughputs agree across algorithms on all scenarios");
+    println!(
+        "  warm chain: {} re-solves, {iters} simplex iterations ({dual} dual, {flips} dual flips), {:.2?}",
+        outcomes.len(),
+        t.elapsed()
+    );
     if args.incremental {
         quick_incremental(args);
     }
@@ -507,6 +486,7 @@ fn quick_incremental(args: &Args) {
     );
 }
 
+/// Figure 12: throughput overhead of control- and data-plane FFC.
 fn fig12(args: &Args) {
     println!("\n=== Figure 12: FFC throughput overhead (1 - ratio, %) ===");
     for inst in [

@@ -66,7 +66,7 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use ffc_core::{build_ffc_model, FfcConfig, TeConfig, TeProblem};
-use ffc_lp::{Algorithm, SimplexOptions};
+use ffc_lp::SimplexOptions;
 use ffc_net::{FlowId, Priority};
 
 use ffc_cli::formats::{parse_config, write_config};
@@ -78,8 +78,7 @@ use instance::Instance;
 const USAGE: &str = "\
 usage: ffc info  --topo FILE [--traffic FILE]
        ffc solve --topo FILE --traffic FILE [--kc N] [--ke N] [--kv N]
-           [--old FILE] [--tunnels N] [--out FILE]
-           [--algorithm primal|dual|auto] [--verbose]
+           [--old FILE] [--tunnels N] [--out FILE] [--verbose]
        ffc check --topo FILE --traffic FILE --config FILE [--kc N] [--ke N]
            [--kv N] [--old FILE]
        ffc ctrl run --topo FILE --traffic FILE [--kc N] [--ke N] [--kv N]
@@ -225,14 +224,6 @@ fn solve(mut a: Args) -> Done {
     let old_path = a.value("--old")?;
     let tunnels_per_flow = a.parsed("--tunnels", 6)?;
     let out = a.value("--out")?;
-    let algorithm = a.choice(
-        "--algorithm",
-        &[
-            ("auto", Algorithm::Auto),
-            ("primal", Algorithm::Primal),
-            ("dual", Algorithm::Dual),
-        ],
-    )?;
     let verbose = a.flag("--verbose") | a.flag("-v");
     a.finish()?;
 
@@ -243,12 +234,8 @@ fn solve(mut a: Args) -> Done {
     } = &inst;
     let ffc = FfcConfig::new(kc, ke, kv);
     let builder = build_ffc_model(TeProblem::new(topo, tm, tunnels), &old, &ffc);
-    let opts = SimplexOptions {
-        algorithm,
-        ..SimplexOptions::default()
-    };
     let (cfg, sol) = builder
-        .solve_with(&opts, None)
+        .solve_with(&SimplexOptions::default(), None)
         .map_err(ctx("solve failed"))?;
     if verbose {
         let s = &sol.stats;

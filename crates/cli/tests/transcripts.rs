@@ -356,7 +356,6 @@ const REFUSALS: &[(&str, i32, &[&str])] = &[
     ("info --topo", 2, &["--topo needs a value"]),
     ("solve --topo a --traffic b --kc x", 2, &["--kc", "'x'"]),
     ("ctrl run --topo a --traffic b --switch-model fast", 2, &["--switch-model", "'fast'", "optimistic"]),
-    ("solve --topo a --traffic b --algorithm qp", 2, &["--algorithm", "'qp'", "dual"]),
     // Required flags, words and combinations.
     ("solve --topo examples/data/small.topo", 2, &["solve needs --traffic"]),
     ("report", 2, &["report needs --store"]),

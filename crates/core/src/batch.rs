@@ -191,10 +191,8 @@ pub fn solve_ffc_batch(
 /// chain.
 ///
 /// Pinning bounds never touches the objective, so the previous optimal
-/// basis stays **dual**-feasible: with [`ffc_lp::Algorithm::Auto`] (the
-/// default) each re-solve restarts directly in the dual simplex instead
-/// of repairing primal feasibility through phase 1. Pass
-/// [`ffc_lp::Algorithm::Primal`] in `opts` to force the old behaviour.
+/// basis stays **dual**-feasible: each re-solve restarts directly in the
+/// dual simplex instead of repairing primal feasibility through phase 1.
 ///
 /// The outer `Result` is the base solve; the inner per-scenario results
 /// come back in input order.
@@ -489,7 +487,7 @@ mod tests {
     }
 
     #[test]
-    fn scenario_sweep_auto_matches_primal_and_uses_dual() {
+    fn scenario_sweep_engages_the_dual_and_matches_cold_solves() {
         let (topo, tm, tunnels) = fixture();
         let problem = TeProblem::new(&topo, &tm, &tunnels);
         let old = TeConfig::zero(&tunnels);
@@ -498,32 +496,26 @@ mod tests {
         let scenarios: Vec<FaultScenario> =
             links.iter().map(|&l| FaultScenario::links([l])).collect();
 
-        let run = |algorithm| {
-            let opts = SimplexOptions {
-                algorithm,
-                ..SimplexOptions::default()
-            };
-            solve_ffc_scenarios(problem, &old, &cfg, &scenarios, &opts).unwrap()
-        };
-        let primal = run(ffc_lp::Algorithm::Primal);
-        let auto = run(ffc_lp::Algorithm::Auto);
+        let warm = solve_ffc_scenarios(problem, &old, &cfg, &scenarios, &SimplexOptions::default())
+            .unwrap();
         let mut dual_iters = 0;
         let mut dual_flips = 0;
-        for (p, a) in primal.iter().zip(&auto) {
-            let (p, a) = (p.as_ref().unwrap(), a.as_ref().unwrap());
+        for (scenario, w) in scenarios.iter().zip(&warm) {
+            let w = w.as_ref().unwrap();
+            let cold =
+                crate::combined::solve_ffc_with_faults(problem, &old, &cfg, scenario).unwrap();
             assert!(
-                (p.config.throughput() - a.config.throughput()).abs() < 1e-6,
-                "Auto diverged from Primal: {} vs {}",
-                a.config.throughput(),
-                p.config.throughput()
+                (w.config.throughput() - cold.throughput()).abs() < 1e-6,
+                "scenario {scenario:?}: warm chain {} vs cold {}",
+                w.config.throughput(),
+                cold.throughput()
             );
-            assert_eq!(p.stats.dual_iterations, 0, "Primal must never run the dual");
-            dual_iters += a.stats.dual_iterations;
-            dual_flips += a.stats.dual_bound_flips;
+            dual_iters += w.stats.dual_iterations;
+            dual_flips += w.stats.dual_bound_flips;
         }
         assert!(
             dual_iters > 0 || dual_flips > 0,
-            "Auto warm chain never engaged the dual simplex"
+            "the warm chain never engaged the dual simplex"
         );
     }
 

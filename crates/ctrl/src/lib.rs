@@ -37,7 +37,7 @@ pub mod telemetry;
 use std::time::Duration;
 
 use ffc_core::{CacheStats, FfcConfig, TeConfig, TeProblem};
-use ffc_lp::{Algorithm, SimplexOptions};
+use ffc_lp::SimplexOptions;
 use ffc_net::{FaultScenario, FlowId, LinkId, NodeId, Topology, TrafficMatrix, TunnelTable};
 use ffc_sim::{DrivenInterval, DrivenSim, RunTotals, SwitchModel};
 use rand::rngs::StdRng;
@@ -102,7 +102,8 @@ pub struct ControllerConfig {
     pub retry_timeout_secs: f64,
     /// Bounded update retries per broken switch per rollout.
     pub max_retries: usize,
-    /// Simplex options (`Auto` routes warm bases through the dual path).
+    /// Simplex options for every solve: an iteration cap and the chaos
+    /// harness's fault hooks, none of them set by default.
     pub opts: SimplexOptions,
     /// Patch the planner's standing FFC model across intervals instead
     /// of rebuilding it every round (default: on). Deliberately *not*
@@ -129,10 +130,7 @@ impl ControllerConfig {
             seed: 42,
             retry_timeout_secs: 10.0,
             max_retries: 2,
-            opts: SimplexOptions {
-                algorithm: Algorithm::Auto,
-                ..SimplexOptions::default()
-            },
+            opts: SimplexOptions::default(),
             incremental: true,
             chaos: ChaosHooks::default(),
         }

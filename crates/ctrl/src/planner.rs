@@ -4,7 +4,7 @@
 //! demands and active faults and re-solves it. Because successive
 //! models at a fixed protection level differ only in variable bounds
 //! (demand upper bounds, dead tunnels pinned to zero), the previous
-//! optimum's basis stays *dual feasible* and `Algorithm::Auto` restarts
+//! optimum's basis stays *dual feasible* and every hinted solve restarts
 //! the dual simplex from the chained hint instead of solving cold
 //! (DESIGN §5a).
 //!
@@ -42,7 +42,7 @@ use ffc_core::{
     build_ffc_model_tracked, standing_mice, zero_dead_tunnels, BetaSupport, CacheStats, FfcConfig,
     FfcModelCache, TeConfig, TeProblem,
 };
-use ffc_lp::{Algorithm, SimplexOptions, SolveStats};
+use ffc_lp::{SimplexOptions, SolveStats};
 use ffc_net::FaultScenario;
 
 use crate::state::ConfigStore;
@@ -52,8 +52,10 @@ use crate::state::ConfigStore;
 pub enum SolvePath {
     /// Warm basis restarted through dual simplex iterations.
     WarmDual,
-    /// Warm basis accepted/repaired through the primal path (e.g. zero
-    /// iterations because the old optimum is still optimal).
+    /// Warm basis the dual loop took no iteration or flip from: it was
+    /// already primal feasible, and the primal phase-2 pass finished
+    /// the solve (e.g. zero iterations because the old optimum is still
+    /// optimal).
     WarmPrimal,
     /// Cold solve: no chained basis, or one that did not fit the model
     /// (the solver fell back to its crash start).
@@ -108,9 +110,8 @@ pub struct PlannerConfig {
     /// In rescale-only mode, attempt a probe solve every this many
     /// intervals (≥ 1).
     pub recovery_probe: usize,
-    /// Simplex options for every solve. `algorithm` defaults to
-    /// [`Algorithm::Auto`] so dual-feasible warm bases take the dual
-    /// path.
+    /// Simplex options for every solve: an iteration cap and the chaos
+    /// harness's fault hooks, none of them set by default.
     pub opts: SimplexOptions,
     /// Keep a standing [`FfcModelCache`] across intervals and *patch*
     /// it (demand ticks, fault drift, installed-config advances)
@@ -126,17 +127,14 @@ pub struct PlannerConfig {
 
 impl PlannerConfig {
     /// Defaults: 30 s deadline (a tenth of the paper's 300 s interval),
-    /// probe every 3 intervals, `Auto` algorithm, incremental re-solves
-    /// on.
+    /// probe every 3 intervals, default simplex options, incremental
+    /// re-solves on.
     pub fn new(ffc: FfcConfig) -> Self {
         PlannerConfig {
             ffc,
             solve_deadline: Duration::from_secs(30),
             recovery_probe: 3,
-            opts: SimplexOptions {
-                algorithm: Algorithm::Auto,
-                ..SimplexOptions::default()
-            },
+            opts: SimplexOptions::default(),
             incremental: true,
         }
     }

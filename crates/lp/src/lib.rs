@@ -49,8 +49,9 @@
 //! [`Model::solve`] as the default-options cold shorthand. `warm` is the
 //! [`BasisStatuses`] a previous [`Solution`] of a structurally identical
 //! model reported; passing one expands the bounds by
-//! [`DEFAULT_WARM_PERTURB`] against degeneracy and lets
-//! [`Algorithm::Auto`] restart in the dual. Both end in one
+//! [`DEFAULT_WARM_PERTURB`] against degeneracy and restarts the solve in
+//! the dual simplex from that basis, where a cold solve runs the primal
+//! crash and phase 1. Both end in one
 //! crate-private function that owns the numerical retry ladder (as
 //! given → exact → cold).
 
@@ -74,4 +75,4 @@ pub use model::{
     BasisStatuses, Cmp, ColStatus, ConId, ConView, LimitKind, LpError, Model, Sense, Solution,
     SolveStats,
 };
-pub use simplex::{Algorithm, SimplexOptions, DEFAULT_WARM_PERTURB};
+pub use simplex::{SimplexOptions, DEFAULT_WARM_PERTURB};

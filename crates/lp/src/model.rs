@@ -214,7 +214,8 @@ pub struct SolveStats {
     /// Pivots whose step length was within the feasibility tolerance.
     pub degenerate_pivots: usize,
     /// Mid-solve anti-degeneracy bound expansions (at most one per
-    /// solve; see `SimplexOptions::degen_expand`).
+    /// solve, after 256 consecutive degenerate pivots on the real
+    /// objective; never on the retry ladder's exact rung).
     pub degen_expansions: usize,
     /// Iterations resolved by a bound flip (no basis change).
     pub bound_flips: usize,
@@ -259,11 +260,12 @@ pub struct SolveStats {
     /// included) and computing pivot rows `α = ρᵀA`. Ratio tests, value
     /// updates and bookkeeping are the remainder of `solve_time`.
     pub price_time: std::time::Duration,
-    /// Whether the supplied warm basis seeded the start (dual or primal
-    /// path). `false` for a solve without a hint, and for one whose hint
-    /// did not fit — wrong shape, singular, or beyond repair — so that
-    /// the start fell back to the crash basis or the retry ladder's cold
-    /// rung: a "warm" solve that paid a cold solve's iterations.
+    /// Whether the supplied warm basis seeded the start: the dual
+    /// simplex ran from it, and phase 1 did not run. `false` for a solve
+    /// without a hint, and for one whose hint did not fit — wrong shape,
+    /// singular, or no dual start — so that the start fell back to the
+    /// crash basis or the retry ladder's cold rung: a "warm" solve that
+    /// paid a cold solve's iterations.
     pub hint_used: bool,
 }
 
@@ -511,12 +513,11 @@ impl Model {
     /// Solves the model with explicit simplex options, cold
     /// (`warm: None`) or from the final basis of a previous solve of a
     /// structurally identical model. A hint that does not fit (wrong
-    /// shape, singular, primal-infeasible beyond repair) falls back to a
-    /// cold start, so passing one is always safe; see
-    /// [`crate::simplex`]'s single solve entry for what else `warm:
-    /// Some` changes (anti-degeneracy bound perturbation,
-    /// [`crate::Algorithm::Auto`] → dual attempt) and for the numerical
-    /// retry ladder.
+    /// shape, singular, no dual start) falls back to a cold start, so
+    /// passing one is always safe; see [`crate::simplex`]'s single solve
+    /// entry for what else `warm: Some` changes (anti-degeneracy bound
+    /// perturbation, a dual start instead of phase 1) and for the
+    /// numerical retry ladder.
     ///
     /// The solve runs on the model as given: fixed columns stay columns
     /// and every row keeps its slack, so the returned basis and duals

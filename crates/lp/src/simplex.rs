@@ -4,9 +4,11 @@
 //! [`crate::standard::StdForm`]: `min cᵀx, A·x = b, l ≤ x ≤ u`, where the
 //! columns are structural variables followed by one slack per row.
 //!
-//! * **Start basis**: all slacks. Rows whose slack value would violate the
-//!   slack's bounds receive an *artificial* column (`±eᵢ`, bounds
-//!   `[0, ∞)`); phase 1 minimizes the sum of artificials.
+//! * **Start basis**: cold, a triangular crash then slacks. Rows whose
+//!   slack value would violate the slack's bounds receive an
+//!   *artificial* column (`±eᵢ`, bounds `[0, ∞)`); phase 1 minimizes the
+//!   sum of artificials. Warm, the hint's basis, from which the dual
+//!   simplex runs with no phase 1 (see `solve`).
 //! * **Pricing**: devex over every column ([`crate::pricing`]),
 //!   switching to Bland's rule after `DEGEN_SWITCH` (2 000) consecutive
 //!   degenerate pivots to guarantee termination. The reduced costs the
@@ -51,30 +53,8 @@ thread_local! {
     static FRESH_FACTORIZATIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
-/// Which simplex variant drives a solve (see [`SimplexOptions::algorithm`]).
-///
-/// The dual simplex targets the re-solve workload: after a bound change
-/// (a fault scenario pinning tunnel variables, a protection-level change)
-/// the old optimal basis stays **dual**-feasible — the objective did not
-/// move — while primal feasibility is lost. The dual restarts from that
-/// basis directly instead of re-running primal phase 1 + a degenerate
-/// phase-2 walk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Algorithm {
-    /// Bounded-variable two-phase primal simplex.
-    Primal,
-    /// Dual simplex. Falls back to the primal when no dual-feasible
-    /// start basis can be constructed (see [`SimplexOptions::algorithm`]).
-    Dual,
-    /// Dual for warm starts whose hint loads: wrong-sign reduced costs
-    /// are bound-flipped away, or shifted away where no flip fixes them.
-    /// Primal otherwise. Cold solves always run primal.
-    #[default]
-    Auto,
-}
-
 /// Tunable parameters for the simplex engine.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SimplexOptions {
     /// Hard cap on total simplex iterations (both phases). `0` means
     /// "choose automatically from the problem size". Overruns surface
@@ -92,30 +72,6 @@ pub struct SimplexOptions {
     /// `catch_unwind` worker isolation. Chaos-harness only; never set
     /// in production configs.
     pub inject_panic_after: usize,
-    /// Consecutive degenerate pivots on the *real* objective (phase 2 or
-    /// the dual loop — never phase 1) before a one-shot mid-solve bound
-    /// expansion breaks the plateau (`0` disables). A Harris-style
-    /// bounded escalation: fires at most once per solve, at a magnitude
-    /// far below the feasibility tolerance, and the post-solve
-    /// restoration snaps everything back onto the true bounds. Should be
-    /// well below the 2 000 that switch to Bland's rule, so the cheap
-    /// geometric fix gets a chance before the slow anti-cycling rule.
-    pub degen_expand: usize,
-    /// Simplex variant selection (see [`Algorithm`]). The default,
-    /// [`Algorithm::Auto`], only changes warm-hinted solves.
-    pub algorithm: Algorithm,
-}
-
-impl Default for SimplexOptions {
-    fn default() -> Self {
-        Self {
-            max_iters: 0,
-            inject_singular_after: 0,
-            inject_panic_after: 0,
-            degen_expand: 256,
-            algorithm: Algorithm::default(),
-        }
-    }
 }
 
 /// Primal feasibility tolerance.
@@ -129,6 +85,16 @@ pub(crate) const PIVOT_TOL: f64 = 1e-8;
 
 /// Consecutive degenerate pivots before switching to Bland's rule.
 pub(crate) const DEGEN_SWITCH: usize = 2000;
+
+/// Consecutive degenerate pivots on the *real* objective (phase 2 or the
+/// dual loop — never phase 1) before a one-shot mid-solve bound
+/// expansion breaks the plateau. A Harris-style bounded escalation:
+/// fires at most once per solve, at a magnitude far below the
+/// feasibility tolerance, and the post-solve restoration snaps
+/// everything back onto the true bounds. Well below [`DEGEN_SWITCH`], so
+/// the cheap geometric fix gets a chance before the slow anti-cycling
+/// rule.
+const DEGEN_EXPAND: usize = 256;
 
 /// `LU(B)` of one basis matrix `B`, kept between solves of one standing
 /// form: the factorization together with `B`'s column list, in basis
@@ -198,6 +164,9 @@ struct Engine<'a> {
     /// Whether Bland's anti-cycling rule is currently active.
     bland: bool,
     degen_run: usize,
+    /// The plateau expansion's trigger: [`DEGEN_EXPAND`], or `0` (never)
+    /// on the retry ladder's exact rung.
+    expand_after: usize,
     /// Whether the working bounds currently differ from `std`'s (from a
     /// construction-time perturbation, a mid-solve plateau expansion, or
     /// both) — gates the post-solve restoration.
@@ -454,6 +423,7 @@ impl<'a> Engine<'a> {
             iterations: 0,
             bland: false,
             degen_run: 0,
+            expand_after: DEGEN_EXPAND,
             expanded: false,
             mid_expanded: false,
             expand_armed: false,
@@ -534,9 +504,9 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Sets up the initial basis.
+    /// Sets up the cold start basis.
     ///
-    /// Two stages:
+    /// Three stages:
     /// 1. a **triangular crash**: free structural columns are greedily
     ///    matched to equality rows (classic singleton elimination). A
     ///    free basic variable can hold any value, so every matched
@@ -544,8 +514,9 @@ impl<'a> Engine<'a> {
     ///    matters enormously for FFC models, whose sorting-network
     ///    comparators contribute thousands of equality rows whose
     ///    defined variables (`xmax`, `xmin`) are free.
-    /// 2. slacks for every other row, with artificials where the
-    ///    starting value violates the slack's bounds.
+    /// 2. slacks for every other row;
+    /// 3. artificials where a basic slack's starting value violates its
+    ///    bounds.
     fn crash_basis(&mut self) -> Result<(), LpError> {
         self.crash_basis_core()?;
         // --- Stage 3: artificials for slack-basic rows out of bounds. ---
@@ -553,12 +524,8 @@ impl<'a> Engine<'a> {
         Ok(())
     }
 
-    /// Stages 1–2 of [`Self::crash_basis`] without the artificial
-    /// patching: basic slacks may sit outside their bounds. This is the
-    /// cold start for the dual simplex, which consumes exactly that
-    /// primal infeasibility (and needs no artificials, since the slack
-    /// basis prices out dual-feasibly after bound flips on box-bounded
-    /// columns).
+    /// Stages 1–2 of [`Self::crash_basis`]: basic slacks may still sit
+    /// outside their bounds.
     fn crash_basis_core(&mut self) -> Result<(), LpError> {
         let std = self.std;
         // Nonbasic placement for structural variables (at the possibly
@@ -730,11 +697,10 @@ impl<'a> Engine<'a> {
         self.factors = None;
     }
 
-    /// Installs the hinted statuses and factorizes, without any primal
-    /// repair. Returns `false` (engine pristine) on a shape mismatch or
-    /// singular basis. The dual start consumes the load as it is: the
-    /// repair in [`Self::repair_warm_basis`] would destroy exactly the
-    /// primal-infeasible-but-dual-feasible state the dual consumes.
+    /// Installs the hinted statuses and factorizes. Returns `false`
+    /// (engine pristine) on a shape mismatch or singular basis. Basic
+    /// values may land outside their bounds: that primal infeasibility
+    /// of a dual-feasible basis is exactly what the dual consumes.
     fn load_hint_basis(&mut self, hint: &BasisStatuses) -> bool {
         let std = self.std;
         if hint.0.len() != std.n {
@@ -804,113 +770,6 @@ impl<'a> Engine<'a> {
             return false;
         }
         true
-    }
-
-    /// Primal repair of a loaded warm basis (assumes
-    /// [`Self::load_hint_basis`] succeeded: values computed, factors
-    /// valid). Returns `false` (engine reset) when no repair exists.
-    /// Structural basics landing outside their (possibly changed) bounds
-    /// are demoted rather than the hint discarded — what makes
-    /// warm-starting across fault scenarios effective: pinning a handful
-    /// of tunnel variables to zero no longer discards the whole basis.
-    ///
-    /// Demote-and-refill rounds: structural basics landing outside
-    /// their (possibly changed) bounds go nonbasic at the nearest
-    /// bound, and a spare slack takes over each vacated position.
-    /// The replacement slack for position `pos` must keep the basis
-    /// nonsingular, which holds iff `(B⁻¹)[pos][r]` is nonzero for
-    /// the slack's row `r` — exactly the nonzero pattern of the
-    /// BTRAN'd unit vector `B⁻ᵀ e_pos`, so candidates are read off a
-    /// single sparse solve and applied as an eta update. Refilled
-    /// slacks' own bound violations are absorbed by artificials via
-    /// `patch_infeasible_basic_slacks`, which phase 1 repairs.
-    ///
-    /// Rounds repeat until no structural basic violates its bounds. A
-    /// refill only ever brings in a slack, so every round with a
-    /// violator leaves at least one structural basic fewer: the loop
-    /// ends within as many rounds as the hint has structural basics,
-    /// plus the round that finds none.
-    fn repair_warm_basis(&mut self) -> bool {
-        let std = self.std;
-        let tol = FEAS_TOL * 10.0;
-        let structural_basics = self.basis.iter().filter(|&&j| j < std.n_struct).count();
-        for round in 0..=structural_basics {
-            if round > 0 && self.compute_tentative_values().is_err() {
-                self.reset_state();
-                return false;
-            }
-            let violating: Vec<usize> = self
-                .basis
-                .iter()
-                .enumerate()
-                .filter(|&(_, &j)| {
-                    j < std.n_struct
-                        && (self.xval[j] < self.lb[j] - tol || self.xval[j] > self.ub[j] + tol)
-                })
-                .map(|(pos, _)| pos)
-                .collect();
-            if violating.is_empty() {
-                self.patch_infeasible_basic_slacks();
-                return true;
-            }
-            for pos in violating {
-                let j = self.basis[pos];
-                let (l, u) = (self.lb[j], self.ub[j]);
-                let v = self.xval[j];
-                let (st, x) = if !l.is_finite() && !u.is_finite() {
-                    (VStat::FreeZero, 0.0)
-                } else if !u.is_finite() || (l.is_finite() && (v - l).abs() <= (v - u).abs()) {
-                    (VStat::AtLower, l)
-                } else {
-                    (VStat::AtUpper, u)
-                };
-                // Pick the nonbasic slack with the largest pivot
-                // magnitude in row `pos` of B⁻¹.
-                let Some(factors) = self.factors.as_mut() else {
-                    self.reset_state();
-                    return false;
-                };
-                timed(&mut self.stats.btran_time, || {
-                    factors.btran_sparse(&[(pos, 1.0)], &mut self.rho_sp)
-                });
-                let mut best: Option<(usize, f64)> = None;
-                for &r in self.rho_sp.pattern() {
-                    let s = std.n_struct + r;
-                    if !matches!(self.stat[s], VStat::Basic(_)) {
-                        let mag = self.rho_sp.get(r).abs();
-                        if mag > best.map_or(1e-8, |(_, b)| b) {
-                            best = Some((s, mag));
-                        }
-                    }
-                }
-                let Some((s, _)) = best else {
-                    self.reset_state();
-                    return false;
-                };
-                self.col_buf.clear();
-                let (a, arts, n, col_buf) =
-                    (&self.std.a, &self.arts, self.std.n, &mut self.col_buf);
-                col_apply(a, arts, n, s, |r, aij| col_buf.push((r, aij)));
-                let Some(factors) = self.factors.as_mut() else {
-                    self.reset_state();
-                    return false;
-                };
-                timed(&mut self.stats.ftran_time, || {
-                    factors.ftran_sparse(&self.col_buf, &mut self.w_sp)
-                });
-                if factors.push_eta_sparse(pos, &self.w_sp).is_err() {
-                    self.reset_state();
-                    return false;
-                }
-                self.stat[j] = st;
-                self.xval[j] = x;
-                self.stat[s] = VStat::Basic(pos);
-                self.basis[pos] = s;
-            }
-        }
-        // Not reached: the last round finds no structural basic at all.
-        self.reset_state();
-        false
     }
 
     /// The factorization this solve leaves for the next one: `LU(B)` of
@@ -1922,9 +1781,9 @@ impl<'a> Engine<'a> {
         self.expanded = true;
     }
 
-    /// Mid-solve anti-degeneracy escalation: after
-    /// [`SimplexOptions::degen_expand`] consecutive degenerate pivots on
-    /// the real objective, expands the bounds one notch beyond any
+    /// Mid-solve anti-degeneracy escalation: after `expand_after`
+    /// ([`DEGEN_EXPAND`]) consecutive degenerate pivots on the real
+    /// objective, expands the bounds one notch beyond any
     /// construction-time perturbation, snaps nonbasic columns onto the
     /// moved bounds and recomputes basic values through the current
     /// factors. Bounded: fires at most once per solve, at a magnitude
@@ -1935,8 +1794,8 @@ impl<'a> Engine<'a> {
     fn maybe_expand_on_plateau(&mut self) {
         if !self.expand_armed
             || self.mid_expanded
-            || self.opts.degen_expand == 0
-            || self.degen_run < self.opts.degen_expand
+            || self.expand_after == 0
+            || self.degen_run < self.expand_after
             || self.factors.is_none()
         {
             return;
@@ -2027,12 +1886,12 @@ pub const DEFAULT_WARM_PERTURB: f64 = 1e-9;
 /// so every solve's basis and duals index the model it was given.
 ///
 /// `warm: Some(basis)` that loads changes three things against a cold
-/// solve: the basis seeds the start, [`Algorithm::Auto`] attempts the
-/// dual simplex first, and the bounds are expanded by
+/// solve: the basis seeds the start, the dual simplex runs from it
+/// instead of the primal crash + phase 1, and the bounds are expanded by
 /// [`DEFAULT_WARM_PERTURB`] before the first attempt. A cold solve
 /// expands nothing up front, and a hint that does not fit (wrong shape,
-/// singular, or past repair) changes nothing: the solve is the cold one,
-/// bit for bit.
+/// singular, or no dual start) changes nothing: the solve is the cold
+/// one, bit for bit.
 ///
 /// Numerical breakdowns climb a three-rung ladder before surfacing as
 /// [`LpError::NumericalFailure`]: the solve **as given**; then once
@@ -2059,9 +1918,7 @@ pub(crate) fn solve(
     held: &mut Option<HeldLu>,
 ) -> Result<Solution, LpError> {
     let mut result = solve_once(std, opts, warm, held, false);
-    if matches!(result, Err(LpError::NumericalFailure(_)))
-        && (warm.is_some() || opts.degen_expand > 0)
-    {
+    if matches!(result, Err(LpError::NumericalFailure(_))) {
         result = solve_once(std, opts, warm, held, true);
     }
     if warm.is_some() && matches!(result, Err(LpError::NumericalFailure(_))) {
@@ -2085,7 +1942,7 @@ fn solve_once(
 ) -> Result<Solution, LpError> {
     let mut eng = Engine::new(std, opts);
     if exact {
-        eng.opts.degen_expand = 0;
+        eng.expand_after = 0;
     } else if hint.is_some() {
         eng.expand_bounds(DEFAULT_WARM_PERTURB);
     }
@@ -2097,103 +1954,69 @@ fn solve_once(
 
 /// One simplex run over a lowered standard form.
 ///
-/// A hint's fate is decided by one load. A hint that loads seeds the
-/// start: the dual simplex when the algorithm asks for it and the true
-/// (or shifted) costs admit it, the primal repair otherwise. A hint that
-/// does not fit, or that the repair gives up on, is dropped with the
-/// bound expansion it came with, and the run is the one `hint = None`
-/// gives under the same options.
+/// A hint's fate is decided by one load. A hint that loads starts the
+/// dual simplex — on the true costs when bound flips make its basis dual
+/// feasible, on shifted costs otherwise — and phase 1 never runs. A hint
+/// that does not fit is dropped with the bound expansion it came with,
+/// and the run is the one `hint = None` gives: the crash basis, phase 1
+/// and phase 2.
 fn solve_std_once(eng: &mut Engine<'_>, hint: Option<&BasisStatuses>) -> Result<Solution, LpError> {
     let std = eng.std;
     let cost2 = std.obj.clone();
-    let warm = match hint {
-        Some(h) if eng.load_hint_basis(h) => true,
-        Some(_) => {
-            eng.drop_hint();
-            false
-        }
-        None => false,
-    };
-
-    // Dual attempt: explicitly requested, or `Auto` with a loaded hint —
-    // the bound-perturbation re-solve the dual is built for. Any failure
-    // to construct a dual-feasible start falls through to the primal.
-    let try_dual = match eng.opts.algorithm {
-        Algorithm::Primal => false,
-        Algorithm::Dual => true,
-        Algorithm::Auto => warm,
-    };
-    let mut dual_done = false;
-    if try_dual && (warm || eng.crash_basis_core().is_ok()) {
-        // A loaded hint the true costs refuse keeps its basis: the dual
-        // runs on shifted costs instead (see `shift_costs`). Its
-        // `Infeasible` verdict reads no cost, and `finish_solve`'s primal
-        // pass optimizes, and reports duals for, the true costs. A cold
-        // crash basis is not shifted.
-        let shifted;
-        let dual_cost = if eng.dual_feasibilize(&cost2) {
-            Some(&cost2[..])
-        } else if warm {
-            shifted = eng.shift_costs(&cost2);
-            eng.dual_feasibilize(&shifted).then_some(&shifted[..])
-        } else {
-            None
-        };
-        match dual_cost {
-            Some(cost) => {
-                eng.stats.hint_used = warm;
-                match eng.optimize_dual(cost)? {
-                    DualEnd::Feasible => dual_done = true,
-                    DualEnd::Infeasible => return Err(LpError::Infeasible),
-                }
+    if let Some(h) = hint {
+        if eng.load_hint_basis(h) {
+            // A loaded hint the true costs refuse keeps its basis: the
+            // dual runs on shifted costs instead (see `shift_costs`). Its
+            // `Infeasible` verdict reads no cost, and `finish_solve`'s
+            // primal pass optimizes, and reports duals for, the true costs.
+            let shifted;
+            let dual_cost = if eng.dual_feasibilize(&cost2) {
+                Some(&cost2[..])
+            } else {
+                shifted = eng.shift_costs(&cost2);
+                eng.dual_feasibilize(&shifted).then_some(&shifted[..])
+            };
+            if let Some(cost) = dual_cost {
+                eng.stats.hint_used = true;
+                return match eng.optimize_dual(cost)? {
+                    DualEnd::Feasible => finish_solve(eng, &cost2),
+                    DualEnd::Infeasible => Err(LpError::Infeasible),
+                };
             }
-            // A refused `dual_feasibilize` changes nothing: the load
-            // goes to the primal repair as it is.
-            None if warm => {}
-            None => eng.reset_state(),
+            // `shift_costs` prices every column no flip fixes at zero, so
+            // only rounding can refuse the shifted start. Such a hint is
+            // one that does not fit: it costs exactly a cold solve, like
+            // a singular one, rather than a second warm start.
         }
+        eng.drop_hint();
     }
 
-    if !dual_done {
-        if warm {
-            if !eng.repair_warm_basis() {
-                eng.drop_hint();
-                return solve_std_once(eng, None);
-            }
-            eng.stats.hint_used = true;
-        } else {
-            eng.crash_basis()?;
+    eng.crash_basis()?;
+    // Phase 1: drive artificials to zero.
+    if !eng.arts.is_empty() {
+        let mut cost1 = vec![0.0; eng.ncols()];
+        for c in cost1.iter_mut().skip(std.n) {
+            *c = 1.0;
         }
-
-        // Phase 1: drive artificials to zero.
-        if !eng.arts.is_empty() {
-            let mut cost1 = vec![0.0; eng.ncols()];
-            for c in cost1.iter_mut().skip(std.n) {
-                *c = 1.0;
-            }
-            match eng.optimize(&cost1, false)? {
-                PhaseEnd::Optimal => {}
-                PhaseEnd::Unbounded => {
-                    return Err(LpError::NumericalFailure("phase 1 unbounded".into()))
-                }
-            }
-            if eng.infeasibility() > 1e-6 {
-                return Err(LpError::Infeasible);
-            }
-            // Freeze artificials at zero for phase 2.
-            for j in std.n..eng.ncols() {
-                eng.lb[j] = 0.0;
-                eng.ub[j] = 0.0;
-                if !matches!(eng.stat[j], VStat::Basic(_)) {
-                    eng.xval[j] = 0.0;
-                }
+        match eng.optimize(&cost1, false)? {
+            PhaseEnd::Optimal => {}
+            PhaseEnd::Unbounded => {
+                return Err(LpError::NumericalFailure("phase 1 unbounded".into()))
             }
         }
-        eng.stats.phase1_iterations = eng.iterations;
+        if eng.infeasibility() > 1e-6 {
+            return Err(LpError::Infeasible);
+        }
+        // Freeze artificials at zero for phase 2.
+        for j in std.n..eng.ncols() {
+            eng.lb[j] = 0.0;
+            eng.ub[j] = 0.0;
+            if !matches!(eng.stat[j], VStat::Basic(_)) {
+                eng.xval[j] = 0.0;
+            }
+        }
     }
-    // On the dual path phase 1 never runs: its iterations (and the
-    // primal cleanup below) all count as phase 2.
-
+    eng.stats.phase1_iterations = eng.iterations;
     finish_solve(eng, &cost2)
 }
 
@@ -2202,7 +2025,9 @@ fn solve_std_once(eng: &mut Engine<'_>, hint: Option<&BasisStatuses>) -> Result<
 fn finish_solve(eng: &mut Engine<'_>, cost2: &[f64]) -> Result<Solution, LpError> {
     let std = eng.std;
     // Phase 2: optimize the real objective. After the dual loop this is
-    // a cleanup pass that certifies optimality — normally 0 iterations.
+    // a cleanup pass that certifies optimality — normally 0 iterations,
+    // and with phase 1 never run all of the dual path's iterations count
+    // as phase 2.
     eng.expand_armed = true;
     match eng.optimize(cost2, true)? {
         PhaseEnd::Optimal => {}
@@ -2215,19 +2040,12 @@ fn finish_solve(eng: &mut Engine<'_>, cost2: &[f64]) -> Result<Solution, LpError
     // ones once nonbasics snap back (the expansion is far below
     // feas_tol); when it is not, the snapped basis is still
     // dual-feasible — the costs never moved — so the dual simplex
-    // repairs it. The primal algorithm has no such repair path: surface
-    // a numerical failure and let [`solve`] rerun exactly, keeping
-    // `Primal` solves free of dual iterations. Should a plateau
-    // expansion fire *during* the repair itself, the residual bound
-    // violation is at most feas_tol/8 — invisible at solver tolerances.
+    // repairs it. Should a plateau expansion fire *during* the repair
+    // itself, the residual bound violation is at most feas_tol/8 —
+    // invisible at solver tolerances.
     if eng.expanded {
         let viol = eng.restore_perturbed_bounds();
         if viol > FEAS_TOL {
-            if matches!(eng.opts.algorithm, Algorithm::Primal) {
-                return Err(LpError::NumericalFailure(
-                    "perturbed optimum infeasible after bound restoration".into(),
-                ));
-            }
             if !eng.dual_feasibilize(cost2) {
                 return Err(LpError::NumericalFailure(
                     "bound restoration lost dual feasibility".into(),
@@ -2581,49 +2399,27 @@ mod tests {
         (m, x, y)
     }
 
+    /// A cold solve whose plateau expansion fires after `expand_after`
+    /// consecutive degenerate pivots (`0`: never).
+    fn solve_expanding_after(m: &Model, expand_after: usize) -> Solution {
+        let std = StdForm::from_model(m);
+        let mut eng = Engine::new(&std, &SimplexOptions::default());
+        eng.expand_after = expand_after;
+        solve_std_once(&mut eng, None).unwrap()
+    }
+
     #[test]
     fn plateau_expansion_fires_and_preserves_optimum() {
         let (m, x, _) = stalled_lp();
-        let exact = m
-            .solve_with(
-                &SimplexOptions {
-                    degen_expand: 0,
-                    ..SimplexOptions::default()
-                },
-                None,
-            )
-            .unwrap();
-        let s = m
-            .solve_with(
-                &SimplexOptions {
-                    degen_expand: 1,
-                    ..SimplexOptions::default()
-                },
-                None,
-            )
-            .unwrap();
+        let exact = solve_expanding_after(&m, 0);
+        assert_eq!(exact.stats.degen_expansions, 0);
+        let s = solve_expanding_after(&m, 1);
         assert!(s.stats.degenerate_pivots >= 1);
         assert_eq!(s.stats.degen_expansions, 1, "one-shot expansion fires");
         assert!((s.objective - 0.5).abs() < 1e-6, "{}", s.objective);
         assert!((s.objective - exact.objective).abs() < 1e-6);
         // Restoration snapped back onto the true bounds.
         assert!(s.value(x) >= -1e-9, "{}", s.value(x));
-    }
-
-    #[test]
-    fn plateau_expansion_disabled_by_zero() {
-        let (m, _, _) = stalled_lp();
-        let s = m
-            .solve_with(
-                &SimplexOptions {
-                    degen_expand: 0,
-                    ..SimplexOptions::default()
-                },
-                None,
-            )
-            .unwrap();
-        assert_eq!(s.stats.degen_expansions, 0);
-        assert!((s.objective - 0.5).abs() < 1e-6, "{}", s.objective);
     }
 
     #[test]
@@ -2800,34 +2596,24 @@ mod tests {
     }
 
     /// The solve a hint that does not fit gives, against `hint = None`'s
-    /// under the same options, for each algorithm: the same objective,
-    /// values and duals bit for bit, the same statuses and the same
-    /// iteration counts — and no claim that the hint seeded anything.
+    /// under the same options: the same objective, values and duals bit
+    /// for bit, the same statuses and the same iteration counts — and no
+    /// claim that the hint seeded anything.
     fn assert_falls_back_cold(m: &Model, hint: &BasisStatuses) {
-        for algorithm in [Algorithm::Auto, Algorithm::Primal, Algorithm::Dual] {
-            let opts = SimplexOptions {
-                algorithm,
-                ..SimplexOptions::default()
-            };
-            let cold = m.solve_with(&opts, None).unwrap();
-            let fell = m.solve_with(&opts, Some(hint)).unwrap();
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(
-                fell.objective.to_bits(),
-                cold.objective.to_bits(),
-                "{algorithm:?}"
-            );
-            assert_eq!(bits(&fell.values), bits(&cold.values), "{algorithm:?}");
-            assert_eq!(bits(&fell.duals), bits(&cold.duals), "{algorithm:?}");
-            assert_eq!(fell.basis, cold.basis, "{algorithm:?}");
-            let counts =
-                |s: &SolveStats| (s.phase1_iterations, s.phase2_iterations, s.dual_iterations);
-            assert_eq!(counts(&fell.stats), counts(&cold.stats), "{algorithm:?}");
-            assert!(
-                !fell.stats.hint_used,
-                "a hint that does not fit seeds nothing"
-            );
-        }
+        let opts = SimplexOptions::default();
+        let cold = m.solve_with(&opts, None).unwrap();
+        let fell = m.solve_with(&opts, Some(hint)).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(fell.objective.to_bits(), cold.objective.to_bits());
+        assert_eq!(bits(&fell.values), bits(&cold.values));
+        assert_eq!(bits(&fell.duals), bits(&cold.duals));
+        assert_eq!(fell.basis, cold.basis);
+        let counts = |s: &SolveStats| (s.phase1_iterations, s.phase2_iterations, s.dual_iterations);
+        assert_eq!(counts(&fell.stats), counts(&cold.stats));
+        assert!(
+            !fell.stats.hint_used,
+            "a hint that does not fit seeds nothing"
+        );
     }
 
     #[test]
@@ -2875,24 +2661,17 @@ mod tests {
     }
 
     /// The hint's fate is decided by one load: a singular hint costs one
-    /// failed factorization on top of the cold solve's, whichever start
-    /// (dual or primal) the algorithm would have tried it for.
+    /// failed factorization on top of the cold solve's.
     #[test]
     fn singular_hint_is_factorized_once() {
         let (m, hint) = parallel_rows();
-        for algorithm in [Algorithm::Auto, Algorithm::Primal, Algorithm::Dual] {
-            let opts = SimplexOptions {
-                algorithm,
-                ..SimplexOptions::default()
-            };
-            let factorizations = |hint: Option<&BasisStatuses>| {
-                FRESH_FACTORIZATIONS.with(|c| c.set(0));
-                m.solve_with(&opts, hint).unwrap();
-                FRESH_FACTORIZATIONS.with(std::cell::Cell::get)
-            };
-            let cold = factorizations(None);
-            assert_eq!(factorizations(Some(&hint)), cold + 1, "{algorithm:?}");
-        }
+        let factorizations = |hint: Option<&BasisStatuses>| {
+            FRESH_FACTORIZATIONS.with(|c| c.set(0));
+            m.solve_with(&SimplexOptions::default(), hint).unwrap();
+            FRESH_FACTORIZATIONS.with(std::cell::Cell::get)
+        };
+        let cold = factorizations(None);
+        assert_eq!(factorizations(Some(&hint)), cold + 1);
     }
 
     #[test]
@@ -2943,72 +2722,10 @@ mod tests {
     }
 
     #[test]
-    fn cold_dual_solves_boxed_lp() {
-        // All-boxed columns: the slack basis is always dual-feasible
-        // after bound flips, so an explicit Dual request runs the dual
-        // loop end to end (no primal fallback).
-        let mut m = Model::new();
-        let x = m.add_var(0.0, 4.0, "x");
-        let y = m.add_var(0.0, 6.0, "y");
-        m.add_con(LinExpr::term(x, 3.0) + LinExpr::term(y, 2.0), Cmp::Le, 18.0);
-        m.add_con(LinExpr::from(x) + y, Cmp::Ge, 3.0);
-        m.set_objective(
-            LinExpr::term(x, 3.0) + LinExpr::term(y, 5.0),
-            Sense::Maximize,
-        );
-        let opts = SimplexOptions {
-            algorithm: Algorithm::Dual,
-            ..SimplexOptions::default()
-        };
-        let s = m.solve_with(&opts, None).unwrap();
-        almost(s.objective, 36.0);
-        assert!(
-            s.stats.dual_iterations > 0,
-            "dual never iterated: {:?}",
-            s.stats
-        );
-        assert_eq!(s.stats.phase1_iterations, 0, "dual path must skip phase 1");
-    }
-
-    #[test]
-    fn cold_dual_detects_infeasible_boxed() {
-        // x + y = 10 with x, y ∈ [0, 2]: every entering candidate is
-        // exhausted by bound flips and the violated row stays violated.
-        let mut m = Model::new();
-        let x = m.add_var(0.0, 2.0, "x");
-        let y = m.add_var(0.0, 2.0, "y");
-        m.add_con(LinExpr::from(x) + y, Cmp::Eq, 10.0);
-        m.set_objective(LinExpr::from(x), Sense::Maximize);
-        let opts = SimplexOptions {
-            algorithm: Algorithm::Dual,
-            ..SimplexOptions::default()
-        };
-        assert_eq!(m.solve_with(&opts, None).unwrap_err(), LpError::Infeasible);
-    }
-
-    #[test]
-    fn dual_falls_back_without_dual_feasible_start() {
-        // max x: the slack basis prices x out dual-infeasibly and x has
-        // no upper bound to flip to, so Dual must fall back to the
-        // primal and still solve correctly.
-        let mut m = Model::new();
-        let x = m.add_nonneg("x");
-        m.add_con(LinExpr::from(x), Cmp::Le, 5.0);
-        m.set_objective(LinExpr::from(x), Sense::Maximize);
-        let opts = SimplexOptions {
-            algorithm: Algorithm::Dual,
-            ..SimplexOptions::default()
-        };
-        let s = m.solve_with(&opts, None).unwrap();
-        almost(s.objective, 5.0);
-        assert_eq!(s.stats.dual_iterations, 0);
-    }
-
-    #[test]
     fn warm_auto_restarts_in_dual_after_bound_shrink() {
         // Shrinking a basic variable's bound leaves the old optimal
-        // basis primal-infeasible but dual-feasible: Auto must re-enter
-        // via dual iterations, with no phase 1 at all.
+        // basis primal-infeasible but dual-feasible: the warm solve must
+        // re-enter via dual iterations, with no phase 1 at all.
         let build = |xub: f64| {
             let mut m = Model::new();
             let x = m.add_var(0.0, xub, "x");
@@ -3079,97 +2796,12 @@ mod tests {
     fn warm_shifted_dual_start_detects_infeasible() {
         let hint = coefficient_model(3.0, 1.0).solve().unwrap().basis;
         let m = coefficient_model(1.25, 5.0);
-        let primal = SimplexOptions {
-            algorithm: Algorithm::Primal,
-            ..SimplexOptions::default()
-        };
-        assert_eq!(
-            m.solve_with(&primal, None).unwrap_err(),
-            LpError::Infeasible
-        );
+        assert_eq!(m.solve().unwrap_err(), LpError::Infeasible);
         assert_eq!(
             m.solve_with(&SimplexOptions::default(), Some(&hint))
                 .unwrap_err(),
             LpError::Infeasible
         );
-    }
-
-    /// Five rows that chain the structurals: each row, tight, defines
-    /// the next `x` from earlier ones (the third row is scaled so that
-    /// the fourth row's slack refills `x4`'s position). `weights` are
-    /// the sum of the `≤` rows less the `≥` row, so at `bounds = [0, 10]`
-    /// the optimum has every row tight and every structural basic at 5.
-    fn repair_chain_model(bounds: [(f64, f64); 5]) -> Model {
-        let mut m = Model::new();
-        let x: Vec<VarId> = bounds
-            .iter()
-            .enumerate()
-            .map(|(i, &(l, u))| m.add_var(l, u, format!("x{}", i + 1)))
-            .collect();
-        m.add_con(LinExpr::from(x[0]), Cmp::Le, 5.0);
-        m.add_con(LinExpr::from(x[1]) - x[0], Cmp::Ge, 0.0);
-        m.add_con(
-            LinExpr::term(x[2], 10.0) - LinExpr::term(x[1], 20.0) + LinExpr::term(x[0], 10.0),
-            Cmp::Le,
-            0.0,
-        );
-        m.add_con(
-            LinExpr::from(x[3]) - LinExpr::term(x[2], 2.0) + x[1],
-            Cmp::Le,
-            0.0,
-        );
-        m.add_con(
-            LinExpr::from(x[4]) - x[3] + LinExpr::term(x[2], 1.375) - LinExpr::term(x[0], 1.375),
-            Cmp::Le,
-            0.0,
-        );
-        let weights = [10.625, -20.0, 9.375, 0.0, 1.0];
-        let mut obj = LinExpr::zero();
-        for (&v, w) in x.iter().zip(weights) {
-            obj.add_term(v, w);
-        }
-        m.set_objective(obj, Sense::Maximize);
-        m
-    }
-
-    /// New bounds that put one structural out of bounds per repair
-    /// round: `x1` (5 > 1), then `x2` (1 < 3), then `x4` (7 > 6), then
-    /// `x5` (0.5 < 0.75). Four rounds of demotions, where a fixed budget
-    /// of three gave the hint up and crash-started.
-    #[test]
-    fn warm_primal_repair_runs_until_no_structural_violates() {
-        let hint = repair_chain_model([(0.0, 10.0); 5]).solve().unwrap();
-        almost(hint.objective, 5.0);
-        assert!(hint.basis.0[..5].iter().all(|&s| s == ColStatus::Basic));
-        let m = repair_chain_model([
-            (0.0, 1.0),
-            (3.0, 10.0),
-            (0.0, 10.0),
-            (0.0, 6.0),
-            (0.75, 10.0),
-        ]);
-        let cold = m.solve().unwrap();
-        let primal = SimplexOptions {
-            algorithm: Algorithm::Primal,
-            ..SimplexOptions::default()
-        };
-        let warm = m.solve_with(&primal, Some(&hint.basis)).unwrap();
-        assert!(warm.stats.hint_used, "{:?}", warm.stats);
-        almost(warm.objective, cold.objective);
-    }
-
-    #[test]
-    fn warm_primal_algorithm_ignores_dual() {
-        let m = classic_model();
-        let cold = m.solve().unwrap();
-        let opts = SimplexOptions {
-            algorithm: Algorithm::Primal,
-            ..SimplexOptions::default()
-        };
-        let warm = m.solve_with(&opts, Some(&cold.basis)).unwrap();
-        almost(warm.objective, cold.objective);
-        assert_eq!(warm.stats.dual_iterations, 0);
-        assert_eq!(warm.stats.dual_bound_flips, 0);
     }
 
     #[test]

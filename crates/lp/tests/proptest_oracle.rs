@@ -1,15 +1,17 @@
 //! Differential LP oracle: the dense tableau solver and the sparse
-//! simplex with default options, forced *primal* and forced *dual* must
-//! classify every random LP identically (optimal / infeasible /
-//! unbounded) and agree on the objective when optimal; the sparse
-//! simplex on a per-solve lowering and on a standing form must agree
-//! bit for bit.
+//! simplex, cold (primal crash + phase 1) and warm (the dual from a
+//! nearby LP's optimal basis), must classify every random LP
+//! identically (optimal / infeasible / unbounded) and agree on the
+//! objective when optimal; the sparse simplex on a per-solve lowering
+//! and on a standing form must agree bit for bit. A warm solve whose
+//! hint was used never runs phase 1.
 //!
 //! Five instance families stress different corners:
-//! * fully boxed LPs (the dual starts directly from a dual-feasibilized
-//!   slack/crash basis — no primal fallback),
+//! * fully boxed LPs (every wrong-sign reduced cost of a warm start has
+//!   a bound to flip to, so the dual starts on the true costs),
 //! * mixed-bound LPs with one-sided and near-free variables (can be
-//!   unbounded; the dual may fall back to primal and must still agree),
+//!   unbounded; a warm start may need shifted costs and must still
+//!   agree),
 //! * larger LPs with boxes at or below zero, nonnegative rays and fixed
 //!   columns (`lb == ub`, which stay columns of the solved model),
 //! * small-integer degenerate LPs (tied ratios, duplicated rows, zero
@@ -19,7 +21,7 @@
 
 use ffc_lp::dense::solve_dense;
 use ffc_lp::{
-    Algorithm, BasisStatuses, Cmp, ColStatus, IncrementalModel, LinExpr, LpError, Model, Sense,
+    BasisStatuses, Cmp, ColStatus, IncrementalModel, LinExpr, LpError, Model, Sense,
     SimplexOptions, Solution,
 };
 use proptest::prelude::*;
@@ -37,8 +39,7 @@ struct RandomLp {
 }
 
 /// Every variable boxed on both sides: the dual simplex can always
-/// feasibilize a cold basis by bound flips, so `Algorithm::Dual` runs
-/// real dual iterations rather than falling back.
+/// feasibilize a loaded basis by bound flips.
 fn boxed_lp(max_vars: usize, max_cons: usize) -> impl Strategy<Value = RandomLp> {
     (2..=max_vars).prop_flat_map(move |nvars| {
         let bounds = prop::collection::vec(
@@ -64,8 +65,8 @@ fn boxed_lp(max_vars: usize, max_cons: usize) -> impl Strategy<Value = RandomLp>
 }
 
 /// Mixed bounds: boxes, one-sided rays, and wide near-free boxes. These
-/// can be unbounded, and the dual path often has to reject the start
-/// basis and fall back to primal — the answer must not change.
+/// can be unbounded, and a warm dual start often has to shift the costs
+/// of rays no bound flip fixes — the answer must not change.
 fn mixed_lp(max_vars: usize, max_cons: usize) -> impl Strategy<Value = RandomLp> {
     (2..=max_vars).prop_flat_map(move |nvars| {
         let bounds = prop::collection::vec(
@@ -238,15 +239,30 @@ fn build(lp: &RandomLp) -> Model {
     m
 }
 
-/// A cold solve with the variant forced (a cold `Auto` runs primal).
-fn solve_algo(m: &Model, algorithm: Algorithm) -> Result<Solution, LpError> {
-    m.solve_with(
-        &SimplexOptions {
-            algorithm,
-            ..SimplexOptions::default()
-        },
-        None,
-    )
+/// `lp` with every box shrunk toward its lower bound to `shrink` of its
+/// width: its optimum's basis is a warm start near `lp`'s, which cuts
+/// off the old optimum often enough to force real dual pivots.
+fn shrunk(lp: &RandomLp, shrink: f64) -> Model {
+    let mut m = build(lp);
+    for v in m.var_ids().collect::<Vec<_>>() {
+        let (lo, hi) = m.var_bounds(v);
+        if lo.is_finite() && hi.is_finite() {
+            m.set_bounds(v, lo, lo + (hi - lo) * shrink);
+        }
+    }
+    m
+}
+
+/// A used hint starts the dual: it never runs phase 1.
+fn used_hint_skips_phase1(label: &str, r: &Result<Solution, LpError>) -> Result<(), TestCaseError> {
+    if let Ok(s) = r {
+        prop_assert!(
+            !s.stats.hint_used || s.stats.phase1_iterations == 0,
+            "{label}: {:?}",
+            s.stats
+        );
+    }
+    Ok(())
 }
 
 /// Statuses must match; objectives must match when optimal.
@@ -305,85 +321,80 @@ fn wrappers_agree(
     Ok(())
 }
 
-fn differential(lp: &RandomLp) -> Result<(), TestCaseError> {
+/// The cold leg, then the warm leg: `lp` re-solved from the optimal
+/// basis of its copy [`shrunk`] to `shrink`.
+fn differential(lp: &RandomLp, shrink: f64) -> Result<(), TestCaseError> {
     let m = build(lp);
+    let opts = SimplexOptions::default();
     let dense = solve_dense(&m);
-    let default = m.solve();
-    let primal = solve_algo(&m, Algorithm::Primal);
-    let dual = solve_algo(&m, Algorithm::Dual);
-    agree("default vs dense", &default, &dense)?;
-    agree("primal vs dense", &primal, &dense)?;
-    agree("dual vs dense", &dual, &dense)?;
-    agree("dual vs primal", &dual, &primal)?;
+    agree("cold vs dense", &m.solve(), &dense)?;
+    wrappers_agree("cold, model vs standing form", &m, &opts, None)?;
+    let Ok(first) = shrunk(lp, shrink).solve() else {
+        return Ok(());
+    };
+    let warm = m.solve_with(&opts, Some(&first.basis));
+    agree("warm vs dense", &warm, &dense)?;
+    used_hint_skips_phase1("warm", &warm)?;
     wrappers_agree(
-        "default, model vs standing form",
+        "warm, model vs standing form",
         &m,
-        &SimplexOptions::default(),
-        None,
-    )?;
-    Ok(())
+        &opts,
+        Some(&first.basis),
+    )
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Fully boxed LPs: dense, primal, and dual must agree. The dual
-    /// never needs a primal fallback here.
+    /// Fully boxed LPs: dense, cold and warm must agree. The warm
+    /// dual starts on the true costs here.
     #[test]
-    fn boxed_lps_agree_across_solvers(lp in boxed_lp(5, 6)) {
-        differential(&lp)?;
+    fn boxed_lps_agree_across_solvers(lp in boxed_lp(5, 6), shrink in 0.2..1.0f64) {
+        differential(&lp, shrink)?;
     }
 
     /// Mixed/one-sided bounds, including unbounded instances.
     #[test]
-    fn mixed_lps_agree_across_solvers(lp in mixed_lp(5, 6)) {
-        differential(&lp)?;
+    fn mixed_lps_agree_across_solvers(lp in mixed_lp(5, 6), shrink in 0.2..1.0f64) {
+        differential(&lp, shrink)?;
     }
 
-    /// Larger LPs with bounds below zero and fixed columns: the default
-    /// options agree with the dense oracle as well.
+    /// Larger LPs with bounds below zero and fixed columns: cold and
+    /// warm agree with the dense oracle as well.
     #[test]
-    fn crossing_lps_agree_across_solvers(lp in crossing_lp(6, 8)) {
-        differential(&lp)?;
+    fn crossing_lps_agree_across_solvers(lp in crossing_lp(6, 8), shrink in 0.2..1.0f64) {
+        differential(&lp, shrink)?;
     }
 
     /// Degenerate small-integer LPs with zero rhs and duplicate-prone
     /// rows; both ratio tests hit ties and must still terminate on the
     /// same answer.
     #[test]
-    fn degenerate_lps_agree_across_solvers(lp in degenerate_lp(5, 7)) {
-        if let Err(e) = differential(&lp) {
+    fn degenerate_lps_agree_across_solvers(lp in degenerate_lp(5, 7), shrink in 0.2..1.0f64) {
+        if let Err(e) = differential(&lp, shrink) {
             eprintln!("failing LP: {lp:?}");
             return Err(e);
         }
     }
 
-    /// Warm `Auto` restart after a bound perturbation must land on the
-    /// same optimum as a cold solve of the perturbed model. This is the
+    /// A warm restart after a bound perturbation must land on the same
+    /// optimum as a cold solve of the perturbed model. This is the
     /// scenario-sweep pattern: the warm basis is primal-infeasible but
-    /// dual-feasible, so `Auto` re-enters through dual iterations.
+    /// dual-feasible, so the solve re-enters through dual iterations.
     #[test]
     fn warm_auto_matches_cold_after_bound_change(lp in boxed_lp(5, 6), shrink in 0.2..1.0f64) {
         let m = build(&lp);
-        let Ok(first) = solve_algo(&m, Algorithm::Primal) else { return Ok(()) };
-        let mut m2 = build(&lp);
-        for v in m2.var_ids().collect::<Vec<_>>() {
-            let (lo, hi) = m2.var_bounds(v);
-            if hi.is_finite() {
-                // Shrink toward the lower bound: cuts off the old
-                // optimum often enough to force real dual pivots.
-                m2.set_bounds(v, lo, lo + (hi - lo) * shrink);
-            }
-        }
-        let cold = solve_algo(&m2, Algorithm::Primal);
-        let auto = SimplexOptions { algorithm: Algorithm::Auto, ..SimplexOptions::default() };
-        let warm = m2.solve_with(&auto, Some(&first.basis));
-        agree("warm auto vs cold", &warm, &cold)?;
-        wrappers_agree("cold, model vs standing form", &m, &auto, None)?;
-        wrappers_agree("warm, model vs standing form", &m2, &auto, Some(&first.basis))?;
+        let Ok(first) = m.solve() else { return Ok(()) };
+        let m2 = shrunk(&lp, shrink);
+        let opts = SimplexOptions::default();
+        let warm = m2.solve_with(&opts, Some(&first.basis));
+        agree("warm vs cold", &warm, &m2.solve())?;
+        used_hint_skips_phase1("warm", &warm)?;
+        wrappers_agree("cold, model vs standing form", &m, &opts, None)?;
+        wrappers_agree("warm, model vs standing form", &m2, &opts, Some(&first.basis))?;
     }
 
-    /// Warm `Auto` restart after one coefficient changes, on one-sided
+    /// A warm restart after one coefficient changes, on one-sided
     /// columns: the old basis can turn primal- *and* dual-infeasible,
     /// with a wrong-sign ray no bound flip fixes. The dual then starts
     /// on shifted costs and must still land on the cold answer —
@@ -394,7 +405,7 @@ proptest! {
         pick in 0..64usize,
         coeff in -3.0..3.0f64,
     ) {
-        let Ok(first) = solve_algo(&build(&lp), Algorithm::Primal) else { return Ok(()) };
+        let Ok(first) = build(&lp).solve() else { return Ok(()) };
         // A coefficient of a basic column moves both the basic values
         // and the duals; fall back to any term when none is basic.
         let all: Vec<(usize, usize)> = lp
@@ -413,10 +424,10 @@ proptest! {
         let mut lp2 = lp.clone();
         lp2.cons[i].0[k].1 = coeff;
         let m2 = build(&lp2);
-        let cold = solve_algo(&m2, Algorithm::Primal);
-        let auto = SimplexOptions { algorithm: Algorithm::Auto, ..SimplexOptions::default() };
-        let warm = m2.solve_with(&auto, Some(&first.basis));
-        agree("warm auto vs cold primal", &warm, &cold)?;
-        wrappers_agree("warm, model vs standing form", &m2, &auto, Some(&first.basis))?;
+        let opts = SimplexOptions::default();
+        let warm = m2.solve_with(&opts, Some(&first.basis));
+        agree("warm vs cold", &warm, &m2.solve())?;
+        used_hint_skips_phase1("warm", &warm)?;
+        wrappers_agree("warm, model vs standing form", &m2, &opts, Some(&first.basis))?;
     }
 }

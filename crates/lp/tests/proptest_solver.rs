@@ -4,8 +4,7 @@
 
 use ffc_lp::dense::solve_dense;
 use ffc_lp::{
-    Algorithm, BasisStatuses, Cmp, ColStatus, LinExpr, LpError, Model, Sense, SimplexOptions,
-    Solution,
+    BasisStatuses, Cmp, ColStatus, LinExpr, LpError, Model, Sense, SimplexOptions, Solution,
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -118,31 +117,18 @@ fn same_bits(a: &Solution, b: &Solution) -> bool {
         && counts(a) == counts(b)
 }
 
-/// A hint that does not fit must cost exactly the cold solve, under
-/// every algorithm: `hint = None`'s outcome, bit for bit, and no claim
-/// that the hint seeded the start.
+/// A hint that does not fit must cost exactly the cold solve:
+/// `hint = None`'s outcome, bit for bit, and no claim that the hint
+/// seeded the start.
 fn falls_back_cold(m: &Model, hint: &BasisStatuses) -> Result<(), TestCaseError> {
-    for algorithm in [Algorithm::Auto, Algorithm::Primal, Algorithm::Dual] {
-        let opts = SimplexOptions {
-            algorithm,
-            ..SimplexOptions::default()
-        };
-        match (m.solve_with(&opts, None), m.solve_with(&opts, Some(hint))) {
-            (Ok(cold), Ok(fell)) => {
-                prop_assert!(
-                    same_bits(&cold, &fell),
-                    "{algorithm:?}: {cold:?} vs {fell:?}"
-                );
-                prop_assert!(!fell.stats.hint_used, "{algorithm:?}");
-            }
-            (Err(a), Err(b)) => prop_assert_eq!(
-                std::mem::discriminant(&a),
-                std::mem::discriminant(&b),
-                "{:?}",
-                algorithm
-            ),
-            other => prop_assert!(false, "{algorithm:?}: cold/fallback disagree: {other:?}"),
+    let opts = SimplexOptions::default();
+    match (m.solve_with(&opts, None), m.solve_with(&opts, Some(hint))) {
+        (Ok(cold), Ok(fell)) => {
+            prop_assert!(same_bits(&cold, &fell), "{cold:?} vs {fell:?}");
+            prop_assert!(!fell.stats.hint_used);
         }
+        (Err(a), Err(b)) => prop_assert_eq!(std::mem::discriminant(&a), std::mem::discriminant(&b)),
+        other => prop_assert!(false, "cold/fallback disagree: {other:?}"),
     }
     Ok(())
 }

@@ -5,7 +5,7 @@
 
 use ffc_core::rescale::{rescaled_link_loads, rescaled_link_loads_mixed};
 use ffc_core::{solve_ffc, solve_ffc_scenarios, solve_te, FfcConfig, TeConfig, TeProblem};
-use ffc_lp::{Algorithm, SimplexOptions};
+use ffc_lp::SimplexOptions;
 use ffc_net::failure::{config_combinations_up_to, link_combinations_up_to};
 use ffc_net::prelude::*;
 use ffc_topo::{gravity_trace_single_priority, lnet, LNetConfig, TrafficConfig};
@@ -101,7 +101,7 @@ fn control_ffc_guarantee_on_generated_networks() {
 
 /// The warm scenario sweep (dual-simplex restart path) preserves the
 /// FFC guarantee end to end: every re-optimized configuration from
-/// [`solve_ffc_scenarios`] with `Algorithm::Auto` must survive every
+/// [`solve_ffc_scenarios`] must survive every
 /// residual single-link failure *on top of* its scenario's dead links —
 /// after proportional ingress rescaling, no surviving link exceeds
 /// capacity.
@@ -110,16 +110,12 @@ fn reoptimized_scenario_chain_stays_congestion_free() {
     let (topo, tm, tunnels) = instance(6, 5);
     let links: Vec<LinkId> = topo.links().collect();
     let scenarios = link_combinations_up_to(&links, 1);
-    let opts = SimplexOptions {
-        algorithm: Algorithm::Auto,
-        ..SimplexOptions::default()
-    };
     let outcomes = solve_ffc_scenarios(
         TeProblem::new(&topo, &tm, &tunnels),
         &TeConfig::zero(&tunnels),
         &FfcConfig::new(0, 1, 0).exact(),
         &scenarios,
-        &opts,
+        &SimplexOptions::default(),
     )
     .expect("scenario sweep solvable");
 
