@@ -59,9 +59,11 @@
 //!     }
 //! }
 //! ```
-use ffc_lp::{Cmp, LinExpr};
+use std::ops::Range;
+
+use ffc_lp::{BasisStatuses, Cmp, ColStatus, LinExpr, Model, VarId};
 use ffc_net::tunnel::residual_tunnel_bound;
-use ffc_net::TrafficMatrix;
+use ffc_net::{FlowId, TrafficMatrix, TunnelTable};
 
 use crate::bounded_msum::{constrain_any_m_sum_ge, MsumEncoding};
 use crate::te::TeModelBuilder;
@@ -88,11 +90,13 @@ impl DataFfc {
     }
 }
 
-/// Which structural branch data-plane FFC took per flow — the facts the
-/// delta-LP cache (see [`crate::incremental`]) compares its next inputs
-/// against to decide whether a patch is sound or the constraint shape
-/// changed. Both vectors are indexed by flow; empty when data-plane FFC
-/// was inactive (`ke == kv == 0`).
+/// Which structural branch data-plane FFC took per flow, and where it
+/// put it — the facts the delta-LP cache (see [`crate::incremental`])
+/// compares its next inputs against to decide whether a patch is sound
+/// or the constraint shape changed, and what a basis needs to follow a
+/// mice-set change ([`DataFfcLayout::carry_basis`]). Every vector is
+/// indexed by flow; all are empty when data-plane FFC was inactive
+/// (`ke == kv == 0`).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct DataFfcLayout {
     /// The §6 mice set the model was built with (pinned equal-split
@@ -101,6 +105,14 @@ pub struct DataFfcLayout {
     /// The residual-tunnel bound `τ_f` per flow (0 both for flows whose
     /// tunnels can all die and for flows with no tunnels at all).
     pub tau: Vec<usize>,
+    /// The model variables each flow's block added (its M-sum network's
+    /// comparators; empty for a pinned mouse). The blocks follow each
+    /// other in flow order, and they are the only part of the build the
+    /// mice set shapes.
+    pub vars: Vec<Range<usize>>,
+    /// The constraints each flow's block added (its pin rows or its
+    /// M-sum rows), in flow order like `vars`.
+    pub cons: Vec<Range<usize>>,
 }
 
 impl DataFfcLayout {
@@ -110,6 +122,123 @@ impl DataFfcLayout {
     pub fn rate_pinned(&self, fi: usize, num_tunnels: usize) -> bool {
         !self.tau.is_empty() && self.tau[fi] == 0 && num_tunnels > 0
     }
+
+    /// The layout the same build records with the mice set `mice`
+    /// instead: a flow whose flag is unchanged keeps its block's size,
+    /// a flipped flow takes the other branch's, and the blocks start
+    /// where this layout's do.
+    fn with_mice(
+        &self,
+        mice: &[bool],
+        tunnels: &TunnelTable,
+        encoding: MsumEncoding,
+    ) -> DataFfcLayout {
+        let mut var = self.vars.first().map_or(0, |r| r.start);
+        let mut con = self.cons.first().map_or(0, |r| r.start);
+        let mut other = DataFfcLayout {
+            mice: mice.to_vec(),
+            tau: self.tau.clone(),
+            ..DataFfcLayout::default()
+        };
+        let blocks = self.vars.iter().zip(&self.cons).zip(&self.tau);
+        let flags = self.mice.iter().zip(mice);
+        for (fi, (((vars, cons), &tau), (&was, &mouse))) in blocks.zip(flags).enumerate() {
+            let (nv, nc) = if mouse == was {
+                (vars.len(), cons.len())
+            } else {
+                let num_tunnels = tunnels.tunnels(FlowId(fi)).len();
+                block_size(num_tunnels, tau, mouse, encoding)
+            };
+            other.vars.push(var..var + nv);
+            other.cons.push(con..con + nc);
+            var += nv;
+            con += nc;
+        }
+        other
+    }
+
+    /// Carries `hint`, a basis of the model built from the same inputs
+    /// with the mice set `from`, onto `model`, the one built with
+    /// `self.mice` (`tunnels` and `encoding` are the build's). The rest
+    /// of the two builds is identical, only shifted, so every column and
+    /// row outside the flipped flows' blocks keeps its status; the new
+    /// blocks' rows take their slacks and their columns go nonbasic at a
+    /// bound. [`Model::complete_basis`] then settles the result to a
+    /// nonsingular start. `None` when `hint` does not have the size of
+    /// the `from` model; with `from == self.mice`, the identity up to
+    /// that completion.
+    pub fn carry_basis(
+        &self,
+        model: &Model,
+        tunnels: &TunnelTable,
+        encoding: MsumEncoding,
+        from: &[bool],
+        hint: &BasisStatuses,
+    ) -> Option<BasisStatuses> {
+        if from.len() != self.mice.len() {
+            return None;
+        }
+        let old = self.with_mice(from, tunnels, encoding);
+        let span = |blocks: &[Range<usize>]| {
+            let start = blocks.first().map_or(0, |r| r.start);
+            start..blocks.last().map_or(start, |r| r.end)
+        };
+        // Index `j` of the new model in the old one: the same before the
+        // blocks, shifted after them, moved with an unflipped block, and
+        // nowhere inside a flipped one.
+        let origin = |j: usize, new: &[Range<usize>], old: &[Range<usize>]| -> Option<usize> {
+            let (new_span, old_span) = (span(new), span(old));
+            if j < new_span.start {
+                return Some(j);
+            }
+            if j >= new_span.end {
+                return Some(j - new_span.end + old_span.end);
+            }
+            let fi = new.partition_point(|r| r.end <= j);
+            let (new, old) = (new.get(fi)?, old.get(fi)?);
+            (self.mice.get(fi)? == from.get(fi)?).then(|| old.start + (j - new.start))
+        };
+        let n_cons = model.num_cons();
+        let old_vars = model.num_vars() - span(&self.vars).len() + span(&old.vars).len();
+        let old_cons = n_cons - span(&self.cons).len() + span(&old.cons).len();
+        if hint.0.len() != old_vars + old_cons {
+            return None;
+        }
+        let was = |j: Option<usize>| j.and_then(|j| hint.0.get(j).copied());
+        let vars = model.var_ids().map(|v| {
+            was(origin(v.index(), &self.vars, &old.vars)).unwrap_or_else(|| {
+                match model.var_bounds(v) {
+                    (l, _) if l.is_finite() => ColStatus::Lower,
+                    (_, u) if u.is_finite() => ColStatus::Upper,
+                    _ => ColStatus::Free,
+                }
+            })
+        });
+        let slacks = (0..n_cons).map(|i| {
+            let i = origin(i, &self.cons, &old.cons).map(|i| old_vars + i);
+            was(i).unwrap_or(ColStatus::Basic)
+        });
+        model.complete_basis(&BasisStatuses(vars.chain(slacks).collect()))
+    }
+}
+
+/// The variables and constraints [`apply_data_ffc`] adds for one flow
+/// with `num_tunnels` tunnels, residual bound `tau` and mice flag
+/// `mouse`, counted on a scratch model.
+fn block_size(
+    num_tunnels: usize,
+    tau: usize,
+    mouse: bool,
+    encoding: MsumEncoding,
+) -> (usize, usize) {
+    let mut scratch = Model::new();
+    let a: Vec<VarId> = (0..num_tunnels)
+        .map(|_| scratch.add_var_unnamed(0.0, f64::INFINITY))
+        .collect();
+    let b = scratch.add_var_unnamed(0.0, f64::INFINITY);
+    let (vars, cons) = (scratch.num_vars(), scratch.num_cons());
+    add_flow_block(&mut scratch, &a, b, tau, mouse, encoding);
+    (scratch.num_vars() - vars, scratch.num_cons() - cons)
 }
 
 /// The greedy §6 mice-flow set of a traffic matrix: flows are sorted by
@@ -207,43 +336,60 @@ pub fn apply_data_ffc(
     let tm = builder.problem.tm;
     let tunnels = builder.problem.tunnels;
     assert_eq!(mice.len(), tm.len(), "one mice flag per flow");
-    let taus = tau_per_flow(tm, tunnels, ffc.ke, ffc.kv);
-
-    for f in tm.ids() {
-        let fi = f.index();
-        let ts = tunnels.tunnels(f);
-        if ts.is_empty() {
-            // No tunnels at all: basic TE already forces b_f = 0.
-            continue;
-        }
-        let tau = taus[fi];
-        if tau == 0 {
-            // Some in-scope fault can kill every tunnel: the flow must
-            // not be granted anything (paper §4.3).
-            builder.model.set_bounds(builder.b[fi], 0.0, 0.0);
-            continue;
-        }
-        if tau >= ts.len() {
-            // No tunnel can be lost within the protection level; Eqn 3
-            // already covers the full sum.
-            continue;
-        }
-        if mice[fi] {
-            // §6: pin a_{f,t} = b_f / τ_f.
-            for &a in &builder.a[fi] {
-                let expr = LinExpr::term(a, tau as f64) - LinExpr::from(builder.b[fi]);
-                builder.model.add_con(expr, Cmp::Eq, 0.0);
-            }
-            continue;
-        }
-        let exprs: Vec<LinExpr> = builder.a[fi].iter().map(|&v| LinExpr::from(v)).collect();
-        let floor = LinExpr::from(builder.b[fi]);
-        constrain_any_m_sum_ge(&mut builder.model, exprs, tau, floor, ffc.encoding);
-    }
-    DataFfcLayout {
+    let tau = tau_per_flow(tm, tunnels, ffc.ke, ffc.kv);
+    let mut layout = DataFfcLayout {
         mice: mice.to_vec(),
-        tau: taus,
+        tau,
+        vars: Vec::with_capacity(tm.len()),
+        cons: Vec::with_capacity(tm.len()),
+    };
+    let flows = builder.a.iter().zip(&builder.b).zip(&layout.tau).zip(mice);
+    for (((a, &b), &tau), &mouse) in flows {
+        let model = &mut builder.model;
+        let (vars, cons) = (model.num_vars(), model.num_cons());
+        add_flow_block(model, a, b, tau, mouse, ffc.encoding);
+        layout.vars.push(vars..model.num_vars());
+        layout.cons.push(cons..model.num_cons());
     }
+    layout
+}
+
+/// Adds one flow's data-plane FFC block: the flow's tunnel allocations
+/// `a`, its rate `b`, its residual bound `tau`, and whether it is a §6
+/// mouse.
+fn add_flow_block(
+    model: &mut Model,
+    a: &[VarId],
+    b: VarId,
+    tau: usize,
+    mouse: bool,
+    encoding: MsumEncoding,
+) {
+    if a.is_empty() {
+        // No tunnels at all: basic TE already forces b_f = 0.
+        return;
+    }
+    if tau == 0 {
+        // Some in-scope fault can kill every tunnel: the flow must not
+        // be granted anything (paper §4.3).
+        model.set_bounds(b, 0.0, 0.0);
+        return;
+    }
+    if tau >= a.len() {
+        // No tunnel can be lost within the protection level; Eqn 3
+        // already covers the full sum.
+        return;
+    }
+    if mouse {
+        // §6: pin a_{f,t} = b_f / τ_f.
+        for &at in a {
+            let expr = LinExpr::term(at, tau as f64) - LinExpr::from(b);
+            model.add_con(expr, Cmp::Eq, 0.0);
+        }
+        return;
+    }
+    let exprs: Vec<LinExpr> = a.iter().map(|&v| LinExpr::from(v)).collect();
+    constrain_any_m_sum_ge(model, exprs, tau, LinExpr::from(b), encoding);
 }
 
 #[cfg(test)]

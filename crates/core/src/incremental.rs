@@ -29,7 +29,9 @@
 //! the standing model was built with does — that, `kc`/`ke`/`kv`/encoding
 //! changes and capacity or tunnel changes fall off the patch ladder and
 //! trigger a full in-place rebuild, reported as a [`RebuildReason`] and
-//! tallied per reason in [`CacheStats`].
+//! tallied per reason in [`CacheStats`]. A mice-set rebuild keeps the
+//! caller's basis: [`FfcModelCache::carry_hint`] maps the previous
+//! model's basis onto the rebuilt one block by block.
 //! Correctness is enforced differentially: under debug assertions every
 //! *patched* model is compared coefficient-for-coefficient against one
 //! freshly built from the same inputs, mice set included
@@ -44,7 +46,7 @@ use std::fmt;
 
 use ffc_lp::incremental::IncrementalModel;
 use ffc_lp::{BasisStatuses, LpError, Solution, VarId};
-use ffc_net::FaultScenario;
+use ffc_net::{FaultScenario, TunnelTable};
 
 use crate::bounded_msum::MsumEncoding;
 use crate::combined::{build_ffc_model_tracked, zero_dead_tunnels, FfcConfig, FfcLayout};
@@ -60,7 +62,9 @@ pub enum RebuildReason {
     /// unprotected links or `ke`/`kv` changed.
     StructureChanged,
     /// The caller handed in another §6 mice set than the standing model
-    /// was built with, changing which flows get pinned equal-split rows.
+    /// was built with, changing which flows get pinned equal-split rows
+    /// (the one rebuild a basis is carried across:
+    /// [`FfcModelCache::carry_hint`]).
     MiceSetChanged,
     /// `kc` changed: it shapes the M-sum rows of every protected link
     /// (the comparator lattice, or the enumerated row set).
@@ -405,6 +409,21 @@ impl FfcModelCache {
     ) -> Result<(TeConfig, Solution), LpError> {
         let sol = self.inc.solve_with(opts, warm)?;
         Ok((self.extract(&sol), sol))
+    }
+
+    /// Carries `hint`, a basis of the model these inputs build with the
+    /// §6 set `from`, onto the standing model and its own mice set
+    /// ([`DataFfcLayout::carry_basis`](crate::DataFfcLayout::carry_basis)):
+    /// a mice-set change rebuilds the model, and this keeps the basis.
+    pub fn carry_hint(
+        &self,
+        tunnels: &TunnelTable,
+        from: &[bool],
+        hint: &BasisStatuses,
+    ) -> Option<BasisStatuses> {
+        let model = self.inc.model();
+        let data = &self.layout.data;
+        data.carry_basis(model, tunnels, self.key.encoding, from, hint)
     }
 
     /// Extracts a TE configuration from a solution of the standing

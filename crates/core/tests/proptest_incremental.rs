@@ -12,12 +12,15 @@
 //! assertions (always on in tests) every patched
 //! step is additionally compared coefficient-for-coefficient against a
 //! fresh model inside the cache itself, so a passing run certifies both
-//! the patch ladder and its invalidation rules.
+//! the patch ladder and its invalidation rules. A basis carried across a
+//! mice-set change must load on the rebuilt model and solve to its cold
+//! optimum.
 
 use ffc_core::{
     build_ffc_model_tracked, mice_flags, zero_dead_tunnels, BetaSupport, FfcConfig, FfcModelCache,
     MsumEncoding, TeConfig, TeProblem,
 };
+use ffc_lp::ColStatus;
 use ffc_net::prelude::*;
 use proptest::prelude::*;
 
@@ -261,5 +264,66 @@ proptest! {
             );
         }
         prop_assert_eq!(cache.stats().rebuilds, 1);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A mice-set change (flows dropped, added or swapped, up to all
+    /// three) rebuilds the standing model; the basis of the old set's
+    /// optimum, carried onto it, loads and solves to the optimum a cold
+    /// solve of a fresh build reaches, after a demand tick too. Carried
+    /// across an unchanged set, an optimal basis comes back as it was.
+    #[test]
+    fn a_carried_basis_survives_a_mice_set_change(
+        from_mask in 0..8usize,
+        to_mask in 0..8usize,
+        kc in 0..2usize,
+        enumerate in any::<bool>(),
+        demands in prop::collection::vec(0.5..12.0f64, 3),
+        tick in 0.8..1.25f64,
+    ) {
+        let (topo, mut tm, tunnels, old) = ring();
+        let flags = |mask: usize| (0..3).map(|fi| mask >> fi & 1 == 1).collect::<Vec<bool>>();
+        let (from, to) = (flags(from_mask), flags(to_mask));
+        let mut cfg = FfcConfig::new(kc, 1, 0);
+        if enumerate {
+            cfg = cfg.with_encoding(MsumEncoding::Enumeration);
+        }
+        for (fi, f) in tm.ids().collect::<Vec<_>>().into_iter().enumerate() {
+            tm.set_demand(f, demands[fi]);
+        }
+        let mut cache =
+            FfcModelCache::new(TeProblem::new(&topo, &tm, &tunnels), &old, &cfg, &from, None);
+        let (_, first) = cache.solve_with(&Default::default(), None).unwrap();
+        let rows = first.duals.len();
+        let basics = first.basis.0.iter().filter(|&&s| s == ColStatus::Basic).count();
+        if basics == rows {
+            prop_assert_eq!(cache.carry_hint(&tunnels, &from, &first.basis), Some(first.basis.clone()));
+        }
+
+        for f in tm.ids().collect::<Vec<_>>() {
+            let d = tm.flow(f).demand * tick;
+            tm.set_demand(f, d);
+        }
+        let problem = TeProblem::new(&topo, &tm, &tunnels);
+        let outcome = cache.retarget(problem, &old, &cfg, &to, None);
+        prop_assert_eq!(outcome.is_patch(), from == to, "{:?}", outcome);
+        let carried = cache.carry_hint(&tunnels, &from, &first.basis);
+        prop_assert!(carried.is_some(), "the old optimum has the old model's size");
+        let (_, warm) = cache.solve_with(&Default::default(), carried.as_ref()).unwrap();
+        prop_assert!(warm.stats.hint_used, "{:?} -> {:?}: the carried basis did not load", from, to);
+
+        let (fresh, _) = build_ffc_model_tracked(problem, &old, &cfg, &to, BetaSupport::AllTunnels);
+        let cold = fresh.model.solve().unwrap();
+        prop_assert!(
+            (warm.objective - cold.objective).abs() < 1e-6,
+            "{:?} -> {:?}: warm {} vs cold {}",
+            from,
+            to,
+            warm.objective,
+            cold.objective
+        );
     }
 }

@@ -16,9 +16,13 @@
 //! still a §6 mice set of the new demands, replaced by the greedy set
 //! when it is not — and hands it to the build as an input. Two small
 //! flows trading places under demand noise no longer throw away the
-//! standing model and the chained basis. The set is planner state like
-//! the ladder position: [`PlannerSnapshot`] carries it, so a resumed
-//! planner applies the same rule to the same set.
+//! standing model and the chained basis. When the set is replaced, the
+//! model is rebuilt and the chained basis — solved on the old set's
+//! model — is carried onto it before the solve
+//! ([`FfcModelCache::carry_hint`], the same carry in both arms), so
+//! that solve starts warm too. The set is planner state like the ladder
+//! position: [`PlannerSnapshot`] carries it, so a resumed planner
+//! applies the same rule to the same set, and carries the same hint.
 //!
 //! Degradation ladder (ISSUE: "degrades k and falls back to
 //! rescale-only when the solve deadline is exceeded"):
@@ -42,10 +46,10 @@ use ffc_core::{
     build_ffc_model_tracked, standing_mice, zero_dead_tunnels, BetaSupport, CacheStats, FfcConfig,
     FfcModelCache, TeConfig, TeProblem,
 };
-use ffc_lp::{SimplexOptions, SolveStats};
+use ffc_lp::{BasisStatuses, SimplexOptions, SolveStats};
 use ffc_net::FaultScenario;
 
-use crate::state::ConfigStore;
+use crate::state::{ConfigStore, HintShape};
 
 /// Which solve path produced (or skipped) an interval's target config.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -326,8 +330,11 @@ impl Planner {
         // it still is a mice set of these demands, the greedy one
         // otherwise (`standing_mice` is the whole rule).
         let mice = standing_mice(self.mice.as_deref(), problem.tm, self.current.mice_fraction);
+        // The chained hint was solved on the model of the previous set:
+        // when the set changes, it is replaced by its carry onto this
+        // set's model before the solve, never loaded as it is.
+        let flipped_from = self.mice.take().filter(|prev| *prev != mice);
         let mut patched = false;
-        let hint = store.hint_for(shape);
         let result = if self.cfg.incremental {
             // Standing model: patch it to the new inputs when sound
             // (demand ticks, installed-config advances, fault drift),
@@ -349,9 +356,12 @@ impl Planner {
                     Some(scenario),
                 )),
             };
-            cache.solve_with(&self.cfg.opts, hint)
+            if let Some(from) = &flipped_from {
+                carry_stored_hint(store, shape, |h| cache.carry_hint(problem.tunnels, from, h));
+            }
+            cache.solve_with(&self.cfg.opts, store.hint_for(shape))
         } else {
-            let (mut builder, _) = build_ffc_model_tracked(
+            let (mut builder, layout) = build_ffc_model_tracked(
                 problem,
                 old,
                 &self.current,
@@ -359,7 +369,16 @@ impl Planner {
                 BetaSupport::AllTunnels,
             );
             zero_dead_tunnels(&mut builder, scenario);
-            builder.solve_with(&self.cfg.opts, hint)
+            if let Some(from) = &flipped_from {
+                let encoding = self.current.encoding;
+                carry_stored_hint(store, shape, |h| {
+                    let model = &builder.model;
+                    layout
+                        .data
+                        .carry_basis(model, problem.tunnels, encoding, from, h)
+                });
+            }
+            builder.solve_with(&self.cfg.opts, store.hint_for(shape))
         };
         self.mice = Some(mice);
         let wall = t0.elapsed();
@@ -452,10 +471,24 @@ impl Planner {
     }
 }
 
+/// Replaces the chained hint of `shape` by `carry` of it, or drops it
+/// when there is none or the carry does not fit: the stored hint always
+/// belongs to the planner's mice set.
+fn carry_stored_hint(
+    store: &mut ConfigStore,
+    shape: HintShape,
+    carry: impl FnOnce(&BasisStatuses) -> Option<BasisStatuses>,
+) {
+    match store.hint_for(shape).and_then(carry) {
+        Some(hint) => store.set_hint(hint, shape),
+        None => store.drop_hint(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ffc_lp::{BasisStatuses, ColStatus};
+    use ffc_lp::ColStatus;
     use ffc_net::prelude::*;
 
     /// A 4-node diamond with two disjoint paths per flow.

@@ -1,7 +1,8 @@
 //! The instance `crash_recovery.rs` and `incremental_replay.rs` share:
 //! a campaign whose demand events make two small flows trade places, so
 //! the greedy §6 mice set changes identity while the standing one still
-//! qualifies.
+//! qualifies, and later grow the standing mouse past the share, so the
+//! standing set is replaced.
 
 use ffc_ctrl::{Event, TimedEvent};
 use ffc_net::prelude::*;
@@ -9,12 +10,17 @@ use ffc_net::prelude::*;
 /// The interval whose events swap the two smallest flows.
 pub const SWAP_AT: usize = 2;
 
+/// The interval whose events grow the standing mouse past the share.
+pub const FLIP_AT: usize = 4;
+
 /// Three 3-tunnel flows on a 5-node ring with chords; at `ke = 1` each
 /// has τ = 2, so the §6 mice branch is live. Flow 0 is the one mouse —
 /// the next flow would overshoot the 1 % share — until the events of
 /// [`SWAP_AT`] trade the two small flows' places: the greedy set becomes
-/// {1}, the standing set {0} still qualifies and stays. Six intervals
-/// of events.
+/// {1}, the standing set {0} still qualifies and stays. At [`FLIP_AT`]
+/// flow 0 grows past the share and the standing set is replaced by the
+/// greedy {1}: a rebuild whose two flipped blocks have the same size,
+/// like the S-Net day campaign's. Six intervals of events.
 pub fn mice_swap() -> (Topology, TrafficMatrix, TunnelTable, Vec<TimedEvent>) {
     let mut topo = Topology::new();
     let ns = topo.add_nodes(5, "r");
@@ -43,7 +49,7 @@ pub fn mice_swap() -> (Topology, TrafficMatrix, TunnelTable, Vec<TimedEvent>) {
         set(SWAP_AT, 0, 0.056),
         set(SWAP_AT, 1, 0.05),
         set(3, 2, 7.9),
-        set(4, 0, 0.057),
+        set(FLIP_AT, 0, 0.12),
         set(5, 2, 8.1),
     ];
     (topo, tm, tunnels, events)

@@ -14,13 +14,13 @@ use ffc_core::{CacheStats, FfcConfig};
 use ffc_ctrl::checkpoint::{encode_history, CHECKPOINT_KEEP, HISTORY_LOG};
 use ffc_ctrl::{
     config_digest, recover_latest, ChaosHooks, Checkpointer, Controller, ControllerConfig,
-    ControllerReport, Event, IntervalSink, IntervalTelemetry, PlanOutcome, TimedEvent,
+    ControllerReport, Event, IntervalSink, IntervalTelemetry, PlanOutcome, SolvePath, TimedEvent,
 };
 use ffc_net::prelude::*;
 use ffc_sim::SwitchModel;
 
 mod common;
-use common::SWAP_AT;
+use common::{FLIP_AT, SWAP_AT};
 
 /// One campaign the kill–resume harness below runs: an instance, its
 /// controller configuration and the input events.
@@ -425,6 +425,36 @@ fn crash_after_a_mice_swap_resumes_with_the_standing_set() {
         assert_exactly_once(&resumed);
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// A kill after the last checkpoint before the standing mice set is
+/// replaced: the resumed planner rebuilds its model for the new set from
+/// scratch, with no standing model of the old one, and must carry the
+/// checkpointed hint onto it exactly as the uninterrupted run does.
+#[test]
+fn crash_before_a_mice_set_change_carries_the_hint_identically() {
+    let case = mice_swap();
+    let full = uninterrupted(&case);
+    let flip = &full.telemetry[FLIP_AT];
+    assert!(!flip.model_patched, "the standing set is replaced");
+    assert!(
+        matches!(flip.path, SolvePath::WarmDual | SolvePath::WarmPrimal),
+        "the carried hint seeds the start: {:?}",
+        flip.path
+    );
+
+    let dir = scratch_dir("flip-boundary");
+    let hooks = ChaosHooks {
+        crash_at_interval: Some(FLIP_AT - 1),
+        ..ChaosHooks::default()
+    };
+    let msg = run_until_crash(&case, &dir, hooks);
+    assert!(msg.contains("chaos-crash"), "{msg}");
+    let (resumed, notes) = resume(&case, &dir);
+    assert!(notes.is_empty(), "{notes:?}");
+    assert_eq!(resumed.prior_fingerprints.len(), FLIP_AT);
+    assert_converged(&resumed, &full);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Asserts that `resumed` is the uninterrupted run, bit for bit.

@@ -151,7 +151,9 @@ fn control_ffc_run_matches_with_incremental_on_and_off() {
 
 /// Two small flows trade places mid-run: the standing mice set is what
 /// both arms build with, so the cache-on run keeps patching through the
-/// swap and the rebuild-every-interval run solves the same LPs.
+/// swap and the rebuild-every-interval run solves the same LPs. At
+/// [`common::FLIP_AT`] the standing set is replaced: both arms carry the
+/// chained basis onto the new set's model and restart from it.
 #[test]
 fn mice_swap_run_matches_with_incremental_on_and_off() {
     let (topo, tm, tunnels, events) = common::mice_swap();
@@ -163,11 +165,24 @@ fn mice_swap_run_matches_with_incremental_on_and_off() {
     let off = Controller::new(&topo, &tunnels, off_cfg).run(&tm, &events, 6, false);
     assert_eq!(on.fingerprint(), off.fingerprint());
     for t in &on.telemetry[1..] {
+        if t.interval == common::FLIP_AT {
+            assert!(!t.model_patched, "the mice-set change rebuilds");
+            continue;
+        }
         assert!(t.model_patched, "interval {} rebuilt", t.interval);
         assert_eq!(
             t.iterations, 0,
             "interval {}: off the chained basis",
             t.interval
+        );
+    }
+    // A solve is `cold` exactly when no hint seeded its start.
+    for arm in [&on, &off] {
+        let flip = &arm.telemetry[common::FLIP_AT];
+        assert!(
+            matches!(flip.path, SolvePath::WarmDual | SolvePath::WarmPrimal),
+            "the carried hint was not used: {:?}",
+            flip.path
         );
     }
 }

@@ -15,8 +15,10 @@
 // structural sparsity guards (skip entries that are identically zero),
 // not approximate value checks.
 
-use crate::lu::{LuFactors, Singular};
+use crate::lu::{independent_columns, LuFactors, Singular};
+use crate::model::{BasisStatuses, ColStatus};
 use crate::sparse::{CscMatrix, ScatterVec};
+use crate::standard::StdForm;
 
 /// One eta transformation: identity with column `pos` replaced by `col`.
 #[derive(Debug, Clone)]
@@ -229,6 +231,53 @@ impl Basis {
     pub fn scratch(&mut self) -> &mut Vec<f64> {
         &mut self.scratch
     }
+}
+
+/// Completes `proposed`, one status per column of `std`, to a start
+/// basis: exactly `m` basic columns, linearly independent. Of the
+/// proposed basic columns it keeps the independent set
+/// [`independent_columns`] finds, and a column it drops goes nonbasic
+/// at its nearest finite bound (free at zero when it has none), as a
+/// hint load places a status its bounds no longer allow. Every row no
+/// kept column pivots on gets its slack. Nonbasic statuses are kept as
+/// proposed. `None` when `proposed` has the wrong length.
+pub(crate) fn complete(std: &StdForm, proposed: &BasisStatuses) -> Option<BasisStatuses> {
+    if proposed.0.len() != std.n {
+        return None;
+    }
+    let basic = |j: &usize| proposed.0.get(*j) == Some(&ColStatus::Basic);
+    let columns: Vec<Vec<(usize, f64)>> = (0..std.n)
+        .filter(basic)
+        .map(|j| std.a.col(j).collect())
+        .collect();
+    let (kept, covered) = independent_columns(&CscMatrix::from_columns(std.m, &columns));
+    let mut keep = vec![false; columns.len()];
+    for k in kept {
+        if let Some(flag) = keep.get_mut(k) {
+            *flag = true;
+        }
+    }
+    // The basic columns in order, each with its flag.
+    let mut keep = keep.into_iter();
+    let mut out = proposed.clone();
+    for (status, (&l, &u)) in out.0.iter_mut().zip(std.lb.iter().zip(&std.ub)) {
+        if *status == ColStatus::Basic && !keep.next().unwrap_or(true) {
+            *status = if l.is_finite() {
+                ColStatus::Lower
+            } else if u.is_finite() {
+                ColStatus::Upper
+            } else {
+                ColStatus::Free
+            };
+        }
+    }
+    let slacks = out.0.iter_mut().skip(std.n_struct);
+    for (status, covered) in slacks.zip(covered) {
+        if !covered {
+            *status = ColStatus::Basic;
+        }
+    }
+    Some(out)
 }
 
 #[cfg(test)]

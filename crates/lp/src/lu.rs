@@ -115,6 +115,228 @@ const PIVOT_TOL: f64 = 1e-10;
 /// largest magnitude are eligible for the sparsity tie-break.
 const THRESHOLD: f64 = 0.1;
 
+/// Column preorder: sparsest columns first. Simplex bases are mostly
+/// slack (singleton) columns; eliminating them first keeps the active
+/// submatrix — and therefore fill-in — small.
+fn sparsest_first(b: &CscMatrix) -> Vec<usize> {
+    let mut q: Vec<usize> = (0..b.ncols).collect();
+    q.sort_by_key(|&j| b.col_nnz(j));
+    q
+}
+
+const NONE: usize = usize::MAX;
+
+/// The left-looking elimination of [`LuFactors::factorize`], one column
+/// at a time: `L` and `U` grow by a column per eliminated column of `b`.
+/// [`independent_columns`] runs the same elimination over a matrix of
+/// any width and passes over the columns it finds dependent.
+struct Elimination {
+    /// Strict lower factor, original row ids until the caller remaps.
+    l: CscMatrix,
+    /// Upper factor, permuted row ids.
+    u: CscMatrix,
+    u_diag: Vec<f64>,
+    /// `pinv[row]` = the elimination step that pivoted on `row`.
+    pinv: Vec<usize>,
+    /// The eliminated columns of `b`, in elimination order.
+    q: Vec<usize>,
+    /// Row occupancy counts of `b`: the Markowitz-style tie-break
+    /// prefers pivots in sparse rows, which keeps U's rows (and the DFS
+    /// reach of later columns) short.
+    row_count: Vec<usize>,
+    /// Dense workspace with stamps for the sparse solve.
+    x: Vec<f64>,
+    mark: Vec<u64>,
+    stamp: u64,
+    /// DFS stacks: (node, child cursor), and the postorder.
+    node_stack: Vec<(usize, usize)>,
+    topo: Vec<usize>,
+}
+
+impl Elimination {
+    fn new(b: &CscMatrix) -> Elimination {
+        let m = b.nrows;
+        let mut row_count = vec![0usize; m];
+        for &r in &b.rowidx {
+            if let Some(count) = row_count.get_mut(r) {
+                *count += 1;
+            }
+        }
+        // L and U are appended column by column, each into one CSC
+        // triple; `colptr` keeps the room `zeros` gave it and starts
+        // over from its first entry.
+        let mut l = CscMatrix::zeros(m, m);
+        let mut u = CscMatrix::zeros(m, m);
+        l.colptr.truncate(1);
+        u.colptr.truncate(1);
+        Elimination {
+            l,
+            u,
+            u_diag: vec![0.0; m],
+            pinv: vec![NONE; m],
+            q: Vec::with_capacity(m),
+            row_count,
+            x: vec![0.0; m],
+            mark: vec![0u64; m],
+            stamp: 0,
+            node_stack: Vec::new(),
+            topo: Vec::new(),
+        }
+    }
+
+    /// Eliminates column `bk` of `b` as the next step. Returns `false`,
+    /// with the factors untouched, when no row left unpivoted holds an
+    /// entry above [`PIVOT_TOL`]: the column depends on those already
+    /// eliminated.
+    fn eliminate(&mut self, b: &CscMatrix, bk: usize) -> bool {
+        let Elimination {
+            l,
+            u,
+            u_diag,
+            pinv,
+            q,
+            row_count,
+            x,
+            mark,
+            stamp,
+            node_stack,
+            topo,
+        } = self;
+        let k = q.len();
+        *stamp += 1;
+        let stamp = *stamp;
+        topo.clear();
+
+        // --- Symbolic: nonzero pattern of x = L \ b[:, bk] via DFS. ---
+        for (r, _) in b.col(bk) {
+            if mark[r] == stamp {
+                continue;
+            }
+            // Iterative DFS from r through columns of L already built.
+            node_stack.push((r, 0));
+            mark[r] = stamp;
+            while let Some(&(node, cursor)) = node_stack.last() {
+                let col = pinv[node];
+                let mut descended = false;
+                if col != NONE {
+                    let children = &l.rowidx[l.colptr[col]..l.colptr[col + 1]];
+                    let mut cur = cursor;
+                    while cur < children.len() {
+                        let child = children[cur];
+                        cur += 1;
+                        if mark[child] != stamp {
+                            mark[child] = stamp;
+                            if let Some(top) = node_stack.last_mut() {
+                                top.1 = cur;
+                            }
+                            node_stack.push((child, 0));
+                            descended = true;
+                            break;
+                        }
+                    }
+                }
+                if !descended {
+                    node_stack.pop();
+                    topo.push(node);
+                }
+            }
+        }
+        // `topo` is a postorder; reverse gives topological order.
+        topo.reverse();
+
+        // --- Numeric: scatter b[:, bk] then eliminate in topo order. ---
+        for i in topo.iter() {
+            x[*i] = 0.0;
+        }
+        for (r, v) in b.col(bk) {
+            x[r] = v;
+        }
+        for &node in topo.iter() {
+            let col = pinv[node];
+            if col == NONE {
+                continue;
+            }
+            let xj = x[node];
+            if xj == 0.0 {
+                continue;
+            }
+            for (r, v) in l.col(col) {
+                x[r] -= v * xj;
+            }
+        }
+
+        // --- Pivot selection: threshold partial pivoting with a
+        // Markowitz-style sparsity tie-break — among rows whose
+        // magnitude is within a factor of the maximum, prefer the one
+        // lying in the sparsest row of B. ---
+        let mut best = 0.0f64;
+        for &i in topo.iter() {
+            if pinv[i] == NONE {
+                let t = x[i].abs();
+                if t > best {
+                    best = t;
+                }
+            }
+        }
+        if best <= PIVOT_TOL {
+            return false;
+        }
+        let mut ipiv = NONE;
+        let mut best_count = usize::MAX;
+        for &i in topo.iter() {
+            if pinv[i] == NONE && x[i].abs() >= THRESHOLD * best && row_count[i] < best_count {
+                best_count = row_count[i];
+                ipiv = i;
+            }
+        }
+        debug_assert!(ipiv != NONE);
+        let pivot = x[ipiv];
+        pinv[ipiv] = k;
+        u_diag[k] = pivot;
+        q.push(bk);
+
+        // --- Append U column k (already-pivotal rows) and L column k. ---
+        for &i in topo.iter() {
+            let v = x[i];
+            if v == 0.0 || i == ipiv {
+                continue;
+            }
+            if pinv[i] != NONE && pinv[i] < k {
+                u.rowidx.push(pinv[i]);
+                u.values.push(v);
+            } else if pinv[i] == NONE {
+                l.rowidx.push(i);
+                l.values.push(v / pivot);
+            }
+        }
+        u.colptr.push(u.rowidx.len());
+        l.colptr.push(l.rowidx.len());
+        true
+    }
+}
+
+/// A largest set of linearly independent columns of the `m × k` matrix
+/// `b`, for any `k`, and the rows they leave uncovered. The columns are
+/// taken sparsest first and eliminated exactly as
+/// [`LuFactors::factorize`] eliminates a basis — same preorder, same
+/// pivot rule — except that a column with no pivot left is passed over
+/// instead of failing the whole matrix. Returns the kept columns in
+/// elimination order and, per row, whether a kept column pivoted on it.
+/// Appending the unit columns of the uncovered rows to the kept ones
+/// gives a nonsingular `m × m` matrix: in pivot order, followed by the
+/// uncovered rows, its `L` factor is unit lower triangular.
+pub fn independent_columns(b: &CscMatrix) -> (Vec<usize>, Vec<bool>) {
+    let mut elim = Elimination::new(b);
+    for bk in sparsest_first(b) {
+        if elim.q.len() == b.nrows {
+            break;
+        }
+        elim.eliminate(b, bk);
+    }
+    let covered = elim.pinv.iter().map(|&k| k != NONE).collect();
+    (elim.q, covered)
+}
+
 impl LuFactors {
     /// Factorizes the `m × m` matrix `b` given in CSC form.
     ///
@@ -125,156 +347,27 @@ impl LuFactors {
     pub fn factorize(b: &CscMatrix) -> Result<LuFactors, Singular> {
         assert_eq!(b.nrows, b.ncols, "basis must be square");
         let m = b.nrows;
-
-        // Column preorder: sparsest columns first. Simplex bases are
-        // mostly slack (singleton) columns; eliminating them first keeps
-        // the active submatrix — and therefore fill-in — small.
-        let mut q: Vec<usize> = (0..m).collect();
-        q.sort_by_key(|&j| b.col_nnz(j));
-
-        // Row occupancy counts of the input matrix: the Markowitz-style
-        // tie-break below prefers pivots in sparse rows, which keeps U's
-        // rows (and the DFS reach of later columns) short.
-        let mut row_count = vec![0usize; m];
-        for &r in &b.rowidx {
-            row_count[r] += 1;
-        }
-
-        // L (strict lower, original row ids during factorization) and U
-        // (permuted row ids), appended column by column, each into one
-        // CSC triple; `colptr` keeps the room `zeros` gave it and starts
-        // over from its first entry.
-        let mut l = CscMatrix::zeros(m, m);
-        let mut u = CscMatrix::zeros(m, m);
-        l.colptr.truncate(1);
-        u.colptr.truncate(1);
-        let mut u_diag = vec![0.0; m];
-
-        const NONE: usize = usize::MAX;
-        let mut pinv = vec![NONE; m];
-
-        // Dense workspace with stamps for the sparse solve.
-        let mut x = vec![0.0; m];
-        let mut mark = vec![0u64; m];
-        let mut stamp = 0u64;
-        // DFS stacks.
-        let mut node_stack: Vec<(usize, usize)> = Vec::new(); // (node, child cursor)
-        let mut topo: Vec<usize> = Vec::new();
-
-        for k in 0..m {
-            let bk = q[k];
-            stamp += 1;
-            topo.clear();
-
-            // --- Symbolic: nonzero pattern of x = L \ b[:, q[k]] via DFS. ---
-            for (r, _) in b.col(bk) {
-                if mark[r] == stamp {
-                    continue;
-                }
-                // Iterative DFS from r through columns of L already built.
-                node_stack.push((r, 0));
-                mark[r] = stamp;
-                while let Some(&(node, cursor)) = node_stack.last() {
-                    let col = pinv[node];
-                    let mut descended = false;
-                    if col != NONE {
-                        let children = &l.rowidx[l.colptr[col]..l.colptr[col + 1]];
-                        let mut cur = cursor;
-                        while cur < children.len() {
-                            let child = children[cur];
-                            cur += 1;
-                            if mark[child] != stamp {
-                                mark[child] = stamp;
-                                if let Some(top) = node_stack.last_mut() {
-                                    top.1 = cur;
-                                }
-                                node_stack.push((child, 0));
-                                descended = true;
-                                break;
-                            }
-                        }
-                    }
-                    if !descended {
-                        node_stack.pop();
-                        topo.push(node);
-                    }
-                }
-            }
-            // `topo` is a postorder; reverse gives topological order.
-            topo.reverse();
-
-            // --- Numeric: scatter b[:, k] then eliminate in topo order. ---
-            for i in topo.iter() {
-                x[*i] = 0.0;
-            }
-            for (r, v) in b.col(bk) {
-                x[r] = v;
-            }
-            for &node in &topo {
-                let col = pinv[node];
-                if col == NONE {
-                    continue;
-                }
-                let xj = x[node];
-                if xj == 0.0 {
-                    continue;
-                }
-                for (r, v) in l.col(col) {
-                    x[r] -= v * xj;
-                }
-            }
-
-            // --- Pivot selection: threshold partial pivoting with a
-            // Markowitz-style sparsity tie-break — among rows whose
-            // magnitude is within a factor of the maximum, prefer the
-            // one lying in the sparsest row of B. ---
-            let mut best = 0.0f64;
-            for &i in &topo {
-                if pinv[i] == NONE {
-                    let t = x[i].abs();
-                    if t > best {
-                        best = t;
-                    }
-                }
-            }
-            if best <= PIVOT_TOL {
+        let mut elim = Elimination::new(b);
+        for bk in sparsest_first(b) {
+            if !elim.eliminate(b, bk) {
                 return Err(Singular { column: bk });
             }
-            let mut ipiv = NONE;
-            let mut best_count = usize::MAX;
-            for &i in &topo {
-                if pinv[i] == NONE && x[i].abs() >= THRESHOLD * best && row_count[i] < best_count {
-                    best_count = row_count[i];
-                    ipiv = i;
-                }
-            }
-            debug_assert!(ipiv != NONE);
-            let pivot = x[ipiv];
-            pinv[ipiv] = k;
-            u_diag[k] = pivot;
-
-            // --- Append U column k (already-pivotal rows) and L column k. ---
-            for &i in &topo {
-                let v = x[i];
-                if v == 0.0 || i == ipiv {
-                    continue;
-                }
-                if pinv[i] != NONE && pinv[i] < k {
-                    u.rowidx.push(pinv[i]);
-                    u.values.push(v);
-                } else if pinv[i] == NONE {
-                    l.rowidx.push(i);
-                    l.values.push(v / pivot);
-                }
-            }
-            u.colptr.push(u.rowidx.len());
-            l.colptr.push(l.rowidx.len());
         }
+        let Elimination {
+            mut l,
+            mut u,
+            u_diag,
+            pinv,
+            q,
+            ..
+        } = elim;
 
         // Remap L's row indices into permuted coordinates, then order
         // every column of both factors by row.
         for r in l.rowidx.iter_mut() {
-            *r = pinv[*r];
+            if let Some(&p) = pinv.get(*r) {
+                *r = p;
+            }
         }
         let mut pairs = Vec::new();
         for f in [&mut l, &mut u] {

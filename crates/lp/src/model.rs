@@ -532,6 +532,24 @@ impl Model {
         simplex::solve(&StdForm::from_model(self), opts, warm, &mut None)
     }
 
+    /// Completes `proposed` — one status per column of this model (its
+    /// variables, then one slack per constraint), whose basic set may
+    /// be too large, too small or linearly dependent — to a start basis:
+    /// exactly [`num_cons`](Self::num_cons) basic columns, linearly
+    /// independent, found by the elimination the factorization runs.
+    /// Dropped columns go nonbasic at their nearest bound and uncovered
+    /// rows take their slacks. `None` when `proposed` does not have one
+    /// status per column.
+    ///
+    /// [`solve_with`](Self::solve_with) never completes a hint itself: a
+    /// hint that does not fit costs exactly a cold solve. This is for a
+    /// caller that mapped the basis of a related model onto this one on
+    /// purpose, column for column, and knows which new columns it left
+    /// for the completion to settle.
+    pub fn complete_basis(&self, proposed: &BasisStatuses) -> Option<BasisStatuses> {
+        crate::basis::complete(&StdForm::from_model(self), proposed)
+    }
+
     /// Dumps the model in a human-readable LP-like format (for debugging
     /// small models).
     pub fn dump(&self) -> String {

@@ -4,7 +4,10 @@
 //! identically (optimal / infeasible / unbounded) and agree on the
 //! objective when optimal; the sparse simplex on a per-solve lowering
 //! and on a standing form must agree bit for bit. A warm solve whose
-//! hint was used never runs phase 1.
+//! hint was used never runs phase 1. A basis completed from a proposal
+//! with too many, too few or dependent basic columns
+//! (`Model::complete_basis`) must have one independent basic column per
+//! row and warm-start to the same answer.
 //!
 //! Five instance families stress different corners:
 //! * fully boxed LPs (every wrong-sign reduced cost of a warm start has
@@ -20,12 +23,15 @@
 //!   can price a ray column at a sign no bound flip fixes).
 
 use ffc_lp::dense::solve_dense;
+use ffc_lp::lu::LuFactors;
+use ffc_lp::sparse::CscMatrix;
+use ffc_lp::standard::StdForm;
 use ffc_lp::{
     BasisStatuses, Cmp, ColStatus, IncrementalModel, LinExpr, LpError, Model, Sense,
     SimplexOptions, Solution,
 };
 use proptest::prelude::*;
-use proptest::test_runner::TestCaseError;
+use proptest::test_runner::{run, CaseOutcome, TestCaseError};
 
 type RawCon = (Vec<(usize, f64)>, u8, f64);
 
@@ -321,26 +327,240 @@ fn wrappers_agree(
     Ok(())
 }
 
-/// The cold leg, then the warm leg: `lp` re-solved from the optimal
-/// basis of its copy [`shrunk`] to `shrink`.
-fn differential(lp: &RandomLp, shrink: f64) -> Result<(), TestCaseError> {
+/// `lp` with the point of its optimum `opt` cut off through one of the
+/// columns `opt` holds basic — the `pick`-th, modulo their number, of
+/// the structural columns and the inequality rows' slacks: a column's
+/// upper bound, or a row's right-hand side, moves past the optimum's
+/// value by `cut` of `1 + |value|`. Re-solved from `opt`'s basis, that
+/// column starts out of bounds: a primal infeasible, dual feasible start
+/// the dual simplex has to repair, or prove infeasible. `lp` itself
+/// when every basic column is an equality row's slack.
+fn cut_off(lp: &RandomLp, opt: &Solution, pick: usize, cut: f64) -> RandomLp {
+    let basic = |j: usize| opt.basis.0[j] == ColStatus::Basic;
+    let columns: Vec<usize> = (0..lp.nvars)
+        .filter(|&j| basic(j))
+        .chain(
+            (0..lp.cons.len())
+                .filter(|&i| lp.cons[i].1 % 3 != 2 && basic(lp.nvars + i))
+                .map(|i| lp.nvars + i),
+        )
+        .collect();
+    let mut tight = lp.clone();
+    let Some(&j) = columns.get(pick % columns.len().max(1)) else {
+        return tight;
+    };
+    if j < lp.nvars {
+        let v = opt.values[j];
+        let (lo, hi) = &mut tight.bounds[j];
+        *hi = v - (1.0 + v.abs()) * cut;
+        *lo = lo.min(*hi);
+    } else {
+        let (terms, cmp, rhs) = &mut tight.cons[j - lp.nvars];
+        let act: f64 = terms.iter().map(|&(k, c)| c * opt.values[k]).sum();
+        let pad = (1.0 + act.abs()) * cut;
+        *rhs = if *cmp % 3 == 0 { act - pad } else { act + pad };
+    }
+    tight
+}
+
+/// How the warm leg of [`differential`] ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum WarmLeg {
+    /// `lp` has no optimum: there is no basis to start from.
+    Skipped,
+    /// Optimal after at least one dual iteration.
+    Dual,
+    /// Infeasible: the cut left no feasible point, and the dual said so.
+    Infeasible,
+    /// Any other end (optimal with no dual iteration, unbounded).
+    Other,
+}
+
+/// The cold leg, then the warm leg: `lp` with its optimum cut off
+/// ([`cut_off`]) and re-solved from the optimal basis.
+fn differential(lp: &RandomLp, pick: usize, cut: f64) -> Result<WarmLeg, TestCaseError> {
     let m = build(lp);
     let opts = SimplexOptions::default();
-    let dense = solve_dense(&m);
-    agree("cold vs dense", &m.solve(), &dense)?;
+    let cold = m.solve();
+    agree("cold vs dense", &cold, &solve_dense(&m))?;
     wrappers_agree("cold, model vs standing form", &m, &opts, None)?;
-    let Ok(first) = shrunk(lp, shrink).solve() else {
-        return Ok(());
+    let Ok(first) = cold else {
+        return Ok(WarmLeg::Skipped);
     };
+    let m = build(&cut_off(lp, &first, pick, cut));
     let warm = m.solve_with(&opts, Some(&first.basis));
-    agree("warm vs dense", &warm, &dense)?;
+    agree("warm vs dense", &warm, &solve_dense(&m))?;
     used_hint_skips_phase1("warm", &warm)?;
     wrappers_agree(
         "warm, model vs standing form",
         &m,
         &opts,
         Some(&first.basis),
-    )
+    )?;
+    Ok(match &warm {
+        Ok(s) if s.stats.dual_iterations > 0 => WarmLeg::Dual,
+        Err(LpError::Infeasible) => WarmLeg::Infeasible,
+        _ => WarmLeg::Other,
+    })
+}
+
+/// The warm legs are there to exercise the dual simplex. Over 256 cases
+/// of each family, at least 90 % of the warm legs end in the dual — a
+/// dual iteration before the optimum, or its infeasibility verdict — and
+/// at least 30 % take a dual iteration.
+#[test]
+fn warm_legs_work_in_the_dual() {
+    fn tally<S: Strategy<Value = RandomLp>>(name: &str, lps: S, legs: &mut Vec<WarmLeg>) {
+        run(&ProptestConfig::with_cases(256), name, |rng| {
+            let (Some(lp), Some(pick), Some(cut)) = (
+                lps.generate(rng),
+                (0..8usize).generate(rng),
+                (0.001..0.05f64).generate(rng),
+            ) else {
+                return CaseOutcome::Reject;
+            };
+            match differential(&lp, pick, cut) {
+                Ok(leg) => {
+                    legs.push(leg);
+                    CaseOutcome::Pass
+                }
+                Err(e) => CaseOutcome::Fail(e.message),
+            }
+        });
+    }
+    let mut legs = Vec::new();
+    tally("boxed legs", boxed_lp(5, 6), &mut legs);
+    tally("mixed legs", mixed_lp(5, 6), &mut legs);
+    tally("crossing legs", crossing_lp(6, 8), &mut legs);
+    tally("degenerate legs", degenerate_lp(5, 7), &mut legs);
+    let count = |kind| legs.iter().filter(|&&l| l == kind).count();
+    let warm = legs.len() - count(WarmLeg::Skipped);
+    let (dual, infeasible) = (count(WarmLeg::Dual), count(WarmLeg::Infeasible));
+    eprintln!("{warm} warm legs: {dual} dual, {infeasible} infeasible");
+    assert!(10 * (dual + infeasible) >= 9 * warm, "{legs:?}");
+    assert!(10 * dual >= 3 * warm, "{dual} of {warm}");
+}
+
+/// What [`complete_proposal`] was handed: the proposed basic set's size
+/// against the row count, or, at the row count, whether it factorizes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Proposal {
+    OverFull,
+    UnderFull,
+    Singular,
+    Nonsingular,
+}
+
+/// The basis matrix of `statuses`' basic columns, or `None` unless
+/// there is one per row.
+fn basis_matrix(m: &Model, statuses: &BasisStatuses) -> Option<CscMatrix> {
+    let std = StdForm::from_model(m);
+    let columns: Vec<Vec<(usize, f64)>> = (0..std.n)
+        .filter(|&j| statuses.0[j] == ColStatus::Basic)
+        .map(|j| std.a.col(j).collect())
+        .collect();
+    (columns.len() == std.m).then(|| CscMatrix::from_columns(std.m, &columns))
+}
+
+/// Completes a proposal made from `lp`'s optimal basis by toggling the
+/// columns `flips` marks (basic to nonbasic and back, cycling `flips`
+/// over the columns): the result has one independent basic column per
+/// row, and a warm solve from it agrees with the dense oracle. Completing
+/// the optimal basis itself changes nothing.
+fn complete_proposal(lp: &RandomLp, flips: &[bool]) -> Result<Option<Proposal>, TestCaseError> {
+    let m = build(lp);
+    let Ok(opt) = m.solve() else {
+        return Ok(None);
+    };
+    // An optimal basis that kept an artificial basic reports one
+    // column per row short: that one is an under-full proposal itself.
+    let unchanged = m.complete_basis(&opt.basis);
+    if basis_matrix(&m, &opt.basis).is_some() {
+        prop_assert_eq!(unchanged.as_ref(), Some(&opt.basis));
+    }
+    let proposed = BasisStatuses(
+        opt.basis
+            .0
+            .iter()
+            .zip(flips.iter().cycle())
+            .map(|(&s, &flip)| match (s, flip) {
+                (_, false) => s,
+                (ColStatus::Basic, true) => ColStatus::Lower,
+                (_, true) => ColStatus::Basic,
+            })
+            .collect(),
+    );
+    let basics = proposed
+        .0
+        .iter()
+        .filter(|&&s| s == ColStatus::Basic)
+        .count();
+    let kind = match basics.cmp(&m.num_cons()) {
+        std::cmp::Ordering::Greater => Proposal::OverFull,
+        std::cmp::Ordering::Less => Proposal::UnderFull,
+        std::cmp::Ordering::Equal => {
+            match basis_matrix(&m, &proposed).map(|b| LuFactors::factorize(&b)) {
+                Some(Ok(_)) => Proposal::Nonsingular,
+                _ => Proposal::Singular,
+            }
+        }
+    };
+    let done = m.complete_basis(&proposed);
+    let Some(done) = done else {
+        return Err(TestCaseError::fail(
+            "one status per column, yet no completion",
+        ));
+    };
+    let b = basis_matrix(&m, &done);
+    prop_assert!(b.is_some(), "{:?}: not one basic column per row", kind);
+    prop_assert!(
+        b.map(|b| LuFactors::factorize(&b).is_ok()) == Some(true),
+        "{:?}: singular",
+        kind
+    );
+    let warm = m.solve_with(&SimplexOptions::default(), Some(&done));
+    agree("completed warm vs dense", &warm, &solve_dense(&m))?;
+    used_hint_skips_phase1("completed warm", &warm)?;
+    Ok(Some(kind))
+}
+
+/// The completion sees every kind of proposal: over 256 cases of each
+/// family, proposals with too many, too few, and exactly enough but
+/// dependent basic columns all occur.
+#[test]
+fn completion_sees_every_kind_of_proposal() {
+    fn tally<S: Strategy<Value = RandomLp>>(name: &str, lps: S, kinds: &mut Vec<Proposal>) {
+        run(&ProptestConfig::with_cases(256), name, |rng| {
+            let (Some(lp), Some(flips)) = (
+                lps.generate(rng),
+                prop::collection::vec(any::<bool>(), 1..6).generate(rng),
+            ) else {
+                return CaseOutcome::Reject;
+            };
+            match complete_proposal(&lp, &flips) {
+                Ok(kind) => {
+                    kinds.extend(kind);
+                    CaseOutcome::Pass
+                }
+                Err(e) => CaseOutcome::Fail(e.message),
+            }
+        });
+    }
+    let mut kinds = Vec::new();
+    tally("boxed proposals", boxed_lp(5, 6), &mut kinds);
+    tally("mixed proposals", mixed_lp(5, 6), &mut kinds);
+    tally("crossing proposals", crossing_lp(6, 8), &mut kinds);
+    tally("degenerate proposals", degenerate_lp(5, 7), &mut kinds);
+    for kind in [
+        Proposal::OverFull,
+        Proposal::UnderFull,
+        Proposal::Singular,
+        Proposal::Nonsingular,
+    ] {
+        let n = kinds.iter().filter(|&&k| k == kind).count();
+        eprintln!("{kind:?}: {n}");
+        assert!(n > 0, "no {kind:?} proposal in {} completions", kinds.len());
+    }
 }
 
 proptest! {
@@ -349,29 +569,33 @@ proptest! {
     /// Fully boxed LPs: dense, cold and warm must agree. The warm
     /// dual starts on the true costs here.
     #[test]
-    fn boxed_lps_agree_across_solvers(lp in boxed_lp(5, 6), shrink in 0.2..1.0f64) {
-        differential(&lp, shrink)?;
+    fn boxed_lps_agree_across_solvers(lp in boxed_lp(5, 6), pick in 0..8usize, cut in 0.001..0.05f64) {
+        differential(&lp, pick, cut)?;
     }
 
     /// Mixed/one-sided bounds, including unbounded instances.
     #[test]
-    fn mixed_lps_agree_across_solvers(lp in mixed_lp(5, 6), shrink in 0.2..1.0f64) {
-        differential(&lp, shrink)?;
+    fn mixed_lps_agree_across_solvers(lp in mixed_lp(5, 6), pick in 0..8usize, cut in 0.001..0.05f64) {
+        differential(&lp, pick, cut)?;
     }
 
     /// Larger LPs with bounds below zero and fixed columns: cold and
     /// warm agree with the dense oracle as well.
     #[test]
-    fn crossing_lps_agree_across_solvers(lp in crossing_lp(6, 8), shrink in 0.2..1.0f64) {
-        differential(&lp, shrink)?;
+    fn crossing_lps_agree_across_solvers(lp in crossing_lp(6, 8), pick in 0..8usize, cut in 0.001..0.05f64) {
+        differential(&lp, pick, cut)?;
     }
 
     /// Degenerate small-integer LPs with zero rhs and duplicate-prone
     /// rows; both ratio tests hit ties and must still terminate on the
     /// same answer.
     #[test]
-    fn degenerate_lps_agree_across_solvers(lp in degenerate_lp(5, 7), shrink in 0.2..1.0f64) {
-        if let Err(e) = differential(&lp, shrink) {
+    fn degenerate_lps_agree_across_solvers(
+        lp in degenerate_lp(5, 7),
+        pick in 0..8usize,
+        cut in 0.001..0.05f64,
+    ) {
+        if let Err(e) = differential(&lp, pick, cut) {
             eprintln!("failing LP: {lp:?}");
             return Err(e);
         }
