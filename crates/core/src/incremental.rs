@@ -70,7 +70,8 @@ pub enum RebuildReason {
     /// (the comparator lattice, or the enumerated row set).
     ProtectionChanged,
     /// A coefficient patch was rejected (sparsity-pattern mismatch) —
-    /// the conservative escape hatch; not expected in practice.
+    /// the conservative escape hatch; not expected in practice. The
+    /// patch set is left half-applied, and the rebuild replaces it.
     PatchRejected,
 }
 
@@ -103,9 +104,9 @@ impl fmt::Display for RebuildReason {
 /// What one [`FfcModelCache::retarget`] call did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RetargetOutcome {
-    /// The standing model was patched in place; the field counts the
-    /// journal entries this retarget appended (0 = nothing changed).
-    Patched(usize),
+    /// The standing model was patched in place (possibly by no change
+    /// at all).
+    Patched,
     /// The standing model was rebuilt from scratch.
     Rebuilt(RebuildReason),
 }
@@ -113,7 +114,7 @@ pub enum RetargetOutcome {
 impl RetargetOutcome {
     /// Whether this retarget avoided a full rebuild.
     pub fn is_patch(&self) -> bool {
-        matches!(self, RetargetOutcome::Patched(_))
+        matches!(self, RetargetOutcome::Patched)
     }
 }
 
@@ -272,9 +273,9 @@ impl FfcModelCache {
         scenario: Option<&FaultScenario>,
     ) -> RetargetOutcome {
         let outcome = match self.try_patch(problem, old, cfg, mice, scenario) {
-            Ok(n) => {
+            Ok(()) => {
                 self.stats.patches += 1;
-                RetargetOutcome::Patched(n)
+                RetargetOutcome::Patched
             }
             Err(reason) => {
                 self.rebuild(problem, old, cfg, mice, scenario, reason);
@@ -288,9 +289,9 @@ impl FfcModelCache {
         outcome
     }
 
-    /// Attempts the patch ladder; returns the number of journal entries
-    /// appended, or the reason a rebuild is required (in which case any
-    /// partial patches are rolled back).
+    /// Attempts the patch ladder, or returns the reason a rebuild is
+    /// required (a rejection part-way leaves the patches applied so far
+    /// for the rebuild to discard).
     fn try_patch(
         &mut self,
         problem: TeProblem<'_>,
@@ -298,7 +299,7 @@ impl FfcModelCache {
         cfg: &FfcConfig,
         mice: &[bool],
         scenario: Option<&FaultScenario>,
-    ) -> Result<usize, RebuildReason> {
+    ) -> Result<(), RebuildReason> {
         let key = StructureKey::of(&problem, cfg);
         if key != self.key {
             return Err(RebuildReason::StructureChanged);
@@ -310,21 +311,11 @@ impl FfcModelCache {
         if cfg.kc != self.kc {
             return Err(RebuildReason::ProtectionChanged);
         }
-
-        let mark = self.inc.mark();
-        let result = self.apply_patches(problem, old, cfg, scenario);
-        match result {
-            Ok(()) => Ok(self.inc.journal().len() - mark),
-            Err(reason) => {
-                self.inc.revert_to(mark);
-                Err(reason)
-            }
-        }
+        self.apply_patches(problem, old, cfg, scenario)
     }
 
     /// Applies the full patch set for the new inputs. Eligibility was
-    /// already established; any residual rejection aborts (the caller
-    /// reverts the journal).
+    /// already established; a rejection part-way stops here.
     fn apply_patches(
         &mut self,
         problem: TeProblem<'_>,
@@ -403,7 +394,7 @@ impl FfcModelCache {
     /// [`IncrementalModel::solve_with`]): the same LP, pivot for pivot,
     /// as [`crate::te::TeModelBuilder::solve_with`] on a fresh build.
     pub fn solve_with(
-        &self,
+        &mut self,
         opts: &ffc_lp::SimplexOptions,
         warm: Option<&BasisStatuses>,
     ) -> Result<(TeConfig, Solution), LpError> {
@@ -604,10 +595,12 @@ mod tests {
         idle.rate[0] -= idle.alloc[0][ti];
         idle.alloc[0][ti] = 0.0;
         for next in [&idle, &old] {
+            let before = cache.inc.model().clone();
             let outcome = cache.retarget(problem, next, &cfg, &NO_MICE, None);
+            assert!(outcome.is_patch(), "{outcome:?}");
             assert!(
-                matches!(outcome, RetargetOutcome::Patched(n) if n > 0),
-                "{outcome:?}"
+                ffc_lp::incremental::diff_models(&before, cache.inc.model()).is_some(),
+                "the retarget changed no coefficient"
             );
             let (fresh, _) =
                 build_ffc_model_tracked(problem, next, &cfg, &NO_MICE, BetaSupport::AllTunnels);

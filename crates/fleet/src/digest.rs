@@ -25,7 +25,10 @@
 //! total are within [`BAND`] of the parent's; [`Class::Changed`]
 //! otherwise. Per-interval answers are counted, not gated: at kc > 0 the
 //! next LP reads the installed config, so another optimal vertex
-//! legitimately moves later intervals.
+//! legitimately moves later intervals. An interval's answer counts as
+//! differing when a verdict or flag differs or a volume moves by more
+//! than [`BAND`] of the parent's; one whose volumes differ only within
+//! the band is counted apart, as an exact-bits difference.
 
 use std::fmt::Write as _;
 
@@ -84,17 +87,30 @@ impl IntervalDigest {
             || matches!(self.path, SolvePath::Infeasible | SolvePath::LimitExceeded)
     }
 
-    /// The answer half, volumes as bits.
-    fn answer(&self) -> (usize, &'static str, bool, bool, bool, u64, u64) {
+    /// The answer half without its volumes.
+    fn verdicts(&self) -> (usize, &'static str, bool, bool, bool) {
         (
             self.interval,
             self.certificate,
             self.degraded,
             self.rolled_back,
             self.atomic,
-            self.delivered.to_bits(),
-            self.lost.to_bits(),
         )
+    }
+
+    /// Whether `other`'s answer half differs from this parent row's
+    /// beyond [`BAND`]: a verdict or flag, or a volume moved by more
+    /// than the band relative to this row's.
+    fn answer_moved(&self, other: &IntervalDigest) -> bool {
+        let moved = |p: f64, c: f64| (c - p).abs() > BAND * p.abs();
+        self.verdicts() != other.verdicts()
+            || moved(self.delivered, other.delivered)
+            || moved(self.lost, other.lost)
+    }
+
+    /// The answer half's volumes, as bits.
+    fn volume_bits(&self) -> (u64, u64) {
+        (self.delivered.to_bits(), self.lost.to_bits())
     }
 
     /// The work half.
@@ -325,8 +341,12 @@ pub struct DigestDiff {
     pub class: Class,
     /// Intervals in the longer of the two digests.
     pub intervals: usize,
-    /// Intervals whose answer half differs (a missing row differs).
+    /// Intervals whose answer half differs beyond [`BAND`] (a missing
+    /// row differs).
     pub answer_differs: usize,
+    /// Intervals whose answer half differs in its volumes' bits only,
+    /// within [`BAND`].
+    pub answer_bits_differ: usize,
     /// Intervals whose work half differs.
     pub work_differs: usize,
     /// The parent's and the change's `throughput_share`.
@@ -340,13 +360,15 @@ pub struct DigestDiff {
 /// Classifies `change` against `parent`.
 pub fn diff(parent: &Digest, change: &Digest) -> DigestDiff {
     let intervals = parent.rows.len().max(change.rows.len());
-    let differing = |half: fn(&IntervalDigest, &IntervalDigest) -> bool| {
-        let paired = parent.rows.iter().zip(&change.rows);
-        paired.filter(|(p, c)| half(p, c)).count() + intervals
-            - parent.rows.len().min(change.rows.len())
+    let unpaired = intervals - parent.rows.len().min(change.rows.len());
+    let paired = |half: fn(&IntervalDigest, &IntervalDigest) -> bool| {
+        let rows = parent.rows.iter().zip(&change.rows);
+        rows.filter(|(p, c)| half(p, c)).count()
     };
-    let answer_differs = differing(|p, c| p.answer() != c.answer());
-    let work_differs = differing(|p, c| p.work() != c.work());
+    let answer_differs = paired(IntervalDigest::answer_moved) + unpaired;
+    let answer_bits_differ =
+        paired(|p, c| !p.answer_moved(c) && p.volume_bits() != c.volume_bits());
+    let work_differs = paired(|p, c| p.work() != c.work()) + unpaired;
     let share = (parent.throughput_share(), change.throughput_share());
     let delivered = (parent.delivered(), change.delivered());
     let tallies = [
@@ -354,7 +376,7 @@ pub fn diff(parent: &Digest, change: &Digest) -> DigestDiff {
         (parent.degraded(), change.degraded()),
         (parent.atomic(), change.atomic()),
     ];
-    let class = if answer_differs == 0 && work_differs == 0 {
+    let class = if answer_differs == 0 && answer_bits_differ == 0 && work_differs == 0 {
         Class::BitEqual
     } else if parent.rows.len() == change.rows.len()
         && change.rows.iter().all(|r| r.certificate == "certified")
@@ -372,6 +394,7 @@ pub fn diff(parent: &Digest, change: &Digest) -> DigestDiff {
         class,
         intervals,
         answer_differs,
+        answer_bits_differ,
         work_differs,
         share,
         delivered,
@@ -386,8 +409,13 @@ impl DigestDiff {
         let n = self.intervals;
         let _ = writeln!(
             out,
-            "answer half: {} of {n} intervals differ",
+            "answer half: {} of {n} intervals differ beyond the band",
             self.answer_differs
+        );
+        let _ = writeln!(
+            out,
+            "answer half: {} of {n} intervals differ in exact bits only",
+            self.answer_bits_differ
         );
         let _ = writeln!(
             out,
@@ -471,6 +499,20 @@ mod tests {
         assert_eq!(d.class, Class::Equivalent);
         assert_eq!((d.answer_differs, d.work_differs), (0, 1));
         assert!(d.to_text().ends_with("equivalent\n"));
+    }
+
+    #[test]
+    fn a_one_ulp_volume_is_equivalent() {
+        let parent = sample();
+        let mut change = sample();
+        let d1 = &mut change.rows[1].delivered;
+        *d1 = f64::from_bits(d1.to_bits() - 1);
+        let d = diff(&parent, &change);
+        assert_eq!(d.class, Class::Equivalent);
+        let counts = (d.answer_differs, d.answer_bits_differ, d.work_differs);
+        assert_eq!(counts, (0, 1, 0));
+        let text = d.to_text();
+        assert!(text.contains("1 of 4 intervals differ in exact bits only"));
     }
 
     #[test]

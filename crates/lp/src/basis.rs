@@ -37,8 +37,6 @@ pub struct Basis {
     m: usize,
     lu: LuFactors,
     etas: Vec<Eta>,
-    /// Scratch buffers reused across solves.
-    scratch: Vec<f64>,
     /// Scratch workspace for the sparse solves.
     sp_scratch: ScatterVec,
     /// Reusable pair buffer handing sparse vectors to the LU solves.
@@ -64,7 +62,6 @@ impl Basis {
             m,
             lu,
             etas: Vec::new(),
-            scratch: vec![0.0; m],
             sp_scratch: ScatterVec::new(m),
             pairs: Vec::new(),
         }
@@ -175,13 +172,16 @@ impl Basis {
         self.lu.btran_sparse(&self.pairs, out);
     }
 
-    /// Records a pivot like [`Basis::push_eta`], reading the FTRAN'd
-    /// entering column from a [`ScatterVec`].
+    /// Records a pivot: the variable basic at position `pos` is replaced
+    /// by a column whose FTRAN'd form is `w` (basis-position indexed).
+    /// Returns an error if the pivot element is too small.
     pub fn push_eta_sparse(&mut self, pos: usize, w: &ScatterVec) -> Result<(), Singular> {
         let pivot = w.get(pos);
         if pivot.abs() < 1e-10 {
             return Err(Singular { column: pos });
         }
+        // Drop numerically negligible entries: they are solve dirt and
+        // would otherwise densify the eta file.
         let drop_tol = 1e-12 * pivot.abs().max(1.0);
         let entries: Vec<(usize, f64)> = w
             .pattern()
@@ -200,36 +200,6 @@ impl Basis {
             pivot,
         });
         Ok(())
-    }
-
-    /// Records a pivot: the variable basic at position `pos` is replaced
-    /// by a column whose FTRAN'd form is `w` (dense, basis-position
-    /// indexed). Returns an error if the pivot element is too small.
-    pub fn push_eta(&mut self, pos: usize, w: &[f64]) -> Result<(), Singular> {
-        let pivot = w[pos];
-        if pivot.abs() < 1e-10 {
-            return Err(Singular { column: pos });
-        }
-        // Drop numerically negligible entries: they are solve dirt and
-        // would otherwise densify the eta file.
-        let drop_tol = 1e-12 * pivot.abs().max(1.0);
-        let entries: Vec<(usize, f64)> = w
-            .iter()
-            .enumerate()
-            .filter(|&(i, &v)| i != pos && v.abs() > drop_tol)
-            .map(|(i, &v)| (i, v))
-            .collect();
-        self.etas.push(Eta {
-            pos,
-            entries,
-            pivot,
-        });
-        Ok(())
-    }
-
-    /// Borrows the internal scratch buffer (length `m`).
-    pub fn scratch(&mut self) -> &mut Vec<f64> {
-        &mut self.scratch
     }
 }
 
@@ -284,6 +254,15 @@ pub(crate) fn complete(std: &StdForm, proposed: &BasisStatuses) -> Option<BasisS
 mod tests {
     use super::*;
 
+    /// `w` as a scatter vector with every position in its pattern.
+    fn scatter(w: &[f64]) -> ScatterVec {
+        let mut s = ScatterVec::new(w.len());
+        for (i, &v) in w.iter().enumerate() {
+            s.set(i, v);
+        }
+        s
+    }
+
     /// Builds the dense product B = B0 * E1 * ... by simulating pivots and
     /// checks FTRAN/BTRAN against dense linear algebra.
     #[test]
@@ -309,7 +288,7 @@ mod tests {
         let a = [1.0, 3.0, 1.0];
         let mut w = vec![0.0; m];
         basis.ftran(&a, &mut w);
-        basis.push_eta(1, &w).unwrap();
+        basis.push_eta_sparse(1, &scatter(&w)).unwrap();
         for (i, row) in b.iter_mut().enumerate() {
             row[1] = a[i];
         }
@@ -520,7 +499,7 @@ mod tests {
         let basis = Basis::factorize(&CscMatrix::from_columns(2, &cols)).unwrap();
         let lu = basis.into_lu().expect("no pivot recorded");
         let mut basis = Basis::from_lu(lu);
-        basis.push_eta(0, &[2.0, 0.0]).unwrap();
+        basis.push_eta_sparse(0, &scatter(&[2.0, 0.0])).unwrap();
         assert!(basis.into_lu().is_none(), "the LU no longer factorizes B");
     }
 
@@ -537,8 +516,8 @@ mod tests {
     fn push_eta_rejects_tiny_pivot() {
         let cols = vec![vec![(0, 1.0)], vec![(1, 1.0)]];
         let mut basis = Basis::factorize(&CscMatrix::from_columns(2, &cols)).unwrap();
-        let w = vec![0.0, 1e-14];
-        assert!(basis.push_eta(1, &w).is_err());
+        let w = scatter(&[0.0, 1e-14]);
+        assert!(basis.push_eta_sparse(1, &w).is_err());
     }
 
     #[test]
@@ -547,7 +526,7 @@ mod tests {
         let mut basis = Basis::factorize(&CscMatrix::from_columns(2, &cols)).unwrap();
         assert!(!basis.should_refactorize());
         for _ in 0..REFACTOR_INTERVAL {
-            basis.push_eta(0, &[1.0, 0.0]).unwrap();
+            basis.push_eta_sparse(0, &scatter(&[1.0, 0.0])).unwrap();
         }
         assert!(basis.should_refactorize());
     }

@@ -1,14 +1,12 @@
 //! Delta-LP: in-place patching of a standing model.
 //!
 //! Re-solve workloads (the per-interval FFC controller loop)
-//! solve long runs of models that differ only in right-hand sides,
-//! variable bounds and a handful of coefficients. Rebuilding the
+//! solve long runs of models that differ only in variable bounds and a
+//! handful of coefficients. Rebuilding the
 //! [`Model`] and re-lowering it to [`StdForm`] every time costs
 //! O(model); an [`IncrementalModel`] pays that cost **once** and then
 //! applies each change to both representations in O(changes):
 //!
-//! * [`IncrementalModel::set_rhs`] — patch a constraint's right-hand
-//!   side (demand/capacity rows).
 //! * [`IncrementalModel::set_var_bounds`] — patch a variable's bounds
 //!   (demand upper bounds, pinning dead tunnels to `[0, 0]`).
 //! * [`IncrementalModel::set_coeff`] — patch one existing coefficient
@@ -20,8 +18,8 @@
 //!   a fresh build stores it at `0.0` too, so it patches to zero and
 //!   back like any other value.
 //!
-//! Every change is recorded in a journal of [`PatchOp`]s; [`mark`] /
-//! [`revert_to`](IncrementalModel::revert_to) give O(changes) undo.
+//! A patch is applied and forgotten: the standing model keeps no
+//! history, and a caller that cannot finish a change set rebuilds.
 //!
 //! Solving: [`IncrementalModel::solve_with`] hands the standing lowered
 //! form to the same simplex entry [`Model::solve_with`] ends in,
@@ -30,7 +28,7 @@
 //! [`Model::solve_with`]. The standing form also keeps the LU of the
 //! basis a solve last left factorized, which the next solve takes
 //! instead of factorizing when it starts from exactly that basis
-//! matrix — bound and rhs patches never touch `B`, and a coefficient
+//! matrix — bound patches never touch `B`, and a coefficient
 //! patch on one of its columns drops it — at no change to any result.
 //!
 //! Correctness contract: after any sequence of patches, the standing
@@ -38,15 +36,12 @@
 //! with the same data would produce — [`diff_models`] checks the model
 //! half exactly, and the FFC layer runs it under debug assertions on
 //! every patched solve.
-//!
-//! [`mark`]: IncrementalModel::mark
 
 // audit:allow-file(float-eq): comparisons here are exact structural
 // checks (is the patched model bit-identical to a fresh build, is a
 // patched coefficient exactly zero), not approximate value tests.
 
 use std::fmt;
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::expr::VarId;
 use crate::model::{BasisStatuses, ConId, LpError, Model, Solution};
@@ -93,52 +88,15 @@ impl fmt::Display for PatchError {
 
 impl std::error::Error for PatchError {}
 
-/// One applied change, as recorded in the journal (old value first, so
-/// the op carries everything needed to undo it).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum PatchOp {
-    /// A right-hand-side change on one constraint.
-    Rhs {
-        /// The patched constraint.
-        con: ConId,
-        /// Value before the patch.
-        old: f64,
-        /// Value after the patch.
-        new: f64,
-    },
-    /// A bounds change on one variable.
-    VarBounds {
-        /// The patched variable.
-        var: VarId,
-        /// `(lb, ub)` before the patch.
-        old: (f64, f64),
-        /// `(lb, ub)` after the patch.
-        new: (f64, f64),
-    },
-    /// A single-coefficient change in one constraint row.
-    Coeff {
-        /// The patched constraint.
-        con: ConId,
-        /// The patched column.
-        var: VarId,
-        /// Coefficient before the patch.
-        old: f64,
-        /// Coefficient after the patch.
-        new: f64,
-    },
-}
-
 /// A standing model plus its lowered standard form, kept in lockstep
 /// under in-place patches. See the [module docs](self).
 #[derive(Debug)]
 pub struct IncrementalModel {
     model: Model,
     std: StdForm,
-    journal: Vec<PatchOp>,
     /// `LU(B)` of the basis the last solve left factorized, for the next
-    /// solve to take (moved out for the duration of a solve, so
-    /// [`solve_with`](Self::solve_with) stays `&self`).
-    held: Mutex<Option<HeldLu>>,
+    /// solve to take.
+    held: Option<HeldLu>,
 }
 
 /// A clone starts without a held factorization: its first solve
@@ -148,8 +106,7 @@ impl Clone for IncrementalModel {
         IncrementalModel {
             model: self.model.clone(),
             std: self.std.clone(),
-            journal: self.journal.clone(),
-            held: Mutex::new(None),
+            held: None,
         }
     }
 }
@@ -162,8 +119,7 @@ impl Default for IncrementalModel {
         IncrementalModel {
             std: StdForm::from_model(&model),
             model,
-            journal: Vec::new(),
-            held: Mutex::new(None),
+            held: None,
         }
     }
 }
@@ -177,8 +133,7 @@ impl IncrementalModel {
         Ok(IncrementalModel {
             model,
             std,
-            journal: Vec::new(),
-            held: Mutex::new(None),
+            held: None,
         })
     }
 
@@ -188,68 +143,13 @@ impl IncrementalModel {
         &self.model
     }
 
-    /// The applied-change journal since construction (or the last
-    /// [`clear_journal`](IncrementalModel::clear_journal)).
-    pub fn journal(&self) -> &[PatchOp] {
-        &self.journal
-    }
-
-    /// Forgets the journal (the patches stay applied). Call after a
-    /// change set has been committed so long-lived caches do not
-    /// accumulate history.
-    pub fn clear_journal(&mut self) {
-        self.journal.clear();
-    }
-
-    /// A position in the journal, for [`revert_to`](Self::revert_to).
-    pub fn mark(&self) -> usize {
-        self.journal.len()
-    }
-
-    /// Undoes every patch applied after `mark`, newest first.
-    pub fn revert_to(&mut self, mark: usize) {
-        while self.journal.len() > mark {
-            // Journal entries are only pushed by the apply_* methods
-            // below, so popping here cannot underflow past `mark`.
-            let Some(op) = self.journal.pop() else { break };
-            match op {
-                PatchOp::Rhs { con, old, .. } => self.apply_rhs(con, old),
-                PatchOp::VarBounds { var, old, .. } => self.apply_bounds(var, old.0, old.1),
-                PatchOp::Coeff { con, var, old, .. } => {
-                    // The entry existed when the patch was applied and
-                    // `old` was its stored value (zero only in a kept
-                    // slot), so the reverse patch cannot fail.
-                    let _ = self.apply_coeff(con, var, old);
-                }
-            }
-        }
-    }
-
-    /// Patches the right-hand side of constraint `con` in both the
-    /// model and the standing lowered form.
-    pub fn set_rhs(&mut self, con: ConId, rhs: f64) {
-        let old = self.model.cons[con.index()].rhs;
-        if old == rhs {
-            return;
-        }
-        self.apply_rhs(con, rhs);
-        self.journal.push(PatchOp::Rhs { con, old, new: rhs });
-    }
-
     /// Patches the bounds of variable `var` in both representations.
     /// Invalid bounds (NaN, `lb > ub`) are caught by the validation the
     /// solve entry points run, exactly like [`Model::set_bounds`].
     pub fn set_var_bounds(&mut self, var: VarId, lb: f64, ub: f64) {
-        let old = self.model.var_bounds(var);
-        if old == (lb, ub) {
-            return;
+        if self.model.var_bounds(var) != (lb, ub) {
+            self.apply_bounds(var, lb, ub);
         }
-        self.apply_bounds(var, lb, ub);
-        self.journal.push(PatchOp::VarBounds {
-            var,
-            old,
-            new: (lb, ub),
-        });
     }
 
     /// Patches one stored coefficient of constraint `con`. The entry
@@ -257,13 +157,10 @@ impl IncrementalModel {
     /// slot is kept (see [`PatchError`]); on rejection nothing changes.
     pub fn set_coeff(&mut self, con: ConId, var: VarId, coeff: f64) -> Result<(), PatchError> {
         let old = self.apply_coeff(con, var, coeff)?;
-        if old != coeff {
-            self.journal.push(PatchOp::Coeff {
-                con,
-                var,
-                old,
-                new: coeff,
-            });
+        // The held LU factorizes B's old coefficients.
+        let held = self.held.as_ref();
+        if old != coeff && held.is_some_and(|h| h.uses_column(var.index())) {
+            self.held = None;
         }
         Ok(())
     }
@@ -275,27 +172,12 @@ impl IncrementalModel {
     /// ([`SolveStats::factor_reused`](crate::SolveStats::factor_reused)).
     /// The result is bit-identical either way.
     pub fn solve_with(
-        &self,
+        &mut self,
         opts: &SimplexOptions,
         warm: Option<&BasisStatuses>,
     ) -> Result<Solution, LpError> {
         self.model.validate()?;
-        let mut held = self.held().take();
-        let result = simplex::solve(&self.std, opts, warm, &mut held);
-        *self.held() = held;
-        result
-    }
-
-    /// The held factorization slot. The lock is only taken to move the
-    /// slot out or back in, never across a solve (a solve that panics
-    /// just loses it), so a poisoned lock cannot hold a torn value.
-    fn held(&self) -> MutexGuard<'_, Option<HeldLu>> {
-        self.held.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn apply_rhs(&mut self, con: ConId, rhs: f64) {
-        self.model.cons[con.index()].rhs = rhs;
-        self.std.b[con.index()] = rhs;
+        simplex::solve(&self.std, opts, warm, &mut self.held)
     }
 
     fn apply_bounds(&mut self, var: VarId, lb: f64, ub: f64) {
@@ -308,7 +190,7 @@ impl IncrementalModel {
         self.std.ub[var.index()] = ub;
     }
 
-    /// Applies a coefficient patch to both representations, returning
+    /// Writes a coefficient patch into both representations, returning
     /// the previous value.
     fn apply_coeff(&mut self, con: ConId, var: VarId, coeff: f64) -> Result<f64, PatchError> {
         let expr = &mut self.model.cons[con.index()].expr;
@@ -328,13 +210,6 @@ impl IncrementalModel {
         }
         let old = expr.terms[pos].1;
         expr.terms[pos].1 = coeff;
-        if old != coeff {
-            // The held LU factorizes B's old coefficients.
-            let held = self.held.get_mut().unwrap_or_else(PoisonError::into_inner);
-            if held.as_ref().is_some_and(|h| h.uses_column(var.index())) {
-                *held = None;
-            }
-        }
         let patched = self.std.a.set_entry(con.index(), var.index(), coeff);
         debug_assert!(
             patched,
@@ -423,12 +298,13 @@ mod tests {
 
     #[test]
     fn patched_solves_match_fresh_builds() {
-        let (base, x, _y, c0, c2) = build(4.0, 3.0);
+        let (base, x, _y, _c0, c2) = build(4.0, 3.0);
         let mut inc = IncrementalModel::new(base).unwrap();
 
-        // rhs patch.
-        inc.set_rhs(c0, 2.0);
-        let (fresh, ..) = build(2.0, 3.0);
+        // bounds patch: cap x below its row c0.
+        inc.set_var_bounds(x, 0.0, 2.0);
+        let (mut fresh, ..) = build(4.0, 3.0);
+        fresh.set_bounds(x, 0.0, 2.0);
         assert_eq!(diff_models(inc.model(), &fresh), None);
         let a = inc.solve_with(&SimplexOptions::default(), None).unwrap();
         let b = fresh.solve().unwrap();
@@ -436,7 +312,8 @@ mod tests {
 
         // coefficient patch on top.
         inc.set_coeff(c2, x, 1.5).unwrap();
-        let (fresh, ..) = build(2.0, 1.5);
+        let (mut fresh, ..) = build(4.0, 1.5);
+        fresh.set_bounds(x, 0.0, 2.0);
         assert_eq!(diff_models(inc.model(), &fresh), None);
         let a = inc.solve_with(&SimplexOptions::default(), None).unwrap();
         let b = fresh.solve().unwrap();
@@ -450,14 +327,15 @@ mod tests {
 
     #[test]
     fn warm_patched_solve_matches_cold() {
-        let (base, _x, _y, c0, _c2) = build(4.0, 3.0);
+        let (base, x, ..) = build(4.0, 3.0);
         let mut inc = IncrementalModel::new(base).unwrap();
         let cold = inc.solve_with(&SimplexOptions::default(), None).unwrap();
-        inc.set_rhs(c0, 3.0);
+        inc.set_var_bounds(x, 0.0, 3.0);
         let warm = inc
             .solve_with(&SimplexOptions::default(), Some(&cold.basis))
             .unwrap();
-        let (fresh, ..) = build(3.0, 3.0);
+        let (mut fresh, ..) = build(4.0, 3.0);
+        fresh.set_bounds(x, 0.0, 3.0);
         let exact = fresh.solve().unwrap();
         assert!(
             (warm.objective - exact.objective).abs() < 1e-6,
@@ -468,36 +346,20 @@ mod tests {
     }
 
     #[test]
-    fn journal_records_and_reverts() {
-        let (base, x, _y, c0, c2) = build(4.0, 3.0);
-        let reference = {
-            let (m, ..) = build(4.0, 3.0);
-            m
-        };
+    fn same_value_patch_on_a_basic_column_keeps_the_held_factorization() {
+        let (base, x, _y, _c0, c2) = build(4.0, 3.0);
         let mut inc = IncrementalModel::new(base).unwrap();
-        let mark = inc.mark();
-        inc.set_rhs(c0, 9.0);
-        inc.set_var_bounds(x, 1.0, 2.0);
-        inc.set_coeff(c2, x, 7.0).unwrap();
-        assert_eq!(inc.journal().len(), 3);
-        assert!(diff_models(inc.model(), &reference).is_some());
-        inc.revert_to(mark);
-        assert_eq!(inc.journal().len(), 0);
-        assert_eq!(diff_models(inc.model(), &reference), None);
-        // And the lowered form reverted with it: solve gives the
-        // original optimum.
-        let s = inc.solve_with(&SimplexOptions::default(), None).unwrap();
-        assert!((s.objective - 36.0).abs() < 1e-6, "{}", s.objective);
-    }
-
-    #[test]
-    fn no_op_patches_stay_out_of_the_journal() {
-        let (base, x, _y, c0, c2) = build(4.0, 3.0);
-        let mut inc = IncrementalModel::new(base).unwrap();
-        inc.set_rhs(c0, 4.0);
-        inc.set_var_bounds(x, 0.0, f64::INFINITY);
+        let hint = primed(&mut inc);
+        assert_eq!(hint.0[x.index()], crate::model::ColStatus::Basic);
         inc.set_coeff(c2, x, 3.0).unwrap();
-        assert!(inc.journal().is_empty());
+        let opts = SimplexOptions::default();
+        let again = inc.solve_with(&opts, Some(&hint)).unwrap();
+        assert!(again.stats.factor_reused, "B's column x did not change");
+        let (fresh, ..) = build(4.0, 3.0);
+        let fresh = IncrementalModel::new(fresh)
+            .unwrap()
+            .solve_with(&opts, Some(&hint));
+        assert_bit_identical(&again, &fresh.unwrap());
     }
 
     #[test]
@@ -534,8 +396,7 @@ mod tests {
     }
 
     /// A kept slot is stored at `0.0` by a fresh build and its lowering,
-    /// patches to `0.0` and back, reverts through the journal, and is
-    /// what `diff_models` compares.
+    /// patches to `0.0` and back, and is what `diff_models` compares.
     #[test]
     fn kept_zero_slot_patches_to_zero_and_back() {
         let (zero, x, c2) = build_kept(0.0);
@@ -547,21 +408,17 @@ mod tests {
 
         let (base, ..) = build_kept(3.0);
         let mut inc = IncrementalModel::new(base).unwrap();
-        let mark = inc.mark();
         inc.set_coeff(c2, x, 0.0).unwrap();
         assert_eq!(diff_models(inc.model(), &zero), None);
         assert_eq!(inc.std.a.value_at(c2.index(), x.index()), Some(0.0));
         let opts = SimplexOptions::default();
         let patched = inc.solve_with(&opts, None).unwrap();
-        let fresh = IncrementalModel::new(zero.clone()).unwrap();
+        let mut fresh = IncrementalModel::new(zero.clone()).unwrap();
         assert_bit_identical(&patched, &fresh.solve_with(&opts, None).unwrap());
 
         inc.set_coeff(c2, x, 1.5).unwrap();
         assert_eq!(diff_models(inc.model(), &build_kept(1.5).0), None);
-        assert_eq!(inc.journal().len(), 2);
-        inc.revert_to(mark + 1);
-        assert_eq!(diff_models(inc.model(), &zero), None);
-        inc.revert_to(mark);
+        inc.set_coeff(c2, x, 3.0).unwrap();
         assert_eq!(diff_models(inc.model(), &build_kept(3.0).0), None);
         assert_eq!(inc.std.a.value_at(c2.index(), x.index()), Some(3.0));
 
@@ -609,7 +466,7 @@ mod tests {
     /// A standing model whose last solve left `LU(B)` of its optimal
     /// basis held: a cold solve, then a zero-iteration re-solve from
     /// its basis. Returns that basis.
-    fn primed(inc: &IncrementalModel) -> BasisStatuses {
+    fn primed(inc: &mut IncrementalModel) -> BasisStatuses {
         let opts = SimplexOptions::default();
         let cold = inc.solve_with(&opts, None).unwrap();
         let again = inc.solve_with(&opts, Some(&cold.basis)).unwrap();
@@ -622,7 +479,7 @@ mod tests {
     fn bound_patch_resolve_reuses_the_held_factorization() {
         let (base, x, _y, _c0, _c2) = build(4.0, 3.0);
         let mut inc = IncrementalModel::new(base).unwrap();
-        let hint = primed(&inc);
+        let hint = primed(&mut inc);
         // x is basic at 2 in the optimum; capping it at 1.5 leaves B
         // untouched but primal infeasible, so the re-solve pivots.
         inc.set_var_bounds(x, 0.0, 1.5);
@@ -632,7 +489,7 @@ mod tests {
         assert!(reused.stats.dual_iterations > 0);
         let (mut fresh, ..) = build(4.0, 3.0);
         fresh.set_bounds(x, 0.0, 1.5);
-        let fresh = IncrementalModel::new(fresh).unwrap();
+        let mut fresh = IncrementalModel::new(fresh).unwrap();
         let cold_slot = fresh.solve_with(&opts, Some(&hint)).unwrap();
         assert!(!cold_slot.stats.factor_reused);
         assert_bit_identical(&reused, &cold_slot);
@@ -642,7 +499,7 @@ mod tests {
     fn coefficient_patch_on_a_basic_column_drops_the_held_factorization() {
         let (base, x, _y, _c0, c2) = build(4.0, 3.0);
         let mut inc = IncrementalModel::new(base).unwrap();
-        let hint = primed(&inc);
+        let hint = primed(&mut inc);
         inc.set_coeff(c2, x, 2.5).unwrap();
         let opts = SimplexOptions::default();
         let patched = inc.solve_with(&opts, Some(&hint)).unwrap();
@@ -670,7 +527,7 @@ mod tests {
         };
         let (base, z, c2) = model(2.0);
         let mut inc = IncrementalModel::new(base).unwrap();
-        let hint = primed(&inc);
+        let hint = primed(&mut inc);
         assert_eq!(hint.0[z.index()], crate::model::ColStatus::Lower);
         inc.set_coeff(c2, z, 3.0).unwrap();
         let opts = SimplexOptions::default();
@@ -685,32 +542,10 @@ mod tests {
     }
 
     #[test]
-    fn revert_across_a_coefficient_patch_drops_the_held_factorization() {
-        let (base, x, _y, _c0, c2) = build(4.0, 3.0);
-        let mut inc = IncrementalModel::new(base).unwrap();
-        let mark = inc.mark();
-        inc.set_coeff(c2, x, 2.5).unwrap();
-        // Held now: LU(B) with x's coefficient 2.5 in row c2.
-        let hint = primed(&inc);
-        inc.revert_to(mark);
-        let opts = SimplexOptions::default();
-        let reverted = inc.solve_with(&opts, Some(&hint)).unwrap();
-        assert!(
-            !reverted.stats.factor_reused,
-            "the revert changed B's column x"
-        );
-        let (fresh, ..) = build(4.0, 3.0);
-        let fresh = IncrementalModel::new(fresh)
-            .unwrap()
-            .solve_with(&opts, Some(&hint));
-        assert_bit_identical(&reverted, &fresh.unwrap());
-    }
-
-    #[test]
     fn a_clone_starts_without_the_held_factorization() {
         let (base, ..) = build(4.0, 3.0);
-        let inc = IncrementalModel::new(base).unwrap();
-        let hint = primed(&inc);
+        let mut inc = IncrementalModel::new(base).unwrap();
+        let hint = primed(&mut inc);
         let opts = SimplexOptions::default();
         let copy = inc.clone().solve_with(&opts, Some(&hint)).unwrap();
         let own = inc.solve_with(&opts, Some(&hint)).unwrap();

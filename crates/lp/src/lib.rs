@@ -38,7 +38,7 @@
 //! | [`basis`] | factorization + eta-file updates (FTRAN/BTRAN) |
 //! | [`pricing`] | the entering-column rule: devex |
 //! | [`simplex`] | the bounded-variable two-phase revised simplex |
-//! | [`incremental`] | delta-LP: in-place patching of a standing model |
+//! | [`incremental`] | delta-LP: a standing model patched in place, keeping no history |
 //! | [`dense`] | an independent dense tableau oracle for testing |
 //!
 //! ## Solving
@@ -70,7 +70,7 @@ pub mod sparse;
 pub mod standard;
 
 pub use expr::{LinExpr, VarId};
-pub use incremental::{diff_models, IncrementalModel, PatchError, PatchOp};
+pub use incremental::{diff_models, IncrementalModel, PatchError};
 pub use model::{
     BasisStatuses, Cmp, ColStatus, ConId, ConView, LimitKind, LpError, Model, Sense, Solution,
     SolveStats,

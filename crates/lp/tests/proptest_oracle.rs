@@ -300,7 +300,7 @@ fn wrappers_agree(
     opts: &SimplexOptions,
     warm: Option<&BasisStatuses>,
 ) -> Result<(), TestCaseError> {
-    let standing = IncrementalModel::new(m.clone()).expect("generated LPs validate");
+    let mut standing = IncrementalModel::new(m.clone()).expect("generated LPs validate");
     match (m.solve_with(opts, warm), standing.solve_with(opts, warm)) {
         (Ok(a), Ok(b)) => {
             prop_assert_eq!(a.objective.to_bits(), b.objective.to_bits(), "{}", label);
