@@ -350,10 +350,19 @@ pub fn run_campaign(inputs: &ChaosInputs<'_>, cfg: &ChaosConfig, index: usize) -
     report
 }
 
-/// Runs the whole harness: `cfg.campaigns` campaigns in index order.
-pub fn run_chaos(inputs: &ChaosInputs<'_>, cfg: &ChaosConfig) -> ChaosReport {
+/// Runs the whole harness: `cfg.campaigns` campaigns in index order,
+/// handing each to `on_campaign` as it finishes.
+pub fn run_chaos(
+    inputs: &ChaosInputs<'_>,
+    cfg: &ChaosConfig,
+    mut on_campaign: impl FnMut(&CampaignReport),
+) -> ChaosReport {
     let campaigns = (0..cfg.campaigns)
-        .map(|i| run_campaign(inputs, cfg, i))
+        .map(|i| {
+            let c = run_campaign(inputs, cfg, i);
+            on_campaign(&c);
+            c
+        })
         .collect();
     ChaosReport { campaigns }
 }
@@ -422,8 +431,8 @@ mod tests {
         let mut cfg = ChaosConfig::new(5);
         cfg.campaigns = 4;
         cfg.intervals = 3;
-        let a = run_chaos(&ins, &cfg);
-        let b = run_chaos(&ins, &cfg);
+        let a = run_chaos(&ins, &cfg, |_| {});
+        let b = run_chaos(&ins, &cfg, |_| {});
         assert_eq!(a.summary(), b.summary());
     }
 
@@ -434,7 +443,7 @@ mod tests {
         let mut cfg = ChaosConfig::new(1);
         cfg.campaigns = 12;
         cfg.intervals = 3;
-        let report = run_chaos(&ins, &cfg);
+        let report = run_chaos(&ins, &cfg, |_| {});
         assert_eq!(
             report.total_violations(),
             0,
@@ -450,7 +459,7 @@ mod tests {
         let mut cfg = ChaosConfig::new(2);
         cfg.campaigns = 24;
         cfg.intervals = 3;
-        let report = run_chaos(&ins, &cfg);
+        let report = run_chaos(&ins, &cfg, |_| {});
         assert_eq!(report.total_violations(), 0, "{}", report.summary());
         assert!(
             report
@@ -516,7 +525,7 @@ mod tests {
             cfg.intervals = 3;
             cfg.ffc = FfcConfig::new(0, 1, 0);
             cfg.emit_overload_trace = true;
-            let report = run_chaos(&ins, &cfg);
+            let report = run_chaos(&ins, &cfg, |_| {});
             assert_eq!(report.total_violations(), 0, "{}", report.summary());
             if report.campaigns_with_overloads() > 0 {
                 tripped = true;

@@ -1,7 +1,8 @@
 //! `ffc chaos [crash | replay]`: the deterministic fault-injection
 //! harness. Without `--topo/--traffic` it drives the built-in S-Net
 //! topology with gravity-model traffic. Stdout is deterministic for a
-//! fixed seed — CI diffs two runs to assert bit-reproducibility.
+//! fixed seed — CI diffs two runs to assert bit-reproducibility; the
+//! progress lines go to stderr.
 
 use std::path::Path;
 
@@ -65,7 +66,18 @@ pub(crate) fn campaigns(mut a: Args) -> Done {
         }
         cfg.link_heat = Some(heat);
     }
-    let report = run_chaos(&inputs(&inst), &cfg);
+    // A line on stderr as each campaign finishes: a long matrix shows
+    // where it is.
+    let report = run_chaos(&inputs(&inst), &cfg, |c| {
+        eprintln!(
+            "campaign {} of {}: kind {}, {} intervals, {} violation(s)",
+            c.index,
+            cfg.campaigns,
+            c.kind.as_str(),
+            cfg.intervals,
+            c.violations.len()
+        )
+    });
     print!("{}", report.summary());
     if let Some(dir) = &out_dir {
         std::fs::create_dir_all(dir).map_err(ctx(format_args!("cannot create {dir}")))?;

@@ -23,10 +23,11 @@
 //! line` entries), whose first that-many bytes hold exactly the history
 //! the reference names. So a checkpoint's size does not grow with the
 //! run, and a write costs what the interval added: its new entries are
-//! appended to the log first, then the checkpoint is written with temp
-//! file + rename. A crash between the two leaves entries past every
-//! checkpoint's reference — a tail no reader looks at and the next
-//! [`Checkpointer`] cuts off.
+//! appended to the log first, then the checkpoint is written — in steady
+//! state over the oldest file the [`Checkpointer`] wrote, which is then
+//! renamed to the new sequence number. A crash between the two leaves
+//! entries past every checkpoint's reference — a tail no reader looks at
+//! and the next [`Checkpointer`] cuts off.
 //!
 //! Recovery scans checkpoints newest-to-oldest, skipping torn or
 //! corrupt ones (with a note) until one is valid *and* the log still
@@ -45,8 +46,9 @@
 //! remaining stages complete (or the commit falls back to
 //! last-known-good) exactly as the crashed run would have.
 
+use std::collections::VecDeque;
 use std::fs::{self, File, OpenOptions};
-use std::io::Write;
+use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use ffc_core::TeConfig;
@@ -70,9 +72,12 @@ pub const CHECKPOINT_END: &[u8; 8] = b"FFCKEND\n";
 /// (2: the planner's standing mice set follows its ladder position;
 /// 3: a reference into [`HISTORY_LOG`] where the two histories were).
 pub const CHECKPOINT_SCHEMA_VERSION: u32 = 3;
-/// How many checkpoint files [`Checkpointer`] retains: the newest may
-/// be torn by a crash mid-rename-window or corrupted on disk, so
-/// recovery needs older fallbacks.
+/// How many complete checkpoints hold the newest names at every
+/// instant: the newest may be corrupted on disk, so recovery needs
+/// older fallbacks. A [`Checkpointer`] keeps one file more, the
+/// oldest, for its next write to rewrite in place and rename; a crash
+/// mid-rewrite tears only that file, under a name recovery reaches
+/// last.
 pub const CHECKPOINT_KEEP: usize = 3;
 /// The append-only log of both histories, beside the checkpoints that
 /// refer into it.
@@ -756,12 +761,33 @@ pub fn decode_checkpoint(
     Ok(state)
 }
 
-/// Writes checkpoints into a directory as `ckpt-<seq>.ffck`, atomically
-/// (temp + rename), keeping the newest [`CHECKPOINT_KEEP`], over one
+/// Writes checkpoints into a directory as `ckpt-<seq>.ffck` over one
 /// append-only [`HISTORY_LOG`] that each write extends by the entries
 /// its state has and the log lacks. One checkpointer serves one run:
 /// the histories of the states it is handed only grow, or fall back to
 /// a prefix.
+///
+/// It keeps the checkpoint files it wrote open, oldest first, at most
+/// [`CHECKPOINT_KEEP`] `+ 1` of them. Until it has that many, a write
+/// lands the new file atomically (temp + rename), then removes the
+/// file that falls out of the window by name (sequence numbers are
+/// dense). From then on a write rewrites its oldest file in place —
+/// the image from offset 0, then the length cut to the image's — and
+/// renames it to the new sequence number: no file is created or
+/// deleted. Files it recovered from or inherited are never rewritten,
+/// only removed, and only once a newer file has landed.
+///
+/// Against a crash of the process, the newest [`CHECKPOINT_KEEP`]
+/// names hold complete checkpoints at every instant. A crash
+/// mid-rewrite tears only a file that still carries the oldest name:
+/// recovery (newest valid first) finds the newer names valid and never
+/// reaches it. A crash between the rewrite and the rename leaves the
+/// newest name valid, and the log tail past it is the orphan the next
+/// checkpointer cuts. Nothing is fsynced, so an OS crash or power loss
+/// is not covered: the rename may reach the disk before the rewritten
+/// data, leaving an older, still valid image under the newest name,
+/// and recovery then resumes from an older state than the newest one
+/// on disk.
 ///
 /// A write failure latches: checkpointing degrades to a no-op and the
 /// first error is reported via [`Checkpointer::error`] — a full disk
@@ -774,6 +800,10 @@ pub struct Checkpointer {
     /// The log, open for appending, and the reference to all it holds;
     /// `None` until the first write positions it.
     log: Option<(File, HistoryRef)>,
+    /// The checkpoint files this checkpointer wrote, open, oldest
+    /// first: sequence numbers are dense, so the last is
+    /// `next_seq - 1`.
+    owned: VecDeque<File>,
     writes: u64,
     bytes_written: u64,
     error: Option<String>,
@@ -783,14 +813,13 @@ impl Checkpointer {
     /// Opens (creating if needed) a checkpoint directory. Sequence
     /// numbers continue after any checkpoints already present, so a
     /// resumed run never overwrites the files it recovered from; more
-    /// than [`CHECKPOINT_KEEP`] of them (a run killed between a write
-    /// and its prune) are trimmed to the newest. The history log is not
-    /// touched before the first write.
+    /// than [`CHECKPOINT_KEEP`] `+ 1` of them are trimmed to the
+    /// newest. The history log is not touched before the first write.
     pub fn create(dir: &Path, digest: u64) -> Result<Checkpointer, String> {
         fs::create_dir_all(dir).map_err(|e| io_err(dir, "create checkpoint dir", e))?;
         let files = list_checkpoints(dir)?;
         let next_seq = files.last().map_or(0, |&(seq, _)| seq + 1);
-        for (_, path) in files.iter().rev().skip(CHECKPOINT_KEEP) {
+        for (_, path) in files.iter().rev().skip(CHECKPOINT_KEEP + 1) {
             // Best effort: a stale extra checkpoint is harmless.
             let _ = fs::remove_file(path);
         }
@@ -799,6 +828,7 @@ impl Checkpointer {
             digest,
             next_seq,
             log: None,
+            owned: VecDeque::with_capacity(CHECKPOINT_KEEP + 1),
             writes: 0,
             bytes_written: 0,
             error: None,
@@ -827,15 +857,37 @@ impl Checkpointer {
             "one checkpointer, one run: histories only grow"
         );
         let image = encode_referring(state, self.digest, &history);
-        write_atomic(&self.dir.join(checkpoint_name(self.next_seq)), &image)?;
+        let seq = self.next_seq;
+        let path = self.dir.join(checkpoint_name(seq));
+        // Sequence numbers are dense, so the name that falls out of the
+        // window is known: this checkpointer's oldest file once it owns
+        // a full window, an inherited one (or none) before.
+        let stale = seq.checked_sub(CHECKPOINT_KEEP as u64 + 1);
+        let stale = stale.map(|old| self.dir.join(checkpoint_name(old)));
+        let full = self.owned.len() > CHECKPOINT_KEEP;
+        let file = match (full.then(|| self.owned.pop_front()).flatten(), stale) {
+            (Some(mut file), Some(from)) => {
+                rewrite(&mut file, &image).map_err(|e| io_err(&from, "rewrite", e))?;
+                fs::rename(&from, &path).map_err(|e| io_err(&path, "rename", e))?;
+                file
+            }
+            (_, stale) => {
+                // The new file lands before the stale one goes: a
+                // resumed run's first writes may displace the very
+                // checkpoint it recovered from.
+                write_atomic(&path, &image)?;
+                let file = OpenOptions::new().write(true).open(&path);
+                let file = file.map_err(|e| io_err(&path, "open", e))?;
+                if let Some(stale) = stale {
+                    // Best effort: a stale extra checkpoint is harmless.
+                    let _ = fs::remove_file(stale);
+                }
+                file
+            }
+        };
+        self.owned.push_back(file);
         self.writes += 1;
         self.bytes_written += (appended + image.len()) as u64;
-        // Sequence numbers are dense, so one file at most is now past
-        // the keep limit, and its name is known.
-        if let Some(stale) = self.next_seq.checked_sub(CHECKPOINT_KEEP as u64) {
-            // Best effort: a stale extra checkpoint is harmless.
-            let _ = fs::remove_file(self.dir.join(checkpoint_name(stale)));
-        }
         self.next_seq += 1;
         Ok(())
     }
@@ -899,6 +951,14 @@ impl Checkpointer {
     pub fn bytes_written(&self) -> u64 {
         self.bytes_written
     }
+}
+
+/// Overwrites `file` with `image` from offset 0 and cuts it to the
+/// image's length.
+fn rewrite(file: &mut File, image: &[u8]) -> std::io::Result<()> {
+    file.seek(SeekFrom::Start(0))?;
+    file.write_all(image)?;
+    file.set_len(image.len() as u64)
 }
 
 fn checkpoint_name(seq: u64) -> String {
@@ -1223,7 +1283,7 @@ mod tests {
         }
         assert!(ck.error().is_none());
         let files = list_checkpoints(&dir).expect("list");
-        assert_eq!(files.len(), CHECKPOINT_KEEP, "pruned to the keep limit");
+        assert_eq!(files.len(), CHECKPOINT_KEEP + 1, "the window and one more");
         assert_eq!(files.last().map(|&(s, _)| s), Some(4));
 
         let rec = recover_latest(&dir, 7).expect("recover");
@@ -1234,33 +1294,165 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// Sequence numbers are dense, so a write removes the one file that
-    /// fell out of the keep window, by name, and never lists the
-    /// directory; `create`, which lists it anyway, trims what a run
-    /// killed between a write and its prune left over.
+    /// The sequence numbers of the checkpoints in `dir`, ascending.
+    fn seqs(dir: &Path) -> Vec<u64> {
+        let files = list_checkpoints(dir).expect("list");
+        files.iter().map(|&(seq, _)| seq).collect()
+    }
+
+    /// Sequence numbers are dense, so until a checkpointer owns
+    /// `CHECKPOINT_KEEP + 1` files a write removes the one file that
+    /// fell out of the window, by name, and never lists the directory;
+    /// from then on it renames its own oldest. `create`, which lists
+    /// the directory anyway, trims what it inherits to the newest
+    /// `CHECKPOINT_KEEP + 1`.
     #[test]
     fn a_write_prunes_by_name_and_create_trims_an_inherited_directory() {
         let dir = scratch_dir("prune-by-name");
-        let seqs = |dir: &Path| -> Vec<u64> {
-            let files = list_checkpoints(dir).expect("list");
-            files.iter().map(|&(seq, _)| seq).collect()
+        let plant = |from: u64, to: u64| {
+            let (from, to) = (checkpoint_name(from), checkpoint_name(to));
+            fs::copy(dir.join(from), dir.join(to)).expect("plant");
         };
         let mut ck = Checkpointer::create(&dir, 7).expect("create");
-        for _ in 0..5 {
+        for _ in 0..6 {
             ck.write(&sample_state());
         }
-        assert_eq!(seqs(&dir), [2, 3, 4]);
-        // A file outside the window is not this write's to look for.
-        fs::copy(dir.join(checkpoint_name(4)), dir.join(checkpoint_name(0))).expect("plant");
-        ck.write(&sample_state());
-        assert_eq!(seqs(&dir), [0, 3, 4, 5], "5 displaced 2 and nothing else");
-        assert!(ck.error().is_none());
+        assert_eq!(seqs(&dir), [2, 3, 4, 5]);
         drop(ck);
 
-        fs::copy(dir.join(checkpoint_name(5)), dir.join(checkpoint_name(6))).expect("plant");
-        let ck = Checkpointer::create(&dir, 7).expect("reopen");
-        assert_eq!(seqs(&dir), [4, 5, 6], "trimmed to the newest three on open");
+        plant(5, 0);
+        plant(5, 6);
+        let mut ck = Checkpointer::create(&dir, 7).expect("reopen");
+        assert_eq!(
+            seqs(&dir),
+            [3, 4, 5, 6],
+            "trimmed to the newest four on open"
+        );
         assert_eq!(ck.next_seq, 7);
+        ck.write(&sample_state());
+        assert_eq!(seqs(&dir), [4, 5, 6, 7], "7 displaced 3");
+        // A file outside the window is not this write's to look for.
+        plant(7, 1);
+        ck.write(&sample_state());
+        assert_eq!(
+            seqs(&dir),
+            [1, 5, 6, 7, 8],
+            "8 displaced 4 and nothing else"
+        );
+        for _ in 0..3 {
+            ck.write(&sample_state());
+        }
+        assert_eq!(seqs(&dir), [1, 8, 9, 10, 11], "11 is 7 renamed");
+        assert!(ck.error().is_none());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Once the window is full a write creates no file and deletes
+    /// none: the directory's inodes stay the same set, under the
+    /// newest `CHECKPOINT_KEEP + 1` names, and each name holds the
+    /// image of the state written under it.
+    #[cfg(unix)]
+    #[test]
+    fn a_full_window_rewrites_its_files_in_place() {
+        use std::collections::BTreeSet;
+        use std::os::unix::fs::MetadataExt;
+
+        let dir = scratch_dir("inodes");
+        let inodes = |dir: &Path| -> BTreeSet<u64> {
+            let entries = fs::read_dir(dir).expect("dir").map(|e| e.expect("entry"));
+            entries.map(|e| e.metadata().expect("stat").ino()).collect()
+        };
+        let mut ck = Checkpointer::create(&dir, 7).expect("create");
+        let mut st = sample_state();
+        for i in 0..=CHECKPOINT_KEEP {
+            st.next_interval = i;
+            ck.write(&st);
+        }
+        let window = inodes(&dir);
+        assert_eq!(window.len(), CHECKPOINT_KEEP + 2, "the files and the log");
+        for i in CHECKPOINT_KEEP + 1..20 {
+            st.next_interval = i;
+            st.fingerprints.push(format!("i{i} ok"));
+            // Every other state is shorter: the file shrinks and grows.
+            st.inflight = (i % 2 == 0).then(|| sample_state().inflight).flatten();
+            ck.write(&st);
+            assert_eq!(inodes(&dir), window, "write {i}");
+            let newest = (i - CHECKPOINT_KEEP..=i).map(|s| s as u64);
+            assert_eq!(seqs(&dir), newest.collect::<Vec<_>>(), "write {i}");
+            let file = fs::read(dir.join(checkpoint_name(i as u64))).expect("read");
+            assert_eq!(file, encode_checkpoint(&st, 7), "write {i}");
+        }
+        assert!(ck.error().is_none());
+        let rec = recover_latest(&dir, 7).expect("recover");
+        assert_eq!(rec.checkpoint.expect("newest").state, st);
+        assert!(rec.notes.is_empty());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The two crash windows of a rewrite. Torn at any offset of the new
+    /// image — over what the file held, cut to length or not — the file
+    /// still carries the oldest name; rewritten whole but not yet
+    /// renamed, it holds the newest image under that name. Either way
+    /// recovery finds the newest name valid first and never reaches it.
+    #[test]
+    fn a_rewrite_torn_or_not_yet_renamed_is_never_reached() {
+        let dir = scratch_dir("torn-rewrite");
+        let mut ck = Checkpointer::create(&dir, 7).expect("create");
+        let mut st = sample_state();
+        for i in 0..=CHECKPOINT_KEEP {
+            st.next_interval = i;
+            ck.write(&st);
+        }
+        let newest = (CHECKPOINT_KEEP as u64, st.clone());
+        let oldest = dir.join(checkpoint_name(0));
+        let held = fs::read(&oldest).expect("read");
+        // The next write's image, shorter than what the file holds.
+        st.next_interval = CHECKPOINT_KEEP + 1;
+        st.inflight = None;
+        let image = encode_checkpoint(&st, 7);
+        assert!(image.len() < held.len());
+        for cut in 0..=image.len() {
+            let mut torn = image[..cut].to_vec();
+            for tail in [&held[cut..], &[]] {
+                torn.truncate(cut);
+                torn.extend_from_slice(tail);
+                fs::write(&oldest, &torn).expect("tear");
+                let rec = recover_latest(&dir, 7).expect("recover");
+                let got = rec.checkpoint.expect("the newest name");
+                assert_eq!((got.seq, got.state), newest, "cut at {cut}");
+                assert!(rec.notes.is_empty(), "cut at {cut}: {:?}", rec.notes);
+            }
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// `set_len` after the write: a shorter image over a longer one
+    /// leaves exactly the image, and a longer one over it grows back.
+    #[test]
+    fn a_shorter_image_rewritten_over_a_longer_one_leaves_the_image_alone() {
+        let dir = scratch_dir("shrink");
+        let mut ck = Checkpointer::create(&dir, 7).expect("create");
+        let long = sample_state();
+        for _ in 0..=CHECKPOINT_KEEP {
+            ck.write(&long);
+        }
+        let mut short = sample_state();
+        short.inflight = None;
+        let (short_image, long_image) = (encode_checkpoint(&short, 7), encode_checkpoint(&long, 7));
+        assert!(short_image.len() < long_image.len());
+        let seq = CHECKPOINT_KEEP as u64 + 1;
+        ck.write(&short);
+        assert_eq!(
+            fs::read(dir.join(checkpoint_name(seq))).expect("read"),
+            short_image
+        );
+        for _ in 0..CHECKPOINT_KEEP {
+            ck.write(&short);
+        }
+        ck.write(&long);
+        let grown = dir.join(checkpoint_name(seq + CHECKPOINT_KEEP as u64 + 1));
+        assert_eq!(fs::read(grown).expect("read"), long_image);
+        assert!(ck.error().is_none());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1293,6 +1485,43 @@ mod tests {
             "one note per skipped file: {:?}",
             rec.notes
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A resumed run that recovered from the oldest of the window must
+    /// not lose it to its own first write: the new file lands before
+    /// the stale one is removed, so a write that fails leaves the
+    /// recovered checkpoint in place.
+    #[test]
+    fn a_failed_first_write_keeps_the_checkpoint_it_resumed_from() {
+        let dir = scratch_dir("resume-oldest");
+        let mut ck = Checkpointer::create(&dir, 7).expect("create");
+        for i in 0..=CHECKPOINT_KEEP {
+            let mut st = sample_state();
+            st.next_interval = i;
+            ck.write(&st);
+        }
+        drop(ck);
+        for (_, path) in &list_checkpoints(&dir).expect("list")[1..] {
+            let bytes = fs::read(path).expect("read");
+            fs::write(path, &bytes[..bytes.len() / 2]).expect("tear");
+        }
+        let rec = recover_latest(&dir, 7).expect("recover");
+        let got = rec.checkpoint.expect("the oldest survives");
+        assert_eq!((got.seq, got.state.next_interval), (0, 0));
+
+        let mut ck = Checkpointer::create(&dir, 7).expect("reopen");
+        let seq = CHECKPOINT_KEEP as u64 + 1;
+        let tmp = format!("{}.tmp", checkpoint_name(seq));
+        fs::create_dir_all(dir.join(tmp)).expect("plant");
+        ck.write(&got.state);
+        assert!(ck.error().is_some(), "the write could not land");
+        let bytes = fs::read(dir.join(checkpoint_name(0))).expect("still there");
+        let log = fs::read(dir.join(HISTORY_LOG)).expect("log");
+        let state = decode_checkpoint(&bytes, &got.file, 7, &log).expect("decodes");
+        assert_eq!(state, got.state);
+        let rec = recover_latest(&dir, 7).expect("recover again");
+        assert_eq!(rec.checkpoint.expect("recovered").seq, 0);
         let _ = fs::remove_dir_all(&dir);
     }
 

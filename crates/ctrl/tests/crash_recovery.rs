@@ -1,7 +1,8 @@
 //! Kill–resume convergence: a controller crashed at an interval
 //! boundary, mid-rollout-stage, between the history log's append and
-//! the checkpoint's rename, or facing a corrupted checkpoint or a torn
-//! log must resume from durable state and converge to the
+//! the checkpoint's rename, between a checkpoint file's rewrite and its
+//! rename, or facing a corrupted checkpoint or a torn log must resume
+//! from durable state and converge to the
 //! *bit-identical* replay fingerprint of an uninterrupted run, with
 //! exactly-once rollout semantics (no acked stage is ever re-pushed).
 //! The last test holds the checkpoint files to their size contract:
@@ -11,7 +12,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
 use ffc_core::{CacheStats, FfcConfig};
-use ffc_ctrl::checkpoint::{encode_history, CHECKPOINT_KEEP, HISTORY_LOG};
+use ffc_ctrl::checkpoint::{decode_checkpoint, encode_history, CHECKPOINT_KEEP, HISTORY_LOG};
 use ffc_ctrl::{
     config_digest, recover_latest, ChaosHooks, Checkpointer, Controller, ControllerConfig,
     ControllerReport, Event, IntervalSink, IntervalTelemetry, PlanOutcome, SolvePath, TimedEvent,
@@ -520,8 +521,75 @@ fn crash_between_the_log_append_and_the_rename_resumes_from_the_checkpoint_befor
     );
 }
 
+/// The window a rewrite opens: the next checkpoint's entries are in
+/// the log and its image is in the oldest file, which still carries
+/// the oldest name — the process died before the rename. Recovery finds
+/// the newest name valid first and never reaches the stale one; the
+/// resume is the uninterrupted run, and its first write removes the
+/// stale file by name.
+#[test]
+fn crash_between_the_rewrite_and_the_rename_resumes_from_the_newest_name() {
+    const K: usize = 2;
+    let case = churn();
+    let full = uninterrupted(&case);
+    let digest = config_digest(&case.cfg, &case.topo, &case.tunnels, &case.tm);
+    let crash_after = |interval, tag| {
+        let dir = scratch_dir(tag);
+        let hooks = ChaosHooks {
+            crash_at_interval: Some(interval),
+            ..ChaosHooks::default()
+        };
+        run_until_crash(&case, &dir, hooks);
+        dir
+    };
+    let (dir, later) = (
+        crash_after(K, "unrenamed"),
+        crash_after(K + 1, "unrenamed-next"),
+    );
+    let seqs = |dir: &Path| -> Vec<u64> {
+        let snap = snapshot_of(&dir_listing(dir));
+        snap.checkpoints.iter().map(|&(seq, _)| seq).collect()
+    };
+    let names = seqs(&dir);
+    assert_eq!(names.len(), CHECKPOINT_KEEP + 1, "a full window: {names:?}");
+    let (oldest, newest) = (names[0], names[CHECKPOINT_KEEP]);
+
+    // The same run killed one boundary later wrote the next checkpoint:
+    // its image, over the oldest file, and the log up to its entries.
+    let name = |seq: u64| format!("ckpt-{seq:08}.ffck");
+    let next = std::fs::read(later.join(name(newest + 1))).expect("the next checkpoint");
+    let longer = std::fs::read(later.join(HISTORY_LOG)).expect("log");
+    let state = decode_checkpoint(&next, "next", digest, &longer).expect("decode");
+    let logged = encode_history(&state, digest).len();
+    assert!(
+        logged > log_len(&dir) as usize,
+        "it logged entries past the newest name's"
+    );
+    std::fs::write(dir.join(HISTORY_LOG), &longer[..logged]).expect("append its entries");
+    std::fs::write(dir.join(name(oldest)), &next).expect("rewrite the oldest");
+
+    let (resumed, notes) = resume(&case, &dir);
+    assert!(
+        notes.is_empty(),
+        "the stale file is never reached: {notes:?}"
+    );
+    assert_eq!(
+        resumed.prior_fingerprints.len(),
+        K + 1,
+        "from the newest name"
+    );
+    assert_converged(&resumed, &full);
+    let end = seqs(&dir);
+    assert!(!end.contains(&oldest), "{end:?}");
+    assert_eq!(end.len(), CHECKPOINT_KEEP + 1, "{end:?}");
+    let _ = (
+        std::fs::remove_dir_all(&dir),
+        std::fs::remove_dir_all(&later),
+    );
+}
+
 /// One copy of the history instead of one per checkpoint: damage inside
-/// the oldest surviving checkpoint's prefix loses all three at once.
+/// the oldest surviving checkpoint's prefix loses every one at once.
 /// Every note names the log, the run restarts from interval 0 — its
 /// first write starts the log afresh — and still converges.
 #[test]
@@ -545,7 +613,7 @@ fn a_log_torn_inside_every_prefix_restarts_from_interval_0_and_converges() {
     let digest = config_digest(&case.cfg, topo, tunnels, tm);
     let rec = recover_latest(&dir, digest).expect("recover");
     assert!(rec.checkpoint.is_none(), "no prefix is whole");
-    assert_eq!(rec.notes.len(), CHECKPOINT_KEEP, "{:?}", rec.notes);
+    assert_eq!(rec.notes.len(), CHECKPOINT_KEEP + 1, "{:?}", rec.notes);
     assert!(
         rec.notes.iter().all(|n| n.contains("history.ffhl: ")),
         "{:?}",
@@ -660,6 +728,10 @@ fn checkpoint_size_does_not_grow_with_the_run() {
     let report = ctrl.run_with_recovery(&tm, &events, N, false, Some(sink), Some(&mut ck), None);
     assert!(ck.error().is_none(), "{:?}", ck.error());
     watch.seen.push(dir_listing(&dir));
+    // Nothing but checkpoints and the log, at every stage.
+    let mut names = watch.seen.iter().flatten().map(|(name, _)| name);
+    let stray = names.find(|&n| n != HISTORY_LOG && !n.starts_with("ckpt-"));
+    assert_eq!(stray, None);
     // seen[i] is the directory after the boundary of interval i - 1.
     let seen: Vec<DirSnapshot> = watch.seen.iter().map(|l| snapshot_of(l)).collect();
     assert_eq!(seen.len(), N + 1);
@@ -673,7 +745,7 @@ fn checkpoint_size_does_not_grow_with_the_run() {
     let mut mid_rollout = 0;
     for (interval, pair) in seen.windows(2).enumerate() {
         let (before, after) = (&pair[0], &pair[1]);
-        assert!(after.checkpoints.len() <= CHECKPOINT_KEEP, "{after:?}");
+        assert!(after.checkpoints.len() <= CHECKPOINT_KEEP + 1, "{after:?}");
         // Counters that widen over a run: the interval index, three
         // config versions, two history counts and the log length.
         let size = newest(after).expect("a boundary checkpoint");

@@ -97,6 +97,11 @@ pub struct IncrementalModel {
     /// `LU(B)` of the basis the last solve left factorized, for the next
     /// solve to take.
     held: Option<HeldLu>,
+    /// A patch wrote a value [`Model::validate`] rejects (a NaN bound,
+    /// `lb > ub`, a NaN coefficient) and no solve has validated the
+    /// model since. The model was valid when built, and patches are
+    /// its only writers, so a clear flag skips the walk.
+    unvalidated: bool,
 }
 
 /// A clone starts without a held factorization: its first solve
@@ -107,6 +112,7 @@ impl Clone for IncrementalModel {
             model: self.model.clone(),
             std: self.std.clone(),
             held: None,
+            unvalidated: self.unvalidated,
         }
     }
 }
@@ -120,6 +126,7 @@ impl Default for IncrementalModel {
             std: StdForm::from_model(&model),
             model,
             held: None,
+            unvalidated: false,
         }
     }
 }
@@ -134,6 +141,7 @@ impl IncrementalModel {
             model,
             std,
             held: None,
+            unvalidated: false,
         })
     }
 
@@ -145,18 +153,21 @@ impl IncrementalModel {
 
     /// Patches the bounds of variable `var` in both representations.
     /// Invalid bounds (NaN, `lb > ub`) are caught by the validation the
-    /// solve entry points run, exactly like [`Model::set_bounds`].
+    /// next solve runs, exactly like [`Model::set_bounds`].
     pub fn set_var_bounds(&mut self, var: VarId, lb: f64, ub: f64) {
         if self.model.var_bounds(var) != (lb, ub) {
             self.apply_bounds(var, lb, ub);
+            self.unvalidated |= lb.is_nan() || ub.is_nan() || lb > ub;
         }
     }
 
     /// Patches one stored coefficient of constraint `con`. The entry
     /// must already exist, and the new value must be nonzero unless the
     /// slot is kept (see [`PatchError`]); on rejection nothing changes.
+    /// A NaN is caught by the validation the next solve runs.
     pub fn set_coeff(&mut self, con: ConId, var: VarId, coeff: f64) -> Result<(), PatchError> {
         let old = self.apply_coeff(con, var, coeff)?;
+        self.unvalidated |= coeff.is_nan();
         // The held LU factorizes B's old coefficients.
         let held = self.held.as_ref();
         if old != coeff && held.is_some_and(|h| h.uses_column(var.index())) {
@@ -170,13 +181,18 @@ impl IncrementalModel {
     /// — and, when the start basis is exactly the one the previous
     /// solve left factorized, minus its factorization
     /// ([`SolveStats::factor_reused`](crate::SolveStats::factor_reused)).
-    /// The result is bit-identical either way.
+    /// The result is bit-identical either way. Only after a patch wrote
+    /// a value validation rejects does the solve validate the whole
+    /// model first, returning the error [`Model::solve_with`] would.
     pub fn solve_with(
         &mut self,
         opts: &SimplexOptions,
         warm: Option<&BasisStatuses>,
     ) -> Result<Solution, LpError> {
-        self.model.validate()?;
+        if self.unvalidated {
+            self.model.validate()?;
+            self.unvalidated = false;
+        }
         simplex::solve(&self.std, opts, warm, &mut self.held)
     }
 
@@ -562,5 +578,53 @@ mod tests {
             inc.solve_with(&SimplexOptions::default(), None),
             Err(LpError::InvalidBounds { .. })
         ));
+    }
+
+    #[test]
+    fn a_nan_coefficient_patch_fails_at_solve_time() {
+        let (base, x, _y, _c0, c2) = build(4.0, 3.0);
+        let mut inc = IncrementalModel::new(base).unwrap();
+        inc.set_coeff(c2, x, f64::NAN).unwrap();
+        let opts = SimplexOptions::default();
+        for _ in 0..2 {
+            let err = inc.solve_with(&opts, None).unwrap_err();
+            assert_eq!(err, LpError::NotANumber, "and again: it stays invalid");
+        }
+        assert_eq!(inc.model().solve().unwrap_err(), LpError::NotANumber);
+    }
+
+    #[test]
+    fn an_invalid_bound_patched_back_before_the_solve_succeeds() {
+        let (base, x, ..) = build(4.0, 3.0);
+        let mut inc = IncrementalModel::new(base).unwrap();
+        inc.set_var_bounds(x, 2.0, 1.0);
+        inc.set_var_bounds(x, f64::NAN, 1.0);
+        inc.set_var_bounds(x, 0.0, 2.0);
+        let opts = SimplexOptions::default();
+        let patched = inc.solve_with(&opts, None).unwrap();
+        let (mut fresh, ..) = build(4.0, 3.0);
+        fresh.set_bounds(x, 0.0, 2.0);
+        let fresh = IncrementalModel::new(fresh)
+            .unwrap()
+            .solve_with(&opts, None);
+        assert_bit_identical(&patched, &fresh.unwrap());
+    }
+
+    #[test]
+    fn a_clone_carries_an_unvalidated_patch() {
+        let (base, x, ..) = build(4.0, 3.0);
+        let mut inc = IncrementalModel::new(base).unwrap();
+        inc.set_var_bounds(x, 2.0, 1.0);
+        let opts = SimplexOptions::default();
+        let err = inc.clone().solve_with(&opts, None).unwrap_err();
+        assert_eq!(
+            err,
+            LpError::InvalidBounds {
+                var: 0,
+                lb: 2.0,
+                ub: 1.0
+            }
+        );
+        assert_eq!(inc.solve_with(&opts, None).unwrap_err(), err);
     }
 }
