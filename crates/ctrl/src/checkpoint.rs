@@ -56,8 +56,8 @@ use ffc_lp::{BasisStatuses, ColStatus};
 use ffc_net::{Topology, TrafficMatrix, TunnelTable};
 
 use crate::durable::{
-    fnv64, fnv_step, io_err, list_numbered, put_bytes, put_f64, put_u32, put_u64, put_varint, seal,
-    unseal, write_atomic, Cursor, SealError, FNV_OFFSET,
+    fnv64, fnv_step, io_err, list_numbered, put_bytes, put_f64, put_u32, put_u64, put_varint,
+    seal_after, unseal, write_atomic, Cursor, SealError, FNV_OFFSET,
 };
 use crate::event::TimedEvent;
 use crate::planner::PlannerSnapshot;
@@ -513,11 +513,39 @@ fn read_history(
 /// in [`HISTORY_LOG`] once a [`Checkpointer`] has logged them, or in
 /// [`encode_history`]'s image — by count, chain and byte length.
 pub fn encode_checkpoint(state: &CheckpointState, digest: u64) -> Vec<u8> {
-    encode_referring(state, digest, &HistoryRef::of(state))
+    encode_referring(state, digest, &HistoryRef::of(state), Vec::new()).bytes
 }
 
-fn encode_referring(state: &CheckpointState, digest: u64, history: &HistoryRef) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(4096);
+/// A sealed checkpoint image, and how far into it the body stands for
+/// the boundary state alone: the length before the in-flight record
+/// and the FNV-1a of those bytes.
+#[derive(Debug)]
+struct Image {
+    bytes: Vec<u8>,
+    boundary: (usize, u64),
+}
+
+impl Image {
+    /// Replaces the in-flight record (and the seal) with `inflight`'s:
+    /// the image of the same boundary state at another rollout stage,
+    /// with only the record encoded and checksummed.
+    fn reseal(&mut self, inflight: Option<&InflightRollout>) {
+        self.bytes.truncate(self.boundary.0);
+        put_inflight(&mut self.bytes, inflight);
+        seal_after(&mut self.bytes, CHECKPOINT_END, self.boundary);
+    }
+}
+
+/// Encodes the image into `buf`, whose contents are dropped and whose
+/// allocation is kept.
+fn encode_referring(
+    state: &CheckpointState,
+    digest: u64,
+    history: &HistoryRef,
+    mut buf: Vec<u8>,
+) -> Image {
+    buf.clear();
+    buf.reserve(4096);
     buf.extend_from_slice(CHECKPOINT_MAGIC);
     put_u32(&mut buf, CHECKPOINT_SCHEMA_VERSION);
     put_u64(&mut buf, digest);
@@ -586,22 +614,29 @@ fn encode_referring(state: &CheckpointState, digest: u64, history: &HistoryRef) 
 
     history.put(&mut buf);
 
-    match &state.inflight {
+    let mut image = Image {
+        boundary: (buf.len(), fnv64(&buf)),
+        bytes: buf,
+    };
+    image.reseal(state.inflight.as_ref());
+    image
+}
+
+/// The in-flight flag, then the record when there is one.
+fn put_inflight(buf: &mut Vec<u8>, inflight: Option<&InflightRollout>) {
+    match inflight {
         Some(f) => {
             buf.push(1);
-            put_varint(&mut buf, f.interval as u64);
-            put_varint(&mut buf, f.stage_reached as u64);
-            put_varint(&mut buf, f.steps_planned as u64);
+            put_varint(buf, f.interval as u64);
+            put_varint(buf, f.stage_reached as u64);
+            put_varint(buf, f.steps_planned as u64);
             for &w in &f.rng_after {
-                put_u64(&mut buf, w);
+                put_u64(buf, w);
             }
-            put_events(&mut buf, &f.outcomes);
+            put_events(buf, &f.outcomes);
         }
         None => buf.push(0),
     }
-
-    seal(&mut buf, CHECKPOINT_END);
-    buf
 }
 
 /// Reads the body: the state less its two histories, and the reference
@@ -804,6 +839,10 @@ pub struct Checkpointer {
     /// first: sequence numbers are dense, so the last is
     /// `next_seq - 1`.
     owned: VecDeque<File>,
+    /// The image last written and the reference its body holds: a
+    /// stage write of the same boundary state re-encodes only its
+    /// in-flight record.
+    last: Option<(Image, HistoryRef)>,
     writes: u64,
     bytes_written: u64,
     error: Option<String>,
@@ -829,6 +868,7 @@ impl Checkpointer {
             next_seq,
             log: None,
             owned: VecDeque::with_capacity(CHECKPOINT_KEEP + 1),
+            last: None,
             writes: 0,
             bytes_written: 0,
             error: None,
@@ -843,20 +883,46 @@ impl Checkpointer {
     /// Writes one checkpoint; errors latch instead of propagating.
     pub fn write(&mut self, state: &CheckpointState) {
         if self.error.is_none() {
-            self.error = self.try_write(state).err();
+            self.error = self.try_write(state, false).err();
+        }
+    }
+
+    /// Writes the checkpoint of a rollout stage: `state` is the state
+    /// this checkpointer last wrote but for its [`InflightRollout`]. The
+    /// file is the one [`Checkpointer::write`] would write, byte for
+    /// byte, but only the in-flight record is encoded and checksummed:
+    /// the body before it is the last image's. A first write, or one
+    /// whose histories moved, encodes in full.
+    pub fn write_stage(&mut self, state: &CheckpointState) {
+        if self.error.is_none() {
+            self.error = self.try_write(state, true).err();
         }
     }
 
     /// Append, then rename: the entries a checkpoint refers to are in
     /// the log before the checkpoint can be found.
-    fn try_write(&mut self, state: &CheckpointState) -> Result<(), String> {
+    fn try_write(&mut self, state: &CheckpointState, stage: bool) -> Result<(), String> {
         let (history, appended) = self.log_history(state)?;
         debug_assert_eq!(
             history,
             HistoryRef::of(state),
             "one checkpointer, one run: histories only grow"
         );
-        let image = encode_referring(state, self.digest, &history);
+        let image = match self.last.take() {
+            Some((mut image, held)) if stage && held == history => {
+                image.reseal(state.inflight.as_ref());
+                image
+            }
+            last => {
+                let buf = last.map(|(image, _)| image.bytes).unwrap_or_default();
+                encode_referring(state, self.digest, &history, buf)
+            }
+        };
+        debug_assert_eq!(
+            image.bytes,
+            encode_checkpoint(state, self.digest),
+            "a stage write is of the boundary state last written"
+        );
         let seq = self.next_seq;
         let path = self.dir.join(checkpoint_name(seq));
         // Sequence numbers are dense, so the name that falls out of the
@@ -867,7 +933,7 @@ impl Checkpointer {
         let full = self.owned.len() > CHECKPOINT_KEEP;
         let file = match (full.then(|| self.owned.pop_front()).flatten(), stale) {
             (Some(mut file), Some(from)) => {
-                rewrite(&mut file, &image).map_err(|e| io_err(&from, "rewrite", e))?;
+                rewrite(&mut file, &image.bytes).map_err(|e| io_err(&from, "rewrite", e))?;
                 fs::rename(&from, &path).map_err(|e| io_err(&path, "rename", e))?;
                 file
             }
@@ -875,7 +941,7 @@ impl Checkpointer {
                 // The new file lands before the stale one goes: a
                 // resumed run's first writes may displace the very
                 // checkpoint it recovered from.
-                write_atomic(&path, &image)?;
+                write_atomic(&path, &image.bytes)?;
                 let file = OpenOptions::new().write(true).open(&path);
                 let file = file.map_err(|e| io_err(&path, "open", e))?;
                 if let Some(stale) = stale {
@@ -887,8 +953,9 @@ impl Checkpointer {
         };
         self.owned.push_back(file);
         self.writes += 1;
-        self.bytes_written += (appended + image.len()) as u64;
+        self.bytes_written += (appended + image.bytes.len()) as u64;
         self.next_seq += 1;
+        self.last = Some((image, history));
         Ok(())
     }
 
@@ -1039,6 +1106,7 @@ pub fn recover_latest(dir: &Path, digest: u64) -> Result<Recovery, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::durable::seal;
     use crate::event::Event;
     use ffc_net::NodeId;
 
@@ -1386,6 +1454,128 @@ mod tests {
         let rec = recover_latest(&dir, 7).expect("recover");
         assert_eq!(rec.checkpoint.expect("newest").state, st);
         assert!(rec.notes.is_empty());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The file a checkpointer wrote last.
+    fn newest_file(dir: &Path, ck: &Checkpointer) -> Vec<u8> {
+        fs::read(dir.join(checkpoint_name(ck.next_seq - 1))).expect("read")
+    }
+
+    /// `st` caught at rollout stage `reached` of its interval.
+    fn at_stage(st: &CheckpointState, reached: usize) -> CheckpointState {
+        let outcomes = sample_state().inflight.expect("in flight").outcomes;
+        CheckpointState {
+            inflight: Some(InflightRollout {
+                interval: st.next_interval,
+                stage_reached: reached,
+                steps_planned: 3,
+                rng_after: [reached as u64, 6, 7, 8],
+                outcomes: outcomes.iter().cycle().take(reached).cloned().collect(),
+            }),
+            ..st.clone()
+        }
+    }
+
+    /// A stage write re-encodes only the in-flight record of the
+    /// boundary it follows; the file is still the whole state's image.
+    #[test]
+    fn a_stage_write_of_the_sample_state_is_its_golden_image() {
+        let dir = scratch_dir("stage-golden");
+        let mut ck = Checkpointer::create(&dir, 7).expect("create");
+        let boundary = CheckpointState {
+            inflight: None,
+            ..sample_state()
+        };
+        ck.write(&boundary);
+        assert_eq!(newest_file(&dir, &ck), encode_checkpoint(&boundary, 7));
+        ck.write_stage(&sample_state());
+        assert_eq!(
+            newest_file(&dir, &ck),
+            encode_checkpoint(&sample_state(), 7)
+        );
+        for reached in [1, 3, 0] {
+            let st = at_stage(&boundary, reached);
+            ck.write_stage(&st);
+            assert_eq!(
+                newest_file(&dir, &ck),
+                encode_checkpoint(&st, 7),
+                "stage {reached}"
+            );
+        }
+        assert!(ck.error().is_none());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Two intervals, each a boundary and two stages: every stage image
+    /// is its boundary's body with the stage's record — never the
+    /// previous boundary's. A stage whose histories moved since the
+    /// boundary is encoded in full.
+    #[test]
+    fn a_two_step_chain_writes_each_stage_over_its_own_boundary() {
+        let dir = scratch_dir("stage-chain");
+        let mut ck = Checkpointer::create(&dir, 7).expect("create");
+        let mut boundary = CheckpointState {
+            inflight: None,
+            ..sample_state()
+        };
+        for interval in 7..9 {
+            boundary.next_interval = interval;
+            boundary.demands[1] = interval as f64;
+            boundary.rng[0] = interval as u64;
+            boundary.fingerprints.push(format!("i{interval} ok"));
+            ck.write(&boundary);
+            assert_eq!(newest_file(&dir, &ck), encode_checkpoint(&boundary, 7));
+            for reached in 1..=2 {
+                let st = at_stage(&boundary, reached);
+                ck.write_stage(&st);
+                let what = format!("interval {interval}, stage {reached}");
+                assert_eq!(newest_file(&dir, &ck), encode_checkpoint(&st, 7), "{what}");
+            }
+        }
+        let mut grown = at_stage(&boundary, 2);
+        grown.recorded.push(TimedEvent {
+            interval: 8,
+            event: Event::DemandScale(0.5),
+        });
+        ck.write_stage(&grown);
+        assert_eq!(newest_file(&dir, &ck), encode_checkpoint(&grown, 7));
+        assert!(ck.error().is_none());
+        let rec = recover_latest(&dir, 7).expect("recover");
+        assert_eq!(rec.checkpoint.expect("newest").state, grown);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A resumed run's checkpointer has written nothing: its first
+    /// write, a stage of the recovered boundary, is encoded in full, and
+    /// the stages after it reuse that image.
+    #[test]
+    fn a_resumed_runs_first_write_may_be_a_stage() {
+        let dir = scratch_dir("stage-resume");
+        let mut boundary = CheckpointState {
+            inflight: None,
+            ..sample_state()
+        };
+        let mut ck = Checkpointer::create(&dir, 7).expect("create");
+        ck.write(&boundary);
+        drop(ck);
+        let rec = recover_latest(&dir, 7).expect("recover");
+        assert_eq!(rec.checkpoint.expect("written").state, boundary);
+        let mut ck = Checkpointer::create(&dir, 7).expect("reopen");
+        for reached in 1..=2 {
+            let st = at_stage(&boundary, reached);
+            ck.write_stage(&st);
+            assert_eq!(
+                newest_file(&dir, &ck),
+                encode_checkpoint(&st, 7),
+                "stage {reached}"
+            );
+        }
+        boundary.next_interval += 1;
+        boundary.fingerprints.push("i7 ok".into());
+        ck.write(&boundary);
+        assert_eq!(newest_file(&dir, &ck), encode_checkpoint(&boundary, 7));
+        assert!(ck.error().is_none());
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -236,7 +236,15 @@ impl From<String> for SealError {
 /// Seals a file image that starts with its magic: appends the FNV-64
 /// of everything in `buf`, then the end marker.
 pub fn seal(buf: &mut Vec<u8>, end: &[u8; 8]) {
-    let checksum = fnv64(buf);
+    seal_after(buf, end, (0, FNV_OFFSET));
+}
+
+/// [`seal`] with the checksum of a prefix already folded: `hashed` is
+/// `(len, fnv64(&buf[..len]))`, and only the bytes after it are read.
+pub fn seal_after(buf: &mut Vec<u8>, end: &[u8; 8], hashed: (usize, u64)) {
+    let (len, hash) = hashed;
+    let tail = buf.get(len..);
+    let checksum = tail.map_or(hash, |tail| tail.iter().fold(hash, |h, &b| fnv_step(h, b)));
     put_u64(buf, checksum);
     buf.extend_from_slice(end);
 }

@@ -381,13 +381,19 @@ impl Durable<'_> {
     /// Writes `last` with the run's two histories lent to it: moved in
     /// for the write and back out, never copied, so a checkpoint costs
     /// what the interval added and not what the run has accumulated.
-    fn write(&mut self, fp_lines: &mut Vec<String>, recorded: &mut Vec<TimedEvent>) {
+    /// A `stage` write is of the boundary last written with another
+    /// in-flight record ([`Checkpointer::write_stage`]).
+    fn write(&mut self, fp_lines: &mut Vec<String>, recorded: &mut Vec<TimedEvent>, stage: bool) {
         let mut lend = |last: &mut CheckpointState| {
             std::mem::swap(&mut last.fingerprints, fp_lines);
             std::mem::swap(&mut last.recorded, recorded);
         };
         lend(&mut self.last);
-        self.ck.write(&self.last);
+        if stage {
+            self.ck.write_stage(&self.last);
+        } else {
+            self.ck.write(&self.last);
+        }
         lend(&mut self.last);
     }
 }
@@ -613,7 +619,7 @@ impl<'a> LoopState<'a> {
                     rng_after: ev.rng_state.unwrap_or(rng_after),
                     outcomes: ev.outcomes.to_vec(),
                 });
-                d.write(fp_lines, recorded);
+                d.write(fp_lines, recorded, true);
                 if ctrl.cfg.chaos.crash_mid_rollout == Some((interval, ev.completed_steps)) {
                     panic!(
                         "chaos-crash: mid-rollout interval {interval} stage {}",
@@ -738,7 +744,7 @@ impl<'a> LoopState<'a> {
         if let Some(d) = durable {
             self.fp_lines.push(record.fingerprint());
             d.last = self.checkpoint(interval + 1);
-            d.write(&mut self.fp_lines, &mut self.recorded);
+            d.write(&mut self.fp_lines, &mut self.recorded, false);
         }
         if self.ctrl.cfg.chaos.crash_at_interval == Some(interval) {
             panic!("chaos-crash: interval boundary {interval}");

@@ -37,6 +37,11 @@ pub struct Basis {
     m: usize,
     lu: LuFactors,
     etas: Vec<Eta>,
+    /// Per basis position, bit `k` set when eta `k` reads or writes it
+    /// (its pivot position or one of its entries): which etas a nonzero
+    /// there can reach. Etas past the 64th are in no mask, and a sparse
+    /// BTRAN through them scans every eta. Empty until the first eta.
+    readers: Vec<u64>,
     /// Scratch workspace for the sparse solves.
     sp_scratch: ScatterVec,
     /// Reusable pair buffer handing sparse vectors to the LU solves.
@@ -62,6 +67,7 @@ impl Basis {
             m,
             lu,
             etas: Vec::new(),
+            readers: Vec::new(),
             sp_scratch: ScatterVec::new(m),
             pairs: Vec::new(),
         }
@@ -140,29 +146,54 @@ impl Basis {
     /// `(basis_position, value)` pairs and a [`ScatterVec`] result. Used
     /// for the devex pivot row `ρ = B⁻ᵀe_pos`, whose RHS is a single
     /// unit vector.
+    ///
+    /// The etas are applied newest first, and one changes `c` only when
+    /// a position it reads holds a nonzero. Such a nonzero is either in
+    /// the right-hand side or written by a newer eta, so the walk visits
+    /// just the etas whose bits the `readers` masks of those positions
+    /// set, in the same order and with the same sums as a scan of every
+    /// eta.
     pub fn btran_sparse(&mut self, rhs: &[(usize, f64)], out: &mut ScatterVec) {
+        let mut pending = self.load_sparse_rhs(rhs);
+        let c = &mut self.sp_scratch;
+        if self.etas.len() > u64::BITS as usize {
+            for eta in self.etas.iter().rev() {
+                apply_eta_transposed(eta, c);
+            }
+        } else {
+            while pending != 0 {
+                let k = (u64::BITS - 1 - pending.leading_zeros()) as usize;
+                let older = (1u64 << k) - 1;
+                pending &= older;
+                let Some(eta) = self.etas.get(k) else { break };
+                if apply_eta_transposed(eta, c) {
+                    pending |= self.readers.get(eta.pos).copied().unwrap_or(0) & older;
+                }
+            }
+        }
+        self.lu_btran_scratch(out);
+    }
+
+    /// Loads a sparse BTRAN's right-hand side into the scratch vector;
+    /// returns the etas its nonzeros reach.
+    fn load_sparse_rhs(&mut self, rhs: &[(usize, f64)]) -> u64 {
         let c = &mut self.sp_scratch;
         c.clear();
+        let mut reached = 0u64;
         for &(i, v) in rhs {
             if v != 0.0 {
                 c.add(i, v);
+                reached |= self.readers.get(i).copied().unwrap_or(0);
             }
         }
-        for eta in self.etas.iter().rev() {
-            let mut acc = c.get(eta.pos);
-            let mut touched = acc != 0.0;
-            for &(i, w) in &eta.entries {
-                let ci = c.get(i);
-                if ci != 0.0 {
-                    acc -= w * ci;
-                    touched = true;
-                }
-            }
-            if touched {
-                c.set(eta.pos, acc / eta.pivot);
-            }
-        }
+        reached
+    }
+
+    /// Finishes a sparse BTRAN: the LU solve of the scratch vector's
+    /// nonzeros.
+    fn lu_btran_scratch(&mut self, out: &mut ScatterVec) {
         self.pairs.clear();
+        let c = &self.sp_scratch;
         for &i in c.pattern() {
             let v = c.get(i);
             if v != 0.0 {
@@ -194,6 +225,14 @@ impl Basis {
                 (v.abs() > drop_tol).then_some((i, v))
             })
             .collect();
+        if let Some(bit) = 1u64.checked_shl(self.etas.len() as u32) {
+            self.readers.resize(self.m, 0);
+            for i in entries.iter().map(|&(i, _)| i).chain([pos]) {
+                if let Some(readers) = self.readers.get_mut(i) {
+                    *readers |= bit;
+                }
+            }
+        }
         self.etas.push(Eta {
             pos,
             entries,
@@ -201,6 +240,26 @@ impl Basis {
         });
         Ok(())
     }
+}
+
+/// Applies `eta`'s transposed inverse to `c` in place — `c[pos] =
+/// (c[pos] − Σ wᵢ·cᵢ) / pivot` over the nonzero `cᵢ` — when one of the
+/// positions it reads holds a nonzero; returns whether it did.
+#[inline]
+fn apply_eta_transposed(eta: &Eta, c: &mut ScatterVec) -> bool {
+    let mut acc = c.get(eta.pos);
+    let mut touched = acc != 0.0;
+    for &(i, w) in &eta.entries {
+        let ci = c.get(i);
+        if ci != 0.0 {
+            acc -= w * ci;
+            touched = true;
+        }
+    }
+    if touched {
+        c.set(eta.pos, acc / eta.pivot);
+    }
+    touched
 }
 
 /// Completes `proposed`, one status per column of `std`, to a start
@@ -248,6 +307,20 @@ pub(crate) fn complete(std: &StdForm, proposed: &BasisStatuses) -> Option<BasisS
         }
     }
     Some(out)
+}
+
+/// The eta walk the reader masks replaced, kept as their bit-identity
+/// oracle.
+#[cfg(test)]
+impl Basis {
+    /// [`Basis::btran_sparse`] scanning every eta, newest first.
+    fn btran_sparse_unmasked(&mut self, rhs: &[(usize, f64)], out: &mut ScatterVec) {
+        self.load_sparse_rhs(rhs);
+        for eta in self.etas.iter().rev() {
+            apply_eta_transposed(eta, &mut self.sp_scratch);
+        }
+        self.lu_btran_scratch(out);
+    }
 }
 
 #[cfg(test)]
@@ -491,6 +564,105 @@ mod tests {
                 assert_eq!(bits(&got), bits(&want), "step {step}, {changes} changes");
             }
         }
+    }
+
+    /// `v`'s pattern, in order, with each value's bits.
+    fn pattern_bits(v: &ScatterVec) -> Vec<(usize, u64)> {
+        v.pattern()
+            .iter()
+            .map(|&i| (i, v.get(i).to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn an_eta_reached_only_through_a_newer_etas_write_is_applied() {
+        // Eta 0 pivots on position 0 and reads position 1; eta 1 pivots
+        // on position 1 and reads position 2. A right-hand side at 2
+        // reaches eta 1 directly and eta 0 only through eta 1's write.
+        let m = 4;
+        let cols: Vec<Vec<(usize, f64)>> = (0..m).map(|j| vec![(j, 1.0)]).collect();
+        let mut basis = Basis::factorize(&CscMatrix::from_columns(m, &cols)).unwrap();
+        basis
+            .push_eta_sparse(0, &scatter(&[2.0, 0.5, 0.0, 0.0]))
+            .unwrap();
+        basis
+            .push_eta_sparse(1, &scatter(&[0.0, 3.0, 0.25, 0.0]))
+            .unwrap();
+        let (mut got, mut want) = (ScatterVec::new(m), ScatterVec::new(m));
+        for rhs in [
+            vec![(2, 1.0)],
+            vec![(3, 1.0)],
+            vec![(0, 1.0)],
+            vec![(2, 1.0), (2, -1.0)],
+        ] {
+            basis.btran_sparse(&rhs, &mut got);
+            basis.btran_sparse_unmasked(&rhs, &mut want);
+            assert_eq!(pattern_bits(&got), pattern_bits(&want), "rhs {rhs:?}");
+        }
+        basis.btran_sparse(&[(2, 1.0)], &mut got);
+        // y₂ = 1, y₁ = −0.25·1/3, y₀ = −0.5·y₁/2: both etas applied.
+        assert_eq!(got.get(1), -0.25 / 3.0);
+        assert_eq!(got.get(0), -0.5 * (-0.25 / 3.0) / 2.0);
+        assert_eq!(got.get(3), 0.0);
+    }
+
+    #[test]
+    fn masked_eta_walk_matches_the_full_scan_bitwise() {
+        // A 60-row basis with fill and 70 pivots recorded as etas — past
+        // the masks' 64, where the walk scans every eta again — and
+        // sparse BTRANs of one entry to dense after each.
+        let m = 60;
+        let mut state = 0x3a5c_77e1u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
+        };
+        let row = move |x: f64| (x.abs() * m as f64) as usize % m;
+        let cols: Vec<Vec<(usize, f64)>> = (0..m)
+            .map(|j| {
+                let mut col = vec![(j, 4.0 + next().abs())];
+                let r = row(next());
+                if r != j {
+                    col.push((r, next()));
+                }
+                col
+            })
+            .collect();
+        let mut basis = Basis::factorize(&CscMatrix::from_columns(m, &cols)).unwrap();
+        let (mut w, mut got, mut want) =
+            (ScatterVec::new(m), ScatterVec::new(m), ScatterVec::new(m));
+        let mut skipped = 0;
+        for step in 0..70 {
+            let entering: Vec<(usize, f64)> = (0..2).map(|_| (row(next()), 1.0 + next())).collect();
+            basis.ftran_sparse(&entering, &mut w);
+            let pos = w
+                .pattern()
+                .iter()
+                .copied()
+                .max_by(|&i, &k| w.get(i).abs().total_cmp(&w.get(k).abs()))
+                .unwrap();
+            basis.push_eta_sparse(pos, &w).unwrap();
+            for nnz in [1, 1, 2, 5, m] {
+                let rhs: Vec<(usize, f64)> = (0..nnz).map(|_| (row(next()), next())).collect();
+                basis.btran_sparse(&rhs, &mut got);
+                basis.btran_sparse_unmasked(&rhs, &mut want);
+                assert_eq!(
+                    pattern_bits(&got),
+                    pattern_bits(&want),
+                    "step {step}, {nnz} entries"
+                );
+                if nnz == 1 {
+                    let reached = basis.load_sparse_rhs(&rhs);
+                    skipped += basis.etas.len().min(64) - reached.count_ones() as usize;
+                }
+            }
+        }
+        assert!(
+            skipped > 0,
+            "some eta lies outside every unit right-hand side's reach"
+        );
     }
 
     #[test]

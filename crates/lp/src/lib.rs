@@ -39,7 +39,9 @@
 //! | [`pricing`] | the entering-column rule: devex |
 //! | [`simplex`] | the bounded-variable two-phase revised simplex |
 //! | [`incremental`] | delta-LP: a standing model patched in place, keeping no history |
-//! | [`dense`] | an independent dense tableau oracle for testing |
+//!
+//! The tests' independent oracle, a dense tableau simplex, is test
+//! support (`tests/support/dense.rs`), not part of this API.
 //!
 //! ## Solving
 //!
@@ -59,7 +61,6 @@
 #![warn(missing_docs)]
 
 pub mod basis;
-pub mod dense;
 pub mod expr;
 pub mod incremental;
 pub mod lu;
@@ -76,3 +77,10 @@ pub use model::{
     SolveStats,
 };
 pub use simplex::{SimplexOptions, DEFAULT_WARM_PERTURB};
+
+// The test-support oracle names the crate as its property tests do.
+#[cfg(test)]
+extern crate self as ffc_lp;
+#[cfg(test)]
+#[path = "../tests/support/dense.rs"]
+mod dense;

@@ -51,6 +51,39 @@ thread_local! {
     /// alike (a held factorization taken instead does not count): how
     /// the tests see that a singular hint is factorized once.
     static FRESH_FACTORIZATIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Set by the tests' two-pass oracle: the primal pass prices every
+    /// column afresh and the bound restoration re-accumulates its
+    /// right-hand side, as they did before either was kept.
+    static TWO_PASS: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    /// Primal passes that took the reduced costs `dual_feasibilize`
+    /// kept, and bound restorations that solved the kept right-hand
+    /// side: how the tests see that the kept path ran.
+    static KEPT_PRICES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    static KEPT_RHS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Whether a solve keeps what it computed once for a second use: the
+/// true-cost reduced costs of the dual start and the true-bound
+/// right-hand side of the hint load. Always, but under the tests'
+/// two-pass oracle.
+#[inline]
+fn keeps_passes() -> bool {
+    #[cfg(test)]
+    let keeps = !TWO_PASS.with(std::cell::Cell::get);
+    #[cfg(not(test))]
+    let keeps = true;
+    keeps
+}
+
+/// Counts one use of a kept pass (tests only).
+#[inline]
+#[allow(unused_variables)]
+fn note_kept(rhs: bool) {
+    #[cfg(test)]
+    {
+        let counter = if rhs { &KEPT_RHS } else { &KEPT_PRICES };
+        counter.with(|c| c.set(c.get() + 1));
+    }
 }
 
 /// Tunable parameters for the simplex engine.
@@ -203,6 +236,17 @@ struct Engine<'a> {
     /// Columns to reprice on the next pass, and their membership flags.
     reprice: Vec<usize>,
     repricing: Vec<bool>,
+    /// The [`Self::progress`] at which [`Self::dual_feasibilize`] left
+    /// `y`, `d` and `y_priced` priced on the true costs: the next primal
+    /// pass takes them as its first BTRAN and pricing if nothing has
+    /// moved since.
+    primed_at: Option<[usize; 3]>,
+    /// `b − A_N x_N` at the true bounds, accumulated by the hint load
+    /// beside the expanded right-hand side, and the [`Self::progress`]
+    /// it was taken at: [`Self::restore_perturbed_bounds`] solves it
+    /// instead of accumulating its own while that has not moved.
+    true_rhs: Vec<f64>,
+    true_rhs_at: Option<[usize; 3]>,
     /// Pricings that refreshed only the columns of changed rows.
     #[cfg(test)]
     partial_pricings: usize,
@@ -441,6 +485,9 @@ impl<'a> Engine<'a> {
             changed_rows: Vec::new(),
             reprice: Vec::new(),
             repricing: Vec::new(),
+            primed_at: None,
+            true_rhs: Vec::new(),
+            true_rhs_at: None,
             #[cfg(test)]
             partial_pricings: 0,
             col_buf: Vec::new(),
@@ -706,7 +753,7 @@ impl<'a> Engine<'a> {
         if hint.0.len() != std.n {
             return false;
         }
-        let mut basics: Vec<usize> = Vec::new();
+        let mut basics: Vec<usize> = Vec::with_capacity(std.m);
         for (j, &h) in hint.0.iter().enumerate() {
             let (l, u) = (self.lb[j], self.ub[j]);
             let (st, v) = match h {
@@ -792,6 +839,8 @@ impl<'a> Engine<'a> {
         self.lb.truncate(self.std.n);
         self.ub.truncate(self.std.n);
         self.factors = None;
+        self.primed_at = None;
+        self.true_rhs_at = None;
     }
 
     /// Forgets a hint that did not fit, with the bound expansion that
@@ -859,29 +908,72 @@ impl<'a> Engine<'a> {
     /// Factorizes the start basis and fills basic values; used by the
     /// crash to validate the triangular matching and by the hint load.
     /// The one factorization that may reuse a held one.
+    ///
+    /// Over expanded bounds (a warm start) the same pass over `A_N` also
+    /// accumulates the right-hand side at the true bounds — each nonbasic
+    /// column at the true bound its status names — into `true_rhs`, term
+    /// for term as [`Self::restore_perturbed_bounds`] would.
     fn compute_tentative_values(&mut self) -> Result<(), Singular> {
-        let m = self.std.m;
         let mut factors = self.factorize_basis(true)?;
-        self.rhs.copy_from_slice(&self.std.b);
-        let (a, arts, n) = (&self.std.a, &self.arts, self.std.n);
-        for j in 0..self.ncols() {
-            if matches!(self.stat[j], VStat::Basic(_)) {
-                continue;
-            }
+        let std = self.std;
+        let keep_true = self.expanded && keeps_passes();
+        self.rhs.copy_from_slice(&std.b);
+        self.true_rhs.clear();
+        if keep_true {
+            self.true_rhs.extend_from_slice(&std.b);
+        }
+        let ncols = self.ncols();
+        let (rhs, true_rhs) = (&mut self.rhs, &mut self.true_rhs);
+        for j in 0..ncols {
             let v = self.xval[j];
-            if v != 0.0 {
-                let rhs = &mut self.rhs;
-                col_apply(a, arts, n, j, |r, aij| rhs[r] -= aij * v);
+            let t = match self.stat[j] {
+                VStat::Basic(_) => continue,
+                _ if !keep_true => 0.0,
+                VStat::AtLower if j < std.n => std.lb[j],
+                VStat::AtUpper if j < std.n => std.ub[j],
+                _ => v,
+            };
+            let (a, arts) = (&std.a, &self.arts);
+            match (v != 0.0, t != 0.0) {
+                (false, false) => {}
+                (true, false) => col_apply(a, arts, std.n, j, |r, aij| rhs[r] -= aij * v),
+                (false, true) => col_apply(a, arts, std.n, j, |r, aij| true_rhs[r] -= aij * t),
+                (true, true) => col_apply(a, arts, std.n, j, |r, aij| {
+                    rhs[r] -= aij * v;
+                    true_rhs[r] -= aij * t;
+                }),
             }
         }
-        timed(&mut self.stats.ftran_time, || {
-            factors.ftran(&self.rhs, &mut self.w)
-        });
-        for i in 0..m {
-            self.xval[self.basis[i]] = self.w[i];
-        }
+        let rhs = std::mem::take(&mut self.rhs);
+        self.solve_basic_values(&mut factors, &rhs);
+        self.rhs = rhs;
         self.factors = Some(factors);
+        self.true_rhs_at = keep_true.then(|| self.progress());
         Ok(())
+    }
+
+    /// What has moved the basis, its factorization or a nonbasic value
+    /// so far: iterations (every pivot and primal bound flip), bound
+    /// flips (the dual's too) and refactorizations.
+    fn progress(&self) -> [usize; 3] {
+        [
+            self.iterations,
+            self.stats.bound_flips,
+            self.stats.refactorizations,
+        ]
+    }
+
+    /// Sets every basic value from `B x_B = rhs` through `factors`,
+    /// the factorization of the current basis.
+    fn solve_basic_values(&mut self, factors: &mut Basis, rhs: &[f64]) {
+        timed(&mut self.stats.ftran_time, || {
+            factors.ftran(rhs, &mut self.w)
+        });
+        for (&j, &w) in self.basis.iter().zip(&self.w) {
+            if let Some(x) = self.xval.get_mut(j) {
+                *x = w;
+            }
+        }
     }
 
     /// (Re)factorizes the basis and recomputes basic values from scratch.
@@ -899,7 +991,6 @@ impl<'a> Engine<'a> {
     /// factors (which must be valid). Used after refactorization and
     /// after batches of nonbasic bound flips.
     fn recompute_basic_values(&mut self) {
-        let m = self.std.m;
         self.rhs.copy_from_slice(&self.std.b);
         let ncols = self.ncols();
         let (a, arts, n) = (&self.std.a, &self.arts, self.std.n);
@@ -917,14 +1008,10 @@ impl<'a> Engine<'a> {
         let rhs = std::mem::take(&mut self.rhs);
         // audit:allow(no-unwrap): every caller (re)factorizes immediately
         // beforehand; returning silently would leave stale basic values.
-        let factors = self.factors.as_mut().expect("factorized");
-        timed(&mut self.stats.ftran_time, || {
-            factors.ftran(&rhs, &mut self.w)
-        });
+        let mut factors = self.factors.take().expect("factorized");
+        self.solve_basic_values(&mut factors, &rhs);
+        self.factors = Some(factors);
         self.rhs = rhs;
-        for i in 0..m {
-            self.xval[self.basis[i]] = self.w[i];
-        }
     }
 
     /// Runs one phase to optimality with the given minimization costs.
@@ -934,7 +1021,13 @@ impl<'a> Engine<'a> {
         self.degen_run = 0;
         let ncols = self.ncols();
         self.pricer.reset(ncols);
-        let mut fresh = true;
+        // The first pass BTRANs and prices every column, unless the
+        // dual start did both on these costs and nothing has moved since.
+        let mut primed = self.primed_at.take() == Some(self.progress());
+        let mut fresh = !primed;
+        if primed {
+            note_kept(false);
+        }
         loop {
             if self
                 .factors
@@ -943,13 +1036,14 @@ impl<'a> Engine<'a> {
                 .unwrap_or(true)
             {
                 self.refactorize()?;
+                primed = false;
             }
 
             // BTRAN: y = B⁻ᵀ c_B.
-            for i in 0..m {
-                self.cb[i] = cost.get(self.basis[i]).copied().unwrap_or(0.0);
-            }
-            {
+            if !std::mem::take(&mut primed) {
+                for i in 0..m {
+                    self.cb[i] = cost.get(self.basis[i]).copied().unwrap_or(0.0);
+                }
                 let mut cb = std::mem::take(&mut self.cb);
                 let Some(factors) = self.factors.as_mut() else {
                     return Err(LpError::NumericalFailure(
@@ -1059,11 +1153,19 @@ impl<'a> Engine<'a> {
     /// Checks dual feasibility of the current (factorized) basis for
     /// `cost`, flipping box-bounded nonbasic columns whose reduced cost
     /// has the wrong sign for their bound onto the other bound. Returns
-    /// `false` — without modifying any state — when some wrong-sign
+    /// `false` — without modifying any basis state — when some wrong-sign
     /// column has no opposite finite bound to flip to, i.e. the basis
     /// cannot be made dual-feasible by bound flips alone.
-    fn dual_feasibilize(&mut self, cost: &[f64]) -> bool {
+    ///
+    /// With `true_costs` (`cost` is the objective the primal pass will
+    /// optimize) the pass first leaves every nonbasic structural and
+    /// slack column's `d_j` in `d`, fixed ones included and `NaN` for a
+    /// basic one, as [`Self::price_columns`] computes them, and an
+    /// accepted basis keeps them, with `y`, as that pass's first BTRAN
+    /// and pricing (bound flips move no `d_j`).
+    fn dual_feasibilize(&mut self, cost: &[f64], true_costs: bool) -> bool {
         let m = self.std.m;
+        self.primed_at = None;
         for i in 0..m {
             self.cb[i] = cost.get(self.basis[i]).copied().unwrap_or(0.0);
         }
@@ -1078,35 +1180,48 @@ impl<'a> Engine<'a> {
             });
             self.cb = cb;
         }
+        let priced = Instant::now();
+        let keep = true_costs && keeps_passes();
+        let std = self.std;
+        if keep {
+            let (stat, y) = (&self.stat, &self.y);
+            self.d.clear();
+            self.d
+                .extend(stat.iter().take(std.n).enumerate().map(|(j, st)| match st {
+                    VStat::Basic(_) => f64::NAN,
+                    _ => cost.get(j).copied().unwrap_or(0.0) - std.a.dot_col(j, y),
+                }));
+        }
         // Mild wrong-sign reduced costs are tolerated: the dual ratio
         // test clamps their (negative) ratios to zero, so they resolve
         // as degenerate steps rather than lost dual feasibility.
         let tol = OPT_TOL * 10.0;
         let mut flips: Vec<usize> = Vec::new();
+        let mut refused = false;
         for j in 0..self.ncols() {
             let st = self.stat[j];
             if matches!(st, VStat::Basic(_)) || self.lb[j] == self.ub[j] {
                 continue;
             }
-            let d = cost.get(j).copied().unwrap_or(0.0) - self.col_dot(j, &self.y);
-            match st {
-                VStat::AtLower if d < -tol => {
-                    if self.ub[j].is_finite() {
-                        flips.push(j);
-                    } else {
-                        return false;
-                    }
-                }
-                VStat::AtUpper if d > tol => {
-                    if self.lb[j].is_finite() {
-                        flips.push(j);
-                    } else {
-                        return false;
-                    }
-                }
-                VStat::FreeZero if d.abs() > tol => return false,
-                _ => {}
+            let d = match self.d.get(j) {
+                Some(&d) if keep => d,
+                _ => cost.get(j).copied().unwrap_or(0.0) - self.col_dot(j, &self.y),
+            };
+            let flippable = match st {
+                VStat::AtLower if d < -tol => self.ub[j].is_finite(),
+                VStat::AtUpper if d > tol => self.lb[j].is_finite(),
+                VStat::FreeZero if d.abs() > tol => false,
+                _ => continue,
+            };
+            if !flippable {
+                refused = true;
+                break;
             }
+            flips.push(j);
+        }
+        self.stats.price_time += priced.elapsed();
+        if refused {
+            return false;
         }
         if !flips.is_empty() {
             for &j in &flips {
@@ -1121,6 +1236,12 @@ impl<'a> Engine<'a> {
             self.stats.dual_bound_flips += flips.len();
             self.recompute_basic_values();
         }
+        if keep {
+            self.y_priced.clear();
+            self.y_priced.extend_from_slice(&self.y);
+            self.repricing.resize(self.std.n, false);
+            self.primed_at = Some(self.progress());
+        }
         true
     }
 
@@ -1132,10 +1253,12 @@ impl<'a> Engine<'a> {
     /// nonbasic costs move, so `y = B⁻ᵀc_B` and every other reduced cost
     /// stay as they are. Reads `self.y` as a refused
     /// [`Self::dual_feasibilize`] leaves it, with the same tolerance.
-    fn shift_costs(&self, cost: &[f64]) -> Vec<f64> {
+    fn shift_costs(&mut self, cost: &[f64]) -> Vec<f64> {
+        let priced = Instant::now();
         let tol = OPT_TOL * 10.0;
         let bounds = self.lb.iter().zip(&self.ub);
-        cost.iter()
+        let shifted = cost
+            .iter()
             .zip(&self.stat)
             .zip(bounds)
             .enumerate()
@@ -1156,7 +1279,9 @@ impl<'a> Engine<'a> {
                     c
                 }
             })
-            .collect()
+            .collect();
+        self.stats.price_time += priced.elapsed();
+        shifted
     }
 
     /// Dual simplex loop: from a dual-feasible basis, drives out primal
@@ -1823,17 +1948,35 @@ impl<'a> Engine<'a> {
     /// means the perturbed optimum was already feasible for the true
     /// bounds and no cleanup is needed. (Artificial columns are frozen
     /// at `[0, 0]` after phase 1 and are never perturbed.)
+    ///
+    /// When no status, nonbasic value or factorization has moved since
+    /// the hint load, the right-hand side it accumulated at the true
+    /// bounds is this one, term for term: it is solved instead.
     fn restore_perturbed_bounds(&mut self) -> f64 {
-        for j in 0..self.std.n {
-            self.lb[j] = self.std.lb[j];
-            self.ub[j] = self.std.ub[j];
+        let n = self.std.n;
+        self.lb[..n].copy_from_slice(&self.std.lb);
+        self.ub[..n].copy_from_slice(&self.std.ub);
+        for j in 0..n {
             match self.stat[j] {
                 VStat::AtLower => self.xval[j] = self.lb[j],
                 VStat::AtUpper => self.xval[j] = self.ub[j],
                 _ => {}
             }
         }
-        self.recompute_basic_values();
+        let kept = self.true_rhs_at.take() == Some(self.progress());
+        match self.factors.take() {
+            Some(mut factors) if kept => {
+                note_kept(true);
+                let rhs = std::mem::take(&mut self.true_rhs);
+                self.solve_basic_values(&mut factors, &rhs);
+                self.true_rhs = rhs;
+                self.factors = Some(factors);
+            }
+            factors => {
+                self.factors = factors;
+                self.recompute_basic_values();
+            }
+        }
         let mut viol = 0.0f64;
         for &j in &self.basis {
             let v = self.xval[j];
@@ -1970,11 +2113,12 @@ fn solve_std_once(eng: &mut Engine<'_>, hint: Option<&BasisStatuses>) -> Result<
             // `Infeasible` verdict reads no cost, and `finish_solve`'s
             // primal pass optimizes, and reports duals for, the true costs.
             let shifted;
-            let dual_cost = if eng.dual_feasibilize(&cost2) {
+            let dual_cost = if eng.dual_feasibilize(&cost2, true) {
                 Some(&cost2[..])
             } else {
                 shifted = eng.shift_costs(&cost2);
-                eng.dual_feasibilize(&shifted).then_some(&shifted[..])
+                eng.dual_feasibilize(&shifted, false)
+                    .then_some(&shifted[..])
             };
             if let Some(cost) = dual_cost {
                 eng.stats.hint_used = true;
@@ -2046,7 +2190,7 @@ fn finish_solve(eng: &mut Engine<'_>, cost2: &[f64]) -> Result<Solution, LpError
     if eng.expanded {
         let viol = eng.restore_perturbed_bounds();
         if viol > FEAS_TOL {
-            if !eng.dual_feasibilize(cost2) {
+            if !eng.dual_feasibilize(cost2, true) {
                 return Err(LpError::NumericalFailure(
                     "bound restoration lost dual feasibility".into(),
                 ));
@@ -2108,6 +2252,9 @@ impl Engine<'_> {
         acc
     }
 }
+
+#[cfg(test)]
+mod kept_tests;
 
 #[cfg(test)]
 mod tests {
@@ -2634,7 +2781,7 @@ mod tests {
 
     /// Two parallel rows, and a hint with both structurals basic: a
     /// singular basis.
-    fn parallel_rows() -> (Model, BasisStatuses) {
+    pub(super) fn parallel_rows() -> (Model, BasisStatuses) {
         let mut m = Model::new();
         let x = m.add_nonneg("x");
         let y = m.add_nonneg("y");
@@ -2753,7 +2900,7 @@ mod tests {
     /// `max x + 2y` over `x + y ≤ 4`, `x + t·y ≤ 6` and `x + y ≥ g`. At
     /// `t = 3`, `g = 1` the optimum is the vertex `(3, 1)` of the first
     /// two rows, with both structurals basic.
-    fn coefficient_model(t: f64, g: f64) -> Model {
+    pub(super) fn coefficient_model(t: f64, g: f64) -> Model {
         let mut m = Model::new();
         let x = m.add_nonneg("x");
         let y = m.add_nonneg("y");

@@ -22,7 +22,10 @@
 //! * one-sided LPs re-solved warm after a coefficient change (the hint
 //!   can price a ray column at a sign no bound flip fixes).
 
-use ffc_lp::dense::solve_dense;
+#[path = "support/dense.rs"]
+mod dense;
+
+use dense::solve_dense;
 use ffc_lp::lu::LuFactors;
 use ffc_lp::sparse::CscMatrix;
 use ffc_lp::standard::StdForm;

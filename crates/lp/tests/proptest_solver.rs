@@ -2,7 +2,10 @@
 //! independent dense tableau oracle on randomly generated LPs, and all
 //! reported solutions must actually satisfy the constraints they claim to.
 
-use ffc_lp::dense::solve_dense;
+#[path = "support/dense.rs"]
+mod dense;
+
+use dense::solve_dense;
 use ffc_lp::{
     BasisStatuses, Cmp, ColStatus, LinExpr, LpError, Model, Sense, SimplexOptions, Solution,
 };

@@ -1,10 +1,12 @@
-//! A deliberately simple dense two-phase tableau simplex.
+//! A deliberately simple dense two-phase tableau simplex — test support.
 //!
-//! This solver exists to *cross-check* the sparse revised simplex
-//! ([`crate::simplex`]) on small problems (unit and property tests). It is
-//! textbook and slow (`O(m·n)` per pivot on a dense tableau) and shares no
-//! code with the production path, which is exactly what makes it a useful
-//! oracle.
+//! This solver exists to *cross-check* the sparse revised simplex on
+//! small problems: `ffc-lp`'s unit tests include it as `crate::dense`,
+//! the property tests as a `#[path]` module. It reads only the crate's
+//! public API (as `ffc_lp`, which the crate names itself in its own
+//! tests), is textbook and slow (`O(m·n)` per pivot on a dense tableau)
+//! and shares no code with the production path, which is exactly what
+//! makes it a useful oracle.
 //!
 //! Transformation used:
 //! * `x ∈ [l, u]`, `l` finite → substitute `x = l + x'`, `x' ≥ 0`, and add
@@ -18,7 +20,7 @@
 // structural sparsity guards (skip entries that are identically zero),
 // not approximate value checks.
 
-use crate::model::{Cmp, LpError, Model, Sense, Solution};
+use ffc_lp::{BasisStatuses, Cmp, LpError, Model, Sense, Solution, SolveStats};
 
 /// How a structural variable was rewritten into nonnegative solver
 /// variables.
@@ -38,21 +40,21 @@ pub fn solve_dense(model: &Model) -> Result<Solution, LpError> {
     model.validate()?;
 
     // --- Rewrite variables to nonnegative ones. ---
-    let mut rewrites = Vec::with_capacity(model.vars.len());
+    let mut rewrites = Vec::with_capacity(model.num_vars());
     let mut ncols = 0usize;
     let mut extra_rows: Vec<(usize, f64)> = Vec::new(); // (col, upper) for x' <= upper
-    for v in &model.vars {
-        if v.lb.is_finite() {
+    for (lb, ub) in model.var_ids().map(|v| model.var_bounds(v)) {
+        if lb.is_finite() {
             let col = ncols;
             ncols += 1;
-            if v.ub.is_finite() {
-                extra_rows.push((col, v.ub - v.lb));
+            if ub.is_finite() {
+                extra_rows.push((col, ub - lb));
             }
-            rewrites.push(Rewrite::Shift { col, l: v.lb });
-        } else if v.ub.is_finite() {
+            rewrites.push(Rewrite::Shift { col, l: lb });
+        } else if ub.is_finite() {
             let col = ncols;
             ncols += 1;
-            rewrites.push(Rewrite::Mirror { col, u: v.ub });
+            rewrites.push(Rewrite::Mirror { col, u: ub });
         } else {
             let pos = ncols;
             let neg = ncols + 1;
@@ -62,11 +64,11 @@ pub fn solve_dense(model: &Model) -> Result<Solution, LpError> {
     }
 
     // --- Assemble rows: (dense coeffs over x', sense, rhs). ---
-    let nrows = model.cons.len() + extra_rows.len();
+    let nrows = model.num_cons() + extra_rows.len();
     let mut rows: Vec<Vec<f64>> = vec![vec![0.0; ncols]; nrows];
     let mut senses = Vec::with_capacity(nrows);
     let mut rhs = Vec::with_capacity(nrows);
-    for (i, con) in model.cons.iter().enumerate() {
+    for (i, con) in model.con_views().enumerate() {
         let mut r = con.rhs;
         for (var, coeff) in con.expr.compressed().terms() {
             match rewrites[var.index()] {
@@ -88,17 +90,18 @@ pub fn solve_dense(model: &Model) -> Result<Solution, LpError> {
         rhs.push(r);
     }
     for (k, &(col, upper)) in extra_rows.iter().enumerate() {
-        let i = model.cons.len() + k;
+        let i = model.num_cons() + k;
         rows[i][col] = 1.0;
         senses.push(Cmp::Le);
         rhs.push(upper);
     }
 
     // --- Objective over x' (minimization). ---
-    let maximize = model.sense == Sense::Maximize;
+    let (objective, sense) = model.objective();
+    let maximize = sense == Sense::Maximize;
     let mut c = vec![0.0; ncols];
-    let mut c_off = model.objective.constant_part();
-    for (var, coeff) in model.objective.compressed().terms() {
+    let mut c_off = objective.constant_part();
+    for (var, coeff) in objective.compressed().terms() {
         match rewrites[var.index()] {
             Rewrite::Shift { col, l } => {
                 c[col] += coeff;
@@ -217,7 +220,7 @@ pub fn solve_dense(model: &Model) -> Result<Solution, LpError> {
     for (i, &b) in basis.iter().enumerate() {
         xprime[b] = t[i][total];
     }
-    let mut values = vec![0.0; model.vars.len()];
+    let mut values = vec![0.0; model.num_vars()];
     for (vi, rw) in rewrites.iter().enumerate() {
         values[vi] = match *rw {
             Rewrite::Shift { col, l } => l + xprime[col],
@@ -232,8 +235,8 @@ pub fn solve_dense(model: &Model) -> Result<Solution, LpError> {
         objective: if maximize { -min_obj } else { min_obj },
         values,
         iterations: 0,
-        basis: crate::model::BasisStatuses(Vec::new()),
-        stats: crate::model::SolveStats::default(),
+        basis: BasisStatuses(Vec::new()),
+        stats: SolveStats::default(),
         duals: Vec::new(),
     })
 }
@@ -334,8 +337,7 @@ fn pivot(t: &mut [Vec<f64>], basis: &mut [usize], p: usize, q: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::LinExpr;
-    use crate::model::{Cmp, Model, Sense};
+    use ffc_lp::LinExpr;
 
     fn almost(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-6, "{a} != {b}");
