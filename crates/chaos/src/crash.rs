@@ -28,6 +28,7 @@ use std::fs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
+use ffc_core::panic_message;
 use ffc_ctrl::checkpoint::HISTORY_LOG;
 use ffc_ctrl::{
     config_digest, recover_latest, ChaosHooks, Checkpointer, Controller, ControllerConfig,
@@ -174,16 +175,8 @@ impl CrashSuiteReport {
 }
 
 /// Catches panics from a controller run; `Err` carries the message.
-fn guarded<T>(f: impl FnOnce() -> T) -> Result<T, String> {
-    catch_unwind(AssertUnwindSafe(f)).map_err(|p| {
-        if let Some(s) = p.downcast_ref::<&'static str>() {
-            (*s).to_string()
-        } else if let Some(s) = p.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "non-string panic payload".to_string()
-        }
-    })
+pub(crate) fn guarded<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(|p| panic_message(p.as_ref()))
 }
 
 /// Checkpoint files in `dir`, oldest first.

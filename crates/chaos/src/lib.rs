@@ -45,8 +45,6 @@ pub mod crash;
 pub mod injector;
 pub mod shrink;
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
 use ffc_core::FfcConfig;
 use ffc_ctrl::{
     ChaosHooks, Controller, ControllerConfig, ControllerReport, EventTrace, TimedEvent,
@@ -225,18 +223,9 @@ fn guarded_run(
     intervals: usize,
     replay: bool,
 ) -> Result<ControllerReport, String> {
-    catch_unwind(AssertUnwindSafe(|| {
+    crash::guarded(|| {
         let mut ctrl = Controller::new(inputs.topo, inputs.tunnels, cfg.clone());
         ctrl.run(inputs.tm, events, intervals, replay)
-    }))
-    .map_err(|p| {
-        if let Some(s) = p.downcast_ref::<&'static str>() {
-            (*s).to_string()
-        } else if let Some(s) = p.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "non-string panic payload".to_string()
-        }
     })
 }
 

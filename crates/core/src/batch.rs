@@ -29,8 +29,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Renders a panic payload as a message (string payloads pass through;
-/// anything else gets a placeholder).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// anything else gets a placeholder). Every crate that catches panics
+/// renders them with this one.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&'static str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -282,29 +283,16 @@ pub fn solve_ffc_scenarios(
         out
     };
 
-    if workers <= 1 {
-        return Ok(solve_chunk(scenarios));
-    }
-
-    let solve_chunk = &solve_chunk;
-    let results: Vec<Vec<Result<BatchOutcome, LpError>>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = scenarios
-            .chunks(chunk)
-            .map(|slice| (slice.len(), scope.spawn(move || solve_chunk(slice))))
-            .collect();
-        handles
-            .into_iter()
-            .map(|(len, h)| {
-                h.join().unwrap_or_else(|p| {
-                    let msg = panic_message(p.as_ref());
-                    (0..len)
-                        .map(|_| Err(LpError::WorkerPanic(msg.clone())))
-                        .collect()
-                })
-            })
-            .collect()
-    });
-    Ok(results.into_iter().flatten().collect())
+    // One item per contiguous chunk, so each worker walks its own warm
+    // chain; a chunk that panics outside its per-scenario catch yields
+    // one `WorkerPanic` per scenario.
+    let chunks: Vec<&[ffc_net::FaultScenario]> = scenarios.chunks(chunk).collect();
+    let results = par_try_map(&chunks, |_, slice| Ok(solve_chunk(slice)));
+    Ok(chunks
+        .iter()
+        .zip(results)
+        .flat_map(|(slice, r)| r.unwrap_or_else(|e| vec![Err(e); slice.len()]))
+        .collect())
 }
 
 #[cfg(test)]
@@ -354,6 +342,17 @@ mod tests {
         let empty: Vec<u32> = vec![];
         assert!(par_map(&empty, |_, &x| x).is_empty());
         assert_eq!(par_map(&[7u32], |_, &x| x + 1), vec![8]);
+    }
+
+    #[test]
+    fn panic_message_renders_every_payload_kind() {
+        let render = |f: fn()| panic_message(catch_unwind(f).expect_err("panics").as_ref());
+        assert_eq!(render(|| panic!("static str")), "static str");
+        assert_eq!(render(|| panic!("formatted {}", 7)), "formatted 7");
+        assert_eq!(
+            render(|| std::panic::panic_any(7u32)),
+            "non-string panic payload"
+        );
     }
 
     #[test]

@@ -246,8 +246,7 @@ mod tests {
         let mut scenarios = link_combinations_up_to(&all_links, 1);
         scenarios.extend(config_combinations_up_to(&all_nodes, 1));
         for scenario in scenarios {
-            let loads =
-                rescaled_link_loads_mixed(&topo, &tm, &tunnels, &new, Some(&old), &scenario);
+            let loads = rescaled_link_loads_mixed(&topo, &tm, &tunnels, &new, &old, &scenario);
             for e in topo.links() {
                 if scenario.link_dead(&topo, e) {
                     continue;

@@ -66,7 +66,8 @@ pub mod update;
 pub mod verify;
 
 pub use batch::{
-    par_map, solve_ffc_batch, solve_ffc_scenarios, solve_te_batch, BatchOutcome, FfcJob,
+    panic_message, par_map, solve_ffc_batch, solve_ffc_scenarios, solve_te_batch, BatchOutcome,
+    FfcJob,
 };
 pub use bounded_msum::MsumEncoding;
 pub use capacity_planning::{plan_capacities, CapacityPlan, PlanObjective};

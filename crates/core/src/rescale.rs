@@ -11,8 +11,15 @@
 //! rate limiters (end hosts) are assumed updated — so a stale ingress
 //! sends the *new* rate through the *old* weights. (Stale rate limiters,
 //! paper §5.5, are not modeled.)
+//!
+//! [`class_link_loads`] is the one walk that applies this rule. It keeps
+//! each link's load per traffic class: the simulator's classes are the
+//! priorities, every other caller has one class
+//! ([`rescaled_link_loads_mixed`]). Each class accumulates in flow
+//! order, so a one-class walk adds up exactly as a priority-blind one.
+//! The certifier (`ffc-audit`) re-implements the rule on purpose.
 
-use ffc_net::{FaultScenario, Topology, TrafficMatrix, TunnelTable};
+use ffc_net::{FaultScenario, Flow, Topology, TrafficMatrix, TunnelTable};
 
 use crate::te::TeConfig;
 
@@ -33,7 +40,8 @@ impl RescaledLoads {
     /// Oversubscription of a link: traffic above capacity, `≥ 0`.
     pub fn oversubscription(&self, topo: &Topology) -> Vec<f64> {
         topo.links()
-            .map(|e| (self.load[e.index()] - topo.capacity(e)).max(0.0))
+            .zip(&self.load)
+            .map(|(e, &load)| (load - topo.capacity(e)).max(0.0))
             .collect()
     }
 
@@ -41,9 +49,22 @@ impl RescaledLoads {
     /// of capacity (the metric of the paper's Figure 1).
     pub fn max_oversubscription_ratio(&self, topo: &Topology) -> f64 {
         topo.links()
-            .map(|e| (self.load[e.index()] - topo.capacity(e)).max(0.0) / topo.capacity(e))
+            .zip(&self.load)
+            .map(|(e, &load)| (load - topo.capacity(e)).max(0.0) / topo.capacity(e))
             .fold(0.0, f64::max)
     }
+}
+
+/// [`RescaledLoads`] with each link's load and the blackholed rate split
+/// into `N` traffic classes.
+#[derive(Debug, Clone)]
+pub struct ClassLoads<const N: usize> {
+    /// `load[e][c]`: traffic of class `c` arriving at link `e`.
+    pub load: Vec<[f64; N]>,
+    /// Traffic each flow injects.
+    pub sent: Vec<f64>,
+    /// Blackholed rate per class.
+    pub blackholed: [f64; N],
 }
 
 /// Splits `rate` over the residual tunnels proportionally to `weights`.
@@ -59,74 +80,104 @@ pub fn rescale_split(weights: &[f64], residual: &[usize], rate: f64) -> Vec<f64>
     if residual.is_empty() || rate <= 0.0 {
         return out;
     }
-    let total: f64 = residual.iter().map(|&i| weights[i]).sum();
+    let total: f64 = residual.iter().filter_map(|&i| weights.get(i)).sum();
     if total > 1e-12 {
         for &i in residual {
-            out[i] = rate * weights[i] / total;
+            if let (Some(slot), Some(&w)) = (out.get_mut(i), weights.get(i)) {
+                *slot = rate * w / total;
+            }
         }
     }
     out
 }
 
-/// Computes per-link loads after `scenario`, with every ingress applying
-/// the *new* configuration `cfg` (stale switches per the scenario's
-/// `config_failures` use `old` weights instead) and rescaling around
-/// data-plane faults.
-///
-/// `old` is required only when the scenario contains config failures;
-/// pass `None` otherwise.
-pub fn rescaled_link_loads_mixed(
+/// Computes per-link loads after `scenario`, split into `N` classes by
+/// `class` (which must map every flow below `N`), with every ingress
+/// applying the *new* configuration `cfg` — stale switches per the
+/// scenario's `config_failures` use `old` weights instead (pass `cfg`
+/// when no ingress is stale) — and rescaling around data-plane faults.
+pub fn class_link_loads<const N: usize>(
     topo: &Topology,
     tm: &TrafficMatrix,
     tunnels: &TunnelTable,
     cfg: &TeConfig,
-    old: Option<&TeConfig>,
+    old: &TeConfig,
     scenario: &FaultScenario,
-) -> RescaledLoads {
-    let mut load = vec![0.0; topo.num_links()];
+    class: impl Fn(&Flow) -> usize,
+) -> ClassLoads<N> {
+    let mut load = vec![[0.0; N]; topo.num_links()];
     let mut sent = vec![0.0; tm.len()];
-    let mut blackholed = 0.0;
+    let mut blackholed = [0.0; N];
 
-    for (f, flow) in tm.iter() {
-        let fi = f.index();
-        let rate = cfg.rate[fi];
+    for (((f, flow), &rate), sent_f) in tm.iter().zip(&cfg.rate).zip(&mut sent) {
         if rate <= 0.0 {
             continue;
         }
+        let c = class(flow);
+        debug_assert!(c < N, "traffic class {c} out of 0..{N}");
         // Endpoint death kills the flow at the source.
         if scenario.failed_switches.contains(&flow.src)
             || scenario.failed_switches.contains(&flow.dst)
         {
-            blackholed += rate;
+            add_to_class(&mut blackholed, c, rate);
             continue;
         }
         let ts = tunnels.tunnels(f);
         let weights = if scenario.config_failures.contains(&flow.src) {
-            let old = old.expect("scenario has config failures but no old config given");
             old.weights(f)
         } else {
             cfg.weights(f)
         };
         let residual = scenario.residual_tunnels(topo, ts);
         if residual.is_empty() {
-            blackholed += rate;
+            add_to_class(&mut blackholed, c, rate);
             continue;
         }
         let split = rescale_split(&weights, &residual, rate);
-        sent[fi] = split.iter().sum();
+        *sent_f = split.iter().sum();
         // A stale/degenerate weight vector may deliver less than the
         // granted rate; the shortfall is dropped at the ingress.
-        blackholed += rate - sent[fi];
-        for (ti, &traffic) in split.iter().enumerate() {
+        add_to_class(&mut blackholed, c, rate - *sent_f);
+        for (tunnel, &traffic) in ts.iter().zip(&split) {
             if traffic > 0.0 {
-                for &l in &ts[ti].links {
-                    load[l.index()] += traffic;
+                for l in &tunnel.links {
+                    if let Some(link) = load.get_mut(l.index()) {
+                        add_to_class(link, c, traffic);
+                    }
                 }
             }
         }
     }
-    RescaledLoads {
+    ClassLoads {
         load,
+        sent,
+        blackholed,
+    }
+}
+
+/// Adds `x` to class `c`'s slot.
+fn add_to_class<const N: usize>(slots: &mut [f64; N], c: usize, x: f64) {
+    if let Some(slot) = slots.get_mut(c) {
+        *slot += x;
+    }
+}
+
+/// [`class_link_loads`] with one class: the priority-blind loads.
+pub fn rescaled_link_loads_mixed(
+    topo: &Topology,
+    tm: &TrafficMatrix,
+    tunnels: &TunnelTable,
+    cfg: &TeConfig,
+    old: &TeConfig,
+    scenario: &FaultScenario,
+) -> RescaledLoads {
+    let ClassLoads {
+        load,
+        sent,
+        blackholed: [blackholed],
+    } = class_link_loads::<1>(topo, tm, tunnels, cfg, old, scenario, |_| 0);
+    RescaledLoads {
+        load: load.into_iter().map(|[l]| l).collect(),
         sent,
         blackholed,
     }
@@ -141,7 +192,7 @@ pub fn rescaled_link_loads(
     scenario: &FaultScenario,
 ) -> RescaledLoads {
     debug_assert!(scenario.config_failures.is_empty());
-    rescaled_link_loads_mixed(topo, tm, tunnels, cfg, None, scenario)
+    rescaled_link_loads_mixed(topo, tm, tunnels, cfg, cfg, scenario)
 }
 
 /// Convenience: loads when a given set of ingresses is stale (control
@@ -155,7 +206,7 @@ pub fn stale_link_loads(
     stale: &[ffc_net::NodeId],
 ) -> RescaledLoads {
     let scenario = FaultScenario::config(stale.iter().copied());
-    rescaled_link_loads_mixed(topo, tm, tunnels, cfg, Some(old), &scenario)
+    rescaled_link_loads_mixed(topo, tm, tunnels, cfg, old, &scenario)
 }
 
 #[cfg(test)]

@@ -106,10 +106,12 @@ pub struct ControllerConfig {
     /// harness's fault hooks, none of them set by default.
     pub opts: SimplexOptions,
     /// Patch the planner's standing FFC model across intervals instead
-    /// of rebuilding it every round (default: on). Deliberately *not*
-    /// part of the trace header: a patched model is bit-identical to a
-    /// fresh build, so traces recorded either way replay under either
-    /// setting with identical fingerprints.
+    /// of building a fresh one every round (default: on; see
+    /// [`PlannerConfig::incremental`], kept for the benchmark's
+    /// configuration). Deliberately *not* part of the trace header: a
+    /// patched model is bit-identical to a fresh build, so traces
+    /// recorded either way replay under either setting with identical
+    /// fingerprints.
     pub incremental: bool,
     /// Fault-injection hooks (default: none). Only the chaos harness
     /// sets these.

@@ -19,10 +19,10 @@
 //! standing model and the chained basis. When the set is replaced, the
 //! model is rebuilt and the chained basis — solved on the old set's
 //! model — is carried onto it before the solve
-//! ([`FfcModelCache::carry_hint`], the same carry in both arms), so
-//! that solve starts warm too. The set is planner state like the ladder
-//! position: [`PlannerSnapshot`] carries it, so a resumed planner
-//! applies the same rule to the same set, and carries the same hint.
+//! ([`FfcModelCache::carry_hint`]), so that solve starts warm too. The
+//! set is planner state like the ladder position: [`PlannerSnapshot`]
+//! carries it, so a resumed planner applies the same rule to the same
+//! set, and carries the same hint.
 //!
 //! Degradation ladder (ISSUE: "degrades k and falls back to
 //! rescale-only when the solve deadline is exceeded"):
@@ -42,10 +42,7 @@
 
 use std::time::{Duration, Instant};
 
-use ffc_core::{
-    build_ffc_model_tracked, standing_mice, zero_dead_tunnels, BetaSupport, CacheStats, FfcConfig,
-    FfcModelCache, TeConfig, TeProblem,
-};
+use ffc_core::{standing_mice, CacheStats, FfcConfig, FfcModelCache, TeConfig, TeProblem};
 use ffc_lp::{BasisStatuses, SimplexOptions, SolveStats};
 use ffc_net::FaultScenario;
 
@@ -117,15 +114,14 @@ pub struct PlannerConfig {
     /// Simplex options for every solve: an iteration cap and the chaos
     /// harness's fault hooks, none of them set by default.
     pub opts: SimplexOptions,
-    /// Keep a standing [`FfcModelCache`] across intervals and *patch*
+    /// Keep the standing [`FfcModelCache`] across intervals and *patch*
     /// it (demand ticks, fault drift, installed-config advances)
-    /// instead of rebuilding the LP every round (default: on). The
-    /// patched model is bit-identical to a fresh build from the same
-    /// inputs (the standing mice set and the every-tunnel β support
-    /// among them; what the rebuild-every-interval mode builds too) —
-    /// checked under debug
-    /// assertions — so the solve path, iteration counts, and telemetry
-    /// fingerprints match the rebuild-every-interval mode.
+    /// (default: on); off, the planner drops it before every solve, so
+    /// each round builds a fresh standing model. The patched model is
+    /// bit-identical to a fresh build from the same inputs (checked
+    /// under debug assertions), so the solve path, iteration counts,
+    /// and telemetry fingerprints are the same either way. Kept for the
+    /// benchmark's configuration, which still sets it.
     pub incremental: bool,
 }
 
@@ -178,7 +174,8 @@ pub struct Planner {
     /// The standing §6 mice set, one flag per flow: what the last
     /// solving round built with (`None` before the first).
     mice: Option<Vec<bool>>,
-    /// The standing model reused across intervals (incremental mode).
+    /// The standing model reused across intervals (dropped before every
+    /// solve with incremental re-solves off).
     cache: Option<FfcModelCache>,
 }
 
@@ -257,8 +254,9 @@ impl Planner {
 
     /// The standing model's patch / rebuild tally, rebuilds split by
     /// [`ffc_core::RebuildReason`]. All zero while there is no standing
-    /// model: before the first solve, after a failed one dropped it,
-    /// and with [`PlannerConfig::incremental`] off.
+    /// model: before the first solve and after a failed one dropped it;
+    /// with [`PlannerConfig::incremental`] off, the tally of the round's
+    /// fresh model (its initial build).
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.as_ref().map(|c| c.stats()).unwrap_or_default()
     }
@@ -326,60 +324,43 @@ impl Planner {
         );
 
         let t0 = Instant::now();
-        // The §6 mice set both arms build with: the standing one while
-        // it still is a mice set of these demands, the greedy one
-        // otherwise (`standing_mice` is the whole rule).
+        // The §6 mice set to build with: the standing one while it
+        // still is a mice set of these demands, the greedy one otherwise
+        // (`standing_mice` is the whole rule).
         let mice = standing_mice(self.mice.as_deref(), problem.tm, self.current.mice_fraction);
         // The chained hint was solved on the model of the previous set:
         // when the set changes, it is replaced by its carry onto this
         // set's model before the solve, never loaded as it is.
         let flipped_from = self.mice.take().filter(|prev| *prev != mice);
+        // Standing model: patch it to the new inputs when sound (demand
+        // ticks, installed-config advances, fault drift), rebuild it in
+        // place otherwise. The patched model is bit-identical to a fresh
+        // build, so everything downstream (solve path, stats,
+        // fingerprints) is unchanged — and the rebuild mode is a fresh
+        // standing model every round.
+        if !self.cfg.incremental {
+            self.cache = None;
+        }
         let mut patched = false;
-        let result = if self.cfg.incremental {
-            // Standing model: patch it to the new inputs when sound
-            // (demand ticks, installed-config advances, fault drift),
-            // rebuild it in place otherwise. The patched model is
-            // bit-identical to a fresh build, so everything downstream
-            // (solve path, stats, fingerprints) is unchanged.
-            let cache = match self.cache.as_mut() {
-                Some(c) => {
-                    patched = c
-                        .retarget(problem, old, &self.current, &mice, Some(scenario))
-                        .is_patch();
-                    c
-                }
-                None => self.cache.insert(FfcModelCache::new(
-                    problem,
-                    old,
-                    &self.current,
-                    &mice,
-                    Some(scenario),
-                )),
-            };
-            if let Some(from) = &flipped_from {
-                carry_stored_hint(store, shape, |h| cache.carry_hint(problem.tunnels, from, h));
+        let cache = match self.cache.as_mut() {
+            Some(c) => {
+                patched = c
+                    .retarget(problem, old, &self.current, &mice, Some(scenario))
+                    .is_patch();
+                c
             }
-            cache.solve_with(&self.cfg.opts, store.hint_for(shape))
-        } else {
-            let (mut builder, layout) = build_ffc_model_tracked(
+            None => self.cache.insert(FfcModelCache::new(
                 problem,
                 old,
                 &self.current,
                 &mice,
-                BetaSupport::AllTunnels,
-            );
-            zero_dead_tunnels(&mut builder, scenario);
-            if let Some(from) = &flipped_from {
-                let encoding = self.current.encoding;
-                carry_stored_hint(store, shape, |h| {
-                    let model = &builder.model;
-                    layout
-                        .data
-                        .carry_basis(model, problem.tunnels, encoding, from, h)
-                });
-            }
-            builder.solve_with(&self.cfg.opts, store.hint_for(shape))
+                Some(scenario),
+            )),
         };
+        if let Some(from) = &flipped_from {
+            carry_stored_hint(store, shape, |h| cache.carry_hint(problem.tunnels, from, h));
+        }
+        let result = cache.solve_with(&self.cfg.opts, store.hint_for(shape));
         self.mice = Some(mice);
         let wall = t0.elapsed();
 

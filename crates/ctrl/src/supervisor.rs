@@ -13,6 +13,8 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
+use ffc_core::panic_message;
+
 /// Restart policy.
 #[derive(Debug, Clone)]
 pub struct SupervisorConfig {
@@ -80,16 +82,6 @@ impl<T> Supervised<T> {
     }
 }
 
-fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = p.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = p.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// Runs `attempt` under the restart policy. The closure receives the
 /// 0-based attempt number; attempts after the first should resume from
 /// durable state rather than starting over.
@@ -110,7 +102,7 @@ pub fn run_supervised<T>(
                 }
             }
             Err(p) => {
-                crashes.push(panic_message(p));
+                crashes.push(panic_message(p.as_ref()));
                 if attempt_no < cfg.max_restarts {
                     let wait = restart_backoff(cfg, attempt_no);
                     backoffs.push(wait);

@@ -1,9 +1,11 @@
 //! Loss accounting (§8.1 "Metrics"): blackhole losses (traffic sent
 //! into dead tunnels before ingresses rescale) and congestion losses
 //! (link oversubscription × duration), optionally split by priority
-//! with priority queueing (lower priorities dropped first, §8.4).
+//! with priority queueing (lower priorities dropped first, §8.4). The
+//! per-priority loads are [`ffc_core::rescale::class_link_loads`] with
+//! the priority as the class.
 
-use ffc_core::rescale::{rescale_split, RescaledLoads};
+use ffc_core::rescale::{class_link_loads, ClassLoads, RescaledLoads};
 use ffc_core::te::TeConfig;
 use ffc_net::{FaultScenario, Priority, Topology, TrafficMatrix, TunnelTable};
 
@@ -30,57 +32,24 @@ pub struct PriorityLoads {
     pub blackholed: PerPriority,
 }
 
-/// Computes per-link, per-priority loads under a fault scenario,
-/// mirroring [`ffc_core::rescale::rescaled_link_loads_mixed`].
+/// Computes per-link, per-priority loads under a fault scenario: stale
+/// ingresses (the scenario's `config_failures`) split by `old`'s weights
+/// (pass `cfg` when none is stale).
 pub fn priority_link_loads(
     topo: &Topology,
     tm: &TrafficMatrix,
     tunnels: &TunnelTable,
     cfg: &TeConfig,
-    old: Option<&TeConfig>,
+    old: &TeConfig,
     scenario: &FaultScenario,
 ) -> PriorityLoads {
-    let mut load = vec![[0.0; 3]; topo.num_links()];
-    let mut sent = vec![0.0; tm.len()];
-    let mut blackholed = [0.0; 3];
-
-    for (f, flow) in tm.iter() {
-        let fi = f.index();
-        let rate = cfg.rate[fi];
-        if rate <= 0.0 {
-            continue;
-        }
-        let p = pidx(flow.priority);
-        if scenario.failed_switches.contains(&flow.src)
-            || scenario.failed_switches.contains(&flow.dst)
-        {
-            blackholed[p] += rate;
-            continue;
-        }
-        let ts = tunnels.tunnels(f);
-        let weights = if scenario.config_failures.contains(&flow.src) {
-            old.expect("config failures need an old config").weights(f)
-        } else {
-            cfg.weights(f)
-        };
-        let residual = scenario.residual_tunnels(topo, ts);
-        if residual.is_empty() {
-            blackholed[p] += rate;
-            continue;
-        }
-        let split = rescale_split(&weights, &residual, rate);
-        sent[fi] = split.iter().sum();
-        // Shortfall against the granted rate is dropped at the ingress
-        // (e.g. a stale switch with no forwarding entries for the flow).
-        blackholed[p] += rate - sent[fi];
-        for (ti, &traffic) in split.iter().enumerate() {
-            if traffic > 0.0 {
-                for &l in &ts[ti].links {
-                    load[l.index()][p] += traffic;
-                }
-            }
-        }
-    }
+    let ClassLoads {
+        load,
+        sent,
+        blackholed,
+    } = class_link_loads(topo, tm, tunnels, cfg, old, scenario, |flow| {
+        pidx(flow.priority)
+    });
     PriorityLoads {
         load,
         sent,
@@ -100,13 +69,11 @@ impl PriorityLoads {
     /// priority, summed over links.
     pub fn congestion_drops(&self, topo: &Topology) -> PerPriority {
         let mut drops = [0.0; 3];
-        for e in topo.links() {
-            let cap = topo.capacity(e);
-            let l = &self.load[e.index()];
-            let mut remaining = cap;
-            for p in 0..3 {
-                let served = l[p].min(remaining);
-                drops[p] += l[p] - served;
+        for (e, l) in topo.links().zip(&self.load) {
+            let mut remaining = topo.capacity(e);
+            for (drop, &offered) in drops.iter_mut().zip(l) {
+                let served = offered.min(remaining);
+                *drop += offered - served;
                 remaining -= served;
             }
         }
@@ -129,8 +96,7 @@ pub fn priority_congestion_loss(
     loads: &PriorityLoads,
     duration: f64,
 ) -> PerPriority {
-    let d = loads.congestion_drops(topo);
-    [d[0] * duration, d[1] * duration, d[2] * duration]
+    loads.congestion_drops(topo).map(|d| d * duration)
 }
 
 /// The traffic rate a configuration currently sends into tunnels that
@@ -193,7 +159,7 @@ mod tests {
     #[test]
     fn per_priority_loads_split() {
         let (t, tm, tt, cfg) = setup();
-        let loads = priority_link_loads(&t, &tm, &tt, &cfg, None, &FaultScenario::none());
+        let loads = priority_link_loads(&t, &tm, &tt, &cfg, &cfg, &FaultScenario::none());
         assert_eq!(loads.load[0][pidx(Priority::High)], 8.0);
         assert_eq!(loads.load[0][pidx(Priority::Low)], 0.0);
         assert_eq!(loads.load[1][pidx(Priority::Low)], 8.0);
@@ -224,7 +190,7 @@ mod tests {
             rate: vec![7.0, 6.0],
             alloc: vec![vec![7.0], vec![6.0]],
         };
-        let loads = priority_link_loads(&t, &tm, &tt, &cfg, None, &FaultScenario::none());
+        let loads = priority_link_loads(&t, &tm, &tt, &cfg, &cfg, &FaultScenario::none());
         let drops = loads.congestion_drops(&t);
         // 13 offered on 10: high fully served, low loses 3.
         assert_eq!(drops[pidx(Priority::High)], 0.0);
@@ -234,7 +200,7 @@ mod tests {
             rate: vec![12.0, 0.0],
             alloc: vec![vec![12.0], vec![0.0]],
         };
-        let loads2 = priority_link_loads(&t, &tm, &tt, &cfg2, None, &FaultScenario::none());
+        let loads2 = priority_link_loads(&t, &tm, &tt, &cfg2, &cfg2, &FaultScenario::none());
         let drops2 = loads2.congestion_drops(&t);
         assert_eq!(drops2[pidx(Priority::High)], 2.0);
     }
@@ -250,7 +216,7 @@ mod tests {
     #[test]
     fn collapse_matches_totals() {
         let (t, tm, tt, cfg) = setup();
-        let loads = priority_link_loads(&t, &tm, &tt, &cfg, None, &FaultScenario::none());
+        let loads = priority_link_loads(&t, &tm, &tt, &cfg, &cfg, &FaultScenario::none());
         let flat = loads.collapse();
         for e in t.links() {
             assert!((flat.load[e.index()] - loads.total(e.index())).abs() < 1e-12);

@@ -473,8 +473,7 @@ impl<'a> Simulator<'a> {
                 _ => (&target, &old),
             };
 
-            let loads =
-                priority_link_loads(self.topo, &tm, self.tunnels, cfg_now, Some(old_now), &sc);
+            let loads = priority_link_loads(self.topo, &tm, self.tunnels, cfg_now, old_now, &sc);
             let drops = priority_congestion_loss(self.topo, &loads, dur);
             for p in 0..3 {
                 rec.lost_congestion[p] += drops[p];
@@ -632,19 +631,6 @@ impl<'a> DrivenSim<'a> {
         self.active.failed_switches.remove(&v);
     }
 
-    /// Post-rescale link loads of the installed configuration under the
-    /// active faults (all zeros when nothing is installed yet).
-    pub fn link_loads(&self, tm: &TrafficMatrix) -> Vec<f64> {
-        match &self.installed {
-            Some(cfg) => {
-                priority_link_loads(self.topo, tm, self.tunnels, cfg, None, &self.active)
-                    .collapse()
-                    .load
-            }
-            None => vec![0.0; self.topo.num_links()],
-        }
-    }
-
     /// Advances one TE interval: `target` is the configuration the
     /// controller rolled out this interval (it becomes the installed
     /// config), `stale` the ingresses whose update failed — they keep
@@ -685,7 +671,7 @@ impl<'a> DrivenSim<'a> {
         for &v in stale {
             sc.fail_config(v);
         }
-        let loads = priority_link_loads(self.topo, tm, self.tunnels, target, Some(&old), &sc);
+        let loads = priority_link_loads(self.topo, tm, self.tunnels, target, &old, &sc);
         rec.lost_congestion = priority_congestion_loss(self.topo, &loads, self.interval_secs);
         let flat = loads.collapse();
         rec.max_oversubscription = flat.max_oversubscription_ratio(self.topo);
@@ -900,7 +886,6 @@ mod tests {
         let cfg = TeModelBuilder::new(problem).solve().expect("TE");
         let mut sim = DrivenSim::new(&topo, &tunnels);
         assert!(sim.installed().is_none());
-        assert!(sim.link_loads(tm).iter().all(|&l| l == 0.0));
         let rec = sim.advance(tm, &cfg, &[]);
         let lost: f64 = rec
             .lost_congestion
@@ -911,7 +896,7 @@ mod tests {
         assert!(rec.delivered.iter().sum::<f64>() > 0.0);
         assert_eq!(rec.overloaded_links, 0);
         assert!(sim.installed().is_some());
-        assert!(sim.link_loads(tm).iter().any(|&l| l > 0.0));
+        assert!(rec.link_load.iter().any(|&l| l > 0.0));
     }
 
     #[test]

@@ -86,7 +86,7 @@ fn control_ffc_guarantee_on_generated_networks() {
     .expect("control FFC solvable");
     let nodes: Vec<NodeId> = topo.nodes().collect();
     for sc in config_combinations_up_to(&nodes, 2) {
-        let loads = rescaled_link_loads_mixed(&topo, &tm2, &tunnels, &cfg, Some(&old), &sc);
+        let loads = rescaled_link_loads_mixed(&topo, &tm2, &tunnels, &cfg, &old, &sc);
         for e in topo.links() {
             assert!(
                 loads.load[e.index()] <= topo.capacity(e) + 1e-5,

@@ -107,7 +107,7 @@ proptest! {
         ).expect("control FFC feasible");
         let nodes: Vec<NodeId> = topo.nodes().collect();
         for sc in config_combinations_up_to(&nodes, 1) {
-            let loads = rescaled_link_loads_mixed(&topo, &tm2, &tunnels, &cfg, Some(&old), &sc);
+            let loads = rescaled_link_loads_mixed(&topo, &tm2, &tunnels, &cfg, &old, &sc);
             for e in topo.links() {
                 prop_assert!(
                     loads.load[e.index()] <= topo.capacity(e) + 1e-5,
